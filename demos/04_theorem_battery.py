@@ -26,9 +26,7 @@ print("-" * 64)
 count_keys = ("cases_examined", "pairs_examined", "triads_examined", "lines_examined")
 for r in reports:
     cases = next((str(r.stats[k]) for k in count_keys if k in r.stats), "-")
-    mode = r.stats.get("mode", "")
-    print(f"  {r.check_name:<28} {'PASS' if r.passed else 'FAIL':<6} "
-          f"{cases:>8} cases  {mode}")
+    print(f"  {r.check_name:<28} {'PASS' if r.passed else 'FAIL':<6} {cases:>8} cases")
 print()
 
 t0 = time.monotonic()

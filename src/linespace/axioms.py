@@ -35,7 +35,7 @@ from .labeling import (
     element_table,
     enumerate_secondary_elements,
 )
-from .sigma import NotTwoClassesError, sigma, sigma_mask
+from .sigma import NotTwoClassesError, incidence_classes, sigma, sigma_mask
 
 PASS = "pass"
 FAIL = "fail"
@@ -388,20 +388,5 @@ def _replay_not_two_classes(s: IncidenceStructure, ce: dict) -> bool:
     if ce.get("class_count") == 0:
         return not sig
     # Class-count witness: recount components of incidence on sigma.
-    members = sorted(sig)
-    parent = {l: l for l in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            if s.adjacency[x, y]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    count = len({find(l) for l in members})
+    count = len(incidence_classes(s, sorted(sig)))
     return count == ce["class_count"] and count != 2

@@ -215,13 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (lio.ParseError, CapacityError) as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as e:
+    except (lio.ParseError, CapacityError, OSError, PreconditionError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
     except LinespaceError as e:

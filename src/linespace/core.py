@@ -277,10 +277,13 @@ def find_skew_triple(
     s: IncidenceStructure, lines: Iterable[int]
 ) -> Optional[tuple[int, int, int]]:
     """Lexicographically least pairwise-skew triple within ``lines``, or None."""
-    members = _validated_lines(s, lines)
-    mset = mask_of_lines(members)
+    return find_skew_triple_mask(s, mask_of_lines(_validated_lines(s, lines)))
+
+
+def find_skew_triple_mask(s: IncidenceStructure, mset: int) -> Optional[tuple[int, int, int]]:
+    """Mask-level find_skew_triple: the least pairwise-skew triple of set bits."""
     masks = s.masks
-    for x in members:
+    for x in lines_of_mask(mset):
         sx = mset & ~masks[x] & ~((1 << (x + 1)) - 1)
         rest = sx
         while rest:

@@ -86,9 +86,6 @@ def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructur
         )
     except StructureError as e:
         raise ParseError(f"{source}: {e}") from None
-    # Construction enforces these; assert the loaded relation anyway.
-    assert s.adjacency.diagonal().all() or n == 0
-    assert (s.adjacency == s.adjacency.T).all()
     return s
 
 
@@ -147,10 +144,12 @@ def model_from_dict(data: dict, source: str = "<dict>") -> GeometryModel:
             k = raw_seed["class_of"]
         except (TypeError, KeyError):
             raise ParseError(f"{source}: bad seed {raw_seed!r}") from None
-        if not all(isinstance(v, int) for v in (a, b, k)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (a, b, k)):
             raise ParseError(f"{source}: bad seed {raw_seed!r}")
         if not (0 <= a < n and 0 <= b < n and k in (0, 1)):
             raise ParseError(f"{source}: seed {raw_seed!r} out of range")
+        if a == b:
+            raise ParseError(f"{source}: seed {raw_seed!r} needs two distinct lines")
         seed = (min(a, b), max(a, b), k)
     return GeometryModel(structure=s, points=points, planes=planes, seed=seed)
 

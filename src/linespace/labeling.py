@@ -251,72 +251,59 @@ def coordinate_labels(
     LabelInconsistencyError (with witness) when the classification fails
     verification, or NotTwoClassesError when some sigma set has no valid
     class split; a structure with no incident distinct pair yields the
-    empty model.
+    empty model.  A verified model is cached per structure and seed; a
+    failed one raises again on every call.
     """
     if not incident_pairs(s):
         return GeometryModel(structure=s, points=(), planes=(), seed=None)
     seed = _normalize_seed(s, seed)
-    kinds = classify_elements(s, seed)
-    elements = enumerate_secondary_elements(s)
-    witness = _verify_labeling(s, elements, kinds, seed)
-    if witness is not None:
-        raise LabelInconsistencyError(
-            f"labeling verification failed: {witness['issue']}", witness
+
+    def build():
+        kinds = classify_elements(s, seed)
+        elements = enumerate_secondary_elements(s)
+        witness = _verify_labeling(s, elements, kinds, seed)
+        if witness is not None:
+            raise LabelInconsistencyError(
+                f"labeling verification failed: {witness['issue']}", witness
+            )
+        points = tuple(tuple(sorted(fs)) for fs in elements if kinds[fs] is Kind.POINT)
+        planes = tuple(tuple(sorted(fs)) for fs in elements if kinds[fs] is Kind.PLANE)
+        return GeometryModel(structure=s, points=points, planes=planes, seed=seed)
+
+    return s.cached(("coordinate_labels", seed), build)
+
+
+def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> SecondaryElement:
+    """The unique element of one family containing both lines of an incident pair."""
+    op = "meet_point" if kind is Kind.POINT else "join_plane"
+    s = m.structure
+    a = s.check_index(a)
+    b = s.check_index(b)
+    if a == b:
+        raise PreconditionError(f"{op} requires two distinct lines")
+    if not s.adjacency[a, b]:
+        raise PreconditionError(
+            f"{op} requires an incident pair, but {s.labels[a]!r} and "
+            f"{s.labels[b]!r} are skew"
         )
-    points = tuple(tuple(sorted(fs)) for fs in elements if kinds[fs] is Kind.POINT)
-    planes = tuple(tuple(sorted(fs)) for fs in elements if kinds[fs] is Kind.PLANE)
-    return GeometryModel(structure=s, points=points, planes=planes, seed=seed)
-
-
-def _unique_containing(
-    family: tuple[tuple[int, ...], ...], a: int, b: int
-) -> Optional[tuple[int, ...]]:
+    family = m.points if kind is Kind.POINT else m.planes
     hits = [e for e in family if a in e and b in e]
-    if len(hits) == 1:
-        return hits[0]
-    return None
+    if len(hits) != 1:
+        raise MissingElementError(
+            f"no unique {kind.value} contains {s.labels[a]!r} and {s.labels[b]!r}; "
+            "model is inconsistent"
+        )
+    return SecondaryElement(lines=hits[0], kind=kind)
 
 
 def meet_point(m: GeometryModel, a: int, b: int) -> SecondaryElement:
     """The unique point of the model containing both lines."""
-    s = m.structure
-    a = s.check_index(a)
-    b = s.check_index(b)
-    if a == b:
-        raise PreconditionError("meet_point requires two distinct lines")
-    if not s.adjacency[a, b]:
-        raise PreconditionError(
-            f"meet_point requires an incident pair, but {s.labels[a]!r} and "
-            f"{s.labels[b]!r} are skew"
-        )
-    hit = _unique_containing(m.points, a, b)
-    if hit is None:
-        raise MissingElementError(
-            f"no unique point contains {s.labels[a]!r} and {s.labels[b]!r}; "
-            "model is inconsistent"
-        )
-    return SecondaryElement(lines=hit, kind=Kind.POINT)
+    return _unique_element(m, a, b, Kind.POINT)
 
 
 def join_plane(m: GeometryModel, a: int, b: int) -> SecondaryElement:
     """The unique plane of the model containing both lines."""
-    s = m.structure
-    a = s.check_index(a)
-    b = s.check_index(b)
-    if a == b:
-        raise PreconditionError("join_plane requires two distinct lines")
-    if not s.adjacency[a, b]:
-        raise PreconditionError(
-            f"join_plane requires an incident pair, but {s.labels[a]!r} and "
-            f"{s.labels[b]!r} are skew"
-        )
-    hit = _unique_containing(m.planes, a, b)
-    if hit is None:
-        raise MissingElementError(
-            f"no unique plane contains {s.labels[a]!r} and {s.labels[b]!r}; "
-            "model is inconsistent"
-        )
-    return SecondaryElement(lines=hit, kind=Kind.PLANE)
+    return _unique_element(m, a, b, Kind.PLANE)
 
 
 def dualize(m: GeometryModel) -> GeometryModel:

@@ -103,6 +103,32 @@ def _transitivity_witness(s: IncidenceStructure, members: list[int]) -> tuple[in
     raise AssertionError("clique check failed but no transitivity violation found")
 
 
+def incidence_classes(s: IncidenceStructure, members: list[int]) -> list[list[int]]:
+    """Connected components of incidence on ascending ``members``, by least line.
+
+    Found by union-find; a component need not be a clique.
+    """
+    parent = {l: l for l in members}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj = s.adjacency
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            if adj[x, y]:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+    groups: dict[int, list[int]] = {}
+    for l in members:
+        groups.setdefault(find(l), []).append(l)
+    return list(groups.values())
+
+
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     """Split sigma(a, b) into its two incidence classes, verifying the split.
 
@@ -122,25 +148,7 @@ def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
                 f"sigma({pair_labels[0]}, {pair_labels[1]}) is empty",
                 {"pair": pair_labels, "sigma": [], "class_count": 0},
             )
-        parent = {l: l for l in sig}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        adj = s.adjacency
-        for i, x in enumerate(sig):
-            for y in sig[i + 1 :]:
-                if adj[x, y]:
-                    rx, ry = find(x), find(y)
-                    if rx != ry:
-                        parent[max(rx, ry)] = min(rx, ry)
-
-        groups: dict[int, list[int]] = {}
-        for l in sig:
-            groups.setdefault(find(l), []).append(l)
+        groups = incidence_classes(s, sig)
         if len(groups) != 2:
             raise NotTwoClassesError(
                 f"sigma({pair_labels[0]}, {pair_labels[1]}) has {len(groups)} incidence "
@@ -151,7 +159,8 @@ def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
                     "class_count": len(groups),
                 },
             )
-        for group in groups.values():
+        adj = s.adjacency
+        for group in groups:
             for i, x in enumerate(group):
                 for y in group[i + 1 :]:
                     if not adj[x, y]:
@@ -167,7 +176,7 @@ def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
                                 "r": s.labels[r],
                             },
                         )
-        first, second = sorted(groups.values(), key=min)
+        first, second = groups
         return SigmaPartition(
             pair=(a, b),
             sigma=frozenset(sig),

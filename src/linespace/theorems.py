@@ -6,23 +6,22 @@ bug in one checker cannot silently satisfy another.  On any structure
 where the axiom checks all pass, every verifier here must pass as well;
 that cross-validation is the package's main self-test.
 
-Quantifier budgets: a check iterates exhaustively while its obligation
-count stays at or below OBLIGATION_CAP (for triple quantifiers this covers
-every structure up to roughly 200 lines).  Beyond the cap it evaluates a
-seeded sample and records the mode, sample size and seed in the report
-stats.  Vacuous hypotheses report a pass with zero cases, never an error.
+Every pass is exhaustive.  A quantifier ranges over its support, the only
+tuples that can violate it, rather than over every triple of lines; each
+such verifier's docstring proves its reduction.  A failing report names
+the lexicographically least violation, the same one an unrestricted loop
+would meet first.  Vacuous hypotheses report a pass, never an error.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from typing import Iterable, Optional
 
 from .axioms import DEPENDENCY_UNMET, FAIL, PASS, CheckReport
 from .core import (
     IncidenceStructure,
+    find_skew_triple_mask,
     incident_pairs,
     labels_of,
     lines_of_mask,
@@ -40,33 +39,6 @@ from .labeling import (
     meet_point,
 )
 from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
-
-OBLIGATION_CAP = 2_000_000
-SAMPLE_COUNT = 200_000
-SAMPLE_SEED = 8191
-
-
-def _triple_budget(n: int) -> tuple[str, Iterable[tuple[int, int, int]]]:
-    """Exhaustive triples up to the obligation cap, else a seeded sample."""
-    total = math.comb(n, 3)
-    if total <= OBLIGATION_CAP:
-        return "exhaustive", itertools.combinations(range(n), 3)
-    rng = random.Random(SAMPLE_SEED)
-
-    def sample():
-        for _ in range(SAMPLE_COUNT):
-            yield tuple(sorted(rng.sample(range(n), 3)))
-
-    return "sampled", sample()
-
-
-def _budget_stats(mode: str, examined: int, **extra) -> dict:
-    stats = {"mode": mode, "cases_examined": examined}
-    if mode == "sampled":
-        stats["sample_seed"] = SAMPLE_SEED
-    stats.update(extra)
-    return stats
-
 
 def _sigma_lookup(s: IncidenceStructure) -> dict[tuple[int, int], int]:
     """Mask of sigma(a, b) for every incident distinct pair; cached."""
@@ -139,7 +111,11 @@ def _dependency(name: str, exc: Exception) -> CheckReport:
 
 
 def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
-    """The three sigma memberships of any triple agree (all hold or none)."""
+    """The three sigma memberships of any triple agree (all hold or none).
+
+    Reduction: a disagreeing triple has one membership that holds, so it is
+    a triad, and the sorted triads are walked in order.
+    """
     name = "thm_sigma_equivalence"
     sig = _sigma_lookup(s)
 
@@ -149,10 +125,8 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
         mask = sig.get((x, y))
         return bool(mask and (mask >> z) & 1)
 
-    mode, it = _triple_budget(s.line_count)
-    examined = 0
-    for a, b, c in it:
-        examined += 1
+    tri = triads(s)
+    for examined, (a, b, c) in enumerate(tri, start=1):
         m1 = member(b, c, a)
         m2 = member(c, a, b)
         m3 = member(a, b, c)
@@ -166,9 +140,9 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
                     "b_in_sigma_ca": m2,
                     "c_in_sigma_ab": m3,
                 },
-                stats=_budget_stats(mode, examined),
+                stats={"triads_examined": examined},
             )
-    return CheckReport(name, PASS, stats=_budget_stats(mode, examined))
+    return CheckReport(name, PASS, stats={"triads_examined": len(tri)})
 
 
 def thm_two_classes(s: IncidenceStructure) -> CheckReport:
@@ -242,65 +216,39 @@ def thm_line_selfperp(s: IncidenceStructure) -> CheckReport:
 
 
 def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
-    """The bracket of a pairwise-skew triple is itself pairwise skew."""
+    """The bracket of a pairwise-skew triple is itself pairwise skew.
+
+    Reduction: an incident pair lies in a triple's bracket exactly when the
+    triple lies in the pair's perp, so the least violating triple is the
+    least of the per-pair least skew triples of those perps.
+    """
     name = "thm_regulus_skew"
-    n = s.line_count
     masks = s.masks
-    full = s.full_mask
-    total = math.comb(n, 3)
-    examined = 0
-
-    def check(u, v, w):
-        B = masks[u] & masks[v] & masks[w]
-        for l in lines_of_mask(B):
-            other = B & masks[l] & ~(1 << l)
-            if other:
-                m2 = (other & -other).bit_length() - 1
-                return (min(l, m2), max(l, m2))
-        return None
-
-    if total <= OBLIGATION_CAP:
-        mode = "exhaustive"
-        for u in range(n):
-            su = full & ~masks[u] & ~((1 << (u + 1)) - 1)
-            for v in lines_of_mask(su):
-                suv = su & ~masks[v] & ~((1 << (v + 1)) - 1)
-                for w in lines_of_mask(suv):
-                    examined += 1
-                    bad = check(u, v, w)
-                    if bad:
-                        return CheckReport(
-                            name,
-                            FAIL,
-                            counterexample={
-                                "triple": labels_of(s, (u, v, w)),
-                                "m": s.labels[bad[0]],
-                                "n": s.labels[bad[1]],
-                            },
-                            stats=_budget_stats(mode, examined),
-                        )
-    else:
-        mode = "sampled"
-        rng = random.Random(SAMPLE_SEED)
-        adj = s.adjacency
-        for _ in range(SAMPLE_COUNT):
-            u, v, w = sorted(rng.sample(range(n), 3))
-            if adj[u, v] or adj[u, w] or adj[v, w]:
-                continue
-            examined += 1
-            bad = check(u, v, w)
-            if bad:
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "triple": labels_of(s, (u, v, w)),
-                        "m": s.labels[bad[0]],
-                        "n": s.labels[bad[1]],
-                    },
-                    stats=_budget_stats(mode, examined),
-                )
-    return CheckReport(name, PASS, stats=_budget_stats(mode, examined))
+    pairs = incident_pairs(s)
+    least = None
+    for a, b in pairs:
+        triple = find_skew_triple_mask(s, masks[a] & masks[b])
+        if triple is not None and (least is None or triple < least):
+            least = triple
+    stats = {"pairs_examined": len(pairs)}
+    if least is None:
+        return CheckReport(name, PASS, stats=stats)
+    B = _bracket_mask(s, least)
+    for l in lines_of_mask(B):
+        other = B & masks[l] & ~(1 << l)
+        if other:
+            break
+    m2 = (other & -other).bit_length() - 1
+    return CheckReport(
+        name,
+        FAIL,
+        counterexample={
+            "triple": labels_of(s, least),
+            "m": s.labels[min(l, m2)],
+            "n": s.labels[max(l, m2)],
+        },
+        stats=stats,
+    )
 
 
 def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
@@ -325,110 +273,78 @@ def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
 
 
 def thm_coherence(s: IncidenceStructure) -> CheckReport:
-    """A triple whose bracket equals a triad's bracket is itself a triad."""
+    """A triple whose bracket equals a triad's bracket is itself a triad.
+
+    Reduction: each line of a triple is incident to all of its bracket, so a
+    triple whose bracket is element E lies in perp(E), walked per element.
+    """
     name = "thm_coherence"
-    masks = s.masks
     tri = triads(s)
     tri_set = set(tri)
     by_bracket: dict[int, tuple[int, int, int]] = {}
     for t in tri:
         by_bracket.setdefault(_bracket_mask(s, t), t)
-    mode, it = _triple_budget(s.line_count)
     examined = 0
-    for p, q, r in it:
-        examined += 1
-        B = masks[p] & masks[q] & masks[r]
-        rep = by_bracket.get(B)
-        if rep is not None and (p, q, r) not in tri_set:
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample={
-                    "triple": labels_of(s, (p, q, r)),
-                    "triad_with_equal_bracket": labels_of(s, rep),
-                },
-                stats=_budget_stats(mode, examined),
-            )
-    return CheckReport(name, PASS, stats=_budget_stats(mode, examined, triads=len(tri)))
+    least = None
+    for element in by_bracket:
+        for triple in itertools.combinations(lines_of_mask(perp_mask(s, element)), 3):
+            examined += 1
+            if _bracket_mask(s, triple) == element and triple not in tri_set:
+                if least is None or triple < least:
+                    least = triple
+                break
+    if least is None:
+        return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": len(tri)})
+    return CheckReport(
+        name,
+        FAIL,
+        counterexample={
+            "triple": labels_of(s, least),
+            "triad_with_equal_bracket": labels_of(s, by_bracket[_bracket_mask(s, least)]),
+        },
+        stats={"cases_examined": examined},
+    )
 
 
 def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     """Containment between two triads is symmetric and forces equal brackets.
 
-    Every pair with one triad inside the other's bracket is checked
-    exhaustively (organized per distinct element); the symmetric statement
-    over unrelated pairs is exhausted while the pair count fits the
-    obligation cap and sampled otherwise.
+    Reduction: a triad lies in its own bracket, so the claim holds iff every
+    triad lies in exactly one element; a triad j inside another element,
+    the bracket of triad i, is the violation (i, j).  The reported pair is
+    the least by (that bracket as a bitmask, i, j).
     """
     name = "thm_mutual_membership"
     tri = triads(s)
-    n_t = len(tri)
-    tmask = [mask_of_lines(t) for t in tri]
     bmask = [_bracket_mask(s, t) for t in tri]
-
-    by_bracket: dict[int, list[int]] = {}
-    for idx, bm in enumerate(bmask):
-        by_bracket.setdefault(bm, []).append(idx)
-    element_masks = sorted(by_bracket)
-    contains: dict[int, list[int]] = {
-        em: [ti for ti in range(n_t) if not (tmask[ti] & ~em)] for em in element_masks
-    }
-
-    def violation(i, j):
-        inside_ij = not (tmask[j] & ~bmask[i])  # lines of tri[j] inside bracket of tri[i]
-        inside_ji = not (tmask[i] & ~bmask[j])
-        if inside_ij != inside_ji:
-            return {
-                "triad_a": labels_of(s, tri[i]),
-                "triad_b": labels_of(s, tri[j]),
-                "issue": "membership_not_symmetric",
-            }
-        if inside_ij and bmask[i] != bmask[j]:
-            return {
-                "triad_a": labels_of(s, tri[i]),
-                "triad_b": labels_of(s, tri[j]),
-                "issue": "contained_but_brackets_differ",
-            }
-        return None
-
-    positive = 0
-    for em in element_masks:
-        for i in by_bracket[em]:
-            for j in contains[em]:
-                if i == j:
-                    continue
-                positive += 1
-                bad = violation(i, j)
-                if bad:
-                    return CheckReport(
-                        name, FAIL, counterexample=bad, stats={"positive_pairs": positive}
-                    )
-
-    total_pairs = n_t * (n_t - 1) // 2
-    examined = 0
-    if total_pairs <= OBLIGATION_CAP:
-        mode = "exhaustive"
-        pair_iter = itertools.combinations(range(n_t), 2)
-    else:
-        mode = "sampled"
-        rng = random.Random(SAMPLE_SEED)
-        pair_iter = (
-            tuple(sorted(rng.sample(range(n_t), 2))) for _ in range(SAMPLE_COUNT)
-        )
-    for i, j in pair_iter:
-        examined += 1
-        bad = violation(i, j)
-        if bad:
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample=bad,
-                stats=_budget_stats(mode, examined, positive_pairs=positive),
-            )
+    elements = sorted(set(bmask))
+    own = {em: 1 << e for e, em in enumerate(elements)}
+    holding = [0] * s.line_count  # bit e set when element e holds the line
+    for e, em in enumerate(elements):
+        for l in lines_of_mask(em):
+            holding[l] |= 1 << e
+    least = None
+    for j, (a, b, c) in enumerate(tri):
+        foreign = holding[a] & holding[b] & holding[c] & ~own[bmask[j]]
+        if foreign:
+            e = (foreign & -foreign).bit_length() - 1
+            if least is None or e < least[0]:
+                least = (e, j)
+    stats = {"triads_examined": len(tri)}
+    if least is None:
+        return CheckReport(name, PASS, stats=stats)
+    e, j = least
+    i = bmask.index(elements[e])
+    symmetric = not (mask_of_lines(tri[i]) & ~bmask[j])
     return CheckReport(
         name,
-        PASS,
-        stats=_budget_stats(mode, examined, positive_pairs=positive, triads=n_t),
+        FAIL,
+        counterexample={
+            "triad_a": labels_of(s, tri[i]),
+            "triad_b": labels_of(s, tri[j]),
+            "issue": "contained_but_brackets_differ" if symmetric else "membership_not_symmetric",
+        },
+        stats=stats,
     )
 
 

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, files written, human output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from linespace import gen_negative, gen_pg3, gen_tetrahedron, save_structure
 from linespace.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_all.json").read_text())
 
 
 def run(argv, capsys):
@@ -117,6 +121,46 @@ class TestCheck:
     def test_vy_only(self, tetra_file, capsys):
         code, stdout, _ = run(["check", str(tetra_file), "--which", "vy"], capsys)
         assert code == 1  # e0 needs three points per line
+
+    def test_all_classifies_elements_once(self, pg2_file, capsys, monkeypatch):
+        import linespace.labeling as labeling
+
+        calls = []
+        classify = labeling.classify_elements
+
+        def counted(s, seed):
+            calls.append(seed)
+            return classify(s, seed)
+
+        monkeypatch.setattr(labeling, "classify_elements", counted)
+        code, _, _ = run(["check", str(pg2_file), "--which", "all"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestGoldenVerdicts:
+    """check --which all names the same verdicts and counterexamples as ever.
+
+    tests/golden/check_all.json holds (check_name, status, counterexample)
+    per report; stats are left out on purpose, as they count the work done.
+    """
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_check_all_matches_golden(self, name, tmp_path, capsys):
+        if name == "tetrahedron":
+            s = gen_tetrahedron()
+        elif name == "pg2":
+            s = gen_pg3(2)[0]
+        else:
+            s = gen_negative(name)
+        path, report = tmp_path / "s.json", tmp_path / "r.json"
+        save_structure(s, path)
+        run(["check", str(path), "--which", "all", "--report", str(report)], capsys)
+        got = [
+            [r["check_name"], r["status"], r.get("counterexample")]
+            for r in json.loads(report.read_text())["reports"]
+        ]
+        assert got == GOLDEN[name]
 
 
 class TestDerive:

@@ -1,6 +1,8 @@
 """Serialization: canonical byte-identical files, validation, label references."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,50 @@ class TestModelRoundTrip:
         data["seed"] = {"pair": [0, 1], "class_of": 7}
         with pytest.raises(ParseError, match="seed"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            {"pair": [True, 1], "class_of": False},
+            {"pair": [0, 1], "class_of": True},
+            {"pair": [1, 1], "class_of": 0},
+        ],
+    )
+    def test_model_bool_or_repeated_seed_rejected(self, tetra, seed):
+        from linespace.io import model_to_dict
+
+        data = model_to_dict(coordinate_labels(tetra))
+        data["seed"] = seed
+        with pytest.raises(ParseError, match="seed"):
+            model_from_dict(data)
+
+    def test_validation_survives_optimized_mode(self, tmp_path):
+        # python -O strips assert statements; loading must still reject
+        # bad structure and model files.
+        import subprocess
+        import sys
+
+        script = (
+            "import pytest\n"
+            "from linespace.io import ParseError, model_from_dict, structure_from_dict\n"
+            "base = {'format': 'linespace-v1', 'name': 'x', 'lines': ['p', 'q']}\n"
+            "with pytest.raises(ParseError):\n"
+            "    structure_from_dict(dict(base, skew_pairs=[[1, 1]]))\n"
+            "with pytest.raises(ParseError):\n"
+            "    model_from_dict(dict(base, format='linespace-model-v1', points=[], planes=[],\n"
+            "                         seed={'pair': [True, 1], 'class_of': 0}))\n"
+        )
+        import linespace
+
+        src = Path(linespace.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_model_bad_element(self, tetra):
         from linespace.io import model_to_dict

@@ -108,6 +108,18 @@ class TestCoordinateLabels:
         assert witness["pair"] == ["a2", "b2"]
         assert witness["kind"] == "plane"
 
+    def test_failed_labeling_raises_on_every_call(self):
+        s = gen_negative("two_components")
+        for _ in range(2):
+            with pytest.raises(LabelInconsistencyError):
+                coordinate_labels(s)
+
+    def test_model_cached_per_normalized_seed(self, tetra):
+        m = coordinate_labels(tetra)
+        assert coordinate_labels(tetra, m.seed) is m
+        assert coordinate_labels(tetra, (m.seed[1], m.seed[0], m.seed[2])) is m
+        assert coordinate_labels(tetra, m.seed[:2] + (1,)) is not m
+
     def test_bad_seed_rejected(self, tetra):
         with pytest.raises(PreconditionError):
             coordinate_labels(tetra, (0, 0, 0))

@@ -5,12 +5,14 @@ from linespace import (
     IncidenceStructure,
     check_all,
     coordinate_labels,
+    find_skew_triple,
     gen_negative,
     replay_theorem_counterexample,
     run_theorem_suite,
     run_vy_battery,
     thm_bracket_closed,
     thm_bracket_welldefined,
+    thm_coherence,
     thm_line_in_plane,
     thm_line_selfperp,
     thm_mutual_membership,
@@ -44,9 +46,12 @@ class TestSuiteOnModels:
 
 class TestVacuousCases:
     def test_regulus_on_tetra_is_vacuous(self, tetra):
+        # no pairwise-skew triple exists, so none of the 12 incident pairs'
+        # perps can hold one
+        assert find_skew_triple(tetra, range(tetra.line_count)) is None
         r = thm_regulus_skew(tetra)
         assert r.passed
-        assert r.stats["cases_examined"] == 0
+        assert r.stats["pairs_examined"] == 12
 
     def test_welldefined_on_tetra_is_vacuous(self, tetra):
         # both sigma classes are singletons, so no incident pair inside one
@@ -243,15 +248,25 @@ class TestVyBattery:
         assert all(r.passed for r in vy_axioms(pg2, dual))
 
 
-class TestSamplingBudget:
-    def test_exhaustive_mode_recorded_small(self, tetra):
-        r = thm_sigma_equivalence(tetra)
-        assert r.stats["mode"] == "exhaustive"
-        assert "sample_seed" not in r.stats
+class TestExhaustiveCounts:
+    """Each support-restricted quantifier walks its whole support on PG(3,2)."""
 
-    def test_mutual_membership_stats(self, pg2):
+    def test_sigma_equivalence_walks_every_triad(self, pg2):
+        assert thm_sigma_equivalence(pg2).stats == {"triads_examined": 840}
+
+    def test_regulus_walks_every_incident_pair(self, pg2):
+        # 35 lines, each meeting (q + 1)(q^2 + q) = 18 others
+        assert thm_regulus_skew(pg2).stats == {"pairs_examined": 315}
+
+    def test_coherence_walks_the_triples_of_each_element(self, pg2):
+        # perp(E) = E for each of the 30 elements of 7 lines: 30 * C(7, 3)
+        assert thm_coherence(pg2).stats == {"cases_examined": 1050, "triads": 840}
+
+    def test_mutual_membership_walks_every_triad(self, pg2):
         r = thm_mutual_membership(pg2)
         assert r.passed
-        assert r.stats["mode"] == "exhaustive"
-        assert r.stats["triads"] == 840
-        assert r.stats["positive_pairs"] > 0
+        assert r.stats == {"triads_examined": 840}
+
+    def test_no_report_names_a_sampling_mode(self, pg2, pg2_model):
+        for r in run_theorem_suite(pg2, pg2_model):
+            assert "mode" not in r.stats and "sample_seed" not in r.stats, r.check_name
