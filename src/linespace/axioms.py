@@ -21,8 +21,8 @@ from typing import Optional
 from .core import (
     IncidenceStructure,
     bracket,
-    find_skew_pair,
-    find_skew_triple,
+    find_skew_pair_mask,
+    find_skew_triple_mask,
     incident_pairs,
     labels_of,
     lines_of_mask,
@@ -79,17 +79,17 @@ class CheckReport:
 
 def check_axiom1(s: IncidenceStructure) -> CheckReport:
     """Every line's perp must contain a pairwise-skew triple."""
+    masks = s.masks
     witness = None
     for l in range(s.line_count):
-        members = perp(s, [l])
-        triple = find_skew_triple(s, members)
+        triple = find_skew_triple_mask(s, masks[l])
         if triple is None:
             return CheckReport(
                 "axiom1",
                 FAIL,
                 counterexample={
                     "line": s.labels[l],
-                    "perp": labels_of(s, members),
+                    "perp": labels_of(s, lines_of_mask(masks[l])),
                     "reason": "perp contains no pairwise-skew triple",
                 },
                 stats={"lines_examined": l + 1},
@@ -103,18 +103,19 @@ def check_axiom1(s: IncidenceStructure) -> CheckReport:
 
 def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
     """perp({a, b}) of every incident distinct pair must contain a skew pair."""
+    masks = s.masks
     pairs = incident_pairs(s)
     witness = None
     for count, (a, b) in enumerate(pairs, start=1):
-        members = perp(s, (a, b))
-        skew = find_skew_pair(s, members)
+        members = masks[a] & masks[b]
+        skew = find_skew_pair_mask(s, members)
         if skew is None:
             return CheckReport(
                 "axiom2_1",
                 FAIL,
                 counterexample={
                     "pair": labels_of(s, (a, b)),
-                    "perp": labels_of(s, members),
+                    "perp": labels_of(s, lines_of_mask(members)),
                     "reason": "perp of the pair is pairwise incident",
                 },
                 stats={"pairs_examined": count},
@@ -306,12 +307,12 @@ def replay_counterexample(s: IncidenceStructure, report: CheckReport) -> bool:
     if ce is None:
         raise ValueError(f"report {report.check_name} has no counterexample")
     name = report.check_name
+    masks = s.masks
     if name == "axiom1":
-        l = s.index(ce["line"])
-        return find_skew_triple(s, perp(s, [l])) is None
+        return find_skew_triple_mask(s, masks[s.index(ce["line"])]) is None
     if name == "axiom2_1":
         a, b = _resolve(s, ce["pair"])
-        return find_skew_pair(s, perp(s, (a, b))) is None
+        return find_skew_pair_mask(s, masks[a] & masks[b]) is None
     if name == "axiom2_2":
         a, b = _resolve(s, ce["pair"])
         z, x, y = s.index(ce["z"]), s.index(ce["x"]), s.index(ce["y"])

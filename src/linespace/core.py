@@ -12,8 +12,11 @@ workers; results do not depend on evaluation order.  Line sets are exposed
 as ``frozenset`` values; whenever iteration order matters (witness
 selection, serialization) members are visited in ascending index order.
 
-Internally each line carries a bitmask of its incident lines, which makes
-the AND-folds behind ``perp`` cheap even for the brute-force checkers.
+Internally each line carries an int bitmask of its incident lines, which
+makes the AND-folds behind ``perp`` cheap.  The checkers walk these masks
+from the structure to the verdict (the ``*_mask`` functions) and build
+frozensets and labels only for a witness or a counterexample.  Public
+functions that take line indices validate them once, on entry.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ def line_cap() -> int:
     return cap
 
 
+def _check_capacity(n: int) -> None:
+    cap = line_cap()
+    if n > cap:
+        raise CapacityError(f"structure has {n} lines, cap is {cap}")
+
+
 def lines_of_mask(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
@@ -90,9 +99,7 @@ class IncidenceStructure:
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise StructureError(f"adjacency must be square, got shape {adj.shape}")
         n = adj.shape[0]
-        cap = line_cap()
-        if n > cap:
-            raise CapacityError(f"structure has {n} lines, cap is {cap}")
+        _check_capacity(n)
         if not np.array_equal(adj, adj.T):
             i, j = map(int, np.argwhere(adj != adj.T)[0])
             raise StructureError(f"adjacency is not symmetric at ({i}, {j})")
@@ -128,17 +135,28 @@ class IncidenceStructure:
 
         Listing a pair twice (in either order) is accepted; a pair with
         equal endpoints is rejected, since reflexive incidence is built in.
+        The line cap is checked before the matrix is allocated.
         """
         if line_count < 0:
             raise StructureError("line_count must be >= 0")
+        _check_capacity(line_count)
+        pairs = np.array(list(skew_pairs))
+        if not len(pairs):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise StructureError("skew pairs must be pairs of line indices")
+        i, j = pairs.T
+        out = (i < 0) | (i >= line_count) | (j < 0) | (j >= line_count)
+        bad = np.flatnonzero(out | (i == j))
+        if bad.size:
+            k = bad[0]
+            if out[k]:
+                raise StructureError(f"skew pair ({i[k]}, {j[k]}) out of range")
+            raise StructureError(f"line {i[k]} cannot be skew to itself")
+        i, j = i.astype(np.intp), j.astype(np.intp)
         adj = np.ones((line_count, line_count), dtype=bool)
-        for i, j in skew_pairs:
-            i, j = int(i), int(j)
-            if not (0 <= i < line_count and 0 <= j < line_count):
-                raise StructureError(f"skew pair ({i}, {j}) out of range")
-            if i == j:
-                raise StructureError(f"line {i} cannot be skew to itself")
-            adj[i, j] = adj[j, i] = False
+        adj[i, j] = False
+        adj[j, i] = False
         return cls(adj, labels=labels, name=name)
 
     @property
@@ -158,13 +176,8 @@ class IncidenceStructure:
     def masks(self) -> tuple[int, ...]:
         """Per-line bitmask of incident lines (bit j set iff line j is incident)."""
         if self._masks is None:
-            rows = []
-            for i in range(self.line_count):
-                mask = 0
-                for j in np.flatnonzero(self._adj[i]):
-                    mask |= 1 << int(j)
-                rows.append(mask)
-            self._masks = tuple(rows)
+            packed = np.packbits(self._adj, axis=1, bitorder="little")
+            self._masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
         return self._masks
 
     @property
@@ -261,15 +274,20 @@ def bracket(s: IncidenceStructure, *lines: int) -> frozenset[int]:
 
 def find_skew_pair(s: IncidenceStructure, lines: Iterable[int]) -> Optional[tuple[int, int]]:
     """Lexicographically least skew pair within ``lines``, or None."""
-    members = _validated_lines(s, lines)
-    mset = mask_of_lines(members)
+    return find_skew_pair_mask(s, mask_of_lines(_validated_lines(s, lines)))
+
+
+def find_skew_pair_mask(s: IncidenceStructure, mset: int) -> Optional[tuple[int, int]]:
+    """Mask-level find_skew_pair: the least skew pair of set bits."""
     masks = s.masks
-    for x in members:
-        cand = mset & ~masks[x]
-        cand &= ~((1 << (x + 1)) - 1)  # only partners above x
+    rest = mset
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        rest ^= low  # only partners above x remain
+        cand = rest & ~masks[x]
         if cand:
-            y = (cand & -cand).bit_length() - 1
-            return (x, y)
+            return (x, (cand & -cand).bit_length() - 1)
     return None
 
 

@@ -65,24 +65,18 @@ def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructur
     raw_pairs = data.get("skew_pairs", [])
     if not isinstance(raw_pairs, list):
         raise ParseError(f"{source}: 'skew_pairs' must be a list")
-    n = len(lines)
-    pairs = []
     for entry in raw_pairs:
         if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
+            not (isinstance(entry, list) and len(entry) == 2)
+            or not (isinstance(entry[0], int) and isinstance(entry[1], int))
+            or isinstance(entry[0], bool)
+            or isinstance(entry[1], bool)
         ):
             raise ParseError(f"{source}: skew pair {entry!r} must be two indices")
-        i, j = entry
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"{source}: skew pair {entry!r} out of range")
-        if i == j:
-            raise ParseError(f"{source}: line {i} cannot be skew to itself")
-        pairs.append((i, j))
     try:
+        # from_skew_pairs checks range and self-skew once, over the whole pair array.
         s = IncidenceStructure.from_skew_pairs(
-            n, pairs, labels=lines, name=str(data.get("name", ""))
+            len(lines), raw_pairs, labels=lines, name=str(data.get("name", ""))
         )
     except StructureError as e:
         raise ParseError(f"{source}: {e}") from None

@@ -97,19 +97,18 @@ def element_table(s: IncidenceStructure) -> dict[frozenset[int], tuple[int, int,
     member c of sigma(a, b) in index order, keeping the first triad that
     produces each distinct bracket.  This covers every triad's bracket
     because any triad contains an incident pair whose sigma holds the
-    third line.
+    third line.  Brackets are keyed by mask while walking; each distinct
+    element becomes a frozenset once, at the end.
     """
 
     def build():
-        table: dict[frozenset[int], tuple[int, int, int]] = {}
+        by_mask: dict[int, tuple[int, int, int]] = {}
         masks = s.masks
         for a, b in incident_pairs(s):
             base = masks[a] & masks[b]
             for c in lines_of_mask(sigma_mask(s, a, b)):
-                fs = frozenset(lines_of_mask(base & masks[c]))
-                if fs not in table:
-                    table[fs] = (a, b, c)
-        return table
+                by_mask.setdefault(base & masks[c], (a, b, c))
+        return {frozenset(lines_of_mask(m)): t for m, t in by_mask.items()}
 
     return s.cached("element_table", build)
 

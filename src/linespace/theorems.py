@@ -459,6 +459,8 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 
     Refined by kind: when the bracket is a plane of the model, the plane
     class of sigma(x, y) already contains one of the triad, and dually.
+    The pair rows of each distinct bracket are built once, in walk order,
+    so a triad only ANDs its own mask against them.
     """
     name = "thm_exchange"
     try:
@@ -466,8 +468,22 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     kinds = _element_kinds(m)
-    adj = s.adjacency
+    masks = s.masks
     sig = _sigma_lookup(s)
+    rows_of = {}  # bracket mask -> (x, y, sigma, refined class) rows; sigma None if skew
+
+    def rows(B, kind):
+        members = lines_of_mask(B)
+        out = []
+        for i, x in enumerate(members):
+            for y in members[i + 1 :]:
+                if masks[x] >> y & 1:
+                    pc, qc = classes[(x, y)]
+                    out.append((x, y, sig[(x, y)], pc if kind is Kind.POINT else qc))
+                else:
+                    out.append((x, y, None, 0))
+        return out
+
     examined = 0
     for t in triads(s):
         B = _bracket_mask(s, t)
@@ -480,49 +496,23 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
                 counterexample={"triad": labels_of(s, t), "issue": "bracket_not_an_element"},
                 stats={"cases_examined": examined},
             )
-        members = lines_of_mask(B)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                examined += 1
-                if not adj[x, y]:
-                    return CheckReport(
-                        name,
-                        FAIL,
-                        counterexample={
-                            "triad": labels_of(s, t),
-                            "x": s.labels[x],
-                            "y": s.labels[y],
-                            "issue": "skew_pair_in_bracket",
-                        },
-                        stats={"cases_examined": examined},
-                    )
-                if not (sig[(x, y)] & t_mask):
-                    return CheckReport(
-                        name,
-                        FAIL,
-                        counterexample={
-                            "triad": labels_of(s, t),
-                            "x": s.labels[x],
-                            "y": s.labels[y],
-                            "issue": "sigma_misses_triad",
-                        },
-                        stats={"cases_examined": examined},
-                    )
-                pc, qc = classes[(x, y)]
-                refined = pc if kind is Kind.POINT else qc
-                if not (refined & t_mask):
-                    return CheckReport(
-                        name,
-                        FAIL,
-                        counterexample={
-                            "triad": labels_of(s, t),
-                            "x": s.labels[x],
-                            "y": s.labels[y],
-                            "kind": kind.value,
-                            "issue": "refined_class_misses_triad",
-                        },
-                        stats={"cases_examined": examined},
-                    )
+        if B not in rows_of:
+            rows_of[B] = rows(B, kind)
+        for x, y, sig_xy, refined in rows_of[B]:
+            examined += 1
+            if sig_xy is None:
+                issue = "skew_pair_in_bracket"
+            elif not (sig_xy & t_mask):
+                issue = "sigma_misses_triad"
+            elif not (refined & t_mask):
+                issue = "refined_class_misses_triad"
+            else:
+                continue
+            ce = {"triad": labels_of(s, t), "x": s.labels[x], "y": s.labels[y]}
+            if issue == "refined_class_misses_triad":
+                ce["kind"] = kind.value
+            ce["issue"] = issue
+            return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
     return CheckReport(name, PASS, stats={"cases_examined": examined})
 
 

@@ -110,6 +110,22 @@ class TestCheck:
         code, _, stderr = run(["check", str(bad)], capsys)
         assert code == 2
 
+    def test_over_cap_file_exits_two_without_allocating(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        def spy(shape, *args, **kwargs):
+            raise MemoryError(f"allocated {shape} before the cap check")
+
+        path = tmp_path / "big.json"
+        lines = [f"l{i}" for i in range(9)]
+        path.write_text(json.dumps({"format": "linespace-v1", "lines": lines, "skew_pairs": []}))
+        monkeypatch.setenv("LINESPACE_MAX_LINES", "8")
+        for name in ("ones", "zeros", "empty", "full"):
+            monkeypatch.setattr(np, name, spy)
+        code, _, stderr = run(["check", str(path)], capsys)
+        assert code == 2
+        assert "cap is 8" in stderr
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(["check", str(tmp_path / "nope.json")], capsys)
         assert code == 2
@@ -138,6 +154,20 @@ class TestCheck:
         assert len(calls) == 1
 
 
+def check_all_report(name, tmp_path, capsys):
+    """Path of the `check --which all` report of a golden structure."""
+    if name == "tetrahedron":
+        s = gen_tetrahedron()
+    elif name == "pg2":
+        s = gen_pg3(2)[0]
+    else:
+        s = gen_negative(name)
+    path, report = tmp_path / "s.json", tmp_path / "r.json"
+    save_structure(s, path)
+    run(["check", str(path), "--which", "all", "--report", str(report)], capsys)
+    return report
+
+
 class TestGoldenVerdicts:
     """check --which all names the same verdicts and counterexamples as ever.
 
@@ -147,20 +177,26 @@ class TestGoldenVerdicts:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_check_all_matches_golden(self, name, tmp_path, capsys):
-        if name == "tetrahedron":
-            s = gen_tetrahedron()
-        elif name == "pg2":
-            s = gen_pg3(2)[0]
-        else:
-            s = gen_negative(name)
-        path, report = tmp_path / "s.json", tmp_path / "r.json"
-        save_structure(s, path)
-        run(["check", str(path), "--which", "all", "--report", str(report)], capsys)
+        report = check_all_report(name, tmp_path, capsys)
         got = [
             [r["check_name"], r["status"], r.get("counterexample")]
             for r in json.loads(report.read_text())["reports"]
         ]
         assert got == GOLDEN[name]
+
+
+class TestGoldenReports:
+    """check --which all writes the same report bytes as ever, stats included.
+
+    tests/golden/reports/<name>.json holds the whole report file of each
+    structure, so any change in a verdict, witness or case count shows.
+    """
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report_bytes_match_golden(self, name, tmp_path, capsys):
+        report = check_all_report(name, tmp_path, capsys)
+        golden = Path(__file__).parent / "golden" / "reports" / f"{name}.json"
+        assert report.read_bytes() == golden.read_bytes()
 
 
 class TestDerive:

@@ -14,7 +14,13 @@ from linespace import (
     is_incident,
     perp,
 )
-from linespace.core import line_cap, lines_of_mask, mask_of_lines
+from linespace.core import (
+    find_skew_pair_mask,
+    find_skew_triple_mask,
+    line_cap,
+    lines_of_mask,
+    mask_of_lines,
+)
 
 from conftest import names_for
 
@@ -70,6 +76,51 @@ class TestConstruction:
         with pytest.raises(CapacityError):
             IncidenceStructure.from_skew_pairs(9, [])
         IncidenceStructure.from_skew_pairs(8, [])
+
+    def test_capacity_checked_before_allocation(self, monkeypatch):
+        # A structure over the cap must raise before any n-by-n matrix exists.
+        allocations = []
+
+        def spy(shape, *args, **kwargs):
+            allocations.append(shape)
+            raise AssertionError(f"allocated {shape} before the cap check")
+
+        monkeypatch.setenv("LINESPACE_MAX_LINES", "8")
+        for name in ("ones", "zeros", "empty", "full"):
+            monkeypatch.setattr(np, name, spy)
+        with pytest.raises(CapacityError, match="9 lines, cap is 8"):
+            IncidenceStructure.from_skew_pairs(9, [(0, 1)])
+        assert allocations == []
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 1), (2, 4), (5, 1)], r"skew pair \(2, 4\) out of range"),
+            ([(0, 1), (-1, 2), (1, 1)], r"skew pair \(-1, 2\) out of range"),
+            ([(0, 1), (2, 2), (0, 9)], "line 2 cannot be skew to itself"),
+        ],
+    )
+    def test_first_bad_pair_is_named(self, pairs, message):
+        with pytest.raises(StructureError, match=message):
+            IncidenceStructure.from_skew_pairs(4, pairs)
+
+    def test_fill_matches_pair_loop(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 7, 40):
+            pairs = [tuple(p) for p in rng.integers(0, n, size=(3 * n, 2)) if p[0] != p[1]]
+            expected = np.ones((n, n), dtype=bool)
+            for i, j in pairs:
+                expected[i, j] = expected[j, i] = False
+            s = IncidenceStructure.from_skew_pairs(n, pairs)
+            assert np.array_equal(s.adjacency, expected)
+
+    def test_masks_match_bit_loop(self, tetra, pg2):
+        for s in (tetra, pg2, IncidenceStructure.from_skew_pairs(0)):
+            expected = tuple(
+                sum(1 << j for j in range(s.line_count) if s.adjacency[i, j])
+                for i in range(s.line_count)
+            )
+            assert s.masks == expected
 
     def test_adjacency_is_frozen(self, tetra):
         with pytest.raises(ValueError):
@@ -157,6 +208,16 @@ class TestSkewSearch:
 
     def test_skew_triple_small_input(self, tetra):
         assert find_skew_triple(tetra, [0, 3]) is None
+
+    def test_mask_searches_take_the_perp_mask(self, pg2):
+        for l in range(pg2.line_count):
+            members = perp(pg2, [l])
+            assert find_skew_pair_mask(pg2, pg2.masks[l]) == find_skew_pair(pg2, members)
+            assert find_skew_triple_mask(pg2, pg2.masks[l]) == find_skew_triple(pg2, members)
+
+    def test_skew_pair_validates_indices(self, tetra):
+        with pytest.raises(StructureError, match="out of range"):
+            find_skew_pair(tetra, [0, 6])
 
 
 class TestMaskHelpers:

@@ -94,6 +94,23 @@ class TestStructureValidation:
         with pytest.raises(ParseError, match="two indices"):
             structure_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([[0, 1], [1, 0], [2, 1], [0, 7]], r"skew pair \(0, 7\) out of range"),
+            ([[0, 1], [2, 2], [0, 9]], "line 2 cannot be skew to itself"),
+            ([[0, 1], [1, 2], [True, 0]], r"skew pair \[True, 0\] must be two indices"),
+            ([[0, 1], [1, 2, 0]], "two indices"),
+            ([[0, 1], [0, 2**70]], "out of range"),
+        ],
+    )
+    def test_single_fault_after_good_pairs(self, pairs, message):
+        data = self.base()
+        data["lines"] = ["p", "q", "r"]
+        data["skew_pairs"] = pairs
+        with pytest.raises(ParseError, match=message):
+            structure_from_dict(data)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("")

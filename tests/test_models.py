@@ -9,6 +9,8 @@ from linespace import (
     NEGATIVE_KINDS,
     PreconditionError,
     UnsupportedFieldError,
+    check_axiom1,
+    check_axiom2_1,
     gen_negative,
     gen_pg3,
     gen_tetrahedron,
@@ -124,13 +126,14 @@ class TestPg3AgainstOracle:
 
 class TestLargerFields:
     def test_pg35_counts(self):
-        # stress-size generation: counts only, the battery stays with q <= 3
+        # stress-size generation, then the two axioms that walk every line and pair
         s, meta = gen_pg3(5)
         assert s.line_count == 806
         assert int(s.adjacency[0].sum()) == 181  # (q+1)(q^2+q) + 1
-        from linespace import sigma
-
         assert len(sigma(s, *incident_pairs(s)[0])) == 50  # 2 q^2
+        r1, r2 = check_axiom1(s), check_axiom2_1(s)
+        assert (r1.status, r1.stats) == ("pass", {"lines_examined": 806})
+        assert (r2.status, r2.stats) == ("pass", {"pairs_examined": 72540})
 
     def test_pg37_enumeration_count(self):
         # q = 7 adjacency is slow to fill; validate the subspace census alone

@@ -1,5 +1,7 @@
 """Theorem verifiers: green on models, failing with replayable witnesses otherwise."""
 
+import numpy as np
+
 from linespace import (
     GeometryModel,
     IncidenceStructure,
@@ -13,6 +15,7 @@ from linespace import (
     thm_bracket_closed,
     thm_bracket_welldefined,
     thm_coherence,
+    thm_exchange,
     thm_line_in_plane,
     thm_line_selfperp,
     thm_mutual_membership,
@@ -24,6 +27,7 @@ from linespace import (
     thm_uniqueness,
     vy_axioms,
 )
+from linespace import theorems
 from linespace.theorems import VY_NAMES, triads
 
 
@@ -204,6 +208,50 @@ class TestModelLevelFailures:
         assert by_name["thm_tetrahedron"].status == "dependency_unmet"
         # structure-level checks still ran on their own
         assert by_name["thm_line_selfperp"].status == "pass"
+
+
+class TestExchangeFailures:
+    """Each failure branch of thm_exchange names the same case as it always has.
+
+    The expected reports were recorded before the bracket rows were built
+    once per bracket.  The structure supplies the triads and brackets and
+    the model the labeled classes, so a flipped bit or a doctored class
+    table reaches each branch.
+    """
+
+    def exchange_ce(self, s, m):
+        r = thm_exchange(s, m)
+        assert r.status == "fail"
+        return r.counterexample, r.stats["cases_examined"]
+
+    def test_pg2_walks_every_case(self, pg2, pg2_model):
+        assert thm_exchange(pg2, pg2_model).stats == {"cases_examined": 17640}
+
+    def test_skew_pair_in_bracket(self, pg2, pg2_model):
+        adj = np.array(pg2.adjacency)
+        adj[3, 5] = adj[5, 3] = False
+        mutant = IncidenceStructure(adj, labels=pg2.labels)
+        ce = {"triad": ["L00", "L01", "L02"], "x": "L03", "y": "L05"}
+        assert self.exchange_ce(mutant, pg2_model) == (
+            {**ce, "issue": "skew_pair_in_bracket"},
+            17,
+        )
+
+    def test_refined_class_misses_triad(self, pg2, pg2_model, monkeypatch):
+        swapped = {k: (qc, pc) for k, (pc, qc) in theorems._labeled_class_masks(pg2_model).items()}
+        monkeypatch.setattr(theorems, "_labeled_class_masks", lambda m: swapped)
+        ce = {"triad": ["L00", "L01", "L02"], "x": "L00", "y": "L01", "kind": "point"}
+        assert self.exchange_ce(pg2, pg2_model) == (
+            {**ce, "issue": "refined_class_misses_triad"},
+            1,
+        )
+
+    def test_sigma_misses_triad(self, pg2, pg2_model, monkeypatch):
+        cut = dict(theorems._sigma_lookup(pg2))
+        cut[(2, 10)] = 0
+        monkeypatch.setattr(theorems, "_sigma_lookup", lambda s: cut)
+        ce = {"triad": ["L01", "L02", "L10"], "x": "L02", "y": "L10"}
+        assert self.exchange_ce(pg2, pg2_model) == ({**ce, "issue": "sigma_misses_triad"}, 1583)
 
 
 class TestTetrahedronExtraction:
