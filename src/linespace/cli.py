@@ -84,7 +84,8 @@ def cmd_generate(args) -> int:
         )
         return EXIT_USAGE
     lio.save_structure(s, args.out)
-    print(f"wrote {args.out}: {s.line_count} lines, {len(s.skew_pairs())} skew pairs")
+    skew = int((~s.adjacency).sum()) // 2  # each skew pair sits twice in the matrix
+    print(f"wrote {args.out}: {s.line_count} lines, {skew} skew pairs")
     if meta is not None:
         sidecar = Path(args.out).with_suffix(".meta.json")
         lio.save_pg3_meta(meta, sidecar)

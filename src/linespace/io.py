@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .core import IncidenceStructure, StructureError
 from .labeling import GeometryModel
 
@@ -26,12 +28,23 @@ class ParseError(StructureError):
     """Malformed or inconsistent input file."""
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _dumps(obj) + "\n"
+
+
+def _write(path: Union[str, Path], text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_json(path: Union[str, Path]) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e})") from None
     if not text.strip():
         raise ParseError(f"{path}: file is empty")
     try:
@@ -43,13 +56,38 @@ def _load_json(path: Union[str, Path]) -> dict:
     return data
 
 
+def _structure_fields(s: IncidenceStructure) -> dict:
+    return {"format": STRUCTURE_FORMAT, "name": s.name, "lines": list(s.labels)}
+
+
 def structure_to_dict(s: IncidenceStructure) -> dict:
-    return {
-        "format": STRUCTURE_FORMAT,
-        "name": s.name,
-        "lines": list(s.labels),
-        "skew_pairs": [list(p) for p in s.skew_pairs()],
-    }
+    data = _structure_fields(s)
+    data["skew_pairs"] = [list(p) for p in s.skew_pairs()]
+    return data
+
+
+def _skew_pairs_json(s: IncidenceStructure) -> str:
+    """The skew pairs as canonical_json lays them out one level deep."""
+    rows, cols = np.nonzero(np.triu(~s.adjacency, 1))
+    if not rows.size:
+        return "[]"
+    pairs = zip(rows.tolist(), cols.tolist())
+    return "[\n" + ",\n".join([f"    [\n      {i},\n      {j}\n    ]" for i, j in pairs]) + "\n  ]"
+
+
+def _with_skew_pairs_json(fields: dict, s: IncidenceStructure) -> str:
+    """canonical_json of ``fields`` plus the skew pairs of ``s``.
+
+    Equal to canonical_json(fields | {"skew_pairs": ...}), but the pairs,
+    by far the largest member, are formatted with one join instead of the
+    pure-Python encoder that indent=2 selects.  Every other member is
+    encoded by _dumps and indented one level; a JSON text holds no raw
+    newline inside a string, so indenting after each newline is exact.
+    """
+    members = {key: _dumps(value).replace("\n", "\n  ") for key, value in fields.items()}
+    members["skew_pairs"] = _skew_pairs_json(s)
+    body = ",\n".join(f"  {_dumps(key)}: {members[key]}" for key in sorted(members))
+    return "{\n" + body + "\n}\n"
 
 
 def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructure:
@@ -84,15 +122,15 @@ def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructur
 
 
 def save_structure(s: IncidenceStructure, path: Union[str, Path]) -> None:
-    Path(path).write_text(canonical_json(structure_to_dict(s)))
+    _write(path, _with_skew_pairs_json(_structure_fields(s), s))
 
 
 def load_structure(path: Union[str, Path]) -> IncidenceStructure:
     return structure_from_dict(_load_json(path), source=str(path))
 
 
-def model_to_dict(m: GeometryModel) -> dict:
-    data = structure_to_dict(m.structure)
+def _model_fields(m: GeometryModel) -> dict:
+    data = _structure_fields(m.structure)
     data["format"] = MODEL_FORMAT
     data["points"] = [list(e) for e in m.points]
     data["planes"] = [list(e) for e in m.planes]
@@ -101,6 +139,12 @@ def model_to_dict(m: GeometryModel) -> dict:
     else:
         a, b, k = m.seed
         data["seed"] = {"pair": [a, b], "class_of": k}
+    return data
+
+
+def model_to_dict(m: GeometryModel) -> dict:
+    data = _model_fields(m)
+    data["skew_pairs"] = [list(p) for p in m.structure.skew_pairs()]
     return data
 
 
@@ -149,7 +193,7 @@ def model_from_dict(data: dict, source: str = "<dict>") -> GeometryModel:
 
 
 def save_model(m: GeometryModel, path: Union[str, Path]) -> None:
-    Path(path).write_text(canonical_json(model_to_dict(m)))
+    _write(path, _with_skew_pairs_json(_model_fields(m), m.structure))
 
 
 def load_model(path: Union[str, Path]) -> GeometryModel:
@@ -164,7 +208,7 @@ def reports_to_dict(reports) -> dict:
 
 
 def save_reports(reports, path: Union[str, Path]) -> None:
-    Path(path).write_text(canonical_json(reports_to_dict(reports)))
+    _write(path, canonical_json(reports_to_dict(reports)))
 
 
 def pg3_meta_to_dict(meta) -> dict:
@@ -178,4 +222,4 @@ def pg3_meta_to_dict(meta) -> dict:
 
 
 def save_pg3_meta(meta, path: Union[str, Path]) -> None:
-    Path(path).write_text(canonical_json(pg3_meta_to_dict(meta)))
+    _write(path, canonical_json(pg3_meta_to_dict(meta)))

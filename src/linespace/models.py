@@ -5,8 +5,11 @@ subspaces of a 4-dimensional row space over the prime field GF(q), each
 canonicalized as a reduced row-echelon 2x4 matrix and ordered
 lexicographically, so line numbering is identical across runs.  Two
 distinct lines are incident exactly when their row spaces meet
-nontrivially, decided by the exact rank of the stacked 4x4 matrix under
-modular Gaussian elimination.  No floating point is involved anywhere.
+nontrivially.  By the Klein correspondence that happens exactly when
+their Plücker vectors, the six 2x2 minors of the lines' matrices, are
+orthogonal under the Klein form p01*p23 - p02*p13 + p03*p12, so the whole
+adjacency is one integer matrix product mod q.  No floating point is
+involved anywhere.
 
 The negative fixtures are small structures that break specific axioms on
 purpose; each ships with its full expected check vector so checker tests
@@ -31,34 +34,6 @@ Vector = tuple[int, ...]
 
 class UnsupportedFieldError(PreconditionError):
     """Requested field size is outside the supported prime list."""
-
-
-def rank_mod(rows, p: int) -> int:
-    """Exact rank of an integer matrix over GF(p) by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    m, n = len(work), len(work[0])
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if work[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col] % p, -1, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
-        for r in range(rank + 1, m):
-            f = work[r][col] % p
-            if f:
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def rref_mod(rows, p: int) -> Matrix:
@@ -89,6 +64,11 @@ def rref_mod(rows, p: int) -> Matrix:
         if rank == m:
             break
     return tuple(tuple(v % p for v in row) for row in work[:rank])
+
+
+def rank_mod(rows, p: int) -> int:
+    """Exact rank of an integer matrix over GF(p) by Gaussian elimination."""
+    return len(rref_mod(rows, p))
 
 
 def _rref_cells(k: int, p: int, n: int = 4) -> list[Matrix]:
@@ -168,11 +148,30 @@ def gen_tetrahedron() -> IncidenceStructure:
     )
 
 
+# Column pairs (i, j) of the Plücker coordinates p_ij.  The Klein form
+# p01*p23 - p02*p13 + p03*p12 pairs each coordinate with its complement, so
+# as a symmetric matrix J it reverses the coordinate order and negates p02
+# and p13.
+_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_KLEIN_SIGNS = np.array([1, -1, 1, 1, -1, 1], dtype=np.int16)
+
+
+def _plucker_coordinates(lines: list[Matrix], q: int) -> np.ndarray:
+    """Plücker vector of each 2x4 line matrix mod q, one int16 row per line."""
+    reps = np.array(lines, dtype=np.int64)
+    u, v = reps[:, 0], reps[:, 1]
+    cols = [u[:, i] * v[:, j] - u[:, j] * v[:, i] for i, j in _PLUCKER_PAIRS]
+    return (np.stack(cols, axis=1) % q).astype(np.int16)
+
+
 def gen_pg3(q: int) -> tuple[IncidenceStructure, Pg3Metadata]:
     """Generate PG(3,q) as a line structure plus its subspace metadata.
 
-    Supported q: 2, 3, 5, 7.  Incidence of two distinct lines is decided
-    by rank(stacked 4x4) < 4 over GF(q).
+    Supported q: 2, 3, 5, 7.  Two lines are incident iff their Plücker
+    vectors satisfy P J P^T = 0 mod q for the Klein form J; every line
+    lies on the Klein quadric, so the diagonal is incident.  With both
+    factors reduced mod q each entry of the product is at most 6 (q-1)^2,
+    which int16 holds.
     """
     if q not in SUPPORTED_PRIMES:
         raise UnsupportedFieldError(
@@ -183,11 +182,9 @@ def gen_pg3(q: int) -> tuple[IncidenceStructure, Pg3Metadata]:
     planes = tuple(_rref_cells(3, q))
     n = len(lines)
     assert n == gaussian_binomial(4, 2, q)
-    adj = np.eye(n, dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rank_mod(lines[i] + lines[j], q) < 4:
-                adj[i, j] = adj[j, i] = True
+    plucker = _plucker_coordinates(lines, q)
+    paired = (plucker[:, ::-1] * _KLEIN_SIGNS) % q  # P J, reduced mod q
+    adj = (paired @ plucker.T) % q == 0
     width = len(str(n - 1))
     structure = IncidenceStructure(
         adj,

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files written, human output."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from linespace import gen_negative, gen_pg3, gen_tetrahedron, save_structure
 from linespace.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_all.json").read_text())
+GENERATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "generate.json").read_text())
 
 
 def run(argv, capsys):
@@ -197,6 +199,29 @@ class TestGoldenReports:
         report = check_all_report(name, tmp_path, capsys)
         golden = Path(__file__).parent / "golden" / "reports" / f"{name}.json"
         assert report.read_bytes() == golden.read_bytes()
+
+
+class TestGoldenGenerate:
+    """generate writes the same structure and meta bytes as ever.
+
+    tests/golden/generate.json holds the SHA-256 of each file and the counts
+    printed to stdout, recorded before generation moved to Plücker
+    coordinates and the skew pairs left the JSON encoder.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(GENERATE_GOLDEN))
+    def test_files_match_golden(self, kind, tmp_path, capsys):
+        golden = GENERATE_GOLDEN[kind]
+        out = tmp_path / "s.json"
+        code, stdout, _ = run(["generate", *kind.split(), "--out", str(out)], capsys)
+        assert code == 0
+        assert stdout.splitlines()[0] == f"wrote {out}: {golden['stdout']}"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["structure"]
+        meta = tmp_path / "s.meta.json"
+        if "meta" in golden:
+            assert hashlib.sha256(meta.read_bytes()).hexdigest() == golden["meta"]
+        else:
+            assert not meta.exists()
 
 
 class TestDerive:

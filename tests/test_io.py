@@ -2,13 +2,23 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import linespace
 from linespace import (
+    NEGATIVE_KINDS,
+    GeometryModel,
+    IncidenceStructure,
     check_all,
     coordinate_labels,
+    gen_negative,
+    gen_pg3,
+    gen_tetrahedron,
     load_model,
     load_structure,
     save_model,
@@ -20,9 +30,47 @@ from linespace.io import (
     ParseError,
     canonical_json,
     model_from_dict,
+    model_to_dict,
     pg3_meta_to_dict,
     structure_from_dict,
 )
+
+SRC = Path(linespace.__file__).resolve().parent.parent
+
+# Structures whose files must be exactly canonical_json(structure_to_dict(s)).
+WRITER_CASES = {
+    "tetrahedron": gen_tetrahedron,
+    "pg3_2": lambda: gen_pg3(2)[0],
+    "pg3_3": lambda: gen_pg3(3)[0],
+    "pg3_5": lambda: gen_pg3(5)[0],
+    **{kind: (lambda kind=kind: gen_negative(kind)) for kind in NEGATIVE_KINDS},
+    "no_lines": lambda: IncidenceStructure.from_skew_pairs(0, []),
+    "one_line": lambda: IncidenceStructure.from_skew_pairs(1, [], labels=["only"]),
+}
+
+# Quotes, backslashes, control characters and non-ASCII, all of which JSON escapes
+# or (with ensure_ascii=False) writes through as UTF-8.
+awkward_text = st.text(alphabet='ab"\\/\n\t\x01éΩ☃𝔽', max_size=6)
+
+
+@st.composite
+def awkward_structures(draw):
+    n = draw(st.integers(0, 9))
+    labels = draw(st.lists(awkward_text, min_size=n, max_size=n, unique=True))
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    skew = draw(st.lists(st.sampled_from(all_pairs), max_size=20)) if all_pairs else []
+    return IncidenceStructure.from_skew_pairs(n, skew, labels=labels, name=draw(awkward_text))
+
+
+def run_python(args, tmp_path, **env):
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestStructureRoundTrip:
@@ -139,6 +187,78 @@ class TestStructureValidation:
         assert load_structure(path).line_count == 10
 
 
+class TestWriterBytes:
+    """save_structure and save_model write exactly what canonical_json writes.
+
+    Both format their skew pairs without the JSON encoder; canonical_json of
+    the *_to_dict form is the oracle for every byte.
+    """
+
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_structure_file_is_canonical_json(self, name, tmp_path):
+        s = WRITER_CASES[name]()
+        path = tmp_path / "s.json"
+        save_structure(s, path)
+        assert path.read_bytes() == canonical_json(structure_to_dict(s)).encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["tetrahedron", "pg3_2", "pg3_3"])
+    @pytest.mark.parametrize("seed", [None, (0, 1, 1)])
+    def test_model_file_is_canonical_json(self, name, seed, tmp_path):
+        m = coordinate_labels(WRITER_CASES[name](), seed)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+        assert path.read_bytes() == canonical_json(model_to_dict(m)).encode("utf-8")
+
+    @settings(max_examples=150, deadline=None)
+    @given(s=awkward_structures(), data=st.data())
+    def test_awkward_names_and_labels(self, s, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("awkward") / "s.json"
+        save_structure(s, path)
+        assert path.read_bytes() == canonical_json(structure_to_dict(s)).encode("utf-8")
+        assert load_structure(path) == s
+        n = s.line_count
+        element = st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True).map(
+            lambda e: tuple(sorted(e))
+        )
+        families = st.lists(element, max_size=4).map(lambda f: tuple(sorted(f)))
+        seed = st.none()
+        if n >= 2:
+            seed |= st.tuples(st.just(0), st.integers(1, n - 1), st.integers(0, 1))
+        m = GeometryModel(s, data.draw(families), data.draw(families), data.draw(seed))
+        save_model(m, path)
+        assert path.read_bytes() == canonical_json(model_to_dict(m)).encode("utf-8")
+
+
+class TestEncoding:
+    def test_non_ascii_labels_under_c_locale(self, tmp_path):
+        # Without UTF-8 mode the locale's ASCII codec would be the default
+        # for text files; io must write and read UTF-8 regardless.
+        script = (
+            "from linespace import IncidenceStructure, load_structure, save_structure\n"
+            "s = IncidenceStructure.from_skew_pairs(\n"
+            "    2, [(0, 1)], labels=['\\u00e9', '\\u2603'], name='\\u00f1'\n"
+            ")\n"
+            "save_structure(s, 's.json')\n"
+            "assert load_structure('s.json') == s\n"
+        )
+        done = run_python(["-X", "utf8=0", "-c", script], tmp_path, LC_ALL="C")
+        assert done.returncode == 0, done.stderr
+        s = IncidenceStructure.from_skew_pairs(2, [(0, 1)], labels=["é", "☃"], name="ñ")
+        expected = canonical_json(structure_to_dict(s)).encode("utf-8")
+        assert (tmp_path / "s.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("command", ["check", "dualize"])
+    def test_bad_utf8_is_a_parse_error(self, command, tmp_path):
+        (tmp_path / "bad.json").write_bytes(b"\xff{}")
+        argv = ["-m", "linespace.cli", command, "bad.json"]
+        if command == "dualize":
+            argv += ["--out", "out.json"]
+        done = run_python(argv, tmp_path)
+        assert done.returncode == 2
+        assert "not UTF-8" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 class TestModelRoundTrip:
     def test_tetra_model(self, tetra, tmp_path):
         m = coordinate_labels(tetra)
@@ -159,8 +279,6 @@ class TestModelRoundTrip:
             model_from_dict(data)
 
     def test_model_bad_seed(self, tetra):
-        from linespace.io import model_to_dict
-
         m = coordinate_labels(tetra)
         data = model_to_dict(m)
         data["seed"] = {"pair": [0, 1], "class_of": 7}
@@ -176,8 +294,6 @@ class TestModelRoundTrip:
         ],
     )
     def test_model_bool_or_repeated_seed_rejected(self, tetra, seed):
-        from linespace.io import model_to_dict
-
         data = model_to_dict(coordinate_labels(tetra))
         data["seed"] = seed
         with pytest.raises(ParseError, match="seed"):
@@ -186,9 +302,6 @@ class TestModelRoundTrip:
     def test_validation_survives_optimized_mode(self, tmp_path):
         # python -O strips assert statements; loading must still reject
         # bad structure and model files.
-        import subprocess
-        import sys
-
         script = (
             "import pytest\n"
             "from linespace.io import ParseError, model_from_dict, structure_from_dict\n"
@@ -199,21 +312,10 @@ class TestModelRoundTrip:
             "    model_from_dict(dict(base, format='linespace-model-v1', points=[], planes=[],\n"
             "                         seed={'pair': [True, 1], 'class_of': 0}))\n"
         )
-        import linespace
-
-        src = Path(linespace.__file__).resolve().parent.parent
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        done = run_python(["-O", "-c", script], tmp_path)
         assert done.returncode == 0, done.stderr
 
     def test_model_bad_element(self, tetra):
-        from linespace.io import model_to_dict
-
         m = coordinate_labels(tetra)
         data = model_to_dict(m)
         data["points"] = [[0, 99]]

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from linespace import (
@@ -49,6 +50,40 @@ def oracle_two_subspaces(q):
         if rank_mod([u, v], q) == 2:
             spans.add(span_set((u, v), q))
     return spans
+
+
+def oracle_adjacency(line_reps, q):
+    """Incidence from shared points, for 2x4 line matrices over GF(q).
+
+    Each line's points are the nonzero combinations a*u + b*v of its rows,
+    scaled so the first nonzero entry is 1; two lines meet iff they share
+    a point, so every point's lines form a clique.  No rank, elimination
+    or Plücker computation is involved.  Returns the adjacency and the
+    point set of every line.
+    """
+    through = {}
+    per_line = []
+    for l, (u, v) in enumerate(line_reps):
+        pts = set()
+        for a, b in itertools.product(range(q), repeat=2):
+            w = [(a * x + b * y) % q for x, y in zip(u, v)]
+            lead = next((c for c in w if c), 0)
+            if lead:
+                inv = pow(lead, -1, q)
+                pts.add(tuple(c * inv % q for c in w))
+        per_line.append(frozenset(pts))
+        for pt in pts:
+            through.setdefault(pt, []).append(l)
+    n = len(line_reps)
+    adj = np.zeros((n, n), dtype=bool)
+    for lines in through.values():
+        adj[np.ix_(lines, lines)] = True
+    return adj, per_line
+
+
+@pytest.fixture(scope="module")
+def pg37_pair():
+    return gen_pg3(7)
 
 
 class TestLinearAlgebra:
@@ -135,13 +170,27 @@ class TestLargerFields:
         assert (r1.status, r1.stats) == ("pass", {"lines_examined": 806})
         assert (r2.status, r2.stats) == ("pass", {"pairs_examined": 72540})
 
-    def test_pg37_enumeration_count(self):
-        # q = 7 adjacency is slow to fill; validate the subspace census alone
-        from linespace.models import _rref_cells
+    def test_pg37_generation(self, pg37_pair):
+        # the whole PG(3,7) structure, then the two axioms that walk every line and pair
+        s, meta = pg37_pair
+        assert s.line_count == 2850 == gaussian_binomial(4, 2, 7)
+        assert len(meta.point_reps) == len(meta.plane_reps) == 400
+        assert set(s.adjacency.sum(axis=1).tolist()) == {449}  # (q+1)(q^2+q) + 1
+        r1, r2 = check_axiom1(s), check_axiom2_1(s)
+        assert (r1.status, r1.stats) == ("pass", {"lines_examined": 2850})
+        assert (r2.status, r2.stats) == ("pass", {"pairs_examined": 638400})
 
-        assert len(_rref_cells(2, 7)) == 2850 == gaussian_binomial(4, 2, 7)
-        assert len(_rref_cells(1, 7)) == 400
-        assert len(_rref_cells(3, 7)) == 400
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_adjacency_matches_shared_point_oracle(q, pg37_pair):
+    s, meta = pg37_pair if q == 7 else gen_pg3(q)
+    adj, per_line = oracle_adjacency(meta.line_reps, q)
+    # every rep spans q + 1 points, and no two reps span the same line
+    assert {len(pts) for pts in per_line} == {q + 1}
+    assert len(set(per_line)) == s.line_count
+    assert len(frozenset().union(*per_line)) == (q + 1) * (q * q + 1)
+    mismatch = np.argwhere(s.adjacency != adj)
+    assert not mismatch.size, f"first mismatch at {mismatch[0].tolist()}"
 
 
 class TestPg3Membership:
