@@ -29,12 +29,7 @@ from .core import (
     mask_of_lines,
     perp,
 )
-from .labeling import (
-    LabelInconsistencyError,
-    coordinate_labels,
-    element_table,
-    enumerate_secondary_elements,
-)
+from .labeling import LabelInconsistencyError, coordinate_labels, element_masks, element_table
 from .sigma import NotTwoClassesError, incidence_classes, sigma, sigma_mask
 
 PASS = "pass"
@@ -128,14 +123,21 @@ def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
 
 
 def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
-    """bracket(a, b, z) must be pairwise incident for every z in sigma(a, b)."""
+    """bracket(a, b, z) must be pairwise incident for every z in sigma(a, b).
+
+    Reduction: depends only on the bracket, checked once per distinct one.
+    """
     masks = s.masks
     cases = 0
+    checked = set()
     for a, b in incident_pairs(s):
         base = masks[a] & masks[b]
         for z in lines_of_mask(sigma_mask(s, a, b)):
             cases += 1
             bm = base & masks[z]
+            if bm in checked:
+                continue
+            checked.add(bm)
             for x in lines_of_mask(bm):
                 bad = bm & ~masks[x]
                 if bad:
@@ -157,11 +159,19 @@ def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
 
 
 def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
-    """Each member of perp({a, b}) must meet x or y for every skew pair x, y there."""
+    """Each member of perp({a, b}) must meet x or y for every skew pair x, y there.
+
+    Reduction: depends only on perp({a, b}), walked once per distinct perp.
+    """
     masks = s.masks
     cases = 0
+    passed: dict[int, int] = {}  # perp mask -> skew pairs it holds
     for a, b in incident_pairs(s):
         ab = masks[a] & masks[b]
+        if ab in passed:
+            cases += passed[ab]
+            continue
+        before = cases
         for x in lines_of_mask(ab):
             skew_above = ab & ~masks[x] & ~((1 << (x + 1)) - 1)
             for y in lines_of_mask(skew_above):
@@ -181,6 +191,7 @@ def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
                         },
                         stats={"skew_pairs_examined": cases},
                     )
+        passed[ab] = cases - before
     return CheckReport("axiom2_3", PASS, stats={"skew_pairs_examined": cases})
 
 
@@ -192,13 +203,12 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
     quadratic in the element count.
     """
     table = element_table(s)
-    elements = enumerate_secondary_elements(s)
-    emasks = [mask_of_lines(e) for e in elements]
+    emasks = element_masks(s)
     samples = []
-    for i, fs in enumerate(elements):
+    for i, em in enumerate(emasks):
         partner = None
-        for j, other in enumerate(elements):
-            if i != j and not (emasks[i] & emasks[j]):
+        for j, other in enumerate(emasks):
+            if i != j and not (em & other):
                 partner = other
                 break
         if partner is None:
@@ -206,18 +216,18 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
                 "axiom3",
                 FAIL,
                 counterexample={
-                    "element": labels_of(s, fs),
-                    "triad": labels_of(s, table[fs]),
+                    "element": labels_of(s, lines_of_mask(em)),
+                    "triad": labels_of(s, table[em]),
                     "reason": "no disjoint secondary element exists",
                 },
-                stats={"elements_examined": i + 1, "elements_total": len(elements)},
+                stats={"elements_examined": i + 1, "elements_total": len(emasks)},
             )
         samples.append(
-            {"triad": labels_of(s, table[fs]), "disjoint_triad": labels_of(s, table[partner])}
+            {"triad": labels_of(s, table[em]), "disjoint_triad": labels_of(s, table[partner])}
         )
     witness = {"per_element": samples} if samples else None
     return CheckReport(
-        "axiom3", PASS, witness_sample=witness, stats={"elements_examined": len(elements)}
+        "axiom3", PASS, witness_sample=witness, stats={"elements_examined": len(emasks)}
     )
 
 
@@ -242,11 +252,10 @@ def check_axiom4(s: IncidenceStructure) -> CheckReport:
         )
     # The labeling verified exactly-one-common-line; re-check nonemptiness
     # directly so this report does not lean on that code path.
-    for family, kind in ((m.points, "point"), (m.planes, "plane")):
-        fmasks = [mask_of_lines(e) for e in family]
+    for family, kind in ((m.point_masks, "point"), (m.plane_masks, "plane")):
         for i in range(len(family)):
             for j in range(i + 1, len(family)):
-                if not (fmasks[i] & fmasks[j]):
+                if not (family[i] & family[j]):
                     seed = {"pair": labels_of(s, m.seed[:2]), "class_of": m.seed[2]}
                     return CheckReport(
                         "axiom4",
@@ -254,8 +263,8 @@ def check_axiom4(s: IncidenceStructure) -> CheckReport:
                         counterexample={
                             "issue": "same_kind_share_none",
                             "kind": kind,
-                            "element_a": labels_of(s, family[i]),
-                            "element_b": labels_of(s, family[j]),
+                            "element_a": labels_of(s, lines_of_mask(family[i])),
+                            "element_b": labels_of(s, lines_of_mask(family[j])),
                             "common_count": 0,
                             "seed": seed,
                         },
@@ -329,11 +338,9 @@ def replay_counterexample(s: IncidenceStructure, report: CheckReport) -> bool:
             and not s.adjacency[m, y]
         )
     if name == "axiom3":
-        fs = frozenset(_resolve(s, ce["element"]))
-        elements = enumerate_secondary_elements(s)
-        if fs not in set(elements):
-            return False
-        return all(other == fs or (fs & other) for other in elements)
+        em = mask_of_lines(_resolve(s, ce["element"]))
+        emasks = element_masks(s)
+        return em in emasks and all(other == em or (em & other) for other in emasks)
     if name == "axiom4":
         return _replay_axiom4(s, ce)
     raise ValueError(f"no replay registered for check {name!r}")
@@ -350,11 +357,11 @@ def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
     seed = (a, b, seed_info["class_of"])
     kinds = classify_elements(s, seed)
     if issue in ("same_kind_share_none", "same_kind_share_many", "point_plane_share_one"):
-        ea = frozenset(_resolve(s, ce["element_a"]))
-        eb = frozenset(_resolve(s, ce["element_b"]))
+        ea = mask_of_lines(_resolve(s, ce["element_a"]))
+        eb = mask_of_lines(_resolve(s, ce["element_b"]))
         if ea not in kinds or eb not in kinds:
             return False
-        common = len(ea & eb)
+        common = (ea & eb).bit_count()
         same = kinds[ea] == kinds[eb]
         if issue == "same_kind_share_none":
             return same and common == 0
@@ -366,9 +373,10 @@ def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
 
         p, q = _resolve(s, ce["pair"])
         part = sigma_partition(s, p, q)
-        per_class = []
-        for cls in part.classes:
-            per_class.append({kinds[bracket(s, p, q, c)] for c in sorted(cls)})
+        base = s.masks[p] & s.masks[q]
+        per_class = [
+            {kinds[base & s.masks[c]] for c in lines_of_mask(cls)} for cls in part.class_masks
+        ]
         if issue == "class_yields_mixed_kinds":
             return any(len(seen) != 1 for seen in per_class)
         return all(len(seen) == 1 for seen in per_class) and per_class[0] == per_class[1]
@@ -377,11 +385,11 @@ def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
 
 def _replay_not_two_classes(s: IncidenceStructure, ce: dict) -> bool:
     a, b = _resolve(s, ce["pair"])
-    sig = sigma(s, a, b)
+    sig = sigma_mask(s, a, b)
     if "p" in ce:
         p, q, r = s.index(ce["p"]), s.index(ce["q"]), s.index(ce["r"])
         return (
-            {p, q, r} <= sig
+            not (mask_of_lines((p, q, r)) & ~sig)
             and s.adjacency[p, q]
             and s.adjacency[q, r]
             and not s.adjacency[p, r]
@@ -389,5 +397,5 @@ def _replay_not_two_classes(s: IncidenceStructure, ce: dict) -> bool:
     if ce.get("class_count") == 0:
         return not sig
     # Class-count witness: recount components of incidence on sigma.
-    count = len(incidence_classes(s, sorted(sig)))
+    count = len(incidence_classes(s, sig))
     return count == ce["class_count"] and count != 2

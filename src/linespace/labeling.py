@@ -10,13 +10,19 @@ result satisfies every structural constraint.  A failed verification
 means the structure is not a model of the axioms, and is reported with a
 concrete witness, never retried.
 
-The duality involution simply swaps the two families and re-verifies.
+The duality involution swaps the two families and re-verifies; it first
+requires the model's families to be exactly the derived elements.
+
+Elements are int bitmasks of their lines from the table to the verdict:
+kinds are keyed by element mask, and line tuples and frozensets are built
+only for a model's families, a public return value or a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -28,7 +34,7 @@ from .core import (
     lines_of_mask,
     mask_of_lines,
 )
-from .sigma import SigmaPartition, sigma_mask, sigma_partition
+from .sigma import sigma_mask, sigma_partition
 
 
 class Kind(str, Enum):
@@ -44,9 +50,9 @@ class LabelInconsistencyError(LinespaceError):
 
     Carries a ``witness`` dict naming the violated constraint: two
     same-kind elements sharing zero lines (a join/meet vacancy) or more
-    than one line, a point/plane pair sharing exactly one line, or an
+    than one line, a point/plane pair sharing exactly one line, an
     incident pair whose two sigma classes do not yield one point and one
-    plane.
+    plane, or a model element that is not derived, listed twice or left out.
     """
 
     def __init__(self, message: str, witness: dict):
@@ -81,7 +87,9 @@ class GeometryModel:
     Elements are stored as sorted line-index tuples; two elements are the
     same element exactly when the tuples are equal.  ``seed`` records which
     sigma class of which pair was named the point side, as
-    (a, b, class_index); None for the empty geometry.
+    (a, b, class_index); None for the empty geometry.  The element masks
+    and the per-line holding bitsets are derived once, on first use, and
+    take no part in equality.
     """
 
     structure: IncidenceStructure
@@ -89,16 +97,41 @@ class GeometryModel:
     planes: tuple[tuple[int, ...], ...]
     seed: Optional[tuple[int, int, int]]
 
+    @cached_property
+    def point_masks(self) -> tuple[int, ...]:
+        return tuple(map(mask_of_lines, self.points))
 
-def element_table(s: IncidenceStructure) -> dict[frozenset[int], tuple[int, int, int]]:
-    """All secondary elements with one generating triad each; cached.
+    @cached_property
+    def plane_masks(self) -> tuple[int, ...]:
+        return tuple(map(mask_of_lines, self.planes))
+
+    @cached_property
+    def holding(self) -> dict[Kind, list[int]]:
+        """Per kind and line, the bitset of the family's elements holding the line."""
+        return {
+            kind: [
+                sum(1 << i for i, em in enumerate(emasks) if em >> l & 1)
+                for l in range(self.structure.line_count)
+            ]
+            for kind, emasks in ((Kind.POINT, self.point_masks), (Kind.PLANE, self.plane_masks))
+        }
+
+    @cached_property
+    def kinds(self) -> dict[int, Kind]:
+        """Kind of each element mask; a mask listed in both families counts as a point."""
+        out = dict.fromkeys(self.plane_masks, Kind.PLANE)
+        out.update(dict.fromkeys(self.point_masks, Kind.POINT))
+        return out
+
+
+def element_table(s: IncidenceStructure) -> dict[int, tuple[int, int, int]]:
+    """Every secondary element's mask with one generating triad each; cached.
 
     Iterates incident pairs (a, b) in index order and, for each, every
     member c of sigma(a, b) in index order, keeping the first triad that
     produces each distinct bracket.  This covers every triad's bracket
     because any triad contains an incident pair whose sigma holds the
-    third line.  Brackets are keyed by mask while walking; each distinct
-    element becomes a frozenset once, at the end.
+    third line.
     """
 
     def build():
@@ -108,112 +141,84 @@ def element_table(s: IncidenceStructure) -> dict[frozenset[int], tuple[int, int,
             base = masks[a] & masks[b]
             for c in lines_of_mask(sigma_mask(s, a, b)):
                 by_mask.setdefault(base & masks[c], (a, b, c))
-        return {frozenset(lines_of_mask(m)): t for m, t in by_mask.items()}
+        return by_mask
 
     return s.cached("element_table", build)
 
 
+def element_masks(s: IncidenceStructure) -> tuple[int, ...]:
+    """Every element's mask, ordered by its ascending line list; cached."""
+    return s.cached("element_masks", lambda: tuple(sorted(element_table(s), key=lines_of_mask)))
+
+
 def enumerate_secondary_elements(s: IncidenceStructure) -> list[frozenset[int]]:
     """Every distinct bracket of a triad, sorted; empty if no triads exist."""
-    return sorted(element_table(s), key=sorted)
-
-
-def _element_masks(s: IncidenceStructure, elements: list[frozenset[int]]) -> list[int]:
-    return [mask_of_lines(e) for e in elements]
+    return [frozenset(lines_of_mask(em)) for em in element_masks(s)]
 
 
 def _verify_labeling(
     s: IncidenceStructure,
-    elements: list[frozenset[int]],
-    kinds: dict[frozenset[int], Kind],
+    emasks: tuple[int, ...],
+    kinds: dict[int, Kind],
     seed: tuple[int, int, int],
 ) -> Optional[dict]:
     """Return the lexicographically least violation witness, or None.
 
     Checks, in order: every incident pair's two sigma classes yield one
     point and one plane; distinct same-kind elements share exactly one
-    line; opposite-kind elements never share exactly one line.
+    line; opposite-kind elements never share exactly one line.  The pair
+    check depends only on perp({p, q}), so a perp that passed once is not
+    checked again; the first failing pair is the same.
     """
     masks = s.masks
     seed_info = {"pair": labels_of(s, seed[:2]), "class_of": seed[2]}
+
+    def fail(issue, fields):
+        return {"issue": issue, **fields, "seed": seed_info}
+
+    passed = set()
     for p, q in incident_pairs(s):
-        part = sigma_partition(s, p, q)  # NotTwoClassesError propagates
         base = masks[p] & masks[q]
+        if base in passed:
+            continue
+        pair = labels_of(s, (p, q))
         class_kinds = []
-        for cls in part.classes:
-            seen = set()
-            for c in sorted(cls):
-                fs = frozenset(lines_of_mask(base & masks[c]))
-                kind = kinds.get(fs)
-                if kind is None:
-                    return {
-                        "issue": "class_bracket_not_classified",
-                        "pair": labels_of(s, (p, q)),
-                        "bracket": labels_of(s, fs),
-                        "seed": seed_info,
-                    }
-                seen.add(kind)
+        for cls in sigma_partition(s, p, q).class_masks:  # NotTwoClassesError propagates
+            seen = {kinds[base & masks[c]] for c in lines_of_mask(cls)}  # each is an element
             if len(seen) != 1:
-                return {
-                    "issue": "class_yields_mixed_kinds",
-                    "pair": labels_of(s, (p, q)),
-                    "class": labels_of(s, cls),
-                    "seed": seed_info,
-                }
+                members = labels_of(s, lines_of_mask(cls))
+                return fail("class_yields_mixed_kinds", {"pair": pair, "class": members})
             class_kinds.append(seen.pop())
         if class_kinds[0] == class_kinds[1]:
-            return {
-                "issue": "pair_classes_same_kind",
-                "pair": labels_of(s, (p, q)),
-                "kind": class_kinds[0].value,
-                "seed": seed_info,
+            return fail("pair_classes_same_kind", {"pair": pair, "kind": class_kinds[0].value})
+        passed.add(base)
+    for i, ei in enumerate(emasks):
+        for ej in emasks[i + 1 :]:
+            common = (ei & ej).bit_count()
+            same = kinds[ei] == kinds[ej]
+            if same == (common == 1):
+                continue
+            shared = {
+                "element_a": labels_of(s, lines_of_mask(ei)),
+                "element_b": labels_of(s, lines_of_mask(ej)),
+                "common_count": common,
             }
-    emasks = _element_masks(s, elements)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            common = (emasks[i] & emasks[j]).bit_count()
-            same = kinds[elements[i]] == kinds[elements[j]]
-            if same and common != 1:
-                issue = "same_kind_share_none" if common == 0 else "same_kind_share_many"
-                return {
-                    "issue": issue,
-                    "kind": kinds[elements[i]].value,
-                    "element_a": labels_of(s, elements[i]),
-                    "element_b": labels_of(s, elements[j]),
-                    "common_count": common,
-                    "seed": seed_info,
-                }
-            if not same and common == 1:
-                return {
-                    "issue": "point_plane_share_one",
-                    "element_a": labels_of(s, elements[i]),
-                    "element_b": labels_of(s, elements[j]),
-                    "common_count": common,
-                    "seed": seed_info,
-                }
+            if not same:
+                return fail("point_plane_share_one", shared)
+            issue = "same_kind_share_none" if common == 0 else "same_kind_share_many"
+            return fail(issue, {"kind": kinds[ei].value, **shared})
     return None
 
 
-def classify_elements(
-    s: IncidenceStructure, seed: tuple[int, int, int]
-) -> dict[frozenset[int], Kind]:
-    """Kind of every element under the seeded singleton rule (unverified)."""
+def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> dict[int, Kind]:
+    """Kind of every element mask under the seeded singleton rule (unverified)."""
     a, b, k = seed
-    part = sigma_partition(s, a, b)
-    chosen = part.classes[k]
-    zfs = frozenset(
-        lines_of_mask(s.masks[a] & s.masks[b] & s.masks[min(chosen)])
-    )
-    zmask = mask_of_lines(zfs)
-    kinds: dict[frozenset[int], Kind] = {}
-    for fs in enumerate_secondary_elements(s):
-        if fs == zfs:
-            kinds[fs] = Kind.POINT
-        elif (mask_of_lines(fs) & zmask).bit_count() == 1:
-            kinds[fs] = Kind.POINT
-        else:
-            kinds[fs] = Kind.PLANE
-    return kinds
+    chosen = sigma_partition(s, a, b).class_masks[k]
+    zmask = s.masks[a] & s.masks[b] & s.masks[(chosen & -chosen).bit_length() - 1]
+    return {
+        em: Kind.POINT if em == zmask or (em & zmask).bit_count() == 1 else Kind.PLANE
+        for em in element_masks(s)
+    }
 
 
 def _normalize_seed(
@@ -259,21 +264,22 @@ def coordinate_labels(
 
     def build():
         kinds = classify_elements(s, seed)
-        elements = enumerate_secondary_elements(s)
-        witness = _verify_labeling(s, elements, kinds, seed)
+        emasks = element_masks(s)
+        witness = _verify_labeling(s, emasks, kinds, seed)
         if witness is not None:
             raise LabelInconsistencyError(
                 f"labeling verification failed: {witness['issue']}", witness
             )
-        points = tuple(tuple(sorted(fs)) for fs in elements if kinds[fs] is Kind.POINT)
-        planes = tuple(tuple(sorted(fs)) for fs in elements if kinds[fs] is Kind.PLANE)
+        points, planes = (
+            tuple(tuple(lines_of_mask(em)) for em in emasks if kinds[em] is kind) for kind in Kind
+        )
         return GeometryModel(structure=s, points=points, planes=planes, seed=seed)
 
     return s.cached(("coordinate_labels", seed), build)
 
 
-def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> SecondaryElement:
-    """The unique element of one family containing both lines of an incident pair."""
+def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> int:
+    """Index of the unique element of one family holding both lines of an incident pair."""
     op = "meet_point" if kind is Kind.POINT else "join_plane"
     s = m.structure
     a = s.check_index(a)
@@ -285,43 +291,60 @@ def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> SecondaryEl
             f"{op} requires an incident pair, but {s.labels[a]!r} and "
             f"{s.labels[b]!r} are skew"
         )
-    family = m.points if kind is Kind.POINT else m.planes
-    hits = [e for e in family if a in e and b in e]
-    if len(hits) != 1:
+    holding = m.holding[kind]
+    hits = holding[a] & holding[b]
+    if hits.bit_count() != 1:
         raise MissingElementError(
             f"no unique {kind.value} contains {s.labels[a]!r} and {s.labels[b]!r}; "
             "model is inconsistent"
         )
-    return SecondaryElement(lines=hits[0], kind=kind)
+    return hits.bit_length() - 1
 
 
 def meet_point(m: GeometryModel, a: int, b: int) -> SecondaryElement:
     """The unique point of the model containing both lines."""
-    return _unique_element(m, a, b, Kind.POINT)
+    return SecondaryElement(m.points[_unique_element(m, a, b, Kind.POINT)], Kind.POINT)
 
 
 def join_plane(m: GeometryModel, a: int, b: int) -> SecondaryElement:
     """The unique plane of the model containing both lines."""
-    return _unique_element(m, a, b, Kind.PLANE)
+    return SecondaryElement(m.planes[_unique_element(m, a, b, Kind.PLANE)], Kind.PLANE)
+
+
+def _swapped_kinds(m: GeometryModel) -> tuple[dict[int, Kind], Optional[dict]]:
+    """Swapped kind of each element mask of the model, and a witness unless
+    the families are exactly the derived elements: the first element listed
+    twice or not derived, else the least derived element left out.
+    """
+    table = element_table(m.structure)
+    kinds: dict[int, Kind] = {}
+    bad = None
+    for i, em in enumerate(m.point_masks + m.plane_masks):
+        if em not in table or em in kinds:
+            bad = ("element_not_derived" if em not in table else "element_listed_twice", em)
+            break
+        kinds[em] = Kind.PLANE if i < len(m.points) else Kind.POINT
+    else:
+        missing = [em for em in element_masks(m.structure) if em not in kinds]
+        bad = ("element_missing", missing[0]) if missing else None
+    if bad is None:
+        return kinds, None
+    return kinds, {"issue": bad[0], "element": labels_of(m.structure, lines_of_mask(bad[1]))}
 
 
 def dualize(m: GeometryModel) -> GeometryModel:
     """Swap the point and plane families, re-verifying the swapped model.
 
+    The families must be exactly the derived elements, each listed once.
     An involution: dualize(dualize(m)) == m.
     """
     s = m.structure
-    if m.seed is None:
-        return GeometryModel(structure=s, points=m.planes, planes=m.points, seed=None)
-    kinds: dict[frozenset[int], Kind] = {}
-    for e in m.points:
-        kinds[frozenset(e)] = Kind.PLANE
-    for e in m.planes:
-        kinds[frozenset(e)] = Kind.POINT
-    elements = enumerate_secondary_elements(s)
-    a, b, k = m.seed
-    flipped = (a, b, 1 - k)
-    witness = _verify_labeling(s, elements, kinds, flipped)
+    kinds, witness = _swapped_kinds(m)
+    flipped = None
+    if witness is None and m.seed is not None:
+        a, b, k = m.seed
+        flipped = (a, b, 1 - k)
+        witness = _verify_labeling(s, element_masks(s), kinds, flipped)
     if witness is not None:
         raise LabelInconsistencyError(
             f"dualized labeling failed verification: {witness['issue']}", witness
@@ -329,38 +352,30 @@ def dualize(m: GeometryModel) -> GeometryModel:
     return GeometryModel(structure=s, points=m.planes, planes=m.points, seed=flipped)
 
 
-def labeled_sigma_classes(
-    m: GeometryModel, a: int, b: int
-) -> tuple[frozenset[int], frozenset[int]]:
-    """(point_class, plane_class) of sigma(a, b) under the model's labeling.
+def labeled_sigma_classes(m: GeometryModel, a: int, b: int) -> tuple[int, int]:
+    """(point_class, plane_class) masks of sigma(a, b) under the model's labeling.
 
     The point class is the one whose bracket elements are points of the
     model.  Raises MissingElementError if a class's bracket is not an
     element of the model or the two classes land on the same kind.
     """
     s = m.structure
-    part: SigmaPartition = sigma_partition(s, a, b)
-    point_fs = {frozenset(e) for e in m.points}
-    plane_fs = {frozenset(e) for e in m.planes}
+    part = sigma_partition(s, a, b)
     masks = s.masks
     a, b = part.pair
     base = masks[a] & masks[b]
     kinds = []
-    for cls in part.classes:
-        fs = frozenset(lines_of_mask(base & masks[min(cls)]))
-        if fs in point_fs:
-            kinds.append(Kind.POINT)
-        elif fs in plane_fs:
-            kinds.append(Kind.PLANE)
-        else:
+    for cls in part.class_masks:
+        kind = m.kinds.get(base & masks[(cls & -cls).bit_length() - 1])
+        if kind is None:
             raise MissingElementError(
                 f"bracket of sigma class of ({s.labels[a]}, {s.labels[b]}) is not "
                 "an element of the model"
             )
+        kinds.append(kind)
     if kinds[0] == kinds[1]:
         raise MissingElementError(
             f"both sigma classes of ({s.labels[a]}, {s.labels[b]}) map to {kinds[0].value}s"
         )
-    if kinds[0] is Kind.POINT:
-        return (part.class_0, part.class_1)
-    return (part.class_1, part.class_0)
+    c0, c1 = part.class_masks
+    return (c0, c1) if kinds[0] is Kind.POINT else (c1, c0)

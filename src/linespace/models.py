@@ -205,24 +205,40 @@ def line_in_plane(line: Matrix, plane: Matrix, p: int) -> bool:
     return rank_mod(list(plane) + list(line), p) == 3
 
 
-def line_point_sets(meta: Pg3Metadata) -> list[frozenset[int]]:
-    """For each line, the indices of the coordinate points on it."""
+def _kernel(mat: Matrix, q: int) -> list[Vector]:
+    """Basis of the vectors orthogonal mod q to every row of a reduced row-echelon matrix."""
+    pivot_row = {row.index(1): row for row in mat}
     return [
-        frozenset(
-            pi for pi, pt in enumerate(meta.point_reps) if point_on_line(pt, ln, meta.q)
-        )
-        for ln in meta.line_reps
+        tuple(int(c == f) if c not in pivot_row else -pivot_row[c][f] % q for c in range(4))
+        for f in range(4)
+        if f not in pivot_row
     ]
+
+
+def _orthogonal_sets(pairs, vectors, q: int) -> list[frozenset[int]]:
+    """Per pair of rows, the indices of the vectors orthogonal mod q to both."""
+    zero = (np.array(pairs).reshape(-1, 4) @ np.array(vectors).T) % q == 0
+    return [frozenset(np.flatnonzero(r).tolist()) for r in zero[0::2] & zero[1::2]]
+
+
+def line_point_sets(meta: Pg3Metadata) -> list[frozenset[int]]:
+    """For each line, the indices of the coordinate points on it.
+
+    A point lies on a line iff it is orthogonal mod q to the line's
+    2-dimensional annihilator: one integer matrix product for all pairs.
+    """
+    kernels = [_kernel(ln, meta.q) for ln in meta.line_reps]
+    return _orthogonal_sets(kernels, meta.point_reps, meta.q)
 
 
 def line_plane_sets(meta: Pg3Metadata) -> list[frozenset[int]]:
-    """For each line, the indices of the coordinate planes containing it."""
-    return [
-        frozenset(
-            pi for pi, pl in enumerate(meta.plane_reps) if line_in_plane(ln, pl, meta.q)
-        )
-        for ln in meta.line_reps
-    ]
+    """For each line, the indices of the coordinate planes containing it.
+
+    A line lies in a plane iff both of its rows are orthogonal mod q to the
+    plane's normal: one integer matrix product for all pairs.
+    """
+    normals = [_kernel(pl, meta.q)[0] for pl in meta.plane_reps]
+    return _orthogonal_sets(meta.line_reps, normals, meta.q)
 
 
 def _match_family(

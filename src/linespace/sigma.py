@@ -7,8 +7,11 @@ incidence restricted to that set is an equivalence with exactly two
 classes; ``sigma_partition`` recovers the classes and verifies both facts
 instead of assuming them, so it doubles as a diagnostic on untrusted input.
 
-Caching note: per-pair sigma sets and partitions are memoized on the
-structure.  Results are value-identical to the uncached computation.
+Sets are int bitmasks throughout: a class is grown from its least line by
+mask closure and checked to be a clique with one AND per line.  Sigma sets
+and their classes depend only on perp({a, b}), so both are memoized on the
+structure per distinct mask; a partition, which names its pair, is
+memoized per pair.  Results are value-identical to the uncached computation.
 """
 
 from __future__ import annotations
@@ -45,17 +48,20 @@ class SigmaPartition:
 
     ``class_0`` is the class containing the least line of sigma; the
     ordering is a naming device only.  Within each class all lines are
-    pairwise incident; across classes all pairs are skew.
+    pairwise incident; across classes all pairs are skew.  The classes are
+    stored as the bitmasks ``class_masks``; the line sets are views.
     """
 
     pair: tuple[int, int]
-    sigma: frozenset[int]
-    class_0: frozenset[int]
-    class_1: frozenset[int]
+    class_masks: tuple[int, int]
 
     @property
     def classes(self) -> tuple[frozenset[int], frozenset[int]]:
-        return (self.class_0, self.class_1)
+        return tuple(frozenset(lines_of_mask(c)) for c in self.class_masks)
+
+    class_0 = property(lambda self: self.classes[0])
+    class_1 = property(lambda self: self.classes[1])
+    sigma = property(lambda self: self.class_0 | self.class_1)
 
 
 def _require_incident_distinct(s: IncidenceStructure, a: int, b: int, op: str) -> tuple[int, int]:
@@ -71,14 +77,10 @@ def _require_incident_distinct(s: IncidenceStructure, a: int, b: int, op: str) -
 
 
 def sigma_mask(s: IncidenceStructure, a: int, b: int) -> int:
-    """Bitmask form of sigma(a, b); cached."""
+    """Bitmask form of sigma(a, b); depends only on perp({a, b}), cached per perp."""
     a, b = _require_incident_distinct(s, a, b, "sigma")
-
-    def build():
-        ab = s.masks[a] & s.masks[b]
-        return ab & ~perp_mask(s, ab)
-
-    return s.cached(("sigma", a, b), build)
+    ab = s.masks[a] & s.masks[b]
+    return s.cached(("sigma", ab), lambda: ab & ~perp_mask(s, ab))
 
 
 def sigma(s: IncidenceStructure, a: int, b: int) -> frozenset[int]:
@@ -103,85 +105,59 @@ def _transitivity_witness(s: IncidenceStructure, members: list[int]) -> tuple[in
     raise AssertionError("clique check failed but no transitivity violation found")
 
 
-def incidence_classes(s: IncidenceStructure, members: list[int]) -> list[list[int]]:
-    """Connected components of incidence on ascending ``members``, by least line.
+def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
+    """Connected components of incidence on the lines of ``group``, as masks.
 
-    Found by union-find; a component need not be a clique.
+    Each is grown by mask closure from the least line not yet placed, so
+    the list is ordered by least line; a component need not be a clique.
     """
-    parent = {l: l for l in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj = s.adjacency
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            if adj[x, y]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-    groups: dict[int, list[int]] = {}
-    for l in members:
-        groups.setdefault(find(l), []).append(l)
-    return list(groups.values())
+    masks = s.masks
+    out = []
+    while group:
+        cls = frontier = group & -group
+        while frontier:
+            reach = 0
+            for x in lines_of_mask(frontier):
+                reach |= masks[x]
+            frontier = reach & group & ~cls
+            cls |= frontier
+        out.append(cls)
+        group &= ~cls
+    return out
 
 
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     """Split sigma(a, b) into its two incidence classes, verifying the split.
 
-    Classes are found by union-find over incidence restricted to the sigma
-    set and then checked exhaustively: exactly two classes, each one a
-    clique.  Anything else raises NotTwoClassesError with a replayable
-    witness (this includes an empty sigma set, which downstream labeling
-    code must never see as an empty partition).
+    Classes are found by mask closure over incidence restricted to the
+    sigma set and then checked exhaustively: exactly two classes, each one
+    a clique.  Anything else raises NotTwoClassesError with a replayable
+    witness naming this pair (this includes an empty sigma set, which
+    downstream labeling code must never see as an empty partition).  The
+    classes depend only on perp({a, b}) and are found once per sigma mask.
     """
     a, b = _require_incident_distinct(s, a, b, "sigma_partition")
 
     def build():
-        sig = sorted(lines_of_mask(sigma_mask(s, a, b)))
+        sig = sigma_mask(s, a, b)
+        classes = s.cached(("sigma_classes", sig), lambda: incidence_classes(s, sig))
+        cliques = not any(c & ~s.masks[x] for c in classes for x in lines_of_mask(c))
+        if len(classes) == 2 and cliques:
+            return SigmaPartition(pair=(a, b), class_masks=tuple(classes))
         pair_labels = labels_of(s, (a, b))
+        name = f"sigma({pair_labels[0]}, {pair_labels[1]})"
+        members = lines_of_mask(sig)
+        witness = {"pair": pair_labels, "sigma": labels_of(s, members)}
         if not sig:
+            raise NotTwoClassesError(f"{name} is empty", {**witness, "class_count": 0})
+        if len(classes) != 2:
             raise NotTwoClassesError(
-                f"sigma({pair_labels[0]}, {pair_labels[1]}) is empty",
-                {"pair": pair_labels, "sigma": [], "class_count": 0},
+                f"{name} has {len(classes)} incidence classes, expected 2",
+                {**witness, "class_count": len(classes)},
             )
-        groups = incidence_classes(s, sig)
-        if len(groups) != 2:
-            raise NotTwoClassesError(
-                f"sigma({pair_labels[0]}, {pair_labels[1]}) has {len(groups)} incidence "
-                "classes, expected 2",
-                {
-                    "pair": pair_labels,
-                    "sigma": labels_of(s, sig),
-                    "class_count": len(groups),
-                },
-            )
-        adj = s.adjacency
-        for group in groups:
-            for i, x in enumerate(group):
-                for y in group[i + 1 :]:
-                    if not adj[x, y]:
-                        p, q, r = _transitivity_witness(s, sig)
-                        raise NotTwoClassesError(
-                            f"incidence is not transitive on sigma({pair_labels[0]}, "
-                            f"{pair_labels[1]})",
-                            {
-                                "pair": pair_labels,
-                                "sigma": labels_of(s, sig),
-                                "p": s.labels[p],
-                                "q": s.labels[q],
-                                "r": s.labels[r],
-                            },
-                        )
-        first, second = groups
-        return SigmaPartition(
-            pair=(a, b),
-            sigma=frozenset(sig),
-            class_0=frozenset(first),
-            class_1=frozenset(second),
+        p, q, r = (s.labels[x] for x in _transitivity_witness(s, members))
+        raise NotTwoClassesError(
+            f"incidence is not transitive on {name}", {**witness, "p": p, "q": q, "r": r}
         )
 
     return s.cached(("sigma_partition", a, b), build)

@@ -33,10 +33,9 @@ from .labeling import (
     Kind,
     LabelInconsistencyError,
     MissingElementError,
+    _unique_element,
     coordinate_labels,
-    join_plane,
     labeled_sigma_classes,
-    meet_point,
 )
 from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
 
@@ -74,27 +73,28 @@ def _bracket_mask(s: IncidenceStructure, lines: Iterable[int]) -> int:
     return out
 
 
+def _triad_brackets(s: IncidenceStructure) -> list[int]:
+    """Bracket mask of each triad, aligned with ``triads(s)``; cached."""
+    masks = s.masks
+    return s.cached(
+        "triad_brackets", lambda: [masks[a] & masks[b] & masks[c] for a, b, c in triads(s)]
+    )
+
+
 def _labeled_class_masks(m: GeometryModel) -> dict[tuple[int, int], tuple[int, int]]:
     """(point_class_mask, plane_class_mask) per incident pair; cached."""
     s = m.structure
 
     def build():
-        out = {}
-        for a, b in incident_pairs(s):
-            pc, qc = labeled_sigma_classes(m, a, b)
-            out[(a, b)] = (mask_of_lines(pc), mask_of_lines(qc))
-        return out
+        return {(a, b): labeled_sigma_classes(m, a, b) for a, b in incident_pairs(s)}
 
     return s.cached(("labeled_class_masks", m.points, m.planes), build)
 
 
 def _element_kinds(m: GeometryModel) -> dict[int, Kind]:
-    """Element bitmask to kind, for the model's families."""
-    kinds = {}
-    for e in m.points:
-        kinds[mask_of_lines(e)] = Kind.POINT
-    for e in m.planes:
-        kinds[mask_of_lines(e)] = Kind.PLANE
+    """Element bitmask to kind, for the model's families; a plane wins a tie."""
+    kinds = dict.fromkeys(m.point_masks, Kind.POINT)
+    kinds.update(dict.fromkeys(m.plane_masks, Kind.PLANE))
     return kinds
 
 
@@ -160,7 +160,7 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
                 counterexample=dict(e.witness),
                 stats={"pairs_examined": len(pairs)},
             )
-        sizes.add((len(part.class_0), len(part.class_1)))
+        sizes.add(tuple(c.bit_count() for c in part.class_masks))
     stats = {"pairs_examined": len(pairs)}
     if sizes:
         stats["class_size_pairs"] = sorted(sizes)
@@ -168,13 +168,21 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
 
 
 def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
-    """Incident members of one sigma set give equal brackets over the pair."""
+    """Incident members of one sigma set give equal brackets over the pair.
+
+    Reduction: depends only on perp({a, b}), walked once per distinct perp.
+    """
     name = "thm_bracket_welldefined"
     masks = s.masks
     adj = s.adjacency
     cases = 0
+    passed: dict[int, int] = {}  # perp mask -> cases it holds
     for (a, b), sig in _sigma_lookup(s).items():
         base = masks[a] & masks[b]
+        if base in passed:
+            cases += passed[base]
+            continue
+        before = cases
         members = lines_of_mask(sig)
         for i, c1 in enumerate(members):
             for c2 in members[i + 1 :]:
@@ -194,6 +202,7 @@ def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
                         },
                         stats={"cases_examined": cases},
                     )
+        passed[base] = cases - before
     return CheckReport(name, PASS, stats={"cases_examined": cases})
 
 
@@ -220,14 +229,15 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
 
     Reduction: an incident pair lies in a triple's bracket exactly when the
     triple lies in the pair's perp, so the least violating triple is the
-    least of the per-pair least skew triples of those perps.
+    least of the per-pair least skew triples of those perps.  Each depends
+    only on perp({a, b}) and is found once per distinct perp.
     """
     name = "thm_regulus_skew"
     masks = s.masks
     pairs = incident_pairs(s)
     least = None
-    for a, b in pairs:
-        triple = find_skew_triple_mask(s, masks[a] & masks[b])
+    for ab in {masks[a] & masks[b] for a, b in pairs}:
+        triple = find_skew_triple_mask(s, ab)
         if triple is not None and (least is None or triple < least):
             least = triple
     stats = {"pairs_examined": len(pairs)}
@@ -252,13 +262,20 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
 
 
 def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
-    """Every triad's bracket equals its own perp."""
+    """Every triad's bracket equals its own perp.
+
+    Reduction: depends only on the bracket, checked once per distinct one.
+    """
     name = "thm_bracket_closed"
     examined = 0
-    for t in triads(s):
+    closed = set()
+    for t, B in zip(triads(s), _triad_brackets(s)):
         examined += 1
-        B = _bracket_mask(s, t)
-        if perp_mask(s, B) != B:
+        if B in closed:
+            continue
+        if perp_mask(s, B) == B:
+            closed.add(B)
+        else:
             delta = perp_mask(s, B) ^ B
             return CheckReport(
                 name,
@@ -282,8 +299,8 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
     tri = triads(s)
     tri_set = set(tri)
     by_bracket: dict[int, tuple[int, int, int]] = {}
-    for t in tri:
-        by_bracket.setdefault(_bracket_mask(s, t), t)
+    for t, B in zip(tri, _triad_brackets(s)):
+        by_bracket.setdefault(B, t)
     examined = 0
     least = None
     for element in by_bracket:
@@ -316,7 +333,7 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     """
     name = "thm_mutual_membership"
     tri = triads(s)
-    bmask = [_bracket_mask(s, t) for t in tri]
+    bmask = _triad_brackets(s)
     elements = sorted(set(bmask))
     own = {em: 1 << e for e, em in enumerate(elements)}
     holding = [0] * s.line_count  # bit e set when element e holds the line
@@ -422,8 +439,8 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     for a, b in pairs:
         examined += 1
         try:
-            pt = mask_of_lines(meet_point(m, a, b).lines)
-            pl = mask_of_lines(join_plane(m, a, b).lines)
+            pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
+            pl = m.plane_masks[_unique_element(m, a, b, Kind.PLANE)]
         except MissingElementError as e:
             return CheckReport(
                 name,
@@ -485,8 +502,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         return out
 
     examined = 0
-    for t in triads(s):
-        B = _bracket_mask(s, t)
+    for t, B in zip(triads(s), _triad_brackets(s)):
         t_mask = mask_of_lines(t)
         kind = kinds.get(B)
         if kind is None:
@@ -519,8 +535,8 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A point and a plane never share exactly one line."""
     name = "thm_not_singleton"
-    pmasks = [mask_of_lines(e) for e in m.points]
-    lmasks = [mask_of_lines(e) for e in m.planes]
+    pmasks = m.point_masks
+    lmasks = m.plane_masks
     examined = 0
     for i, pm in enumerate(pmasks):
         for j, lm in enumerate(lmasks):
@@ -543,20 +559,19 @@ def thm_uniqueness(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Two distinct same-kind elements share at most one line (both kinds)."""
     name = "thm_uniqueness"
     examined = 0
-    for family, kind in ((m.points, "point"), (m.planes, "plane")):
-        fmasks = [mask_of_lines(e) for e in family]
+    for family, kind in ((m.point_masks, "point"), (m.plane_masks, "plane")):
         for i in range(len(family)):
             for j in range(i + 1, len(family)):
                 examined += 1
-                common = fmasks[i] & fmasks[j]
+                common = family[i] & family[j]
                 if common.bit_count() > 1:
                     return CheckReport(
                         name,
                         FAIL,
                         counterexample={
                             "kind": kind,
-                            "element_a": labels_of(s, family[i]),
-                            "element_b": labels_of(s, family[j]),
+                            "element_a": labels_of(s, lines_of_mask(family[i])),
+                            "element_b": labels_of(s, lines_of_mask(family[j])),
                             "common": labels_of(s, lines_of_mask(common)),
                         },
                         stats={"pairs_examined": examined},
@@ -567,8 +582,8 @@ def thm_uniqueness(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Two points on a plane have their common line in that plane; and dually."""
     name = "thm_line_in_plane"
-    pmasks = [mask_of_lines(e) for e in m.points]
-    lmasks = [mask_of_lines(e) for e in m.planes]
+    pmasks = m.point_masks
+    lmasks = m.plane_masks
     examined = 0
     for pi, plane in enumerate(m.planes):
         on_plane = [i for i, pm in enumerate(pmasks) if pm & lmasks[pi]]
@@ -648,8 +663,8 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         return _dependency(name, e)
     masks = s.masks
     adj = s.adjacency
-    pmasks = [mask_of_lines(e) for e in m.points]
-    lmasks = [mask_of_lines(e) for e in m.planes]
+    pmasks = m.point_masks
+    lmasks = m.plane_masks
     plane_index = {lm: idx for idx, lm in enumerate(lmasks)}
     examined = 0
 
@@ -714,7 +729,7 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     name = "thm_tetrahedron"
     masks = s.masks
     adj = s.adjacency
-    pmasks = [mask_of_lines(e) for e in m.points]
+    pmasks = m.point_masks
     examined = 0
     witness = None
     for i, j, k in _noncollinear_point_triples(m, pmasks):
@@ -832,8 +847,8 @@ def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
     "Point P is on line l" means l is a member of P; a point and a plane
     are incident when they share a line.
     """
-    pmasks = [mask_of_lines(e) for e in m.points]
-    lmasks = [mask_of_lines(e) for e in m.planes]
+    pmasks = m.point_masks
+    lmasks = m.plane_masks
     reports = []
 
     # E0: at least three points on every line.
@@ -1132,7 +1147,7 @@ def replay_theorem_counterexample(
     if m is None:
         raise ValueError(f"replay of {name} needs the model it was checked against")
     kinds = _element_kinds(m)
-    pmask_by_lines = {e: mask_of_lines(e) for e in m.points + m.planes}
+    pmask_by_lines = dict(zip(m.points + m.planes, m.point_masks + m.plane_masks))
     if name == "thm_point_ne_plane":
         e = tuple(sorted(idxs(ce["element"])))
         return e in set(m.points) and e in set(m.planes)
@@ -1205,8 +1220,8 @@ def replay_theorem_counterexample(
     if name == "thm_pencil_intersection":
         a, b = idxs(ce["pair"])
         dd = perp_mask(s, masks[a] & masks[b])
-        pt = mask_of_lines(meet_point(m, a, b).lines)
-        pl = mask_of_lines(join_plane(m, a, b).lines)
+        pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
+        pl = m.plane_masks[_unique_element(m, a, b, Kind.PLANE)]
         pc, qc = _labeled_class_masks(m)[(min(a, b), max(a, b))]
         return (pt & pl) != dd or pc != (pt & ~dd) or qc != (pl & ~dd)
     raise ValueError(f"no replay registered for check {name!r}")

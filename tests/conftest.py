@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import linespace
 from linespace import coordinate_labels, gen_pg3, gen_tetrahedron
+
+SRC = Path(linespace.__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +63,15 @@ def ids_for(s, names):
 
 def names_for(s, ids):
     return sorted(s.labels[i] for i in ids)
+
+
+def run_python(args, tmp_path, **env):
+    """Run the interpreter on the package source in a subprocess."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC), **env},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )

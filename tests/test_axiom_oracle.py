@@ -1,12 +1,15 @@
-"""Axioms 1 and 2.1 against brute-force oracles.
+"""Axioms 1, 2.1, 2.2 and 2.3 against brute-force oracles.
 
 Each oracle below searches every line's perp for its least pairwise-skew
-triple, and every incident pair's perp for its least skew pair, straight
-from the adjacency matrix with plain Python sets and
-``itertools.combinations``.  It shares no code with ``linespace.core`` or
-``linespace.axioms``: agreement on the whole ``to_dict()`` (status,
-counterexample, witness and stats) shows that walking perp as int masks
-finds the same least configuration as a search over the raw relation.
+triple, every incident pair's perp for its least skew pair, every triad's
+bracket for a skew pair, and every skew pair of a pair's perp for a line
+meeting neither, straight from the adjacency matrix with plain Python
+sets and ``itertools.combinations``.  It shares no code with
+``linespace.core`` or ``linespace.axioms``: agreement on the whole
+``to_dict()`` (status, counterexample, witness and stats) shows that
+walking perp as int masks, and checking each distinct bracket or perp
+once, finds the same least configuration and counts the same cases as a
+search over the raw relation.
 """
 
 import itertools
@@ -14,7 +17,13 @@ import itertools
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from linespace import IncidenceStructure, check_axiom1, check_axiom2_1
+from linespace import (
+    IncidenceStructure,
+    check_axiom1,
+    check_axiom2_1,
+    check_axiom2_2,
+    check_axiom2_3,
+)
 
 
 class Oracle:
@@ -88,10 +97,71 @@ class Oracle:
         return out
 
 
+    def incident_pairs(self):
+        return [(a, b) for a, b in itertools.combinations(self.lines, 2) if self.adj[a][b]]
+
+    def axiom2_2(self):
+        cases = 0
+        for a, b in self.incident_pairs():
+            members = self.perp(a, b)
+            double = set(self.perp(*members))
+            for z in members:
+                if z in double:
+                    continue
+                cases += 1
+                skew = self.least_skew(self.perp(a, b, z), 2)
+                if skew is not None:
+                    x, y = skew
+                    return {
+                        "check_name": "axiom2_2",
+                        "passed": False,
+                        "status": "fail",
+                        "counterexample": {
+                            "pair": self.names((a, b)),
+                            "z": self.labels[z],
+                            "x": self.labels[x],
+                            "y": self.labels[y],
+                            "reason": "skew pair inside bracket(a, b, z)",
+                        },
+                        "stats": {"triples_examined": cases},
+                    }
+        return self.passed("axiom2_2", {"triples_examined": cases})
+
+    def axiom2_3(self):
+        cases = 0
+        for a, b in self.incident_pairs():
+            members = self.perp(a, b)
+            for x, y in itertools.combinations(members, 2):
+                if self.adj[x][y]:
+                    continue
+                cases += 1
+                for m in members:
+                    if not self.adj[m][x] and not self.adj[m][y]:
+                        return {
+                            "check_name": "axiom2_3",
+                            "passed": False,
+                            "status": "fail",
+                            "counterexample": {
+                                "pair": self.names((a, b)),
+                                "x": self.labels[x],
+                                "y": self.labels[y],
+                                "uncovered": self.labels[m],
+                                "reason": "line in perp of the pair meets neither x nor y",
+                            },
+                            "stats": {"skew_pairs_examined": cases},
+                        }
+        return self.passed("axiom2_3", {"skew_pairs_examined": cases})
+
+    def passed(self, name, stats):
+        return {"check_name": name, "passed": True, "status": "pass", "stats": stats}
+
+
 def assert_matches_oracle(s):
     o = Oracle(s)
     assert check_axiom1(s).to_dict() == o.axiom1()
     assert check_axiom2_1(s).to_dict() == o.axiom2_1()
+    assert check_axiom2_2(s).to_dict() == o.axiom2_2()
+    assert check_axiom2_3(s).to_dict() == o.axiom2_3()
 
 
 @st.composite

@@ -6,11 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from linespace import gen_negative, gen_pg3, gen_tetrahedron, save_structure
+import numpy as np
+
+from linespace import IncidenceStructure, gen_negative, gen_pg3, gen_tetrahedron, save_structure
 from linespace.cli import main
+
+from conftest import run_python
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_all.json").read_text())
 GENERATE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "generate.json").read_text())
+PG3_GOLDEN = json.loads((Path(__file__).parent / "golden" / "pg3.json").read_text())
 
 
 def run(argv, capsys):
@@ -224,6 +229,56 @@ class TestGoldenGenerate:
             assert not meta.exists()
 
 
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pg3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pg3") / "pg3.json"
+    save_structure(gen_pg3(3)[0], path)
+    return path
+
+
+class TestGoldenPg3:
+    """PG(3,3) check, derive and dualize files keep their bytes.
+
+    tests/golden/pg3.json holds the SHA-256 of each file, recorded before
+    the labeling and the pair-level checks moved to element masks: the
+    `check --which all` report (stats included), `derive` with the default
+    seed and with 0,1,1, `dualize` of the default model, and the reports of
+    three mutants, each given by the incident or skew pairs it flips.
+    """
+
+    def test_check_all_report(self, pg3_file, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        argv = ["check", str(pg3_file), "--which", "all", "--report", str(report)]
+        assert run(argv, capsys)[0] == 0
+        assert sha256(report) == PG3_GOLDEN["check_all"]
+
+    def test_derive_and_dualize(self, pg3_file, tmp_path, capsys):
+        m, m1, d = tmp_path / "m.json", tmp_path / "m1.json", tmp_path / "d.json"
+        assert run(["derive", str(pg3_file), "--out", str(m)], capsys)[0] == 0
+        assert run(["derive", str(pg3_file), "--out", str(m1), "--seed", "0,1,1"], capsys)[0] == 0
+        assert run(["dualize", str(m), "--out", str(d)], capsys)[0] == 0
+        assert sha256(m) == PG3_GOLDEN["derive"]
+        assert sha256(m1) == PG3_GOLDEN["derive_seed_0_1_1"]
+        assert sha256(d) == PG3_GOLDEN["dualize"]
+
+    @pytest.mark.parametrize("k", range(len(PG3_GOLDEN["mutants"])))
+    def test_mutant_reports(self, k, tmp_path, capsys):
+        golden = PG3_GOLDEN["mutants"][k]
+        s = gen_pg3(3)[0]
+        adj = np.array(s.adjacency)
+        for i, j in golden["flips"]:
+            adj[i, j] = adj[j, i] = not adj[i, j]
+        path, report = tmp_path / "s.json", tmp_path / "r.json"
+        save_structure(IncidenceStructure(adj, labels=s.labels, name=s.name), path)
+        code, _, _ = run(["check", str(path), "--which", "all", "--report", str(report)], capsys)
+        assert code == 1
+        assert sha256(report) == golden["check_all"]
+
+
 class TestDerive:
     def test_pg2_model(self, pg2_file, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -285,6 +340,37 @@ class TestDualize:
         code, stdout, _ = run(["dualize", str(m), "--out", str(tmp_path / "d.json")], capsys)
         assert code == 1
         assert "failed verification" in stdout
+
+
+class TestDualizeFamilies:
+    """dualize takes only a model whose families are exactly the derived elements."""
+
+    @pytest.fixture(scope="class")
+    def pg3_model(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("model")
+        save_structure(gen_pg3(3)[0], out / "s.json")
+        assert main(["derive", str(out / "s.json"), "--out", str(out / "m.json")]) == 0
+        return json.loads((out / "m.json").read_text())
+
+    @pytest.mark.parametrize(
+        "edit, issue",
+        [
+            (lambda d: d["points"].append([0, 1]), "element_not_derived"),
+            (lambda d: d["points"].append(d["points"][3]), "element_listed_twice"),
+            (lambda d: d["planes"].append(d["points"][0]), "element_listed_twice"),
+            (lambda d: d["planes"].pop(5), "element_missing"),
+        ],
+        ids=["extra", "repeated_point", "point_as_plane", "dropped_plane"],
+    )
+    def test_altered_family_exits_one(self, pg3_model, edit, issue, tmp_path):
+        data = json.loads(json.dumps(pg3_model))
+        edit(data)
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        argv = ["-m", "linespace.cli", "dualize", "m.json", "--out", "d.json"]
+        done = run_python(argv, tmp_path)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert f"dualized labeling failed verification: {issue}" in done.stdout
+        assert not (tmp_path / "d.json").exists()
 
 
 class TestInfo:

@@ -1,15 +1,10 @@
 """Serialization: canonical byte-identical files, validation, label references."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import linespace
 from linespace import (
     NEGATIVE_KINDS,
     GeometryModel,
@@ -35,7 +30,7 @@ from linespace.io import (
     structure_from_dict,
 )
 
-SRC = Path(linespace.__file__).resolve().parent.parent
+from conftest import run_python
 
 # Structures whose files must be exactly canonical_json(structure_to_dict(s)).
 WRITER_CASES = {
@@ -60,17 +55,6 @@ def awkward_structures(draw):
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     skew = draw(st.lists(st.sampled_from(all_pairs), max_size=20)) if all_pairs else []
     return IncidenceStructure.from_skew_pairs(n, skew, labels=labels, name=draw(awkward_text))
-
-
-def run_python(args, tmp_path, **env):
-    return subprocess.run(
-        [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": str(SRC), **env},
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 class TestStructureRoundTrip:

@@ -18,6 +18,7 @@ from linespace import (
     meet_point,
     perp,
 )
+from linespace.core import mask_of_lines
 from linespace.labeling import labeled_sigma_classes
 
 from conftest import names_for
@@ -211,6 +212,28 @@ class TestDualize:
         with pytest.raises(LabelInconsistencyError):
             dualize(broken)
 
+    @pytest.mark.parametrize(
+        "points, planes, issue, element",
+        [
+            (lambda m: m.points + ((0, 1),), lambda m: m.planes, "element_not_derived", [0, 1]),
+            (lambda m: m.points + m.points[2:3], lambda m: m.planes, "element_listed_twice", 2),
+            (lambda m: m.points, lambda m: m.planes + m.points[:1], "element_listed_twice", 0),
+            (lambda m: m.points, lambda m: m.planes[:3] + m.planes[4:], "element_missing", None),
+        ],
+        ids=["extra", "repeated_point", "point_as_plane", "dropped_plane"],
+    )
+    def test_families_must_be_the_derived_elements(
+        self, pg2, pg2_model, points, planes, issue, element
+    ):
+        broken = GeometryModel(pg2, points(pg2_model), planes(pg2_model), pg2_model.seed)
+        with pytest.raises(LabelInconsistencyError) as exc:
+            dualize(broken)
+        if element is None:  # the least derived element left out
+            element = pg2_model.planes[3]
+        elif isinstance(element, int):
+            element = pg2_model.points[element]
+        assert exc.value.witness == {"issue": issue, "element": [pg2.labels[i] for i in element]}
+
 
 class TestLabeledClasses:
     def test_point_class_matches_meet(self, pg2, pg2_model):
@@ -219,5 +242,5 @@ class TestLabeledClasses:
             meet = set(meet_point(pg2_model, a, b).lines)
             join = set(join_plane(pg2_model, a, b).lines)
             pencil = meet & join
-            assert pc == frozenset(meet - pencil)
-            assert qc == frozenset(join - pencil)
+            assert pc == mask_of_lines(meet - pencil)
+            assert qc == mask_of_lines(join - pencil)

@@ -150,12 +150,12 @@ class TestPg3AgainstOracle:
 
     def test_points_per_line(self, q):
         _, meta = gen_pg3(q)
-        for sets in line_point_sets(meta)[: 12 if q == 3 else None]:
+        for sets in line_point_sets(meta):
             assert len(sets) == q + 1
 
     def test_planes_per_line(self, q):
         _, meta = gen_pg3(q)
-        for sets in line_plane_sets(meta)[: 12 if q == 3 else None]:
+        for sets in line_plane_sets(meta):
             assert len(sets) == q + 1
 
 
@@ -205,6 +205,31 @@ class TestPg3Membership:
         line = meta.line_reps[0]
         containing = [pl for pl in meta.plane_reps if line_in_plane(line, pl, 2)]
         assert len(containing) == 3
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_membership_sets_match_rank_tests(self, q):
+        _, meta = gen_pg3(q)
+        on_line = [
+            frozenset(i for i, pt in enumerate(meta.point_reps) if point_on_line(pt, ln, q))
+            for ln in meta.line_reps
+        ]
+        in_plane = [
+            frozenset(i for i, pl in enumerate(meta.plane_reps) if line_in_plane(ln, pl, q))
+            for ln in meta.line_reps
+        ]
+        assert line_point_sets(meta) == on_line
+        assert line_plane_sets(meta) == in_plane
+
+    def test_pg35_membership_census(self):
+        _, meta = gen_pg3(5)
+        for sets in (line_point_sets(meta), line_plane_sets(meta)):
+            assert len(sets) == 806
+            assert all(len(found) == 6 for found in sets)
+            per_element = [0] * len(meta.point_reps)
+            for found in sets:
+                for i in found:
+                    per_element[i] += 1
+            assert per_element == [31] * 156  # q^2 + q + 1 lines on each point, in each plane
 
     def test_unsupported_q(self):
         for q in (4, 6, 11, 1):
