@@ -36,41 +36,6 @@ class UnsupportedFieldError(PreconditionError):
     """Requested field size is outside the supported prime list."""
 
 
-def rref_mod(rows, p: int) -> Matrix:
-    """Reduced row-echelon form over GF(p), zero rows dropped."""
-    work = [list(r) for r in rows]
-    if not work:
-        return ()
-    m, n = len(work), len(work[0])
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if work[r][col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col] % p, -1, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
-        for r in range(m):
-            if r == rank:
-                continue
-            f = work[r][col] % p
-            if f:
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return tuple(tuple(v % p for v in row) for row in work[:rank])
-
-
-def rank_mod(rows, p: int) -> int:
-    """Exact rank of an integer matrix over GF(p) by Gaussian elimination."""
-    return len(rref_mod(rows, p))
-
-
 def _rref_cells(k: int, p: int, n: int = 4) -> list[Matrix]:
     """All k x n reduced row-echelon matrices of rank k over GF(p), sorted.
 
@@ -193,16 +158,6 @@ def gen_pg3(q: int) -> tuple[IncidenceStructure, Pg3Metadata]:
     )
     meta = Pg3Metadata(q=q, line_reps=tuple(lines), point_reps=points, plane_reps=planes)
     return structure, meta
-
-
-def point_on_line(point: Vector, line: Matrix, p: int) -> bool:
-    """True iff the 1-dim subspace of ``point`` lies in the line's row space."""
-    return rank_mod(list(line) + [point], p) == 2
-
-
-def line_in_plane(line: Matrix, plane: Matrix, p: int) -> bool:
-    """True iff the line's row space lies inside the plane's row space."""
-    return rank_mod(list(plane) + list(line), p) == 3
 
 
 def _kernel(mat: Matrix, q: int) -> list[Vector]:

@@ -1,4 +1,4 @@
-"""Brute-force theorem verifiers and the derived-geometry axiom battery.
+"""Exhaustive theorem verifiers and the derived-geometry axiom battery.
 
 Every verifier quantifies exhaustively from the raw definitions, sharing
 only the perp/bracket/sigma primitives with the rest of the package, so a
@@ -11,12 +11,23 @@ tuples that can violate it, rather than over every triple of lines; each
 such verifier's docstring proves its reduction.  A failing report names
 the lexicographically least violation, the same one an unrestricted loop
 would meet first.  Vacuous hypotheses report a pass, never an error.
+
+The costliest checks (``thm_exchange``, ``thm_triangle``,
+``thm_tetrahedron`` and the A3 check of ``vy_axioms``) run a bitset kernel
+first.  A kernel only proves that an item passes; each item it cannot
+prove goes, in walk order, to the scalar code of the check, which judges
+it from the definitions and names the failure.  The case count of an
+item the kernel proves is the count the scalar walk would reach on it, so
+reports are the same as a scalar walk of every item.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .axioms import DEPENDENCY_UNMET, FAIL, PASS, CheckReport
 from .core import (
@@ -38,6 +49,21 @@ from .labeling import (
     labeled_sigma_classes,
 )
 from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
+
+
+def _incidence(masks, width: int) -> np.ndarray:
+    """Bool matrix whose row r holds the bits of ``masks[r]`` below ``width``."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in masks), np.uint8)
+    rows = raw.reshape(len(masks), nbytes)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little").view(bool)
+
+
+def _columns(masks: list[int], lines: list[int], width: int) -> dict[int, int]:
+    """Per line, the bitset of the indices r whose ``masks[r]`` holds the line."""
+    held = np.packbits(_incidence(masks, width)[:, lines].T, axis=1, bitorder="little")
+    return {l: int.from_bytes(row.tobytes(), "little") for l, row in zip(lines, held)}
+
 
 def _sigma_lookup(s: IncidenceStructure) -> dict[tuple[int, int], int]:
     """Mask of sigma(a, b) for every incident distinct pair; cached."""
@@ -476,8 +502,15 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 
     Refined by kind: when the bracket is a plane of the model, the plane
     class of sigma(x, y) already contains one of the triad, and dually.
-    The pair rows of each distinct bracket are built once, in walk order,
-    so a triad only ANDs its own mask against them.
+    The (x, y) rows of each distinct bracket are built once, in walk order,
+    with per line the bitset of rows whose sigma set holds it and the
+    bitset of rows whose refined class holds it.  Every line of a triad
+    lies in its bracket (the three are pairwise incident and every line is
+    self-incident), so a triad passes all rows iff, for both bitsets, the
+    OR over its three lines is all ones.  A bracket with a skew row proves
+    nothing.  The sigma condition stays even though the refined class is
+    a class of sigma(x, y): the classes come from the model's structure
+    and sigma from ``s``, which need not be the same structure.
     """
     name = "thm_exchange"
     try:
@@ -487,24 +520,41 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     kinds = _element_kinds(m)
     masks = s.masks
     sig = _sigma_lookup(s)
-    rows_of = {}  # bracket mask -> (x, y, sigma, refined class) rows; sigma None if skew
+    tables = {}  # bracket mask -> (kind, rows, all-ones, sigma bitsets, refined bitsets)
 
-    def rows(B, kind):
+    def table(B):
+        kind = kinds.get(B)
+        if kind is None:
+            return None, [], 0, None, None
         members = lines_of_mask(B)
-        out = []
+        rows = []  # (x, y, sigma, refined class); sigma None if skew
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 if masks[x] >> y & 1:
                     pc, qc = classes[(x, y)]
-                    out.append((x, y, sig[(x, y)], pc if kind is Kind.POINT else qc))
+                    rows.append((x, y, sig[(x, y)], pc if kind is Kind.POINT else qc))
                 else:
-                    out.append((x, y, None, 0))
-        return out
+                    rows.append((x, y, None, 0))
+        full = (1 << len(rows)) - 1
+        if any(row[2] is None for row in rows):
+            return kind, rows, full, None, None
+        width = s.line_count
+        sig_of = _columns([row[2] for row in rows], members, width)
+        return kind, rows, full, sig_of, _columns([row[3] for row in rows], members, width)
 
     examined = 0
     for t, B in zip(triads(s), _triad_brackets(s)):
-        t_mask = mask_of_lines(t)
-        kind = kinds.get(B)
+        if B not in tables:
+            tables[B] = table(B)
+        kind, rows, full, sig_of, ref_of = tables[B]
+        a, b, c = t
+        if (
+            sig_of
+            and sig_of[a] | sig_of[b] | sig_of[c] == full
+            and ref_of[a] | ref_of[b] | ref_of[c] == full
+        ):
+            examined += len(rows)
+            continue
         if kind is None:
             return CheckReport(
                 name,
@@ -512,9 +562,8 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
                 counterexample={"triad": labels_of(s, t), "issue": "bracket_not_an_element"},
                 stats={"cases_examined": examined},
             )
-        if B not in rows_of:
-            rows_of[B] = rows(B, kind)
-        for x, y, sig_xy, refined in rows_of[B]:
+        t_mask = mask_of_lines(t)
+        for x, y, sig_xy, refined in rows:
             examined += 1
             if sig_xy is None:
                 issue = "skew_pair_in_bracket"
@@ -648,75 +697,154 @@ def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, PASS, stats={"cases_examined": examined})
 
 
-def _noncollinear_point_triples(m: GeometryModel, pmasks: list[int]):
-    for i, j, k in itertools.combinations(range(len(pmasks)), 3):
-        if not (pmasks[i] & pmasks[j] & pmasks[k]):
-            yield i, j, k
+@dataclass(frozen=True)
+class _Triangles:
+    """The non-collinear point triples of a model, with what their checks share.
+
+    ``triples`` lists (i, j, k) in ``itertools.combinations`` order, keeping
+    the triples whose three points share no line; ``sides`` holds their
+    lines jk, ki and ij, or -1 where two points do not share exactly one
+    line.  ``plane`` is the one model plane sharing a line with all three
+    points, kept only where its mask equals the bracket of the three sides,
+    else -1.  ``line_of[u, v]`` is the one line points u and v share, or
+    -1; ``meets[u, p]`` is whether point u and plane p share a line.
+    """
+
+    triples: np.ndarray
+    sides: np.ndarray
+    plane: np.ndarray
+    line_of: np.ndarray
+    meets: np.ndarray
+
+
+def _triangles(s: IncidenceStructure, m: GeometryModel) -> _Triangles:
+    """The triangle table of ``m`` over the brackets of ``s``; cached.
+
+    Counts come from products of 0/1 incidence matrices: points u and v
+    share ``pts[u] @ pts[v]`` lines.  For a fixed first point i, one product
+    over the lines of i counts, for every later pair (j, k), the lines all
+    three share, and one over the planes meeting i counts (and, weighted by
+    plane index, names) the planes meeting all three.
+    """
+
+    def build():
+        width = s.line_count
+        pts = _incidence(m.point_masks, width)
+        on_planes = _incidence(m.plane_masks, width)
+        pts_f = pts.astype(np.float32)  # exact: every product entry is an integer below 2**24
+        line_ids = (pts_f * np.arange(width, dtype=np.float32)) @ pts_f.T
+        line_of = np.where(pts_f @ pts_f.T == 1, line_ids, -1).astype(np.int32)
+        meets = pts_f @ on_planes.T.astype(np.float32) > 0
+        meets_f = meets.astype(np.float32)
+        adj_bits = np.packbits(s.adjacency, axis=1, bitorder="little")
+        plane_bits = np.packbits(on_planes, axis=1, bitorder="little")
+        parts = [(np.empty((0, 3), np.int32), np.empty((0, 3), np.int32), np.empty(0, np.int32))]
+        for i in range(len(pts) - 2):
+            lines = pts_f[i + 1 :, pts[i]]
+            planes = meets_f[i + 1 :, meets[i]]
+            j, k = np.nonzero(np.triu(lines @ lines.T == 0, 1))
+            j, k = j.astype(np.int32), k.astype(np.int32)
+            named = (planes * np.flatnonzero(meets[i]).astype(np.float32)) @ planes.T
+            plane = np.where((planes @ planes.T)[j, k] == 1, named[j, k], -1).astype(np.int32)
+            j, k = j + i + 1, k + i + 1
+            sides = np.stack((line_of[j, k], line_of[k, i], line_of[i, j]), axis=1)
+            plane[sides.min(axis=1) < 0] = -1
+            rows = np.flatnonzero(plane >= 0)
+            a, b, c = sides[rows].T
+            bracket = adj_bits[a] & adj_bits[b] & adj_bits[c]
+            plane[rows[(bracket != plane_bits[plane[rows]]).any(axis=1)]] = -1
+            parts.append((np.stack((np.full_like(j, i), j, k), axis=1), sides, plane))
+        triples, sides, plane = map(np.concatenate, zip(*parts))
+        return _Triangles(triples, sides, plane, line_of, meets)
+
+    return s.cached(("triangles", m.points, m.planes), build)
+
+
+def _pair_ids(pairs, width: int) -> np.ndarray:
+    """Dense table of each pair's index in ``pairs``, both ways round; -1 elsewhere."""
+    ids = np.full((width, width), -1, np.int32)
+    if len(pairs):
+        x, y = np.asarray(pairs).T
+        ids[x, y] = ids[y, x] = np.arange(len(pairs))
+    return ids
+
+
+def _bits_at(bitsets: list[int], index, bit, width: int) -> np.ndarray:
+    """Per row r, bit ``bit[r]`` of ``bitsets[index[r]]``, each a bitset below
+    ``width``; index -1 names a trailing empty bitset."""
+    nbytes = width // 8 + 1
+    packed = b"".join(x.to_bytes(nbytes, "little") for x in (*bitsets, 0))
+    held = np.frombuffer(packed, np.uint8).reshape(len(bitsets) + 1, nbytes)
+    return (held[index, bit >> 3] >> (bit & 7) & 1).astype(bool)
+
+
+def _point_labels(s, m, points) -> list:
+    return [labels_of(s, m.points[x]) for x in points]
 
 
 def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
-    """Three non-collinear points form a triangle with a unique common plane."""
+    """Three non-collinear points form a triangle with a unique common plane.
+
+    Kernel: a triple passes iff its sides are distinct and pairwise
+    incident, each lies in the plane class of the other two, and the table
+    names its plane.  The last is the scalar pair of tests "the sides'
+    bracket is a plane p" and "exactly p meets all three points": a second
+    plane with p's mask would meet them too.  So the kernel proves exactly
+    the triples that pass.
+    """
     name = "thm_triangle"
     try:
         classes = _labeled_class_masks(m)
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     masks = s.masks
+    tri = _triangles(s, m)
+    ok = tri.plane >= 0
+    rows = np.flatnonzero(ok)
+    a, b, c = tri.sides[rows].T
     adj = s.adjacency
-    pmasks = m.point_masks
-    lmasks = m.plane_masks
-    plane_index = {lm: idx for idx, lm in enumerate(lmasks)}
-    examined = 0
+    width = s.line_count
+    ids = _pair_ids(list(classes), width)
+    plane_class = [qc for pc, qc in classes.values()]
+    proved = (a != b) & (b != c) & (a != c) & adj[a, b] & adj[b, c] & adj[a, c]
+    for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
+        proved &= _bits_at(plane_class, ids[u, v], third, width)
+    ok[rows] = proved
+    plane_index = {pm: idx for idx, pm in enumerate(m.plane_masks)}
 
-    def fail(i, j, k, issue, **extra):
-        ce = {
-            "points": [
-                labels_of(s, m.points[i]),
-                labels_of(s, m.points[j]),
-                labels_of(s, m.points[k]),
-            ],
-            "issue": issue,
-        }
+    def fail(t, issue, **extra):
+        ce = {"points": _point_labels(s, m, tri.triples[t].tolist()), "issue": issue}
         ce.update(extra)
-        return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
+        return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": t + 1})
 
-    for i, j, k in _noncollinear_point_triples(m, pmasks):
-        examined += 1
-        sides = []
-        for u, v in ((j, k), (k, i), (i, j)):
-            common = pmasks[u] & pmasks[v]
-            if common.bit_count() != 1:
-                return fail(i, j, k, "points_without_unique_common_line")
-            sides.append(common.bit_length() - 1)
-        a, b, c = sides
+    for t in np.flatnonzero(~ok).tolist():
+        a, b, c = tri.sides[t].tolist()
+        if min(a, b, c) < 0:
+            return fail(t, "points_without_unique_common_line")
         if len({a, b, c}) != 3:
-            return fail(i, j, k, "side_lines_not_distinct")
-        if not (adj[a, b] and adj[b, c] and adj[a, c]):
-            return fail(i, j, k, "side_lines_not_pairwise_incident")
+            return fail(t, "side_lines_not_distinct")
+        if not (masks[a] >> b & 1 and masks[b] >> c & 1 and masks[a] >> c & 1):
+            return fail(t, "side_lines_not_pairwise_incident")
         for third, (u, v) in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
             key = (u, v) if u < v else (v, u)
             if not ((classes[key][1] >> third) & 1):
                 return fail(
-                    i,
-                    j,
-                    k,
+                    t,
                     "side_not_in_plane_class",
                     line=s.labels[third],
                     of_pair=labels_of(s, key),
                 )
-        pi_mask = masks[a] & masks[b] & masks[c]
-        if pi_mask not in plane_index:
-            return fail(i, j, k, "bracket_not_a_plane")
-        through = [
-            idx
-            for idx, lm in enumerate(lmasks)
-            if lm & pmasks[i] and lm & pmasks[j] and lm & pmasks[k]
-        ]
-        if through != [plane_index[pi_mask]]:
-            return fail(
-                i, j, k, "common_plane_not_unique", planes_through=len(through)
-            )
-    return CheckReport(name, PASS, stats={"cases_examined": examined})
+        plane = plane_index.get(masks[a] & masks[b] & masks[c])
+        if plane is None:
+            return fail(t, "bracket_not_a_plane")
+        through = np.flatnonzero(tri.meets[tri.triples[t]].all(axis=0)).tolist()
+        if through != [plane]:
+            return fail(t, "common_plane_not_unique", planes_through=len(through))
+    return CheckReport(name, PASS, stats={"cases_examined": len(tri.triples)})
+
+
+_TETRA_PAIRS = tuple(itertools.combinations(range(6), 2))
+_TETRA_SKEW = {(0, 3), (1, 4), (2, 5)}
 
 
 def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
@@ -725,76 +853,70 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     For each non-collinear point triple there must be a point off its
     plane whose three connecting edges complete six distinct lines,
     pairwise incident except the three opposite pairs.
+
+    Kernel: when the sides' bracket is a model plane, the points off it
+    are the points sharing no line with that plane, and the kernel tries
+    only the least of them.  That is the vertex the scalar walk meets
+    first, so a triple it proves has the same completing vertex.
     """
     name = "thm_tetrahedron"
     masks = s.masks
-    adj = s.adjacency
     pmasks = m.point_masks
-    examined = 0
-    witness = None
-    for i, j, k in _noncollinear_point_triples(m, pmasks):
-        examined += 1
-        sides = []
-        for u, v in ((j, k), (k, i), (i, j)):
-            common = pmasks[u] & pmasks[v]
-            if common.bit_count() != 1:
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "points": [labels_of(s, m.points[x]) for x in (i, j, k)],
-                        "issue": "points_without_unique_common_line",
-                    },
-                    stats={"cases_examined": examined},
-                )
-            sides.append(common.bit_length() - 1)
-        a, b, c = sides
+    tri = _triangles(s, m)
+    off = np.vstack((~tri.meets, np.ones((1, tri.meets.shape[1]), bool)))
+    least_off = off.argmax(axis=0)  # least point sharing no line with each plane
+    least_off[least_off == len(pmasks)] = -1
+    ok = tri.plane >= 0
+    ok[ok] = least_off[tri.plane[ok]] >= 0
+    rows = np.flatnonzero(ok)
+    vertex = least_off[tri.plane[rows]]
+    six = np.concatenate((tri.sides[rows], tri.line_of[vertex[:, None], tri.triples[rows]]), axis=1)
+    ordered = np.sort(six, axis=1)
+    proved = (ordered[:, 0] >= 0) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    adj = s.adjacency
+    for x, y in _TETRA_PAIRS:
+        proved &= adj[six[:, x], six[:, y]] != ((x, y) in _TETRA_SKEW)
+    ok[rows] = proved
+
+    def complete(t):
+        """First completing vertex of triple t and its six lines, or None."""
+        a, b, c = tri.sides[t].tolist()
         pi_mask = masks[a] & masks[b] & masks[c]
-        completed = None
         for o, om in enumerate(pmasks):
             if om & pi_mask:
                 continue  # vertex must avoid the base plane
-            edges = []
-            for v in (i, j, k):
-                common = om & pmasks[v]
-                if common.bit_count() != 1:
-                    edges = None
-                    break
-                edges.append(common.bit_length() - 1)
-            if edges is None:
+            six = (a, b, c, *tri.line_of[o, tri.triples[t]].tolist())
+            if min(six) < 0 or len(set(six)) != 6:
                 continue
-            ah, bh, ch = edges
-            six = (a, b, c, ah, bh, ch)
-            if len(set(six)) != 6:
+            if all((masks[six[x]] >> six[y] & 1) != ((x, y) in _TETRA_SKEW) for x, y in _TETRA_PAIRS):
+                return o, six
+        return None
+
+    first = (int(vertex[0]), six[0].tolist()) if len(ok) and ok[0] else None
+    for t in np.flatnonzero(~ok).tolist():
+        if tri.sides[t].min() < 0:
+            issue = "points_without_unique_common_line"
+        else:
+            got = complete(t)
+            if got is not None:
+                first = first or got
                 continue
-            skew_expected = {(0, 3), (1, 4), (2, 5)}
-            ok = True
-            for x, y in itertools.combinations(range(6), 2):
-                incident = bool(adj[six[x], six[y]])
-                if ((x, y) in skew_expected) == incident:
-                    ok = False
-                    break
-            if ok:
-                completed = (o, six)
-                break
-        if completed is None:
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample={
-                    "points": [labels_of(s, m.points[x]) for x in (i, j, k)],
-                    "issue": "no_completing_vertex",
-                },
-                stats={"cases_examined": examined},
-            )
-        if witness is None:
-            witness = {
-                "base_points": [labels_of(s, m.points[x]) for x in (i, j, k)],
-                "vertex": labels_of(s, m.points[completed[0]]),
-                "six_lines": [s.labels[x] for x in completed[1]],
-            }
+            issue = "no_completing_vertex"
+        return CheckReport(
+            name,
+            FAIL,
+            counterexample={"points": _point_labels(s, m, tri.triples[t].tolist()), "issue": issue},
+            stats={"cases_examined": t + 1},
+        )
+    witness = None
+    if first is not None:
+        witness = {
+            "base_points": _point_labels(s, m, tri.triples[0].tolist()),
+            "vertex": labels_of(s, m.points[first[0]]),
+            "six_lines": [s.labels[x] for x in first[1]],
+        }
     return CheckReport(
-        name, PASS, witness_sample=witness, stats={"cases_examined": examined}
+        name, PASS, witness_sample=witness, stats={"cases_examined": len(tri.triples)}
     )
 
 
@@ -852,7 +974,8 @@ def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
     reports = []
 
     # E0: at least three points on every line.
-    counts = [sum(1 for pm in pmasks if (pm >> l) & 1) for l in range(s.line_count)]
+    on_line = m.holding[Kind.POINT]
+    counts = [on_line[l].bit_count() for l in range(s.line_count)]
     bad = next((l for l, c in enumerate(counts) if c < 3), None)
     if bad is not None:
         reports.append(
@@ -886,11 +1009,8 @@ def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
             )
         )
     else:
-        bad = None
-        for l in range(s.line_count):
-            if all((pm >> l) & 1 for pm in pmasks):
-                bad = l
-                break
+        every = (1 << len(pmasks)) - 1
+        bad = next((l for l in range(s.line_count) if on_line[l] == every), None)
         if bad is not None:
             reports.append(
                 CheckReport(
@@ -905,11 +1025,9 @@ def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
 
     # E3: for every plane, some point off it.  A plane with no points off it
     # includes the degenerate case of an empty point family.
-    bad = None
-    for j, lm in enumerate(lmasks):
-        if all(pm & lm for pm in pmasks):
-            bad = j
-            break
+    tri = _triangles(s, m)
+    unavoidable = np.flatnonzero(tri.meets.all(axis=0))
+    bad = int(unavoidable[0]) if len(unavoidable) else None
     if bad is not None:
         reports.append(
             CheckReport(
@@ -982,70 +1100,80 @@ def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
     else:
         reports.append(CheckReport("vy_a2", PASS, stats={"points": len(pmasks)}))
 
-    # A3: the line joining D on BC and E on CA meets AB.
-    adj = s.adjacency
-    examined = 0
+    # A3: the line joining D on BC and E on CA meets AB.  Kernel: per side
+    # pair (a, b), the perp of the lines joining a point on a to a point on
+    # b holds c iff every joining line meets c, so a triple passes iff its
+    # joins are all unique and c is in that perp.
+    width = s.line_count
+    masks = s.masks
+    line_of = tri.line_of.tolist()
+    on = [lines_of_mask(h) for h in on_line]
+    ok = tri.sides.min(axis=1) >= 0
+    rows = np.flatnonzero(ok)
+    a, b, c = tri.sides[rows].T
+    seen = np.zeros((width, width), bool)
+    seen[np.minimum(a, b), np.maximum(a, b)] = True
+    pairs = np.argwhere(seen).tolist()
+    perps, counts = [], []
+    perp_of = {}  # joining lines -> their perp; side pairs of one plane share them
+    for x, y in pairs:
+        joins = {line_of[d][e] for d in on[x] for e in on[y] if d != e}
+        if -1 in joins:
+            perps.append(0)
+        else:
+            joined = mask_of_lines(joins)
+            if joined not in perp_of:
+                perp_of[joined] = perp_mask(s, joined)
+            perps.append(perp_of[joined])
+        counts.append(len(on[x]) * len(on[y]) - (on_line[x] & on_line[y]).bit_count())
+    index = _pair_ids(pairs, width)[a, b]
+    ok[rows] = _bits_at(perps, index, c, width)
+    cases = np.zeros(len(ok), np.int64)
+    cases[rows] = np.array(counts, np.int64)[index]
+    before = np.cumsum(cases) - cases
+
+    def a3_fail(examined, **ce):
+        return CheckReport("vy_a3", FAIL, counterexample=ce, stats={"cases_examined": examined})
+
     a3_report = None
-    for i, j, k in _noncollinear_point_triples(m, pmasks):
-        if a3_report:
+    for t in np.flatnonzero(~ok).tolist():
+        i, j, k = tri.triples[t].tolist()
+        examined = int(before[t])
+        if tri.sides[t].min() < 0:
+            a3_report = a3_fail(
+                examined,
+                points=_point_labels(s, m, (i, j, k)),
+                issue="points_without_unique_common_line",
+            )
             break
-        sides = []
-        for u, v in ((j, k), (k, i), (i, j)):
-            common = pmasks[u] & pmasks[v]
-            if common.bit_count() != 1:
-                a3_report = CheckReport(
-                    "vy_a3",
-                    FAIL,
-                    counterexample={
-                        "points": [labels_of(s, m.points[x]) for x in (i, j, k)],
-                        "issue": "points_without_unique_common_line",
-                    },
-                    stats={"cases_examined": examined},
+        a, b, c = tri.sides[t].tolist()
+        for d, e in itertools.product(on[a], on[b]):
+            if d == e:
+                continue
+            examined += 1
+            f = line_of[d][e]
+            if f < 0:
+                a3_report = a3_fail(
+                    examined,
+                    point_d=labels_of(s, m.points[d]),
+                    point_e=labels_of(s, m.points[e]),
+                    issue="joining_line_not_unique",
                 )
                 break
-            sides.append(common.bit_length() - 1)
+            if not masks[c] >> f & 1:
+                a3_report = a3_fail(
+                    examined,
+                    points=_point_labels(s, m, (i, j, k)),
+                    point_d=labels_of(s, m.points[d]),
+                    point_e=labels_of(s, m.points[e]),
+                    joining_line=s.labels[f],
+                    ab_line=s.labels[c],
+                )
+                break
         if a3_report:
             break
-        a, b, c = sides
-        on_a = [d for d, pm in enumerate(pmasks) if (pm >> a) & 1]
-        on_b = [e for e, pm in enumerate(pmasks) if (pm >> b) & 1]
-        for d in on_a:
-            if a3_report:
-                break
-            for e in on_b:
-                if d == e:
-                    continue
-                examined += 1
-                common = pmasks[d] & pmasks[e]
-                if common.bit_count() != 1:
-                    a3_report = CheckReport(
-                        "vy_a3",
-                        FAIL,
-                        counterexample={
-                            "point_d": labels_of(s, m.points[d]),
-                            "point_e": labels_of(s, m.points[e]),
-                            "issue": "joining_line_not_unique",
-                        },
-                        stats={"cases_examined": examined},
-                    )
-                    break
-                f = common.bit_length() - 1
-                if f != c and not adj[f, c]:
-                    a3_report = CheckReport(
-                        "vy_a3",
-                        FAIL,
-                        counterexample={
-                            "points": [labels_of(s, m.points[x]) for x in (i, j, k)],
-                            "point_d": labels_of(s, m.points[d]),
-                            "point_e": labels_of(s, m.points[e]),
-                            "joining_line": s.labels[f],
-                            "ab_line": s.labels[c],
-                        },
-                        stats={"cases_examined": examined},
-                    )
-                    break
     if a3_report is None:
-        a3_report = CheckReport("vy_a3", PASS, stats={"cases_examined": examined})
+        a3_report = CheckReport("vy_a3", PASS, stats={"cases_examined": int(cases.sum())})
     reports.append(a3_report)
     return reports
 

@@ -1,6 +1,7 @@
 """Generators: tetrahedron, PG(3,q) against an independent subspace oracle."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -12,23 +13,65 @@ from linespace import (
     UnsupportedFieldError,
     check_axiom1,
     check_axiom2_1,
+    coordinate_labels,
     gen_negative,
     gen_pg3,
     gen_tetrahedron,
     incident_pairs,
     is_isomorphic,
     sigma,
+    thm_tetrahedron,
     verify_counts,
+    vy_axioms,
 )
-from linespace.models import (
-    gaussian_binomial,
-    line_in_plane,
-    line_point_sets,
-    line_plane_sets,
-    point_on_line,
-    rank_mod,
-    rref_mod,
-)
+from linespace.models import gaussian_binomial, line_plane_sets, line_point_sets
+
+# Exact linear algebra over GF(p): the oracles the generators share no code with.
+
+
+def rref_mod(rows, p: int) -> tuple:
+    """Reduced row-echelon form over GF(p), zero rows dropped."""
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    m, n = len(work), len(work[0])
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, m):
+            if work[r][col] % p:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col] % p, -1, p)
+        work[rank] = [(v * inv) % p for v in work[rank]]
+        for r in range(m):
+            if r == rank:
+                continue
+            f = work[r][col] % p
+            if f:
+                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
+        rank += 1
+        if rank == m:
+            break
+    return tuple(tuple(v % p for v in row) for row in work[:rank])
+
+
+def rank_mod(rows, p: int) -> int:
+    """Exact rank of an integer matrix over GF(p) by Gaussian elimination."""
+    return len(rref_mod(rows, p))
+
+
+def point_on_line(point, line, p: int) -> bool:
+    """True iff the 1-dim subspace of ``point`` lies in the line's row space."""
+    return rank_mod(list(line) + [point], p) == 2
+
+
+def line_in_plane(line, plane, p: int) -> bool:
+    """True iff the line's row space lies inside the plane's row space."""
+    return rank_mod(list(plane) + list(line), p) == 3
 
 
 def span_set(mat, q):
@@ -169,6 +212,20 @@ class TestLargerFields:
         r1, r2 = check_axiom1(s), check_axiom2_1(s)
         assert (r1.status, r1.stats) == ("pass", {"lines_examined": 806})
         assert (r2.status, r2.stats) == ("pass", {"pairs_examined": 72540})
+
+    def test_pg35_point_triples(self):
+        # every non-collinear point triple of the default model, through the
+        # table the point-triple checks share; a scalar walk of each triple
+        # took about 50 s for these two checks on a 2-vCPU host
+        s, _ = gen_pg3(5)
+        m = coordinate_labels(s)
+        start = time.perf_counter()
+        vy, tetra = vy_axioms(s, m), thm_tetrahedron(s, m)
+        elapsed = time.perf_counter() - start
+        assert [r.status for r in vy] == ["pass"] * 8
+        assert vy[-1].stats == {"cases_examined": 21157500}  # 604,500 triples x (6 * 6 - 1)
+        assert (tetra.status, tetra.stats) == ("pass", {"cases_examined": 604500})
+        assert elapsed < 30
 
     def test_pg37_generation(self, pg37_pair):
         # the whole PG(3,7) structure, then the two axioms that walk every line and pair

@@ -1,6 +1,9 @@
 """Theorem verifiers: green on models, failing with replayable witnesses otherwise."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from linespace import (
     GeometryModel,
@@ -12,6 +15,7 @@ from linespace import (
     replay_theorem_counterexample,
     run_theorem_suite,
     run_vy_battery,
+    save_reports,
     thm_bracket_closed,
     thm_bracket_welldefined,
     thm_coherence,
@@ -23,6 +27,8 @@ from linespace import (
     thm_point_ne_plane,
     thm_regulus_skew,
     thm_sigma_equivalence,
+    thm_tetrahedron,
+    thm_triangle,
     thm_two_classes,
     thm_uniqueness,
     vy_axioms,
@@ -254,6 +260,23 @@ class TestExchangeFailures:
         assert self.exchange_ce(pg2, pg2_model) == ({**ce, "issue": "sigma_misses_triad"}, 1583)
 
 
+class TestTriangleFailures:
+    def test_side_not_in_plane_class(self, pg2, pg2_model, monkeypatch):
+        # with the point and plane classes swapped every side misses its plane
+        # class; the report was recorded before the triangle kernel existed
+        swapped = {k: (qc, pc) for k, (pc, qc) in theorems._labeled_class_masks(pg2_model).items()}
+        monkeypatch.setattr(theorems, "_labeled_class_masks", lambda m: swapped)
+        r = thm_triangle(pg2, pg2_model)
+        points = [
+            ["L00", "L01", "L02", "L03", "L04", "L05", "L06"],
+            ["L00", "L07", "L08", "L09", "L14", "L15", "L20"],
+            ["L01", "L07", "L10", "L11", "L16", "L17", "L29"],
+        ]
+        ce = {"points": points, "issue": "side_not_in_plane_class"}
+        assert (r.status, r.stats) == ("fail", {"cases_examined": 1})
+        assert r.counterexample == {**ce, "line": "L07", "of_pair": ["L00", "L01"]}
+
+
 class TestTetrahedronExtraction:
     def test_witness_substructure_is_the_six_line_pattern(self, pg2, pg2_model):
         from linespace import gen_tetrahedron, is_isomorphic
@@ -318,3 +341,64 @@ class TestExhaustiveCounts:
     def test_no_report_names_a_sampling_mode(self, pg2, pg2_model):
         for r in run_theorem_suite(pg2, pg2_model):
             assert "mode" not in r.stats and "sample_seed" not in r.stats, r.check_name
+
+
+PERTURBED_GOLDEN = Path(__file__).parent / "golden" / "perturbed"
+
+# How each perturbed PG(3,3) case departs from the default model; the
+# comment after each names where a first failure falls.
+PERTURBED = {
+    # A point also listed as a plane: the triads of that bracket take its
+    # plane class, and every triangle finds a second common plane.
+    "point_0_also_plane": ("also_plane", 0),  # exchange: first triad
+    "point_20_also_plane": ("also_plane", 20),  # exchange: triad 2,459 of 18,720
+    "point_39_also_plane": ("also_plane", 39),  # exchange: triad 4,377
+    "plane_5_moved_to_points": ("moved", 5),  # tetrahedron, vy_a3: first triples
+    "point_15_dropped": ("dropped", 15),  # tetrahedron passes on 8,658 triples
+    # Point 3 with line 118 swapped for line 47, first or last in the family.
+    "non_element_first": ("added", 0),
+    "non_element_last": ("added", 40),
+    # The default model against PG(3,3) with one incidence flipped.
+    "flip_2_6": ("flip", (2, 6)),  # exchange: first triad
+    "flip_58_68": ("flip", (58, 68)),  # tetrahedron: triple 5,612 of 9,360
+    "flip_95_118": ("flip", (95, 118)),  # exchange: case 341,391 of 1,460,160, latest found
+    "flip_67_93": ("flip", (67, 93)),  # triangle: triple 6,605
+    "flip_65_96": ("flip", (65, 96)),  # tetrahedron: triple 6,311
+    "flip_34_102": ("flip", (34, 102)),  # exchange: case 128,055; vy_a3: case 104,499 of 140,400
+}
+
+
+def perturbed(s, m, kind, arg):
+    """The (structure, model) pair of one PERTURBED case."""
+    points, planes = list(m.points), list(m.planes)
+    if kind == "flip":
+        adj = np.array(s.adjacency)
+        i, j = arg
+        adj[i, j] = adj[j, i] = not adj[i, j]
+        return IncidenceStructure(adj, labels=s.labels), m
+    if kind == "also_plane":
+        planes.append(points[arg])
+    elif kind == "moved":
+        points.insert(0, planes.pop(arg))
+    elif kind == "dropped":
+        del points[arg]
+    elif kind == "added":
+        points.insert(arg, tuple(sorted(set(points[3]) - {118} | {47})))
+    return s, GeometryModel(structure=s, points=tuple(points), planes=tuple(planes), seed=m.seed)
+
+
+class TestPerturbedGoldens:
+    """thm_exchange, the point-triple checks and vy_axioms keep their report
+    bytes, stats and witness samples included, on failing PG(3,3) cases.
+
+    tests/golden/perturbed/<name>.json was recorded before these checks
+    moved to bitset kernels, so a failure found first by a kernel must be
+    named, and counted, exactly as the scalar walk always did.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PERTURBED))
+    def test_report_bytes_match_golden(self, name, pg3, pg3_model, tmp_path):
+        s, m = perturbed(pg3, pg3_model, *PERTURBED[name])
+        reports = [thm_exchange(s, m), thm_triangle(s, m), thm_tetrahedron(s, m), *vy_axioms(s, m)]
+        save_reports(reports, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_bytes() == (PERTURBED_GOLDEN / f"{name}.json").read_bytes()
