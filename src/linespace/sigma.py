@@ -10,19 +10,26 @@ instead of assuming them, so it doubles as a diagnostic on untrusted input.
 Sets are int bitmasks throughout: a class is grown from its least line by
 mask closure and checked to be a clique with one AND per line.  Sigma sets
 and their classes depend only on perp({a, b}), so both are memoized on the
-structure per distinct mask; a partition, which names its pair, is
-memoized per pair.  Results are value-identical to the uncached computation.
+structure per distinct mask, and so is the verdict that both classes are
+cliques; a partition, which names its pair, is memoized per pair.  Results
+are value-identical to the uncached computation.
+
+``sigma_table`` holds every incident pair's sigma set as ``PairSets``
+arrays, for the checks that look up memberships of many triples at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     IncidenceStructure,
     LinespaceError,
     PreconditionError,
     bracket,
+    incident_pairs,
     labels_of,
     lines_of_mask,
     perp_mask,
@@ -76,11 +83,65 @@ def _require_incident_distinct(s: IncidenceStructure, a: int, b: int, op: str) -
     return (a, b) if a < b else (b, a)
 
 
+def _sigma_of_perp(s: IncidenceStructure, ab: int) -> int:
+    return s.cached(("sigma", ab), lambda: ab & ~perp_mask(s, ab))
+
+
 def sigma_mask(s: IncidenceStructure, a: int, b: int) -> int:
     """Bitmask form of sigma(a, b); depends only on perp({a, b}), cached per perp."""
     a, b = _require_incident_distinct(s, a, b, "sigma")
-    ab = s.masks[a] & s.masks[b]
-    return s.cached(("sigma", ab), lambda: ab & ~perp_mask(s, ab))
+    return _sigma_of_perp(s, s.masks[a] & s.masks[b])
+
+
+@dataclass(frozen=True)
+class PairSets:
+    """One line set per pair of lines, as arrays.
+
+    ``pairs`` is the (P, 2) array of the pairs, each ascending;
+    ``pair_id[x, y]`` is the index of {x, y} in it, both ways round, or -1
+    for any other pair.  ``masks`` holds the distinct sets in order of
+    their first pair and ``set_id[p]`` indexes it; ``bits`` holds the same
+    sets as packed rows (bit z at byte z >> 3, bit z & 7) plus a trailing
+    empty row, which ``set_id[-1]`` names, so that pair id -1 reads as the
+    empty set.
+    """
+
+    pairs: np.ndarray
+    pair_id: np.ndarray
+    set_id: np.ndarray
+    masks: tuple[int, ...]
+    bits: np.ndarray
+
+    def holds(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Per row, whether z lies in the set of {x, y}; false for a pair without one."""
+        row = self.set_id[self.pair_id[x, y]]
+        return (self.bits[row, z >> 3] >> (z & 7) & 1).astype(bool)
+
+
+def pair_sets(width: int, sets: dict[tuple[int, int], int]) -> PairSets:
+    """``PairSets`` of ``sets``, keyed by ascending pairs of lines below ``width``."""
+    distinct: dict[int, int] = {}
+    set_id = [distinct.setdefault(mask, len(distinct)) for mask in sets.values()]
+    pairs = np.array(list(sets), np.int32).reshape(-1, 2)
+    pair_id = np.full((width, width), -1, np.int32)
+    pair_id[pairs[:, 0], pairs[:, 1]] = pair_id[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    nbytes = width // 8 + 1
+    packed = b"".join(x.to_bytes(nbytes, "little") for x in (*distinct, 0))
+    bits = np.frombuffer(packed, np.uint8).reshape(len(distinct) + 1, nbytes)
+    set_id = np.array([*set_id, len(distinct)], np.int32)
+    return PairSets(pairs, pair_id, set_id, tuple(distinct), bits)
+
+
+def sigma_table(s: IncidenceStructure) -> PairSets:
+    """The sigma set of every incident distinct pair, as ``PairSets`` over
+    ``incident_pairs(s)``; cached."""
+
+    def build():
+        masks = s.masks
+        sets = {(a, b): _sigma_of_perp(s, masks[a] & masks[b]) for a, b in incident_pairs(s)}
+        return pair_sets(s.line_count, sets)
+
+    return s.cached("sigma_table", build)
 
 
 def sigma(s: IncidenceStructure, a: int, b: int) -> frozenset[int]:
@@ -126,6 +187,17 @@ def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
     return out
 
 
+def sigma_split(s: IncidenceStructure, sig: int) -> tuple[list[int], bool]:
+    """The incidence classes of the sigma mask ``sig`` and whether each one
+    is a clique; cached per mask."""
+
+    def build():
+        classes = incidence_classes(s, sig)
+        return classes, not any(c & ~s.masks[x] for c in classes for x in lines_of_mask(c))
+
+    return s.cached(("sigma_classes", sig), build)
+
+
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     """Split sigma(a, b) into its two incidence classes, verifying the split.
 
@@ -140,8 +212,7 @@ def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
 
     def build():
         sig = sigma_mask(s, a, b)
-        classes = s.cached(("sigma_classes", sig), lambda: incidence_classes(s, sig))
-        cliques = not any(c & ~s.masks[x] for c in classes for x in lines_of_mask(c))
+        classes, cliques = sigma_split(s, sig)
         if len(classes) == 2 and cliques:
             return SigmaPartition(pair=(a, b), class_masks=tuple(classes))
         pair_labels = labels_of(s, (a, b))

@@ -12,13 +12,23 @@ such verifier's docstring proves its reduction.  A failing report names
 the lexicographically least violation, the same one an unrestricted loop
 would meet first.  Vacuous hypotheses report a pass, never an error.
 
-The costliest checks (``thm_exchange``, ``thm_triangle``,
-``thm_tetrahedron`` and the A3 check of ``vy_axioms``) run a bitset kernel
-first.  A kernel only proves that an item passes; each item it cannot
-prove goes, in walk order, to the scalar code of the check, which judges
-it from the definitions and names the failure.  The case count of an
-item the kernel proves is the count the scalar walk would reach on it, so
-reports are the same as a scalar walk of every item.
+Six checks quantify over every triad.  They share one table per
+structure, ``triad_table``: the triads as a sorted (T, 3) int32 array,
+each one's three sigma memberships, and the index of its bracket among
+the distinct brackets, built with array operations so that no triad is
+ever a Python object.  The point-triple checks share a second table,
+``_triangles``.
+
+The costliest checks, the six over triads, ``thm_two_classes``,
+``thm_triangle``, ``thm_tetrahedron`` and the A3 check of ``vy_axioms``,
+run an array kernel first.  A kernel only proves that an item passes;
+each item it cannot prove goes, in walk order, to the scalar code of the
+check, which judges it from the definitions and names the failure.  The
+items the kernel proves would pass the scalar code too, so the first
+item that code fails is the first the plain walk fails, the least
+violation.  The case count of an item the kernel proves is the count the
+scalar walk would reach on it, so reports are the same as a scalar walk
+of every item.
 """
 
 from __future__ import annotations
@@ -48,7 +58,15 @@ from .labeling import (
     coordinate_labels,
     labeled_sigma_classes,
 )
-from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
+from .sigma import (
+    NotTwoClassesError,
+    PairSets,
+    pair_sets,
+    sigma_mask,
+    sigma_partition,
+    sigma_split,
+    sigma_table,
+)
 
 
 def _incidence(masks, width: int) -> np.ndarray:
@@ -59,37 +77,152 @@ def _incidence(masks, width: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=width, bitorder="little").view(bool)
 
 
-def _columns(masks: list[int], lines: list[int], width: int) -> dict[int, int]:
-    """Per line, the bitset of the indices r whose ``masks[r]`` holds the line."""
-    held = np.packbits(_incidence(masks, width)[:, lines].T, axis=1, bitorder="little")
-    return {l: int.from_bytes(row.tobytes(), "little") for l, row in zip(lines, held)}
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Bool rows packed into little-endian uint64 words, bit j of a row at
+    word j >> 6, bit j & 63."""
+    packed = np.packbits(np.ascontiguousarray(rows), axis=1, bitorder="little")
+    out = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view("<u8")
 
 
 def _sigma_lookup(s: IncidenceStructure) -> dict[tuple[int, int], int]:
     """Mask of sigma(a, b) for every incident distinct pair; cached."""
 
     def build():
-        return {(a, b): sigma_mask(s, a, b) for a, b in incident_pairs(s)}
+        table = sigma_table(s)
+        return dict(zip(incident_pairs(s), [table.masks[k] for k in table.set_id[:-1].tolist()]))
 
     return s.cached("sigma_lookup", build)
 
 
-def triads(s: IncidenceStructure) -> tuple[tuple[int, int, int], ...]:
-    """All unordered triads, sorted; cached.
+def _member(sig: dict[tuple[int, int], int], x: int, y: int, z: int) -> bool:
+    """Whether z lies in sigma(x, y), read from a ``_sigma_lookup`` table."""
+    if x > y:
+        x, y = y, x
+    mask = sig.get((x, y))
+    return bool(mask and (mask >> z) & 1)
+
+
+def _triad_keys(lines: np.ndarray, n: int) -> np.ndarray:
+    """One int64 per sorted triple, ordered as the triples are."""
+    keys = lines[:, 0].astype(np.int64)
+    for col in (1, 2):
+        keys *= n
+        keys += lines[:, col]
+    return keys
+
+
+@dataclass(frozen=True)
+class _Triads:
+    """The triads of a structure with their brackets.
+
+    ``lines`` is the (T, 3) int32 array of every triad, each row ascending
+    and the rows in lexicographic order, the order every triad check
+    walks.  ``brackets`` lists the distinct bracket masks in order of their
+    first triad, ``first[k]`` is that triad, and ``bracket[t]`` is the
+    index of triad t's bracket.
+    """
+
+    lines: np.ndarray
+    bracket: np.ndarray
+    brackets: list[int]
+    first: np.ndarray
+
+
+_ENTRIES_PER_STEP = 1 << 18  # (pair, sigma member) entries per step of the triad build
+_TRIADS_PER_STEP = 1 << 16  # triads per step of a kernel
+
+
+def _sorted_triads(table: PairSets, n: int) -> np.ndarray:
+    """The (T, 3) int32 array of every triad, rows ascending, in lexicographic order.
+
+    Every incident pair (x, y) and z in sigma(x, y) name the triad
+    {x, y, z}.  Walked in pair order, the entries with z > y list, in
+    lexicographic order and once each, the triads (a, b, c) with c in
+    sigma(a, b).  Any other entry, read as the sorted (a, b, c), adds a
+    triad only when c is not in sigma(a, b); those are merged in.
+    """
+    x, y = table.pairs.T
+    held = _incidence(table.masks, n)
+    size = held.sum(axis=1)
+    offset = np.cumsum(size) - size
+    _, members = np.nonzero(held)  # the lines of each distinct sigma set, one set after another
+    of_pair = table.set_id[:-1]
+    step = max(1, _ENTRIES_PER_STEP // (int(size.max(initial=0)) + 1))
+    keys, extra = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for lo in range(0, len(of_pair), step):
+        count = size[of_pair[lo : lo + step]]
+        pair = np.repeat(np.arange(lo, lo + len(count)), count)
+        rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+        z = members[np.repeat(offset[of_pair[lo : lo + step]], count) + rank].astype(np.int32)
+        px, py = x[pair], y[pair]
+        top = z > py
+        keys.append(_triad_keys(np.stack((px[top], py[top], z[top]), axis=1), n))
+        a, b, c = np.minimum(px[~top], z[~top]), np.maximum(px[~top], z[~top]), py[~top]
+        new = ~table.holds(a, b, c)
+        extra.append(_triad_keys(np.stack((a[new], b[new], c[new]), axis=1), n))
+    extra = np.sort(np.concatenate(extra))
+    keys = np.concatenate((*keys, extra[np.diff(extra, prepend=-1) != 0]))
+    keys.sort(kind="stable")  # two sorted runs
+    lines = np.empty((len(keys), 3), np.int32)
+    for col in (2, 1, 0):
+        lines[:, col] = keys % n
+        keys //= n
+    return lines
+
+
+def _bracket_ids(s: IncidenceStructure, lines: np.ndarray) -> tuple[np.ndarray, list[int], list]:
+    """Per triad the index of its bracket, the distinct bracket masks in
+    order of their first triad, and that first triad of each.
+
+    Brackets are told apart per least line a: a triad's bracket lies in
+    perp({a}), so its restriction to the lines meeting a, the AND of two
+    packed rows, names it exactly.  A bracket new to the walk is then taken
+    from its first triad as masks[a] & masks[b] & masks[c].
+    """
+    adj = s.adjacency
+    masks = s.masks
+    bounds = np.searchsorted(lines[:, 0], np.arange(s.line_count + 1))
+    bracket = np.empty(len(lines), np.int32)
+    ids: dict[int, int] = {}
+    first = []
+    for a in np.flatnonzero(np.diff(bounds)).tolist():
+        lo, hi = int(bounds[a]), int(bounds[a + 1])
+        near = np.flatnonzero(adj[a])
+        local = _words(adj[near][:, near])
+        b, c = (np.cumsum(adj[a]) - 1)[lines[lo:hi, 1:]].T  # places among the lines meeting a
+        rows = local[b] & local[c]
+        order = np.lexsort(rows.T)  # stable: the first of equal rows is the earliest triad
+        rows = rows[order]
+        starts = np.ones(len(rows), bool)
+        starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        at = order[starts]
+        named = np.empty(len(at), np.int32)
+        for u in np.argsort(at).tolist():
+            t = lo + int(at[u])
+            _, tb, tc = lines[t].tolist()
+            k = named[u] = ids.setdefault(masks[a] & masks[tb] & masks[tc], len(ids))
+            if k == len(first):
+                first.append(t)
+        bracket[lo + order] = named[np.cumsum(starts) - 1]
+    return bracket, list(ids), first
+
+
+def triad_table(s: IncidenceStructure) -> _Triads:
+    """The triads of ``s`` and their brackets; cached.
 
     A triple counts as a triad when some rotation places its third line in
-    the sigma set of the other two; on structures passing the sigma
-    equivalence theorem this matches every rotation.
+    the sigma set of the other two.  The table is built with array
+    operations, in steps of bounded size, from ``sigma_table(s)``.
     """
 
     def build():
-        found = set()
-        for (a, b), sig in _sigma_lookup(s).items():
-            for c in lines_of_mask(sig):
-                found.add(tuple(sorted((a, b, c))))
-        return tuple(sorted(found))
+        lines = _sorted_triads(sigma_table(s), s.line_count)
+        bracket, brackets, first = _bracket_ids(s, lines)
+        return _Triads(lines, bracket, brackets, np.array(first, np.int64))
 
-    return s.cached("triads", build)
+    return s.cached("triad_table", build)
 
 
 def _bracket_mask(s: IncidenceStructure, lines: Iterable[int]) -> int:
@@ -99,20 +232,25 @@ def _bracket_mask(s: IncidenceStructure, lines: Iterable[int]) -> int:
     return out
 
 
-def _triad_brackets(s: IncidenceStructure) -> list[int]:
-    """Bracket mask of each triad, aligned with ``triads(s)``; cached."""
-    masks = s.masks
-    return s.cached(
-        "triad_brackets", lambda: [masks[a] & masks[b] & masks[c] for a, b, c in triads(s)]
-    )
-
-
 def _labeled_class_masks(m: GeometryModel) -> dict[tuple[int, int], tuple[int, int]]:
-    """(point_class_mask, plane_class_mask) per incident pair; cached."""
+    """(point_class_mask, plane_class_mask) per incident pair; cached.
+
+    The labeled classes of (a, b) depend only on perp({a, b}), so they are
+    found once per distinct perp, from its first pair.  That pair is the
+    first whose perp fails, so an error names the pair it always did.
+    """
     s = m.structure
+    masks = s.masks
 
     def build():
-        return {(a, b): labeled_sigma_classes(m, a, b) for a, b in incident_pairs(s)}
+        by_perp: dict[int, tuple[int, int]] = {}
+        out = {}
+        for a, b in incident_pairs(s):
+            ab = masks[a] & masks[b]
+            if ab not in by_perp:
+                by_perp[ab] = labeled_sigma_classes(m, a, b)
+            out[(a, b)] = by_perp[ab]
+        return out
 
     return s.cached(("labeled_class_masks", m.points, m.planes), build)
 
@@ -140,22 +278,24 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     """The three sigma memberships of any triple agree (all hold or none).
 
     Reduction: a disagreeing triple has one membership that holds, so it is
-    a triad, and the sorted triads are walked in order.
+    a triad, and the sorted triads are walked in order.  Kernel: a triad
+    passes iff the sigma table holds all three of its memberships, so the
+    first triad the kernel leaves is the least violation.
     """
     name = "thm_sigma_equivalence"
     sig = _sigma_lookup(s)
-
-    def member(x, y, z):
-        if x > y:
-            x, y = y, x
-        mask = sig.get((x, y))
-        return bool(mask and (mask >> z) & 1)
-
-    tri = triads(s)
-    for examined, (a, b, c) in enumerate(tri, start=1):
-        m1 = member(b, c, a)
-        m2 = member(c, a, b)
-        m3 = member(a, b, c)
+    table = sigma_table(s)
+    tri = triad_table(s)
+    unproved = [np.empty(0, np.int64)]
+    for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
+        a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
+        held = table.holds(b, c, a) & table.holds(c, a, b) & table.holds(a, b, c)
+        unproved.append(lo + np.flatnonzero(~held))
+    for t in np.concatenate(unproved).tolist():
+        a, b, c = tri.lines[t].tolist()
+        m1 = _member(sig, b, c, a)
+        m2 = _member(sig, c, a, b)
+        m3 = _member(sig, a, b, c)
         if not (m1 == m2 == m3):
             return CheckReport(
                 name,
@@ -166,29 +306,31 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
                     "b_in_sigma_ca": m2,
                     "c_in_sigma_ab": m3,
                 },
-                stats={"triads_examined": examined},
+                stats={"triads_examined": t + 1},
             )
-    return CheckReport(name, PASS, stats={"triads_examined": len(tri)})
+    return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
 
 
 def thm_two_classes(s: IncidenceStructure) -> CheckReport:
-    """Incidence on every sigma(a, b) splits into exactly two classes."""
+    """Incidence on every sigma(a, b) splits into exactly two classes.
+
+    Kernel: the split depends only on the sigma mask, so each distinct
+    mask is split once; the first pair whose mask does not split goes to
+    ``sigma_partition``, which names it.
+    """
     name = "thm_two_classes"
     pairs = incident_pairs(s)
-    sizes = set()
-    for a, b in pairs:
-        try:
-            part = sigma_partition(s, a, b)
-        except NotTwoClassesError as e:
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample=dict(e.witness),
-                stats={"pairs_examined": len(pairs)},
-            )
-        sizes.add(tuple(c.bit_count() for c in part.class_masks))
+    table = sigma_table(s)
+    splits = [sigma_split(s, sig) for sig in table.masks]
+    split = np.array([len(classes) == 2 and cliques for classes, cliques in splits] + [True])
     stats = {"pairs_examined": len(pairs)}
-    if sizes:
+    for p in np.flatnonzero(~split[table.set_id[:-1]]).tolist():
+        try:
+            sigma_partition(s, *pairs[p])
+        except NotTwoClassesError as e:
+            return CheckReport(name, FAIL, counterexample=dict(e.witness), stats=stats)
+    if splits:
+        sizes = {tuple(c.bit_count() for c in classes) for classes, _ in splits}
         stats["class_size_pairs"] = sorted(sizes)
     return CheckReport(name, PASS, stats=stats)
 
@@ -290,60 +432,84 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
 def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     """Every triad's bracket equals its own perp.
 
-    Reduction: depends only on the bracket, checked once per distinct one.
+    Reduction: depends only on the bracket, so the kernel checks each
+    distinct bracket once; the first triad whose bracket is not closed is
+    the least violation.
     """
     name = "thm_bracket_closed"
-    examined = 0
-    closed = set()
-    for t, B in zip(triads(s), _triad_brackets(s)):
-        examined += 1
-        if B in closed:
-            continue
-        if perp_mask(s, B) == B:
-            closed.add(B)
-        else:
-            delta = perp_mask(s, B) ^ B
+    tri = triad_table(s)
+    closed = np.array([perp_mask(s, B) == B for B in tri.brackets], bool)
+    for t in np.flatnonzero(~closed[tri.bracket]).tolist():
+        B = tri.brackets[tri.bracket[t]]
+        delta = perp_mask(s, B) ^ B
+        if delta:
             return CheckReport(
                 name,
                 FAIL,
                 counterexample={
-                    "triad": labels_of(s, t),
+                    "triad": labels_of(s, tri.lines[t].tolist()),
                     "differs_on": labels_of(s, lines_of_mask(delta)),
                 },
-                stats={"triads_examined": examined},
+                stats={"triads_examined": t + 1},
             )
-    return CheckReport(name, PASS, stats={"triads_examined": examined})
+    return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
 
 
 def thm_coherence(s: IncidenceStructure) -> CheckReport:
     """A triple whose bracket equals a triad's bracket is itself a triad.
 
     Reduction: each line of a triple is incident to all of its bracket, so a
-    triple whose bracket is element E lies in perp(E), walked per element.
+    triple whose bracket is element E lies in perp(E), walked per element in
+    ``itertools.combinations`` order up to its first violation; the report
+    names the least of those firsts.  Kernel: per element, every triple of
+    perp(E) at once, its bracket from three packed adjacency rows and its
+    triad status from the sorted triad keys.  An element with no violation
+    adds all C(|perp(E)|, 3) of its triples, the count its walk reaches;
+    the scalar walk takes every other element.
     """
     name = "thm_coherence"
-    tri = triads(s)
-    tri_set = set(tri)
-    by_bracket: dict[int, tuple[int, int, int]] = {}
-    for t, B in zip(tri, _triad_brackets(s)):
-        by_bracket.setdefault(B, t)
+    tri = triad_table(s)
+    sig = _sigma_lookup(s)
+    n = s.line_count
+    words = _words(s.adjacency)
+    keys = _triad_keys(tri.lines, n)
+    combos: dict[int, np.ndarray] = {}  # size -> its 3-subsets as index triples, in walk order
     examined = 0
     least = None
-    for element in by_bracket:
-        for triple in itertools.combinations(lines_of_mask(perp_mask(s, element)), 3):
+    for element in tri.brackets:
+        inside = lines_of_mask(perp_mask(s, element))
+        if len(inside) not in combos:
+            r = np.arange(len(inside))
+            combos[len(inside)] = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+        walk = combos[len(inside)]
+        E = _words(_incidence([element], n))
+        for lo in range(0, len(walk), _TRIADS_PER_STEP):
+            triples = np.array(inside, np.int32)[walk[lo : lo + _TRIADS_PER_STEP]]
+            a, b, c = triples.T
+            key = _triad_keys(triples[((words[a] & words[b] & words[c]) == E).all(axis=1)], n)
+            if not (keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key).all():
+                break
+        else:
+            examined += len(walk)
+            continue
+        for triple in itertools.combinations(inside, 3):
             examined += 1
-            if _bracket_mask(s, triple) == element and triple not in tri_set:
+            # a triad: some rotation's third line lies in the sigma set of the other two
+            a, b, c = triple
+            is_triad = _member(sig, b, c, a) or _member(sig, c, a, b) or _member(sig, a, b, c)
+            if _bracket_mask(s, triple) == element and not is_triad:
                 if least is None or triple < least:
                     least = triple
                 break
     if least is None:
-        return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": len(tri)})
+        return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": len(tri.lines)})
+    first = tri.first[tri.brackets.index(_bracket_mask(s, least))]
     return CheckReport(
         name,
         FAIL,
         counterexample={
             "triple": labels_of(s, least),
-            "triad_with_equal_bracket": labels_of(s, by_bracket[_bracket_mask(s, least)]),
+            "triad_with_equal_bracket": labels_of(s, tri.lines[first].tolist()),
         },
         stats={"cases_examined": examined},
     )
@@ -355,36 +521,50 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     Reduction: a triad lies in its own bracket, so the claim holds iff every
     triad lies in exactly one element; a triad j inside another element,
     the bracket of triad i, is the violation (i, j).  The reported pair is
-    the least by (that bracket as a bitmask, i, j).
+    the least by (that bracket as a bitmask, i, j).  Kernel: per triad, the
+    AND of its three lines' rows of the element-holding bit matrix, less
+    its own element, proves the triads inside no other element.  The
+    scalar code takes the rest in walk order and keeps the least
+    (element, j); i is the first triad of that element.
     """
     name = "thm_mutual_membership"
-    tri = triads(s)
-    bmask = _triad_brackets(s)
-    elements = sorted(set(bmask))
-    own = {em: 1 << e for e, em in enumerate(elements)}
+    tri = triad_table(s)
+    elements = sorted(tri.brackets)
+    rank = {em: e for e, em in enumerate(elements)}
+    own = np.array([rank[B] for B in tri.brackets], np.int64)[tri.bracket]
+    held = _words(_incidence(elements, s.line_count).T)  # bit e of row l: element e holds line l
+    unproved = [np.empty(0, np.int64)]
+    for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
+        a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
+        e = own[lo : lo + _TRIADS_PER_STEP]
+        rows = held[a] & held[b] & held[c]
+        rows[np.arange(len(e)), e >> 6] &= ~(np.uint64(1) << (e & 63).astype(np.uint64))
+        unproved.append(lo + np.flatnonzero(rows.any(axis=1)))
     holding = [0] * s.line_count  # bit e set when element e holds the line
     for e, em in enumerate(elements):
         for l in lines_of_mask(em):
             holding[l] |= 1 << e
     least = None
-    for j, (a, b, c) in enumerate(tri):
-        foreign = holding[a] & holding[b] & holding[c] & ~own[bmask[j]]
+    for j in np.concatenate(unproved).tolist():
+        a, b, c = tri.lines[j].tolist()
+        foreign = holding[a] & holding[b] & holding[c] & ~(1 << int(own[j]))
         if foreign:
             e = (foreign & -foreign).bit_length() - 1
             if least is None or e < least[0]:
                 least = (e, j)
-    stats = {"triads_examined": len(tri)}
+    stats = {"triads_examined": len(tri.lines)}
     if least is None:
         return CheckReport(name, PASS, stats=stats)
     e, j = least
-    i = bmask.index(elements[e])
-    symmetric = not (mask_of_lines(tri[i]) & ~bmask[j])
+    i = tri.first[tri.brackets.index(elements[e])]
+    bracket_j = tri.brackets[tri.bracket[j]]
+    symmetric = not (mask_of_lines(tri.lines[i].tolist()) & ~bracket_j)
     return CheckReport(
         name,
         FAIL,
         counterexample={
-            "triad_a": labels_of(s, tri[i]),
-            "triad_b": labels_of(s, tri[j]),
+            "triad_a": labels_of(s, tri.lines[i].tolist()),
+            "triad_b": labels_of(s, tri.lines[j].tolist()),
             "issue": "contained_but_brackets_differ" if symmetric else "membership_not_symmetric",
         },
         stats=stats,
@@ -396,7 +576,13 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
 
 
 def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
-    """Each triad sits uniformly on the point side or the plane side."""
+    """Each triad sits uniformly on the point side or the plane side.
+
+    Kernel: a line's side in sigma(x, y) is the point side if it lies in
+    the point class, else the plane side if it lies in the plane class.  A
+    triad passes iff its three lines all take the point side or all the
+    plane side, so the first triad the kernel leaves is the least violation.
+    """
     name = "thm_triad_typing"
     try:
         classes = _labeled_class_masks(m)
@@ -415,9 +601,20 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             return Kind.PLANE
         return None
 
-    examined = 0
-    for a, b, c in triads(s):
-        examined += 1
+    tri = triad_table(s)
+    point_class = pair_sets(s.line_count, {key: pc for key, (pc, qc) in classes.items()})
+    plane_class = pair_sets(s.line_count, {key: qc for key, (pc, qc) in classes.items()})
+    unproved = [np.empty(0, np.int64)]
+    for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
+        a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
+        on_point = on_plane = True
+        for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
+            point = point_class.holds(u, v, third)
+            on_point = on_point & point
+            on_plane = on_plane & ~point & plane_class.holds(u, v, third)
+        unproved.append(lo + np.flatnonzero(~(on_point | on_plane)))
+    for t in np.concatenate(unproved).tolist():
+        a, b, c = tri.lines[t].tolist()
         sides = (side(b, c, a), side(c, a, b), side(a, b, c))
         if sides[0] is None or sides[0] != sides[1] or sides[1] != sides[2]:
             return CheckReport(
@@ -427,9 +624,9 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
                     "triad": labels_of(s, (a, b, c)),
                     "sides": [x.value if x else None for x in sides],
                 },
-                stats={"triads_examined": examined},
+                stats={"triads_examined": t + 1},
             )
-    return CheckReport(name, PASS, stats={"triads_examined": examined})
+    return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
 
 
 def thm_point_ne_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
@@ -502,15 +699,20 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 
     Refined by kind: when the bracket is a plane of the model, the plane
     class of sigma(x, y) already contains one of the triad, and dually.
-    The (x, y) rows of each distinct bracket are built once, in walk order,
-    with per line the bitset of rows whose sigma set holds it and the
-    bitset of rows whose refined class holds it.  Every line of a triad
-    lies in its bracket (the three are pairwise incident and every line is
-    self-incident), so a triad passes all rows iff, for both bitsets, the
-    OR over its three lines is all ones.  A bracket with a skew row proves
-    nothing.  The sigma condition stays even though the refined class is
-    a class of sigma(x, y): the classes come from the model's structure
-    and sigma from ``s``, which need not be the same structure.
+    The (x, y) rows of each distinct bracket are built once, with per line
+    of the bracket the row bitsets whose sigma set holds it and whose
+    refined class holds it.  Every line of a triad lies in its bracket (the
+    three are pairwise incident and every line is self-incident), so a
+    triad passes all rows iff, for both bitsets, the OR over its three
+    lines is all ones; the kernel proves that for all triads of a bracket
+    at once.  A bracket with a skew row, or none that is an element,
+    proves nothing.  Brackets are taken in order of their first triad and
+    only while that triad comes before the least failure found so far, the
+    only triads the walk reaches; each unproved triad before it goes to
+    the scalar walk, which names the failure.  The sigma condition stays
+    even though the refined class is a class of sigma(x, y): the classes
+    come from the model's structure and sigma from ``s``, which need not
+    be the same structure.
     """
     name = "thm_exchange"
     try:
@@ -520,12 +722,14 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     kinds = _element_kinds(m)
     masks = s.masks
     sig = _sigma_lookup(s)
-    tables = {}  # bracket mask -> (kind, rows, all-ones, sigma bitsets, refined bitsets)
+    width = s.line_count
+    tri = triad_table(s)
 
     def table(B):
+        """(kind, rows, kernel) of bracket B; kernel is None when it can prove no triad of B."""
         kind = kinds.get(B)
         if kind is None:
-            return None, [], 0, None, None
+            return None, [], None
         members = lines_of_mask(B)
         rows = []  # (x, y, sigma, refined class); sigma None if skew
         for i, x in enumerate(members):
@@ -535,34 +739,21 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
                     rows.append((x, y, sig[(x, y)], pc if kind is Kind.POINT else qc))
                 else:
                     rows.append((x, y, None, 0))
-        full = (1 << len(rows)) - 1
         if any(row[2] is None for row in rows):
-            return kind, rows, full, None, None
-        width = s.line_count
-        sig_of = _columns([row[2] for row in rows], members, width)
-        return kind, rows, full, sig_of, _columns([row[3] for row in rows], members, width)
+            return kind, rows, None
+        place = np.zeros(width, np.int64)
+        place[members] = np.arange(len(members))
+        # per line of B, the rows whose sigma set holds it and those whose refined class does
+        held = [_words(_incidence([r[col] for r in rows], width)[:, members].T) for col in (2, 3)]
+        return kind, rows, (place, held, _words(np.ones((1, len(rows)), bool)))
 
-    examined = 0
-    for t, B in zip(triads(s), _triad_brackets(s)):
-        if B not in tables:
-            tables[B] = table(B)
-        kind, rows, full, sig_of, ref_of = tables[B]
-        a, b, c = t
-        if (
-            sig_of
-            and sig_of[a] | sig_of[b] | sig_of[c] == full
-            and ref_of[a] | ref_of[b] | ref_of[c] == full
-        ):
-            examined += len(rows)
-            continue
+    def walk(t, kind, rows):
+        """(counterexample, rows examined) of triad t, or None when it passes every row."""
+        t_lines = tri.lines[t].tolist()
         if kind is None:
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample={"triad": labels_of(s, t), "issue": "bracket_not_an_element"},
-                stats={"cases_examined": examined},
-            )
-        t_mask = mask_of_lines(t)
+            return {"triad": labels_of(s, t_lines), "issue": "bracket_not_an_element"}, 0
+        examined = 0
+        t_mask = mask_of_lines(t_lines)
         for x, y, sig_xy, refined in rows:
             examined += 1
             if sig_xy is None:
@@ -573,12 +764,38 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
                 issue = "refined_class_misses_triad"
             else:
                 continue
-            ce = {"triad": labels_of(s, t), "x": s.labels[x], "y": s.labels[y]}
+            ce = {"triad": labels_of(s, t_lines), "x": s.labels[x], "y": s.labels[y]}
             if issue == "refined_class_misses_triad":
                 ce["kind"] = kind.value
             ce["issue"] = issue
-            return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
-    return CheckReport(name, PASS, stats={"cases_examined": examined})
+            return ce, examined
+        return None
+
+    order = np.argsort(tri.bracket, kind="stable")
+    bounds = np.searchsorted(tri.bracket[order], np.arange(len(tri.brackets) + 1))
+    row_count = np.zeros(len(tri.brackets), np.int64)
+    stop, failure = len(tri.lines), None
+    for k, B in enumerate(tri.brackets):
+        if tri.first[k] >= stop:
+            break
+        kind, rows, kernel = table(B)
+        row_count[k] = len(rows)
+        mine = order[bounds[k] : bounds[k + 1]]
+        if kernel is not None:
+            place, held, full = kernel
+            a, b, c = place[tri.lines[mine]].T
+            proved = np.logical_and.reduce([((h[a] | h[b] | h[c]) == full).all(1) for h in held])
+            mine = mine[~proved]
+        for t in mine[mine < stop].tolist():
+            got = walk(t, kind, rows)
+            if got is not None:
+                stop, failure = t, got
+                break
+    examined = int(np.bincount(tri.bracket[:stop], minlength=len(row_count)) @ row_count)
+    if failure is None:
+        return CheckReport(name, PASS, stats={"cases_examined": examined})
+    ce, partial = failure
+    return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined + partial})
 
 
 def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
@@ -760,24 +977,6 @@ def _triangles(s: IncidenceStructure, m: GeometryModel) -> _Triangles:
     return s.cached(("triangles", m.points, m.planes), build)
 
 
-def _pair_ids(pairs, width: int) -> np.ndarray:
-    """Dense table of each pair's index in ``pairs``, both ways round; -1 elsewhere."""
-    ids = np.full((width, width), -1, np.int32)
-    if len(pairs):
-        x, y = np.asarray(pairs).T
-        ids[x, y] = ids[y, x] = np.arange(len(pairs))
-    return ids
-
-
-def _bits_at(bitsets: list[int], index, bit, width: int) -> np.ndarray:
-    """Per row r, bit ``bit[r]`` of ``bitsets[index[r]]``, each a bitset below
-    ``width``; index -1 names a trailing empty bitset."""
-    nbytes = width // 8 + 1
-    packed = b"".join(x.to_bytes(nbytes, "little") for x in (*bitsets, 0))
-    held = np.frombuffer(packed, np.uint8).reshape(len(bitsets) + 1, nbytes)
-    return (held[index, bit >> 3] >> (bit & 7) & 1).astype(bool)
-
-
 def _point_labels(s, m, points) -> list:
     return [labels_of(s, m.points[x]) for x in points]
 
@@ -803,12 +1002,10 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     rows = np.flatnonzero(ok)
     a, b, c = tri.sides[rows].T
     adj = s.adjacency
-    width = s.line_count
-    ids = _pair_ids(list(classes), width)
-    plane_class = [qc for pc, qc in classes.values()]
+    plane_class = pair_sets(s.line_count, {key: qc for key, (pc, qc) in classes.items()})
     proved = (a != b) & (b != c) & (a != c) & adj[a, b] & adj[b, c] & adj[a, c]
     for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
-        proved &= _bits_at(plane_class, ids[u, v], third, width)
+        proved &= plane_class.holds(u, v, third)
     ok[rows] = proved
     plane_index = {pm: idx for idx, pm in enumerate(m.plane_masks)}
 
@@ -1126,10 +1323,10 @@ def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
                 perp_of[joined] = perp_mask(s, joined)
             perps.append(perp_of[joined])
         counts.append(len(on[x]) * len(on[y]) - (on_line[x] & on_line[y]).bit_count())
-    index = _pair_ids(pairs, width)[a, b]
-    ok[rows] = _bits_at(perps, index, c, width)
+    joined = pair_sets(width, dict(zip(map(tuple, pairs), perps)))
+    ok[rows] = joined.holds(a, b, c)
     cases = np.zeros(len(ok), np.int64)
-    cases[rows] = np.array(counts, np.int64)[index]
+    cases[rows] = np.array(counts, np.int64)[joined.pair_id[a, b]]
     before = np.cumsum(cases) - cases
 
     def a3_fail(examined, **ce):

@@ -1,7 +1,9 @@
-"""thm_exchange, the point-triple checks and vy_axioms against brute-force oracles.
+"""thm_triad_typing, thm_exchange, the point-triple checks and vy_axioms
+against brute-force oracles.
 
-Each oracle below walks every triad's bracket pairs and every triple of
-points straight from the adjacency matrices and the model's two families,
+Each oracle below walks every triad, every triad's bracket pairs and every
+triple of points straight from the adjacency matrices and the model's two
+families,
 with plain Python sets.  It shares no code with ``linespace.theorems``:
 agreement on the whole ``to_dict()`` (status, counterexample, witness and
 stats) shows that the bitset kernels, which only prove items pass and hand
@@ -26,6 +28,7 @@ from linespace import (
     IncidenceStructure,
     thm_exchange,
     thm_tetrahedron,
+    thm_triad_typing,
     thm_triangle,
     vy_axioms,
 )
@@ -103,6 +106,27 @@ class Oracle:
             for a, b, c in itertools.combinations(range(self.n), 3)
             if member(b, c, a) or member(c, a, b) or member(a, b, c)
         ]
+
+    def triad_typing(self):
+        name = "thm_triad_typing"
+        if self.classes is UNAVAILABLE:
+            return None
+
+        def side(x, y, third):
+            got = self.classes.get((min(x, y), max(x, y)))
+            if got is None:
+                return None
+            if third in got[0]:
+                return "point"
+            return "plane" if third in got[1] else None
+
+        tri = self.triads()
+        for examined, (a, b, c) in enumerate(tri, start=1):
+            sides = [side(b, c, a), side(c, a, b), side(a, b, c)]
+            if sides[0] is None or len(set(sides)) != 1:
+                ce = {"triad": self.names((a, b, c)), "sides": sides}
+                return report(name, "fail", ce, {"triads_examined": examined})
+        return report(name, "pass", None, {"triads_examined": len(tri)})
 
     def exchange(self):
         name = "thm_exchange"
@@ -312,6 +336,7 @@ def report(name, status, ce, stats, witness=None):
 def assert_matches_oracle(s, m):
     o = Oracle(s, m)
     for check, expected in (
+        (thm_triad_typing, o.triad_typing()),
         (thm_exchange, o.exchange()),
         (thm_triangle, o.triangle()),
         (thm_tetrahedron, o.tetrahedron()),

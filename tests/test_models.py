@@ -1,6 +1,7 @@
 """Generators: tetrahedron, PG(3,q) against an independent subspace oracle."""
 
 import itertools
+import json
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from linespace import (
     verify_counts,
     vy_axioms,
 )
+from conftest import run_python
 from linespace.models import gaussian_binomial, line_plane_sets, line_point_sets
 
 # Exact linear algebra over GF(p): the oracles the generators share no code with.
@@ -122,6 +124,28 @@ def oracle_adjacency(line_reps, q):
     for lines in through.values():
         adj[np.ix_(lines, lines)] = True
     return adj, per_line
+
+
+# Bounds for test_pg35_triad_checks: on a 2-vCPU host the stages take 7 s
+# from the first check to the last and peak at 109 MB RSS, against 32 s and
+# 431 MB when each triad was a Python tuple with its own bracket int.
+PG35_TRIAD_SECONDS = 15
+PG35_TRIAD_RSS_MB = 200
+PG35_TRIAD_SCRIPT = """
+import json, resource, time
+from linespace import coordinate_labels, gen_pg3, theorems as T
+s, _ = gen_pg3(5)
+start = time.perf_counter()
+reports = [f(s) for f in (T.thm_sigma_equivalence, T.thm_two_classes, T.thm_bracket_closed,
+                          T.thm_coherence, T.thm_mutual_membership)]
+m = coordinate_labels(s)
+reports += [T.thm_triad_typing(s, m), T.thm_exchange(s, m)]
+print(json.dumps({
+    "reports": [[r.check_name, r.status, r.stats] for r in reports],
+    "seconds": time.perf_counter() - start,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +250,27 @@ class TestLargerFields:
         assert vy[-1].stats == {"cases_examined": 21157500}  # 604,500 triples x (6 * 6 - 1)
         assert (tetra.status, tetra.stats) == ("pass", {"cases_examined": 604500})
         assert elapsed < 30
+
+    def test_pg35_triad_checks(self, tmp_path):
+        # the six checks over PG(3,5)'s 1,209,000 triads, with thm_two_classes,
+        # in a fresh process so that its peak RSS is theirs
+        out = run_python(["-c", PG35_TRIAD_SCRIPT], tmp_path)
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        triads = {"triads_examined": 1209000}
+        assert got["reports"] == [
+            ["thm_sigma_equivalence", "pass", triads],
+            ["thm_two_classes", "pass", {"pairs_examined": 72540, "class_size_pairs": [[25, 25]]}],
+            ["thm_bracket_closed", "pass", triads],
+            # 312 brackets x C(31, 3) triples
+            ["thm_coherence", "pass", {"cases_examined": 1402440, "triads": 1209000}],
+            ["thm_mutual_membership", "pass", triads],
+            ["thm_triad_typing", "pass", triads],
+            # 1,209,000 triads x C(31, 2) bracket pairs
+            ["thm_exchange", "pass", {"cases_examined": 562185000}],
+        ]
+        assert got["seconds"] < PG35_TRIAD_SECONDS
+        assert got["peak_rss_mb"] < PG35_TRIAD_RSS_MB
 
     def test_pg37_generation(self, pg37_pair):
         # the whole PG(3,7) structure, then the two axioms that walk every line and pair

@@ -5,9 +5,10 @@ pair of triads) straight from the adjacency matrix, with plain Python sets.
 It shares no code with ``linespace.theorems``: agreement on status and on
 the reported counterexample shows that restricting a quantifier to its
 support neither misses a violation nor changes which one is reported.
-For the regulus, coherence and mutual-membership checks the stats are
-compared too, so evaluating each distinct perp or bracket once still
-counts every case.
+The stats are compared too, so evaluating each distinct perp or bracket
+once, or proving triads in bulk, still counts every case.  The triad
+table the triad checks share is compared with the oracle's triads, their
+memberships and their brackets directly.
 """
 
 import itertools
@@ -16,12 +17,16 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from linespace import (
+    NEGATIVE_KINDS,
     IncidenceStructure,
+    gen_negative,
+    thm_bracket_closed,
     thm_coherence,
     thm_mutual_membership,
     thm_regulus_skew,
     thm_sigma_equivalence,
 )
+from linespace.theorems import triad_table
 
 
 class Oracle:
@@ -60,16 +65,30 @@ class Oracle:
         return [t for t in self.triples if any(self.memberships(*t))]
 
     def sigma_equivalence(self):
+        """Stats count the triads up to the first disagreeing triple, which
+        is itself a triad."""
+        triads = 0
         for t in self.triples:
             got = self.memberships(*t)
+            triads += any(got)
             if len(set(got)) > 1:
                 return "fail", {
                     "triple": self.names(t),
                     "a_in_sigma_bc": got[0],
                     "b_in_sigma_ca": got[1],
                     "c_in_sigma_ab": got[2],
-                }
-        return "pass", None
+                }, {"triads_examined": triads}
+        return "pass", None, {"triads_examined": triads}
+
+    def bracket_closed(self):
+        tri = self.triads()
+        for examined, t in enumerate(tri, start=1):
+            bracket = self.perp(t)
+            if self.perp(bracket) != bracket:
+                delta = self.perp(bracket) ^ bracket
+                ce = {"triad": self.names(t), "differs_on": self.names(delta)}
+                return "fail", ce, {"triads_examined": examined}
+        return "pass", None, {"triads_examined": len(tri)}
 
     def incident_pair_count(self):
         return sum(1 for x, y in itertools.combinations(range(len(self.adj)), 2) if self.adj[x][y])
@@ -144,11 +163,25 @@ class Oracle:
         return "fail", ce, stats
 
 
+def assert_triad_table_matches_oracle(s, o):
+    """The triads in order, each one's bracket and the distinct brackets in
+    order of their first triad."""
+    tri = o.triads()
+    brackets = [sum(1 << l for l in o.perp(t)) for t in tri]
+    table = triad_table(s)
+    assert table.lines.shape == (len(tri), 3)
+    assert table.lines.tolist() == [list(t) for t in tri]
+    assert [table.brackets[k] for k in table.bracket.tolist()] == brackets
+    assert table.brackets == list(dict.fromkeys(brackets))
+    assert table.first.tolist() == [brackets.index(b) for b in table.brackets]
+
+
 def assert_matches_oracle(s):
     o = Oracle(s)
-    r = thm_sigma_equivalence(s)
-    assert (r.status, r.counterexample) == o.sigma_equivalence(), r.check_name
+    assert_triad_table_matches_oracle(s, o)
     for check, expected in (
+        (thm_sigma_equivalence, o.sigma_equivalence()),
+        (thm_bracket_closed, o.bracket_closed()),
         (thm_regulus_skew, o.regulus_skew()),
         (thm_coherence, o.coherence()),
         (thm_mutual_membership, o.mutual_membership()),
@@ -187,3 +220,8 @@ def test_pg2_mutants_match_oracle(pg2, flips):
 
 def test_pg2_matches_oracle(pg2):
     assert_matches_oracle(pg2)
+
+
+def test_fixtures_match_oracle(tetra):
+    for s in (tetra, *map(gen_negative, NEGATIVE_KINDS)):
+        assert_matches_oracle(s)

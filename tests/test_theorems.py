@@ -1,5 +1,6 @@
 """Theorem verifiers: green on models, failing with replayable witnesses otherwise."""
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,14 @@ from linespace import (
     thm_regulus_skew,
     thm_sigma_equivalence,
     thm_tetrahedron,
+    thm_triad_typing,
     thm_triangle,
     thm_two_classes,
     thm_uniqueness,
     vy_axioms,
 )
 from linespace import theorems
-from linespace.theorems import VY_NAMES, triads
+from linespace.theorems import VY_NAMES, triad_table
 
 
 class TestSuiteOnModels:
@@ -78,11 +80,11 @@ class TestVacuousCases:
 
 class TestCounts:
     def test_tetra_triads(self, tetra):
-        assert len(triads(tetra)) == 8
+        assert triad_table(tetra).lines.shape == (8, 3)
 
     def test_pg2_triads(self, pg2):
         # 28 tripods per point and 28 trigons per plane: 15 * 28 * 2
-        assert len(triads(pg2)) == 840
+        assert triad_table(pg2).lines.shape == (840, 3)
 
     def test_pg2_regulus_sizes(self, pg2):
         # every pairwise-skew triple has exactly q + 1 = 3 transversals
@@ -104,7 +106,7 @@ class TestCounts:
 
         kinds = _element_kinds(pg2_model)
         sides = {"point": 0, "plane": 0}
-        for t in triads(pg2):
+        for t in triad_table(pg2).lines.tolist():
             sides[kinds[_bracket_mask(pg2, t)].value] += 1
         assert sides["point"] == 420
         assert sides["plane"] == 420
@@ -402,3 +404,51 @@ class TestPerturbedGoldens:
         reports = [thm_exchange(s, m), thm_triangle(s, m), thm_tetrahedron(s, m), *vy_axioms(s, m)]
         save_reports(reports, tmp_path / "r.json")
         assert (tmp_path / "r.json").read_bytes() == (PERTURBED_GOLDEN / f"{name}.json").read_bytes()
+
+
+def seeded_mutant(s, k, seed=11):
+    """Mutant k of ``s`` drawn from ``random.Random(seed)``: 1-3 incidences flipped."""
+    rng = random.Random(seed)
+    for _ in range(k + 1):
+        count = rng.randint(1, 3)
+        flips = sorted({tuple(sorted(rng.sample(range(s.line_count), 2))) for _ in range(count)})
+    adj = np.array(s.adjacency)
+    for i, j in flips:
+        adj[i, j] = adj[j, i] = not adj[i, j]
+    return IncidenceStructure(adj, labels=s.labels)
+
+
+class TestTriadGoldens:
+    """The triad checks keep their report bytes on failing PG(3,3) cases.
+
+    tests/golden/perturbed/triads_seed11_<k>.json holds the structure-level
+    triad checks, then thm_triad_typing and thm_exchange against the
+    default model, on seeded mutant k; triad_typing.json holds
+    thm_triad_typing on every PERTURBED case.  Both were recorded before the
+    triad checks moved to array kernels.  On mutants 0-7,
+    thm_sigma_equivalence fails at triads 326, 1,452, 1,265, 38, 746, 54,
+    10 and 1,388; thm_coherence and thm_mutual_membership walk every triad.
+    """
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_mutant_reports_match_golden(self, k, pg3, pg3_model, tmp_path):
+        t = seeded_mutant(pg3, k)
+        reports = [
+            thm_sigma_equivalence(t),
+            thm_two_classes(t),
+            thm_bracket_closed(t),
+            thm_coherence(t),
+            thm_mutual_membership(t),
+            thm_triad_typing(t, pg3_model),
+            thm_exchange(t, pg3_model),
+        ]
+        save_reports(reports, tmp_path / "r.json")
+        golden = PERTURBED_GOLDEN / f"triads_seed11_{k}.json"
+        assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
+
+    def test_triad_typing_on_perturbed_models(self, pg3, pg3_model, tmp_path):
+        cases = [perturbed(pg3, pg3_model, *PERTURBED[n]) for n in sorted(PERTURBED)]
+        reports = [thm_triad_typing(s, m) for s, m in cases]
+        save_reports(reports, tmp_path / "r.json")
+        golden = PERTURBED_GOLDEN / "triad_typing.json"
+        assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
