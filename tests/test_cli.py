@@ -279,6 +279,33 @@ class TestGoldenPg3:
         assert sha256(report) == golden["check_all"]
 
 
+STDOUT_GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_stdout.json").read_text())
+
+
+class TestGoldenStdout:
+    """check prints the same lines and exits with the same code as ever.
+
+    tests/golden/check_stdout.json holds, per structure and --which, the
+    whole stdout (display names, verdicts and counterexamples) and the exit
+    code, recorded before the checks moved to one registry.
+    """
+
+    @pytest.mark.parametrize("which", ["axioms", "theorems", "vy", "all"])
+    @pytest.mark.parametrize("name", sorted(STDOUT_GOLDEN))
+    def test_stdout_and_exit_match_golden(self, name, which, tmp_path, capsys):
+        if name == "pg3":
+            s = gen_pg3(3)[0]
+        elif name == "tetrahedron":
+            s = gen_tetrahedron()
+        else:
+            s = gen_negative(name)
+        path = tmp_path / "s.json"
+        save_structure(s, path)
+        code, stdout, _ = run(["check", str(path), "--which", which], capsys)
+        golden = STDOUT_GOLDEN[name][which]
+        assert (code, stdout) == (golden["exit"], golden["stdout"])
+
+
 class TestDerive:
     def test_pg2_model(self, pg2_file, tmp_path, capsys):
         out = tmp_path / "m.json"

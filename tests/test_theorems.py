@@ -1,5 +1,6 @@
 """Theorem verifiers: green on models, failing with replayable witnesses otherwise."""
 
+import json
 import random
 from pathlib import Path
 
@@ -452,3 +453,35 @@ class TestTriadGoldens:
         save_reports(reports, tmp_path / "r.json")
         golden = PERTURBED_GOLDEN / "triad_typing.json"
         assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
+
+
+PERTURBED_REPLAYS = json.loads((PERTURBED_GOLDEN / "replays.json").read_text())
+
+
+def replay_outcome(s, report, m):
+    """What replaying ``report`` gives: its value, or the error it raises."""
+    try:
+        return replay_theorem_counterexample(s, report, m)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+class TestPerturbedSuiteGoldens:
+    """The whole theorem suite and vy battery keep their report bytes on every
+    PERTURBED case, and each failing report replays as it always has.
+
+    tests/golden/perturbed/suite_<name>.json holds run_theorem_suite then
+    run_vy_battery against the case's model; replays.json holds, per case,
+    each failing check with what its replay returned or raised.  Both were
+    recorded before the checks moved to one registry.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PERTURBED))
+    def test_suite_bytes_and_replays(self, name, pg3, pg3_model, tmp_path):
+        s, m = perturbed(pg3, pg3_model, *PERTURBED[name])
+        reports = run_theorem_suite(s, m) + run_vy_battery(s, m)
+        save_reports(reports, tmp_path / "r.json")
+        golden = PERTURBED_GOLDEN / f"suite_{name}.json"
+        assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
+        got = [[r.check_name, replay_outcome(s, r, m)] for r in reports if r.status == "fail"]
+        assert got == PERTURBED_REPLAYS[name]
