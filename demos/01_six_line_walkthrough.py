@@ -16,7 +16,7 @@ from linespace import (
     sigma,
     sigma_partition,
 )
-from linespace.axioms import DISPLAY_NAMES
+from linespace.registry import display_name
 
 t = gen_tetrahedron()
 names = lambda ids: "{" + ", ".join(sorted(t.labels[i] for i in ids)) + "}"
@@ -51,7 +51,7 @@ print()
 print("the fixture satisfies every axiom except the skew-triple one:")
 for report in check_all(t):
     mark = "PASS" if report.passed else report.status.upper()
-    print(f"  {DISPLAY_NAMES[report.check_name]:<14} {mark}")
+    print(f"  {display_name(report.check_name):<14} {mark}")
 print()
 print("why the first fails: no perp contains three pairwise skew lines,")
 print(f"e.g. find_skew_triple(perp({{a}})) = {find_skew_triple(t, perp(t, [a]))}")

@@ -10,7 +10,7 @@ every axiom check must pass.
 import time
 
 from linespace import check_all, gen_pg3, incident_pairs, perp, sigma
-from linespace.axioms import DISPLAY_NAMES
+from linespace.registry import display_name
 
 for q in (2, 3):
     t0 = time.monotonic()
@@ -33,5 +33,5 @@ for q in (2, 3):
     dt = time.monotonic() - t0
     print(f"axiom battery ({dt:.2f}s):")
     for r in reports:
-        print(f"  {DISPLAY_NAMES[r.check_name]:<14} {'PASS' if r.passed else 'FAIL'}")
+        print(f"  {display_name(r.check_name):<14} {'PASS' if r.passed else 'FAIL'}")
     print()

@@ -14,21 +14,21 @@ from linespace import (
     gen_negative,
     replay_counterexample,
 )
-from linespace.axioms import DISPLAY_NAMES
+from linespace.registry import display_name
 
 for kind in NEGATIVE_KINDS:
     s = gen_negative(kind)
     expectation = NEGATIVE_EXPECTATIONS[kind]
     print("=" * 64)
     print(f"{kind}  ({s.line_count} lines; built to break "
-          f"{', '.join(DISPLAY_NAMES[d] for d in expectation['documented'])})")
+          f"{', '.join(display_name(d) for d in expectation['documented'])})")
     print("=" * 64)
     reports = check_all(s)
     for r in reports:
         mark = {"pass": "PASS", "fail": "FAIL"}.get(r.status, "UNMET")
         expected = expectation["vector"][r.check_name]
         agree = "" if r.status == expected else "  <-- UNEXPECTED"
-        print(f"  {DISPLAY_NAMES[r.check_name]:<14} {mark}{agree}")
+        print(f"  {display_name(r.check_name):<14} {mark}{agree}")
         if r.counterexample is not None:
             replayed = replay_counterexample(s, r)
             brief = {

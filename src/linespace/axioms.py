@@ -11,12 +11,14 @@ The fourth axiom is operationalized through the seeded labeling: the check
 fails when the labeling verification finds a concrete violation, and
 reports dependency_unmet when some sigma set has no valid two-class split,
 since the point/plane machinery is then undefined rather than violated.
+
+The checks live in one ordered table, ``registry.CHECKS``.  To add a
+check, define its replayer and its checker here (or in ``theorems``) and
+decorate the checker with ``@registered``: that one line gives the check its
+place in every battery, its display name and its replay.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import (
     IncidenceStructure,
@@ -29,49 +31,35 @@ from .core import (
     mask_of_lines,
     perp,
 )
-from .labeling import LabelInconsistencyError, coordinate_labels, element_masks, element_table
-from .sigma import NotTwoClassesError, incidence_classes, sigma, sigma_mask
-
-PASS = "pass"
-FAIL = "fail"
-DEPENDENCY_UNMET = "dependency_unmet"
-
-CHECK_ORDER = ("axiom1", "axiom2_1", "axiom2_2", "axiom2_3", "axiom3", "axiom4")
-
-DISPLAY_NAMES = {
-    "axiom1": "AXIOM [1]",
-    "axiom2_1": "AXIOM [2.1]",
-    "axiom2_2": "AXIOM [2.2]",
-    "axiom2_3": "AXIOM [2.3]",
-    "axiom3": "AXIOM [3]",
-    "axiom4": "AXIOM [4]",
-}
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Structured outcome of one axiom or theorem check."""
-
-    check_name: str
-    status: str
-    counterexample: Optional[dict] = None
-    witness_sample: Optional[dict] = None
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
-    def to_dict(self) -> dict:
-        out = {"check_name": self.check_name, "passed": self.passed, "status": self.status}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        if self.witness_sample is not None:
-            out["witness_sample"] = self.witness_sample
-        out["stats"] = dict(self.stats)
-        return out
+from .labeling import (
+    LabelInconsistencyError,
+    classify_elements,
+    coordinate_labels,
+    element_masks,
+    element_table,
+)
+from .registry import (
+    DEPENDENCY_UNMET,
+    FAIL,
+    PASS,
+    CheckReport,
+    names,
+    registered,
+    replay,
+    run_checks,
+)
+from .sigma import NotTwoClassesError, incidence_classes, sigma, sigma_mask, sigma_partition
 
 
+def _resolve(s: IncidenceStructure, labels) -> list[int]:
+    return [s.index(x) for x in labels]
+
+
+def _replay_axiom1(s: IncidenceStructure, ce: dict) -> bool:
+    return find_skew_triple_mask(s, s.masks[s.index(ce["line"])]) is None
+
+
+@registered("axioms", name="axiom1", display="AXIOM [1]", replay=_replay_axiom1)
 def check_axiom1(s: IncidenceStructure) -> CheckReport:
     """Every line's perp must contain a pairwise-skew triple."""
     masks = s.masks
@@ -96,6 +84,12 @@ def check_axiom1(s: IncidenceStructure) -> CheckReport:
     )
 
 
+def _replay_axiom2_1(s: IncidenceStructure, ce: dict) -> bool:
+    a, b = _resolve(s, ce["pair"])
+    return find_skew_pair_mask(s, s.masks[a] & s.masks[b]) is None
+
+
+@registered("axioms", name="axiom2_1", display="AXIOM [2.1]", replay=_replay_axiom2_1)
 def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
     """perp({a, b}) of every incident distinct pair must contain a skew pair."""
     masks = s.masks
@@ -122,6 +116,14 @@ def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
     )
 
 
+def _replay_axiom2_2(s: IncidenceStructure, ce: dict) -> bool:
+    a, b = _resolve(s, ce["pair"])
+    z, x, y = s.index(ce["z"]), s.index(ce["x"]), s.index(ce["y"])
+    inside = {x, y} <= bracket(s, a, b, z)
+    return inside and z in sigma(s, a, b) and not s.adjacency[x, y]
+
+
+@registered("axioms", name="axiom2_2", display="AXIOM [2.2]", replay=_replay_axiom2_2)
 def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     """bracket(a, b, z) must be pairwise incident for every z in sigma(a, b).
 
@@ -158,6 +160,19 @@ def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     return CheckReport("axiom2_2", PASS, stats={"triples_examined": cases})
 
 
+def _replay_axiom2_3(s: IncidenceStructure, ce: dict) -> bool:
+    a, b = _resolve(s, ce["pair"])
+    x, y, m = s.index(ce["x"]), s.index(ce["y"]), s.index(ce["uncovered"])
+    members = perp(s, (a, b))
+    return (
+        {x, y, m} <= members
+        and not s.adjacency[x, y]
+        and not s.adjacency[m, x]
+        and not s.adjacency[m, y]
+    )
+
+
+@registered("axioms", name="axiom2_3", display="AXIOM [2.3]", replay=_replay_axiom2_3)
 def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
     """Each member of perp({a, b}) must meet x or y for every skew pair x, y there.
 
@@ -195,6 +210,13 @@ def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
     return CheckReport("axiom2_3", PASS, stats={"skew_pairs_examined": cases})
 
 
+def _replay_axiom3(s: IncidenceStructure, ce: dict) -> bool:
+    em = mask_of_lines(_resolve(s, ce["element"]))
+    emasks = element_masks(s)
+    return em in emasks and all(other == em or (em & other) for other in emasks)
+
+
+@registered("axioms", name="axiom3", display="AXIOM [3]", replay=_replay_axiom3)
 def check_axiom3(s: IncidenceStructure) -> CheckReport:
     """Every secondary element needs a second element disjoint from it.
 
@@ -231,6 +253,58 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
     )
 
 
+def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
+    issue = ce.get("issue")
+    if issue == "sigma_not_two_classes":
+        return _replay_not_two_classes(s, ce)
+    seed_info = ce["seed"]
+    a, b = _resolve(s, seed_info["pair"])
+    seed = (a, b, seed_info["class_of"])
+    kinds = classify_elements(s, seed)
+    if issue in ("same_kind_share_none", "same_kind_share_many", "point_plane_share_one"):
+        ea = mask_of_lines(_resolve(s, ce["element_a"]))
+        eb = mask_of_lines(_resolve(s, ce["element_b"]))
+        if ea not in kinds or eb not in kinds:
+            return False
+        common = (ea & eb).bit_count()
+        same = kinds[ea] == kinds[eb]
+        if issue == "same_kind_share_none":
+            return same and common == 0
+        if issue == "same_kind_share_many":
+            return same and common > 1
+        return (not same) and common == 1
+    if issue in ("pair_classes_same_kind", "class_yields_mixed_kinds"):
+        p, q = _resolve(s, ce["pair"])
+        part = sigma_partition(s, p, q)
+        base = s.masks[p] & s.masks[q]
+        per_class = [
+            {kinds[base & s.masks[c]] for c in lines_of_mask(cls)} for cls in part.class_masks
+        ]
+        if issue == "class_yields_mixed_kinds":
+            return any(len(seen) != 1 for seen in per_class)
+        return all(len(seen) == 1 for seen in per_class) and per_class[0] == per_class[1]
+    raise ValueError(f"unknown axiom4 witness issue {issue!r}")
+
+
+def _replay_not_two_classes(s: IncidenceStructure, ce: dict) -> bool:
+    a, b = _resolve(s, ce["pair"])
+    sig = sigma_mask(s, a, b)
+    if "p" in ce:
+        p, q, r = s.index(ce["p"]), s.index(ce["q"]), s.index(ce["r"])
+        return (
+            not (mask_of_lines((p, q, r)) & ~sig)
+            and s.adjacency[p, q]
+            and s.adjacency[q, r]
+            and not s.adjacency[p, r]
+        )
+    if ce.get("class_count") == 0:
+        return not sig
+    # Class-count witness: recount components of incidence on sigma.
+    count = len(incidence_classes(s, sig))
+    return count == ce["class_count"] and count != 2
+
+
+@registered("axioms", name="axiom4", display="AXIOM [4]", replay=_replay_axiom4)
 def check_axiom4(s: IncidenceStructure) -> CheckReport:
     """Two points always share a line, and dually two planes; via seeded labeling."""
     pairs = incident_pairs(s)
@@ -281,14 +355,7 @@ def check_axiom4(s: IncidenceStructure) -> CheckReport:
     )
 
 
-_CHECKS = {
-    "axiom1": check_axiom1,
-    "axiom2_1": check_axiom2_1,
-    "axiom2_2": check_axiom2_2,
-    "axiom2_3": check_axiom2_3,
-    "axiom3": check_axiom3,
-    "axiom4": check_axiom4,
-}
+CHECK_ORDER = names("axioms")
 
 
 def check_all(s: IncidenceStructure) -> list[CheckReport]:
@@ -298,11 +365,7 @@ def check_all(s: IncidenceStructure) -> list[CheckReport]:
     run; they report dependency_unmet instead of pass/fail when the
     machinery itself is undefined.
     """
-    return [_CHECKS[name](s) for name in CHECK_ORDER]
-
-
-def _resolve(s: IncidenceStructure, labels) -> list[int]:
-    return [s.index(x) for x in labels]
+    return run_checks(s, ("axioms",))
 
 
 def replay_counterexample(s: IncidenceStructure, report: CheckReport) -> bool:
@@ -310,92 +373,7 @@ def replay_counterexample(s: IncidenceStructure, report: CheckReport) -> bool:
 
     Returns True when the named configuration still violates the claim;
     reports are machine-checkable in this sense.  Raises on reports that
-    carry no counterexample.
+    carry no counterexample.  Dispatches through the registry, so any
+    check whose replay needs no model replays here.
     """
-    ce = report.counterexample
-    if ce is None:
-        raise ValueError(f"report {report.check_name} has no counterexample")
-    name = report.check_name
-    masks = s.masks
-    if name == "axiom1":
-        return find_skew_triple_mask(s, masks[s.index(ce["line"])]) is None
-    if name == "axiom2_1":
-        a, b = _resolve(s, ce["pair"])
-        return find_skew_pair_mask(s, masks[a] & masks[b]) is None
-    if name == "axiom2_2":
-        a, b = _resolve(s, ce["pair"])
-        z, x, y = s.index(ce["z"]), s.index(ce["x"]), s.index(ce["y"])
-        inside = {x, y} <= bracket(s, a, b, z)
-        return inside and z in sigma(s, a, b) and not s.adjacency[x, y]
-    if name == "axiom2_3":
-        a, b = _resolve(s, ce["pair"])
-        x, y, m = s.index(ce["x"]), s.index(ce["y"]), s.index(ce["uncovered"])
-        members = perp(s, (a, b))
-        return (
-            {x, y, m} <= members
-            and not s.adjacency[x, y]
-            and not s.adjacency[m, x]
-            and not s.adjacency[m, y]
-        )
-    if name == "axiom3":
-        em = mask_of_lines(_resolve(s, ce["element"]))
-        emasks = element_masks(s)
-        return em in emasks and all(other == em or (em & other) for other in emasks)
-    if name == "axiom4":
-        return _replay_axiom4(s, ce)
-    raise ValueError(f"no replay registered for check {name!r}")
-
-
-def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
-    from .labeling import classify_elements
-
-    issue = ce.get("issue")
-    if issue == "sigma_not_two_classes":
-        return _replay_not_two_classes(s, ce)
-    seed_info = ce["seed"]
-    a, b = _resolve(s, seed_info["pair"])
-    seed = (a, b, seed_info["class_of"])
-    kinds = classify_elements(s, seed)
-    if issue in ("same_kind_share_none", "same_kind_share_many", "point_plane_share_one"):
-        ea = mask_of_lines(_resolve(s, ce["element_a"]))
-        eb = mask_of_lines(_resolve(s, ce["element_b"]))
-        if ea not in kinds or eb not in kinds:
-            return False
-        common = (ea & eb).bit_count()
-        same = kinds[ea] == kinds[eb]
-        if issue == "same_kind_share_none":
-            return same and common == 0
-        if issue == "same_kind_share_many":
-            return same and common > 1
-        return (not same) and common == 1
-    if issue in ("pair_classes_same_kind", "class_yields_mixed_kinds"):
-        from .sigma import sigma_partition
-
-        p, q = _resolve(s, ce["pair"])
-        part = sigma_partition(s, p, q)
-        base = s.masks[p] & s.masks[q]
-        per_class = [
-            {kinds[base & s.masks[c]] for c in lines_of_mask(cls)} for cls in part.class_masks
-        ]
-        if issue == "class_yields_mixed_kinds":
-            return any(len(seen) != 1 for seen in per_class)
-        return all(len(seen) == 1 for seen in per_class) and per_class[0] == per_class[1]
-    raise ValueError(f"unknown axiom4 witness issue {issue!r}")
-
-
-def _replay_not_two_classes(s: IncidenceStructure, ce: dict) -> bool:
-    a, b = _resolve(s, ce["pair"])
-    sig = sigma_mask(s, a, b)
-    if "p" in ce:
-        p, q, r = s.index(ce["p"]), s.index(ce["q"]), s.index(ce["r"])
-        return (
-            not (mask_of_lines((p, q, r)) & ~sig)
-            and s.adjacency[p, q]
-            and s.adjacency[q, r]
-            and not s.adjacency[p, r]
-        )
-    if ce.get("class_count") == 0:
-        return not sig
-    # Class-count witness: recount components of incidence on sigma.
-    count = len(incidence_classes(s, sig))
-    return count == ce["class_count"] and count != 2
+    return replay(s, report)

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import io as lio
-from .axioms import DISPLAY_NAMES, check_all
 from .core import (
     CapacityError,
     LinespaceError,
@@ -30,23 +29,19 @@ from .models import (
     gen_pg3,
     gen_tetrahedron,
 )
+from .registry import LAYERS, display_name, run_checks
 from .sigma import NotTwoClassesError
-from .theorems import run_theorem_suite, run_vy_battery
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _display_name(check_name: str) -> str:
-    return DISPLAY_NAMES.get(check_name, check_name)
-
-
 def _print_reports(reports) -> bool:
     all_pass = True
     for r in reports:
         marker = {"pass": "PASS", "fail": "FAIL"}.get(r.status, "UNMET")
-        print(f"{_display_name(r.check_name):<28} {marker}")
+        print(f"{display_name(r.check_name):<28} {marker}")
         if r.counterexample:
             parts = ", ".join(f"{k}={v}" for k, v in r.counterexample.items())
             print(f"    counterexample: {parts}")
@@ -95,13 +90,7 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     s = lio.load_structure(args.input)
-    reports = []
-    if args.which in ("axioms", "all"):
-        reports.extend(check_all(s))
-    if args.which in ("theorems", "all"):
-        reports.extend(run_theorem_suite(s))
-    if args.which in ("vy", "all"):
-        reports.extend(run_vy_battery(s))
+    reports = run_checks(s, LAYERS if args.which == "all" else (args.which,))
     name = s.name or str(args.input)
     print(f"checked {name}: {s.line_count} lines")
     all_pass = _print_reports(reports)
@@ -187,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="structure file")
     p.add_argument(
         "--which",
-        choices=("axioms", "theorems", "vy", "all"),
+        choices=(*LAYERS, "all"),
         default="all",
         help="which battery to run",
     )

@@ -1,0 +1,151 @@
+"""The check registry: one ordered table of every check, and the report type.
+
+``CHECKS`` lists the 6 axiom checks, the 17 theorems and the 8
+derived-geometry (vy) checks in the order every battery runs and reports
+them.  Each entry holds the check's name, its display name, its layer, whether
+it needs the point/plane model, its checker and its replayer.  The checkers
+register themselves with ``@registered``, so a module's checks enter the
+table in the order they are defined there.  ``theorems`` imports
+``axioms``, so the axiom checks come first; a test pins the whole order.
+
+Everything that runs, names or replays checks reads this table:
+``run_checks`` runs the checks of some layers, deriving the model once when
+one of them needs it, and ``replay`` re-evaluates a failing report through
+its check's replayer.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+from .core import IncidenceStructure
+from .labeling import GeometryModel, LabelInconsistencyError, coordinate_labels
+from .sigma import NotTwoClassesError
+
+PASS = "pass"
+FAIL = "fail"
+DEPENDENCY_UNMET = "dependency_unmet"
+
+LAYERS = ("axioms", "theorems", "vy")
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Structured outcome of one axiom or theorem check."""
+
+    check_name: str
+    status: str
+    counterexample: Optional[dict] = None
+    witness_sample: Optional[dict] = None
+    stats: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.status == PASS
+
+    def to_dict(self) -> dict:
+        out = {"check_name": self.check_name, "passed": self.passed, "status": self.status}
+        if self.counterexample is not None:
+            out["counterexample"] = self.counterexample
+        if self.witness_sample is not None:
+            out["witness_sample"] = self.witness_sample
+        out["stats"] = dict(self.stats)
+        return out
+
+
+@dataclass(frozen=True)
+class Check:
+    """One entry of the table.
+
+    ``checker`` takes ``(s)``, or ``(s, m)`` when ``needs_model``; a
+    replayer takes ``(s, counterexample)`` or ``(s, counterexample, m)``
+    alike and returns whether the named configuration still violates the
+    claim.
+    """
+
+    name: str
+    display: str
+    layer: str
+    needs_model: bool
+    checker: Callable[..., CheckReport]
+    replayer: Optional[Callable[..., bool]]
+
+
+CHECKS: list[Check] = []
+
+
+def registered(layer: str, *, name=None, display=None, model=False, replay=None):
+    """Decorator that appends its checker to ``CHECKS``; the name defaults
+    to the function's."""
+
+    def register(checker):
+        key = name or checker.__name__
+        CHECKS.append(Check(key, display or key, layer, model, checker, replay))
+        return checker
+
+    return register
+
+
+def names(*layers: str) -> tuple[str, ...]:
+    """The names of the checks of ``layers``, in table order."""
+    return tuple(c.name for c in CHECKS if c.layer in layers)
+
+
+def display_name(name: str) -> str:
+    return next(c.display for c in CHECKS if c.name == name)
+
+
+def _dependency(name: str, exc: Exception) -> CheckReport:
+    witness = getattr(exc, "witness", None)
+    ce = {"issue": "labeling_unavailable", "detail": str(exc)}
+    if isinstance(witness, dict):
+        ce.update(witness)
+    return CheckReport(name, DEPENDENCY_UNMET, counterexample=ce)
+
+
+def run_checks(
+    s: IncidenceStructure, layers, m: Optional[GeometryModel] = None
+) -> list[CheckReport]:
+    """Run the checks of ``layers`` in table order.
+
+    The first check that needs the model derives it, unless ``m`` is given;
+    when the labeling fails, every check that needs the model reports
+    dependency_unmet with the labeling's witness.
+    """
+    reports = []
+    error = None
+    for c in CHECKS:
+        if c.layer not in layers:
+            continue
+        if not c.needs_model:
+            reports.append(c.checker(s))
+            continue
+        if m is None and error is None:
+            try:
+                m = coordinate_labels(s)
+            except (NotTwoClassesError, LabelInconsistencyError) as e:
+                error = e
+        reports.append(_dependency(c.name, error) if error else c.checker(s, m))
+    return reports
+
+
+def replay(s: IncidenceStructure, report: CheckReport, m: Optional[GeometryModel] = None) -> bool:
+    """Re-evaluate a failing report's counterexample against the structure.
+
+    Returns True when the named configuration still violates the claim.
+    Raises ValueError on a report with no counterexample, on a check with
+    no replayer, and on a check that needs the model when ``m`` is None.
+    """
+    ce = report.counterexample
+    name = report.check_name
+    if ce is None:
+        raise ValueError(f"report {name} has no counterexample")
+    c = next((c for c in CHECKS if c.name == name), None)
+    if c is None or c.replayer is None:
+        raise ValueError(f"no replay registered for check {name!r}")
+    if not c.needs_model:
+        return c.replayer(s, ce)
+    if m is None:
+        raise ValueError(f"replay of {name} needs the model it was checked against")
+    return c.replayer(s, ce, m)

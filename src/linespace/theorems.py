@@ -29,6 +29,13 @@ item that code fails is the first the plain walk fails, the least
 violation.  The case count of an item the kernel proves is the count the
 scalar walk would reach on it, so reports are the same as a scalar walk
 of every item.
+
+Every check here registers itself in the one ordered table of checks,
+``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
+for the derived-geometry battery), whether it needs the model, and its
+replayer, defined just above it.  The table gives the check its place in
+``run_theorem_suite``, ``run_vy_battery`` and ``check``, and its replay;
+adding a check takes no other edit.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .axioms import DEPENDENCY_UNMET, FAIL, PASS, CheckReport
+from .axioms import _replay_not_two_classes, _resolve
 from .core import (
     IncidenceStructure,
     find_skew_triple_mask,
@@ -55,9 +62,9 @@ from .labeling import (
     LabelInconsistencyError,
     MissingElementError,
     _unique_element,
-    coordinate_labels,
     labeled_sigma_classes,
 )
+from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
 from .sigma import (
     NotTwoClassesError,
     PairSets,
@@ -262,18 +269,22 @@ def _element_kinds(m: GeometryModel) -> dict[int, Kind]:
     return kinds
 
 
-def _dependency(name: str, exc: Exception) -> CheckReport:
-    witness = getattr(exc, "witness", None)
-    ce = {"issue": "labeling_unavailable", "detail": str(exc)}
-    if isinstance(witness, dict):
-        ce.update(witness)
-    return CheckReport(name, DEPENDENCY_UNMET, counterexample=ce)
+def _in_sigma(s: IncidenceStructure, x: int, y: int, z: int) -> bool:
+    """Whether z lies in sigma(x, y), from the definitions."""
+    return x != y and bool(s.adjacency[x, y]) and bool(sigma_mask(s, x, y) >> z & 1)
 
 
 # ---------------------------------------------------------------------------
 # Structure-level theorems
 
 
+def _replay_sigma_equivalence(s: IncidenceStructure, ce: dict) -> bool:
+    a, b, c = _resolve(s, ce["triple"])
+    vals = (_in_sigma(s, b, c, a), _in_sigma(s, c, a, b), _in_sigma(s, a, b, c))
+    return not (vals[0] == vals[1] == vals[2])
+
+
+@registered("theorems", replay=_replay_sigma_equivalence)
 def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     """The three sigma memberships of any triple agree (all hold or none).
 
@@ -311,6 +322,7 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
 
 
+@registered("theorems", replay=_replay_not_two_classes)
 def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     """Incidence on every sigma(a, b) splits into exactly two classes.
 
@@ -335,6 +347,17 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     return CheckReport(name, PASS, stats=stats)
 
 
+def _replay_bracket_welldefined(s: IncidenceStructure, ce: dict) -> bool:
+    masks = s.masks
+    a, b = _resolve(s, ce["pair"])
+    c1, c2 = s.index(ce["c1"]), s.index(ce["c2"])
+    sig = sigma_mask(s, a, b)
+    inside = bool((sig >> c1) & 1 and (sig >> c2) & 1 and s.adjacency[c1, c2])
+    base = masks[a] & masks[b]
+    return inside and (base & masks[c1]) != (base & masks[c2])
+
+
+@registered("theorems", replay=_replay_bracket_welldefined)
 def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
     """Incident members of one sigma set give equal brackets over the pair.
 
@@ -374,6 +397,12 @@ def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
     return CheckReport(name, PASS, stats={"cases_examined": cases})
 
 
+def _replay_line_selfperp(s: IncidenceStructure, ce: dict) -> bool:
+    l = s.index(ce["line"])
+    return perp_mask(s, s.masks[l]) != 1 << l
+
+
+@registered("theorems", replay=_replay_line_selfperp)
 def thm_line_selfperp(s: IncidenceStructure) -> CheckReport:
     """The double perp of a single line is that line alone."""
     name = "thm_line_selfperp"
@@ -392,6 +421,17 @@ def thm_line_selfperp(s: IncidenceStructure) -> CheckReport:
     return CheckReport(name, PASS, stats={"lines_examined": s.line_count})
 
 
+def _replay_regulus_skew(s: IncidenceStructure, ce: dict) -> bool:
+    adj = s.adjacency
+    u, v, w = _resolve(s, ce["triple"])
+    x, y = s.index(ce["m"]), s.index(ce["n"])
+    skew_triple = not (adj[u, v] or adj[v, w] or adj[u, w])
+    B = _bracket_mask(s, (u, v, w))
+    inside = bool((B >> x) & 1 and (B >> y) & 1)
+    return skew_triple and inside and x != y and bool(adj[x, y])
+
+
+@registered("theorems", replay=_replay_regulus_skew)
 def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     """The bracket of a pairwise-skew triple is itself pairwise skew.
 
@@ -429,6 +469,12 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     )
 
 
+def _replay_bracket_closed(s: IncidenceStructure, ce: dict) -> bool:
+    B = _bracket_mask(s, _resolve(s, ce["triad"]))
+    return perp_mask(s, B) != B
+
+
+@registered("theorems", replay=_replay_bracket_closed)
 def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     """Every triad's bracket equals its own perp.
 
@@ -455,6 +501,16 @@ def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
 
 
+def _replay_coherence(s: IncidenceStructure, ce: dict) -> bool:
+    p, q, r = _resolve(s, ce["triple"])
+    x, y, z = rep = _resolve(s, ce["triad_with_equal_bracket"])
+    same = _bracket_mask(s, (p, q, r)) == _bracket_mask(s, rep)
+    rep_is_triad = _in_sigma(s, y, z, x) or _in_sigma(s, z, x, y) or _in_sigma(s, x, y, z)
+    triple_is_triad = _in_sigma(s, q, r, p) or _in_sigma(s, p, r, q) or _in_sigma(s, p, q, r)
+    return same and rep_is_triad and not triple_is_triad
+
+
+@registered("theorems", replay=_replay_coherence)
 def thm_coherence(s: IncidenceStructure) -> CheckReport:
     """A triple whose bracket equals a triad's bracket is itself a triad.
 
@@ -515,6 +571,18 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
     )
 
 
+def _replay_mutual_membership(s: IncidenceStructure, ce: dict) -> bool:
+    ta = _resolve(s, ce["triad_a"])
+    tb = _resolve(s, ce["triad_b"])
+    ba, bb = _bracket_mask(s, ta), _bracket_mask(s, tb)
+    inside_ab = not (mask_of_lines(tb) & ~ba)
+    inside_ba = not (mask_of_lines(ta) & ~bb)
+    if ce["issue"] == "membership_not_symmetric":
+        return inside_ab != inside_ba
+    return inside_ab and inside_ba and ba != bb
+
+
+@registered("theorems", replay=_replay_mutual_membership)
 def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     """Containment between two triads is symmetric and forces equal brackets.
 
@@ -575,6 +643,29 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
 # Model-level theorems
 
 
+def _triad_sides(classes: dict, a: int, b: int, c: int) -> tuple:
+    """Per line of triad (a, b, c), the labeled class of the sigma set of
+    the other two that holds it, as a Kind, or None."""
+
+    def side(x, y, third):
+        got = classes.get((x, y) if x < y else (y, x))
+        if got is None:
+            return None
+        if (got[0] >> third) & 1:
+            return Kind.POINT
+        if (got[1] >> third) & 1:
+            return Kind.PLANE
+        return None
+
+    return side(b, c, a), side(c, a, b), side(a, b, c)
+
+
+def _replay_triad_typing(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    sides = _triad_sides(_labeled_class_masks(m), *_resolve(s, ce["triad"]))
+    return sides[0] is None or len(set(sides)) != 1
+
+
+@registered("theorems", model=True, replay=_replay_triad_typing)
 def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Each triad sits uniformly on the point side or the plane side.
 
@@ -588,19 +679,6 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         classes = _labeled_class_masks(m)
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
-
-    def side(x, y, third):
-        key = (x, y) if x < y else (y, x)
-        got = classes.get(key)
-        if got is None:
-            return None
-        pc, qc = got
-        if (pc >> third) & 1:
-            return Kind.POINT
-        if (qc >> third) & 1:
-            return Kind.PLANE
-        return None
-
     tri = triad_table(s)
     point_class = pair_sets(s.line_count, {key: pc for key, (pc, qc) in classes.items()})
     plane_class = pair_sets(s.line_count, {key: qc for key, (pc, qc) in classes.items()})
@@ -615,8 +693,8 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         unproved.append(lo + np.flatnonzero(~(on_point | on_plane)))
     for t in np.concatenate(unproved).tolist():
         a, b, c = tri.lines[t].tolist()
-        sides = (side(b, c, a), side(c, a, b), side(a, b, c))
-        if sides[0] is None or sides[0] != sides[1] or sides[1] != sides[2]:
+        sides = _triad_sides(classes, a, b, c)
+        if sides[0] is None or len(set(sides)) != 1:
             return CheckReport(
                 name,
                 FAIL,
@@ -629,6 +707,12 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
 
 
+def _replay_point_ne_plane(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    e = tuple(sorted(_resolve(s, ce["element"])))
+    return e in set(m.points) and e in set(m.planes)
+
+
+@registered("theorems", model=True, replay=_replay_point_ne_plane)
 def thm_point_ne_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """No line set is both a point and a plane of the model."""
     name = "thm_point_ne_plane"
@@ -645,11 +729,29 @@ def thm_point_ne_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, PASS, stats=stats)
 
 
+def _replay_pencil_intersection(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    a, b = _resolve(s, ce["pair"])
+    try:
+        pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
+        pl = m.plane_masks[_unique_element(m, a, b, Kind.PLANE)]
+    except MissingElementError:
+        return "issue" in ce  # the report named this missing meet or join
+    if "issue" in ce:
+        return False
+    dd = perp_mask(s, s.masks[a] & s.masks[b])
+    pc, qc = _labeled_class_masks(m)[(min(a, b), max(a, b))]
+    return (pt & pl) != dd or pc != (pt & ~dd) or qc != (pl & ~dd)
+
+
+@registered("theorems", model=True, replay=_replay_pencil_intersection)
 def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """meet and join of a pair intersect in the pair's double perp.
 
     Also checks the companion identities: the point class of sigma(a, b)
     is the meet minus the double perp, and dually for the plane class.
+    The double perp depends only on perp({a, b}) and is found once per
+    distinct perp; meet and join depend on the pair and are looked up per
+    pair.
     """
     name = "thm_pencil_intersection"
     try:
@@ -657,9 +759,9 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     masks = s.masks
-    pairs = incident_pairs(s)
+    double_perp: dict[int, int] = {}  # perp({a, b}) -> its perp
     examined = 0
-    for a, b in pairs:
+    for a, b in incident_pairs(s):
         examined += 1
         try:
             pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
@@ -671,7 +773,10 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
                 counterexample={"pair": labels_of(s, (a, b)), "issue": str(e)},
                 stats={"pairs_examined": examined},
             )
-        dd = perp_mask(s, masks[a] & masks[b])
+        ab = masks[a] & masks[b]
+        dd = double_perp.get(ab)
+        if dd is None:
+            dd = double_perp[ab] = perp_mask(s, ab)
         pc, qc = classes[(a, b)]
         checks = (
             ("meet_join_intersection", pt & pl, dd),
@@ -694,6 +799,25 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     return CheckReport(name, PASS, stats={"pairs_examined": examined})
 
 
+def _replay_exchange(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    t = _resolve(s, ce["triad"])
+    issue = ce["issue"]
+    B = _bracket_mask(s, t)
+    if issue == "bracket_not_an_element":
+        return B not in _element_kinds(m)
+    x, y = s.index(ce["x"]), s.index(ce["y"])
+    inside = bool((B >> x) & 1 and (B >> y) & 1)
+    if issue == "skew_pair_in_bracket":
+        return inside and not s.adjacency[x, y]
+    t_mask = mask_of_lines(t)
+    if issue == "sigma_misses_triad":
+        return inside and not (sigma_mask(s, x, y) & t_mask)
+    pc, qc = _labeled_class_masks(m)[(min(x, y), max(x, y))]
+    refined = pc if ce["kind"] == "point" else qc
+    return inside and not (refined & t_mask)
+
+
+@registered("theorems", model=True, replay=_replay_exchange)
 def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Distinct lines of a triad's bracket have one of the triad in their sigma.
 
@@ -798,6 +922,15 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined + partial})
 
 
+def _replay_not_singleton(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    p = tuple(sorted(_resolve(s, ce["point"])))
+    q = tuple(sorted(_resolve(s, ce["plane"])))
+    if p not in set(m.points) or q not in set(m.planes):
+        return False
+    return (mask_of_lines(p) & mask_of_lines(q)).bit_count() == 1
+
+
+@registered("theorems", model=True, replay=_replay_not_singleton)
 def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A point and a plane never share exactly one line."""
     name = "thm_not_singleton"
@@ -821,6 +954,16 @@ def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, PASS, stats={"pairs_examined": examined})
 
 
+def _replay_uniqueness(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    family = m.points if ce["kind"] == "point" else m.planes
+    ea = tuple(sorted(_resolve(s, ce["element_a"])))
+    eb = tuple(sorted(_resolve(s, ce["element_b"])))
+    if ea == eb or ea not in set(family) or eb not in set(family):
+        return False
+    return (mask_of_lines(ea) & mask_of_lines(eb)).bit_count() > 1
+
+
+@registered("theorems", model=True, replay=_replay_uniqueness)
 def thm_uniqueness(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Two distinct same-kind elements share at most one line (both kinds)."""
     name = "thm_uniqueness"
@@ -845,72 +988,52 @@ def thm_uniqueness(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, PASS, stats={"pairs_examined": examined})
 
 
+def _family(m: GeometryModel, kind: str) -> tuple:
+    """(elements, element masks) of the model's points or planes."""
+    return (m.points, m.point_masks) if kind == "point" else (m.planes, m.plane_masks)
+
+
+def _replay_line_in_plane(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    kind, host_kind = ("point", "plane") if "point_a" in ce else ("plane", "point")
+    a = mask_of_lines(_resolve(s, ce[f"{kind}_a"]))
+    b = mask_of_lines(_resolve(s, ce[f"{kind}_b"]))
+    if ce["issue"].endswith("without_unique_common_line"):
+        return (a & b).bit_count() != 1
+    host = mask_of_lines(_resolve(s, ce[host_kind]))
+    l = s.index(ce["line"])
+    return bool(a & host) and bool(b & host) and (a & b) == 1 << l and not ((host >> l) & 1)
+
+
+@registered("theorems", model=True, replay=_replay_line_in_plane)
 def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
-    """Two points on a plane have their common line in that plane; and dually."""
+    """Two points on a plane have their common line in that plane; and dually.
+
+    One walk serves both: for each element of one kind (the host), every
+    two elements of the other kind that share a line with it must share
+    exactly one line, and that line must lie in the host.  It runs over the
+    planes, then over the points, with the kinds swapped.
+    """
     name = "thm_line_in_plane"
-    pmasks = m.point_masks
-    lmasks = m.plane_masks
     examined = 0
-    for pi, plane in enumerate(m.planes):
-        on_plane = [i for i, pm in enumerate(pmasks) if pm & lmasks[pi]]
-        for i, j in itertools.combinations(on_plane, 2):
-            examined += 1
-            common = pmasks[i] & pmasks[j]
-            if common.bit_count() != 1:
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "point_a": labels_of(s, m.points[i]),
-                        "point_b": labels_of(s, m.points[j]),
-                        "issue": "points_without_unique_common_line",
-                    },
-                    stats={"cases_examined": examined},
-                )
-            if not (common & lmasks[pi]):
-                l = common.bit_length() - 1
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "point_a": labels_of(s, m.points[i]),
-                        "point_b": labels_of(s, m.points[j]),
-                        "plane": labels_of(s, plane),
-                        "line": s.labels[l],
-                        "issue": "common_line_not_in_plane",
-                    },
-                    stats={"cases_examined": examined},
-                )
-    for pi, point in enumerate(m.points):
-        through = [i for i, lm in enumerate(lmasks) if lm & pmasks[pi]]
-        for i, j in itertools.combinations(through, 2):
-            examined += 1
-            common = lmasks[i] & lmasks[j]
-            if common.bit_count() != 1:
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "plane_a": labels_of(s, m.planes[i]),
-                        "plane_b": labels_of(s, m.planes[j]),
-                        "issue": "planes_without_unique_common_line",
-                    },
-                    stats={"cases_examined": examined},
-                )
-            if not (common & pmasks[pi]):
-                l = common.bit_length() - 1
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "plane_a": labels_of(s, m.planes[i]),
-                        "plane_b": labels_of(s, m.planes[j]),
-                        "point": labels_of(s, point),
-                        "line": s.labels[l],
-                        "issue": "common_line_not_through_point",
-                    },
-                    stats={"cases_examined": examined},
-                )
+    for kind, host_kind, where in (("point", "plane", "in_plane"), ("plane", "point", "through_point")):
+        elements, masks = _family(m, kind)
+        hosts, host_masks = _family(m, host_kind)
+        for h, host in enumerate(host_masks):
+            on_host = [i for i, em in enumerate(masks) if em & host]
+            for i, j in itertools.combinations(on_host, 2):
+                examined += 1
+                common = masks[i] & masks[j]
+                unique = common.bit_count() == 1
+                if unique and common & host:
+                    continue
+                ce = {f"{kind}_a": labels_of(s, elements[i]), f"{kind}_b": labels_of(s, elements[j])}
+                if unique:
+                    ce[host_kind] = labels_of(s, hosts[h])
+                    ce["line"] = s.labels[common.bit_length() - 1]
+                    ce["issue"] = f"common_line_not_{where}"
+                else:
+                    ce["issue"] = f"{kind}s_without_unique_common_line"
+                return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
     return CheckReport(name, PASS, stats={"cases_examined": examined})
 
 
@@ -981,6 +1104,7 @@ def _point_labels(s, m, points) -> list:
     return [labels_of(s, m.points[x]) for x in points]
 
 
+@registered("theorems", model=True)
 def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Three non-collinear points form a triangle with a unique common plane.
 
@@ -1044,6 +1168,7 @@ _TETRA_PAIRS = tuple(itertools.combinations(range(6), 2))
 _TETRA_SKEW = {(0, 3), (1, 4), (2, 5)}
 
 
+@registered("theorems", model=True)
 def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Every triangle extends to a four-vertex figure with the six-line pattern.
 
@@ -1117,190 +1242,110 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     )
 
 
-STRUCTURE_THEOREMS = (
-    thm_sigma_equivalence,
-    thm_two_classes,
-    thm_bracket_welldefined,
-    thm_line_selfperp,
-    thm_regulus_skew,
-    thm_bracket_closed,
-    thm_coherence,
-    thm_mutual_membership,
-)
-
-MODEL_THEOREMS = (
-    thm_triad_typing,
-    thm_point_ne_plane,
-    thm_pencil_intersection,
-    thm_exchange,
-    thm_not_singleton,
-    thm_uniqueness,
-    thm_line_in_plane,
-    thm_triangle,
-    thm_tetrahedron,
-)
-
-
 def run_theorem_suite(
     s: IncidenceStructure, m: Optional[GeometryModel] = None
 ) -> list[CheckReport]:
     """Run every theorem verifier; model-level ones derive a labeling if needed."""
-    reports = [f(s) for f in STRUCTURE_THEOREMS]
-    if m is None:
-        try:
-            m = coordinate_labels(s)
-        except (NotTwoClassesError, LabelInconsistencyError) as e:
-            reports.extend(_dependency(f.__name__, e) for f in MODEL_THEOREMS)
-            return reports
-    reports.extend(f(s, m) for f in MODEL_THEOREMS)
-    return reports
+    return run_checks(s, ("theorems",), m)
 
 
 # ---------------------------------------------------------------------------
 # Derived-geometry battery (extension and alignment axioms over the model)
+#
+# "Point P is on line l" means l is a member of P; a point and a plane are
+# incident when they share a line.
 
 
-def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
-    """Eight extension/alignment checks over the model's points and planes.
-
-    "Point P is on line l" means l is a member of P; a point and a plane
-    are incident when they share a line.
-    """
-    pmasks = m.point_masks
-    lmasks = m.plane_masks
-    reports = []
-
-    # E0: at least three points on every line.
+@registered("vy", model=True)
+def vy_e0(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """E0: at least three points on every line."""
     on_line = m.holding[Kind.POINT]
     counts = [on_line[l].bit_count() for l in range(s.line_count)]
     bad = next((l for l, c in enumerate(counts) if c < 3), None)
+    stats = {"lines_examined": s.line_count}
     if bad is not None:
-        reports.append(
-            CheckReport(
-                "vy_e0",
-                FAIL,
-                counterexample={"line": s.labels[bad], "points_on_line": counts[bad]},
-                stats={"lines_examined": s.line_count},
-            )
-        )
-    else:
-        stats = {"lines_examined": s.line_count}
-        if counts:
-            stats["min_points_on_line"] = min(counts)
-            stats["max_points_on_line"] = max(counts)
-        reports.append(CheckReport("vy_e0", PASS, stats=stats))
+        ce = {"line": s.labels[bad], "points_on_line": counts[bad]}
+        return CheckReport("vy_e0", FAIL, counterexample=ce, stats=stats)
+    if counts:
+        stats["min_points_on_line"] = min(counts)
+        stats["max_points_on_line"] = max(counts)
+    return CheckReport("vy_e0", PASS, stats=stats)
 
-    # E1: at least one line exists.
+
+@registered("vy", model=True)
+def vy_e1(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """E1: at least one line exists."""
     if s.line_count >= 1:
-        reports.append(CheckReport("vy_e1", PASS, stats={"lines": s.line_count}))
-    else:
-        reports.append(
-            CheckReport("vy_e1", FAIL, counterexample={"reason": "no lines"}, stats={})
-        )
+        return CheckReport("vy_e1", PASS, stats={"lines": s.line_count})
+    return CheckReport("vy_e1", FAIL, counterexample={"reason": "no lines"}, stats={})
 
-    # E2: not all points on one line.
+
+@registered("vy", model=True)
+def vy_e2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """E2: not all points on one line."""
+    pmasks = m.point_masks
     if not pmasks:
-        reports.append(
-            CheckReport(
-                "vy_e2", FAIL, counterexample={"reason": "no points"}, stats={}
-            )
-        )
-    else:
-        every = (1 << len(pmasks)) - 1
-        bad = next((l for l in range(s.line_count) if on_line[l] == every), None)
-        if bad is not None:
-            reports.append(
-                CheckReport(
-                    "vy_e2",
-                    FAIL,
-                    counterexample={"line": s.labels[bad]},
-                    stats={"points": len(pmasks)},
-                )
-            )
-        else:
-            reports.append(CheckReport("vy_e2", PASS, stats={"points": len(pmasks)}))
-
-    # E3: for every plane, some point off it.  A plane with no points off it
-    # includes the degenerate case of an empty point family.
-    tri = _triangles(s, m)
-    unavoidable = np.flatnonzero(tri.meets.all(axis=0))
-    bad = int(unavoidable[0]) if len(unavoidable) else None
+        return CheckReport("vy_e2", FAIL, counterexample={"reason": "no points"}, stats={})
+    on_line = m.holding[Kind.POINT]
+    every = (1 << len(pmasks)) - 1
+    bad = next((l for l in range(s.line_count) if on_line[l] == every), None)
+    stats = {"points": len(pmasks)}
     if bad is not None:
-        reports.append(
-            CheckReport(
-                "vy_e3",
-                FAIL,
-                counterexample={"plane": labels_of(s, m.planes[bad])},
-                stats={"planes": len(lmasks)},
-            )
-        )
-    else:
-        reports.append(CheckReport("vy_e3", PASS, stats={"planes": len(lmasks)}))
+        return CheckReport("vy_e2", FAIL, counterexample={"line": s.labels[bad]}, stats=stats)
+    return CheckReport("vy_e2", PASS, stats=stats)
 
-    # E3': two distinct planes share a line.
-    bad = None
-    for i, j in itertools.combinations(range(len(lmasks)), 2):
-        if not (lmasks[i] & lmasks[j]):
-            bad = (i, j)
-            break
-    if bad:
-        reports.append(
-            CheckReport(
-                "vy_e3p",
-                FAIL,
-                counterexample={
-                    "plane_a": labels_of(s, m.planes[bad[0]]),
-                    "plane_b": labels_of(s, m.planes[bad[1]]),
-                },
-                stats={"planes": len(lmasks)},
-            )
-        )
-    else:
-        reports.append(CheckReport("vy_e3p", PASS, stats={"planes": len(lmasks)}))
 
-    # A1 and A2: distinct points share exactly one line.
-    a1_bad = a2_bad = None
-    for i, j in itertools.combinations(range(len(pmasks)), 2):
-        c = (pmasks[i] & pmasks[j]).bit_count()
-        if c == 0 and a1_bad is None:
-            a1_bad = (i, j)
-        if c > 1 and a2_bad is None:
-            a2_bad = (i, j)
-        if a1_bad and a2_bad:
-            break
-    if a1_bad:
-        reports.append(
-            CheckReport(
-                "vy_a1",
-                FAIL,
-                counterexample={
-                    "point_a": labels_of(s, m.points[a1_bad[0]]),
-                    "point_b": labels_of(s, m.points[a1_bad[1]]),
-                },
-                stats={"points": len(pmasks)},
-            )
-        )
-    else:
-        reports.append(CheckReport("vy_a1", PASS, stats={"points": len(pmasks)}))
-    if a2_bad:
-        reports.append(
-            CheckReport(
-                "vy_a2",
-                FAIL,
-                counterexample={
-                    "point_a": labels_of(s, m.points[a2_bad[0]]),
-                    "point_b": labels_of(s, m.points[a2_bad[1]]),
-                },
-                stats={"points": len(pmasks)},
-            )
-        )
-    else:
-        reports.append(CheckReport("vy_a2", PASS, stats={"points": len(pmasks)}))
+@registered("vy", model=True)
+def vy_e3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """E3: for every plane, some point off it (none when there are no points)."""
+    unavoidable = np.flatnonzero(_triangles(s, m).meets.all(axis=0))
+    stats = {"planes": len(m.plane_masks)}
+    if len(unavoidable):
+        ce = {"plane": labels_of(s, m.planes[int(unavoidable[0])])}
+        return CheckReport("vy_e3", FAIL, counterexample=ce, stats=stats)
+    return CheckReport("vy_e3", PASS, stats=stats)
 
-    # A3: the line joining D on BC and E on CA meets AB.  Kernel: per side
-    # pair (a, b), the perp of the lines joining a point on a to a point on
-    # b holds c iff every joining line meets c, so a triple passes iff its
-    # joins are all unique and c is in that perp.
+
+def _pair_check(name: str, s: IncidenceStructure, m: GeometryModel, kind: str, violates) -> CheckReport:
+    """Fails on the first two elements of one kind, in combinations order,
+    whose count of shared lines ``violates`` holds for."""
+    elements, masks = _family(m, kind)
+    stats = {f"{kind}s": len(masks)}
+    for i, j in itertools.combinations(range(len(masks)), 2):
+        if violates((masks[i] & masks[j]).bit_count()):
+            ce = {f"{kind}_a": labels_of(s, elements[i]), f"{kind}_b": labels_of(s, elements[j])}
+            return CheckReport(name, FAIL, counterexample=ce, stats=stats)
+    return CheckReport(name, PASS, stats=stats)
+
+
+@registered("vy", model=True)
+def vy_e3p(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """E3': two distinct planes share a line."""
+    return _pair_check("vy_e3p", s, m, "plane", lambda common: common == 0)
+
+
+@registered("vy", model=True)
+def vy_a1(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """A1: two distinct points share a line."""
+    return _pair_check("vy_a1", s, m, "point", lambda common: common == 0)
+
+
+@registered("vy", model=True)
+def vy_a2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """A2: two distinct points share at most one line."""
+    return _pair_check("vy_a2", s, m, "point", lambda common: common > 1)
+
+
+@registered("vy", model=True)
+def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+    """A3: the line joining D on BC and E on CA meets AB.
+
+    Kernel: per side pair (a, b), the perp of the lines joining a point on
+    a to a point on b holds c iff every joining line meets c, so a triple
+    passes iff its joins are all unique and c is in that perp.
+    """
+    tri = _triangles(s, m)
+    on_line = m.holding[Kind.POINT]
     width = s.line_count
     masks = s.masks
     line_of = tri.line_of.tolist()
@@ -1329,69 +1374,44 @@ def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
     cases[rows] = np.array(counts, np.int64)[joined.pair_id[a, b]]
     before = np.cumsum(cases) - cases
 
-    def a3_fail(examined, **ce):
+    def fail(examined, **ce):
         return CheckReport("vy_a3", FAIL, counterexample=ce, stats={"cases_examined": examined})
 
-    a3_report = None
     for t in np.flatnonzero(~ok).tolist():
-        i, j, k = tri.triples[t].tolist()
+        triple = tri.triples[t].tolist()
         examined = int(before[t])
         if tri.sides[t].min() < 0:
-            a3_report = a3_fail(
-                examined,
-                points=_point_labels(s, m, (i, j, k)),
-                issue="points_without_unique_common_line",
-            )
-            break
+            points = _point_labels(s, m, triple)
+            return fail(examined, points=points, issue="points_without_unique_common_line")
         a, b, c = tri.sides[t].tolist()
         for d, e in itertools.product(on[a], on[b]):
             if d == e:
                 continue
             examined += 1
             f = line_of[d][e]
+            if f >= 0 and masks[c] >> f & 1:
+                continue
+            ce = {"point_d": labels_of(s, m.points[d]), "point_e": labels_of(s, m.points[e])}
             if f < 0:
-                a3_report = a3_fail(
-                    examined,
-                    point_d=labels_of(s, m.points[d]),
-                    point_e=labels_of(s, m.points[e]),
-                    issue="joining_line_not_unique",
-                )
-                break
-            if not masks[c] >> f & 1:
-                a3_report = a3_fail(
-                    examined,
-                    points=_point_labels(s, m, (i, j, k)),
-                    point_d=labels_of(s, m.points[d]),
-                    point_e=labels_of(s, m.points[e]),
-                    joining_line=s.labels[f],
-                    ab_line=s.labels[c],
-                )
-                break
-        if a3_report:
-            break
-    if a3_report is None:
-        a3_report = CheckReport("vy_a3", PASS, stats={"cases_examined": int(cases.sum())})
-    reports.append(a3_report)
-    return reports
+                return fail(examined, **ce, issue="joining_line_not_unique")
+            points = _point_labels(s, m, triple)
+            return fail(examined, points=points, **ce, joining_line=s.labels[f], ab_line=s.labels[c])
+    return CheckReport("vy_a3", PASS, stats={"cases_examined": int(cases.sum())})
 
 
-VY_NAMES = ("vy_e0", "vy_e1", "vy_e2", "vy_e3", "vy_e3p", "vy_a1", "vy_a2", "vy_a3")
+VY_NAMES = names("vy")
+
+
+def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
+    """The eight extension/alignment checks over the model's points and planes."""
+    return run_checks(s, ("vy",), m)
 
 
 def run_vy_battery(
     s: IncidenceStructure, m: Optional[GeometryModel] = None
 ) -> list[CheckReport]:
     """Run the eight derived-geometry checks, deriving a labeling if needed."""
-    if m is None:
-        try:
-            m = coordinate_labels(s)
-        except (NotTwoClassesError, LabelInconsistencyError) as e:
-            return [_dependency(name, e) for name in VY_NAMES]
-    return vy_axioms(s, m)
-
-
-# ---------------------------------------------------------------------------
-# Counterexample replay
+    return run_checks(s, ("vy",), m)
 
 
 def replay_theorem_counterexample(
@@ -1400,153 +1420,6 @@ def replay_theorem_counterexample(
     """Re-evaluate a failing theorem report directly against the structure.
 
     Model-level reports need the same model they were produced against.
+    Dispatches through the registry, like ``replay_counterexample``.
     """
-    ce = report.counterexample
-    if ce is None:
-        raise ValueError(f"report {report.check_name} has no counterexample")
-    name = report.check_name
-    masks = s.masks
-    adj = s.adjacency
-
-    def idx(label):
-        return s.index(label)
-
-    def idxs(labels):
-        return [s.index(x) for x in labels]
-
-    def member(x, y, z):
-        if x == y or not adj[x, y]:
-            return False
-        return bool(sigma_mask(s, x, y) & (1 << z))
-
-    if name == "thm_sigma_equivalence":
-        a, b, c = idxs(ce["triple"])
-        vals = (member(b, c, a), member(c, a, b), member(a, b, c))
-        return not (vals[0] == vals[1] == vals[2])
-    if name == "thm_two_classes":
-        from .axioms import _replay_not_two_classes
-
-        return _replay_not_two_classes(s, ce)
-    if name == "thm_bracket_welldefined":
-        a, b = idxs(ce["pair"])
-        c1, c2 = idx(ce["c1"]), idx(ce["c2"])
-        sig = sigma_mask(s, a, b)
-        inside = bool((sig >> c1) & 1 and (sig >> c2) & 1 and adj[c1, c2])
-        base = masks[a] & masks[b]
-        return inside and (base & masks[c1]) != (base & masks[c2])
-    if name == "thm_line_selfperp":
-        l = idx(ce["line"])
-        return perp_mask(s, masks[l]) != 1 << l
-    if name == "thm_regulus_skew":
-        u, v, w = idxs(ce["triple"])
-        x, y = idx(ce["m"]), idx(ce["n"])
-        skew_triple = not (adj[u, v] or adj[v, w] or adj[u, w])
-        B = masks[u] & masks[v] & masks[w]
-        inside = bool((B >> x) & 1 and (B >> y) & 1)
-        return skew_triple and inside and x != y and bool(adj[x, y])
-    if name == "thm_bracket_closed":
-        t = idxs(ce["triad"])
-        B = _bracket_mask(s, t)
-        return perp_mask(s, B) != B
-    if name == "thm_coherence":
-        p, q, r = idxs(ce["triple"])
-        rep = idxs(ce["triad_with_equal_bracket"])
-        same = _bracket_mask(s, (p, q, r)) == _bracket_mask(s, rep)
-        rep_is_triad = any(
-            member(*rot) for rot in ((rep[1], rep[2], rep[0]), (rep[2], rep[0], rep[1]), (rep[0], rep[1], rep[2]))
-        )
-        triple_is_triad = any(
-            member(*rot) for rot in ((q, r, p), (p, r, q), (p, q, r))
-        )
-        return same and rep_is_triad and not triple_is_triad
-    if name == "thm_mutual_membership":
-        ta = idxs(ce["triad_a"])
-        tb = idxs(ce["triad_b"])
-        ba, bb = _bracket_mask(s, ta), _bracket_mask(s, tb)
-        ma, mb = mask_of_lines(ta), mask_of_lines(tb)
-        inside_ab = not (mb & ~ba)
-        inside_ba = not (ma & ~bb)
-        if ce["issue"] == "membership_not_symmetric":
-            return inside_ab != inside_ba
-        return inside_ab and inside_ba and ba != bb
-    if m is None:
-        raise ValueError(f"replay of {name} needs the model it was checked against")
-    kinds = _element_kinds(m)
-    pmask_by_lines = dict(zip(m.points + m.planes, m.point_masks + m.plane_masks))
-    if name == "thm_point_ne_plane":
-        e = tuple(sorted(idxs(ce["element"])))
-        return e in set(m.points) and e in set(m.planes)
-    if name == "thm_not_singleton":
-        p = tuple(sorted(idxs(ce["point"])))
-        q = tuple(sorted(idxs(ce["plane"])))
-        if p not in set(m.points) or q not in set(m.planes):
-            return False
-        return (pmask_by_lines[p] & pmask_by_lines[q]).bit_count() == 1
-    if name == "thm_uniqueness":
-        family = m.points if ce["kind"] == "point" else m.planes
-        ea = tuple(sorted(idxs(ce["element_a"])))
-        eb = tuple(sorted(idxs(ce["element_b"])))
-        if ea == eb or ea not in set(family) or eb not in set(family):
-            return False
-        return (mask_of_lines(ea) & mask_of_lines(eb)).bit_count() > 1
-    if name == "thm_line_in_plane":
-        issue = ce["issue"]
-        if issue == "common_line_not_in_plane":
-            pa = mask_of_lines(idxs(ce["point_a"]))
-            pb = mask_of_lines(idxs(ce["point_b"]))
-            pl = mask_of_lines(idxs(ce["plane"]))
-            l = idx(ce["line"])
-            on_plane = bool(pa & pl) and bool(pb & pl)
-            return on_plane and (pa & pb) == 1 << l and not ((pl >> l) & 1)
-        if issue == "common_line_not_through_point":
-            la = mask_of_lines(idxs(ce["plane_a"]))
-            lb = mask_of_lines(idxs(ce["plane_b"]))
-            pt = mask_of_lines(idxs(ce["point"]))
-            l = idx(ce["line"])
-            through = bool(la & pt) and bool(lb & pt)
-            return through and (la & lb) == 1 << l and not ((pt >> l) & 1)
-        pa = mask_of_lines(idxs(ce["point_a" if "point_a" in ce else "plane_a"]))
-        pb = mask_of_lines(idxs(ce["point_b" if "point_b" in ce else "plane_b"]))
-        return (pa & pb).bit_count() != 1
-    if name == "thm_exchange":
-        t = idxs(ce["triad"])
-        issue = ce["issue"]
-        if issue == "bracket_not_an_element":
-            return _bracket_mask(s, t) not in kinds
-        x, y = idx(ce["x"]), idx(ce["y"])
-        B = _bracket_mask(s, t)
-        inside = bool((B >> x) & 1 and (B >> y) & 1)
-        if issue == "skew_pair_in_bracket":
-            return inside and not adj[x, y]
-        t_mask = mask_of_lines(t)
-        if issue == "sigma_misses_triad":
-            return inside and not (sigma_mask(s, x, y) & t_mask)
-        pc, qc = _labeled_class_masks(m)[(min(x, y), max(x, y))]
-        refined = pc if ce["kind"] == "point" else qc
-        return inside and not (refined & t_mask)
-    if name == "thm_triad_typing":
-        t = idxs(ce["triad"])
-        classes = _labeled_class_masks(m)
-
-        def side(x, y, third):
-            key = (x, y) if x < y else (y, x)
-            got = classes.get(key)
-            if got is None:
-                return None
-            if (got[0] >> third) & 1:
-                return "point"
-            if (got[1] >> third) & 1:
-                return "plane"
-            return None
-
-        a, b, c = t
-        sides = (side(b, c, a), side(c, a, b), side(a, b, c))
-        return sides[0] is None or len(set(sides)) != 1
-    if name == "thm_pencil_intersection":
-        a, b = idxs(ce["pair"])
-        dd = perp_mask(s, masks[a] & masks[b])
-        pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
-        pl = m.plane_masks[_unique_element(m, a, b, Kind.PLANE)]
-        pc, qc = _labeled_class_masks(m)[(min(a, b), max(a, b))]
-        return (pt & pl) != dd or pc != (pt & ~dd) or qc != (pl & ~dd)
-    raise ValueError(f"no replay registered for check {name!r}")
+    return replay(s, report, m)
