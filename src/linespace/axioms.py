@@ -127,14 +127,21 @@ def _replay_axiom2_2(s: IncidenceStructure, ce: dict) -> bool:
 def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     """bracket(a, b, z) must be pairwise incident for every z in sigma(a, b).
 
-    Reduction: depends only on the bracket, checked once per distinct one.
+    Reduction: depends only on the bracket, checked once per distinct one;
+    a pair whose perp was already walked adds |sigma(a, b)| cases.
     """
     masks = s.masks
     cases = 0
     checked = set()
+    walked: dict[int, int] = {}  # perp mask -> size of its sigma set
     for a, b in incident_pairs(s):
         base = masks[a] & masks[b]
-        for z in lines_of_mask(sigma_mask(s, a, b)):
+        if base in walked:
+            cases += walked[base]
+            continue
+        sig = sigma_mask(s, a, b)
+        walked[base] = sig.bit_count()
+        for z in lines_of_mask(sig):
             cases += 1
             bm = base & masks[z]
             if bm in checked:

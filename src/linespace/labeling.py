@@ -34,7 +34,7 @@ from .core import (
     lines_of_mask,
     mask_of_lines,
 )
-from .sigma import sigma_mask, sigma_partition
+from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
 
 
 class Kind(str, Enum):
@@ -131,14 +131,19 @@ def element_table(s: IncidenceStructure) -> dict[int, tuple[int, int, int]]:
     member c of sigma(a, b) in index order, keeping the first triad that
     produces each distinct bracket.  This covers every triad's bracket
     because any triad contains an incident pair whose sigma holds the
-    third line.
+    third line.  Sigma and the brackets depend only on perp({a, b}), so a
+    pair whose perp was already walked adds nothing and is skipped.
     """
 
     def build():
         by_mask: dict[int, tuple[int, int, int]] = {}
+        walked = set()
         masks = s.masks
         for a, b in incident_pairs(s):
             base = masks[a] & masks[b]
+            if base in walked:
+                continue
+            walked.add(base)
             for c in lines_of_mask(sigma_mask(s, a, b)):
                 by_mask.setdefault(base & masks[c], (a, b, c))
         return by_mask
@@ -255,19 +260,22 @@ def coordinate_labels(
     LabelInconsistencyError (with witness) when the classification fails
     verification, or NotTwoClassesError when some sigma set has no valid
     class split; a structure with no incident distinct pair yields the
-    empty model.  A verified model is cached per structure and seed; a
-    failed one raises again on every call.
+    empty model.  The model, or the error of a failed labeling, is cached
+    per structure and seed, and a cached error is raised again.
     """
     if not incident_pairs(s):
         return GeometryModel(structure=s, points=(), planes=(), seed=None)
     seed = _normalize_seed(s, seed)
 
     def build():
-        kinds = classify_elements(s, seed)
-        emasks = element_masks(s)
-        witness = _verify_labeling(s, emasks, kinds, seed)
+        try:
+            kinds = classify_elements(s, seed)
+            emasks = element_masks(s)
+            witness = _verify_labeling(s, emasks, kinds, seed)
+        except NotTwoClassesError as e:
+            return e
         if witness is not None:
-            raise LabelInconsistencyError(
+            return LabelInconsistencyError(
                 f"labeling verification failed: {witness['issue']}", witness
             )
         points, planes = (
@@ -275,7 +283,10 @@ def coordinate_labels(
         )
         return GeometryModel(structure=s, points=points, planes=planes, seed=seed)
 
-    return s.cached(("coordinate_labels", seed), build)
+    got = s.cached(("coordinate_labels", seed), build)
+    if isinstance(got, LinespaceError):
+        raise got
+    return got
 
 
 def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> int:

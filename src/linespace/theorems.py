@@ -19,16 +19,17 @@ the distinct brackets, built with array operations so that no triad is
 ever a Python object.  The point-triple checks share a second table,
 ``_triangles``.
 
-The costliest checks, the six over triads, ``thm_two_classes``,
-``thm_triangle``, ``thm_tetrahedron`` and the A3 check of ``vy_axioms``,
-run an array kernel first.  A kernel only proves that an item passes;
-each item it cannot prove goes, in walk order, to the scalar code of the
-check, which judges it from the definitions and names the failure.  The
-items the kernel proves would pass the scalar code too, so the first
-item that code fails is the first the plain walk fails, the least
-violation.  The case count of an item the kernel proves is the count the
-scalar walk would reach on it, so reports are the same as a scalar walk
-of every item.
+The costliest checks run array kernels.  Five triad checks and
+``thm_two_classes`` judge with theirs: the kernel computes the check's
+predicate for every item, so the first item it flags is the least
+violation, and the report is read from its arrays.  The kernels of
+``thm_exchange``, ``thm_triangle``, ``thm_tetrahedron`` and the A3 check
+of ``vy_axioms`` are partial: they only prove that an item passes, and
+hand each item they cannot prove, in walk order, to the scalar code of
+the check, which judges it from the definitions, names the failure and
+counts its cases.  A proved item would pass that code too, and counts
+the cases the scalar walk would reach on it, so either way a report is
+the same as a scalar walk of every item.
 
 Every check here registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
@@ -91,24 +92,6 @@ def _words(rows: np.ndarray) -> np.ndarray:
     out = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
     out[:, : packed.shape[1]] = packed
     return out.view("<u8")
-
-
-def _sigma_lookup(s: IncidenceStructure) -> dict[tuple[int, int], int]:
-    """Mask of sigma(a, b) for every incident distinct pair; cached."""
-
-    def build():
-        table = sigma_table(s)
-        return dict(zip(incident_pairs(s), [table.masks[k] for k in table.set_id[:-1].tolist()]))
-
-    return s.cached("sigma_lookup", build)
-
-
-def _member(sig: dict[tuple[int, int], int], x: int, y: int, z: int) -> bool:
-    """Whether z lies in sigma(x, y), read from a ``_sigma_lookup`` table."""
-    if x > y:
-        x, y = y, x
-    mask = sig.get((x, y))
-    return bool(mask and (mask >> z) & 1)
 
 
 def _triad_keys(lines: np.ndarray, n: int) -> np.ndarray:
@@ -289,30 +272,25 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     """The three sigma memberships of any triple agree (all hold or none).
 
     Reduction: a disagreeing triple has one membership that holds, so it is
-    a triad, and the sorted triads are walked in order.  Kernel: a triad
-    passes iff the sigma table holds all three of its memberships, so the
-    first triad the kernel leaves is the least violation.
+    a triad, and the sorted triads are walked in order.  Kernel: every
+    triad holds at least one of its memberships, so the first triad that
+    does not hold all three is the least violation.
     """
     name = "thm_sigma_equivalence"
-    sig = _sigma_lookup(s)
     table = sigma_table(s)
     tri = triad_table(s)
-    unproved = [np.empty(0, np.int64)]
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
-        held = table.holds(b, c, a) & table.holds(c, a, b) & table.holds(a, b, c)
-        unproved.append(lo + np.flatnonzero(~held))
-    for t in np.concatenate(unproved).tolist():
-        a, b, c = tri.lines[t].tolist()
-        m1 = _member(sig, b, c, a)
-        m2 = _member(sig, c, a, b)
-        m3 = _member(sig, a, b, c)
-        if not (m1 == m2 == m3):
+        held = table.holds(b, c, a), table.holds(c, a, b), table.holds(a, b, c)
+        bad = np.flatnonzero(~(held[0] & held[1] & held[2]))
+        if len(bad):
+            t = lo + int(bad[0])
+            m1, m2, m3 = (bool(h[bad[0]]) for h in held)
             return CheckReport(
                 name,
                 FAIL,
                 counterexample={
-                    "triple": labels_of(s, (a, b, c)),
+                    "triple": labels_of(s, tri.lines[t].tolist()),
                     "a_in_sigma_bc": m1,
                     "b_in_sigma_ca": m2,
                     "c_in_sigma_ab": m3,
@@ -327,8 +305,8 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     """Incidence on every sigma(a, b) splits into exactly two classes.
 
     Kernel: the split depends only on the sigma mask, so each distinct
-    mask is split once; the first pair whose mask does not split goes to
-    ``sigma_partition``, which names it.
+    mask is split once; the first pair whose mask does not split fails,
+    and ``sigma_partition`` names its witness.
     """
     name = "thm_two_classes"
     pairs = incident_pairs(s)
@@ -336,9 +314,10 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     splits = [sigma_split(s, sig) for sig in table.masks]
     split = np.array([len(classes) == 2 and cliques for classes, cliques in splits] + [True])
     stats = {"pairs_examined": len(pairs)}
-    for p in np.flatnonzero(~split[table.set_id[:-1]]).tolist():
+    unsplit = np.flatnonzero(~split[table.set_id[:-1]])
+    if len(unsplit):
         try:
-            sigma_partition(s, *pairs[p])
+            sigma_partition(s, *pairs[int(unsplit[0])])
         except NotTwoClassesError as e:
             return CheckReport(name, FAIL, counterexample=dict(e.witness), stats=stats)
     if splits:
@@ -366,9 +345,11 @@ def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
     name = "thm_bracket_welldefined"
     masks = s.masks
     adj = s.adjacency
+    table = sigma_table(s)
     cases = 0
     passed: dict[int, int] = {}  # perp mask -> cases it holds
-    for (a, b), sig in _sigma_lookup(s).items():
+    for (a, b), k in zip(incident_pairs(s), table.set_id[:-1].tolist()):
+        sig = table.masks[k]
         base = masks[a] & masks[b]
         if base in passed:
             cases += passed[base]
@@ -478,27 +459,25 @@ def _replay_bracket_closed(s: IncidenceStructure, ce: dict) -> bool:
 def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     """Every triad's bracket equals its own perp.
 
-    Reduction: depends only on the bracket, so the kernel checks each
-    distinct bracket once; the first triad whose bracket is not closed is
-    the least violation.
+    Reduction: depends only on the bracket, so each distinct bracket is
+    checked once; the least violation is the earliest first triad of a
+    bracket that is not closed.
     """
     name = "thm_bracket_closed"
     tri = triad_table(s)
-    closed = np.array([perp_mask(s, B) == B for B in tri.brackets], bool)
-    for t in np.flatnonzero(~closed[tri.bracket]).tolist():
-        B = tri.brackets[tri.bracket[t]]
-        delta = perp_mask(s, B) ^ B
-        if delta:
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample={
-                    "triad": labels_of(s, tri.lines[t].tolist()),
-                    "differs_on": labels_of(s, lines_of_mask(delta)),
-                },
-                stats={"triads_examined": t + 1},
-            )
-    return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
+    delta = {int(tri.first[k]): perp_mask(s, B) ^ B for k, B in enumerate(tri.brackets)}
+    t = min((t for t, d in delta.items() if d), default=None)
+    if t is None:
+        return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
+    return CheckReport(
+        name,
+        FAIL,
+        counterexample={
+            "triad": labels_of(s, tri.lines[t].tolist()),
+            "differs_on": labels_of(s, lines_of_mask(delta[t])),
+        },
+        stats={"triads_examined": t + 1},
+    )
 
 
 def _replay_coherence(s: IncidenceStructure, ce: dict) -> bool:
@@ -519,13 +498,12 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
     ``itertools.combinations`` order up to its first violation; the report
     names the least of those firsts.  Kernel: per element, every triple of
     perp(E) at once, its bracket from three packed adjacency rows and its
-    triad status from the sorted triad keys.  An element with no violation
-    adds all C(|perp(E)|, 3) of its triples, the count its walk reaches;
-    the scalar walk takes every other element.
+    triad status from the sorted triad keys.  The walk of an element stops
+    at its first triple with bracket E that is not a triad, and counts the
+    triples up to it; an element with none adds all C(|perp(E)|, 3).
     """
     name = "thm_coherence"
     tri = triad_table(s)
-    sig = _sigma_lookup(s)
     n = s.line_count
     words = _words(s.adjacency)
     keys = _triad_keys(tri.lines, n)
@@ -542,21 +520,16 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
         for lo in range(0, len(walk), _TRIADS_PER_STEP):
             triples = np.array(inside, np.int32)[walk[lo : lo + _TRIADS_PER_STEP]]
             a, b, c = triples.T
-            key = _triad_keys(triples[((words[a] & words[b] & words[c]) == E).all(axis=1)], n)
-            if not (keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key).all():
+            same = np.flatnonzero(((words[a] & words[b] & words[c]) == E).all(axis=1))
+            key = _triad_keys(triples[same], n)
+            bad = same[keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] != key]
+            if len(bad):
+                examined += lo + int(bad[0]) + 1
+                triple = tuple(triples[bad[0]].tolist())
+                least = triple if least is None else min(least, triple)
                 break
         else:
             examined += len(walk)
-            continue
-        for triple in itertools.combinations(inside, 3):
-            examined += 1
-            # a triad: some rotation's third line lies in the sigma set of the other two
-            a, b, c = triple
-            is_triad = _member(sig, b, c, a) or _member(sig, c, a, b) or _member(sig, a, b, c)
-            if _bracket_mask(s, triple) == element and not is_triad:
-                if least is None or triple < least:
-                    least = triple
-                break
     if least is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": len(tri.lines)})
     first = tri.first[tri.brackets.index(_bracket_mask(s, least))]
@@ -591,9 +564,9 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     the bracket of triad i, is the violation (i, j).  The reported pair is
     the least by (that bracket as a bitmask, i, j).  Kernel: per triad, the
     AND of its three lines' rows of the element-holding bit matrix, less
-    its own element, proves the triads inside no other element.  The
-    scalar code takes the rest in walk order and keeps the least
-    (element, j); i is the first triad of that element.
+    its own element, holds the other elements the triad lies in.  The
+    violation takes the least element any such row holds, j the first
+    triad whose row holds it, and i the first triad of that element.
     """
     name = "thm_mutual_membership"
     tri = triad_table(s)
@@ -601,25 +574,21 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     rank = {em: e for e, em in enumerate(elements)}
     own = np.array([rank[B] for B in tri.brackets], np.int64)[tri.bracket]
     held = _words(_incidence(elements, s.line_count).T)  # bit e of row l: element e holds line l
-    unproved = [np.empty(0, np.int64)]
+    least = None
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
         e = own[lo : lo + _TRIADS_PER_STEP]
         rows = held[a] & held[b] & held[c]
         rows[np.arange(len(e)), e >> 6] &= ~(np.uint64(1) << (e & 63).astype(np.uint64))
-        unproved.append(lo + np.flatnonzero(rows.any(axis=1)))
-    holding = [0] * s.line_count  # bit e set when element e holds the line
-    for e, em in enumerate(elements):
-        for l in lines_of_mask(em):
-            holding[l] |= 1 << e
-    least = None
-    for j in np.concatenate(unproved).tolist():
-        a, b, c = tri.lines[j].tolist()
-        foreign = holding[a] & holding[b] & holding[c] & ~(1 << int(own[j]))
-        if foreign:
-            e = (foreign & -foreign).bit_length() - 1
-            if least is None or e < least[0]:
-                least = (e, j)
+        foreign = np.flatnonzero(rows.any(axis=1))
+        if len(foreign):
+            w = (rows[foreign] != 0).argmax(axis=1)  # each row's first nonzero word
+            word = rows[foreign, w]
+            # each row's least foreign element: the exponent of its word's lowest bit
+            first = 64 * w + np.frexp((word & -word).astype(float))[1] - 1
+            k = int(first.argmin())
+            if least is None or first[k] < least[0]:
+                least = (int(first[k]), lo + int(foreign[k]))
     stats = {"triads_examined": len(tri.lines)}
     if least is None:
         return CheckReport(name, PASS, stats=stats)
@@ -672,7 +641,7 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     Kernel: a line's side in sigma(x, y) is the point side if it lies in
     the point class, else the plane side if it lies in the plane class.  A
     triad passes iff its three lines all take the point side or all the
-    plane side, so the first triad the kernel leaves is the least violation.
+    plane side, so the first triad the kernel flags is the least violation.
     """
     name = "thm_triad_typing"
     try:
@@ -682,7 +651,6 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     tri = triad_table(s)
     point_class = pair_sets(s.line_count, {key: pc for key, (pc, qc) in classes.items()})
     plane_class = pair_sets(s.line_count, {key: qc for key, (pc, qc) in classes.items()})
-    unproved = [np.empty(0, np.int64)]
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
         on_point = on_plane = True
@@ -690,11 +658,11 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             point = point_class.holds(u, v, third)
             on_point = on_point & point
             on_plane = on_plane & ~point & plane_class.holds(u, v, third)
-        unproved.append(lo + np.flatnonzero(~(on_point | on_plane)))
-    for t in np.concatenate(unproved).tolist():
-        a, b, c = tri.lines[t].tolist()
-        sides = _triad_sides(classes, a, b, c)
-        if sides[0] is None or len(set(sides)) != 1:
+        bad = np.flatnonzero(~(on_point | on_plane))
+        if len(bad):
+            t = lo + int(bad[0])
+            a, b, c = tri.lines[t].tolist()
+            sides = _triad_sides(classes, a, b, c)
             return CheckReport(
                 name,
                 FAIL,
@@ -845,7 +813,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         return _dependency(name, e)
     kinds = _element_kinds(m)
     masks = s.masks
-    sig = _sigma_lookup(s)
+    sigmas = sigma_table(s)
     width = s.line_count
     tri = triad_table(s)
 
@@ -855,12 +823,13 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         if kind is None:
             return None, [], None
         members = lines_of_mask(B)
+        set_id = sigmas.set_id[sigmas.pair_id[np.ix_(members, members)]].tolist()
         rows = []  # (x, y, sigma, refined class); sigma None if skew
         for i, x in enumerate(members):
-            for y in members[i + 1 :]:
+            for j, y in enumerate(members[i + 1 :], i + 1):
                 if masks[x] >> y & 1:
                     pc, qc = classes[(x, y)]
-                    rows.append((x, y, sig[(x, y)], pc if kind is Kind.POINT else qc))
+                    rows.append((x, y, sigmas.masks[set_id[i][j]], pc if kind is Kind.POINT else qc))
                 else:
                     rows.append((x, y, None, 0))
         if any(row[2] is None for row in rows):

@@ -1,15 +1,15 @@
-"""Axioms 1, 2.1, 2.2 and 2.3 against brute-force oracles.
+"""Axioms 1, 2.1, 2.2, 2.3 and 3 against brute-force oracles.
 
 Each oracle below searches every line's perp for its least pairwise-skew
 triple, every incident pair's perp for its least skew pair, every triad's
-bracket for a skew pair, and every skew pair of a pair's perp for a line
-meeting neither, straight from the adjacency matrix with plain Python
-sets and ``itertools.combinations``.  It shares no code with
-``linespace.core`` or ``linespace.axioms``: agreement on the whole
-``to_dict()`` (status, counterexample, witness and stats) shows that
-walking perp as int masks, and checking each distinct bracket or perp
-once, finds the same least configuration and counts the same cases as a
-search over the raw relation.
+bracket for a skew pair, every skew pair of a pair's perp for a line
+meeting neither, and every element for a disjoint one, straight from the
+adjacency matrix with plain Python sets and ``itertools.combinations``.
+It shares no code with ``linespace.core``, ``linespace.labeling`` or
+``linespace.axioms``: agreement on the whole ``to_dict()`` (status,
+counterexample, witness and stats) shows that walking perp as int masks,
+and checking each distinct bracket or perp once, finds the same least
+configuration and counts the same cases as a search over the raw relation.
 """
 
 import itertools
@@ -23,6 +23,7 @@ from linespace import (
     check_axiom2_1,
     check_axiom2_2,
     check_axiom2_3,
+    check_axiom3,
 )
 
 
@@ -152,6 +153,45 @@ class Oracle:
                         }
         return self.passed("axiom2_3", {"skew_pairs_examined": cases})
 
+    def elements(self):
+        """Each bracket perp(a, b, c) with its first triad, walking the incident
+        pairs (a, b) in order and each c of sigma(a, b) ascending; sigma(a, b)
+        holds the lines of perp(a, b) skew to one of perp(a, b)."""
+        first = {}
+        for a, b in self.incident_pairs():
+            members = self.perp(a, b)
+            for c in members:
+                if any(not self.adj[c][w] for w in members):
+                    first.setdefault(tuple(self.perp(a, b, c)), (a, b, c))
+        return first
+
+    def axiom3(self):
+        first = self.elements()
+        ordered = sorted(first)
+        samples = []
+        for i, e in enumerate(ordered):
+            partner = next((f for f in ordered if not set(e) & set(f)), None)
+            if partner is None:
+                return {
+                    "check_name": "axiom3",
+                    "passed": False,
+                    "status": "fail",
+                    "counterexample": {
+                        "element": self.names(e),
+                        "triad": self.names(first[e]),
+                        "reason": "no disjoint secondary element exists",
+                    },
+                    "stats": {"elements_examined": i + 1, "elements_total": len(ordered)},
+                }
+            samples.append(
+                {"triad": self.names(first[e]), "disjoint_triad": self.names(first[partner])}
+            )
+        out = {"check_name": "axiom3", "passed": True, "status": "pass"}
+        if samples:
+            out["witness_sample"] = {"per_element": samples}
+        out["stats"] = {"elements_examined": len(ordered)}
+        return out
+
     def passed(self, name, stats):
         return {"check_name": name, "passed": True, "status": "pass", "stats": stats}
 
@@ -162,6 +202,7 @@ def assert_matches_oracle(s):
     assert check_axiom2_1(s).to_dict() == o.axiom2_1()
     assert check_axiom2_2(s).to_dict() == o.axiom2_2()
     assert check_axiom2_3(s).to_dict() == o.axiom2_3()
+    assert check_axiom3(s).to_dict() == o.axiom3()
 
 
 @st.composite

@@ -145,7 +145,8 @@ class TestCheck:
         code, stdout, _ = run(["check", str(tetra_file), "--which", "vy"], capsys)
         assert code == 1  # e0 needs three points per line
 
-    def test_all_classifies_elements_once(self, pg2_file, capsys, monkeypatch):
+    def test_all_classifies_elements_once(self, pg2_file, tmp_path, capsys, monkeypatch):
+        # a failed labeling is cached too, so two_components is classified once
         import linespace.labeling as labeling
 
         calls = []
@@ -156,9 +157,12 @@ class TestCheck:
             return classify(s, seed)
 
         monkeypatch.setattr(labeling, "classify_elements", counted)
-        code, _, _ = run(["check", str(pg2_file), "--which", "all"], capsys)
-        assert code == 0
-        assert len(calls) == 1
+        unlabelable = tmp_path / "two_components.json"
+        save_structure(gen_negative("two_components"), unlabelable)
+        for path, want in ((pg2_file, 0), (unlabelable, 1)):
+            calls.clear()
+            code, _, _ = run(["check", str(path), "--which", "all"], capsys)
+            assert (code, len(calls)) == (want, 1)
 
 
 def check_all_report(name, tmp_path, capsys):

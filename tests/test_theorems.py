@@ -1,5 +1,6 @@
 """Theorem verifiers: green on models, failing with replayable witnesses otherwise."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -12,6 +13,7 @@ from linespace import (
     IncidenceStructure,
     check_all,
     coordinate_labels,
+    dualize,
     find_skew_triple,
     gen_negative,
     replay_theorem_counterexample,
@@ -26,6 +28,7 @@ from linespace import (
     thm_line_selfperp,
     thm_mutual_membership,
     thm_not_singleton,
+    thm_pencil_intersection,
     thm_point_ne_plane,
     thm_regulus_skew,
     thm_sigma_equivalence,
@@ -256,9 +259,14 @@ class TestExchangeFailures:
         )
 
     def test_sigma_misses_triad(self, pg2, pg2_model, monkeypatch):
-        cut = dict(theorems._sigma_lookup(pg2))
-        cut[(2, 10)] = 0
-        monkeypatch.setattr(theorems, "_sigma_lookup", lambda s: cut)
+        # sigma(L02, L10) read as empty by the bracket rows alone: the triad
+        # table is built from the true sigma sets before the cut
+        triad_table(pg2)
+        table = theorems.sigma_table(pg2)
+        set_id = table.set_id.copy()
+        set_id[table.pair_id[2, 10]] = len(table.masks)
+        cut = dataclasses.replace(table, set_id=set_id, masks=(*table.masks, 0))
+        monkeypatch.setattr(theorems, "sigma_table", lambda s: cut)
         ce = {"triad": ["L01", "L02", "L10"], "x": "L02", "y": "L10"}
         assert self.exchange_ce(pg2, pg2_model) == ({**ce, "issue": "sigma_misses_triad"}, 1583)
 
@@ -485,3 +493,44 @@ class TestPerturbedSuiteGoldens:
         assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
         got = [[r.check_name, replay_outcome(s, r, m)] for r in reports if r.status == "fail"]
         assert got == PERTURBED_REPLAYS[name]
+
+
+# The model theorems that swapping points and planes maps to themselves.
+SELF_DUAL = (
+    thm_triad_typing,
+    thm_point_ne_plane,
+    thm_pencil_intersection,
+    thm_exchange,
+    thm_not_singleton,
+    thm_uniqueness,
+    thm_line_in_plane,
+)
+
+
+class TestDualMetamorphic:
+    """A self-dual theorem gives the same verdict on a model and its dual.
+
+    Duality swaps the point and plane families and maps each theorem in
+    SELF_DUAL to itself, so on any structure its status against the
+    default model and against ``dualize`` of that model must agree, pass
+    or fail.  A check that treats the two kinds differently breaks this.
+    The vy checks speak of points only, so their dual is another claim and
+    they are left out.
+    """
+
+    def assert_dual_agrees(self, s, m):
+        d = dualize(m)
+        got = [(f.__name__, f(s, m).status, f(s, d).status) for f in SELF_DUAL]
+        assert [(n, a) for n, a, _ in got] == [(n, b) for n, _, b in got]
+
+    def test_projective_spaces(self, pg2, pg2_model, pg3, pg3_model):
+        self.assert_dual_agrees(pg2, pg2_model)
+        self.assert_dual_agrees(pg3, pg3_model)
+
+    @pytest.mark.parametrize("name", [n for n in sorted(PERTURBED) if PERTURBED[n][0] == "flip"])
+    def test_perturbed_flips(self, name, pg3, pg3_model):
+        self.assert_dual_agrees(*perturbed(pg3, pg3_model, *PERTURBED[name]))
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_seeded_flips(self, k, pg3, pg3_model):
+        self.assert_dual_agrees(seeded_mutant(pg3, k), pg3_model)
