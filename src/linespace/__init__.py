@@ -87,7 +87,6 @@ from .models import (
     gen_pg3,
     gen_tetrahedron,
     is_isomorphic,
-    verify_counts,
 )
 from .io import (
     ParseError,

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from .core import (
     IncidenceStructure,
+    _places,
+    _words,
     bracket,
     find_skew_pair_mask,
     find_skew_triple_mask,
@@ -30,6 +32,7 @@ from .core import (
     lines_of_mask,
     mask_of_lines,
     perp,
+    perp_table,
 )
 from .labeling import (
     LabelInconsistencyError,
@@ -127,44 +130,44 @@ def _replay_axiom2_2(s: IncidenceStructure, ce: dict) -> bool:
 def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     """bracket(a, b, z) must be pairwise incident for every z in sigma(a, b).
 
-    Reduction: depends only on the bracket, checked once per distinct one;
-    a pair whose perp was already walked adds |sigma(a, b)| cases.
+    Reduction: bracket(a, b, z) holds the skew pair x, y exactly when x, y
+    is a skew pair of perp({a, b}) and z meets both, so the check depends
+    only on the perp and is judged once per distinct perp; each pair adds
+    |sigma(a, b)| cases.  Kernel: per skew pair of a perp, the members of
+    sigma meeting both lines are sigma less the OR of their skew rows.  The
+    first perp, in order of first pairs, with any such member fails: z is
+    its least one, and x, y the first skew pair, in lexicographic order,
+    whose array holds z, the least skew pair in bracket(a, b, z).
     """
-    masks = s.masks
-    cases = 0
-    checked = set()
-    walked: dict[int, int] = {}  # perp mask -> size of its sigma set
-    for a, b in incident_pairs(s):
-        base = masks[a] & masks[b]
-        if base in walked:
-            cases += walked[base]
-            continue
-        sig = sigma_mask(s, a, b)
-        walked[base] = sig.bit_count()
-        for z in lines_of_mask(sig):
-            cases += 1
-            bm = base & masks[z]
-            if bm in checked:
-                continue
-            checked.add(bm)
-            for x in lines_of_mask(bm):
-                bad = bm & ~masks[x]
-                if bad:
-                    y = (bad & -bad).bit_length() - 1
-                    x, y = min(x, y), max(x, y)
-                    return CheckReport(
-                        "axiom2_2",
-                        FAIL,
-                        counterexample={
-                            "pair": labels_of(s, (a, b)),
-                            "z": s.labels[z],
-                            "x": s.labels[x],
-                            "y": s.labels[y],
-                            "reason": "skew pair inside bracket(a, b, z)",
-                        },
-                        stats={"triples_examined": cases},
-                    )
-    return CheckReport("axiom2_2", PASS, stats={"triples_examined": cases})
+    table = perp_table(s)
+    sigma_words = _words(table.in_sigma)
+
+    def meet(k, x, y):
+        return sigma_words[k] & ~(table.skew[k, x] | table.skew[k, y])
+
+    hit, _ = table.first_flagged(lambda k, x, y: meet(k, x, y).any(axis=1))
+    per_pair = table.in_sigma.sum(axis=1)[table.perp]
+    if hit is None:
+        return CheckReport("axiom2_2", PASS, stats={"triples_examined": int(per_pair.sum())})
+    k = hit[0]
+    _, x, y = table.local_pairs(k, k + 1)
+    held = _places(meet(k, x, y), table.lines.shape[1])
+    z = int(held.any(axis=0).argmax())
+    i = int(held[:, z].argmax())
+    p = int(table.first[k])
+    lines = table.lines[k].tolist()
+    return CheckReport(
+        "axiom2_2",
+        FAIL,
+        counterexample={
+            "pair": labels_of(s, table.pairs[p].tolist()),
+            "z": s.labels[lines[z]],
+            "x": s.labels[lines[x[i]]],
+            "y": s.labels[lines[y[i]]],
+            "reason": "skew pair inside bracket(a, b, z)",
+        },
+        stats={"triples_examined": int(per_pair[:p].sum() + table.in_sigma[k, :z].sum()) + 1},
+    )
 
 
 def _replay_axiom2_3(s: IncidenceStructure, ce: dict) -> bool:
@@ -183,38 +186,33 @@ def _replay_axiom2_3(s: IncidenceStructure, ce: dict) -> bool:
 def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
     """Each member of perp({a, b}) must meet x or y for every skew pair x, y there.
 
-    Reduction: depends only on perp({a, b}), walked once per distinct perp.
+    Reduction: depends only on perp({a, b}), so it is judged once per
+    distinct perp, and each pair adds its perp's skew pairs as cases.
+    Kernel: the lines of the perp meeting neither x nor y are those skew to
+    both, the AND of their skew rows.  The first skew pair with a nonzero
+    AND, in order of the perps' first pairs and then lexicographic, fails,
+    and the least line of its AND is uncovered.
     """
-    masks = s.masks
-    cases = 0
-    passed: dict[int, int] = {}  # perp mask -> skew pairs it holds
-    for a, b in incident_pairs(s):
-        ab = masks[a] & masks[b]
-        if ab in passed:
-            cases += passed[ab]
-            continue
-        before = cases
-        for x in lines_of_mask(ab):
-            skew_above = ab & ~masks[x] & ~((1 << (x + 1)) - 1)
-            for y in lines_of_mask(skew_above):
-                cases += 1
-                uncovered = ab & ~(masks[x] | masks[y])
-                if uncovered:
-                    m = (uncovered & -uncovered).bit_length() - 1
-                    return CheckReport(
-                        "axiom2_3",
-                        FAIL,
-                        counterexample={
-                            "pair": labels_of(s, (a, b)),
-                            "x": s.labels[x],
-                            "y": s.labels[y],
-                            "uncovered": s.labels[m],
-                            "reason": "line in perp of the pair meets neither x nor y",
-                        },
-                        stats={"skew_pairs_examined": cases},
-                    )
-        passed[ab] = cases - before
-    return CheckReport("axiom2_3", PASS, stats={"skew_pairs_examined": cases})
+    table = perp_table(s)
+    hit, cases = table.first_flagged(
+        lambda k, x, y: (table.skew[k, x] & table.skew[k, y]).any(axis=1)
+    )
+    if hit is None:
+        return CheckReport("axiom2_3", PASS, stats={"skew_pairs_examined": cases})
+    k, x, y = hit
+    lines = table.lines[k].tolist()
+    return CheckReport(
+        "axiom2_3",
+        FAIL,
+        counterexample={
+            "pair": labels_of(s, table.pairs[table.first[k]].tolist()),
+            "x": s.labels[lines[x]],
+            "y": s.labels[lines[y]],
+            "uncovered": s.labels[table.lines_at(k, table.skew[k, x] & table.skew[k, y])[0]],
+            "reason": "line in perp of the pair meets neither x nor y",
+        },
+        stats={"skew_pairs_examined": cases},
+    )
 
 
 def _replay_axiom3(s: IncidenceStructure, ce: dict) -> bool:

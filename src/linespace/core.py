@@ -22,6 +22,7 @@ functions that take line indices validate them once, on entry.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -319,14 +320,135 @@ def incident_pairs(s: IncidenceStructure) -> tuple[tuple[int, int], ...]:
     """All incident distinct unordered pairs, sorted; cached per structure."""
 
     def build():
-        out = []
-        adj = s.adjacency
-        for i in range(s.line_count):
-            for j in np.flatnonzero(adj[i, i + 1 :]):
-                out.append((i, i + 1 + int(j)))
-        return tuple(out)
+        a, b = np.nonzero(np.triu(s.adjacency, 1))
+        return tuple(zip(a.tolist(), b.tolist()))
 
     return s.cached("incident_pairs", build)
+
+
+def _incidence(masks, width: int) -> np.ndarray:
+    """Bool matrix whose row r holds the bits of ``masks[r]`` below ``width``."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in masks), np.uint8)
+    rows = raw.reshape(len(masks), nbytes)
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little").view(bool)
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Bool rows packed into little-endian uint64 words, at least one per row,
+    bit j of a row at word j >> 6, bit j & 63."""
+    packed = np.packbits(np.ascontiguousarray(rows), axis=-1, bitorder="little")
+    out = np.zeros((*packed.shape[:-1], max(1, -(-packed.shape[-1] // 8)) * 8), np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def _places(words: np.ndarray, width: int) -> np.ndarray:
+    """The bool rows of ``_words`` rows, ``width`` places each."""
+    raw = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=width, bitorder="little").view(bool)
+
+
+def least_bits(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``_words`` words, the place of its least set bit, or -1."""
+    w = (rows != 0).argmax(axis=1)
+    word = rows[np.arange(len(rows)), w]
+    # the exponent of the word's lowest bit, exact in a float
+    return 64 * w + np.frexp((word & -word).astype(float))[1] - 1
+
+
+_CELLS_PER_STEP = 1 << 16  # (perp, line, line) cells per step over the perp table
+
+
+@dataclass(frozen=True)
+class PerpTable:
+    """The distinct perps of the incident pairs, their lines and skew rows.
+
+    Pair p of ``pairs``, the (P, 2) array of ``incident_pairs``, has perp
+    ``masks[perp[p]]``; ``masks`` holds the distinct perps in order of their
+    first pair, pair ``first[k]``.  Row k of ``lines`` lists perp k's lines
+    ascending (its places), padded with line n, which meets every line;
+    ``skew[k, i]`` holds, as ``_words`` words, the places skew to place i,
+    and ``in_sigma[k, i]`` whether there is one: whether i lies in sigma.
+    """
+
+    pairs: np.ndarray
+    perp: np.ndarray
+    masks: tuple[int, ...]
+    first: np.ndarray
+    lines: np.ndarray
+    skew: np.ndarray
+    in_sigma: np.ndarray
+
+    def steps(self, cells: int = 0) -> list[tuple[int, int]]:
+        """Bounds of the runs of perps taken at once, at most width squared
+        or ``cells`` cells per perp."""
+        step = max(1, _CELLS_PER_STEP // (max(cells, self.lines.shape[1] ** 2) + 1))
+        return [(lo, min(lo + step, len(self.masks))) for lo in range(0, len(self.masks), step)]
+
+    def local_pairs(self, lo: int, hi: int, within: Optional[np.ndarray] = None) -> tuple:
+        """(k, x, y) in lexicographic order: each perp k in [lo, hi) and places
+        x < y of its lines that are skew or, given a bool row per perp
+        ``within``, incident and both within."""
+        width = self.lines.shape[1]
+        related = _places(self.skew[lo:hi], width)
+        if within is not None:
+            related = ~related & within[lo:hi, :, None] & within[lo:hi, None, :]
+        k, x, y = np.nonzero(related & np.triu(np.ones((width, width), bool), 1))
+        return k + lo, x, y
+
+    def first_flagged(self, flag, within: Optional[np.ndarray] = None) -> tuple:
+        """Judge the ``local_pairs`` of every perp, each a case of every pair
+        of that perp: ``flag(k, x, y)`` marks the failing ones.  Returns the
+        first failing (k, x, y), in order of first pairs, with the cases a
+        walk of the pairs meets up to it, or None with all the cases."""
+        count = np.zeros(len(self.masks), np.int64)
+        for lo, hi in self.steps():
+            k, x, y = self.local_pairs(lo, hi, within)
+            count[lo:hi] = np.bincount(k - lo, minlength=hi - lo)
+            bad = np.flatnonzero(flag(k, x, y))
+            if len(bad):
+                i = bad[0]
+                before = count[self.perp[: self.first[k[i]]]].sum() + i - np.searchsorted(k, k[i])
+                return (int(k[i]), int(x[i]), int(y[i])), int(before) + 1
+        return None, int(count[self.perp].sum())
+
+    def lines_at(self, k: int, words: np.ndarray) -> list[int]:
+        """The lines of perp k at the places set in ``words``."""
+        return self.lines[k][_places(words, self.lines.shape[1])].tolist()
+
+
+def perp_table(s: IncidenceStructure) -> PerpTable:
+    """The ``PerpTable`` of ``s``; cached.  Pairs are grouped by the int mask
+    of their perp, and lines and skew rows built with array operations."""
+
+    def build():
+        n = s.line_count
+        masks = s.masks
+        ids: dict[int, int] = {}
+        perp = [ids.setdefault(masks[x] & masks[y], len(ids)) for x, y in incident_pairs(s)]
+        perp = np.array(perp, np.int64)
+        size = np.array([x.bit_count() for x in ids], np.int64)
+        width = int(size.max(initial=0))
+        a, b = np.nonzero(np.triu(s.adjacency, 1))
+        first = np.unique(perp, return_index=True)[1]
+        lines = np.full((len(ids), width), n, np.int32)
+        skew = np.zeros((len(ids), width, max(1, -(-width // 64))), np.uint64)
+        in_sigma = np.zeros((len(ids), width), bool)
+        pairs = np.stack((a, b), 1).astype(np.int32)
+        table = PerpTable(pairs, perp, tuple(ids), first, lines, skew, in_sigma)
+        adj = np.ones((n + 1, n + 1), bool)  # line n, the padding, meets every line
+        adj[:n, :n] = s.adjacency
+        for lo, hi in table.steps(n):
+            k, l = np.nonzero(s.adjacency[a[first[lo:hi]]] & s.adjacency[b[first[lo:hi]]])
+            start = np.cumsum(size[lo:hi]) - size[lo:hi]  # where each perp's lines begin in l
+            lines[lo + k, np.arange(len(k)) - start[k]] = l
+            places = lines[lo:hi, :, None] * (n + 1) + lines[lo:hi, None, :]
+            skew[lo:hi] = _words(~np.take(adj, places))
+        in_sigma[:] = (skew != 0).any(axis=2)
+        return table
+
+    return s.cached("perp_table", build)
 
 
 def labels_of(s: IncidenceStructure, lines: Iterable[int]) -> list[str]:

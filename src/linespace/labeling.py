@@ -25,6 +25,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     IncidenceStructure,
     LinespaceError,
@@ -33,8 +35,9 @@ from .core import (
     labels_of,
     lines_of_mask,
     mask_of_lines,
+    perp_table,
 )
-from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
+from .sigma import NotTwoClassesError, sigma_partition, sigma_table
 
 
 class Kind(str, Enum):
@@ -125,28 +128,38 @@ class GeometryModel:
 
 
 def element_table(s: IncidenceStructure) -> dict[int, tuple[int, int, int]]:
-    """Every secondary element's mask with one generating triad each; cached.
+    """Every secondary element's mask with one generating triad each; cached."""
+    return element_ids(s)[0]
+
+
+def element_ids(s: IncidenceStructure) -> tuple[dict[int, tuple[int, int, int]], np.ndarray]:
+    """``element_table(s)``, and per perp of ``perp_table(s)`` and place the
+    index in it of bracket(a, b, c), for the perp's pairs (a, b) and the
+    line c at that place, or -1 where c is not in sigma(a, b); cached.
 
     Iterates incident pairs (a, b) in index order and, for each, every
     member c of sigma(a, b) in index order, keeping the first triad that
     produces each distinct bracket.  This covers every triad's bracket
     because any triad contains an incident pair whose sigma holds the
-    third line.  Sigma and the brackets depend only on perp({a, b}), so a
-    pair whose perp was already walked adds nothing and is skipped.
+    third line.  Sigma and the brackets depend only on perp({a, b}), so
+    only the first pair of each distinct perp adds any.
     """
 
     def build():
-        by_mask: dict[int, tuple[int, int, int]] = {}
-        walked = set()
         masks = s.masks
-        for a, b in incident_pairs(s):
-            base = masks[a] & masks[b]
-            if base in walked:
-                continue
-            walked.add(base)
-            for c in lines_of_mask(sigma_mask(s, a, b)):
-                by_mask.setdefault(base & masks[c], (a, b, c))
-        return by_mask
+        pairs = incident_pairs(s)
+        sigmas = sigma_table(s)
+        table = perp_table(s)
+        ids: dict[int, int] = {}
+        triads, element = [], []
+        for base, p in zip(table.masks, table.first.tolist()):
+            for c in lines_of_mask(sigmas.masks[sigmas.set_id[p]]):
+                element.append(ids.setdefault(base & masks[c], len(ids)))
+                if element[-1] == len(triads):
+                    triads.append((*pairs[p], c))
+        element_of = np.full(table.lines.shape, -1, np.int32)
+        element_of[table.in_sigma] = element
+        return dict(zip(ids, triads)), element_of
 
     return s.cached("element_table", build)
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IncidenceStructure, PreconditionError, incident_pairs, labels_of
-from .sigma import sigma
+from .core import IncidenceStructure, PreconditionError
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -194,141 +193,6 @@ def line_plane_sets(meta: Pg3Metadata) -> list[frozenset[int]]:
     """
     normals = [_kernel(pl, meta.q)[0] for pl in meta.plane_reps]
     return _orthogonal_sets(meta.line_reps, normals, meta.q)
-
-
-def _match_family(
-    family: tuple[tuple[int, ...], ...],
-    per_line: list[frozenset[int]],
-    expected_count: int,
-    expected_size: int,
-    kind_name: str,
-    s: IncidenceStructure,
-) -> tuple[bool, dict]:
-    """Match one derived family against one coordinate subspace family.
-
-    Every element must have exactly one common subspace across its lines,
-    must contain every line on that subspace, and the induced map must be
-    a bijection onto the expected representatives.
-    """
-    if len(family) != expected_count:
-        return False, {
-            "issue": f"{kind_name}_count_mismatch",
-            "derived_count": len(family),
-            "expected_count": expected_count,
-        }
-    subspace_to_lines: dict[int, set[int]] = {}
-    for li, subs in enumerate(per_line):
-        for si in subs:
-            subspace_to_lines.setdefault(si, set()).add(li)
-    seen: set[int] = set()
-    for element in family:
-        common = frozenset.intersection(*(per_line[l] for l in element))
-        if len(common) != 1:
-            return False, {
-                "issue": f"{kind_name}_no_unique_subspace",
-                "element": labels_of(s, element),
-                "common_subspaces": len(common),
-            }
-        (si,) = common
-        full = subspace_to_lines.get(si, set())
-        if set(element) != full:
-            return False, {
-                "issue": f"{kind_name}_incomplete",
-                "element": labels_of(s, element),
-                "missing": labels_of(s, full - set(element)),
-            }
-        if len(element) != expected_size:
-            return False, {
-                "issue": f"{kind_name}_size_mismatch",
-                "element": labels_of(s, element),
-                "size": len(element),
-                "expected_size": expected_size,
-            }
-        if si in seen:
-            return False, {
-                "issue": f"{kind_name}_not_injective",
-                "element": labels_of(s, element),
-            }
-        seen.add(si)
-    return True, {}
-
-
-def verify_counts(meta: Pg3Metadata, m) -> "CheckReport":
-    """Cross-validate a derived model against the coordinate subspaces.
-
-    Derived points must biject with 1-dimensional subspaces through line
-    membership and derived planes with 3-dimensional ones (or the two
-    roles exchanged, since the naming of the families is a free choice;
-    the orientation used is recorded in stats).  Also checks that, for
-    every incident distinct pair, sigma(a, b) equals the symmetric
-    difference of the bundle of lines through the pair's common point and
-    the set of lines in its common plane.
-    """
-    from .axioms import CheckReport  # local import to keep module layering flat
-
-    s = m.structure
-    pts = line_point_sets(meta)
-    pls = line_plane_sets(meta)
-    expected = meta.expected_point_count
-    size = meta.lines_per_element
-
-    def attempt(point_like, plane_like):
-        ok, witness = _match_family(point_like, pts, expected, size, "point", s)
-        if not ok:
-            return False, witness
-        ok, witness = _match_family(plane_like, pls, expected, size, "plane", s)
-        if not ok:
-            return False, witness
-        return True, {}
-
-    orientation = "standard"
-    ok, witness = attempt(m.points, m.planes)
-    if not ok:
-        swapped_ok, _ = attempt(m.planes, m.points)
-        if swapped_ok:
-            orientation = "swapped"
-            ok, witness = True, {}
-    stats = {
-        "q": meta.q,
-        "points": len(m.points),
-        "planes": len(m.planes),
-        "orientation": orientation,
-        "pairs_checked": 0,
-    }
-    if not ok:
-        return CheckReport("pg3_subspace_validation", "fail", counterexample=witness, stats=stats)
-
-    checked = 0
-    for a, b in incident_pairs(s):
-        common_pts = pts[a] & pts[b]
-        common_pls = pls[a] & pls[b]
-        if len(common_pts) != 1 or len(common_pls) != 1:
-            return CheckReport(
-                "pg3_subspace_validation",
-                "fail",
-                counterexample={
-                    "issue": "pair_without_unique_point_and_plane",
-                    "pair": labels_of(s, (a, b)),
-                },
-                stats=stats,
-            )
-        (cp,) = common_pts
-        (cl,) = common_pls
-        bundle = {l for l in range(s.line_count) if cp in pts[l]}
-        ruled = {l for l in range(s.line_count) if cl in pls[l]}
-        if sigma(s, a, b) != frozenset(bundle ^ ruled):
-            return CheckReport(
-                "pg3_subspace_validation",
-                "fail",
-                counterexample={
-                    "issue": "sigma_not_symmetric_difference",
-                    "pair": labels_of(s, (a, b)),
-                },
-                stats=stats,
-            )
-        checked += 1
-    stats["pairs_checked"] = checked
-    return CheckReport("pg3_subspace_validation", "pass", stats=stats)
 
 
 NEGATIVE_KINDS = ("no_skew_anywhere", "pasch_violation", "two_components", "single_line")

@@ -33,6 +33,7 @@ from .core import (
     labels_of,
     lines_of_mask,
     perp_mask,
+    perp_table,
 )
 
 
@@ -134,12 +135,14 @@ def pair_sets(width: int, sets: dict[tuple[int, int], int]) -> PairSets:
 
 def sigma_table(s: IncidenceStructure) -> PairSets:
     """The sigma set of every incident distinct pair, as ``PairSets`` over
-    ``incident_pairs(s)``; cached."""
+    ``incident_pairs(s)``; cached.  Sigma is found once per distinct perp
+    of ``perp_table(s)``."""
 
     def build():
-        masks = s.masks
-        sets = {(a, b): _sigma_of_perp(s, masks[a] & masks[b]) for a, b in incident_pairs(s)}
-        return pair_sets(s.line_count, sets)
+        table = perp_table(s)
+        sigmas = [_sigma_of_perp(s, base) for base in table.masks]
+        sets = map(sigmas.__getitem__, table.perp.tolist())
+        return pair_sets(s.line_count, dict(zip(incident_pairs(s), sets)))
 
     return s.cached("sigma_table", build)
 

@@ -16,20 +16,24 @@ Six checks quantify over every triad.  They share one table per
 structure, ``triad_table``: the triads as a sorted (T, 3) int32 array,
 each one's three sigma memberships, and the index of its bracket among
 the distinct brackets, built with array operations so that no triad is
-ever a Python object.  The point-triple checks share a second table,
-``_triangles``.
+ever a Python object.  The checks over incident pairs read one table
+per structure too, ``core.perp_table``: each pair's perp among the
+distinct perps, and each perp's lines with their skew rows as packed
+words.  The point-triple checks share ``_triangles``.
 
-The costliest checks run array kernels.  Five triad checks and
-``thm_two_classes`` judge with theirs: the kernel computes the check's
-predicate for every item, so the first item it flags is the least
-violation, and the report is read from its arrays.  The kernels of
-``thm_exchange``, ``thm_triangle``, ``thm_tetrahedron`` and the A3 check
-of ``vy_axioms`` are partial: they only prove that an item passes, and
-hand each item they cannot prove, in walk order, to the scalar code of
-the check, which judges it from the definitions, names the failure and
-counts its cases.  A proved item would pass that code too, and counts
-the cases the scalar walk would reach on it, so either way a report is
-the same as a scalar walk of every item.
+The costliest checks run array kernels.  Five triad checks,
+``thm_two_classes``, ``thm_bracket_welldefined``, ``thm_regulus_skew``
+and ``thm_pencil_intersection`` judge with theirs, as axioms 2.2 and 2.3
+do: the kernel computes the check's predicate for every item, so the
+first item it flags is the least violation, and the report is read from
+its arrays, or named from the definitions at that one item.  The kernels
+of ``thm_exchange``, ``thm_triangle``, ``thm_tetrahedron`` and the A3
+check of ``vy_axioms`` stay partial: they only prove that an item
+passes, and hand each item they cannot prove, in walk order, to the
+scalar code of the check, which judges it from the definitions, names
+the failure and counts its cases.  A proved item would pass that code
+too, and counts the cases the scalar walk would reach on it, so either
+way a report is the same as a scalar walk of every item.
 
 Every check here registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
@@ -50,12 +54,15 @@ import numpy as np
 from .axioms import _replay_not_two_classes, _resolve
 from .core import (
     IncidenceStructure,
-    find_skew_triple_mask,
+    _incidence,
+    _words,
     incident_pairs,
     labels_of,
+    least_bits,
     lines_of_mask,
     mask_of_lines,
     perp_mask,
+    perp_table,
 )
 from .labeling import (
     GeometryModel,
@@ -63,35 +70,19 @@ from .labeling import (
     LabelInconsistencyError,
     MissingElementError,
     _unique_element,
+    element_ids,
+    element_table,
     labeled_sigma_classes,
 )
 from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
 from .sigma import (
     NotTwoClassesError,
-    PairSets,
     pair_sets,
     sigma_mask,
     sigma_partition,
     sigma_split,
     sigma_table,
 )
-
-
-def _incidence(masks, width: int) -> np.ndarray:
-    """Bool matrix whose row r holds the bits of ``masks[r]`` below ``width``."""
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in masks), np.uint8)
-    rows = raw.reshape(len(masks), nbytes)
-    return np.unpackbits(rows, axis=1, count=width, bitorder="little").view(bool)
-
-
-def _words(rows: np.ndarray) -> np.ndarray:
-    """Bool rows packed into little-endian uint64 words, bit j of a row at
-    word j >> 6, bit j & 63."""
-    packed = np.packbits(np.ascontiguousarray(rows), axis=1, bitorder="little")
-    out = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), np.uint8)
-    out[:, : packed.shape[1]] = packed
-    return out.view("<u8")
 
 
 def _triad_keys(lines: np.ndarray, n: int) -> np.ndarray:
@@ -124,7 +115,7 @@ _ENTRIES_PER_STEP = 1 << 18  # (pair, sigma member) entries per step of the tria
 _TRIADS_PER_STEP = 1 << 16  # triads per step of a kernel
 
 
-def _sorted_triads(table: PairSets, n: int) -> np.ndarray:
+def _sorted_triads(s: IncidenceStructure) -> np.ndarray:
     """The (T, 3) int32 array of every triad, rows ascending, in lexicographic order.
 
     Every incident pair (x, y) and z in sigma(x, y) name the triad
@@ -133,12 +124,14 @@ def _sorted_triads(table: PairSets, n: int) -> np.ndarray:
     sigma(a, b).  Any other entry, read as the sorted (a, b, c), adds a
     triad only when c is not in sigma(a, b); those are merged in.
     """
-    x, y = table.pairs.T
-    held = _incidence(table.masks, n)
-    size = held.sum(axis=1)
+    n = s.line_count
+    table = sigma_table(s)
+    perps = perp_table(s)
+    x, y = perps.pairs.T
+    size = perps.in_sigma.sum(axis=1)
     offset = np.cumsum(size) - size
-    _, members = np.nonzero(held)  # the lines of each distinct sigma set, one set after another
-    of_pair = table.set_id[:-1]
+    members = perps.lines[perps.in_sigma]  # the sigma of each perp, one perp after another
+    of_pair = perps.perp
     step = max(1, _ENTRIES_PER_STEP // (int(size.max(initial=0)) + 1))
     keys, extra = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for lo in range(0, len(of_pair), step):
@@ -162,41 +155,25 @@ def _sorted_triads(table: PairSets, n: int) -> np.ndarray:
     return lines
 
 
-def _bracket_ids(s: IncidenceStructure, lines: np.ndarray) -> tuple[np.ndarray, list[int], list]:
-    """Per triad the index of its bracket, the distinct bracket masks in
-    order of their first triad, and that first triad of each.
-
-    Brackets are told apart per least line a: a triad's bracket lies in
-    perp({a}), so its restriction to the lines meeting a, the AND of two
-    packed rows, names it exactly.  A bracket new to the walk is then taken
-    from its first triad as masks[a] & masks[b] & masks[c].
-    """
-    adj = s.adjacency
-    masks = s.masks
-    bounds = np.searchsorted(lines[:, 0], np.arange(s.line_count + 1))
-    bracket = np.empty(len(lines), np.int32)
-    ids: dict[int, int] = {}
-    first = []
-    for a in np.flatnonzero(np.diff(bounds)).tolist():
-        lo, hi = int(bounds[a]), int(bounds[a + 1])
-        near = np.flatnonzero(adj[a])
-        local = _words(adj[near][:, near])
-        b, c = (np.cumsum(adj[a]) - 1)[lines[lo:hi, 1:]].T  # places among the lines meeting a
-        rows = local[b] & local[c]
-        order = np.lexsort(rows.T)  # stable: the first of equal rows is the earliest triad
-        rows = rows[order]
-        starts = np.ones(len(rows), bool)
-        starts[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        at = order[starts]
-        named = np.empty(len(at), np.int32)
-        for u in np.argsort(at).tolist():
-            t = lo + int(at[u])
-            _, tb, tc = lines[t].tolist()
-            k = named[u] = ids.setdefault(masks[a] & masks[tb] & masks[tc], len(ids))
-            if k == len(first):
-                first.append(t)
-        bracket[lo + order] = named[np.cumsum(starts) - 1]
-    return bracket, list(ids), first
+def _bracket_elements(s: IncidenceStructure, lines: np.ndarray) -> np.ndarray:
+    """Per triad, the index of its bracket in ``element_table(s)``: read, in
+    ``element_ids``, at the place of its third line in the perp of a pair
+    of it whose sigma holds the third."""
+    table, sigmas = perp_table(s), sigma_table(s)
+    element_of = element_ids(s)[1].ravel()
+    n = s.line_count
+    # (perp, line) of each place as one sorted key, row k's padding included
+    places = (np.arange(len(table.masks))[:, None] * (n + 1) + table.lines).ravel()
+    out = np.empty(len(lines), np.int64)
+    for lo in range(0, len(lines), _TRIADS_PER_STEP):
+        a, b, c = lines[lo : lo + _TRIADS_PER_STEP].T
+        third_c = sigmas.holds(a, b, c)
+        third_a = ~third_c & sigmas.holds(b, c, a)  # else b lies in sigma(a, c)
+        u, v = np.where(third_c | ~third_a, a, b), np.where(third_c, b, c)
+        w = np.where(third_c, c, np.where(third_a, a, b))
+        k = table.perp[sigmas.pair_id[u, v]]
+        out[lo : lo + _TRIADS_PER_STEP] = element_of[np.searchsorted(places, k * (n + 1) + w)]
+    return out
 
 
 def triad_table(s: IncidenceStructure) -> _Triads:
@@ -204,13 +181,19 @@ def triad_table(s: IncidenceStructure) -> _Triads:
 
     A triple counts as a triad when some rotation places its third line in
     the sigma set of the other two.  The table is built with array
-    operations, in steps of bounded size, from ``sigma_table(s)``.
+    operations, in steps of bounded size, from ``sigma_table(s)`` and
+    ``element_ids(s)``.
     """
 
     def build():
-        lines = _sorted_triads(sigma_table(s), s.line_count)
-        bracket, brackets, first = _bracket_ids(s, lines)
-        return _Triads(lines, bracket, brackets, np.array(first, np.int64))
+        lines = _sorted_triads(s)
+        element = _bracket_elements(s, lines)
+        seen, first = np.unique(element, return_index=True)
+        order = np.argsort(first)  # the brackets in order of their first triad
+        rank = np.zeros(len(element_table(s)), np.int32)
+        rank[seen[order]] = np.arange(len(order))
+        masks = list(element_table(s))
+        return _Triads(lines, rank[element], [masks[e] for e in seen[order].tolist()], first[order])
 
     return s.cached("triad_table", build)
 
@@ -226,21 +209,17 @@ def _labeled_class_masks(m: GeometryModel) -> dict[tuple[int, int], tuple[int, i
     """(point_class_mask, plane_class_mask) per incident pair; cached.
 
     The labeled classes of (a, b) depend only on perp({a, b}), so they are
-    found once per distinct perp, from its first pair.  That pair is the
-    first whose perp fails, so an error names the pair it always did.
+    found once per distinct perp of ``perp_table``, from its first pair, in
+    the order of those pairs.  The first perp that fails is then the perp
+    of the first pair that fails, so an error names the pair it always did.
     """
     s = m.structure
-    masks = s.masks
 
     def build():
-        by_perp: dict[int, tuple[int, int]] = {}
-        out = {}
-        for a, b in incident_pairs(s):
-            ab = masks[a] & masks[b]
-            if ab not in by_perp:
-                by_perp[ab] = labeled_sigma_classes(m, a, b)
-            out[(a, b)] = by_perp[ab]
-        return out
+        pairs = incident_pairs(s)
+        table = perp_table(s)
+        per_perp = [labeled_sigma_classes(m, *pairs[p]) for p in table.first.tolist()]
+        return dict(zip(pairs, map(per_perp.__getitem__, table.perp.tolist())))
 
     return s.cached(("labeled_class_masks", m.points, m.planes), build)
 
@@ -340,42 +319,33 @@ def _replay_bracket_welldefined(s: IncidenceStructure, ce: dict) -> bool:
 def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
     """Incident members of one sigma set give equal brackets over the pair.
 
-    Reduction: depends only on perp({a, b}), walked once per distinct perp.
+    Reduction: depends only on perp({a, b}), so it is judged once per
+    distinct perp, and each pair adds its perp's cases.  Kernel: the
+    bracket of c over the pair is the perp less the skew row of c, so two
+    incident members of sigma, each pair of them a case, give equal
+    brackets iff their skew rows are equal; the first case, in order of the
+    perps' first pairs and then lexicographic, with unequal rows fails.
     """
     name = "thm_bracket_welldefined"
-    masks = s.masks
-    adj = s.adjacency
-    table = sigma_table(s)
-    cases = 0
-    passed: dict[int, int] = {}  # perp mask -> cases it holds
-    for (a, b), k in zip(incident_pairs(s), table.set_id[:-1].tolist()):
-        sig = table.masks[k]
-        base = masks[a] & masks[b]
-        if base in passed:
-            cases += passed[base]
-            continue
-        before = cases
-        members = lines_of_mask(sig)
-        for i, c1 in enumerate(members):
-            for c2 in members[i + 1 :]:
-                if not adj[c1, c2]:
-                    continue
-                cases += 1
-                if base & masks[c1] != base & masks[c2]:
-                    delta = (base & masks[c1]) ^ (base & masks[c2])
-                    return CheckReport(
-                        name,
-                        FAIL,
-                        counterexample={
-                            "pair": labels_of(s, (a, b)),
-                            "c1": s.labels[c1],
-                            "c2": s.labels[c2],
-                            "differs_on": labels_of(s, lines_of_mask(delta)),
-                        },
-                        stats={"cases_examined": cases},
-                    )
-        passed[base] = cases - before
-    return CheckReport(name, PASS, stats={"cases_examined": cases})
+    table = perp_table(s)
+    hit, cases = table.first_flagged(
+        lambda k, x, y: (table.skew[k, x] != table.skew[k, y]).any(axis=1), within=table.in_sigma
+    )
+    if hit is None:
+        return CheckReport(name, PASS, stats={"cases_examined": cases})
+    k, x, y = hit
+    lines = table.lines[k].tolist()
+    return CheckReport(
+        name,
+        FAIL,
+        counterexample={
+            "pair": labels_of(s, table.pairs[table.first[k]].tolist()),
+            "c1": s.labels[lines[x]],
+            "c2": s.labels[lines[y]],
+            "differs_on": labels_of(s, table.lines_at(k, table.skew[k, x] ^ table.skew[k, y])),
+        },
+        stats={"cases_examined": cases},
+    )
 
 
 def _replay_line_selfperp(s: IncidenceStructure, ce: dict) -> bool:
@@ -418,36 +388,31 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
 
     Reduction: an incident pair lies in a triple's bracket exactly when the
     triple lies in the pair's perp, so the least violating triple is the
-    least of the per-pair least skew triples of those perps.  Each depends
-    only on perp({a, b}) and is found once per distinct perp.
+    least pairwise-skew triple of any perp, and each distinct perp is
+    searched once.  Kernel: per skew pair x < y of a perp, the lines skew
+    to both, the AND of their skew rows, above y complete it to a skew
+    triple, the least of them to the least such triple; the least of those
+    triples over every perp is the violation.
     """
     name = "thm_regulus_skew"
-    masks = s.masks
-    pairs = incident_pairs(s)
+    table = perp_table(s)
+    width = table.lines.shape[1]
+    above = _words(np.triu(np.ones((width, width), bool), 1))  # row y: the places above y
     least = None
-    for ab in {masks[a] & masks[b] for a, b in pairs}:
-        triple = find_skew_triple_mask(s, ab)
-        if triple is not None and (least is None or triple < least):
-            least = triple
-    stats = {"pairs_examined": len(pairs)}
+    for lo, hi in table.steps():
+        k, x, y = table.local_pairs(lo, hi)
+        z = least_bits(table.skew[k, x] & table.skew[k, y] & above[y])
+        triples = table.lines[k[z >= 0, None], np.stack((x, y, z), axis=1)[z >= 0]]
+        if len(triples):
+            triple = tuple(triples[_triad_keys(triples, s.line_count).argmin()].tolist())
+            least = min(least or triple, triple)
+    stats = {"pairs_examined": len(table.pairs)}
     if least is None:
         return CheckReport(name, PASS, stats=stats)
-    B = _bracket_mask(s, least)
-    for l in lines_of_mask(B):
-        other = B & masks[l] & ~(1 << l)
-        if other:
-            break
-    m2 = (other & -other).bit_length() - 1
-    return CheckReport(
-        name,
-        FAIL,
-        counterexample={
-            "triple": labels_of(s, least),
-            "m": s.labels[min(l, m2)],
-            "n": s.labels[max(l, m2)],
-        },
-        stats=stats,
-    )
+    B = _bracket_mask(s, least)  # holds the incident pair whose perp holds the triple
+    m, n = next((l, o) for l in lines_of_mask(B) for o in lines_of_mask(B & s.masks[l]) if o > l)
+    ce = {"triple": labels_of(s, least), "m": s.labels[m], "n": s.labels[n]}
+    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
 
 
 def _replay_bracket_closed(s: IncidenceStructure, ce: dict) -> bool:
@@ -582,10 +547,7 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
         rows[np.arange(len(e)), e >> 6] &= ~(np.uint64(1) << (e & 63).astype(np.uint64))
         foreign = np.flatnonzero(rows.any(axis=1))
         if len(foreign):
-            w = (rows[foreign] != 0).argmax(axis=1)  # each row's first nonzero word
-            word = rows[foreign, w]
-            # each row's least foreign element: the exponent of its word's lowest bit
-            first = 64 * w + np.frexp((word & -word).astype(float))[1] - 1
+            first = least_bits(rows[foreign])  # each row's least foreign element
             k = int(first.argmin())
             if least is None or first[k] < least[0]:
                 least = (int(first[k]), lo + int(foreign[k]))
@@ -697,18 +659,35 @@ def thm_point_ne_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, PASS, stats=stats)
 
 
-def _replay_pencil_intersection(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    a, b = _resolve(s, ce["pair"])
+def _pencil_issue(s: IncidenceStructure, m: GeometryModel, a: int, b: int) -> Optional[dict]:
+    """The counterexample of thm_pencil_intersection at the incident pair
+    a < b, from the definitions, or None when the pair passes."""
     try:
         pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
         pl = m.plane_masks[_unique_element(m, a, b, Kind.PLANE)]
-    except MissingElementError:
-        return "issue" in ce  # the report named this missing meet or join
-    if "issue" in ce:
-        return False
+    except MissingElementError as e:
+        return {"pair": labels_of(s, (a, b)), "issue": str(e)}
     dd = perp_mask(s, s.masks[a] & s.masks[b])
-    pc, qc = _labeled_class_masks(m)[(min(a, b), max(a, b))]
-    return (pt & pl) != dd or pc != (pt & ~dd) or qc != (pl & ~dd)
+    pc, qc = _labeled_class_masks(m)[(a, b)]
+    checks = (
+        ("meet_join_intersection", pt & pl, dd),
+        ("point_class_identity", pc, pt & ~dd),
+        ("plane_class_identity", qc, pl & ~dd),
+    )
+    for label, got, want in checks:
+        if got != want:
+            return {
+                "pair": labels_of(s, (a, b)),
+                "identity": label,
+                "got": labels_of(s, lines_of_mask(got)),
+                "expected": labels_of(s, lines_of_mask(want)),
+            }
+    return None
+
+
+def _replay_pencil_intersection(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    got = _pencil_issue(s, m, *sorted(_resolve(s, ce["pair"])))
+    return got is not None and ("issue" in got) == ("issue" in ce)  # the same kind of failure
 
 
 @registered("theorems", model=True, replay=_replay_pencil_intersection)
@@ -717,54 +696,54 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
 
     Also checks the companion identities: the point class of sigma(a, b)
     is the meet minus the double perp, and dually for the plane class.
-    The double perp depends only on perp({a, b}) and is found once per
-    distinct perp; meet and join depend on the pair and are looked up per
-    pair.
+    Kernel: per incident pair, the meet and the join are the one point and
+    the one plane whose bits both lines' rows of the element-holding
+    matrix set, one AND per family.  The identities then depend only on
+    the meet, the join, perp({a, b}), whose double perp is the perp less
+    sigma, and the pair's perp in the model's structure, which fixes its
+    classes; they are judged once per distinct such four.  The first pair
+    that fails, by its four, by a meet or join that is not unique, or by
+    not being an incident pair of the model's structure, is named from the
+    definitions.
     """
     name = "thm_pencil_intersection"
     try:
         classes = _labeled_class_masks(m)
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
-    masks = s.masks
-    double_perp: dict[int, int] = {}  # perp({a, b}) -> its perp
-    examined = 0
-    for a, b in incident_pairs(s):
-        examined += 1
-        try:
-            pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
-            pl = m.plane_masks[_unique_element(m, a, b, Kind.PLANE)]
-        except MissingElementError as e:
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample={"pair": labels_of(s, (a, b)), "issue": str(e)},
-                stats={"pairs_examined": examined},
-            )
-        ab = masks[a] & masks[b]
-        dd = double_perp.get(ab)
-        if dd is None:
-            dd = double_perp[ab] = perp_mask(s, ab)
-        pc, qc = classes[(a, b)]
-        checks = (
-            ("meet_join_intersection", pt & pl, dd),
-            ("point_class_identity", pc, pt & ~dd),
-            ("plane_class_identity", qc, pl & ~dd),
-        )
-        for label, got, want in checks:
-            if got != want:
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "pair": labels_of(s, (a, b)),
-                        "identity": label,
-                        "got": labels_of(s, lines_of_mask(got)),
-                        "expected": labels_of(s, lines_of_mask(want)),
-                    },
-                    stats={"pairs_examined": examined},
-                )
-    return CheckReport(name, PASS, stats={"pairs_examined": examined})
+    table, model_table = perp_table(s), perp_table(m.structure)
+    width = max(s.line_count, m.structure.line_count)
+    a, b = table.pairs.T
+    model_perp = np.full((width, width), -1)  # -1: not an incident pair of the model's structure
+    model_perp[model_table.pairs[:, 0], model_table.pairs[:, 1]] = model_table.perp
+    four = [table.perp, model_perp[a, b]]
+    for emasks in (m.point_masks, m.plane_masks):
+        holding = _words(_incidence(emasks, width).T)  # bit e of row l: element e holds line l
+        hits = holding[a] & holding[b]
+        top = hits.max(axis=1)
+        unique = ((hits != 0).sum(axis=1) == 1) & ((top & (top - 1)) == 0)
+        four.append(np.where(unique, least_bits(hits), -1))
+    four = np.stack(four, axis=1)
+    _, first, inverse = np.unique(four, axis=0, return_index=True, return_inverse=True)
+    pairs = incident_pairs(s)
+    sig = sigma_table(s)  # the double perp lies in perp({a, b}): it is the perp less sigma
+    first_pairs = table.first.tolist()
+    double_perp = [ab & ~sig.masks[sig.set_id[p]] for ab, p in zip(table.masks, first_pairs)]
+
+    def holds(p, k, in_model, point, plane):
+        if min(in_model, point, plane) < 0:
+            return False
+        pt, pl, dd = m.point_masks[point], m.plane_masks[plane], double_perp[k]
+        pc, qc = classes[pairs[p]]
+        return pt & pl == dd and pc == pt & ~dd and qc == pl & ~dd
+
+    passes = np.array([holds(p, *four[p].tolist()) for p in first.tolist()], bool)
+    flagged = np.flatnonzero(~passes[inverse.reshape(-1)])
+    if not len(flagged):
+        return CheckReport(name, PASS, stats={"pairs_examined": len(pairs)})
+    p = int(flagged[0])
+    ce = _pencil_issue(s, m, *pairs[p])
+    return CheckReport(name, FAIL, counterexample=ce, stats={"pairs_examined": p + 1})
 
 
 def _replay_exchange(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import linespace
-from linespace import coordinate_labels, gen_pg3, gen_tetrahedron
+from linespace import IncidenceStructure, coordinate_labels, gen_pg3, gen_tetrahedron
 
 SRC = Path(linespace.__file__).resolve().parent.parent
 
@@ -75,3 +76,18 @@ def run_python(args, tmp_path, **env):
         text=True,
         timeout=120,
     )
+
+
+def one_perp_regulus():
+    """Eleven lines whose least skew triple lies in one distinct perp only.
+
+    u, v, w = L0, L1, L2 are pairwise skew; m, n = L3, L4 meet them and each
+    other; each of L5-L10 meets one of u, v, w and one of m, n, and nothing
+    else.  So perp(m, n) = {u, v, w, m, n} is the one perp holding u, v, w,
+    and the numerically least perp: every other perp holds one of L5-L10.
+    No other perp holds a skew triple.
+    """
+    ends = [(j, h) for j in range(3) for h in (3, 4)]
+    incident = {*ends, (3, 4)} | {(e, 5 + i) for i, pair in enumerate(ends) for e in pair}
+    skew = [p for p in itertools.combinations(range(11), 2) if p not in incident]
+    return IncidenceStructure.from_skew_pairs(11, skew)

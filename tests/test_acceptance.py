@@ -27,10 +27,10 @@ from linespace import (
     run_theorem_suite,
     sigma,
     sigma_partition,
-    verify_counts,
     vy_axioms,
 )
 from linespace.io import canonical_json, model_to_dict
+from test_models import verify_counts
 from linespace.theorems import run_vy_battery
 
 

@@ -1,14 +1,14 @@
-"""thm_triad_typing, thm_exchange, the point-triple checks and vy_axioms
-against brute-force oracles.
+"""thm_triad_typing, thm_pencil_intersection, thm_exchange, the point-triple
+checks and vy_axioms against brute-force oracles.
 
-Each oracle below walks every triad, every triad's bracket pairs and every
-triple of points straight from the adjacency matrices and the model's two
-families,
-with plain Python sets.  It shares no code with ``linespace.theorems``:
-agreement on the whole ``to_dict()`` (status, counterexample, witness and
-stats) shows that the bitset kernels, which only prove items pass and hand
-the rest to the scalar walk, name the same least failure and count the
-same cases as a walk over every item.
+Each oracle below walks every triad, every triad's bracket pairs, every
+incident pair and every triple of points straight from the adjacency
+matrices and the model's two families, with plain Python sets.  It
+shares no code with ``linespace.theorems``: agreement on the whole
+``to_dict()`` (status, counterexample, witness and stats) shows that the
+kernels, which judge items in bulk or only prove items pass and hand the
+rest to the scalar walk, name the same least failure and count the same
+cases as a walk over every item.
 
 The checked structure ``s`` supplies triads, sigma sets, brackets and
 incidence; the model's own structure supplies the labeled sigma classes.
@@ -21,12 +21,19 @@ is typed, as the model's two lookups do.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linespace import (
+    NEGATIVE_KINDS,
     GeometryModel,
     IncidenceStructure,
+    LinespaceError,
+    PreconditionError,
+    coordinate_labels,
+    gen_negative,
     thm_exchange,
+    thm_pencil_intersection,
     thm_tetrahedron,
     thm_triad_typing,
     thm_triangle,
@@ -34,6 +41,7 @@ from linespace import (
 )
 
 UNAVAILABLE = object()
+RAISES = object()
 
 
 class Oracle:
@@ -127,6 +135,44 @@ class Oracle:
                 ce = {"triad": self.names((a, b, c)), "sides": sides}
                 return report(name, "fail", ce, {"triads_examined": examined})
         return report(name, "pass", None, {"triads_examined": len(tri)})
+
+    def pencil_intersection(self):
+        """RAISES for a pair of ``s`` not incident in the model's structure."""
+        name = "thm_pencil_intersection"
+        if self.classes is UNAVAILABLE:
+            return None
+        pairs = [(x, y) for x, y in itertools.combinations(range(self.n), 2) if self.adj[x][y]]
+        for examined, (x, y) in enumerate(pairs, start=1):
+            if (x, y) not in self.classes:
+                return RAISES
+            found = []
+            for kind, family in (("point", self.points), ("plane", self.planes)):
+                holding = [e for e in family if x in e and y in e]
+                if len(holding) != 1:
+                    issue = (
+                        f"no unique {kind} contains {self.labels[x]!r} and {self.labels[y]!r}; "
+                        "model is inconsistent"
+                    )
+                    ce = {"pair": self.names((x, y)), "issue": issue}
+                    return report(name, "fail", ce, {"pairs_examined": examined})
+                found += holding
+            meet, join = found
+            double_perp = self.perp(self.perp((x, y)))
+            point_class, plane_class = self.classes[x, y]
+            for identity, got, expected in (
+                ("meet_join_intersection", meet & join, double_perp),
+                ("point_class_identity", point_class, meet - double_perp),
+                ("plane_class_identity", plane_class, join - double_perp),
+            ):
+                if got != expected:
+                    ce = {
+                        "pair": self.names((x, y)),
+                        "identity": identity,
+                        "got": self.names(got),
+                        "expected": self.names(expected),
+                    }
+                    return report(name, "fail", ce, {"pairs_examined": examined})
+        return report(name, "pass", None, {"pairs_examined": len(pairs)})
 
     def exchange(self):
         name = "thm_exchange"
@@ -337,16 +383,35 @@ def assert_matches_oracle(s, m):
     o = Oracle(s, m)
     for check, expected in (
         (thm_triad_typing, o.triad_typing()),
+        (thm_pencil_intersection, o.pencil_intersection()),
         (thm_exchange, o.exchange()),
         (thm_triangle, o.triangle()),
         (thm_tetrahedron, o.tetrahedron()),
     ):
+        if expected is RAISES:  # the pair is not incident in the model's structure
+            with pytest.raises(PreconditionError):
+                check(s, m)
+            continue
         got = check(s, m).to_dict()
         if expected is None:  # no labeled classes: the detail names the labeling's error
             assert got["status"] == "dependency_unmet", got
         else:
             assert got == expected, got["check_name"]
     assert [r.to_dict() for r in vy_axioms(s, m)] == o.vy()
+
+
+def test_fixtures_match_oracle(tetra):
+    """The fixtures that have a labeling, against it; and a tetrahedron with
+    one skew pair made incident, against the tetrahedron's model: its first
+    pair is then no incident pair of the model's structure."""
+    for s in (tetra, *map(gen_negative, NEGATIVE_KINDS)):
+        try:
+            m = coordinate_labels(s)
+        except LinespaceError:
+            continue
+        assert_matches_oracle(s, m)
+    m = coordinate_labels(IncidenceStructure.from_skew_pairs(6, [(0, 1), (2, 3), (4, 5)]))
+    assert_matches_oracle(IncidenceStructure.from_skew_pairs(6, [(2, 3), (4, 5)]), m)
 
 
 def test_pg2_matches_oracle(pg2, pg2_model):

@@ -10,6 +10,9 @@ import pytest
 from linespace import (
     NEGATIVE_EXPECTATIONS,
     NEGATIVE_KINDS,
+    CheckReport,
+    IncidenceStructure,
+    Pg3Metadata,
     PreconditionError,
     UnsupportedFieldError,
     check_axiom1,
@@ -20,9 +23,10 @@ from linespace import (
     gen_tetrahedron,
     incident_pairs,
     is_isomorphic,
+    labels_of,
+    save_structure,
     sigma,
     thm_tetrahedron,
-    verify_counts,
     vy_axioms,
 )
 from conftest import run_python
@@ -126,13 +130,164 @@ def oracle_adjacency(line_reps, q):
     return adj, per_line
 
 
-# Bounds for test_pg35_triad_checks: on a 2-vCPU host the stages take 7 s
-# from the first check to the last and peak at 109 MB RSS, against 32 s and
-# 431 MB when each triad was a Python tuple with its own bracket int.
+# The cross-check of a derived model against the coordinate subspaces.
+
+
+def _match_family(
+    family: tuple[tuple[int, ...], ...],
+    per_line: list[frozenset[int]],
+    expected_count: int,
+    expected_size: int,
+    kind_name: str,
+    s: IncidenceStructure,
+) -> tuple[bool, dict]:
+    """Match one derived family against one coordinate subspace family.
+
+    Every element must have exactly one common subspace across its lines,
+    must contain every line on that subspace, and the induced map must be
+    a bijection onto the expected representatives.
+    """
+    if len(family) != expected_count:
+        return False, {
+            "issue": f"{kind_name}_count_mismatch",
+            "derived_count": len(family),
+            "expected_count": expected_count,
+        }
+    subspace_to_lines: dict[int, set[int]] = {}
+    for li, subs in enumerate(per_line):
+        for si in subs:
+            subspace_to_lines.setdefault(si, set()).add(li)
+    seen: set[int] = set()
+    for element in family:
+        common = frozenset.intersection(*(per_line[l] for l in element))
+        if len(common) != 1:
+            return False, {
+                "issue": f"{kind_name}_no_unique_subspace",
+                "element": labels_of(s, element),
+                "common_subspaces": len(common),
+            }
+        (si,) = common
+        full = subspace_to_lines.get(si, set())
+        if set(element) != full:
+            return False, {
+                "issue": f"{kind_name}_incomplete",
+                "element": labels_of(s, element),
+                "missing": labels_of(s, full - set(element)),
+            }
+        if len(element) != expected_size:
+            return False, {
+                "issue": f"{kind_name}_size_mismatch",
+                "element": labels_of(s, element),
+                "size": len(element),
+                "expected_size": expected_size,
+            }
+        if si in seen:
+            return False, {
+                "issue": f"{kind_name}_not_injective",
+                "element": labels_of(s, element),
+            }
+        seen.add(si)
+    return True, {}
+
+
+def verify_counts(meta: Pg3Metadata, m) -> CheckReport:
+    """Cross-validate a derived model against the coordinate subspaces.
+
+    Derived points must biject with 1-dimensional subspaces through line
+    membership and derived planes with 3-dimensional ones (or the two
+    roles exchanged, since the naming of the families is a free choice;
+    the orientation used is recorded in stats).  Also checks that, for
+    every incident distinct pair, sigma(a, b) equals the symmetric
+    difference of the bundle of lines through the pair's common point and
+    the set of lines in its common plane.
+    """
+    s = m.structure
+    pts = line_point_sets(meta)
+    pls = line_plane_sets(meta)
+    expected = meta.expected_point_count
+    size = meta.lines_per_element
+
+    def attempt(point_like, plane_like):
+        ok, witness = _match_family(point_like, pts, expected, size, "point", s)
+        if not ok:
+            return False, witness
+        ok, witness = _match_family(plane_like, pls, expected, size, "plane", s)
+        if not ok:
+            return False, witness
+        return True, {}
+
+    orientation = "standard"
+    ok, witness = attempt(m.points, m.planes)
+    if not ok:
+        swapped_ok, _ = attempt(m.planes, m.points)
+        if swapped_ok:
+            orientation = "swapped"
+            ok, witness = True, {}
+    stats = {
+        "q": meta.q,
+        "points": len(m.points),
+        "planes": len(m.planes),
+        "orientation": orientation,
+        "pairs_checked": 0,
+    }
+    if not ok:
+        return CheckReport("pg3_subspace_validation", "fail", counterexample=witness, stats=stats)
+
+    checked = 0
+    for a, b in incident_pairs(s):
+        common_pts = pts[a] & pts[b]
+        common_pls = pls[a] & pls[b]
+        if len(common_pts) != 1 or len(common_pls) != 1:
+            return CheckReport(
+                "pg3_subspace_validation",
+                "fail",
+                counterexample={
+                    "issue": "pair_without_unique_point_and_plane",
+                    "pair": labels_of(s, (a, b)),
+                },
+                stats=stats,
+            )
+        (cp,) = common_pts
+        (cl,) = common_pls
+        bundle = {l for l in range(s.line_count) if cp in pts[l]}
+        ruled = {l for l in range(s.line_count) if cl in pls[l]}
+        if sigma(s, a, b) != frozenset(bundle ^ ruled):
+            return CheckReport(
+                "pg3_subspace_validation",
+                "fail",
+                counterexample={
+                    "issue": "sigma_not_symmetric_difference",
+                    "pair": labels_of(s, (a, b)),
+                },
+                stats=stats,
+            )
+        checked += 1
+    stats["pairs_checked"] = checked
+    return CheckReport("pg3_subspace_validation", "pass", stats=stats)
+
+
+# A child inherits the peak RSS of the process that starts it in ru_maxrss
+# (on Linux, through exec: 192 MB read in a child started late in a tier-1
+# run, against 165 MB in one started alone), so the scripts below read
+# their own peak, VmHWM, where the system reports it.
+PEAK_RSS = """
+def peak_rss_mb():
+    try:
+        with open("/proc/self/status") as f:
+            return next(int(l.split()[1]) for l in f if l.startswith("VmHWM:")) / 1024
+    except OSError:
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+"""
+
+# Bounds for test_pg35_triad_checks: on a 2-vCPU host the stages take
+# about 4 s from the first check to the last and peak at 108 MB RSS (7 s
+# before the triads read their brackets from the perp table), against 32 s
+# and 431 MB when each triad was a Python tuple with its own bracket int.
 PG35_TRIAD_SECONDS = 15
 PG35_TRIAD_RSS_MB = 200
-PG35_TRIAD_SCRIPT = """
-import json, resource, time
+PG35_TRIAD_SCRIPT = PEAK_RSS + """
+import json, time
 from linespace import coordinate_labels, gen_pg3, theorems as T
 s, _ = gen_pg3(5)
 start = time.perf_counter()
@@ -143,8 +298,32 @@ reports += [T.thm_triad_typing(s, m), T.thm_exchange(s, m)]
 print(json.dumps({
     "reports": [[r.check_name, r.status, r.stats] for r in reports],
     "seconds": time.perf_counter() - start,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak_rss_mb(),
 }))
+"""
+
+
+# Bounds for test_pg35_battery: on a 2-vCPU host the three commands take
+# about 11-12 s in one fresh process and peak at 165 MB RSS, against 18 s
+# and 162 MB before the checks over distinct perps ran as kernels on one
+# table.
+PG35_BATTERY_SECONDS = 20
+PG35_BATTERY_RSS_MB = 190
+PG35_BATTERY_SCRIPT = PEAK_RSS + """
+import json, time
+from linespace import cli
+start = time.perf_counter()
+codes = [
+    cli.main(["check", "pg35.json", "--which", "all", "--report", "report.json"]),
+    cli.main(["derive", "pg35.json", "--out", "model.json"]),
+    cli.main(["dualize", "model.json", "--out", "dual.json"]),
+]
+with open("result.json", "w") as f:
+    json.dump({
+        "codes": codes,
+        "seconds": time.perf_counter() - start,
+        "peak_rss_mb": peak_rss_mb(),
+    }, f)
 """
 
 
@@ -271,6 +450,21 @@ class TestLargerFields:
         ]
         assert got["seconds"] < PG35_TRIAD_SECONDS
         assert got["peak_rss_mb"] < PG35_TRIAD_RSS_MB
+
+    def test_pg35_battery(self, tmp_path):
+        # check --which all, derive and dualize on PG(3,5), in one fresh
+        # process so that its peak RSS is theirs
+        save_structure(gen_pg3(5)[0], tmp_path / "pg35.json")
+        out = run_python(["-c", PG35_BATTERY_SCRIPT], tmp_path)
+        assert out.returncode == 0, out.stderr
+        got = json.loads((tmp_path / "result.json").read_text())
+        assert got["codes"] == [0, 0, 0]
+        reports = json.loads((tmp_path / "report.json").read_text())["reports"]
+        assert [r["status"] for r in reports] == ["pass"] * 31
+        # 72,540 pairs x 625 skew pairs of their perp
+        assert reports[3]["stats"] == {"skew_pairs_examined": 45337500}
+        assert got["seconds"] < PG35_BATTERY_SECONDS
+        assert got["peak_rss_mb"] < PG35_BATTERY_RSS_MB
 
     def test_pg37_generation(self, pg37_pair):
         # the whole PG(3,7) structure, then the two axioms that walk every line and pair

@@ -5,10 +5,11 @@ pair of triads) straight from the adjacency matrix, with plain Python sets.
 It shares no code with ``linespace.theorems``: agreement on status and on
 the reported counterexample shows that restricting a quantifier to its
 support neither misses a violation nor changes which one is reported.
-The stats are compared too, so evaluating each distinct perp or bracket
-once, or proving triads in bulk, still counts every case.  The triad
-table the triad checks share is compared with the oracle's triads, their
-memberships and their brackets directly.
+The whole ``to_dict()`` is compared, stats included, so evaluating each
+distinct perp or bracket once, or judging items in bulk, still counts
+every case.  The triad table the triad checks share, and the perp table
+behind the checks over distinct perps, are compared with the oracle's
+triads and brackets, and its perps, directly.
 """
 
 import itertools
@@ -21,11 +22,14 @@ from linespace import (
     IncidenceStructure,
     gen_negative,
     thm_bracket_closed,
+    thm_bracket_welldefined,
     thm_coherence,
     thm_mutual_membership,
     thm_regulus_skew,
     thm_sigma_equivalence,
 )
+from conftest import one_perp_regulus
+from linespace.core import perp_table
 from linespace.theorems import triad_table
 
 
@@ -90,8 +94,31 @@ class Oracle:
                 return "fail", ce, {"triads_examined": examined}
         return "pass", None, {"triads_examined": len(tri)}
 
+    def incident_pairs(self):
+        pairs = itertools.combinations(range(len(self.adj)), 2)
+        return [(x, y) for x, y in pairs if self.adj[x][y]]
+
     def incident_pair_count(self):
-        return sum(1 for x, y in itertools.combinations(range(len(self.adj)), 2) if self.adj[x][y])
+        return len(self.incident_pairs())
+
+    def bracket_welldefined(self):
+        """Every incident pair in order, each incident pair of its sigma a case."""
+        cases = 0
+        for a, b in self.incident_pairs():
+            base = self.perp((a, b))
+            for c1, c2 in itertools.combinations(sorted(base - self.perp(base)), 2):
+                if not self.adj[c1][c2]:
+                    continue
+                cases += 1
+                one, two = self.perp((a, b, c1)), self.perp((a, b, c2))
+                if one != two:
+                    return "fail", {
+                        "pair": self.names((a, b)),
+                        "c1": self.labels[c1],
+                        "c2": self.labels[c2],
+                        "differs_on": self.names(one ^ two),
+                    }, {"cases_examined": cases}
+        return "pass", None, {"cases_examined": cases}
 
     def regulus_skew(self):
         adj = self.adj
@@ -176,18 +203,43 @@ def assert_triad_table_matches_oracle(s, o):
     assert table.first.tolist() == [brackets.index(b) for b in table.brackets]
 
 
+def assert_perp_table_matches_oracle(s, o):
+    """Each pair's perp, the distinct perps in order of their first pair,
+    each one's lines, padded with the line count, and skew rows."""
+    pairs = o.incident_pairs()
+    perps = [o.perp(p) for p in pairs]
+    distinct = list(dict.fromkeys(perps))
+    table = perp_table(s)
+    assert table.pairs.tolist() == [list(p) for p in pairs]
+    assert table.perp.tolist() == [distinct.index(x) for x in perps]
+    assert table.masks == tuple(sum(1 << l for l in x) for x in distinct)
+    assert table.first.tolist() == [perps.index(x) for x in distinct]
+    width = max(map(len, distinct), default=0)
+    for k, x in enumerate(distinct):
+        lines = sorted(x)
+        assert table.lines[k].tolist() == lines + [s.line_count] * (width - len(lines))
+        skew = [sum(1 << j for j, v in enumerate(lines) if not o.adj[u][v]) for u in lines]
+        got = [int.from_bytes(row.tobytes(), "little") for row in table.skew[k]]
+        assert got == skew + [0] * (width - len(lines))
+        assert table.in_sigma[k].tolist() == [bool(r) for r in got]
+
+
 def assert_matches_oracle(s):
     o = Oracle(s)
     assert_triad_table_matches_oracle(s, o)
-    for check, expected in (
+    assert_perp_table_matches_oracle(s, o)
+    for check, (status, ce, stats) in (
         (thm_sigma_equivalence, o.sigma_equivalence()),
+        (thm_bracket_welldefined, o.bracket_welldefined()),
         (thm_bracket_closed, o.bracket_closed()),
         (thm_regulus_skew, o.regulus_skew()),
         (thm_coherence, o.coherence()),
         (thm_mutual_membership, o.mutual_membership()),
     ):
-        r = check(s)
-        assert (r.status, r.counterexample, r.stats) == expected, r.check_name
+        expected = {"check_name": check.__name__, "passed": status == "pass", "status": status}
+        if ce is not None:
+            expected["counterexample"] = ce
+        assert check(s).to_dict() == {**expected, "stats": stats}
 
 
 @st.composite
@@ -201,6 +253,8 @@ def small_structures(draw):
 # Two elements each hold a coherence violation, and the element met first
 # holds the larger one, so only a minimum over the support reports the least.
 @example(IncidenceStructure.from_skew_pairs(8, [(1, 2), (2, 3), (2, 7), (4, 5), (4, 7)]))
+# The least skew triple lies in one distinct perp only, the numerically least.
+@example(one_perp_regulus())
 @settings(max_examples=150, deadline=None)
 def test_random_structures_match_oracle(s):
     assert_matches_oracle(s)

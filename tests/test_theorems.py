@@ -11,7 +11,10 @@ import pytest
 from linespace import (
     GeometryModel,
     IncidenceStructure,
+    LinespaceError,
     check_all,
+    check_axiom2_2,
+    check_axiom2_3,
     coordinate_labels,
     dualize,
     find_skew_triple,
@@ -39,6 +42,7 @@ from linespace import (
     thm_uniqueness,
     vy_axioms,
 )
+from conftest import one_perp_regulus
 from linespace import theorems
 from linespace.theorems import VY_NAMES, triad_table
 
@@ -132,6 +136,21 @@ class TestStructureLevelFailures:
         r = thm_regulus_skew(s)
         assert r.status == "fail"
         assert {r.counterexample["m"], r.counterexample["n"]} == {"m", "n"}
+        assert replay_theorem_counterexample(s, r)
+
+    def test_regulus_names_a_triple_held_by_one_perp(self):
+        # a search that skips perp(L3, L4), the numerically least perp, finds
+        # no skew triple at all
+        s = one_perp_regulus()
+        r = thm_regulus_skew(s)
+        assert r.to_dict() == {
+            "check_name": "thm_regulus_skew",
+            "passed": False,
+            "status": "fail",
+            "counterexample": {"triple": ["L0", "L1", "L2"], "m": "L3", "n": "L4"},
+            "stats": {"pairs_examined": 19},
+        }
+        assert min(theorems.perp_table(s).masks) == 0b11111
         assert replay_theorem_counterexample(s, r)
 
     def test_sigma_equivalence_fails_on_pasch_fixture(self):
@@ -460,6 +479,43 @@ class TestTriadGoldens:
         reports = [thm_triad_typing(s, m) for s, m in cases]
         save_reports(reports, tmp_path / "r.json")
         golden = PERTURBED_GOLDEN / "triad_typing.json"
+        assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
+
+
+def perp_reports(t, m):
+    """The five checks over the distinct perps of ``t``: the last against
+    ``m`` and, when ``t`` has a labeling of its own, against that too."""
+    reports = [
+        check_axiom2_2(t),
+        check_axiom2_3(t),
+        thm_bracket_welldefined(t),
+        thm_regulus_skew(t),
+        thm_pencil_intersection(t, m),
+    ]
+    try:
+        own = coordinate_labels(t)
+    except LinespaceError:
+        return reports
+    return reports + [thm_pencil_intersection(t, own)]
+
+
+class TestPerpGoldens:
+    """The five checks over distinct perps keep their report bytes, stats
+    included, on failing structures.
+
+    tests/golden/perturbed/perps_pg3<q>_<k>.json holds axioms 2.2 and 2.3,
+    thm_bracket_welldefined, thm_regulus_skew and thm_pencil_intersection
+    (against the default model of PG(3,q)) on seeded mutant k of PG(3,q),
+    for 8 mutants of PG(3,3) and 24 of PG(3,2).  They were recorded before
+    the five checks moved to kernels over the perp table; no mutant among
+    them has a labeling of its own.
+    """
+
+    @pytest.mark.parametrize("q, k", [(3, k) for k in range(8)] + [(2, k) for k in range(24)])
+    def test_mutant_reports_match_golden(self, q, k, pg2, pg2_model, pg3, pg3_model, tmp_path):
+        s, m = (pg2, pg2_model) if q == 2 else (pg3, pg3_model)
+        save_reports(perp_reports(seeded_mutant(s, k), m), tmp_path / "r.json")
+        golden = PERTURBED_GOLDEN / f"perps_pg3{q}_{k}.json"
         assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
 
 
