@@ -94,12 +94,19 @@ def _replay_axiom2_1(s: IncidenceStructure, ce: dict) -> bool:
 
 @registered("axioms", name="axiom2_1", display="AXIOM [2.1]", replay=_replay_axiom2_1)
 def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
-    """perp({a, b}) of every incident distinct pair must contain a skew pair."""
+    """perp({a, b}) of every incident distinct pair must contain a skew pair.
+
+    The search depends only on the perp, so each distinct perp is searched
+    once, at its first pair; the pairs are still walked in order.
+    """
     masks = s.masks
     pairs = incident_pairs(s)
     witness = None
+    passed = set()
     for count, (a, b) in enumerate(pairs, start=1):
         members = masks[a] & masks[b]
+        if members in passed:
+            continue
         skew = find_skew_pair_mask(s, members)
         if skew is None:
             return CheckReport(
@@ -112,6 +119,7 @@ def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
                 },
                 stats={"pairs_examined": count},
             )
+        passed.add(members)
         if witness is None:
             witness = {"pair": labels_of(s, (a, b)), "skew_pair": labels_of(s, skew)}
     return CheckReport(

@@ -19,7 +19,6 @@ from .core import (
     LinespaceError,
     PreconditionError,
     incident_pairs,
-    perp,
 )
 from .labeling import LabelInconsistencyError, coordinate_labels, dualize
 from .models import (
@@ -140,7 +139,7 @@ def cmd_info(args) -> int:
     n = s.line_count
     pairs = len(incident_pairs(s))
     total = n * (n - 1) // 2
-    skew = len(s.skew_pairs())
+    skew = total - pairs
     print(f"name:            {s.name or '(unnamed)'}")
     print(f"lines:           {n}")
     print(f"incident pairs:  {pairs}")
@@ -148,7 +147,7 @@ def cmd_info(args) -> int:
     density = f"{pairs / total:.4f}" if total else "n/a"
     print(f"density:         {density}")
     if n:
-        sizes = [len(perp(s, [l])) for l in range(n)]
+        sizes = [mask.bit_count() for mask in s.masks]
         print(f"perp size:       min {min(sizes)}, max {max(sizes)}")
     try:
         m = coordinate_labels(s)

@@ -136,12 +136,16 @@ class IncidenceStructure:
 
         Listing a pair twice (in either order) is accepted; a pair with
         equal endpoints is rejected, since reflexive incidence is built in.
-        The line cap is checked before the matrix is allocated.
+        The line cap is checked before the matrix is allocated.  An ndarray
+        of pairs is used without a copy.
         """
         if line_count < 0:
             raise StructureError("line_count must be >= 0")
         _check_capacity(line_count)
-        pairs = np.array(list(skew_pairs))
+        if isinstance(skew_pairs, np.ndarray):
+            pairs = np.asarray(skew_pairs)
+        else:
+            pairs = np.array(list(skew_pairs))
         if not len(pairs):
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -154,7 +158,7 @@ class IncidenceStructure:
             if out[k]:
                 raise StructureError(f"skew pair ({i[k]}, {j[k]}) out of range")
             raise StructureError(f"line {i[k]} cannot be skew to itself")
-        i, j = i.astype(np.intp), j.astype(np.intp)
+        i, j = i.astype(np.intp, copy=False), j.astype(np.intp, copy=False)
         adj = np.ones((line_count, line_count), dtype=bool)
         adj[i, j] = False
         adj[j, i] = False

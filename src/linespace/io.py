@@ -5,13 +5,19 @@ value round-trips to byte-identical text.  Structure files list skew pairs
 rather than incident ones because the structures of interest are
 incidence-dense; every unordered pair not listed is incident, and
 reflexive incidence is implicit.  Line references in reports are labels.
+
+The skew pairs, the last and by far the largest member of structure and
+model files, are written in bounded blocks without the JSON encoder.  The
+reader recognises exactly the layout the writer produces and parses those
+pairs straight into an int array, in blocks; any other file, however it is
+laid out, goes through ``json.loads``.  The format is the same either way.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -40,11 +46,104 @@ def _write(path: Union[str, Path], text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_json(path: Union[str, Path]) -> dict:
+# The layout in which the writer puts the skew pairs, the last member of
+# both file formats, and which _read_layout parses without the JSON decoder.
+# No JSON string holds a raw newline, so _PAIRS_KEY cannot start inside one.
+_PAIRS_KEY = ',\n  "skew_pairs": '
+_PAIRS_OPEN, _PAIRS_END = "[\n", "\n  ]\n}"
+_OPEN, _MID, _CLOSE, _JOIN = "    [\n      ", ",\n      ", "\n    ]", ",\n"
+_PAIR_FORMAT = f"{_OPEN}%d{_MID}%d{_CLOSE}"
+_SKELETON = (_OPEN + _MID + _CLOSE).encode()  # one pair with its two numbers removed
+_SLOTS = np.array([len(_OPEN), len(_OPEN + _MID)])  # where the numbers sit in it
+_STRIDE = len(_SKELETON) + len(_JOIN)
+_MAX_DIGITS = 18  # every 18-digit index fits an int64
+_BLOCK_CHARS = 1 << 20  # text per block, read or written
+_JSON_SPACE = b" \t\n\r"
+
+
+class _ReadPairs(np.ndarray):
+    """(k, 2) int64 skew pairs whose every entry _read_layout has proved two indices."""
+
+
+def _read_pairs(block: bytes) -> Optional[np.ndarray]:
+    """The pairs of ``block`` as a (k, 2) array, if it is k >= 1 pairs in the layout.
+
+    That is: every number one run of 1 to 18 digits with no leading zero;
+    and, with the digits removed, the pairs' skeletons joined by _JOIN and
+    nothing else, so the block is ASCII.
+    """
+    skeleton = block.translate(None, b"0123456789")
+    k = (len(skeleton) + len(_JOIN)) // _STRIDE
+    if not k or skeleton != _JOIN.encode().join([_SKELETON] * k):
+        return None
+    chars = np.frombuffer(block, np.uint8)
+    is_digit = (chars >= ord("0")) & (chars <= ord("9"))
+    edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+    first, width = edges[0::2], edges[1::2] - edges[0::2]
+    # each digit run must fill one number's place in the skeleton
+    places = first - (np.cumsum(width) - width)
+    if not (
+        np.array_equal(places, (np.arange(k)[:, None] * _STRIDE + _SLOTS).ravel())
+        and (width <= _MAX_DIGITS).all()
+        and not ((chars[first] == ord("0")) & (width > 1)).any()
+    ):
+        return None
+    # only digits and the commas between numbers are left
+    numbers = block.translate(None, b" \n[]")
+    return np.fromstring(numbers, dtype=np.int64, sep=",").reshape(k, 2)
+
+
+def _read_layout(raw: bytes) -> Optional[dict]:
+    """The object in ``raw``, if the writer's layout, with its skew pairs as _ReadPairs.
+
+    The file must be a UTF-8 head, everything before the ``skew_pairs``
+    member, that parses as a non-empty JSON object once closed, then that
+    member as the writer lays it out, closing the object; JSON whitespace
+    may follow.  Such a file is a UTF-8 JSON object, and the data holds
+    what ``json.loads`` gives, the pairs as an array.  The pairs are read
+    in blocks of whole pairs, about _BLOCK_CHARS bytes each, and the file
+    is never decoded whole.  None for any other file.
+    """
+    key = (_PAIRS_KEY + _PAIRS_OPEN).encode()
+    head = raw.find(key)
+    end = raw.rfind(_PAIRS_END.encode())
+    start = head + len(key)
+    if head < 0 or end < start or raw[end + len(_PAIRS_END) :].strip(_JSON_SPACE):
+        return None
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(raw[:head].decode("utf-8") + "\n}")
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not data:  # "{" alone, which no comma may follow
+        return None
+    # The layout holds one "[" per pair, so blocks that all pass fill this exactly.
+    out = np.empty((raw.count(b"[", start, end), 2), np.int64)
+    done = 0
+    while True:
+        cut = raw.find((_JOIN + _OPEN).encode(), start + _BLOCK_CHARS, end)
+        pairs = _read_pairs(raw[start : end if cut < 0 else cut])
+        if pairs is None:
+            return None
+        out[done : done + len(pairs)] = pairs
+        done += len(pairs)
+        if cut < 0:
+            break
+        start = cut + len(_JOIN)
+    data["skew_pairs"] = out.view(_ReadPairs)
+    return data
+
+
+def _load_json(path: Union[str, Path]) -> dict:
+    raw = Path(path).read_bytes()
+    data = _read_layout(raw)
+    if data is not None:
+        return data
+    try:
+        # decoded as Path.read_text decodes, newlines included
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e})") from None
+    del raw
     if not text.strip():
         raise ParseError(f"{path}: file is empty")
     try:
@@ -66,28 +165,42 @@ def structure_to_dict(s: IncidenceStructure) -> dict:
     return data
 
 
-def _skew_pairs_json(s: IncidenceStructure) -> str:
-    """The skew pairs as canonical_json lays them out one level deep."""
-    rows, cols = np.nonzero(np.triu(~s.adjacency, 1))
-    if not rows.size:
-        return "[]"
-    pairs = zip(rows.tolist(), cols.tolist())
-    return "[\n" + ",\n".join([f"    [\n      {i},\n      {j}\n    ]" for i, j in pairs]) + "\n  ]"
+def _skew_pair_blocks(adj: np.ndarray):
+    """The skew pairs of ``adj`` in _PAIR_FORMAT, in order, about _BLOCK_CHARS per block."""
+    n = len(adj)
+    rows = max(1, _BLOCK_CHARS // _STRIDE // max(n, 1))
+    for r in range(0, n, rows):
+        i, j = np.nonzero(np.triu(~adj[r : r + rows], r + 1))
+        if i.size:
+            numbers = np.column_stack((i + r, j)).ravel().tolist()
+            yield _JOIN.join([_PAIR_FORMAT] * i.size) % tuple(numbers)
 
 
-def _with_skew_pairs_json(fields: dict, s: IncidenceStructure) -> str:
-    """canonical_json of ``fields`` plus the skew pairs of ``s``.
+def _save_with_skew_pairs(path: Union[str, Path], fields: dict, s: IncidenceStructure) -> None:
+    """Write canonical_json of ``fields`` plus the skew pairs of ``s``.
 
-    Equal to canonical_json(fields | {"skew_pairs": ...}), but the pairs,
-    by far the largest member, are formatted with one join instead of the
-    pure-Python encoder that indent=2 selects.  Every other member is
-    encoded by _dumps and indented one level; a JSON text holds no raw
-    newline inside a string, so indenting after each newline is exact.
+    The bytes equal canonical_json(fields | {"skew_pairs": ...}), but the
+    pairs, by far the largest member, are formatted and written in blocks
+    straight from the adjacency instead of by the pure-Python encoder that
+    indent=2 selects.  Every other member is encoded by _dumps and indented
+    one level; a JSON text holds no raw newline inside a string, so
+    indenting after each newline is exact.  Every other key of both
+    formats sorts before "skew_pairs".
     """
-    members = {key: _dumps(value).replace("\n", "\n  ") for key, value in fields.items()}
-    members["skew_pairs"] = _skew_pairs_json(s)
-    body = ",\n".join(f"  {_dumps(key)}: {members[key]}" for key in sorted(members))
-    return "{\n" + body + "\n}\n"
+    members = ",\n".join(
+        f"  {_dumps(key)}: " + _dumps(fields[key]).replace("\n", "\n  ") for key in sorted(fields)
+    )
+    blocks = _skew_pair_blocks(s.adjacency)
+    first = next(blocks, None)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("{\n" + members)
+        if first is None:
+            f.write(_PAIRS_KEY + "[]\n}\n")
+            return
+        f.write(_PAIRS_KEY + _PAIRS_OPEN + first)
+        for block in blocks:
+            f.write(_JOIN + block)
+        f.write(_PAIRS_END + "\n")
 
 
 def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructure:
@@ -101,16 +214,17 @@ def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructur
     if len(set(lines)) != len(lines):
         raise ParseError(f"{source}: line labels must be unique")
     raw_pairs = data.get("skew_pairs", [])
-    if not isinstance(raw_pairs, list):
-        raise ParseError(f"{source}: 'skew_pairs' must be a list")
-    for entry in raw_pairs:
-        if (
-            not (isinstance(entry, list) and len(entry) == 2)
-            or not (isinstance(entry[0], int) and isinstance(entry[1], int))
-            or isinstance(entry[0], bool)
-            or isinstance(entry[1], bool)
-        ):
-            raise ParseError(f"{source}: skew pair {entry!r} must be two indices")
+    if not isinstance(raw_pairs, _ReadPairs):
+        if not isinstance(raw_pairs, list):
+            raise ParseError(f"{source}: 'skew_pairs' must be a list")
+        for entry in raw_pairs:
+            if (
+                not (isinstance(entry, list) and len(entry) == 2)
+                or not (isinstance(entry[0], int) and isinstance(entry[1], int))
+                or isinstance(entry[0], bool)
+                or isinstance(entry[1], bool)
+            ):
+                raise ParseError(f"{source}: skew pair {entry!r} must be two indices")
     try:
         # from_skew_pairs checks range and self-skew once, over the whole pair array.
         s = IncidenceStructure.from_skew_pairs(
@@ -122,7 +236,7 @@ def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructur
 
 
 def save_structure(s: IncidenceStructure, path: Union[str, Path]) -> None:
-    _write(path, _with_skew_pairs_json(_structure_fields(s), s))
+    _save_with_skew_pairs(path, _structure_fields(s), s)
 
 
 def load_structure(path: Union[str, Path]) -> IncidenceStructure:
@@ -193,7 +307,7 @@ def model_from_dict(data: dict, source: str = "<dict>") -> GeometryModel:
 
 
 def save_model(m: GeometryModel, path: Union[str, Path]) -> None:
-    _write(path, _with_skew_pairs_json(_model_fields(m), m.structure))
+    _save_with_skew_pairs(path, _model_fields(m), m.structure)
 
 
 def load_model(path: Union[str, Path]) -> GeometryModel:

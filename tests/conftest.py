@@ -78,6 +78,21 @@ def run_python(args, tmp_path, **env):
     )
 
 
+# A child inherits the peak RSS of the process that starts it in ru_maxrss
+# (on Linux, through exec: 192 MB read in a child started late in a tier-1
+# run, against 165 MB in one started alone), so the scripts run by
+# run_python read their own peak, VmHWM, where the system reports it.
+PEAK_RSS = """
+def peak_rss_mb():
+    try:
+        with open("/proc/self/status") as f:
+            return next(int(l.split()[1]) for l in f if l.startswith("VmHWM:")) / 1024
+    except OSError:
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+"""
+
+
 def one_perp_regulus():
     """Eleven lines whose least skew triple lies in one distinct perp only.
 

@@ -1,7 +1,9 @@
 """Serialization: canonical byte-identical files, validation, label references."""
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,7 @@ from linespace import (
     save_structure,
     structure_to_dict,
 )
+from linespace import io
 from linespace.io import (
     ParseError,
     canonical_json,
@@ -30,7 +33,7 @@ from linespace.io import (
     structure_from_dict,
 )
 
-from conftest import run_python
+from conftest import PEAK_RSS, run_python
 
 # Structures whose files must be exactly canonical_json(structure_to_dict(s)).
 WRITER_CASES = {
@@ -120,6 +123,13 @@ class TestStructureValidation:
         with pytest.raises(ParseError, match="unique"):
             structure_from_dict(data)
 
+    def test_array_of_pairs_rejected(self):
+        # only the file reader's own arrays skip the per-entry check
+        data = self.base()
+        data["skew_pairs"] = np.array([[0.5, 1.0]])
+        with pytest.raises(ParseError, match="must be a list"):
+            structure_from_dict(data)
+
     def test_bad_pair_shape_rejected(self):
         data = self.base()
         data["skew_pairs"] = [[0]]
@@ -193,6 +203,15 @@ class TestWriterBytes:
         save_model(m, path)
         assert path.read_bytes() == canonical_json(model_to_dict(m)).encode("utf-8")
 
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_blocks_join_exactly(self, block, pg3, tmp_path, monkeypatch):
+        # one block per line or per pair, and blocks of a few rows
+        monkeypatch.setattr(io, "_BLOCK_CHARS", block)
+        path = tmp_path / "s.json"
+        save_structure(pg3, path)
+        assert path.read_bytes() == canonical_json(structure_to_dict(pg3)).encode("utf-8")
+        assert load_structure(path) == pg3
+
     @settings(max_examples=150, deadline=None)
     @given(s=awkward_structures(), data=st.data())
     def test_awkward_names_and_labels(self, s, data, tmp_path_factory):
@@ -211,6 +230,173 @@ class TestWriterBytes:
         m = GeometryModel(s, data.draw(families), data.draw(families), data.draw(seed))
         save_model(m, path)
         assert path.read_bytes() == canonical_json(model_to_dict(m)).encode("utf-8")
+
+
+@st.composite
+def sparse_structures(draw):
+    """Up to 1,200 lines and a few skew pairs, so that indices have 1 to 4 digits."""
+    n = draw(st.integers(2, 1200))
+    line = st.integers(0, n - 1)
+    pairs = st.tuples(line, line).filter(lambda p: p[0] != p[1])
+    return IncidenceStructure.from_skew_pairs(n, draw(st.lists(pairs, min_size=1, max_size=30)))
+
+
+def both_readers(text, from_dict):
+    """The value the layout reader gives for ``text`` and the one ``json.loads`` gives."""
+    fast = io._read_layout(text.encode("utf-8"))
+    return from_dict(fast) if fast is not None else None, from_dict(json.loads(text))
+
+
+def outcome(load, path):
+    """What ``load`` gives for ``path``: the value, its name, or the ParseError text."""
+    try:
+        value = load(path)
+    except ParseError as e:
+        return f"ParseError: {e}"
+    return value, getattr(value, "name", None)
+
+
+def edit(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+# Pairs (0, 11), (3, 10), (4, 5) of twelve lines, in the writer's layout.
+LAYOUT_BASE = IncidenceStructure.from_skew_pairs(12, [(0, 11), (3, 10), (4, 5)], name="x")
+ONE_PAIR = "    [\n      4,\n      5\n    ]"
+
+# Edits of LAYOUT_BASE's file that the layout reader must hand to json.loads.
+FALLBACK_EDITS = {
+    "leading_zero": edit("      11\n", "      011\n"),
+    "minus_zero": edit("      0,\n", "      -0,\n"),
+    "negative_index": edit("      4,\n", "      -4,\n"),
+    "float": edit("      5\n", "      5.0\n"),
+    "exponent": edit("      5\n", "      1e3\n"),
+    "bool": edit("      5\n", "      true\n"),
+    "nineteen_digits": edit("      5\n", "      1000000000000000005\n"),
+    "empty_slot": edit("      5\n", "      \n"),
+    "three_indices": edit("      5\n", "      5,\n      6\n"),
+    "minus_in_indent": edit("      4,\n", "     -4,\n"),
+    "digit_moved_into_indent": edit("      5\n    ]", "      \n  5  ]"),
+    "digit_before_bracket": edit("    [\n      4,", "  4  [\n      ,"),
+    "brace_for_bracket": edit("    [\n      4,", "    {\n      4,"),
+    "non_ascii_digit": edit("      5\n", "      \u0665\n"),
+    "non_ascii_space": edit("      5\n", "      5\u00a0\n"),
+    "reordered_keys": lambda text: json.dumps(
+        {"skew_pairs": [[0, 11], [3, 10], [4, 5]], **json.loads(text)}, indent=2
+    ),
+    "compact": lambda text: json.dumps(json.loads(text)),
+    "duplicate_key_after": lambda text: text[:-3] + ',\n  "skew_pairs": []\n}\n',
+    "empty_block": lambda text: text[: text.index("[\n    [")] + "[]\n}\n",
+    "empty_head": lambda text: '{,\n  "skew_pairs": [\n' + ONE_PAIR + "\n  ]\n}\n",
+    "bad_head": edit('"name": "x"', '"name": x'),
+    "trailing_junk": lambda text: text + "x",
+    "block_left_open": lambda text: text.replace("\n  ]\n}", "\n  \n}"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+}
+
+# Edits that keep the writer's layout, which the layout reader must read.
+LAYOUT_EDITS = {
+    "canonical": lambda text: text,
+    "no_trailing_newline": lambda text: text[:-1],
+    "trailing_space": lambda text: text + " \t\r\n",
+    "duplicate_key_before": edit("{\n", '{\n  "skew_pairs": [],\n'),
+    "json_dumps_indent_2": lambda text: json.dumps(json.loads(text), indent=2, sort_keys=True),
+}
+
+
+class TestLayoutReader:
+    """The reader of the writer's layout gives what json.loads gives, or hands over to it."""
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_EDITS) + sorted(LAYOUT_EDITS))
+    def test_same_outcome_as_json_loads(self, name, tmp_path, monkeypatch):
+        path = tmp_path / "s.json"
+        save_structure(LAYOUT_BASE, path)
+        text = {**FALLBACK_EDITS, **LAYOUT_EDITS}[name](path.read_text(encoding="utf-8"))
+        path.write_text(text, encoding="utf-8")
+        assert (io._read_layout(path.read_bytes()) is None) == (name in FALLBACK_EDITS)
+        got = outcome(load_structure, path)
+        monkeypatch.setattr(io, "_read_layout", lambda raw: None)
+        assert got == outcome(load_structure, path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{\r\n  "format": "linespace-v1",\r\n  x\r\n}\r\n',
+            b'{\r  "format": "linespace-v1",\r  x\r}\r',
+            b'{"name": "\xff"}',
+            b"\xef\xbb\xbf{}",
+        ],
+    )
+    def test_errors_as_read_text_gives_them(self, content, tmp_path):
+        # the bytes are decoded as Path.read_text decodes them, newlines included
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError) as expected:
+            json.loads(path.read_text(encoding="utf-8"))
+        with pytest.raises(ParseError) as got:
+            load_structure(path)
+        assert str(got.value).endswith(f" ({expected.value})")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        s=awkward_structures() | sparse_structures(),
+        block=st.sampled_from([1, 64, io._BLOCK_CHARS]),
+        data=st.data(),
+    )
+    def test_random_structures_and_models(self, s, block, data):
+        n = s.line_count
+        element = st.lists(st.integers(0, max(n - 1, 0)), max_size=min(n, 4), unique=True)
+        families = st.lists(element.map(lambda e: tuple(sorted(e))), max_size=4)
+        m = GeometryModel(s, *(tuple(sorted(data.draw(families))) for _ in "pp"), None)
+        with mock.patch.object(io, "_BLOCK_CHARS", block):
+            for value, to_dict, from_dict in [
+                (s, structure_to_dict, structure_from_dict),
+                (m, model_to_dict, model_from_dict),
+            ]:
+                canonical = canonical_json(to_dict(value))
+                for text in (canonical, json.dumps(to_dict(value), indent=2, sort_keys=True)):
+                    fast, slow = both_readers(text, from_dict)
+                    assert slow == value
+                    if s.skew_pairs():
+                        assert fast == slow
+                        assert getattr(fast, "name", None) == getattr(slow, "name", None)
+                    else:
+                        assert fast is None  # "skew_pairs": [] is not the layout
+
+    def test_package_files_take_the_layout_reader(self, pg2, tmp_path, monkeypatch):
+        results = []
+        read = io._read_layout
+        monkeypatch.setattr(io, "_read_layout", lambda raw: results.append(read(raw)) or results[-1])
+        save_structure(pg2, tmp_path / "s.json")
+        save_model(coordinate_labels(pg2, (0, 1, 1)), tmp_path / "m.json")
+        dumped = json.dumps(structure_to_dict(pg2), indent=2, sort_keys=True)
+        (tmp_path / "d.json").write_text(dumped)
+        assert load_structure(tmp_path / "s.json") == pg2
+        assert load_model(tmp_path / "m.json").structure == pg2
+        assert load_structure(tmp_path / "d.json") == pg2
+        assert len(results) == 3 and all(r is not None for r in results)
+
+
+# Bound for test_pg35_load_peak: on a 2-vCPU host loading the 8.5 MB
+# PG(3,5) structure file peaks at 52 MB RSS, 32 MB of it the interpreter
+# with numpy, against 81 MB when json.loads built every pair as a list.
+PG35_LOAD_RSS_MB = 64
+PG35_LOAD_SCRIPT = PEAK_RSS + """
+import json
+from linespace import load_structure
+s = load_structure("pg35.json")
+print(json.dumps([s.line_count, int((~s.adjacency).sum()) // 2, peak_rss_mb()]))
+"""
+
+
+def test_pg35_load_peak(tmp_path):
+    # in a fresh process, so that its peak RSS is the load's
+    save_structure(gen_pg3(5)[0], tmp_path / "pg35.json")
+    out = run_python(["-c", PG35_LOAD_SCRIPT], tmp_path)
+    assert out.returncode == 0, out.stderr
+    lines, skew, peak = json.loads(out.stdout)
+    assert (lines, skew) == (806, 251875)
+    assert peak < PG35_LOAD_RSS_MB
 
 
 class TestEncoding:

@@ -29,7 +29,7 @@ from linespace import (
     thm_tetrahedron,
     vy_axioms,
 )
-from conftest import run_python
+from conftest import PEAK_RSS, run_python
 from linespace.models import gaussian_binomial, line_plane_sets, line_point_sets
 
 # Exact linear algebra over GF(p): the oracles the generators share no code with.
@@ -265,20 +265,6 @@ def verify_counts(meta: Pg3Metadata, m) -> CheckReport:
     stats["pairs_checked"] = checked
     return CheckReport("pg3_subspace_validation", "pass", stats=stats)
 
-
-# A child inherits the peak RSS of the process that starts it in ru_maxrss
-# (on Linux, through exec: 192 MB read in a child started late in a tier-1
-# run, against 165 MB in one started alone), so the scripts below read
-# their own peak, VmHWM, where the system reports it.
-PEAK_RSS = """
-def peak_rss_mb():
-    try:
-        with open("/proc/self/status") as f:
-            return next(int(l.split()[1]) for l in f if l.startswith("VmHWM:")) / 1024
-    except OSError:
-        import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-"""
 
 # Bounds for test_pg35_triad_checks: on a 2-vCPU host the stages take
 # about 4 s from the first check to the last and peak at 108 MB RSS (7 s
