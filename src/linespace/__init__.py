@@ -86,7 +86,6 @@ from .models import (
     gen_negative,
     gen_pg3,
     gen_tetrahedron,
-    is_isomorphic,
 )
 from .io import (
     ParseError,

@@ -286,15 +286,13 @@ def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
         if issue == "same_kind_share_many":
             return same and common > 1
         return (not same) and common == 1
-    if issue in ("pair_classes_same_kind", "class_yields_mixed_kinds"):
+    if issue == "pair_classes_same_kind":
         p, q = _resolve(s, ce["pair"])
         part = sigma_partition(s, p, q)
         base = s.masks[p] & s.masks[q]
         per_class = [
             {kinds[base & s.masks[c]] for c in lines_of_mask(cls)} for cls in part.class_masks
         ]
-        if issue == "class_yields_mixed_kinds":
-            return any(len(seen) != 1 for seen in per_class)
         return all(len(seen) == 1 for seen in per_class) and per_class[0] == per_class[1]
     raise ValueError(f"unknown axiom4 witness issue {issue!r}")
 

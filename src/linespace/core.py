@@ -306,17 +306,16 @@ def find_skew_triple(
 def find_skew_triple_mask(s: IncidenceStructure, mset: int) -> Optional[tuple[int, int, int]]:
     """Mask-level find_skew_triple: the least pairwise-skew triple of set bits."""
     masks = s.masks
-    for x in lines_of_mask(mset):
-        sx = mset & ~masks[x] & ~((1 << (x + 1)) - 1)
-        rest = sx
+    while mset:  # line by line, so a search that succeeds early walks few lines
+        x = (mset & -mset).bit_length() - 1
+        mset ^= 1 << x  # only partners above x remain
+        rest = mset & ~masks[x]
         while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            rest ^= low
-            sxy = sx & ~masks[y] & ~((1 << (y + 1)) - 1)
-            if sxy:
-                z = (sxy & -sxy).bit_length() - 1
-                return (x, y, z)
+            y = (rest & -rest).bit_length() - 1
+            rest ^= 1 << y
+            third = rest & ~masks[y]
+            if third:
+                return (x, y, (third & -third).bit_length() - 1)
     return None
 
 

@@ -15,7 +15,10 @@ requires the model's families to be exactly the derived elements.
 
 Elements are int bitmasks of their lines from the table to the verdict:
 kinds are keyed by element mask, and line tuples and frozensets are built
-only for a model's families, a public return value or a witness.
+only for a model's families, a public return value or a witness.  The
+verification reads each perp's two sigma classes from ``sigma_classes``
+and their elements from ``element_ids``, and counts the lines every two
+elements share from one pass over the lines.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from .core import (
     IncidenceStructure,
     LinespaceError,
     PreconditionError,
+    _incidence,
     incident_pairs,
     labels_of,
     lines_of_mask,
     mask_of_lines,
     perp_table,
 )
-from .sigma import NotTwoClassesError, sigma_partition, sigma_table
+from .sigma import NotTwoClassesError, sigma_classes, sigma_partition, sigma_table
 
 
 class Kind(str, Enum):
@@ -111,13 +115,11 @@ class GeometryModel:
     @cached_property
     def holding(self) -> dict[Kind, list[int]]:
         """Per kind and line, the bitset of the family's elements holding the line."""
-        return {
-            kind: [
-                sum(1 << i for i, em in enumerate(emasks) if em >> l & 1)
-                for l in range(self.structure.line_count)
-            ]
-            for kind, emasks in ((Kind.POINT, self.point_masks), (Kind.PLANE, self.plane_masks))
-        }
+        out = {}
+        for kind, emasks in ((Kind.POINT, self.point_masks), (Kind.PLANE, self.plane_masks)):
+            rows = np.packbits(_incidence(emasks, self.structure.line_count).T, axis=1, bitorder="little")
+            out[kind] = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        return out
 
     @cached_property
     def kinds(self) -> dict[int, Kind]:
@@ -142,24 +144,26 @@ def element_ids(s: IncidenceStructure) -> tuple[dict[int, tuple[int, int, int]],
     produces each distinct bracket.  This covers every triad's bracket
     because any triad contains an incident pair whose sigma holds the
     third line.  Sigma and the brackets depend only on perp({a, b}), so
-    only the first pair of each distinct perp adds any.
+    only the first pair of each distinct perp adds any.  Of a perp whose
+    sigma splits into two cliques, each class yields one element, the perp
+    less the other class, so only the least line of each class is visited.
     """
 
     def build():
-        masks = s.masks
-        pairs = incident_pairs(s)
-        sigmas = sigma_table(s)
-        table = perp_table(s)
+        masks, pairs = s.masks, incident_pairs(s)
+        table, classes = perp_table(s), sigma_classes(s)
         ids: dict[int, int] = {}
         triads, element = [], []
-        for base, p in zip(table.masks, table.first.tolist()):
-            for c in lines_of_mask(sigmas.masks[sigmas.set_id[p]]):
+        for base, p, (c0, c1), split in zip(table.masks, table.first.tolist(), classes.masks, classes.split):
+            for c in lines_of_mask((c0 & -c0) | (c1 & -c1) if split else c0 | c1):
                 element.append(ids.setdefault(base & masks[c], len(ids)))
                 if element[-1] == len(triads):
                     triads.append((*pairs[p], c))
-        element_of = np.full(table.lines.shape, -1, np.int32)
-        element_of[table.in_sigma] = element
-        return dict(zip(ids, triads)), element_of
+        # the index in ``element`` of each sigma place: its class, else its rank in sigma
+        count = np.where(classes.split, 2, table.in_sigma.sum(axis=1))
+        at = np.where(classes.split[:, None], classes.second, table.in_sigma.cumsum(axis=1) - 1)
+        at = np.where(table.in_sigma, at + (np.cumsum(count) - count)[:, None], -1)
+        return dict(zip(ids, triads)), np.array(element + [-1], np.int32)[at]
 
     return s.cached("element_table", build)
 
@@ -175,63 +179,64 @@ def enumerate_secondary_elements(s: IncidenceStructure) -> list[frozenset[int]]:
 
 
 def _verify_labeling(
-    s: IncidenceStructure,
-    emasks: tuple[int, ...],
-    kinds: dict[int, Kind],
-    seed: tuple[int, int, int],
+    s: IncidenceStructure, kinds: dict[int, Kind], seed: tuple[int, int, int]
 ) -> Optional[dict]:
     """Return the lexicographically least violation witness, or None.
 
     Checks, in order: every incident pair's two sigma classes yield one
     point and one plane; distinct same-kind elements share exactly one
     line; opposite-kind elements never share exactly one line.  The pair
-    check depends only on perp({p, q}), so a perp that passed once is not
-    checked again; the first failing pair is the same.
+    check depends only on perp({p, q}), so it is judged once per perp of
+    ``perp_table``, in order of first pairs; the first failing pair is the
+    same.  When the split holds, a class yields one element, the perp's
+    lines incident to the class, so a class never mixes kinds.
     """
-    masks = s.masks
     seed_info = {"pair": labels_of(s, seed[:2]), "class_of": seed[2]}
 
     def fail(issue, fields):
         return {"issue": issue, **fields, "seed": seed_info}
 
-    passed = set()
-    for p, q in incident_pairs(s):
-        base = masks[p] & masks[q]
-        if base in passed:
-            continue
-        pair = labels_of(s, (p, q))
-        class_kinds = []
-        for cls in sigma_partition(s, p, q).class_masks:  # NotTwoClassesError propagates
-            seen = {kinds[base & masks[c]] for c in lines_of_mask(cls)}  # each is an element
-            if len(seen) != 1:
-                members = labels_of(s, lines_of_mask(cls))
-                return fail("class_yields_mixed_kinds", {"pair": pair, "class": members})
-            class_kinds.append(seen.pop())
-        if class_kinds[0] == class_kinds[1]:
-            return fail("pair_classes_same_kind", {"pair": pair, "kind": class_kinds[0].value})
-        passed.add(base)
-    for i, ei in enumerate(emasks):
-        for ej in emasks[i + 1 :]:
-            common = (ei & ej).bit_count()
-            same = kinds[ei] == kinds[ej]
-            if same == (common == 1):
-                continue
-            shared = {
-                "element_a": labels_of(s, lines_of_mask(ei)),
-                "element_b": labels_of(s, lines_of_mask(ej)),
-                "common_count": common,
-            }
-            if not same:
-                return fail("point_plane_share_one", shared)
-            issue = "same_kind_share_none" if common == 0 else "same_kind_share_many"
-            return fail(issue, {"kind": kinds[ei].value, **shared})
-    return None
+    table, classes = perp_table(s), sigma_classes(s)
+    ids, element_of = element_ids(s)
+    plane = np.array([kinds[em] is Kind.PLANE for em in ids] + [False])  # -1 reads the padding
+    two = element_of[np.arange(len(table.masks))[:, None], classes.least]  # the element of each class
+    bad = np.flatnonzero(~classes.split | (plane[two[:, 0]] == plane[two[:, 1]]))
+    if len(bad):
+        pair = table.pairs[table.first[bad[0]]].tolist()
+        sigma_partition(s, *pair)  # raises NotTwoClassesError where the split fails
+        kind = kinds[list(ids)[two[bad[0], 0]]]
+        return fail("pair_classes_same_kind", {"pair": labels_of(s, pair), "kind": kind.value})
+    emasks = element_masks(s)
+    plane = np.array([kinds[em] is Kind.PLANE for em in emasks], bool)
+    # every two elements holding a line, as i * len(emasks) + j with i < j, once per line
+    line, e = np.nonzero(_incidence(emasks, s.line_count).T)
+    held = np.bincount(line, minlength=s.line_count)
+    later = np.repeat(np.cumsum(held) - 1, held) - np.arange(len(e))  # entries after each on its line
+    first = np.repeat(np.arange(len(e)), later)
+    second = first + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later) + 1
+    common = np.bincount(e[first] * len(emasks) + e[second], minlength=len(emasks) ** 2)
+    same = plane[:, None] == plane
+    i, j = np.nonzero(np.triu(same != (common.reshape(len(emasks), -1) == 1), 1))
+    if not len(i):
+        return None
+    ei, ej = emasks[i[0]], emasks[j[0]]
+    shared = {
+        "element_a": labels_of(s, lines_of_mask(ei)),
+        "element_b": labels_of(s, lines_of_mask(ej)),
+        "common_count": (ei & ej).bit_count(),
+    }
+    if not same[i[0], j[0]]:
+        return fail("point_plane_share_one", shared)
+    issue = "same_kind_share_none" if not ei & ej else "same_kind_share_many"
+    return fail(issue, {"kind": kinds[ei].value, **shared})
 
 
 def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> dict[int, Kind]:
     """Kind of every element mask under the seeded singleton rule (unverified)."""
     a, b, k = seed
-    chosen = sigma_partition(s, a, b).class_masks[k]
+    classes, perp = sigma_classes(s), perp_table(s).perp[sigma_table(s).pair_id[a, b]]
+    # an unsplit seed pair raises its NotTwoClassesError here
+    chosen = classes.masks[perp][k] if classes.split[perp] else sigma_partition(s, a, b).class_masks[k]
     zmask = s.masks[a] & s.masks[b] & s.masks[(chosen & -chosen).bit_length() - 1]
     return {
         em: Kind.POINT if em == zmask or (em & zmask).bit_count() == 1 else Kind.PLANE
@@ -283,8 +288,7 @@ def coordinate_labels(
     def build():
         try:
             kinds = classify_elements(s, seed)
-            emasks = element_masks(s)
-            witness = _verify_labeling(s, emasks, kinds, seed)
+            witness = _verify_labeling(s, kinds, seed)
         except NotTwoClassesError as e:
             return e
         if witness is not None:
@@ -292,7 +296,8 @@ def coordinate_labels(
                 f"labeling verification failed: {witness['issue']}", witness
             )
         points, planes = (
-            tuple(tuple(lines_of_mask(em)) for em in emasks if kinds[em] is kind) for kind in Kind
+            tuple(tuple(lines_of_mask(em)) for em in element_masks(s) if kinds[em] is kind)
+            for kind in Kind
         )
         return GeometryModel(structure=s, points=points, planes=planes, seed=seed)
 
@@ -368,7 +373,7 @@ def dualize(m: GeometryModel) -> GeometryModel:
     if witness is None and m.seed is not None:
         a, b, k = m.seed
         flipped = (a, b, 1 - k)
-        witness = _verify_labeling(s, element_masks(s), kinds, flipped)
+        witness = _verify_labeling(s, kinds, flipped)
     if witness is not None:
         raise LabelInconsistencyError(
             f"dualized labeling failed verification: {witness['issue']}", witness

@@ -159,42 +159,6 @@ def gen_pg3(q: int) -> tuple[IncidenceStructure, Pg3Metadata]:
     return structure, meta
 
 
-def _kernel(mat: Matrix, q: int) -> list[Vector]:
-    """Basis of the vectors orthogonal mod q to every row of a reduced row-echelon matrix."""
-    pivot_row = {row.index(1): row for row in mat}
-    return [
-        tuple(int(c == f) if c not in pivot_row else -pivot_row[c][f] % q for c in range(4))
-        for f in range(4)
-        if f not in pivot_row
-    ]
-
-
-def _orthogonal_sets(pairs, vectors, q: int) -> list[frozenset[int]]:
-    """Per pair of rows, the indices of the vectors orthogonal mod q to both."""
-    zero = (np.array(pairs).reshape(-1, 4) @ np.array(vectors).T) % q == 0
-    return [frozenset(np.flatnonzero(r).tolist()) for r in zero[0::2] & zero[1::2]]
-
-
-def line_point_sets(meta: Pg3Metadata) -> list[frozenset[int]]:
-    """For each line, the indices of the coordinate points on it.
-
-    A point lies on a line iff it is orthogonal mod q to the line's
-    2-dimensional annihilator: one integer matrix product for all pairs.
-    """
-    kernels = [_kernel(ln, meta.q) for ln in meta.line_reps]
-    return _orthogonal_sets(kernels, meta.point_reps, meta.q)
-
-
-def line_plane_sets(meta: Pg3Metadata) -> list[frozenset[int]]:
-    """For each line, the indices of the coordinate planes containing it.
-
-    A line lies in a plane iff both of its rows are orthogonal mod q to the
-    plane's normal: one integer matrix product for all pairs.
-    """
-    normals = [_kernel(pl, meta.q)[0] for pl in meta.plane_reps]
-    return _orthogonal_sets(meta.line_reps, normals, meta.q)
-
-
 NEGATIVE_KINDS = ("no_skew_anywhere", "pasch_violation", "two_components", "single_line")
 
 # Full expected check_all status vectors, frozen from checker runs.  Small
@@ -279,23 +243,3 @@ def gen_negative(kind: str) -> IncidenceStructure:
     raise PreconditionError(
         f"unknown negative fixture {kind!r}; choose from {NEGATIVE_KINDS}"
     )
-
-
-def is_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure) -> bool:
-    """Brute-force incidence-pattern isomorphism for small structures (n <= 8)."""
-    n = s1.line_count
-    if n != s2.line_count:
-        return False
-    if n > 8:
-        raise PreconditionError("is_isomorphic is for small fixtures (n <= 8)")
-    a1, a2 = s1.adjacency, s2.adjacency
-    deg1 = sorted(int(a1[i].sum()) for i in range(n))
-    deg2 = sorted(int(a2[i].sum()) for i in range(n))
-    if deg1 != deg2:
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(
-            a1[i, j] == a2[perm[i], perm[j]] for i in range(n) for j in range(i + 1, n)
-        ):
-            return True
-    return False

@@ -7,12 +7,12 @@ incidence restricted to that set is an equivalence with exactly two
 classes; ``sigma_partition`` recovers the classes and verifies both facts
 instead of assuming them, so it doubles as a diagnostic on untrusted input.
 
-Sets are int bitmasks throughout: a class is grown from its least line by
-mask closure and checked to be a clique with one AND per line.  Sigma sets
-and their classes depend only on perp({a, b}), so both are memoized on the
-structure per distinct mask, and so is the verdict that both classes are
-cliques; a partition, which names its pair, is memoized per pair.  Results
-are value-identical to the uncached computation.
+Sets are int bitmasks throughout.  ``sigma_partition`` is the scalar
+definition: it grows each class from its least line by mask closure,
+checks it is a clique, and names any failure; it is memoized per pair.
+``sigma_classes`` judges every distinct perp at once from the skew rows of
+``core.perp_table``: a sigma set is two cliques exactly when every sigma
+line is skew to precisely the lines of the other class.
 
 ``sigma_table`` holds every incident pair's sigma set as ``PairSets``
 arrays, for the checks that look up memberships of many triples at once.
@@ -28,9 +28,11 @@ from .core import (
     IncidenceStructure,
     LinespaceError,
     PreconditionError,
+    _places,
+    _words,
     bracket,
-    incident_pairs,
     labels_of,
+    least_bits,
     lines_of_mask,
     perp_mask,
     perp_table,
@@ -100,11 +102,10 @@ class PairSets:
 
     ``pairs`` is the (P, 2) array of the pairs, each ascending;
     ``pair_id[x, y]`` is the index of {x, y} in it, both ways round, or -1
-    for any other pair.  ``masks`` holds the distinct sets in order of
-    their first pair and ``set_id[p]`` indexes it; ``bits`` holds the same
-    sets as packed rows (bit z at byte z >> 3, bit z & 7) plus a trailing
-    empty row, which ``set_id[-1]`` names, so that pair id -1 reads as the
-    empty set.
+    for any other pair.  ``masks`` holds the sets and ``set_id[p]`` indexes
+    it; ``bits`` holds the same sets as packed rows (bit z at byte z >> 3,
+    bit z & 7) plus a trailing empty row, which ``set_id[-1]`` names, so
+    that pair id -1 reads as the empty set.
     """
 
     pairs: np.ndarray
@@ -119,30 +120,27 @@ class PairSets:
         return (self.bits[row, z >> 3] >> (z & 7) & 1).astype(bool)
 
 
-def pair_sets(width: int, sets: dict[tuple[int, int], int]) -> PairSets:
-    """``PairSets`` of ``sets``, keyed by ascending pairs of lines below ``width``."""
-    distinct: dict[int, int] = {}
-    set_id = [distinct.setdefault(mask, len(distinct)) for mask in sets.values()]
-    pairs = np.array(list(sets), np.int32).reshape(-1, 2)
+def pair_sets(width: int, pairs: np.ndarray, set_id: np.ndarray, masks: list[int]) -> PairSets:
+    """``PairSets`` of the ascending pairs ``pairs`` of lines below ``width``,
+    pair p holding the set ``masks[set_id[p]]``."""
     pair_id = np.full((width, width), -1, np.int32)
     pair_id[pairs[:, 0], pairs[:, 1]] = pair_id[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
     nbytes = width // 8 + 1
-    packed = b"".join(x.to_bytes(nbytes, "little") for x in (*distinct, 0))
-    bits = np.frombuffer(packed, np.uint8).reshape(len(distinct) + 1, nbytes)
-    set_id = np.array([*set_id, len(distinct)], np.int32)
-    return PairSets(pairs, pair_id, set_id, tuple(distinct), bits)
+    packed = b"".join(x.to_bytes(nbytes, "little") for x in (*masks, 0))
+    bits = np.frombuffer(packed, np.uint8).reshape(len(masks) + 1, nbytes)
+    return PairSets(pairs, pair_id, np.append(set_id, len(masks)).astype(np.int32), tuple(masks), bits)
 
 
 def sigma_table(s: IncidenceStructure) -> PairSets:
     """The sigma set of every incident distinct pair, as ``PairSets`` over
-    ``incident_pairs(s)``; cached.  Sigma is found once per distinct perp
-    of ``perp_table(s)``."""
+    ``incident_pairs(s)``, its masks distinct and in order of their first
+    pair; cached.  Each perp's sigma is the union of its ``sigma_classes``."""
 
     def build():
         table = perp_table(s)
-        sigmas = [_sigma_of_perp(s, base) for base in table.masks]
-        sets = map(sigmas.__getitem__, table.perp.tolist())
-        return pair_sets(s.line_count, dict(zip(incident_pairs(s), sets)))
+        distinct: dict[int, int] = {}
+        ids = [distinct.setdefault(c0 | c1, len(distinct)) for c0, c1 in sigma_classes(s).masks]
+        return pair_sets(s.line_count, table.pairs, np.array(ids, np.int64)[table.perp], list(distinct))
 
     return s.cached("sigma_table", build)
 
@@ -190,15 +188,49 @@ def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
     return out
 
 
-def sigma_split(s: IncidenceStructure, sig: int) -> tuple[list[int], bool]:
-    """The incidence classes of the sigma mask ``sig`` and whether each one
-    is a clique; cached per mask."""
+@dataclass(frozen=True)
+class SigmaClasses:
+    """The sigma classes of every distinct perp of ``perp_table``.
+
+    ``split[k]`` is whether incidence on perp k's sigma places is exactly
+    two cliques; if so, ``masks[k]`` holds the two classes as line masks,
+    class 0 holding the least sigma line, ``second[k, i]`` whether place i
+    lies in class 1, and ``least[k]`` the least place of each class.
+    """
+
+    split: np.ndarray
+    masks: list[tuple[int, int]]
+    second: np.ndarray
+    least: np.ndarray
+
+
+def sigma_classes(s: IncidenceStructure) -> SigmaClasses:
+    """The ``SigmaClasses`` of ``s``, from the skew rows of its perp table; cached.
+
+    Class 1 is the set of sigma places skew to the least one, class 0 the
+    rest of sigma.  The split holds iff every sigma place is skew to
+    exactly the other class, judged in bounded runs of perps.
+    """
 
     def build():
-        classes = incidence_classes(s, sig)
-        return classes, not any(c & ~s.masks[x] for c in classes for x in lines_of_mask(c))
+        table, n = perp_table(s), s.line_count
+        count, width = table.in_sigma.shape
+        least = least_bits(_words(table.in_sigma))  # -1 where sigma is empty
+        one = table.skew[np.arange(count), least]
+        zero = _words(table.in_sigma) & ~one
+        second = _places(one, width)
+        split, sigmas = table.in_sigma.any(axis=1), []
+        for lo, hi in table.steps(n):
+            other = np.where(second[lo:hi, :, None], zero[lo:hi, None], one[lo:hi, None])
+            split[lo:hi] &= ((table.skew[lo:hi] == other).all(axis=2) | ~table.in_sigma[lo:hi]).all(axis=1)
+            rows = np.zeros((hi - lo, n + 1), bool)  # column n: the padding
+            rows[np.arange(hi - lo)[:, None], np.where(table.in_sigma[lo:hi], table.lines[lo:hi], n)] = True
+            sigmas += [int.from_bytes(r.tobytes(), "little") for r in np.packbits(rows[:, :n], axis=1, bitorder="little")]
+        lines = table.lines[np.arange(count), np.maximum(least, 0)].tolist()
+        masks = [(sig & s.masks[l], sig & ~s.masks[l]) for sig, l in zip(sigmas, lines)]
+        return SigmaClasses(split, masks, second, np.stack((least, least_bits(one)), axis=1))
 
-    return s.cached(("sigma_classes", sig), build)
+    return s.cached("sigma_classes", build)
 
 
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
@@ -209,13 +241,17 @@ def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     a clique.  Anything else raises NotTwoClassesError with a replayable
     witness naming this pair (this includes an empty sigma set, which
     downstream labeling code must never see as an empty partition).  The
-    classes depend only on perp({a, b}) and are found once per sigma mask.
+    split depends only on the sigma mask and is memoized per mask.
     """
     a, b = _require_incident_distinct(s, a, b, "sigma_partition")
 
+    def split(sig):
+        classes = incidence_classes(s, sig)
+        return classes, not any(c & ~s.masks[x] for c in classes for x in lines_of_mask(c))
+
     def build():
         sig = sigma_mask(s, a, b)
-        classes, cliques = sigma_split(s, sig)
+        classes, cliques = s.cached(("sigma_split", sig), lambda: split(sig))
         if len(classes) == 2 and cliques:
             return SigmaPartition(pair=(a, b), class_masks=tuple(classes))
         pair_labels = labels_of(s, (a, b))

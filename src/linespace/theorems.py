@@ -21,19 +21,19 @@ per structure too, ``core.perp_table``: each pair's perp among the
 distinct perps, and each perp's lines with their skew rows as packed
 words.  The point-triple checks share ``_triangles``.
 
-The costliest checks run array kernels.  Five triad checks,
-``thm_two_classes``, ``thm_bracket_welldefined``, ``thm_regulus_skew``
-and ``thm_pencil_intersection`` judge with theirs, as axioms 2.2 and 2.3
-do: the kernel computes the check's predicate for every item, so the
-first item it flags is the least violation, and the report is read from
-its arrays, or named from the definitions at that one item.  The kernels
-of ``thm_exchange``, ``thm_triangle``, ``thm_tetrahedron`` and the A3
-check of ``vy_axioms`` stay partial: they only prove that an item
-passes, and hand each item they cannot prove, in walk order, to the
-scalar code of the check, which judges it from the definitions, names
-the failure and counts its cases.  A proved item would pass that code
-too, and counts the cases the scalar walk would reach on it, so either
-way a report is the same as a scalar walk of every item.
+The costliest checks run array kernels.  Five triad checks and
+``thm_two_classes``, ``thm_bracket_welldefined``, ``thm_regulus_skew``,
+``thm_pencil_intersection``, ``thm_exchange`` and the A3 check of
+``vy_axioms`` judge with theirs, as axioms 2.2 and 2.3 do: the kernel
+computes the check's predicate for every item, so the first item it
+flags is the least violation, and the report is read from its arrays, or
+named from the definitions at that one item.  The kernels of
+``thm_triangle`` and ``thm_tetrahedron`` stay partial: they only prove
+that an item passes, and hand each item they cannot prove, in walk
+order, to the scalar code of the check, which judges it from the
+definitions, names the failure and counts its cases.  A proved item
+would pass that code too, so either way a report is the same as a scalar
+walk of every item.
 
 Every check here registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
@@ -77,10 +77,11 @@ from .labeling import (
 from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
 from .sigma import (
     NotTwoClassesError,
+    PairSets,
     pair_sets,
+    sigma_classes,
     sigma_mask,
     sigma_partition,
-    sigma_split,
     sigma_table,
 )
 
@@ -113,6 +114,7 @@ class _Triads:
 
 _ENTRIES_PER_STEP = 1 << 18  # (pair, sigma member) entries per step of the triad build
 _TRIADS_PER_STEP = 1 << 16  # triads per step of a kernel
+_CELLS_PER_STEP = 1 << 20  # cells per step of the exchange rows and the A3 joins
 
 
 def _sorted_triads(s: IncidenceStructure) -> np.ndarray:
@@ -205,23 +207,43 @@ def _bracket_mask(s: IncidenceStructure, lines: Iterable[int]) -> int:
     return out
 
 
+_KIND_CODE = {Kind.POINT: 0, Kind.PLANE: 1}
+
+
 def _labeled_class_masks(m: GeometryModel) -> dict[tuple[int, int], tuple[int, int]]:
     """(point_class_mask, plane_class_mask) per incident pair; cached.
 
     The labeled classes of (a, b) depend only on perp({a, b}), so they are
-    found once per distinct perp of ``perp_table``, from its first pair, in
-    the order of those pairs.  The first perp that fails is then the perp
-    of the first pair that fails, so an error names the pair it always did.
+    read once per distinct perp of ``perp_table`` from ``sigma_classes``;
+    each class yields one element, whose kind in the model is the class's.
+    A perp that does not split into a point class and a plane class is
+    named by ``labeled_sigma_classes`` at its first pair, in the order of
+    those pairs, so an error names the first pair that fails.
     """
     s = m.structure
 
     def build():
         pairs = incident_pairs(s)
-        table = perp_table(s)
-        per_perp = [labeled_sigma_classes(m, *pairs[p]) for p in table.first.tolist()]
+        table, classes = perp_table(s), sigma_classes(s)
+        ids, element_of = element_ids(s)
+        kind = np.array([_KIND_CODE.get(m.kinds.get(em), -1) for em in ids] + [-1])
+        k0, k1 = kind[element_of[np.arange(len(table.masks))[:, None], classes.least]].T
+        per_perp = [two[::-1] if k else two for two, k in zip(classes.masks, k0.tolist())]
+        for k in np.flatnonzero(~classes.split | (k0 < 0) | (k1 < 0) | (k0 == k1)).tolist():
+            per_perp[k] = labeled_sigma_classes(m, *pairs[table.first[k]])  # raises
         return dict(zip(pairs, map(per_perp.__getitem__, table.perp.tolist())))
 
     return s.cached(("labeled_class_masks", m.points, m.planes), build)
+
+
+def _class_sets(s: IncidenceStructure, m: GeometryModel, classes: dict) -> tuple[PairSets, PairSets]:
+    """The point classes and the plane classes of ``classes`` as ``PairSets``
+    over the lines of ``s`` and of the model's structure.  They depend only
+    on the perp of the pair, so each is read at the first pair of its perp."""
+    table, pairs = perp_table(m.structure), incident_pairs(m.structure)
+    width = max(s.line_count, m.structure.line_count)
+    per_perp = [classes[pairs[p]] for p in table.first.tolist()]
+    return tuple(pair_sets(width, table.pairs, table.perp, [two[k] for two in per_perp]) for k in (0, 1))
 
 
 def _element_kinds(m: GeometryModel) -> dict[int, Kind]:
@@ -283,25 +305,22 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
 def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     """Incidence on every sigma(a, b) splits into exactly two classes.
 
-    Kernel: the split depends only on the sigma mask, so each distinct
-    mask is split once; the first pair whose mask does not split fails,
-    and ``sigma_partition`` names its witness.
+    Kernel: the split depends only on perp({a, b}), so it is read per
+    distinct perp from ``sigma_classes``; the first pair whose perp does not
+    split fails, and ``sigma_partition`` names its witness.
     """
     name = "thm_two_classes"
     pairs = incident_pairs(s)
-    table = sigma_table(s)
-    splits = [sigma_split(s, sig) for sig in table.masks]
-    split = np.array([len(classes) == 2 and cliques for classes, cliques in splits] + [True])
+    table, classes = perp_table(s), sigma_classes(s)
     stats = {"pairs_examined": len(pairs)}
-    unsplit = np.flatnonzero(~split[table.set_id[:-1]])
+    unsplit = np.flatnonzero(~classes.split[table.perp])
     if len(unsplit):
         try:
             sigma_partition(s, *pairs[int(unsplit[0])])
         except NotTwoClassesError as e:
             return CheckReport(name, FAIL, counterexample=dict(e.witness), stats=stats)
-    if splits:
-        sizes = {tuple(c.bit_count() for c in classes) for classes, _ in splits}
-        stats["class_size_pairs"] = sorted(sizes)
+    if classes.masks:
+        stats["class_size_pairs"] = sorted({(c0.bit_count(), c1.bit_count()) for c0, c1 in classes.masks})
     return CheckReport(name, PASS, stats=stats)
 
 
@@ -611,8 +630,7 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     tri = triad_table(s)
-    point_class = pair_sets(s.line_count, {key: pc for key, (pc, qc) in classes.items()})
-    plane_class = pair_sets(s.line_count, {key: qc for key, (pc, qc) in classes.items()})
+    point_class, plane_class = _class_sets(s, m, classes)
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
         on_point = on_plane = True
@@ -770,20 +788,18 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 
     Refined by kind: when the bracket is a plane of the model, the plane
     class of sigma(x, y) already contains one of the triad, and dually.
-    The (x, y) rows of each distinct bracket are built once, with per line
-    of the bracket the row bitsets whose sigma set holds it and whose
-    refined class holds it.  Every line of a triad lies in its bracket (the
-    three are pairwise incident and every line is self-incident), so a
-    triad passes all rows iff, for both bitsets, the OR over its three
-    lines is all ones; the kernel proves that for all triads of a bracket
-    at once.  A bracket with a skew row, or none that is an element,
-    proves nothing.  Brackets are taken in order of their first triad and
-    only while that triad comes before the least failure found so far, the
-    only triads the walk reaches; each unproved triad before it goes to
-    the scalar walk, which names the failure.  The sigma condition stays
-    even though the refined class is a class of sigma(x, y): the classes
-    come from the model's structure and sigma from ``s``, which need not
-    be the same structure.
+    Each triad walks the rows (x, y) of its bracket, the pairs of its
+    lines in lexicographic order.  Kernel: for every bracket at once, per
+    line of the bracket, the bitsets of the rows whose sigma set holds it
+    and whose refined class holds it (a skew row's sigma set holds
+    nothing).  Every line of a triad lies in its bracket (the three are
+    pairwise incident and every line is self-incident), so the rows a
+    triad fails are those missing from the OR over its three lines of
+    either bitset, and its least such row is where its walk stops; a
+    bracket that is no element fails its triads at once.  The sigma
+    condition stays even though the refined class is a class of
+    sigma(x, y): the classes come from the model's structure and sigma
+    from ``s``, which need not be the same structure.
     """
     name = "thm_exchange"
     try:
@@ -791,83 +807,56 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     kinds = _element_kinds(m)
-    masks = s.masks
     sigmas = sigma_table(s)
-    width = s.line_count
     tri = triad_table(s)
-
-    def table(B):
-        """(kind, rows, kernel) of bracket B; kernel is None when it can prove no triad of B."""
-        kind = kinds.get(B)
-        if kind is None:
-            return None, [], None
-        members = lines_of_mask(B)
-        set_id = sigmas.set_id[sigmas.pair_id[np.ix_(members, members)]].tolist()
-        rows = []  # (x, y, sigma, refined class); sigma None if skew
-        for i, x in enumerate(members):
-            for j, y in enumerate(members[i + 1 :], i + 1):
-                if masks[x] >> y & 1:
-                    pc, qc = classes[(x, y)]
-                    rows.append((x, y, sigmas.masks[set_id[i][j]], pc if kind is Kind.POINT else qc))
-                else:
-                    rows.append((x, y, None, 0))
-        if any(row[2] is None for row in rows):
-            return kind, rows, None
-        place = np.zeros(width, np.int64)
-        place[members] = np.arange(len(members))
-        # per line of B, the rows whose sigma set holds it and those whose refined class does
-        held = [_words(_incidence([r[col] for r in rows], width)[:, members].T) for col in (2, 3)]
-        return kind, rows, (place, held, _words(np.ones((1, len(rows)), bool)))
-
-    def walk(t, kind, rows):
-        """(counterexample, rows examined) of triad t, or None when it passes every row."""
-        t_lines = tri.lines[t].tolist()
-        if kind is None:
-            return {"triad": labels_of(s, t_lines), "issue": "bracket_not_an_element"}, 0
-        examined = 0
-        t_mask = mask_of_lines(t_lines)
-        for x, y, sig_xy, refined in rows:
-            examined += 1
-            if sig_xy is None:
-                issue = "skew_pair_in_bracket"
-            elif not (sig_xy & t_mask):
-                issue = "sigma_misses_triad"
-            elif not (refined & t_mask):
-                issue = "refined_class_misses_triad"
-            else:
-                continue
-            ce = {"triad": labels_of(s, t_lines), "x": s.labels[x], "y": s.labels[y]}
-            if issue == "refined_class_misses_triad":
-                ce["kind"] = kind.value
-            ce["issue"] = issue
-            return ce, examined
-        return None
-
-    order = np.argsort(tri.bracket, kind="stable")
-    bounds = np.searchsorted(tri.bracket[order], np.arange(len(tri.brackets) + 1))
-    row_count = np.zeros(len(tri.brackets), np.int64)
-    stop, failure = len(tri.lines), None
-    for k, B in enumerate(tri.brackets):
-        if tri.first[k] >= stop:
+    kind = np.array([_KIND_CODE.get(kinds.get(B), -1) for B in tri.brackets], np.int64)
+    inside = _incidence(tri.brackets, s.line_count)
+    size = inside.sum(axis=1)
+    place = np.cumsum(inside, axis=1, dtype=np.int32) - 1  # of each line of a bracket
+    members = np.zeros((len(size), int(size.max(initial=0))), np.intp)
+    k, l = np.nonzero(inside)
+    members[k, place[k, l]] = l
+    x, y = np.triu_indices(members.shape[1], 1)  # the rows, as places, in walk order
+    valid = _words(y < size[:, None])
+    held = np.zeros((2, *members.shape, valid.shape[1]), np.uint64)
+    refined = _class_sets(s, m, classes)
+    step = max(1, _CELLS_PER_STEP // (members.shape[1] * len(x) + 1))
+    for lo in range(0, len(size), step):
+        u, v, z = members[lo : lo + step, None, x], members[lo : lo + step, None, y], members[lo : lo + step, :, None]
+        held[0, lo : lo + step] = _words(sigmas.holds(u, v, z))
+        for code, sets in enumerate(refined):
+            mine = lo + np.flatnonzero(kind[lo : lo + step] == code)
+            held[1, mine] = _words(sets.holds(u[mine - lo], v[mine - lo], z[mine - lo]))
+    row_count = np.where(kind >= 0, size * (size - 1) // 2, 0)
+    held = held.reshape(2, -1, valid.shape[1])  # row k * width + i: line i of bracket k
+    step = max(1, _TRIADS_PER_STEP * 8 // valid.shape[1])
+    for lo in range(0, len(tri.lines), step):
+        k = tri.bracket[lo : lo + step].astype(np.intp)
+        at = (k[:, None] * members.shape[1] + place[k[:, None], tri.lines[lo : lo + step]]).T
+        sig, ref = (h.take(at[0], axis=0) | h.take(at[1], axis=0) | h.take(at[2], axis=0) for h in held)
+        row = least_bits(~(sig & ref) & valid[k])
+        flagged = np.flatnonzero((kind[k] < 0) | (row >= 0))
+        if len(flagged):
+            t, r = lo + int(flagged[0]), int(row[flagged[0]])
             break
-        kind, rows, kernel = table(B)
-        row_count[k] = len(rows)
-        mine = order[bounds[k] : bounds[k + 1]]
-        if kernel is not None:
-            place, held, full = kernel
-            a, b, c = place[tri.lines[mine]].T
-            proved = np.logical_and.reduce([((h[a] | h[b] | h[c]) == full).all(1) for h in held])
-            mine = mine[~proved]
-        for t in mine[mine < stop].tolist():
-            got = walk(t, kind, rows)
-            if got is not None:
-                stop, failure = t, got
-                break
-    examined = int(np.bincount(tri.bracket[:stop], minlength=len(row_count)) @ row_count)
-    if failure is None:
+    else:
+        examined = int(np.bincount(tri.bracket, minlength=len(size)) @ row_count)
         return CheckReport(name, PASS, stats={"cases_examined": examined})
-    ce, partial = failure
-    return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined + partial})
+    examined = int(np.bincount(tri.bracket[:t], minlength=len(size)) @ row_count)
+    k, t_lines = int(tri.bracket[t]), tri.lines[t].tolist()
+    ce = {"triad": labels_of(s, t_lines), "issue": "bracket_not_an_element"}
+    if kind[k] >= 0:
+        i, j = int(x[r]), int(y[r])
+        examined += i * (int(size[k]) - 1) - i * (i - 1) // 2 + j - i  # rows up to (i, j)
+        u, v = int(members[k, i]), int(members[k, j])
+        ce = {"triad": ce["triad"], "x": s.labels[u], "y": s.labels[v]}
+        if not s.adjacency[u, v]:
+            ce["issue"] = "skew_pair_in_bracket"
+        elif not sigmas.masks[sigmas.set_id[sigmas.pair_id[u, v]]] & mask_of_lines(t_lines):
+            ce["issue"] = "sigma_misses_triad"
+        else:
+            ce.update(kind="point" if kind[k] == 0 else "plane", issue="refined_class_misses_triad")
+    return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
 def _replay_not_singleton(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
@@ -1074,7 +1063,7 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     rows = np.flatnonzero(ok)
     a, b, c = tri.sides[rows].T
     adj = s.adjacency
-    plane_class = pair_sets(s.line_count, {key: qc for key, (pc, qc) in classes.items()})
+    plane_class = _class_sets(s, m, classes)[1]
     proved = (a != b) & (b != c) & (a != c) & adj[a, b] & adj[b, c] & adj[a, c]
     for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
         proved &= plane_class.holds(u, v, third)
@@ -1284,43 +1273,72 @@ def vy_a2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return _pair_check("vy_a2", s, m, "point", lambda common: common > 1)
 
 
-@registered("vy", model=True)
+def _replay_vy_a3(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    points = set(m.point_masks)
+    named = {key: mask_of_lines(_resolve(s, ce[key])) for key in ("point_d", "point_e") if key in ce}
+    if any(p not in points for p in named.values()):
+        return False
+    if ce.get("issue") == "joining_line_not_unique":
+        return named["point_d"] != named["point_e"] and (named["point_d"] & named["point_e"]).bit_count() != 1
+    A, B, C = (mask_of_lines(_resolve(s, p)) for p in ce["points"])
+    sides = (B & C, C & A, A & B)
+    if not {A, B, C} <= points or A & B & C:
+        return False
+    if ce.get("issue") == "points_without_unique_common_line":
+        return any(side.bit_count() != 1 for side in sides)
+    if any(side.bit_count() != 1 for side in sides):
+        return False
+    a, b, c = (side.bit_length() - 1 for side in sides)
+    d, e, f = named["point_d"], named["point_e"], s.index(ce["joining_line"])
+    on_sides = bool(d >> a & 1 and e >> b & 1) and d != e and d & e == 1 << f
+    return on_sides and c == s.index(ce["ab_line"]) and not s.adjacency[c, f]
+
+
+@registered("vy", model=True, replay=_replay_vy_a3)
 def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A3: the line joining D on BC and E on CA meets AB.
 
-    Kernel: per side pair (a, b), the perp of the lines joining a point on
-    a to a point on b holds c iff every joining line meets c, so a triple
-    passes iff its joins are all unique and c is in that perp.
+    Kernel: per side pair (a, b), the joins of a point on a and another
+    point on b are read from ``line_of`` over padded arrays of the points
+    on each line, and the lines meeting every join are the AND of their
+    packed adjacency rows; a join that is not unique reads as the empty
+    row.  A triple passes iff its joins are all unique and c is in that
+    AND, so the first triple the kernel flags is the least violation, and
+    the walk of its cases names it.
     """
     tri = _triangles(s, m)
-    on_line = m.holding[Kind.POINT]
-    width = s.line_count
-    masks = s.masks
-    line_of = tri.line_of.tolist()
-    on = [lines_of_mask(h) for h in on_line]
+    n, count = s.line_count, len(m.point_masks)
+    on_line = [lines_of_mask(h) for h in m.holding[Kind.POINT]]
+    width = max([1, *map(len, on_line)])
+    on = np.array([o + [count] * (width - len(o)) for o in on_line], np.intp).reshape(n, width)  # padded
+    line_of = np.full((count + 1, count + 1), n, np.intp)  # line n: no case, its row all ones
+    line_of[:count, :count] = np.where(tri.line_of < 0, n + 1, tri.line_of)  # line n + 1: no bits
+    np.fill_diagonal(line_of, n)
+    words = _words(np.vstack((s.adjacency, np.ones((1, n), bool), np.zeros((1, n), bool))))
     ok = tri.sides.min(axis=1) >= 0
     rows = np.flatnonzero(ok)
     a, b, c = tri.sides[rows].T
-    seen = np.zeros((width, width), bool)
-    seen[np.minimum(a, b), np.maximum(a, b)] = True
-    pairs = np.argwhere(seen).tolist()
-    perps, counts = [], []
-    perp_of = {}  # joining lines -> their perp; side pairs of one plane share them
-    for x, y in pairs:
-        joins = {line_of[d][e] for d in on[x] for e in on[y] if d != e}
-        if -1 in joins:
-            perps.append(0)
-        else:
-            joined = mask_of_lines(joins)
-            if joined not in perp_of:
-                perp_of[joined] = perp_mask(s, joined)
-            perps.append(perp_of[joined])
-        counts.append(len(on[x]) * len(on[y]) - (on_line[x] & on_line[y]).bit_count())
-    joined = pair_sets(width, dict(zip(map(tuple, pairs), perps)))
-    ok[rows] = joined.holds(a, b, c)
-    cases = np.zeros(len(ok), np.int64)
-    cases[rows] = np.array(counts, np.int64)[joined.pair_id[a, b]]
-    before = np.cumsum(cases) - cases
+    key = np.minimum(a, b) * n + np.maximum(a, b)  # below 2**31: n is at most 4096
+    order = np.argsort(key)
+    key, c = key[order], c[order]
+    new = np.diff(key, prepend=-1) != 0
+    pair, first = np.cumsum(new) - 1, np.append(np.flatnonzero(new), len(key))
+    x, y = key[new] // n, key[new] % n
+    cases, passed = np.zeros(len(x), np.int64), np.zeros(len(key), bool)
+    step = max(1, _CELLS_PER_STEP // (width**2 + words.shape[1]))
+    for lo in range(0, len(x), step):
+        hi = min(lo + step, len(x))
+        joins = line_of[on[x[lo:hi], :, None], on[y[lo:hi], None, :]].reshape(hi - lo, -1)
+        cases[lo:hi] = (joins != n).sum(axis=1)
+        perp = words.take(joins[:, 0], axis=0)
+        for join in joins.T[1:]:
+            perp &= words.take(join, axis=0)
+        mine = slice(first[lo], first[hi])
+        passed[mine] = perp[pair[mine] - lo, c[mine] >> 6] >> (c[mine] & 63).astype(np.uint64) & np.uint64(1) != 0
+    ok[rows[order]] = passed
+    per_triple = np.zeros(len(ok), np.int64)
+    per_triple[rows[order]] = cases[pair]
+    before = np.cumsum(per_triple) - per_triple
 
     def fail(examined, **ce):
         return CheckReport("vy_a3", FAIL, counterexample=ce, stats={"cases_examined": examined})
@@ -1332,19 +1350,19 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             points = _point_labels(s, m, triple)
             return fail(examined, points=points, issue="points_without_unique_common_line")
         a, b, c = tri.sides[t].tolist()
-        for d, e in itertools.product(on[a], on[b]):
+        for d, e in itertools.product(on_line[a], on_line[b]):
             if d == e:
                 continue
             examined += 1
-            f = line_of[d][e]
-            if f >= 0 and masks[c] >> f & 1:
+            f = int(tri.line_of[d, e])
+            if f >= 0 and s.adjacency[c, f]:
                 continue
             ce = {"point_d": labels_of(s, m.points[d]), "point_e": labels_of(s, m.points[e])}
             if f < 0:
                 return fail(examined, **ce, issue="joining_line_not_unique")
             points = _point_labels(s, m, triple)
             return fail(examined, points=points, **ce, joining_line=s.labels[f], ab_line=s.labels[c])
-    return CheckReport("vy_a3", PASS, stats={"cases_examined": int(cases.sum())})
+    return CheckReport("vy_a3", PASS, stats={"cases_examined": int(per_triple.sum())})
 
 
 VY_NAMES = names("vy")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import linespace
-from linespace import IncidenceStructure, coordinate_labels, gen_pg3, gen_tetrahedron
+from linespace import IncidenceStructure, PreconditionError, coordinate_labels, gen_pg3, gen_tetrahedron
 
 SRC = Path(linespace.__file__).resolve().parent.parent
 
@@ -64,6 +64,26 @@ def ids_for(s, names):
 
 def names_for(s, ids):
     return sorted(s.labels[i] for i in ids)
+
+
+def is_isomorphic(s1: IncidenceStructure, s2: IncidenceStructure) -> bool:
+    """Brute-force incidence-pattern isomorphism for small structures (n <= 8)."""
+    n = s1.line_count
+    if n != s2.line_count:
+        return False
+    if n > 8:
+        raise PreconditionError("is_isomorphic is for small fixtures (n <= 8)")
+    a1, a2 = s1.adjacency, s2.adjacency
+    deg1 = sorted(int(a1[i].sum()) for i in range(n))
+    deg2 = sorted(int(a2[i].sum()) for i in range(n))
+    if deg1 != deg2:
+        return False
+    for perm in itertools.permutations(range(n)):
+        if all(
+            a1[i, j] == a2[perm[i], perm[j]] for i in range(n) for j in range(i + 1, n)
+        ):
+            return True
+    return False
 
 
 def run_python(args, tmp_path, **env):

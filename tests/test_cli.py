@@ -404,6 +404,26 @@ class TestDualizeFamilies:
         assert not (tmp_path / "d.json").exists()
 
 
+# The three steps in one fresh process, then whether numpy.ma was imported:
+# it costs 13-27 ms per process, and a bare np.unique(x) pulls it in.
+STEPS_SCRIPT = """
+import sys
+from linespace.cli import main
+codes = [
+    main(["check", "pg2.json", "--which", "all"]),
+    main(["derive", "pg2.json", "--out", "model.json"]),
+    main(["dualize", "model.json", "--out", "dual.json"]),
+]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_steps_do_not_import_masked_arrays(pg2_file, tmp_path):
+    done = run_python(["-c", STEPS_SCRIPT], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 class TestInfo:
     def test_tetra_info(self, tetra_file, capsys):
         code, stdout, _ = run(["info", str(tetra_file)], capsys)

@@ -1,5 +1,11 @@
 """Element enumeration, coordinated labeling, meet/join, duality."""
 
+import hashlib
+import itertools
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from linespace import (
@@ -7,12 +13,15 @@ from linespace import (
     IncidenceStructure,
     Kind,
     LabelInconsistencyError,
+    LinespaceError,
     MissingElementError,
     PreconditionError,
+    check_axiom4,
     coordinate_labels,
     dualize,
     enumerate_secondary_elements,
     gen_negative,
+    gen_tetrahedron,
     incident_pairs,
     join_plane,
     meet_point,
@@ -22,6 +31,7 @@ from linespace.core import mask_of_lines
 from linespace.labeling import labeled_sigma_classes
 
 from conftest import names_for
+from test_theorems import PERTURBED, perturbed, seeded_mutant
 
 
 def named_family(s, family):
@@ -244,3 +254,99 @@ class TestLabeledClasses:
             pencil = meet & join
             assert pc == mask_of_lines(meet - pencil)
             assert qc == mask_of_lines(join - pencil)
+
+
+LABELING_GOLDEN = Path(__file__).parent / "golden" / "perturbed" / "labeling.json"
+
+
+def pair_graph(points: int) -> IncidenceStructure:
+    """The lines of AG(3,2): every two of its 8 points, incident when they share one."""
+    lines = list(itertools.combinations(range(points), 2))
+    return IncidenceStructure([[bool(set(x) & set(y)) for y in lines] for x in lines])
+
+
+def without_lines(s, dropped) -> IncidenceStructure:
+    keep = [i for i in range(s.line_count) if i not in dropped]
+    return IncidenceStructure(s.adjacency[np.ix_(keep, keep)], labels=[s.labels[i] for i in keep])
+
+
+def swapped(m, i, j) -> GeometryModel:
+    """``m`` with point i and plane j exchanged between the families."""
+    points, planes = list(m.points), list(m.planes)
+    points[i], planes[j] = planes[j], points[i]
+    return GeometryModel(m.structure, tuple(points), tuple(planes), m.seed)
+
+
+def two_tetrahedra_model() -> GeometryModel:
+    """``two_components`` with each tetrahedron labeled as on its own: every
+    sigma class is consistent, and points of the two components share no line."""
+    m = coordinate_labels(gen_tetrahedron())
+    shift = lambda family: family + tuple(tuple(x + 6 for x in e) for e in family)
+    return GeometryModel(gen_negative("two_components"), shift(m.points), shift(m.planes), m.seed)
+
+
+def labeling_cases(pg2, pg2_model, pg3, pg3_model):
+    """(name, structure, model to dualize or None) for the labeling goldens."""
+    for q, s, m, count in ((2, pg2, pg2_model, 24), (3, pg3, pg3_model, 8)):
+        for k in range(count):
+            t = seeded_mutant(s, k)
+            yield f"pg3{q}_mutant_{k}", t, GeometryModel(t, m.points, m.planes, m.seed)
+        for i, j in ((0, 0), (3, 7), (len(m.points) - 1, 0)):
+            yield f"pg3{q}_swap_{i}_{j}", s, swapped(m, i, j)
+    for name in sorted(PERTURBED):
+        yield name, *perturbed(pg3, pg3_model, *PERTURBED[name])
+    for name in ("no_skew_anywhere", "pasch_violation", "two_components", "single_line"):
+        yield name, gen_negative(name), None
+    yield "two_tetrahedra", two_tetrahedra_model().structure, two_tetrahedra_model()
+    yield "affine_lines", pair_graph(8), None
+    yield "pg32_without_27", without_lines(pg2, {27}), None
+    yield "pg32_without_3_5", without_lines(pg2, {3, 5}), None
+    # Random 7-line structures whose first sigma set has 3 and 4 classes.
+    for name, skew in (
+        ("three_classes", [(0, 2), (0, 4), (1, 4), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (5, 6)]),
+        ("four_classes", [(0, 6), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 5), (5, 6)]),
+    ):
+        yield name, IncidenceStructure.from_skew_pairs(7, skew), None
+
+
+def labeling_outcomes(s, m) -> dict:
+    """axiom4's report, coordinate_labels with the default seed and with class 1
+    of the least pair, and dualize of ``m`` (else of the derived model): each an
+    error's class, message and witness, or a digest of the model."""
+
+    def outcome(f):
+        try:
+            got = f()
+        except LinespaceError as e:
+            return [type(e).__name__, str(e), getattr(e, "witness", None)]
+        families = json.dumps([got.points, got.planes, got.seed]).encode()
+        return ["GeometryModel", len(got.points), len(got.planes), hashlib.sha256(families).hexdigest()]
+
+    pairs = incident_pairs(s)
+    out = {"axiom4": check_axiom4(s).to_dict()}
+    out["labels_default"] = outcome(lambda: coordinate_labels(s))
+    out["labels_class1"] = outcome(lambda: coordinate_labels(s, (*pairs[0], 1))) if pairs else None
+    if m is None and out["labels_default"][0] == "GeometryModel":
+        m = coordinate_labels(s)
+    out["dualize"] = outcome(lambda: dualize(m)) if m is not None else None
+    return out
+
+
+class TestLabelingGoldens:
+    """axiom4, coordinate_labels and dualize fail with the same error class,
+    message and witness, and succeed with the same families, on seeded
+    mutants, point/plane swaps, every PERTURBED model and hand-built
+    structures.  tests/golden/perturbed/labeling.json was recorded before
+    the labeling was judged by array kernels.  Together the cases raise
+    both forms of NotTwoClassesError (class counts 0, 1, 3 and 4, and
+    p, q, r) and every labeling issue the verification can reach:
+    pair_classes_same_kind, same_kind_share_none, point_plane_share_one and
+    the three family issues of dualize.
+    """
+
+    def test_outcomes_match_golden(self, pg2, pg2_model, pg3, pg3_model):
+        golden = json.loads(LABELING_GOLDEN.read_text())
+        got = {name: labeling_outcomes(s, m) for name, s, m in labeling_cases(pg2, pg2_model, pg3, pg3_model)}
+        assert list(got) == list(golden)
+        for name in golden:
+            assert json.loads(json.dumps(got[name])) == golden[name], name

@@ -309,7 +309,8 @@ class TestTriangleFailures:
 
 class TestTetrahedronExtraction:
     def test_witness_substructure_is_the_six_line_pattern(self, pg2, pg2_model):
-        from linespace import gen_tetrahedron, is_isomorphic
+        from conftest import is_isomorphic
+        from linespace import gen_tetrahedron
         from linespace.theorems import thm_tetrahedron
 
         r = thm_tetrahedron(pg2, pg2_model)
