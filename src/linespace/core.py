@@ -23,12 +23,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 DEFAULT_MAX_LINES = 4096
 MAX_LINES_ENV = "LINESPACE_MAX_LINES"
+# the largest n whose int32 keys n * (n + 1) + n, two lines and a padding
+# line, stay below 2**31
+LARGEST_MAX_LINES = 46339
 
 
 class LinespaceError(Exception):
@@ -56,8 +60,8 @@ def line_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise CapacityError(f"{MAX_LINES_ENV} must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise CapacityError(f"{MAX_LINES_ENV} must be positive, got {cap}")
+    if not 0 < cap <= LARGEST_MAX_LINES:
+        raise CapacityError(f"{MAX_LINES_ENV} must be in [1, {LARGEST_MAX_LINES}], got {cap}")
     return cap
 
 
@@ -363,6 +367,14 @@ def least_bits(rows: np.ndarray) -> np.ndarray:
 _CELLS_PER_STEP = 1 << 16  # (perp, line, line) cells per step over the perp table
 
 
+def bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
+    """``masks`` of lines below ``width`` as packed rows, bit z at byte
+    z >> 3, bit z & 7, and a trailing empty row, which perp -1 reads."""
+    nbytes = width // 8 + 1
+    packed = b"".join(x.to_bytes(nbytes, "little") for x in (*masks, 0))
+    return np.frombuffer(packed, np.uint8).reshape(len(masks) + 1, nbytes)
+
+
 @dataclass(frozen=True)
 class PerpTable:
     """The distinct perps of the incident pairs, their lines and skew rows.
@@ -373,8 +385,13 @@ class PerpTable:
     ascending (its places), padded with line n, which meets every line;
     ``skew[k, i]`` holds, as ``_words`` words, the places skew to place i,
     and ``in_sigma[k, i]`` whether there is one: whether i lies in sigma.
+
+    A set that depends only on the perp of a pair, as sigma and its classes
+    do, is kept as one ``bit_rows`` row per perp and read at a pair through
+    ``index``; ``holds`` reads it.
     """
 
+    line_count: int
     pairs: np.ndarray
     perp: np.ndarray
     masks: tuple[int, ...]
@@ -420,6 +437,20 @@ class PerpTable:
         """The lines of perp k at the places set in ``words``."""
         return self.lines[k][_places(words, self.lines.shape[1])].tolist()
 
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The n x n int32 pair-to-perp index, built on first use:
+        ``index[x, y]`` is the perp of the incident pair {x, y}, both ways
+        round, and -1 on the diagonal and the skew pairs."""
+        index = np.full((self.line_count, self.line_count), -1, np.int32)
+        index[self.pairs[:, 0], self.pairs[:, 1]] = index[self.pairs[:, 1], self.pairs[:, 0]] = self.perp
+        return index
+
+    def holds(self, rows: np.ndarray, x, y, z) -> np.ndarray:
+        """Per entry, whether line z lies in the set of the pair {x, y}, of
+        the sets ``rows`` of the perps; false off the incident pairs."""
+        return (rows[self.index[x, y], z >> 3] >> (z & 7) & 1).astype(bool)
+
 
 def perp_table(s: IncidenceStructure) -> PerpTable:
     """The ``PerpTable`` of ``s``; cached.  Pairs are grouped by the int mask
@@ -439,7 +470,7 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
         skew = np.zeros((len(ids), width, max(1, -(-width // 64))), np.uint64)
         in_sigma = np.zeros((len(ids), width), bool)
         pairs = np.stack((a, b), 1).astype(np.int32)
-        table = PerpTable(pairs, perp, tuple(ids), first, lines, skew, in_sigma)
+        table = PerpTable(n, pairs, perp, tuple(ids), first, lines, skew, in_sigma)
         adj = np.ones((n + 1, n + 1), bool)  # line n, the padding, meets every line
         adj[:n, :n] = s.adjacency
         for lo, hi in table.steps(n):

@@ -41,7 +41,7 @@ from .core import (
     mask_of_lines,
     perp_table,
 )
-from .sigma import NotTwoClassesError, sigma_classes, sigma_partition, sigma_table
+from .sigma import NotTwoClassesError, sigma_classes, sigma_partition
 
 
 class Kind(str, Enum):
@@ -81,10 +81,6 @@ class SecondaryElement:
     lines: tuple[int, ...]
     kind: Kind
     witness: Optional[tuple[int, int, int]] = None
-
-    @property
-    def line_set(self) -> frozenset[int]:
-        return frozenset(self.lines)
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ def _verify_labeling(
 def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> dict[int, Kind]:
     """Kind of every element mask under the seeded singleton rule (unverified)."""
     a, b, k = seed
-    classes, perp = sigma_classes(s), perp_table(s).perp[sigma_table(s).pair_id[a, b]]
+    classes, perp = sigma_classes(s), perp_table(s).index[a, b]
     # an unsplit seed pair raises its NotTwoClassesError here
     chosen = classes.masks[perp][k] if classes.split[perp] else sigma_partition(s, a, b).class_masks[k]
     zmask = s.masks[a] & s.masks[b] & s.masks[(chosen & -chosen).bit_length() - 1]

@@ -14,8 +14,10 @@ checks it is a clique, and names any failure; it is memoized per pair.
 ``core.perp_table``: a sigma set is two cliques exactly when every sigma
 line is skew to precisely the lines of the other class.
 
-``sigma_table`` holds every incident pair's sigma set as ``PairSets``
-arrays, for the checks that look up memberships of many triples at once.
+Sigma depends only on the perp of the pair, so ``sigma_classes`` also
+keeps each perp's sigma set as one packed row; the checks that look up the
+memberships of many triples at once read it at a pair through the perp
+table's pair-to-perp index, ``perp_table(s).holds(rows, x, y, z)``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     PreconditionError,
     _places,
     _words,
+    bit_rows,
     bracket,
     labels_of,
     least_bits,
@@ -96,55 +99,6 @@ def sigma_mask(s: IncidenceStructure, a: int, b: int) -> int:
     return _sigma_of_perp(s, s.masks[a] & s.masks[b])
 
 
-@dataclass(frozen=True)
-class PairSets:
-    """One line set per pair of lines, as arrays.
-
-    ``pairs`` is the (P, 2) array of the pairs, each ascending;
-    ``pair_id[x, y]`` is the index of {x, y} in it, both ways round, or -1
-    for any other pair.  ``masks`` holds the sets and ``set_id[p]`` indexes
-    it; ``bits`` holds the same sets as packed rows (bit z at byte z >> 3,
-    bit z & 7) plus a trailing empty row, which ``set_id[-1]`` names, so
-    that pair id -1 reads as the empty set.
-    """
-
-    pairs: np.ndarray
-    pair_id: np.ndarray
-    set_id: np.ndarray
-    masks: tuple[int, ...]
-    bits: np.ndarray
-
-    def holds(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Per row, whether z lies in the set of {x, y}; false for a pair without one."""
-        row = self.set_id[self.pair_id[x, y]]
-        return (self.bits[row, z >> 3] >> (z & 7) & 1).astype(bool)
-
-
-def pair_sets(width: int, pairs: np.ndarray, set_id: np.ndarray, masks: list[int]) -> PairSets:
-    """``PairSets`` of the ascending pairs ``pairs`` of lines below ``width``,
-    pair p holding the set ``masks[set_id[p]]``."""
-    pair_id = np.full((width, width), -1, np.int32)
-    pair_id[pairs[:, 0], pairs[:, 1]] = pair_id[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
-    nbytes = width // 8 + 1
-    packed = b"".join(x.to_bytes(nbytes, "little") for x in (*masks, 0))
-    bits = np.frombuffer(packed, np.uint8).reshape(len(masks) + 1, nbytes)
-    return PairSets(pairs, pair_id, np.append(set_id, len(masks)).astype(np.int32), tuple(masks), bits)
-
-
-def sigma_table(s: IncidenceStructure) -> PairSets:
-    """The sigma set of every incident distinct pair, as ``PairSets`` over
-    ``incident_pairs(s)``, its masks distinct and in order of their first
-    pair; cached.  Each perp's sigma is the union of its ``sigma_classes``."""
-
-    def build():
-        table = perp_table(s)
-        distinct: dict[int, int] = {}
-        ids = [distinct.setdefault(c0 | c1, len(distinct)) for c0, c1 in sigma_classes(s).masks]
-        return pair_sets(s.line_count, table.pairs, np.array(ids, np.int64)[table.perp], list(distinct))
-
-    return s.cached("sigma_table", build)
-
-
 def sigma(s: IncidenceStructure, a: int, b: int) -> frozenset[int]:
     """Lines of perp({a, b}) that are one of a skew pair there.
 
@@ -196,12 +150,15 @@ class SigmaClasses:
     two cliques; if so, ``masks[k]`` holds the two classes as line masks,
     class 0 holding the least sigma line, ``second[k, i]`` whether place i
     lies in class 1, and ``least[k]`` the least place of each class.
+    ``rows`` holds each perp's sigma set, the union of its two masks, as
+    ``core.bit_rows``.
     """
 
     split: np.ndarray
     masks: list[tuple[int, int]]
     second: np.ndarray
     least: np.ndarray
+    rows: np.ndarray
 
 
 def sigma_classes(s: IncidenceStructure) -> SigmaClasses:
@@ -228,7 +185,8 @@ def sigma_classes(s: IncidenceStructure) -> SigmaClasses:
             sigmas += [int.from_bytes(r.tobytes(), "little") for r in np.packbits(rows[:, :n], axis=1, bitorder="little")]
         lines = table.lines[np.arange(count), np.maximum(least, 0)].tolist()
         masks = [(sig & s.masks[l], sig & ~s.masks[l]) for sig, l in zip(sigmas, lines)]
-        return SigmaClasses(split, masks, second, np.stack((least, least_bits(one)), axis=1))
+        least = np.stack((least, least_bits(one)), axis=1)
+        return SigmaClasses(split, masks, second, least, bit_rows(sigmas, n))
 
     return s.cached("sigma_classes", build)
 

@@ -19,21 +19,23 @@ the distinct brackets, built with array operations so that no triad is
 ever a Python object.  The checks over incident pairs read one table
 per structure too, ``core.perp_table``: each pair's perp among the
 distinct perps, and each perp's lines with their skew rows as packed
-words.  The point-triple checks share ``_triangles``.
+words.  Its pair-to-perp index reads every per-pair set, each kept as one
+packed row per perp: sigma, from ``sigma_classes``, and the model's point
+and plane classes, from ``_labeled_classes``.  The point-triple checks
+share ``_triangles``.
 
 The costliest checks run array kernels.  Five triad checks and
 ``thm_two_classes``, ``thm_bracket_welldefined``, ``thm_regulus_skew``,
-``thm_pencil_intersection``, ``thm_exchange`` and the A3 check of
-``vy_axioms`` judge with theirs, as axioms 2.2 and 2.3 do: the kernel
-computes the check's predicate for every item, so the first item it
-flags is the least violation, and the report is read from its arrays, or
-named from the definitions at that one item.  The kernels of
-``thm_triangle`` and ``thm_tetrahedron`` stay partial: they only prove
-that an item passes, and hand each item they cannot prove, in walk
-order, to the scalar code of the check, which judges it from the
-definitions, names the failure and counts its cases.  A proved item
-would pass that code too, so either way a report is the same as a scalar
-walk of every item.
+``thm_pencil_intersection``, ``thm_exchange``, ``thm_triangle`` and the A3
+check of ``vy_axioms`` judge with theirs, as axioms 2.2 and 2.3 do: the
+kernel computes the check's predicate for every item, so the first item
+it flags is the least violation, and the report is read from its arrays,
+or named from the definitions at that one item.  The kernel of
+``thm_tetrahedron`` stays partial: it only proves that an item passes,
+and hands each item it cannot prove, in walk order, to the scalar code
+of the check, which judges it from the definitions, names the failure and
+counts its cases.  A proved item would pass that code too, so either way
+a report is the same as a scalar walk of every item.
 
 Every check here registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
@@ -56,6 +58,7 @@ from .core import (
     IncidenceStructure,
     _incidence,
     _words,
+    bit_rows,
     incident_pairs,
     labels_of,
     least_bits,
@@ -75,15 +78,7 @@ from .labeling import (
     labeled_sigma_classes,
 )
 from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
-from .sigma import (
-    NotTwoClassesError,
-    PairSets,
-    pair_sets,
-    sigma_classes,
-    sigma_mask,
-    sigma_partition,
-    sigma_table,
-)
+from .sigma import NotTwoClassesError, sigma_classes, sigma_mask, sigma_partition
 
 
 def _triad_keys(lines: np.ndarray, n: int) -> np.ndarray:
@@ -127,8 +122,7 @@ def _sorted_triads(s: IncidenceStructure) -> np.ndarray:
     triad only when c is not in sigma(a, b); those are merged in.
     """
     n = s.line_count
-    table = sigma_table(s)
-    perps = perp_table(s)
+    perps, sigma = perp_table(s), sigma_classes(s).rows
     x, y = perps.pairs.T
     size = perps.in_sigma.sum(axis=1)
     offset = np.cumsum(size) - size
@@ -145,7 +139,7 @@ def _sorted_triads(s: IncidenceStructure) -> np.ndarray:
         top = z > py
         keys.append(_triad_keys(np.stack((px[top], py[top], z[top]), axis=1), n))
         a, b, c = np.minimum(px[~top], z[~top]), np.maximum(px[~top], z[~top]), py[~top]
-        new = ~table.holds(a, b, c)
+        new = ~perps.holds(sigma, a, b, c)
         extra.append(_triad_keys(np.stack((a[new], b[new], c[new]), axis=1), n))
     extra = np.sort(np.concatenate(extra))
     keys = np.concatenate((*keys, extra[np.diff(extra, prepend=-1) != 0]))
@@ -161,7 +155,7 @@ def _bracket_elements(s: IncidenceStructure, lines: np.ndarray) -> np.ndarray:
     """Per triad, the index of its bracket in ``element_table(s)``: read, in
     ``element_ids``, at the place of its third line in the perp of a pair
     of it whose sigma holds the third."""
-    table, sigmas = perp_table(s), sigma_table(s)
+    table, sigma = perp_table(s), sigma_classes(s).rows
     element_of = element_ids(s)[1].ravel()
     n = s.line_count
     # (perp, line) of each place as one sorted key, row k's padding included
@@ -169,11 +163,11 @@ def _bracket_elements(s: IncidenceStructure, lines: np.ndarray) -> np.ndarray:
     out = np.empty(len(lines), np.int64)
     for lo in range(0, len(lines), _TRIADS_PER_STEP):
         a, b, c = lines[lo : lo + _TRIADS_PER_STEP].T
-        third_c = sigmas.holds(a, b, c)
-        third_a = ~third_c & sigmas.holds(b, c, a)  # else b lies in sigma(a, c)
+        third_c = table.holds(sigma, a, b, c)
+        third_a = ~third_c & table.holds(sigma, b, c, a)  # else b lies in sigma(a, c)
         u, v = np.where(third_c | ~third_a, a, b), np.where(third_c, b, c)
         w = np.where(third_c, c, np.where(third_a, a, b))
-        k = table.perp[sigmas.pair_id[u, v]]
+        k = table.index[u, v].astype(np.int64)
         out[lo : lo + _TRIADS_PER_STEP] = element_of[np.searchsorted(places, k * (n + 1) + w)]
     return out
 
@@ -183,8 +177,8 @@ def triad_table(s: IncidenceStructure) -> _Triads:
 
     A triple counts as a triad when some rotation places its third line in
     the sigma set of the other two.  The table is built with array
-    operations, in steps of bounded size, from ``sigma_table(s)`` and
-    ``element_ids(s)``.
+    operations, in steps of bounded size, from the sigma rows of
+    ``sigma_classes(s)`` and ``element_ids(s)``.
     """
 
     def build():
@@ -210,40 +204,39 @@ def _bracket_mask(s: IncidenceStructure, lines: Iterable[int]) -> int:
 _KIND_CODE = {Kind.POINT: 0, Kind.PLANE: 1}
 
 
-def _labeled_class_masks(m: GeometryModel) -> dict[tuple[int, int], tuple[int, int]]:
-    """(point_class_mask, plane_class_mask) per incident pair; cached.
+def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The labeled classes of every perp of the model's structure; cached.
 
+    Entry k of the list is perp k's (point class mask, plane class mask),
+    and a last entry (0, 0) is what the pair-to-perp index's -1 reads; the
+    array holds the point classes and the plane classes as ``bit_rows``.
     The labeled classes of (a, b) depend only on perp({a, b}), so they are
-    read once per distinct perp of ``perp_table`` from ``sigma_classes``;
-    each class yields one element, whose kind in the model is the class's.
-    A perp that does not split into a point class and a plane class is
-    named by ``labeled_sigma_classes`` at its first pair, in the order of
-    those pairs, so an error names the first pair that fails.
+    read per perp from ``sigma_classes``; each class yields one element,
+    whose kind in the model is the class's.  A perp that does not split
+    into a point class and a plane class is named by
+    ``labeled_sigma_classes`` at its first pair, in the order of those
+    pairs, so an error names the first pair that fails.
     """
     s = m.structure
 
     def build():
-        pairs = incident_pairs(s)
         table, classes = perp_table(s), sigma_classes(s)
         ids, element_of = element_ids(s)
         kind = np.array([_KIND_CODE.get(m.kinds.get(em), -1) for em in ids] + [-1])
         k0, k1 = kind[element_of[np.arange(len(table.masks))[:, None], classes.least]].T
         per_perp = [two[::-1] if k else two for two, k in zip(classes.masks, k0.tolist())]
         for k in np.flatnonzero(~classes.split | (k0 < 0) | (k1 < 0) | (k0 == k1)).tolist():
-            per_perp[k] = labeled_sigma_classes(m, *pairs[table.first[k]])  # raises
-        return dict(zip(pairs, map(per_perp.__getitem__, table.perp.tolist())))
+            per_perp[k] = labeled_sigma_classes(m, *table.pairs[table.first[k]].tolist())  # raises
+        rows = np.stack([bit_rows([two[i] for two in per_perp], s.line_count) for i in (0, 1)])
+        return per_perp + [(0, 0)], rows
 
-    return s.cached(("labeled_class_masks", m.points, m.planes), build)
+    return s.cached(("labeled_classes", m.points, m.planes), build)
 
 
-def _class_sets(s: IncidenceStructure, m: GeometryModel, classes: dict) -> tuple[PairSets, PairSets]:
-    """The point classes and the plane classes of ``classes`` as ``PairSets``
-    over the lines of ``s`` and of the model's structure.  They depend only
-    on the perp of the pair, so each is read at the first pair of its perp."""
-    table, pairs = perp_table(m.structure), incident_pairs(m.structure)
-    width = max(s.line_count, m.structure.line_count)
-    per_perp = [classes[pairs[p]] for p in table.first.tolist()]
-    return tuple(pair_sets(width, table.pairs, table.perp, [two[k] for two in per_perp]) for k in (0, 1))
+def _classes_at(m: GeometryModel, x: int, y: int) -> tuple[int, int]:
+    """The labeled (point class, plane class) of the pair {x, y}; both
+    empty unless it is an incident pair of the model's structure."""
+    return _labeled_classes(m)[0][perp_table(m.structure).index[x, y]]
 
 
 def _element_kinds(m: GeometryModel) -> dict[int, Kind]:
@@ -278,11 +271,11 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     does not hold all three is the least violation.
     """
     name = "thm_sigma_equivalence"
-    table = sigma_table(s)
+    table, sigma = perp_table(s), sigma_classes(s).rows
     tri = triad_table(s)
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
-        held = table.holds(b, c, a), table.holds(c, a, b), table.holds(a, b, c)
+        held = table.holds(sigma, b, c, a), table.holds(sigma, c, a, b), table.holds(sigma, a, b, c)
         bad = np.flatnonzero(~(held[0] & held[1] & held[2]))
         if len(bad):
             t = lo + int(bad[0])
@@ -593,17 +586,15 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
 # Model-level theorems
 
 
-def _triad_sides(classes: dict, a: int, b: int, c: int) -> tuple:
+def _triad_sides(m: GeometryModel, a: int, b: int, c: int) -> tuple:
     """Per line of triad (a, b, c), the labeled class of the sigma set of
     the other two that holds it, as a Kind, or None."""
 
     def side(x, y, third):
-        got = classes.get((x, y) if x < y else (y, x))
-        if got is None:
-            return None
-        if (got[0] >> third) & 1:
+        pc, qc = _classes_at(m, x, y)
+        if (pc >> third) & 1:
             return Kind.POINT
-        if (got[1] >> third) & 1:
+        if (qc >> third) & 1:
             return Kind.PLANE
         return None
 
@@ -611,7 +602,7 @@ def _triad_sides(classes: dict, a: int, b: int, c: int) -> tuple:
 
 
 def _replay_triad_typing(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    sides = _triad_sides(_labeled_class_masks(m), *_resolve(s, ce["triad"]))
+    sides = _triad_sides(m, *_resolve(s, ce["triad"]))
     return sides[0] is None or len(set(sides)) != 1
 
 
@@ -626,23 +617,22 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """
     name = "thm_triad_typing"
     try:
-        classes = _labeled_class_masks(m)
+        point_rows, plane_rows = _labeled_classes(m)[1]
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
-    tri = triad_table(s)
-    point_class, plane_class = _class_sets(s, m, classes)
+    tri, model_table = triad_table(s), perp_table(m.structure)
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
         on_point = on_plane = True
         for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
-            point = point_class.holds(u, v, third)
+            point = model_table.holds(point_rows, u, v, third)
             on_point = on_point & point
-            on_plane = on_plane & ~point & plane_class.holds(u, v, third)
+            on_plane = on_plane & ~point & model_table.holds(plane_rows, u, v, third)
         bad = np.flatnonzero(~(on_point | on_plane))
         if len(bad):
             t = lo + int(bad[0])
             a, b, c = tri.lines[t].tolist()
-            sides = _triad_sides(classes, a, b, c)
+            sides = _triad_sides(m, a, b, c)
             return CheckReport(
                 name,
                 FAIL,
@@ -686,7 +676,7 @@ def _pencil_issue(s: IncidenceStructure, m: GeometryModel, a: int, b: int) -> Op
     except MissingElementError as e:
         return {"pair": labels_of(s, (a, b)), "issue": str(e)}
     dd = perp_mask(s, s.masks[a] & s.masks[b])
-    pc, qc = _labeled_class_masks(m)[(a, b)]
+    pc, qc = _classes_at(m, a, b)
     checks = (
         ("meet_join_intersection", pt & pl, dd),
         ("point_class_identity", pc, pt & ~dd),
@@ -726,15 +716,13 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     """
     name = "thm_pencil_intersection"
     try:
-        classes = _labeled_class_masks(m)
+        classes = _labeled_classes(m)[0]
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
-    table, model_table = perp_table(s), perp_table(m.structure)
+    table = perp_table(s)
     width = max(s.line_count, m.structure.line_count)
     a, b = table.pairs.T
-    model_perp = np.full((width, width), -1)  # -1: not an incident pair of the model's structure
-    model_perp[model_table.pairs[:, 0], model_table.pairs[:, 1]] = model_table.perp
-    four = [table.perp, model_perp[a, b]]
+    four = [table.perp, perp_table(m.structure).index[a, b]]  # -1: no incident pair of the model's structure
     for emasks in (m.point_masks, m.plane_masks):
         holding = _words(_incidence(emasks, width).T)  # bit e of row l: element e holds line l
         hits = holding[a] & holding[b]
@@ -744,18 +732,17 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     four = np.stack(four, axis=1)
     _, first, inverse = np.unique(four, axis=0, return_index=True, return_inverse=True)
     pairs = incident_pairs(s)
-    sig = sigma_table(s)  # the double perp lies in perp({a, b}): it is the perp less sigma
-    first_pairs = table.first.tolist()
-    double_perp = [ab & ~sig.masks[sig.set_id[p]] for ab, p in zip(table.masks, first_pairs)]
+    # the double perp lies in perp({a, b}): it is the perp less sigma
+    double_perp = [ab & ~(c0 | c1) for ab, (c0, c1) in zip(table.masks, sigma_classes(s).masks)]
 
-    def holds(p, k, in_model, point, plane):
+    def holds(k, in_model, point, plane):
         if min(in_model, point, plane) < 0:
             return False
         pt, pl, dd = m.point_masks[point], m.plane_masks[plane], double_perp[k]
-        pc, qc = classes[pairs[p]]
+        pc, qc = classes[in_model]
         return pt & pl == dd and pc == pt & ~dd and qc == pl & ~dd
 
-    passes = np.array([holds(p, *four[p].tolist()) for p in first.tolist()], bool)
+    passes = np.array([holds(*four[p].tolist()) for p in first.tolist()], bool)
     flagged = np.flatnonzero(~passes[inverse.reshape(-1)])
     if not len(flagged):
         return CheckReport(name, PASS, stats={"pairs_examined": len(pairs)})
@@ -777,7 +764,7 @@ def _replay_exchange(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
     t_mask = mask_of_lines(t)
     if issue == "sigma_misses_triad":
         return inside and not (sigma_mask(s, x, y) & t_mask)
-    pc, qc = _labeled_class_masks(m)[(min(x, y), max(x, y))]
+    pc, qc = _classes_at(m, x, y)
     refined = pc if ce["kind"] == "point" else qc
     return inside and not (refined & t_mask)
 
@@ -803,11 +790,11 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """
     name = "thm_exchange"
     try:
-        classes = _labeled_class_masks(m)
+        refined = _labeled_classes(m)[1]
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     kinds = _element_kinds(m)
-    sigmas = sigma_table(s)
+    table, model_table, sigma = perp_table(s), perp_table(m.structure), sigma_classes(s).rows
     tri = triad_table(s)
     kind = np.array([_KIND_CODE.get(kinds.get(B), -1) for B in tri.brackets], np.int64)
     inside = _incidence(tri.brackets, s.line_count)
@@ -819,14 +806,13 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     x, y = np.triu_indices(members.shape[1], 1)  # the rows, as places, in walk order
     valid = _words(y < size[:, None])
     held = np.zeros((2, *members.shape, valid.shape[1]), np.uint64)
-    refined = _class_sets(s, m, classes)
     step = max(1, _CELLS_PER_STEP // (members.shape[1] * len(x) + 1))
     for lo in range(0, len(size), step):
         u, v, z = members[lo : lo + step, None, x], members[lo : lo + step, None, y], members[lo : lo + step, :, None]
-        held[0, lo : lo + step] = _words(sigmas.holds(u, v, z))
-        for code, sets in enumerate(refined):
+        held[0, lo : lo + step] = _words(table.holds(sigma, u, v, z))
+        for code, rows in enumerate(refined):
             mine = lo + np.flatnonzero(kind[lo : lo + step] == code)
-            held[1, mine] = _words(sets.holds(u[mine - lo], v[mine - lo], z[mine - lo]))
+            held[1, mine] = _words(model_table.holds(rows, u[mine - lo], v[mine - lo], z[mine - lo]))
     row_count = np.where(kind >= 0, size * (size - 1) // 2, 0)
     held = held.reshape(2, -1, valid.shape[1])  # row k * width + i: line i of bracket k
     step = max(1, _TRIADS_PER_STEP * 8 // valid.shape[1])
@@ -852,7 +838,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         ce = {"triad": ce["triad"], "x": s.labels[u], "y": s.labels[v]}
         if not s.adjacency[u, v]:
             ce["issue"] = "skew_pair_in_bracket"
-        elif not sigmas.masks[sigmas.set_id[sigmas.pair_id[u, v]]] & mask_of_lines(t_lines):
+        elif not table.holds(sigma, u, v, tri.lines[t]).any():
             ce["issue"] = "sigma_misses_triad"
         else:
             ce.update(kind="point" if kind[k] == 0 else "plane", issue="refined_class_misses_triad")
@@ -1050,11 +1036,12 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     names its plane.  The last is the scalar pair of tests "the sides'
     bracket is a plane p" and "exactly p meets all three points": a second
     plane with p's mask would meet them too.  So the kernel proves exactly
-    the triples that pass.
+    the triples that pass: the first it flags is the least violation, named
+    by the first of those tests it fails.
     """
     name = "thm_triangle"
     try:
-        classes = _labeled_class_masks(m)
+        plane_rows = _labeled_classes(m)[1][1]
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     masks = s.masks
@@ -1062,43 +1049,33 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     ok = tri.plane >= 0
     rows = np.flatnonzero(ok)
     a, b, c = tri.sides[rows].T
-    adj = s.adjacency
-    plane_class = _class_sets(s, m, classes)[1]
+    adj, model_table = s.adjacency, perp_table(m.structure)
     proved = (a != b) & (b != c) & (a != c) & adj[a, b] & adj[b, c] & adj[a, c]
     for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
-        proved &= plane_class.holds(u, v, third)
+        proved &= model_table.holds(plane_rows, u, v, third)
     ok[rows] = proved
-    plane_index = {pm: idx for idx, pm in enumerate(m.plane_masks)}
+    flagged = np.flatnonzero(~ok)
+    if not len(flagged):
+        return CheckReport(name, PASS, stats={"cases_examined": len(tri.triples)})
+    t = int(flagged[0])
 
-    def fail(t, issue, **extra):
-        ce = {"points": _point_labels(s, m, tri.triples[t].tolist()), "issue": issue}
-        ce.update(extra)
-        return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": t + 1})
-
-    for t in np.flatnonzero(~ok).tolist():
-        a, b, c = tri.sides[t].tolist()
+    def issue(a, b, c) -> dict:
         if min(a, b, c) < 0:
-            return fail(t, "points_without_unique_common_line")
+            return {"issue": "points_without_unique_common_line"}
         if len({a, b, c}) != 3:
-            return fail(t, "side_lines_not_distinct")
+            return {"issue": "side_lines_not_distinct"}
         if not (masks[a] >> b & 1 and masks[b] >> c & 1 and masks[a] >> c & 1):
-            return fail(t, "side_lines_not_pairwise_incident")
-        for third, (u, v) in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
-            key = (u, v) if u < v else (v, u)
-            if not ((classes[key][1] >> third) & 1):
-                return fail(
-                    t,
-                    "side_not_in_plane_class",
-                    line=s.labels[third],
-                    of_pair=labels_of(s, key),
-                )
-        plane = plane_index.get(masks[a] & masks[b] & masks[c])
-        if plane is None:
-            return fail(t, "bracket_not_a_plane")
-        through = np.flatnonzero(tri.meets[tri.triples[t]].all(axis=0)).tolist()
-        if through != [plane]:
-            return fail(t, "common_plane_not_unique", planes_through=len(through))
-    return CheckReport(name, PASS, stats={"cases_examined": len(tri.triples)})
+            return {"issue": "side_lines_not_pairwise_incident"}
+        for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
+            if not _classes_at(m, u, v)[1] >> third & 1:
+                return {"issue": "side_not_in_plane_class", "line": s.labels[third], "of_pair": labels_of(s, (u, v))}
+        if masks[a] & masks[b] & masks[c] not in m.plane_masks:
+            return {"issue": "bracket_not_a_plane"}
+        through = np.flatnonzero(tri.meets[tri.triples[t]].all(axis=0))
+        return {"issue": "common_plane_not_unique", "planes_through": len(through)}
+
+    ce = {"points": _point_labels(s, m, tri.triples[t].tolist()), **issue(*tri.sides[t].tolist())}
+    return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": t + 1})
 
 
 _TETRA_PAIRS = tuple(itertools.combinations(range(6), 2))
@@ -1318,7 +1295,7 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     ok = tri.sides.min(axis=1) >= 0
     rows = np.flatnonzero(ok)
     a, b, c = tri.sides[rows].T
-    key = np.minimum(a, b) * n + np.maximum(a, b)  # below 2**31: n is at most 4096
+    key = np.minimum(a, b) * n + np.maximum(a, b)  # below 2**31: line_cap() bounds n
     order = np.argsort(key)
     key, c = key[order], c[order]
     new = np.diff(key, prepend=-1) != 0

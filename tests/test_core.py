@@ -92,6 +92,15 @@ class TestConstruction:
             IncidenceStructure.from_skew_pairs(9, [(0, 1)])
         assert allocations == []
 
+    @pytest.mark.parametrize("raw", ["46340", "100000", "0", "-3"])
+    def test_capacity_outside_int32_keys_rejected(self, monkeypatch, raw):
+        # n * (n + 1) + n must fit an int32 key: 46,339 lines is the largest cap
+        monkeypatch.setenv("LINESPACE_MAX_LINES", raw)
+        with pytest.raises(CapacityError, match=r"must be in \[1, 46339\]"):
+            line_cap()
+        monkeypatch.setenv("LINESPACE_MAX_LINES", "46339")
+        assert line_cap() == 46339
+
     @pytest.mark.parametrize(
         "pairs, message",
         [

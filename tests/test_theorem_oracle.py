@@ -30,6 +30,7 @@ from linespace import (
 )
 from conftest import one_perp_regulus
 from linespace.core import perp_table
+from linespace.sigma import sigma_classes
 from linespace.theorems import triad_table
 
 
@@ -222,6 +223,13 @@ def assert_perp_table_matches_oracle(s, o):
         got = [int.from_bytes(row.tobytes(), "little") for row in table.skew[k]]
         assert got == skew + [0] * (width - len(lines))
         assert table.in_sigma[k].tolist() == [bool(r) for r in got]
+    n = s.line_count
+    index = [[-1] * n for _ in range(n)]
+    for (x, y), k in zip(pairs, table.perp.tolist()):
+        index[x][y] = index[y][x] = k
+    assert table.index.tolist() == index
+    sigma = [sum(1 << z for z in range(n) if o.member(*pairs[p], z)) for p in table.first.tolist()]
+    assert sigma_classes(s).rows.tolist() == [list(x.to_bytes(n // 8 + 1, "little")) for x in sigma + [0]]
 
 
 def assert_matches_oracle(s):

@@ -13,12 +13,15 @@ from linespace import (
     IncidenceStructure,
     LinespaceError,
     check_all,
+    check_axiom1,
+    check_axiom2_1,
     check_axiom2_2,
     check_axiom2_3,
     coordinate_labels,
     dualize,
     find_skew_triple,
     gen_negative,
+    gen_pg3,
     replay_theorem_counterexample,
     run_theorem_suite,
     run_vy_battery,
@@ -44,6 +47,8 @@ from linespace import (
 )
 from conftest import one_perp_regulus
 from linespace import theorems
+from linespace.core import bit_rows
+from linespace.labeling import labeled_sigma_classes
 from linespace.theorems import VY_NAMES, triad_table
 
 
@@ -241,6 +246,12 @@ class TestModelLevelFailures:
         assert by_name["thm_line_selfperp"].status == "pass"
 
 
+def swapped_classes(m):
+    """The labeled classes of ``m``, each perp's point and plane class swapped."""
+    masks, rows = theorems._labeled_classes(m)
+    return [(qc, pc) for pc, qc in masks], rows[::-1]
+
+
 class TestExchangeFailures:
     """Each failure branch of thm_exchange names the same case as it always has.
 
@@ -269,8 +280,8 @@ class TestExchangeFailures:
         )
 
     def test_refined_class_misses_triad(self, pg2, pg2_model, monkeypatch):
-        swapped = {k: (qc, pc) for k, (pc, qc) in theorems._labeled_class_masks(pg2_model).items()}
-        monkeypatch.setattr(theorems, "_labeled_class_masks", lambda m: swapped)
+        swapped = swapped_classes(pg2_model)
+        monkeypatch.setattr(theorems, "_labeled_classes", lambda m: swapped)
         ce = {"triad": ["L00", "L01", "L02"], "x": "L00", "y": "L01", "kind": "point"}
         assert self.exchange_ce(pg2, pg2_model) == (
             {**ce, "issue": "refined_class_misses_triad"},
@@ -278,14 +289,14 @@ class TestExchangeFailures:
         )
 
     def test_sigma_misses_triad(self, pg2, pg2_model, monkeypatch):
-        # sigma(L02, L10) read as empty by the bracket rows alone: the triad
-        # table is built from the true sigma sets before the cut
+        # the sigma row of perp({L02, L10}) read as empty by the bracket rows
+        # alone: the triad table is built from the true sigma sets before the cut
         triad_table(pg2)
-        table = theorems.sigma_table(pg2)
-        set_id = table.set_id.copy()
-        set_id[table.pair_id[2, 10]] = len(table.masks)
-        cut = dataclasses.replace(table, set_id=set_id, masks=(*table.masks, 0))
-        monkeypatch.setattr(theorems, "sigma_table", lambda s: cut)
+        classes = theorems.sigma_classes(pg2)
+        rows = classes.rows.copy()
+        rows[theorems.perp_table(pg2).index[2, 10]] = 0
+        cut = dataclasses.replace(classes, rows=rows)
+        monkeypatch.setattr(theorems, "sigma_classes", lambda s: cut)
         ce = {"triad": ["L01", "L02", "L10"], "x": "L02", "y": "L10"}
         assert self.exchange_ce(pg2, pg2_model) == ({**ce, "issue": "sigma_misses_triad"}, 1583)
 
@@ -294,8 +305,8 @@ class TestTriangleFailures:
     def test_side_not_in_plane_class(self, pg2, pg2_model, monkeypatch):
         # with the point and plane classes swapped every side misses its plane
         # class; the report was recorded before the triangle kernel existed
-        swapped = {k: (qc, pc) for k, (pc, qc) in theorems._labeled_class_masks(pg2_model).items()}
-        monkeypatch.setattr(theorems, "_labeled_class_masks", lambda m: swapped)
+        swapped = swapped_classes(pg2_model)
+        monkeypatch.setattr(theorems, "_labeled_classes", lambda m: swapped)
         r = thm_triangle(pg2, pg2_model)
         points = [
             ["L00", "L01", "L02", "L03", "L04", "L05", "L06"],
@@ -591,3 +602,48 @@ class TestDualMetamorphic:
     @pytest.mark.parametrize("k", range(24))
     def test_seeded_flips(self, k, pg3, pg3_model):
         self.assert_dual_agrees(seeded_mutant(pg3, k), pg3_model)
+
+
+class TestPairIndex:
+    """Every per-pair set is one row per perp, read through the perp table's
+    pair-to-perp index."""
+
+    @pytest.mark.parametrize("mutant", [False, True])
+    def test_index_names_the_perp_of_each_incident_pair(self, mutant, pg2):
+        s = seeded_mutant(pg2, 3) if mutant else pg2
+        table = theorems.perp_table(s)
+        index = table.index
+        assert index.dtype == np.int32 and np.array_equal(index, index.T)
+        off = ~s.adjacency | np.eye(s.line_count, dtype=bool)  # skew pairs and the diagonal
+        assert (index[off] == -1).all() and (index[~off] >= 0).all()
+        x, y = np.nonzero(~off)
+        got = [table.masks[k] for k in index[x, y].tolist()]
+        assert got == [s.masks[a] & s.masks[b] for a, b in zip(x.tolist(), y.tolist())]
+
+    def test_index_is_built_on_first_use(self):
+        s, _ = gen_pg3(2)
+        check_axiom1(s), check_axiom2_1(s)
+        assert "index" not in vars(theorems.perp_table(s))
+        m = coordinate_labels(IncidenceStructure(s.adjacency, labels=s.labels))
+        dualize(GeometryModel(structure=s, points=m.points, planes=m.planes, seed=m.seed))
+        assert "index" not in vars(theorems.perp_table(s))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_labeled_classes_per_perp(self, q, pg2_model, pg3_model):
+        m = pg2_model if q == 2 else pg3_model
+        masks, rows = theorems._labeled_classes(m)
+        table = theorems.perp_table(m.structure)
+        assert len(masks) == len(table.masks) + 1 and masks[-1] == (0, 0)
+        assert masks[:-1] == [labeled_sigma_classes(m, *table.pairs[p].tolist()) for p in table.first]
+        width = m.structure.line_count // 8 + 1
+        for kind in (0, 1):
+            assert rows[kind].tolist() == [list(two[kind].to_bytes(width, "little")) for two in masks]
+
+    def test_class_rows_built_once_per_model(self, monkeypatch):
+        s, _ = gen_pg3(2)
+        m = coordinate_labels(s)
+        built = []
+        monkeypatch.setattr(theorems, "bit_rows", lambda *a: built.append(a) or bit_rows(*a))
+        for check in (thm_triad_typing, thm_pencil_intersection, thm_exchange, thm_triangle):
+            assert check(s, m).passed
+        assert len(built) == 2  # the point rows and the plane rows
