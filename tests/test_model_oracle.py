@@ -1,10 +1,10 @@
-"""thm_triad_typing, thm_pencil_intersection, thm_exchange, the point-triple
-checks and vy_axioms against brute-force oracles.
+"""thm_triad_typing, thm_pencil_intersection, thm_exchange, the element-pair
+checks, the point-triple checks and vy_axioms against brute-force oracles.
 
 Each oracle below walks every triad, every triad's bracket pairs, every
-incident pair and every triple of points straight from the adjacency
-matrices and the model's two families, with plain Python sets.  It
-shares no code with ``linespace.theorems``: agreement on the whole
+incident pair, every two elements and every triple of points straight
+from the adjacency matrices and the model's two families, with plain
+Python sets.  It shares no code with ``linespace.theorems``: agreement on the whole
 ``to_dict()`` (status, counterexample, witness and stats) shows that the
 kernels, which judge items in bulk or only prove items pass and hand the
 rest to the scalar walk, name the same least failure and count the same
@@ -33,10 +33,13 @@ from linespace import (
     coordinate_labels,
     gen_negative,
     thm_exchange,
+    thm_line_in_plane,
+    thm_not_singleton,
     thm_pencil_intersection,
     thm_tetrahedron,
     thm_triad_typing,
     thm_triangle,
+    thm_uniqueness,
     vy_axioms,
 )
 
@@ -203,6 +206,52 @@ class Oracle:
                     ce["kind"] = kind[bracket]
                 ce["issue"] = issue
                 return report(name, "fail", ce, {"cases_examined": examined})
+        return report(name, "pass", None, {"cases_examined": examined})
+
+    def not_singleton(self):
+        name = "thm_not_singleton"
+        pairs = list(itertools.product(self.points, self.planes))
+        for examined, (p, q) in enumerate(pairs, start=1):
+            if len(p & q) == 1:
+                ce = {"point": self.names(p), "plane": self.names(q), "common": self.names(p & q)}
+                return report(name, "fail", ce, {"pairs_examined": examined})
+        return report(name, "pass", None, {"pairs_examined": len(pairs)})
+
+    def uniqueness(self):
+        name = "thm_uniqueness"
+        examined = 0
+        for kind, family in (("point", self.points), ("plane", self.planes)):
+            for x, y in itertools.combinations(family, 2):
+                examined += 1
+                if len(x & y) > 1:
+                    ce = {
+                        "kind": kind,
+                        "element_a": self.names(x),
+                        "element_b": self.names(y),
+                        "common": self.names(x & y),
+                    }
+                    return report(name, "fail", ce, {"pairs_examined": examined})
+        return report(name, "pass", None, {"pairs_examined": examined})
+
+    def line_in_plane(self):
+        name = "thm_line_in_plane"
+        examined = 0
+        for kind, host_kind, where in (("point", "plane", "in_plane"), ("plane", "point", "through_point")):
+            family, hosts = (self.points, self.planes) if kind == "point" else (self.planes, self.points)
+            for host in hosts:
+                for x, y in itertools.combinations([e for e in family if e & host], 2):
+                    examined += 1
+                    common = x & y
+                    if len(common) == 1 and common <= host:
+                        continue
+                    ce = {f"{kind}_a": self.names(x), f"{kind}_b": self.names(y)}
+                    if len(common) == 1:
+                        ce[host_kind] = self.names(host)
+                        ce["line"] = self.labels[min(common)]
+                        ce["issue"] = f"common_line_not_{where}"
+                    else:
+                        ce["issue"] = f"{kind}s_without_unique_common_line"
+                    return report(name, "fail", ce, {"cases_examined": examined})
         return report(name, "pass", None, {"cases_examined": examined})
 
     def noncollinear(self):
@@ -385,6 +434,9 @@ def assert_matches_oracle(s, m):
         (thm_triad_typing, o.triad_typing()),
         (thm_pencil_intersection, o.pencil_intersection()),
         (thm_exchange, o.exchange()),
+        (thm_not_singleton, o.not_singleton()),
+        (thm_uniqueness, o.uniqueness()),
+        (thm_line_in_plane, o.line_in_plane()),
         (thm_triangle, o.triangle()),
         (thm_tetrahedron, o.tetrahedron()),
     ):
