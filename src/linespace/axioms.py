@@ -317,7 +317,9 @@ def _replay_not_two_classes(s: IncidenceStructure, ce: dict) -> bool:
 
 @registered("axioms", name="axiom4", display="AXIOM [4]", replay=_replay_axiom4)
 def check_axiom4(s: IncidenceStructure) -> CheckReport:
-    """Two points always share a line, and dually two planes; via seeded labeling."""
+    """Two points always share a line, and dually two planes; via seeded
+    labeling, whose verification makes every two same-kind elements share
+    exactly one line."""
     pairs = incident_pairs(s)
     try:
         m = coordinate_labels(s)
@@ -335,26 +337,6 @@ def check_axiom4(s: IncidenceStructure) -> CheckReport:
             counterexample=e.witness,
             stats={"pairs_examined": len(pairs)},
         )
-    # The labeling verified exactly-one-common-line; re-check nonemptiness
-    # directly so this report does not lean on that code path.
-    for family, kind in ((m.point_masks, "point"), (m.plane_masks, "plane")):
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                if not (family[i] & family[j]):
-                    seed = {"pair": labels_of(s, m.seed[:2]), "class_of": m.seed[2]}
-                    return CheckReport(
-                        "axiom4",
-                        FAIL,
-                        counterexample={
-                            "issue": "same_kind_share_none",
-                            "kind": kind,
-                            "element_a": labels_of(s, lines_of_mask(family[i])),
-                            "element_b": labels_of(s, lines_of_mask(family[j])),
-                            "common_count": 0,
-                            "seed": seed,
-                        },
-                        stats={"pairs_examined": len(pairs)},
-                    )
     return CheckReport(
         "axiom4",
         PASS,

@@ -17,8 +17,8 @@ Elements are int bitmasks of their lines from the table to the verdict:
 kinds are keyed by element mask, and line tuples and frozensets are built
 only for a model's families, a public return value or a witness.  The
 verification reads each perp's two sigma classes from ``sigma_classes``
-and their elements from ``element_ids``, and counts the lines every two
-elements share from one pass over the lines.
+and their elements from ``element_ids``, and the lines every two
+elements share from ``shared_lines``.
 """
 
 from __future__ import annotations
@@ -174,6 +174,32 @@ def enumerate_secondary_elements(s: IncidenceStructure) -> list[frozenset[int]]:
     return [frozenset(lines_of_mask(em)) for em in element_masks(s)]
 
 
+def shared_lines(s: IncidenceStructure, masks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """How many lines every two of ``masks`` share, and which; cached.
+
+    ``count[i, j]`` counts the lines below ``s.line_count`` that masks i and
+    j both hold, symmetric, with each mask's own line count on the
+    diagonal; ``line[i, j]`` is the one line they share where the count is
+    1, else -1.  Counted in one pass over the lines: a bincount of the
+    ordered pairs of masks holding each line.
+    """
+
+    def build():
+        size = len(masks)
+        line, e = np.nonzero(_incidence(masks, s.line_count).T)
+        held = np.bincount(line, minlength=s.line_count)[line]  # the masks holding each entry's line
+        first = np.repeat(np.arange(len(e)), held)
+        start = np.repeat(np.searchsorted(line, line), held)  # the first entry on the line
+        second = start + np.arange(len(first)) - np.repeat(np.cumsum(held) - held, held)
+        key = e[first] * size + e[second]
+        count = np.bincount(key, minlength=size * size).reshape(size, size)
+        common = np.full(size * size, -1, np.int32)
+        common[key] = line[first]
+        return count, np.where(count == 1, common.reshape(size, size), -1)
+
+    return s.cached(("shared_lines", masks), build)
+
+
 def _verify_labeling(
     s: IncidenceStructure, kinds: dict[int, Kind], seed: tuple[int, int, int]
 ) -> Optional[dict]:
@@ -204,15 +230,9 @@ def _verify_labeling(
         return fail("pair_classes_same_kind", {"pair": labels_of(s, pair), "kind": kind.value})
     emasks = element_masks(s)
     plane = np.array([kinds[em] is Kind.PLANE for em in emasks], bool)
-    # every two elements holding a line, as i * len(emasks) + j with i < j, once per line
-    line, e = np.nonzero(_incidence(emasks, s.line_count).T)
-    held = np.bincount(line, minlength=s.line_count)
-    later = np.repeat(np.cumsum(held) - 1, held) - np.arange(len(e))  # entries after each on its line
-    first = np.repeat(np.arange(len(e)), later)
-    second = first + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later) + 1
-    common = np.bincount(e[first] * len(emasks) + e[second], minlength=len(emasks) ** 2)
+    common = shared_lines(s, emasks)[0]
     same = plane[:, None] == plane
-    i, j = np.nonzero(np.triu(same != (common.reshape(len(emasks), -1) == 1), 1))
+    i, j = np.nonzero(np.triu(same != (common == 1), 1))
     if not len(i):
         return None
     ei, ej = emasks[i[0]], emasks[j[0]]

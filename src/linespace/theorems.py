@@ -21,21 +21,17 @@ per structure too, ``core.perp_table``: each pair's perp among the
 distinct perps, and each perp's lines with their skew rows as packed
 words.  Its pair-to-perp index reads every per-pair set, each kept as one
 packed row per perp: sigma, from ``sigma_classes``, and the model's point
-and plane classes, from ``_labeled_classes``.  The point-triple checks
-share ``_triangles``.
+and plane classes, from ``_labeled_classes``.  The checks over two
+elements of a model read one table, ``_shared``: how many lines every two
+of its points and planes share, and the line where they share one.  The
+point-triple checks share ``_triangles``, whose sides come from it.
 
-The costliest checks run array kernels.  Five triad checks and
-``thm_two_classes``, ``thm_bracket_welldefined``, ``thm_regulus_skew``,
-``thm_pencil_intersection``, ``thm_exchange``, ``thm_triangle`` and the A3
-check of ``vy_axioms`` judge with theirs, as axioms 2.2 and 2.3 do: the
-kernel computes the check's predicate for every item, so the first item
-it flags is the least violation, and the report is read from its arrays,
-or named from the definitions at that one item.  The kernel of
-``thm_tetrahedron`` stays partial: it only proves that an item passes,
-and hands each item it cannot prove, in walk order, to the scalar code
-of the check, which judges it from the definitions, names the failure and
-counts its cases.  A proved item would pass that code too, so either way
-a report is the same as a scalar walk of every item.
+The costliest checks run array kernels, and every kernel judges, as those
+of axioms 2.2 and 2.3 do: it computes the check's predicate for every
+item, so the first item it flags is the least violation, and the report
+is read from its arrays, or named from the definitions at that one item.
+No kernel hands an item to a scalar walk of its check; the replayers,
+which re-verify one counterexample from the definitions, stay scalar.
 
 Every check here registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
@@ -49,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -76,6 +72,7 @@ from .labeling import (
     element_ids,
     element_table,
     labeled_sigma_classes,
+    shared_lines,
 )
 from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
 from .sigma import NotTwoClassesError, sigma_classes, sigma_mask, sigma_partition
@@ -194,13 +191,6 @@ def triad_table(s: IncidenceStructure) -> _Triads:
     return s.cached("triad_table", build)
 
 
-def _bracket_mask(s: IncidenceStructure, lines: Iterable[int]) -> int:
-    out = s.full_mask
-    for l in lines:
-        out &= s.masks[l]
-    return out
-
-
 _KIND_CODE = {Kind.POINT: 0, Kind.PLANE: 1}
 
 
@@ -237,13 +227,6 @@ def _classes_at(m: GeometryModel, x: int, y: int) -> tuple[int, int]:
     """The labeled (point class, plane class) of the pair {x, y}; both
     empty unless it is an incident pair of the model's structure."""
     return _labeled_classes(m)[0][perp_table(m.structure).index[x, y]]
-
-
-def _element_kinds(m: GeometryModel) -> dict[int, Kind]:
-    """Element bitmask to kind, for the model's families; a plane wins a tie."""
-    kinds = dict.fromkeys(m.point_masks, Kind.POINT)
-    kinds.update(dict.fromkeys(m.plane_masks, Kind.PLANE))
-    return kinds
 
 
 def _in_sigma(s: IncidenceStructure, x: int, y: int, z: int) -> bool:
@@ -389,7 +372,7 @@ def _replay_regulus_skew(s: IncidenceStructure, ce: dict) -> bool:
     u, v, w = _resolve(s, ce["triple"])
     x, y = s.index(ce["m"]), s.index(ce["n"])
     skew_triple = not (adj[u, v] or adj[v, w] or adj[u, w])
-    B = _bracket_mask(s, (u, v, w))
+    B = perp_mask(s, mask_of_lines((u, v, w)))
     inside = bool((B >> x) & 1 and (B >> y) & 1)
     return skew_triple and inside and x != y and bool(adj[x, y])
 
@@ -421,14 +404,14 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     stats = {"pairs_examined": len(table.pairs)}
     if least is None:
         return CheckReport(name, PASS, stats=stats)
-    B = _bracket_mask(s, least)  # holds the incident pair whose perp holds the triple
+    B = perp_mask(s, mask_of_lines(least))  # holds the incident pair whose perp holds the triple
     m, n = next((l, o) for l in lines_of_mask(B) for o in lines_of_mask(B & s.masks[l]) if o > l)
     ce = {"triple": labels_of(s, least), "m": s.labels[m], "n": s.labels[n]}
     return CheckReport(name, FAIL, counterexample=ce, stats=stats)
 
 
 def _replay_bracket_closed(s: IncidenceStructure, ce: dict) -> bool:
-    B = _bracket_mask(s, _resolve(s, ce["triad"]))
+    B = perp_mask(s, mask_of_lines(_resolve(s, ce["triad"])))
     return perp_mask(s, B) != B
 
 
@@ -460,7 +443,7 @@ def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
 def _replay_coherence(s: IncidenceStructure, ce: dict) -> bool:
     p, q, r = _resolve(s, ce["triple"])
     x, y, z = rep = _resolve(s, ce["triad_with_equal_bracket"])
-    same = _bracket_mask(s, (p, q, r)) == _bracket_mask(s, rep)
+    same = perp_mask(s, mask_of_lines((p, q, r))) == perp_mask(s, mask_of_lines(rep))
     rep_is_triad = _in_sigma(s, y, z, x) or _in_sigma(s, z, x, y) or _in_sigma(s, x, y, z)
     triple_is_triad = _in_sigma(s, q, r, p) or _in_sigma(s, p, r, q) or _in_sigma(s, p, q, r)
     return same and rep_is_triad and not triple_is_triad
@@ -509,7 +492,7 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
             examined += len(walk)
     if least is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": len(tri.lines)})
-    first = tri.first[tri.brackets.index(_bracket_mask(s, least))]
+    first = tri.first[tri.brackets.index(perp_mask(s, mask_of_lines(least)))]
     return CheckReport(
         name,
         FAIL,
@@ -524,7 +507,7 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
 def _replay_mutual_membership(s: IncidenceStructure, ce: dict) -> bool:
     ta = _resolve(s, ce["triad_a"])
     tb = _resolve(s, ce["triad_b"])
-    ba, bb = _bracket_mask(s, ta), _bracket_mask(s, tb)
+    ba, bb = perp_mask(s, mask_of_lines(ta)), perp_mask(s, mask_of_lines(tb))
     inside_ab = not (mask_of_lines(tb) & ~ba)
     inside_ba = not (mask_of_lines(ta) & ~bb)
     if ce["issue"] == "membership_not_symmetric":
@@ -754,9 +737,9 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
 def _replay_exchange(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
     t = _resolve(s, ce["triad"])
     issue = ce["issue"]
-    B = _bracket_mask(s, t)
+    B = perp_mask(s, mask_of_lines(t))
     if issue == "bracket_not_an_element":
-        return B not in _element_kinds(m)
+        return B not in m.kinds
     x, y = s.index(ce["x"]), s.index(ce["y"])
     inside = bool((B >> x) & 1 and (B >> y) & 1)
     if issue == "skew_pair_in_bracket":
@@ -793,10 +776,9 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         refined = _labeled_classes(m)[1]
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
-    kinds = _element_kinds(m)
     table, model_table, sigma = perp_table(s), perp_table(m.structure), sigma_classes(s).rows
     tri = triad_table(s)
-    kind = np.array([_KIND_CODE.get(kinds.get(B), -1) for B in tri.brackets], np.int64)
+    kind = np.array([_KIND_CODE.get(m.kinds.get(B), -1) for B in tri.brackets], np.int64)
     inside = _incidence(tri.brackets, s.line_count)
     size = inside.sum(axis=1)
     place = np.cumsum(inside, axis=1, dtype=np.int32) - 1  # of each line of a bracket
@@ -845,6 +827,28 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
+def _shared(s: IncidenceStructure, m: GeometryModel) -> tuple[np.ndarray, np.ndarray]:
+    """``shared_lines`` of the model's points, then its planes, over the lines of ``s``."""
+    return shared_lines(s, m.point_masks + m.plane_masks)
+
+
+def _family(m: GeometryModel, kind: str) -> tuple:
+    """(elements, element masks, their rows in ``_shared``) of the model's points or planes."""
+    if kind == "point":
+        return m.points, m.point_masks, slice(0, len(m.points))
+    return m.planes, m.plane_masks, slice(len(m.points), len(m.points) + len(m.planes))
+
+
+def _first_pair(flags: np.ndarray) -> tuple:
+    """The first flagged i < j of a square bool matrix, in ``itertools.combinations``
+    order, and the pairs up to it; or None and every pair."""
+    i, j = np.triu_indices(len(flags), 1)
+    hit = np.flatnonzero(flags[i, j])
+    if not len(hit):
+        return None, len(i)
+    return (int(i[hit[0]]), int(j[hit[0]])), int(hit[0]) + 1
+
+
 def _replay_not_singleton(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
     p = tuple(sorted(_resolve(s, ce["point"])))
     q = tuple(sorted(_resolve(s, ce["plane"])))
@@ -855,26 +859,23 @@ def _replay_not_singleton(s: IncidenceStructure, ce: dict, m: GeometryModel) -> 
 
 @registered("theorems", model=True, replay=_replay_not_singleton)
 def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
-    """A point and a plane never share exactly one line."""
+    """A point and a plane never share exactly one line.
+
+    Kernel: the points' rows of ``_shared`` against the planes' columns; the
+    first pair, point-major, that shares one line fails."""
     name = "thm_not_singleton"
-    pmasks = m.point_masks
-    lmasks = m.plane_masks
-    examined = 0
-    for i, pm in enumerate(pmasks):
-        for j, lm in enumerate(lmasks):
-            examined += 1
-            if (pm & lm).bit_count() == 1:
-                return CheckReport(
-                    name,
-                    FAIL,
-                    counterexample={
-                        "point": labels_of(s, m.points[i]),
-                        "plane": labels_of(s, m.planes[j]),
-                        "common": labels_of(s, lines_of_mask(pm & lm)),
-                    },
-                    stats={"pairs_examined": examined},
-                )
-    return CheckReport(name, PASS, stats={"pairs_examined": examined})
+    P = len(m.points)
+    common = _shared(s, m)[0][:P, P:]
+    bad = np.flatnonzero(common == 1)
+    if not len(bad):
+        return CheckReport(name, PASS, stats={"pairs_examined": common.size})
+    i, j = divmod(int(bad[0]), len(m.planes))
+    ce = {
+        "point": labels_of(s, m.points[i]),
+        "plane": labels_of(s, m.planes[j]),
+        "common": labels_of(s, lines_of_mask(m.point_masks[i] & m.plane_masks[j])),
+    }
+    return CheckReport(name, FAIL, counterexample=ce, stats={"pairs_examined": int(bad[0]) + 1})
 
 
 def _replay_uniqueness(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
@@ -891,29 +892,20 @@ def thm_uniqueness(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Two distinct same-kind elements share at most one line (both kinds)."""
     name = "thm_uniqueness"
     examined = 0
-    for family, kind in ((m.point_masks, "point"), (m.plane_masks, "plane")):
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                examined += 1
-                common = family[i] & family[j]
-                if common.bit_count() > 1:
-                    return CheckReport(
-                        name,
-                        FAIL,
-                        counterexample={
-                            "kind": kind,
-                            "element_a": labels_of(s, lines_of_mask(family[i])),
-                            "element_b": labels_of(s, lines_of_mask(family[j])),
-                            "common": labels_of(s, lines_of_mask(common)),
-                        },
-                        stats={"pairs_examined": examined},
-                    )
+    for kind in ("point", "plane"):
+        _, masks, rows = _family(m, kind)
+        hit, pairs = _first_pair(_shared(s, m)[0][rows, rows] > 1)
+        examined += pairs
+        if hit is not None:
+            a, b = masks[hit[0]], masks[hit[1]]
+            ce = {
+                "kind": kind,
+                "element_a": labels_of(s, lines_of_mask(a)),
+                "element_b": labels_of(s, lines_of_mask(b)),
+                "common": labels_of(s, lines_of_mask(a & b)),
+            }
+            return CheckReport(name, FAIL, counterexample=ce, stats={"pairs_examined": examined})
     return CheckReport(name, PASS, stats={"pairs_examined": examined})
-
-
-def _family(m: GeometryModel, kind: str) -> tuple:
-    """(elements, element masks) of the model's points or planes."""
-    return (m.points, m.point_masks) if kind == "point" else (m.planes, m.plane_masks)
 
 
 def _replay_line_in_plane(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
@@ -934,29 +926,44 @@ def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     One walk serves both: for each element of one kind (the host), every
     two elements of the other kind that share a line with it must share
     exactly one line, and that line must lie in the host.  It runs over the
-    planes, then over the points, with the kinds swapped.
+    planes, then over the points, with the kinds swapped.  Kernel: per
+    host, the elements sharing a line with it, padded, and every two of
+    them read from ``_shared``, for a run of hosts at once; the first pair,
+    host-major, flagged is where the walk stops.
     """
     name = "thm_line_in_plane"
+    count, line = _shared(s, m)
     examined = 0
     for kind, host_kind, where in (("point", "plane", "in_plane"), ("plane", "point", "through_point")):
-        elements, masks = _family(m, kind)
-        hosts, host_masks = _family(m, host_kind)
-        for h, host in enumerate(host_masks):
-            on_host = [i for i, em in enumerate(masks) if em & host]
-            for i, j in itertools.combinations(on_host, 2):
-                examined += 1
-                common = masks[i] & masks[j]
-                unique = common.bit_count() == 1
-                if unique and common & host:
-                    continue
-                ce = {f"{kind}_a": labels_of(s, elements[i]), f"{kind}_b": labels_of(s, elements[j])}
-                if unique:
-                    ce[host_kind] = labels_of(s, hosts[h])
-                    ce["line"] = s.labels[common.bit_length() - 1]
-                    ce["issue"] = f"common_line_not_{where}"
-                else:
-                    ce["issue"] = f"{kind}s_without_unique_common_line"
-                return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
+        elements, _, rows = _family(m, kind)
+        hosts, host_masks, host_rows = _family(m, host_kind)
+        meets = count[host_rows, rows] > 0
+        size = meets.sum(axis=1)
+        h, e = np.nonzero(meets)
+        on = np.zeros((len(hosts), int(size.max(initial=0))), np.intp)  # per host, the elements meeting it
+        on[h, np.arange(len(h)) - (np.cumsum(size) - size)[h]] = e
+        x, y = np.triu_indices(on.shape[1], 1)  # every two places, in combinations order
+        common, holds = line[rows, rows], _incidence(host_masks, s.line_count)
+        step = max(1, _CELLS_PER_STEP // (len(x) + 1))
+        for lo in range(0, len(hosts), step):
+            valid = y < size[lo : lo + step, None]
+            l = common[on[lo : lo + step, x], on[lo : lo + step, y]]
+            ok = (l >= 0) & holds[np.arange(lo, lo + len(valid))[:, None], l]
+            bad = np.flatnonzero(valid & ~ok)
+            if not len(bad):
+                examined += int(valid.sum())
+                continue
+            k, r = divmod(int(bad[0]), len(x))
+            examined += int(valid[:k].sum() + valid[k, : r + 1].sum())
+            i, j = int(on[lo + k, x[r]]), int(on[lo + k, y[r]])
+            ce = {f"{kind}_a": labels_of(s, elements[i]), f"{kind}_b": labels_of(s, elements[j])}
+            if common[i, j] >= 0:
+                ce[host_kind] = labels_of(s, hosts[lo + k])
+                ce["line"] = s.labels[common[i, j]]
+                ce["issue"] = f"common_line_not_{where}"
+            else:
+                ce["issue"] = f"{kind}s_without_unique_common_line"
+            return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
     return CheckReport(name, PASS, stats={"cases_examined": examined})
 
 
@@ -969,38 +976,33 @@ class _Triangles:
     lines jk, ki and ij, or -1 where two points do not share exactly one
     line.  ``plane`` is the one model plane sharing a line with all three
     points, kept only where its mask equals the bracket of the three sides,
-    else -1.  ``line_of[u, v]`` is the one line points u and v share, or
-    -1; ``meets[u, p]`` is whether point u and plane p share a line.
+    else -1.
     """
 
     triples: np.ndarray
     sides: np.ndarray
     plane: np.ndarray
-    line_of: np.ndarray
-    meets: np.ndarray
 
 
 def _triangles(s: IncidenceStructure, m: GeometryModel) -> _Triangles:
     """The triangle table of ``m`` over the brackets of ``s``; cached.
 
-    Counts come from products of 0/1 incidence matrices: points u and v
-    share ``pts[u] @ pts[v]`` lines.  For a fixed first point i, one product
-    over the lines of i counts, for every later pair (j, k), the lines all
-    three share, and one over the planes meeting i counts (and, weighted by
-    plane index, names) the planes meeting all three.
+    The sides and the planes meeting each point come from ``_shared``.  For
+    a fixed first point i, one product of 0/1 incidence matrices over the
+    lines of i counts, for every later pair (j, k), the lines all three
+    share, and one over the planes meeting i counts (and, weighted by plane
+    index, names) the planes meeting all three.
     """
 
     def build():
-        width = s.line_count
-        pts = _incidence(m.point_masks, width)
-        on_planes = _incidence(m.plane_masks, width)
+        count, line = _shared(s, m)
+        P = len(m.points)
+        pts = _incidence(m.point_masks, s.line_count)
         pts_f = pts.astype(np.float32)  # exact: every product entry is an integer below 2**24
-        line_ids = (pts_f * np.arange(width, dtype=np.float32)) @ pts_f.T
-        line_of = np.where(pts_f @ pts_f.T == 1, line_ids, -1).astype(np.int32)
-        meets = pts_f @ on_planes.T.astype(np.float32) > 0
+        line_of, meets = line[:P, :P], count[:P, P:] > 0
         meets_f = meets.astype(np.float32)
         adj_bits = np.packbits(s.adjacency, axis=1, bitorder="little")
-        plane_bits = np.packbits(on_planes, axis=1, bitorder="little")
+        plane_bits = np.packbits(_incidence(m.plane_masks, s.line_count), axis=1, bitorder="little")
         parts = [(np.empty((0, 3), np.int32), np.empty((0, 3), np.int32), np.empty(0, np.int32))]
         for i in range(len(pts) - 2):
             lines = pts_f[i + 1 :, pts[i]]
@@ -1017,8 +1019,7 @@ def _triangles(s: IncidenceStructure, m: GeometryModel) -> _Triangles:
             bracket = adj_bits[a] & adj_bits[b] & adj_bits[c]
             plane[rows[(bracket != plane_bits[plane[rows]]).any(axis=1)]] = -1
             parts.append((np.stack((np.full_like(j, i), j, k), axis=1), sides, plane))
-        triples, sides, plane = map(np.concatenate, zip(*parts))
-        return _Triangles(triples, sides, plane, line_of, meets)
+        return _Triangles(*map(np.concatenate, zip(*parts)))
 
     return s.cached(("triangles", m.points, m.planes), build)
 
@@ -1071,7 +1072,7 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
                 return {"issue": "side_not_in_plane_class", "line": s.labels[third], "of_pair": labels_of(s, (u, v))}
         if masks[a] & masks[b] & masks[c] not in m.plane_masks:
             return {"issue": "bracket_not_a_plane"}
-        through = np.flatnonzero(tri.meets[tri.triples[t]].all(axis=0))
+        through = np.flatnonzero((_shared(s, m)[0][tri.triples[t], len(m.points) :] > 0).all(axis=0))
         return {"issue": "common_plane_not_unique", "planes_through": len(through)}
 
     ce = {"points": _point_labels(s, m, tri.triples[t].tolist()), **issue(*tri.sides[t].tolist())}
@@ -1087,73 +1088,65 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Every triangle extends to a four-vertex figure with the six-line pattern.
 
     For each non-collinear point triple there must be a point off its
-    plane whose three connecting edges complete six distinct lines,
-    pairwise incident except the three opposite pairs.
+    plane, sharing no line with the bracket of its sides, whose three
+    connecting edges complete six distinct lines, pairwise incident except
+    the three opposite pairs; the least such point is the triple's vertex.
 
-    Kernel: when the sides' bracket is a model plane, the points off it
-    are the points sharing no line with that plane, and the kernel tries
-    only the least of them.  That is the vertex the scalar walk meets
-    first, so a triple it proves has the same completing vertex.
+    Kernel: one run of triples at a time.  When the sides' bracket is a
+    model plane, the points off it are the points sharing no line with
+    that plane, so each triple first tries the least of them, its vertex if
+    that completes the pattern.  The triples left try every point in
+    order, each step for all of them at once, and keep the first that
+    completes it.  A triple with no vertex fails, so the first one of a run
+    is the least violation.
     """
     name = "thm_tetrahedron"
-    masks = s.masks
-    pmasks = m.point_masks
-    tri = _triangles(s, m)
-    off = np.vstack((~tri.meets, np.ones((1, tri.meets.shape[1]), bool)))
-    least_off = off.argmax(axis=0)  # least point sharing no line with each plane
-    least_off[least_off == len(pmasks)] = -1
-    ok = tri.plane >= 0
-    ok[ok] = least_off[tri.plane[ok]] >= 0
-    rows = np.flatnonzero(ok)
-    vertex = least_off[tri.plane[rows]]
-    six = np.concatenate((tri.sides[rows], tri.line_of[vertex[:, None], tri.triples[rows]]), axis=1)
-    ordered = np.sort(six, axis=1)
-    proved = (ordered[:, 0] >= 0) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    adj = s.adjacency
-    for x, y in _TETRA_PAIRS:
-        proved &= adj[six[:, x], six[:, y]] != ((x, y) in _TETRA_SKEW)
-    ok[rows] = proved
+    count, line = _shared(s, m)
+    tri, P, adj = _triangles(s, m), len(m.points), s.adjacency
+    off = np.vstack((count[:P, P:] == 0, np.ones((1, len(m.planes)), bool)))
+    least_off = np.append(off.argmax(axis=0), P)  # least point sharing no line with each plane; P: none
+    point_words, adj_words = _words(_incidence(m.point_masks, s.line_count)), _words(adj)
 
-    def complete(t):
-        """First completing vertex of triple t and its six lines, or None."""
-        a, b, c = tri.sides[t].tolist()
-        pi_mask = masks[a] & masks[b] & masks[c]
-        for o, om in enumerate(pmasks):
-            if om & pi_mask:
-                continue  # vertex must avoid the base plane
-            six = (a, b, c, *tri.line_of[o, tri.triples[t]].tolist())
-            if min(six) < 0 or len(set(six)) != 6:
-                continue
-            if all((masks[six[x]] >> six[y] & 1) != ((x, y) in _TETRA_SKEW) for x, y in _TETRA_PAIRS):
-                return o, six
-        return None
+    def completes(t, vertex):
+        """Whether each vertex completes the six-line pattern on triple t."""
+        six = np.concatenate((tri.sides[t], line[vertex[:, None], tri.triples[t]]), axis=1)
+        ordered = np.sort(six, axis=1)
+        ok = (ordered[:, 0] >= 0) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        for x, y in _TETRA_PAIRS:
+            ok &= adj[six[:, x], six[:, y]] != ((x, y) in _TETRA_SKEW)
+        return ok
 
-    first = (int(vertex[0]), six[0].tolist()) if len(ok) and ok[0] else None
-    for t in np.flatnonzero(~ok).tolist():
-        if tri.sides[t].min() < 0:
-            issue = "points_without_unique_common_line"
-        else:
-            got = complete(t)
-            if got is not None:
-                first = first or got
-                continue
-            issue = "no_completing_vertex"
-        return CheckReport(
-            name,
-            FAIL,
-            counterexample={"points": _point_labels(s, m, tri.triples[t].tolist()), "issue": issue},
-            stats={"cases_examined": t + 1},
-        )
+    for lo in range(0, len(tri.triples), _TRIADS_PER_STEP):
+        t = np.arange(lo, min(lo + _TRIADS_PER_STEP, len(tri.triples)))
+        vertex = least_off[tri.plane[t]]  # plane -1 reads P
+        tried = np.flatnonzero(vertex < P)
+        vertex[tried[~completes(t[tried], vertex[tried])]] = P
+        rest = np.flatnonzero((vertex == P) & (tri.sides[t].min(axis=1) >= 0))
+        a, b, c = tri.sides[t[rest]].T
+        bracket = adj_words[a] & adj_words[b] & adj_words[c]
+        for o in range(P):
+            if not len(rest):
+                break
+            ok = completes(t[rest], np.full(len(rest), o)) & ~(bracket & point_words[o]).any(axis=1)
+            vertex[rest[ok]] = o
+            rest, bracket = rest[~ok], bracket[~ok]
+        if lo == 0:
+            first = int(vertex[0])
+        failed = np.flatnonzero(vertex == P)
+        if len(failed):
+            k = lo + int(failed[0])
+            issue = "no_completing_vertex" if tri.sides[k].min() >= 0 else "points_without_unique_common_line"
+            ce = {"points": _point_labels(s, m, tri.triples[k].tolist()), "issue": issue}
+            return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": k + 1})
     witness = None
-    if first is not None:
+    if len(tri.triples):
+        six = [*tri.sides[0].tolist(), *line[first, tri.triples[0]].tolist()]
         witness = {
             "base_points": _point_labels(s, m, tri.triples[0].tolist()),
-            "vertex": labels_of(s, m.points[first[0]]),
-            "six_lines": [s.labels[x] for x in first[1]],
+            "vertex": labels_of(s, m.points[first]),
+            "six_lines": [s.labels[x] for x in six],
         }
-    return CheckReport(
-        name, PASS, witness_sample=witness, stats={"cases_examined": len(tri.triples)}
-    )
+    return CheckReport(name, PASS, witness_sample=witness, stats={"cases_examined": len(tri.triples)})
 
 
 def run_theorem_suite(
@@ -1212,7 +1205,8 @@ def vy_e2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 @registered("vy", model=True)
 def vy_e3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """E3: for every plane, some point off it (none when there are no points)."""
-    unavoidable = np.flatnonzero(_triangles(s, m).meets.all(axis=0))
+    P = len(m.points)
+    unavoidable = np.flatnonzero((_shared(s, m)[0][:P, P:] > 0).all(axis=0))
     stats = {"planes": len(m.plane_masks)}
     if len(unavoidable):
         ce = {"plane": labels_of(s, m.planes[int(unavoidable[0])])}
@@ -1222,14 +1216,14 @@ def vy_e3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 
 def _pair_check(name: str, s: IncidenceStructure, m: GeometryModel, kind: str, violates) -> CheckReport:
     """Fails on the first two elements of one kind, in combinations order,
-    whose count of shared lines ``violates`` holds for."""
-    elements, masks = _family(m, kind)
-    stats = {f"{kind}s": len(masks)}
-    for i, j in itertools.combinations(range(len(masks)), 2):
-        if violates((masks[i] & masks[j]).bit_count()):
-            ce = {f"{kind}_a": labels_of(s, elements[i]), f"{kind}_b": labels_of(s, elements[j])}
-            return CheckReport(name, FAIL, counterexample=ce, stats=stats)
-    return CheckReport(name, PASS, stats=stats)
+    whose counts of shared lines ``violates`` flags."""
+    elements, _, rows = _family(m, kind)
+    hit = _first_pair(violates(_shared(s, m)[0][rows, rows]))[0]
+    stats = {f"{kind}s": len(elements)}
+    if hit is None:
+        return CheckReport(name, PASS, stats=stats)
+    ce = {f"{kind}_a": labels_of(s, elements[hit[0]]), f"{kind}_b": labels_of(s, elements[hit[1]])}
+    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
 
 
 @registered("vy", model=True)
@@ -1276,7 +1270,7 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A3: the line joining D on BC and E on CA meets AB.
 
     Kernel: per side pair (a, b), the joins of a point on a and another
-    point on b are read from ``line_of`` over padded arrays of the points
+    point on b are read from ``_shared`` over padded arrays of the points
     on each line, and the lines meeting every join are the AND of their
     packed adjacency rows; a join that is not unique reads as the empty
     row.  A triple passes iff its joins are all unique and c is in that
@@ -1285,11 +1279,12 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """
     tri = _triangles(s, m)
     n, count = s.line_count, len(m.point_masks)
+    joining = _shared(s, m)[1][:count, :count]
     on_line = [lines_of_mask(h) for h in m.holding[Kind.POINT]]
     width = max([1, *map(len, on_line)])
     on = np.array([o + [count] * (width - len(o)) for o in on_line], np.intp).reshape(n, width)  # padded
     line_of = np.full((count + 1, count + 1), n, np.intp)  # line n: no case, its row all ones
-    line_of[:count, :count] = np.where(tri.line_of < 0, n + 1, tri.line_of)  # line n + 1: no bits
+    line_of[:count, :count] = np.where(joining < 0, n + 1, joining)  # line n + 1: no bits
     np.fill_diagonal(line_of, n)
     words = _words(np.vstack((s.adjacency, np.ones((1, n), bool), np.zeros((1, n), bool))))
     ok = tri.sides.min(axis=1) >= 0
@@ -1331,7 +1326,7 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             if d == e:
                 continue
             examined += 1
-            f = int(tri.line_of[d, e])
+            f = int(joining[d, e])
             if f >= 0 and s.adjacency[c, f]:
                 continue
             ce = {"point_d": labels_of(s, m.points[d]), "point_e": labels_of(s, m.points[e])}

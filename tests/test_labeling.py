@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linespace import (
     GeometryModel,
@@ -28,9 +29,10 @@ from linespace import (
     perp,
 )
 from linespace.core import mask_of_lines
-from linespace.labeling import labeled_sigma_classes
+from linespace.labeling import labeled_sigma_classes, shared_lines
 
 from conftest import names_for
+from test_model_oracle import perturbed_families
 from test_theorems import PERTURBED, perturbed, seeded_mutant
 
 
@@ -257,6 +259,36 @@ class TestLabeledClasses:
 
 
 LABELING_GOLDEN = Path(__file__).parent / "golden" / "perturbed" / "labeling.json"
+
+
+class TestSharedLines:
+    """``shared_lines`` counts the lines every two masks share, the diagonal
+    included, and names the one line exactly where they share one."""
+
+    @staticmethod
+    def assert_matches_popcount(s, masks):
+        count, line = shared_lines(s, masks)
+        for i, a in enumerate(masks):
+            for j, b in enumerate(masks):
+                common = a & b
+                assert count[i, j] == common.bit_count(), (i, j)
+                assert line[i, j] == (common.bit_length() - 1 if common.bit_count() == 1 else -1), (i, j)
+
+    def test_pg2_model(self, pg2, pg2_model):
+        m = pg2_model
+        self.assert_matches_popcount(pg2, m.point_masks + m.plane_masks)
+        # point 0 also listed as a plane, and a one-line element
+        masks = m.point_masks + m.plane_masks + (m.point_masks[0], 1 << 7)
+        self.assert_matches_popcount(pg2, masks)
+        count, line = shared_lines(pg2, masks)
+        assert (count[0, 0], line[0, 0]) == (7, -1)
+        assert (count[-1, -1], line[-1, -1]) == (1, 7)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_perturbed_families(self, pg2, pg2_model, data):
+        points, planes = data.draw(perturbed_families(pg2_model))
+        self.assert_matches_popcount(pg2, tuple(map(mask_of_lines, points + planes)))
 
 
 def pair_graph(points: int) -> IncidenceStructure:

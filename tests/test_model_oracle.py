@@ -4,18 +4,17 @@ checks, the point-triple checks and vy_axioms against brute-force oracles.
 Each oracle below walks every triad, every triad's bracket pairs, every
 incident pair, every two elements and every triple of points straight
 from the adjacency matrices and the model's two families, with plain
-Python sets.  It shares no code with ``linespace.theorems``: agreement on the whole
-``to_dict()`` (status, counterexample, witness and stats) shows that the
-kernels, which judge items in bulk or only prove items pass and hand the
-rest to the scalar walk, name the same least failure and count the same
-cases as a walk over every item.
+Python sets.  It shares no code with ``linespace.theorems``: agreement on
+the whole ``to_dict()`` (status, counterexample, witness and stats) shows
+that the kernels, which judge every item in bulk, name the same least
+failure and count the same cases as a walk over every item.
 
 The checked structure ``s`` supplies triads, sigma sets, brackets and
 incidence; the model's own structure supplies the labeled sigma classes.
 The two differ when a mutant is checked against the model of the
 structure it was made from.  A set listed in both families counts as a
-point when a sigma class is labeled and as a plane when a triad's bracket
-is typed, as the model's two lookups do.
+point, when a sigma class is labeled and when a triad's bracket is typed,
+as the model's one lookup, ``GeometryModel.kinds``, does.
 """
 
 import itertools
@@ -42,6 +41,7 @@ from linespace import (
     thm_uniqueness,
     vy_axioms,
 )
+from linespace import theorems
 
 UNAVAILABLE = object()
 RAISES = object()
@@ -181,8 +181,8 @@ class Oracle:
         name = "thm_exchange"
         if self.classes is UNAVAILABLE:
             return None
-        kind = {e: "point" for e in self.points}
-        kind.update({e: "plane" for e in self.planes})
+        kind = {e: "plane" for e in self.planes}
+        kind.update({e: "point" for e in self.points})
         examined = 0
         for t in self.triads():
             bracket = self.perp(t)
@@ -521,6 +521,25 @@ def test_pg2_mutants_match_oracle(pg2, pg2_model, flips):
     for i, j in flips:
         adj[i, j] = adj[j, i] = not adj[i, j]
     assert_matches_oracle(IncidenceStructure(adj, labels=pg2.labels), pg2_model)
+
+
+def test_short_runs_match_oracle(pg2, pg2_model, monkeypatch):
+    """The kernels that judge in runs, of hosts or of triples, name the same
+    failure and count the same cases when each run holds a few items and
+    the failure falls in a later run."""
+    monkeypatch.setattr(theorems, "_CELLS_PER_STEP", 97)  # four hosts a run
+    monkeypatch.setattr(theorems, "_TRIADS_PER_STEP", 53)
+    m = pg2_model
+    # A copy of the last plane with one line swapped for a line of the last
+    # point, listed last: thm_line_in_plane fails at case 316, the first
+    # pair of points on that plane.
+    plane = tuple(sorted(set(m.planes[-1]) - {m.planes[-1][0]} | {m.points[-1][0]}))
+    assert_matches_oracle(pg2, GeometryModel(structure=pg2, points=m.points, planes=m.planes + (plane,), seed=m.seed))
+    # thm_tetrahedron fails at triple 388 of 420, and passes on all 420.
+    for flip in ((19, 24), (20, 30)):
+        adj = np.array(pg2.adjacency)
+        adj[flip] = adj[flip[::-1]] = not adj[flip]
+        assert_matches_oracle(IncidenceStructure(adj, labels=pg2.labels), m)
 
 
 def stray_vertex_family(m):

@@ -11,6 +11,7 @@ import pytest
 from linespace import (
     GeometryModel,
     IncidenceStructure,
+    Kind,
     LinespaceError,
     check_all,
     check_axiom1,
@@ -47,7 +48,7 @@ from linespace import (
 )
 from conftest import one_perp_regulus
 from linespace import theorems
-from linespace.core import bit_rows
+from linespace.core import bit_rows, mask_of_lines, perp_mask
 from linespace.labeling import labeled_sigma_classes
 from linespace.theorems import VY_NAMES, triad_table
 
@@ -115,12 +116,9 @@ class TestCounts:
 
     def test_pg2_typing_split(self, pg2, pg2_model):
         # triads split evenly between point-side and plane-side
-        from linespace.theorems import _element_kinds, _bracket_mask
-
-        kinds = _element_kinds(pg2_model)
         sides = {"point": 0, "plane": 0}
         for t in triad_table(pg2).lines.tolist():
-            sides[kinds[_bracket_mask(pg2, t)].value] += 1
+            sides[pg2_model.kinds[perp_mask(pg2, mask_of_lines(t))].value] += 1
         assert sides["point"] == 420
         assert sides["plane"] == 420
 
@@ -390,11 +388,11 @@ PERTURBED_GOLDEN = Path(__file__).parent / "golden" / "perturbed"
 # How each perturbed PG(3,3) case departs from the default model; the
 # comment after each names where a first failure falls.
 PERTURBED = {
-    # A point also listed as a plane: the triads of that bracket take its
-    # plane class, and every triangle finds a second common plane.
-    "point_0_also_plane": ("also_plane", 0),  # exchange: first triad
-    "point_20_also_plane": ("also_plane", 20),  # exchange: triad 2,459 of 18,720
-    "point_39_also_plane": ("also_plane", 39),  # exchange: triad 4,377
+    # A point also listed as a plane: its mask still reads as a point, so
+    # thm_exchange passes, and every triangle finds a second common plane.
+    "point_0_also_plane": ("also_plane", 0),
+    "point_20_also_plane": ("also_plane", 20),
+    "point_39_also_plane": ("also_plane", 39),
     "plane_5_moved_to_points": ("moved", 5),  # tetrahedron, vy_a3: first triples
     "point_15_dropped": ("dropped", 15),  # tetrahedron passes on 8,658 triples
     # Point 3 with line 118 swapped for line 47, first or last in the family.
@@ -561,6 +559,16 @@ class TestPerturbedSuiteGoldens:
         assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
         got = [[r.check_name, replay_outcome(s, r, m)] for r in reports if r.status == "fail"]
         assert got == PERTURBED_REPLAYS[name]
+
+
+def test_mask_in_both_families_is_a_point(pg2, pg2_model):
+    """A mask listed as a point and as a plane reads as a point everywhere:
+    thm_exchange refines its triads by their point class, as the labeled
+    classes do, so only the checks that forbid the overlap fail."""
+    m = dataclasses.replace(pg2_model, planes=pg2_model.planes + pg2_model.points[:1])
+    assert m.kinds[m.point_masks[0]] is Kind.POINT
+    assert thm_exchange(pg2, m).to_dict() == thm_exchange(pg2, pg2_model).to_dict()
+    assert thm_point_ne_plane(pg2, m).status == "fail"
 
 
 # The model theorems that swapping points and planes maps to themselves.
