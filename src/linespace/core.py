@@ -364,6 +364,13 @@ def least_bits(rows: np.ndarray) -> np.ndarray:
     return 64 * w + np.frexp((word & -word).astype(float))[1] - 1
 
 
+def only_bits(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``_words`` words, the place of its only set bit, else -1."""
+    top = rows.max(axis=1)
+    one = ((rows != 0).sum(axis=1) == 1) & ((top & (top - 1)) == 0)
+    return np.where(one, least_bits(rows), -1)
+
+
 _CELLS_PER_STEP = 1 << 16  # (perp, line, line) cells per step over the perp table
 
 

@@ -17,8 +17,9 @@ Elements are int bitmasks of their lines from the table to the verdict:
 kinds are keyed by element mask, and line tuples and frozensets are built
 only for a model's families, a public return value or a witness.  The
 verification reads each perp's two sigma classes from ``sigma_classes``
-and their elements from ``element_ids``, and the lines every two
-elements share from ``shared_lines``.
+and their elements from ``element_ids``, in ``element_masks`` order, and
+the lines every two elements share from ``shared_lines``; a model's
+points and planes are rows among the same elements in ``model_index``.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class GeometryModel:
     same element exactly when the tuples are equal.  ``seed`` records which
     sigma class of which pair was named the point side, as
     (a, b, class_index); None for the empty geometry.  The element masks
-    and the per-line holding bitsets are derived once, on first use, and
-    take no part in equality.
+    and the kind of each are derived once, on first use, and take no part
+    in equality; the arrays the checks read are in ``model_index``.
     """
 
     structure: IncidenceStructure
@@ -109,15 +110,6 @@ class GeometryModel:
         return tuple(map(mask_of_lines, self.planes))
 
     @cached_property
-    def holding(self) -> dict[Kind, list[int]]:
-        """Per kind and line, the bitset of the family's elements holding the line."""
-        out = {}
-        for kind, emasks in ((Kind.POINT, self.point_masks), (Kind.PLANE, self.plane_masks)):
-            rows = np.packbits(_incidence(emasks, self.structure.line_count).T, axis=1, bitorder="little")
-            out[kind] = [int.from_bytes(row.tobytes(), "little") for row in rows]
-        return out
-
-    @cached_property
     def kinds(self) -> dict[int, Kind]:
         """Kind of each element mask; a mask listed in both families counts as a point."""
         out = dict.fromkeys(self.plane_masks, Kind.PLANE)
@@ -131,9 +123,10 @@ def element_table(s: IncidenceStructure) -> dict[int, tuple[int, int, int]]:
 
 
 def element_ids(s: IncidenceStructure) -> tuple[dict[int, tuple[int, int, int]], np.ndarray]:
-    """``element_table(s)``, and per perp of ``perp_table(s)`` and place the
-    index in it of bracket(a, b, c), for the perp's pairs (a, b) and the
-    line c at that place, or -1 where c is not in sigma(a, b); cached.
+    """``element_table(s)``, its elements ordered by their ascending line
+    lists, and per perp of ``perp_table(s)`` and place the index in it of
+    bracket(a, b, c), for the perp's pairs (a, b) and the line c at that
+    place, or -1 where c is not in sigma(a, b); cached.
 
     Iterates incident pairs (a, b) in index order and, for each, every
     member c of sigma(a, b) in index order, keeping the first triad that
@@ -159,19 +152,27 @@ def element_ids(s: IncidenceStructure) -> tuple[dict[int, tuple[int, int, int]],
         count = np.where(classes.split, 2, table.in_sigma.sum(axis=1))
         at = np.where(classes.split[:, None], classes.second, table.in_sigma.cumsum(axis=1) - 1)
         at = np.where(table.in_sigma, at + (np.cumsum(count) - count)[:, None], -1)
-        return dict(zip(ids, triads)), np.array(element + [-1], np.int32)[at]
+        found = list(ids)
+        order = sorted(range(len(found)), key=lambda e: lines_of_mask(found[e]))
+        rank = np.append(np.argsort(order), -1).astype(np.int32)  # the padding's -1 reads -1
+        return {found[e]: triads[e] for e in order}, rank[np.array(element + [-1])[at]]
 
     return s.cached("element_table", build)
 
 
 def element_masks(s: IncidenceStructure) -> tuple[int, ...]:
     """Every element's mask, ordered by its ascending line list; cached."""
-    return s.cached("element_masks", lambda: tuple(sorted(element_table(s), key=lines_of_mask)))
+    return s.cached("element_masks", lambda: tuple(element_table(s)))
 
 
 def enumerate_secondary_elements(s: IncidenceStructure) -> list[frozenset[int]]:
     """Every distinct bracket of a triad, sorted; empty if no triads exist."""
     return [frozenset(lines_of_mask(em)) for em in element_masks(s)]
+
+
+def _line_incidence(s: IncidenceStructure, masks: tuple[int, ...]) -> np.ndarray:
+    """``masks`` by the lines of ``s``, cached for ``shared_lines`` and ``model_index``."""
+    return s.cached(("incidence", masks), lambda: _incidence(masks, s.line_count))
 
 
 def shared_lines(s: IncidenceStructure, masks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +187,7 @@ def shared_lines(s: IncidenceStructure, masks: tuple[int, ...]) -> tuple[np.ndar
 
     def build():
         size = len(masks)
-        line, e = np.nonzero(_incidence(masks, s.line_count).T)
+        line, e = np.nonzero(_line_incidence(s, masks).T)
         held = np.bincount(line, minlength=s.line_count)[line]  # the masks holding each entry's line
         first = np.repeat(np.arange(len(e)), held)
         start = np.repeat(np.searchsorted(line, line), held)  # the first entry on the line
@@ -219,19 +220,17 @@ def _verify_labeling(
         return {"issue": issue, **fields, "seed": seed_info}
 
     table, classes = perp_table(s), sigma_classes(s)
-    ids, element_of = element_ids(s)
-    plane = np.array([kinds[em] is Kind.PLANE for em in ids] + [False])  # -1 reads the padding
+    emasks, element_of = element_masks(s), element_ids(s)[1]
+    plane = np.array([kinds[em] is Kind.PLANE for em in emasks] + [False])  # -1 reads the padding
     two = element_of[np.arange(len(table.masks))[:, None], classes.least]  # the element of each class
     bad = np.flatnonzero(~classes.split | (plane[two[:, 0]] == plane[two[:, 1]]))
     if len(bad):
         pair = table.pairs[table.first[bad[0]]].tolist()
         sigma_partition(s, *pair)  # raises NotTwoClassesError where the split fails
-        kind = kinds[list(ids)[two[bad[0], 0]]]
+        kind = kinds[emasks[two[bad[0], 0]]]
         return fail("pair_classes_same_kind", {"pair": labels_of(s, pair), "kind": kind.value})
-    emasks = element_masks(s)
-    plane = np.array([kinds[em] is Kind.PLANE for em in emasks], bool)
     common = shared_lines(s, emasks)[0]
-    same = plane[:, None] == plane
+    same = plane[:-1, None] == plane[:-1]
     i, j = np.nonzero(np.triu(same != (common == 1), 1))
     if not len(i):
         return None
@@ -323,6 +322,41 @@ def coordinate_labels(
     return got
 
 
+@dataclass(frozen=True)
+class ModelIndex:
+    """A model's elements as rows among the derived elements of a structure.
+
+    ``masks`` lists ``element_masks(s)``, then each other mask of the model
+    once, in model order.  ``points`` and ``planes`` hold each point's and
+    plane's row.  ``kind`` is 0 for a row the model lists as a point, else
+    1 for a plane, else -1, as ``GeometryModel.kinds`` reads a mask.
+    ``incidence`` is the rows by the lines of ``s``.
+    """
+
+    masks: tuple[int, ...]
+    points: np.ndarray
+    planes: np.ndarray
+    kind: np.ndarray
+    incidence: np.ndarray
+
+
+def model_index(s: IncidenceStructure, m: GeometryModel) -> ModelIndex:
+    """The ``ModelIndex`` of ``m`` over ``s``; cached per structure and model."""
+
+    def build():
+        row = {em: r for r, em in enumerate(element_masks(s))}
+        for em in m.point_masks + m.plane_masks:
+            row.setdefault(em, len(row))
+        points, planes = (np.array([row[em] for em in f], np.intp) for f in (m.point_masks, m.plane_masks))
+        kind = np.full(len(row), -1, np.int8)
+        kind[planes] = 1
+        kind[points] = 0
+        masks = tuple(row)
+        return ModelIndex(masks, points, planes, kind, _line_incidence(s, masks))
+
+    return s.cached(("model_index", m.points, m.planes), build)
+
+
 def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> int:
     """Index of the unique element of one family holding both lines of an incident pair."""
     op = "meet_point" if kind is Kind.POINT else "join_plane"
@@ -336,14 +370,15 @@ def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> int:
             f"{op} requires an incident pair, but {s.labels[a]!r} and "
             f"{s.labels[b]!r} are skew"
         )
-    holding = m.holding[kind]
-    hits = holding[a] & holding[b]
-    if hits.bit_count() != 1:
+    index = model_index(s, m)
+    rows = index.points if kind is Kind.POINT else index.planes
+    hits = np.flatnonzero(index.incidence[rows, a] & index.incidence[rows, b])
+    if len(hits) != 1:
         raise MissingElementError(
             f"no unique {kind.value} contains {s.labels[a]!r} and {s.labels[b]!r}; "
             "model is inconsistent"
         )
-    return hits.bit_length() - 1
+    return int(hits[0])
 
 
 def meet_point(m: GeometryModel, a: int, b: int) -> SecondaryElement:
@@ -356,40 +391,30 @@ def join_plane(m: GeometryModel, a: int, b: int) -> SecondaryElement:
     return SecondaryElement(m.planes[_unique_element(m, a, b, Kind.PLANE)], Kind.PLANE)
 
 
-def _swapped_kinds(m: GeometryModel) -> tuple[dict[int, Kind], Optional[dict]]:
-    """Swapped kind of each element mask of the model, and a witness unless
-    the families are exactly the derived elements: the first element listed
-    twice or not derived, else the least derived element left out.
-    """
-    table = element_table(m.structure)
-    kinds: dict[int, Kind] = {}
-    bad = None
-    for i, em in enumerate(m.point_masks + m.plane_masks):
-        if em not in table or em in kinds:
-            bad = ("element_not_derived" if em not in table else "element_listed_twice", em)
-            break
-        kinds[em] = Kind.PLANE if i < len(m.points) else Kind.POINT
-    else:
-        missing = [em for em in element_masks(m.structure) if em not in kinds]
-        bad = ("element_missing", missing[0]) if missing else None
-    if bad is None:
-        return kinds, None
-    return kinds, {"issue": bad[0], "element": labels_of(m.structure, lines_of_mask(bad[1]))}
-
-
 def dualize(m: GeometryModel) -> GeometryModel:
     """Swap the point and plane families, re-verifying the swapped model.
 
-    The families must be exactly the derived elements, each listed once.
-    An involution: dualize(dualize(m)) == m.
+    The families must be exactly the derived elements, each listed once:
+    else the first element listed twice or not derived, or the least
+    derived element left out, is the witness.  An involution:
+    dualize(dualize(m)) == m.
     """
     s = m.structure
-    kinds, witness = _swapped_kinds(m)
-    flipped = None
-    if witness is None and m.seed is not None:
+    index, derived = model_index(s, m), len(element_table(s))
+    rows = np.concatenate((index.points, index.planes))
+    again = np.ones(len(rows), bool)  # each listing of a row listed before
+    again[np.unique(rows, return_index=True)[1]] = False
+    listed = rows[(rows >= derived) | again].tolist()
+    bad = [("element_not_derived" if r >= derived else "element_listed_twice", r) for r in listed]
+    bad += [("element_missing", r) for r in np.flatnonzero(index.kind[:derived] < 0)]
+    witness = flipped = None
+    if bad:
+        witness = {"issue": bad[0][0], "element": labels_of(s, lines_of_mask(index.masks[bad[0][1]]))}
+    elif m.seed is not None:
         a, b, k = m.seed
         flipped = (a, b, 1 - k)
-        witness = _verify_labeling(s, kinds, flipped)
+        swapped = [Kind.PLANE if code == 0 else Kind.POINT for code in index.kind.tolist()]
+        witness = _verify_labeling(s, dict(zip(index.masks, swapped)), flipped)
     if witness is not None:
         raise LabelInconsistencyError(
             f"dualized labeling failed verification: {witness['issue']}", witness

@@ -21,10 +21,12 @@ per structure too, ``core.perp_table``: each pair's perp among the
 distinct perps, and each perp's lines with their skew rows as packed
 words.  Its pair-to-perp index reads every per-pair set, each kept as one
 packed row per perp: sigma, from ``sigma_classes``, and the model's point
-and plane classes, from ``_labeled_classes``.  The checks over two
-elements of a model read one table, ``_shared``: how many lines every two
-of its points and planes share, and the line where they share one.  The
-point-triple checks share ``_triangles``, whose sides come from it.
+and plane classes, from ``_labeled_classes``.  The model checks read each
+point and plane as a row of ``labeling.model_index``, among the derived
+elements, and through those rows the labeling's one ``shared_lines``
+table: how many lines every two elements share, and the line where they
+share exactly one.  The point-triple checks share ``_triangles``, whose
+sides come from it.
 
 The costliest checks run array kernels, and every kernel judges, as those
 of axioms 2.2 and 2.3 do: it computes the check's predicate for every
@@ -60,6 +62,7 @@ from .core import (
     least_bits,
     lines_of_mask,
     mask_of_lines,
+    only_bits,
     perp_mask,
     perp_table,
 )
@@ -70,8 +73,10 @@ from .labeling import (
     MissingElementError,
     _unique_element,
     element_ids,
+    element_masks,
     element_table,
     labeled_sigma_classes,
+    model_index,
     shared_lines,
 )
 from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
@@ -94,14 +99,16 @@ class _Triads:
     ``lines`` is the (T, 3) int32 array of every triad, each row ascending
     and the rows in lexicographic order, the order every triad check
     walks.  ``brackets`` lists the distinct bracket masks in order of their
-    first triad, ``first[k]`` is that triad, and ``bracket[t]`` is the
-    index of triad t's bracket.
+    first triad, ``first[k]`` is that triad, ``element[k]`` is bracket k's
+    index in ``element_table``, and ``bracket[t]`` is the index of triad
+    t's bracket.
     """
 
     lines: np.ndarray
     bracket: np.ndarray
     brackets: list[int]
     first: np.ndarray
+    element: np.ndarray
 
 
 _ENTRIES_PER_STEP = 1 << 18  # (pair, sigma member) entries per step of the triad build
@@ -182,16 +189,14 @@ def triad_table(s: IncidenceStructure) -> _Triads:
         lines = _sorted_triads(s)
         element = _bracket_elements(s, lines)
         seen, first = np.unique(element, return_index=True)
-        order = np.argsort(first)  # the brackets in order of their first triad
+        order = np.argsort(first)
+        ids = seen[order]  # the brackets' elements in order of their first triad
         rank = np.zeros(len(element_table(s)), np.int32)
-        rank[seen[order]] = np.arange(len(order))
-        masks = list(element_table(s))
-        return _Triads(lines, rank[element], [masks[e] for e in seen[order].tolist()], first[order])
+        rank[ids] = np.arange(len(ids))
+        masks = element_masks(s)
+        return _Triads(lines, rank[element], [masks[e] for e in ids.tolist()], first[order], ids)
 
     return s.cached("triad_table", build)
-
-
-_KIND_CODE = {Kind.POINT: 0, Kind.PLANE: 1}
 
 
 def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -212,7 +217,7 @@ def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarra
     def build():
         table, classes = perp_table(s), sigma_classes(s)
         ids, element_of = element_ids(s)
-        kind = np.array([_KIND_CODE.get(m.kinds.get(em), -1) for em in ids] + [-1])
+        kind = np.append(model_index(s, m).kind[: len(ids)], -1)  # the element ids are its first rows
         k0, k1 = kind[element_of[np.arange(len(table.masks))[:, None], classes.least]].T
         per_perp = [two[::-1] if k else two for two, k in zip(classes.masks, k0.tolist())]
         for k in np.flatnonzero(~classes.split | (k0 < 0) | (k1 < 0) | (k0 == k1)).tolist():
@@ -689,29 +694,25 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     is the meet minus the double perp, and dually for the plane class.
     Kernel: per incident pair, the meet and the join are the one point and
     the one plane whose bits both lines' rows of the element-holding
-    matrix set, one AND per family.  The identities then depend only on
-    the meet, the join, perp({a, b}), whose double perp is the perp less
-    sigma, and the pair's perp in the model's structure, which fixes its
-    classes; they are judged once per distinct such four.  The first pair
-    that fails, by its four, by a meet or join that is not unique, or by
-    not being an incident pair of the model's structure, is named from the
-    definitions.
+    matrix, from ``model_index``, set, one AND per family.  The identities
+    then depend only on the meet, the join, perp({a, b}), whose double
+    perp is the perp less sigma, and the pair's perp in the model's
+    structure, which fixes its classes; they are judged once per distinct
+    such four.  The first pair that fails, by its four, by a meet or join
+    that is not unique, or by not being an incident pair of the model's
+    structure, is named from the definitions.
     """
     name = "thm_pencil_intersection"
     try:
         classes = _labeled_classes(m)[0]
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
-    table = perp_table(s)
-    width = max(s.line_count, m.structure.line_count)
+    table, index = perp_table(s), model_index(s, m)
     a, b = table.pairs.T
     four = [table.perp, perp_table(m.structure).index[a, b]]  # -1: no incident pair of the model's structure
-    for emasks in (m.point_masks, m.plane_masks):
-        holding = _words(_incidence(emasks, width).T)  # bit e of row l: element e holds line l
-        hits = holding[a] & holding[b]
-        top = hits.max(axis=1)
-        unique = ((hits != 0).sum(axis=1) == 1) & ((top & (top - 1)) == 0)
-        four.append(np.where(unique, least_bits(hits), -1))
+    for rows in (index.points, index.planes):
+        holding = _words(index.incidence[rows].T)  # bit e of row l: element e holds line l
+        four.append(only_bits(holding[a] & holding[b]))
     four = np.stack(four, axis=1)
     _, first, inverse = np.unique(four, axis=0, return_index=True, return_inverse=True)
     pairs = incident_pairs(s)
@@ -777,14 +778,10 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
         return _dependency(name, e)
     table, model_table, sigma = perp_table(s), perp_table(m.structure), sigma_classes(s).rows
-    tri = triad_table(s)
-    kind = np.array([_KIND_CODE.get(m.kinds.get(B), -1) for B in tri.brackets], np.int64)
-    inside = _incidence(tri.brackets, s.line_count)
-    size = inside.sum(axis=1)
+    tri, index = triad_table(s), model_index(s, m)
+    kind, inside = index.kind[tri.element], index.incidence[tri.element]  # the brackets are s's elements
+    size, members = inside.sum(axis=1), _padded(inside, 0)
     place = np.cumsum(inside, axis=1, dtype=np.int32) - 1  # of each line of a bracket
-    members = np.zeros((len(size), int(size.max(initial=0))), np.intp)
-    k, l = np.nonzero(inside)
-    members[k, place[k, l]] = l
     x, y = np.triu_indices(members.shape[1], 1)  # the rows, as places, in walk order
     valid = _words(y < size[:, None])
     held = np.zeros((2, *members.shape, valid.shape[1]), np.uint64)
@@ -827,16 +824,13 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
-def _shared(s: IncidenceStructure, m: GeometryModel) -> tuple[np.ndarray, np.ndarray]:
-    """``shared_lines`` of the model's points, then its planes, over the lines of ``s``."""
-    return shared_lines(s, m.point_masks + m.plane_masks)
-
-
-def _family(m: GeometryModel, kind: str) -> tuple:
-    """(elements, element masks, their rows in ``_shared``) of the model's points or planes."""
-    if kind == "point":
-        return m.points, m.point_masks, slice(0, len(m.points))
-    return m.planes, m.plane_masks, slice(len(m.points), len(m.points) + len(m.planes))
+def _padded(flags: np.ndarray, fill: int) -> np.ndarray:
+    """Per row of a bool matrix, the columns it flags in order, padded with ``fill``."""
+    size = flags.sum(axis=1)
+    r, c = np.nonzero(flags)
+    out = np.full((len(flags), int(size.max(initial=0))), fill, np.intp)
+    out[r, np.arange(len(r)) - (np.cumsum(size) - size)[r]] = c
+    return out
 
 
 def _first_pair(flags: np.ndarray) -> tuple:
@@ -861,11 +855,11 @@ def _replay_not_singleton(s: IncidenceStructure, ce: dict, m: GeometryModel) -> 
 def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A point and a plane never share exactly one line.
 
-    Kernel: the points' rows of ``_shared`` against the planes' columns; the
-    first pair, point-major, that shares one line fails."""
+    Kernel: the points' rows of ``shared_lines`` against the planes'
+    columns; the first pair, point-major, that shares one line fails."""
     name = "thm_not_singleton"
-    P = len(m.points)
-    common = _shared(s, m)[0][:P, P:]
+    index = model_index(s, m)
+    common = shared_lines(s, index.masks)[0][np.ix_(index.points, index.planes)]
     bad = np.flatnonzero(common == 1)
     if not len(bad):
         return CheckReport(name, PASS, stats={"pairs_examined": common.size})
@@ -891,10 +885,11 @@ def _replay_uniqueness(s: IncidenceStructure, ce: dict, m: GeometryModel) -> boo
 def thm_uniqueness(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Two distinct same-kind elements share at most one line (both kinds)."""
     name = "thm_uniqueness"
+    index = model_index(s, m)
+    count = shared_lines(s, index.masks)[0]
     examined = 0
-    for kind in ("point", "plane"):
-        _, masks, rows = _family(m, kind)
-        hit, pairs = _first_pair(_shared(s, m)[0][rows, rows] > 1)
+    for kind, masks, rows in (("point", m.point_masks, index.points), ("plane", m.plane_masks, index.planes)):
+        hit, pairs = _first_pair(count[np.ix_(rows, rows)] > 1)
         examined += pairs
         if hit is not None:
             a, b = masks[hit[0]], masks[hit[1]]
@@ -928,22 +923,21 @@ def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     exactly one line, and that line must lie in the host.  It runs over the
     planes, then over the points, with the kinds swapped.  Kernel: per
     host, the elements sharing a line with it, padded, and every two of
-    them read from ``_shared``, for a run of hosts at once; the first pair,
-    host-major, flagged is where the walk stops.
+    them read from ``shared_lines``, for a run of hosts at once; the first
+    pair, host-major, flagged is where the walk stops.
     """
     name = "thm_line_in_plane"
-    count, line = _shared(s, m)
+    index = model_index(s, m)
+    count, line = shared_lines(s, index.masks)
+    families = {"point": (m.points, index.points), "plane": (m.planes, index.planes)}
     examined = 0
     for kind, host_kind, where in (("point", "plane", "in_plane"), ("plane", "point", "through_point")):
-        elements, _, rows = _family(m, kind)
-        hosts, host_masks, host_rows = _family(m, host_kind)
-        meets = count[host_rows, rows] > 0
+        (elements, rows), (hosts, host_rows) = families[kind], families[host_kind]
+        meets = count[np.ix_(host_rows, rows)] > 0
         size = meets.sum(axis=1)
-        h, e = np.nonzero(meets)
-        on = np.zeros((len(hosts), int(size.max(initial=0))), np.intp)  # per host, the elements meeting it
-        on[h, np.arange(len(h)) - (np.cumsum(size) - size)[h]] = e
+        on = _padded(meets, 0)  # per host, the elements meeting it
         x, y = np.triu_indices(on.shape[1], 1)  # every two places, in combinations order
-        common, holds = line[rows, rows], _incidence(host_masks, s.line_count)
+        common, holds = line[np.ix_(rows, rows)], index.incidence[host_rows]
         step = max(1, _CELLS_PER_STEP // (len(x) + 1))
         for lo in range(0, len(hosts), step):
             valid = y < size[lo : lo + step, None]
@@ -987,37 +981,31 @@ class _Triangles:
 def _triangles(s: IncidenceStructure, m: GeometryModel) -> _Triangles:
     """The triangle table of ``m`` over the brackets of ``s``; cached.
 
-    The sides and the planes meeting each point come from ``_shared``.  For
-    a fixed first point i, one product of 0/1 incidence matrices over the
-    lines of i counts, for every later pair (j, k), the lines all three
-    share, and one over the planes meeting i counts (and, weighted by plane
-    index, names) the planes meeting all three.
+    The sides and the planes meeting each point come from ``shared_lines``.
+    For a fixed first point i, the later points' lines among those of i
+    and planes among those meeting i, as packed words: the AND of two
+    points' words holds the lines, and the planes, that all three share.
     """
 
     def build():
-        count, line = _shared(s, m)
-        P = len(m.points)
-        pts = _incidence(m.point_masks, s.line_count)
-        pts_f = pts.astype(np.float32)  # exact: every product entry is an integer below 2**24
-        line_of, meets = line[:P, :P], count[:P, P:] > 0
-        meets_f = meets.astype(np.float32)
-        adj_bits = np.packbits(s.adjacency, axis=1, bitorder="little")
-        plane_bits = np.packbits(_incidence(m.plane_masks, s.line_count), axis=1, bitorder="little")
+        index = model_index(s, m)
+        count, line = shared_lines(s, index.masks)
+        pts, line_of = index.incidence[index.points], line[np.ix_(index.points, index.points)]
+        meets = count[np.ix_(index.points, index.planes)] > 0
+        adj_words, plane_words = _words(s.adjacency), _words(index.incidence[index.planes])
         parts = [(np.empty((0, 3), np.int32), np.empty((0, 3), np.int32), np.empty(0, np.int32))]
         for i in range(len(pts) - 2):
-            lines = pts_f[i + 1 :, pts[i]]
-            planes = meets_f[i + 1 :, meets[i]]
-            j, k = np.nonzero(np.triu(lines @ lines.T == 0, 1))
-            j, k = j.astype(np.int32), k.astype(np.int32)
-            named = (planes * np.flatnonzero(meets[i]).astype(np.float32)) @ planes.T
-            plane = np.where((planes @ planes.T)[j, k] == 1, named[j, k], -1).astype(np.int32)
-            j, k = j + i + 1, k + i + 1
+            lines, planes = _words(pts[i + 1 :, pts[i]]), _words(meets[i + 1 :, meets[i]])
+            j, k = np.nonzero(np.triu(~(lines[:, None] & lines).any(axis=2), 1))
+            one = only_bits(planes[j] & planes[k])  # the place of the one plane meeting all three
+            plane = np.append(np.flatnonzero(meets[i]), -1).astype(np.int32)[one]  # -1: none or several
+            j, k = j.astype(np.int32) + i + 1, k.astype(np.int32) + i + 1
             sides = np.stack((line_of[j, k], line_of[k, i], line_of[i, j]), axis=1)
             plane[sides.min(axis=1) < 0] = -1
             rows = np.flatnonzero(plane >= 0)
             a, b, c = sides[rows].T
-            bracket = adj_bits[a] & adj_bits[b] & adj_bits[c]
-            plane[rows[(bracket != plane_bits[plane[rows]]).any(axis=1)]] = -1
+            bracket = adj_words[a] & adj_words[b] & adj_words[c]
+            plane[rows[(bracket != plane_words[plane[rows]]).any(axis=1)]] = -1
             parts.append((np.stack((np.full_like(j, i), j, k), axis=1), sides, plane))
         return _Triangles(*map(np.concatenate, zip(*parts)))
 
@@ -1072,7 +1060,9 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
                 return {"issue": "side_not_in_plane_class", "line": s.labels[third], "of_pair": labels_of(s, (u, v))}
         if masks[a] & masks[b] & masks[c] not in m.plane_masks:
             return {"issue": "bracket_not_a_plane"}
-        through = np.flatnonzero((_shared(s, m)[0][tri.triples[t], len(m.points) :] > 0).all(axis=0))
+        index = model_index(s, m)
+        common = shared_lines(s, index.masks)[0][np.ix_(index.points[tri.triples[t]], index.planes)]
+        through = np.flatnonzero((common > 0).all(axis=0))
         return {"issue": "common_plane_not_unique", "planes_through": len(through)}
 
     ce = {"points": _point_labels(s, m, tri.triples[t].tolist()), **issue(*tri.sides[t].tolist())}
@@ -1101,11 +1091,13 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     is the least violation.
     """
     name = "thm_tetrahedron"
-    count, line = _shared(s, m)
+    index = model_index(s, m)
+    count, line = shared_lines(s, index.masks)
+    line = line[np.ix_(index.points, index.points)]
     tri, P, adj = _triangles(s, m), len(m.points), s.adjacency
-    off = np.vstack((count[:P, P:] == 0, np.ones((1, len(m.planes)), bool)))
+    off = np.vstack((count[np.ix_(index.points, index.planes)] == 0, np.ones((1, len(m.planes)), bool)))
     least_off = np.append(off.argmax(axis=0), P)  # least point sharing no line with each plane; P: none
-    point_words, adj_words = _words(_incidence(m.point_masks, s.line_count)), _words(adj)
+    point_words, adj_words = _words(index.incidence[index.points]), _words(adj)
 
     def completes(t, vertex):
         """Whether each vertex completes the six-line pattern on triple t."""
@@ -1163,11 +1155,16 @@ def run_theorem_suite(
 # incident when they share a line.
 
 
+def _points_on_lines(s: IncidenceStructure, m: GeometryModel) -> list[int]:
+    """How many of the model's points, a repeated point counted twice, hold each line of ``s``."""
+    index = model_index(s, m)
+    return index.incidence[index.points].sum(axis=0).tolist()
+
+
 @registered("vy", model=True)
 def vy_e0(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """E0: at least three points on every line."""
-    on_line = m.holding[Kind.POINT]
-    counts = [on_line[l].bit_count() for l in range(s.line_count)]
+    counts = _points_on_lines(s, m)
     bad = next((l for l, c in enumerate(counts) if c < 3), None)
     stats = {"lines_examined": s.line_count}
     if bad is not None:
@@ -1193,9 +1190,7 @@ def vy_e2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     pmasks = m.point_masks
     if not pmasks:
         return CheckReport("vy_e2", FAIL, counterexample={"reason": "no points"}, stats={})
-    on_line = m.holding[Kind.POINT]
-    every = (1 << len(pmasks)) - 1
-    bad = next((l for l in range(s.line_count) if on_line[l] == every), None)
+    bad = next((l for l, c in enumerate(_points_on_lines(s, m)) if c == len(pmasks)), None)
     stats = {"points": len(pmasks)}
     if bad is not None:
         return CheckReport("vy_e2", FAIL, counterexample={"line": s.labels[bad]}, stats=stats)
@@ -1205,8 +1200,9 @@ def vy_e2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 @registered("vy", model=True)
 def vy_e3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """E3: for every plane, some point off it (none when there are no points)."""
-    P = len(m.points)
-    unavoidable = np.flatnonzero((_shared(s, m)[0][:P, P:] > 0).all(axis=0))
+    index = model_index(s, m)
+    common = shared_lines(s, index.masks)[0][np.ix_(index.points, index.planes)]
+    unavoidable = np.flatnonzero((common > 0).all(axis=0))
     stats = {"planes": len(m.plane_masks)}
     if len(unavoidable):
         ce = {"plane": labels_of(s, m.planes[int(unavoidable[0])])}
@@ -1217,8 +1213,9 @@ def vy_e3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
 def _pair_check(name: str, s: IncidenceStructure, m: GeometryModel, kind: str, violates) -> CheckReport:
     """Fails on the first two elements of one kind, in combinations order,
     whose counts of shared lines ``violates`` flags."""
-    elements, _, rows = _family(m, kind)
-    hit = _first_pair(violates(_shared(s, m)[0][rows, rows]))[0]
+    index = model_index(s, m)
+    elements, rows = (m.points, index.points) if kind == "point" else (m.planes, index.planes)
+    hit = _first_pair(violates(shared_lines(s, index.masks)[0][np.ix_(rows, rows)]))[0]
     stats = {f"{kind}s": len(elements)}
     if hit is None:
         return CheckReport(name, PASS, stats=stats)
@@ -1270,19 +1267,18 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A3: the line joining D on BC and E on CA meets AB.
 
     Kernel: per side pair (a, b), the joins of a point on a and another
-    point on b are read from ``_shared`` over padded arrays of the points
+    point on b are read from ``shared_lines`` over padded arrays of the points
     on each line, and the lines meeting every join are the AND of their
     packed adjacency rows; a join that is not unique reads as the empty
     row.  A triple passes iff its joins are all unique and c is in that
     AND, so the first triple the kernel flags is the least violation, and
     the walk of its cases names it.
     """
-    tri = _triangles(s, m)
+    tri, index = _triangles(s, m), model_index(s, m)
     n, count = s.line_count, len(m.point_masks)
-    joining = _shared(s, m)[1][:count, :count]
-    on_line = [lines_of_mask(h) for h in m.holding[Kind.POINT]]
-    width = max([1, *map(len, on_line)])
-    on = np.array([o + [count] * (width - len(o)) for o in on_line], np.intp).reshape(n, width)  # padded
+    joining = shared_lines(s, index.masks)[1][np.ix_(index.points, index.points)]
+    on = _padded(index.incidence[index.points].T, count)  # per line, the points on it
+    width = on.shape[1]
     line_of = np.full((count + 1, count + 1), n, np.intp)  # line n: no case, its row all ones
     line_of[:count, :count] = np.where(joining < 0, n + 1, joining)  # line n + 1: no bits
     np.fill_diagonal(line_of, n)
@@ -1322,7 +1318,7 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             points = _point_labels(s, m, triple)
             return fail(examined, points=points, issue="points_without_unique_common_line")
         a, b, c = tri.sides[t].tolist()
-        for d, e in itertools.product(on_line[a], on_line[b]):
+        for d, e in itertools.product(on[a][on[a] < count].tolist(), on[b][on[b] < count].tolist()):
             if d == e:
                 continue
             examined += 1

@@ -17,6 +17,7 @@ from linespace import (
     LinespaceError,
     MissingElementError,
     PreconditionError,
+    SecondaryElement,
     check_axiom4,
     coordinate_labels,
     dualize,
@@ -29,7 +30,7 @@ from linespace import (
     perp,
 )
 from linespace.core import mask_of_lines
-from linespace.labeling import labeled_sigma_classes, shared_lines
+from linespace.labeling import element_masks, labeled_sigma_classes, model_index, shared_lines
 
 from conftest import names_for
 from test_model_oracle import perturbed_families
@@ -261,34 +262,94 @@ class TestLabeledClasses:
 LABELING_GOLDEN = Path(__file__).parent / "golden" / "perturbed" / "labeling.json"
 
 
+def altered_models(m):
+    """``m`` with one point repeated, with a point also listed as a plane,
+    with a plane that is no element (one line swapped), and with no elements."""
+    stray = tuple(sorted(set(m.planes[-1]) - {m.planes[-1][0]} | {m.points[-1][0]}))
+    families = {
+        "repeated_point": (m.points + m.points[1:2], m.planes),
+        "point_also_plane": (m.points, m.planes + m.points[:1]),
+        "non_element_plane": (m.points, m.planes[:2] + (stray,) + m.planes[2:]),
+        "empty": ((), ()),
+    }
+    return {name: GeometryModel(m.structure, *f, m.seed) for name, f in families.items()}
+
+
 class TestSharedLines:
     """``shared_lines`` counts the lines every two masks share, the diagonal
-    included, and names the one line exactly where they share one."""
+    included, and names the one line exactly where they share one; a model
+    reads it through the rows of its ``model_index``."""
 
     @staticmethod
-    def assert_matches_popcount(s, masks):
-        count, line = shared_lines(s, masks)
+    def assert_matches_popcount(count, line, masks):
         for i, a in enumerate(masks):
             for j, b in enumerate(masks):
                 common = a & b
                 assert count[i, j] == common.bit_count(), (i, j)
                 assert line[i, j] == (common.bit_length() - 1 if common.bit_count() == 1 else -1), (i, j)
 
+    def assert_index_reads_model(self, s, m):
+        """The index's rows are the derived elements, then the model's other
+        masks once each; each point and plane names its row, and the table
+        read through those rows is the popcount of the model's masks."""
+        index, emasks = model_index(s, m), element_masks(s)
+        masks = m.point_masks + m.plane_masks
+        assert index.masks == emasks + tuple(dict.fromkeys(em for em in masks if em not in set(emasks)))
+        rows = np.concatenate((index.points, index.planes)).tolist()
+        assert [index.masks[r] for r in rows] == list(masks)
+        code = {Kind.POINT: 0, Kind.PLANE: 1}
+        assert index.kind.tolist() == [code.get(m.kinds.get(em), -1) for em in index.masks]
+        assert index.incidence.tolist() == [[bool(em >> l & 1) for l in range(s.line_count)] for em in index.masks]
+        count, line = shared_lines(s, index.masks)
+        self.assert_matches_popcount(count[np.ix_(rows, rows)], line[np.ix_(rows, rows)], masks)
+
     def test_pg2_model(self, pg2, pg2_model):
         m = pg2_model
-        self.assert_matches_popcount(pg2, m.point_masks + m.plane_masks)
+        masks = m.point_masks + m.plane_masks
+        self.assert_matches_popcount(*shared_lines(pg2, masks), masks)
         # point 0 also listed as a plane, and a one-line element
         masks = m.point_masks + m.plane_masks + (m.point_masks[0], 1 << 7)
-        self.assert_matches_popcount(pg2, masks)
+        self.assert_matches_popcount(*shared_lines(pg2, masks), masks)
         count, line = shared_lines(pg2, masks)
         assert (count[0, 0], line[0, 0]) == (7, -1)
         assert (count[-1, -1], line[-1, -1]) == (1, 7)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_derived_model_reads_the_labeling_table(self, q, pg2_model, pg3_model):
+        m = pg2_model if q == 2 else pg3_model
+        self.assert_index_reads_model(m.structure, m)
+        assert model_index(m.structure, m).masks == element_masks(m.structure)
+
+    @pytest.mark.parametrize("name", ["repeated_point", "point_also_plane", "non_element_plane", "empty"])
+    def test_altered_models(self, name, pg2_model):
+        m = altered_models(pg2_model)[name]
+        self.assert_index_reads_model(m.structure, m)
+
+    def test_mutant_against_the_model_it_came_from(self, pg2, pg2_model):
+        self.assert_index_reads_model(seeded_mutant(pg2, 3), pg2_model)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_perturbed_families(self, pg2, pg2_model, data):
         points, planes = data.draw(perturbed_families(pg2_model))
-        self.assert_matches_popcount(pg2, tuple(map(mask_of_lines, points + planes)))
+        masks = tuple(map(mask_of_lines, points + planes))
+        self.assert_matches_popcount(*shared_lines(pg2, masks), masks)
+        self.assert_index_reads_model(pg2, GeometryModel(pg2, tuple(points), tuple(planes), pg2_model.seed))
+
+    @pytest.mark.parametrize("name", ["derived", "repeated_point", "point_also_plane", "non_element_plane", "empty"])
+    def test_meet_and_join_scan_the_families(self, name, pg2, pg2_model):
+        """meet_point and join_plane name the one element of their family
+        holding both lines, and raise MissingElementError where none or
+        several do, as a scan of the family finds."""
+        m = pg2_model if name == "derived" else altered_models(pg2_model)[name]
+        for a, b in incident_pairs(pg2):
+            for lookup, family, kind in ((meet_point, m.points, Kind.POINT), (join_plane, m.planes, Kind.PLANE)):
+                hits = [e for e in family if a in e and b in e]
+                if len(hits) == 1:
+                    assert lookup(m, a, b) == lookup(m, b, a) == SecondaryElement(hits[0], kind)
+                else:
+                    with pytest.raises(MissingElementError):
+                        lookup(m, a, b)
 
 
 def pair_graph(points: int) -> IncidenceStructure:

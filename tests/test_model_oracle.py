@@ -31,6 +31,7 @@ from linespace import (
     PreconditionError,
     coordinate_labels,
     gen_negative,
+    perp,
     thm_exchange,
     thm_line_in_plane,
     thm_not_singleton,
@@ -540,6 +541,32 @@ def test_short_runs_match_oracle(pg2, pg2_model, monkeypatch):
         adj = np.array(pg2.adjacency)
         adj[flip] = adj[flip[::-1]] = not adj[flip]
         assert_matches_oracle(IncidenceStructure(adj, labels=pg2.labels), m)
+
+
+def test_vertex_shares_no_line_with_the_bracket(pg2, pg2_model):
+    """The first triangle's vertex, given the line of the triangle's plane
+    through none of its points, shares with each of its points the edge it
+    shared before, so it still completes the six-line pattern; but it now
+    shares a line with the bracket of the sides, and the next point off the
+    plane is the vertex.  The points on that line are dropped, as the vertex
+    would share two lines with each.  With the plane kept, the kernel's
+    first try off the plane finds the vertex; with it dropped, so is that
+    try, and the walk over every point finds it."""
+    m = pg2_model
+    witness = thm_tetrahedron(pg2, m).witness_sample
+    base = [{pg2.index(x) for x in p} for p in witness["base_points"]]
+    vertex = {pg2.index(x) for x in witness["vertex"]}
+    plane = tuple(sorted(perp(pg2, [pg2.index(x) for x in witness["six_lines"][:3]])))
+    (line,) = set(plane).difference(*base)
+    moved = tuple(sorted(vertex | {line}))
+    assert [set(moved) & b for b in base] == [vertex & b for b in base]  # the same three edges
+    points = tuple(moved if set(p) == vertex else p for p in m.points if line not in p)
+    for planes in (m.planes, tuple(p for p in m.planes if p != plane)):
+        edited = GeometryModel(structure=pg2, points=points, planes=planes, seed=m.seed)
+        assert_matches_oracle(pg2, edited)
+        got = thm_tetrahedron(pg2, edited).witness_sample
+        assert got["base_points"] == witness["base_points"]
+        assert not {pg2.index(x) for x in got["vertex"]} & set(plane)
 
 
 def stray_vertex_family(m):

@@ -47,9 +47,10 @@ from linespace import (
     vy_axioms,
 )
 from conftest import one_perp_regulus
-from linespace import theorems
-from linespace.core import bit_rows, mask_of_lines, perp_mask
-from linespace.labeling import labeled_sigma_classes
+from linespace import labeling, theorems
+from linespace.core import _incidence, bit_rows, mask_of_lines, perp_mask
+from linespace.labeling import element_masks, labeled_sigma_classes
+from linespace.registry import run_checks
 from linespace.theorems import VY_NAMES, triad_table
 
 
@@ -655,3 +656,19 @@ class TestPairIndex:
         for check in (thm_triad_typing, thm_pencil_intersection, thm_exchange, thm_triangle):
             assert check(s, m).passed
         assert len(built) == 2  # the point rows and the plane rows
+
+    def test_battery_builds_one_shared_lines_table(self, monkeypatch):
+        """The labeling's table over the derived elements is the one every
+        model check reads, and the model's masks become an incidence array
+        once, in the model index."""
+        s, _ = gen_pg3(3)
+        converted = []
+        spy = lambda masks, width: converted.append(tuple(masks)) or _incidence(masks, width)
+        monkeypatch.setattr(labeling, "_incidence", spy)
+        monkeypatch.setattr(theorems, "_incidence", spy)
+        assert all(r.passed for r in run_checks(s, ("axioms", "theorems", "vy")))
+        m, emasks = coordinate_labels(s), element_masks(s)
+        keys = [key for key in s._cache if isinstance(key, tuple) and key[0] == "shared_lines"]
+        assert keys == [("shared_lines", emasks)]
+        model_masks = {emasks, m.point_masks, m.plane_masks, m.point_masks + m.plane_masks}
+        assert sum(masks in model_masks for masks in converted) == 1
