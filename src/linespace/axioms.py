@@ -36,7 +36,6 @@ from .core import (
 )
 from .labeling import (
     LabelInconsistencyError,
-    classify_elements,
     coordinate_labels,
     element_masks,
     element_table,
@@ -272,15 +271,19 @@ def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
         return _replay_not_two_classes(s, ce)
     seed_info = ce["seed"]
     a, b = _resolve(s, seed_info["pair"])
-    seed = (a, b, seed_info["class_of"])
-    kinds = classify_elements(s, seed)
+    chosen = sigma_partition(s, a, b).class_masks[seed_info["class_of"]]
+    z = s.masks[a] & s.masks[b] & s.masks[(chosen & -chosen).bit_length() - 1]
+
+    def is_point(em):  # the seeded singleton rule
+        return em == z or (em & z).bit_count() == 1
+
     if issue in ("same_kind_share_none", "same_kind_share_many", "point_plane_share_one"):
         ea = mask_of_lines(_resolve(s, ce["element_a"]))
         eb = mask_of_lines(_resolve(s, ce["element_b"]))
-        if ea not in kinds or eb not in kinds:
+        if not {ea, eb} <= set(element_masks(s)):
             return False
         common = (ea & eb).bit_count()
-        same = kinds[ea] == kinds[eb]
+        same = is_point(ea) == is_point(eb)
         if issue == "same_kind_share_none":
             return same and common == 0
         if issue == "same_kind_share_many":
@@ -291,7 +294,7 @@ def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
         part = sigma_partition(s, p, q)
         base = s.masks[p] & s.masks[q]
         per_class = [
-            {kinds[base & s.masks[c]] for c in lines_of_mask(cls)} for cls in part.class_masks
+            {is_point(base & s.masks[c]) for c in lines_of_mask(cls)} for cls in part.class_masks
         ]
         return all(len(seen) == 1 for seen in per_class) and per_class[0] == per_class[1]
     raise ValueError(f"unknown axiom4 witness issue {issue!r}")

@@ -13,13 +13,14 @@ concrete witness, never retried.
 The duality involution swaps the two families and re-verifies; it first
 requires the model's families to be exactly the derived elements.
 
-Elements are int bitmasks of their lines from the table to the verdict:
-kinds are keyed by element mask, and line tuples and frozensets are built
-only for a model's families, a public return value or a witness.  The
-verification reads each perp's two sigma classes from ``sigma_classes``
-and their elements from ``element_ids``, in ``element_masks`` order, and
-the lines every two elements share from ``shared_lines``; a model's
-points and planes are rows among the same elements in ``model_index``.
+Elements are int bitmasks of their lines from the table to the verdict,
+and the labeling is one bool array over the rows of ``element_masks``,
+true for a plane; line tuples and frozensets are built only for a model's
+families, a public return value or a witness.  The verification reads
+each perp's two sigma classes from ``sigma_classes`` and their elements
+from ``element_ids``, and the lines every two elements share from
+``shared_lines``; a model's points and planes are rows among the same
+elements in ``model_index``.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ from .sigma import NotTwoClassesError, sigma_classes, sigma_partition
 class Kind(str, Enum):
     POINT = "point"
     PLANE = "plane"
-
-    def swapped(self) -> "Kind":
-        return Kind.PLANE if self is Kind.POINT else Kind.POINT
 
 
 class LabelInconsistencyError(LinespaceError):
@@ -89,17 +87,27 @@ class GeometryModel:
     """A structure together with its coordinated point/plane families.
 
     Elements are stored as sorted line-index tuples; two elements are the
-    same element exactly when the tuples are equal.  ``seed`` records which
+    same element exactly when the tuples are equal, and every line is one
+    of the structure's, else PreconditionError.  ``seed`` records which
     sigma class of which pair was named the point side, as
     (a, b, class_index); None for the empty geometry.  The element masks
-    and the kind of each are derived once, on first use, and take no part
-    in equality; the arrays the checks read are in ``model_index``.
+    are derived once, on first use, and take no part in equality; the
+    arrays the checks read are in ``model_index``.
     """
 
     structure: IncidenceStructure
     points: tuple[tuple[int, ...], ...]
     planes: tuple[tuple[int, ...], ...]
     seed: Optional[tuple[int, int, int]]
+
+    def __post_init__(self):
+        n = self.structure.line_count
+        for family, elements in (("point", self.points), ("plane", self.planes)):
+            for element in elements:
+                if not all(0 <= line < n for line in element):
+                    raise PreconditionError(
+                        f"{family} {list(element)} holds a line outside the structure's {n} lines"
+                    )
 
     @cached_property
     def point_masks(self) -> tuple[int, ...]:
@@ -108,13 +116,6 @@ class GeometryModel:
     @cached_property
     def plane_masks(self) -> tuple[int, ...]:
         return tuple(map(mask_of_lines, self.planes))
-
-    @cached_property
-    def kinds(self) -> dict[int, Kind]:
-        """Kind of each element mask; a mask listed in both families counts as a point."""
-        out = dict.fromkeys(self.plane_masks, Kind.PLANE)
-        out.update(dict.fromkeys(self.point_masks, Kind.POINT))
-        return out
 
 
 def element_table(s: IncidenceStructure) -> dict[int, tuple[int, int, int]]:
@@ -171,7 +172,7 @@ def enumerate_secondary_elements(s: IncidenceStructure) -> list[frozenset[int]]:
 
 
 def _line_incidence(s: IncidenceStructure, masks: tuple[int, ...]) -> np.ndarray:
-    """``masks`` by the lines of ``s``, cached for ``shared_lines`` and ``model_index``."""
+    """``masks`` by the lines of ``s``, cached for the labeling, ``shared_lines`` and ``model_index``."""
     return s.cached(("incidence", masks), lambda: _incidence(masks, s.line_count))
 
 
@@ -201,10 +202,9 @@ def shared_lines(s: IncidenceStructure, masks: tuple[int, ...]) -> tuple[np.ndar
     return s.cached(("shared_lines", masks), build)
 
 
-def _verify_labeling(
-    s: IncidenceStructure, kinds: dict[int, Kind], seed: tuple[int, int, int]
-) -> Optional[dict]:
-    """Return the lexicographically least violation witness, or None.
+def _verify_labeling(s: IncidenceStructure, plane: np.ndarray, seed: tuple[int, int, int]) -> Optional[dict]:
+    """The lexicographically least violation witness of a labeling, or None;
+    ``plane`` says of each element of ``element_masks(s)`` whether it is a plane.
 
     Checks, in order: every incident pair's two sigma classes yield one
     point and one plane; distinct same-kind elements share exactly one
@@ -221,14 +221,14 @@ def _verify_labeling(
 
     table, classes = perp_table(s), sigma_classes(s)
     emasks, element_of = element_masks(s), element_ids(s)[1]
-    plane = np.array([kinds[em] is Kind.PLANE for em in emasks] + [False])  # -1 reads the padding
+    plane = np.append(plane, False)  # -1 reads the padding
     two = element_of[np.arange(len(table.masks))[:, None], classes.least]  # the element of each class
     bad = np.flatnonzero(~classes.split | (plane[two[:, 0]] == plane[two[:, 1]]))
     if len(bad):
         pair = table.pairs[table.first[bad[0]]].tolist()
         sigma_partition(s, *pair)  # raises NotTwoClassesError where the split fails
-        kind = kinds[emasks[two[bad[0], 0]]]
-        return fail("pair_classes_same_kind", {"pair": labels_of(s, pair), "kind": kind.value})
+        kind = "plane" if plane[two[bad[0], 0]] else "point"
+        return fail("pair_classes_same_kind", {"pair": labels_of(s, pair), "kind": kind})
     common = shared_lines(s, emasks)[0]
     same = plane[:-1, None] == plane[:-1]
     i, j = np.nonzero(np.triu(same != (common == 1), 1))
@@ -243,20 +243,21 @@ def _verify_labeling(
     if not same[i[0], j[0]]:
         return fail("point_plane_share_one", shared)
     issue = "same_kind_share_none" if not ei & ej else "same_kind_share_many"
-    return fail(issue, {"kind": kinds[ei].value, **shared})
+    return fail(issue, {"kind": "plane" if plane[i[0]] else "point", **shared})
 
 
-def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> dict[int, Kind]:
-    """Kind of every element mask under the seeded singleton rule (unverified)."""
+def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> np.ndarray:
+    """Per element of ``element_masks(s)``, whether the seeded singleton rule
+    labels it a plane (unverified): the seed point Z, the element of the
+    seed class, and every element sharing exactly one line with Z are points."""
     a, b, k = seed
-    classes, perp = sigma_classes(s), perp_table(s).index[a, b]
-    # an unsplit seed pair raises its NotTwoClassesError here
-    chosen = classes.masks[perp][k] if classes.split[perp] else sigma_partition(s, a, b).class_masks[k]
-    zmask = s.masks[a] & s.masks[b] & s.masks[(chosen & -chosen).bit_length() - 1]
-    return {
-        em: Kind.POINT if em == zmask or (em & zmask).bit_count() == 1 else Kind.PLANE
-        for em in element_masks(s)
-    }
+    sigma_partition(s, a, b)  # an unsplit seed pair raises its NotTwoClassesError here
+    perp = perp_table(s).index[a, b]
+    z = element_ids(s)[1][perp, sigma_classes(s).least[perp, k]]
+    incidence = _line_incidence(s, element_masks(s))
+    plane = np.count_nonzero(incidence[:, incidence[z]], axis=1) != 1
+    plane[z] = False
+    return plane
 
 
 def _normalize_seed(
@@ -302,8 +303,8 @@ def coordinate_labels(
 
     def build():
         try:
-            kinds = classify_elements(s, seed)
-            witness = _verify_labeling(s, kinds, seed)
+            plane = classify_elements(s, seed)
+            witness = _verify_labeling(s, plane, seed)
         except NotTwoClassesError as e:
             return e
         if witness is not None:
@@ -311,8 +312,8 @@ def coordinate_labels(
                 f"labeling verification failed: {witness['issue']}", witness
             )
         points, planes = (
-            tuple(tuple(lines_of_mask(em)) for em in element_masks(s) if kinds[em] is kind)
-            for kind in Kind
+            tuple(tuple(lines_of_mask(em)) for em, p in zip(element_masks(s), plane.tolist()) if p == family)
+            for family in (False, True)
         )
         return GeometryModel(structure=s, points=points, planes=planes, seed=seed)
 
@@ -329,7 +330,7 @@ class ModelIndex:
     ``masks`` lists ``element_masks(s)``, then each other mask of the model
     once, in model order.  ``points`` and ``planes`` hold each point's and
     plane's row.  ``kind`` is 0 for a row the model lists as a point, else
-    1 for a plane, else -1, as ``GeometryModel.kinds`` reads a mask.
+    1 for a plane, else -1: a mask listed in both families reads as a point.
     ``incidence`` is the rows by the lines of ``s``.
     """
 
@@ -413,39 +414,9 @@ def dualize(m: GeometryModel) -> GeometryModel:
     elif m.seed is not None:
         a, b, k = m.seed
         flipped = (a, b, 1 - k)
-        swapped = [Kind.PLANE if code == 0 else Kind.POINT for code in index.kind.tolist()]
-        witness = _verify_labeling(s, dict(zip(index.masks, swapped)), flipped)
+        witness = _verify_labeling(s, index.kind[:derived] == 0, flipped)
     if witness is not None:
         raise LabelInconsistencyError(
             f"dualized labeling failed verification: {witness['issue']}", witness
         )
     return GeometryModel(structure=s, points=m.planes, planes=m.points, seed=flipped)
-
-
-def labeled_sigma_classes(m: GeometryModel, a: int, b: int) -> tuple[int, int]:
-    """(point_class, plane_class) masks of sigma(a, b) under the model's labeling.
-
-    The point class is the one whose bracket elements are points of the
-    model.  Raises MissingElementError if a class's bracket is not an
-    element of the model or the two classes land on the same kind.
-    """
-    s = m.structure
-    part = sigma_partition(s, a, b)
-    masks = s.masks
-    a, b = part.pair
-    base = masks[a] & masks[b]
-    kinds = []
-    for cls in part.class_masks:
-        kind = m.kinds.get(base & masks[(cls & -cls).bit_length() - 1])
-        if kind is None:
-            raise MissingElementError(
-                f"bracket of sigma class of ({s.labels[a]}, {s.labels[b]}) is not "
-                "an element of the model"
-            )
-        kinds.append(kind)
-    if kinds[0] == kinds[1]:
-        raise MissingElementError(
-            f"both sigma classes of ({s.labels[a]}, {s.labels[b]}) map to {kinds[0].value}s"
-        )
-    c0, c1 = part.class_masks
-    return (c0, c1) if kinds[0] is Kind.POINT else (c1, c0)

@@ -7,12 +7,12 @@ incidence restricted to that set is an equivalence with exactly two
 classes; ``sigma_partition`` recovers the classes and verifies both facts
 instead of assuming them, so it doubles as a diagnostic on untrusted input.
 
-Sets are int bitmasks throughout.  ``sigma_partition`` is the scalar
-definition: it grows each class from its least line by mask closure,
-checks it is a clique, and names any failure; it is memoized per pair.
+Sets are int bitmasks throughout.  The split is decided in one place:
 ``sigma_classes`` judges every distinct perp at once from the skew rows of
 ``core.perp_table``: a sigma set is two cliques exactly when every sigma
 line is skew to precisely the lines of the other class.
+``sigma_partition`` reads a pair's classes from that table, and grows the
+incidence classes by mask closure only to name why a perp does not split.
 
 Sigma depends only on the perp of the pair, so ``sigma_classes`` also
 keeps each perp's sigma set as one packed row; the checks that look up the
@@ -194,41 +194,32 @@ def sigma_classes(s: IncidenceStructure) -> SigmaClasses:
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     """Split sigma(a, b) into its two incidence classes, verifying the split.
 
-    Classes are found by mask closure over incidence restricted to the
-    sigma set and then checked exhaustively: exactly two classes, each one
-    a clique.  Anything else raises NotTwoClassesError with a replayable
+    The split and the classes are read at the pair's perp from
+    ``sigma_classes``.  A perp that does not split, into exactly two
+    classes each a clique, raises NotTwoClassesError with a replayable
     witness naming this pair (this includes an empty sigma set, which
-    downstream labeling code must never see as an empty partition).  The
-    split depends only on the sigma mask and is memoized per mask.
+    downstream labeling code must never see as an empty partition).
     """
     a, b = _require_incident_distinct(s, a, b, "sigma_partition")
-
-    def split(sig):
-        classes = incidence_classes(s, sig)
-        return classes, not any(c & ~s.masks[x] for c in classes for x in lines_of_mask(c))
-
-    def build():
-        sig = sigma_mask(s, a, b)
-        classes, cliques = s.cached(("sigma_split", sig), lambda: split(sig))
-        if len(classes) == 2 and cliques:
-            return SigmaPartition(pair=(a, b), class_masks=tuple(classes))
-        pair_labels = labels_of(s, (a, b))
-        name = f"sigma({pair_labels[0]}, {pair_labels[1]})"
-        members = lines_of_mask(sig)
-        witness = {"pair": pair_labels, "sigma": labels_of(s, members)}
-        if not sig:
-            raise NotTwoClassesError(f"{name} is empty", {**witness, "class_count": 0})
-        if len(classes) != 2:
-            raise NotTwoClassesError(
-                f"{name} has {len(classes)} incidence classes, expected 2",
-                {**witness, "class_count": len(classes)},
-            )
-        p, q, r = (s.labels[x] for x in _transitivity_witness(s, members))
+    classes, perp = sigma_classes(s), perp_table(s).index[a, b]
+    if classes.split[perp]:
+        return SigmaPartition(pair=(a, b), class_masks=classes.masks[perp])
+    sig = sigma_mask(s, a, b)
+    pair_labels = labels_of(s, (a, b))
+    name = f"sigma({pair_labels[0]}, {pair_labels[1]})"
+    members = lines_of_mask(sig)
+    witness = {"pair": pair_labels, "sigma": labels_of(s, members)}
+    if not sig:
+        raise NotTwoClassesError(f"{name} is empty", {**witness, "class_count": 0})
+    count = len(incidence_classes(s, sig))
+    if count != 2:
         raise NotTwoClassesError(
-            f"incidence is not transitive on {name}", {**witness, "p": p, "q": q, "r": r}
+            f"{name} has {count} incidence classes, expected 2", {**witness, "class_count": count}
         )
-
-    return s.cached(("sigma_partition", a, b), build)
+    p, q, r = (s.labels[x] for x in _transitivity_witness(s, members))
+    raise NotTwoClassesError(
+        f"incidence is not transitive on {name}", {**witness, "p": p, "q": q, "r": r}
+    )
 
 
 def is_triad(s: IncidenceStructure, a: int, b: int, c: int) -> bool:

@@ -69,13 +69,11 @@ from .core import (
 from .labeling import (
     GeometryModel,
     Kind,
-    LabelInconsistencyError,
     MissingElementError,
     _unique_element,
     element_ids,
     element_masks,
     element_table,
-    labeled_sigma_classes,
     model_index,
     shared_lines,
 )
@@ -207,10 +205,10 @@ def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarra
     array holds the point classes and the plane classes as ``bit_rows``.
     The labeled classes of (a, b) depend only on perp({a, b}), so they are
     read per perp from ``sigma_classes``; each class yields one element,
-    whose kind in the model is the class's.  A perp that does not split
-    into a point class and a plane class is named by
-    ``labeled_sigma_classes`` at its first pair, in the order of those
-    pairs, so an error names the first pair that fails.
+    whose kind in the model is the class's.  The first perp, in order of
+    first pairs, that does not split into a point class and a plane class
+    raises at its first pair: NotTwoClassesError from ``sigma_partition``
+    where it does not split, else MissingElementError.
     """
     s = m.structure
 
@@ -219,9 +217,15 @@ def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarra
         ids, element_of = element_ids(s)
         kind = np.append(model_index(s, m).kind[: len(ids)], -1)  # the element ids are its first rows
         k0, k1 = kind[element_of[np.arange(len(table.masks))[:, None], classes.least]].T
+        bad = np.flatnonzero(~classes.split | (k0 < 0) | (k1 < 0) | (k0 == k1))
+        if len(bad):
+            a, b = table.pairs[table.first[bad[0]]].tolist()
+            sigma_partition(s, a, b)  # raises where the perp does not split
+            where = f"({s.labels[a]}, {s.labels[b]})"
+            if min(k0[bad[0]], k1[bad[0]]) < 0:
+                raise MissingElementError(f"bracket of sigma class of {where} is not an element of the model")
+            raise MissingElementError(f"both sigma classes of {where} map to {('point', 'plane')[k0[bad[0]]]}s")
         per_perp = [two[::-1] if k else two for two, k in zip(classes.masks, k0.tolist())]
-        for k in np.flatnonzero(~classes.split | (k0 < 0) | (k1 < 0) | (k0 == k1)).tolist():
-            per_perp[k] = labeled_sigma_classes(m, *table.pairs[table.first[k]].tolist())  # raises
         rows = np.stack([bit_rows([two[i] for two in per_perp], s.line_count) for i in (0, 1)])
         return per_perp + [(0, 0)], rows
 
@@ -606,7 +610,7 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     name = "thm_triad_typing"
     try:
         point_rows, plane_rows = _labeled_classes(m)[1]
-    except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
+    except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
     tri, model_table = triad_table(s), perp_table(m.structure)
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
@@ -705,7 +709,7 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     name = "thm_pencil_intersection"
     try:
         classes = _labeled_classes(m)[0]
-    except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
+    except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
     table, index = perp_table(s), model_index(s, m)
     a, b = table.pairs.T
@@ -740,7 +744,7 @@ def _replay_exchange(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
     issue = ce["issue"]
     B = perp_mask(s, mask_of_lines(t))
     if issue == "bracket_not_an_element":
-        return B not in m.kinds
+        return B not in m.point_masks + m.plane_masks
     x, y = s.index(ce["x"]), s.index(ce["y"])
     inside = bool((B >> x) & 1 and (B >> y) & 1)
     if issue == "skew_pair_in_bracket":
@@ -775,7 +779,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     name = "thm_exchange"
     try:
         refined = _labeled_classes(m)[1]
-    except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
+    except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
     table, model_table, sigma = perp_table(s), perp_table(m.structure), sigma_classes(s).rows
     tri, index = triad_table(s), model_index(s, m)
@@ -1031,7 +1035,7 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     name = "thm_triangle"
     try:
         plane_rows = _labeled_classes(m)[1][1]
-    except (NotTwoClassesError, MissingElementError, LabelInconsistencyError) as e:
+    except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
     masks = s.masks
     tri = _triangles(s, m)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,8 @@ from linespace import (
     perp,
 )
 from linespace.core import mask_of_lines
-from linespace.labeling import element_masks, labeled_sigma_classes, model_index, shared_lines
+from linespace.labeling import element_masks, model_index, shared_lines
+from linespace.theorems import _classes_at
 
 from conftest import names_for
 from test_model_oracle import perturbed_families
@@ -194,6 +196,16 @@ class TestMeetJoin:
         with pytest.raises(MissingElementError):
             meet_point(broken, 0, 1)
 
+    @pytest.mark.parametrize("family, line", [("point", 35), ("point", 40), ("plane", 36)])
+    def test_line_outside_the_structure_rejected(self, pg2_model, family, line):
+        m = pg2_model
+        listed = m.points if family == "point" else m.planes
+        element = listed[0] + (line,)
+        families = {"points": m.points, "planes": m.planes, f"{family}s": (element,) + listed[1:]}
+        message = f"{family} {list(element)} holds a line outside the structure's 35 lines"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            GeometryModel(structure=m.structure, seed=m.seed, **families)
+
 
 class TestDualize:
     def test_involution(self, tetra, pg2_model):
@@ -251,7 +263,7 @@ class TestDualize:
 class TestLabeledClasses:
     def test_point_class_matches_meet(self, pg2, pg2_model):
         for a, b in incident_pairs(pg2)[:15]:
-            pc, qc = labeled_sigma_classes(pg2_model, a, b)
+            pc, qc = _classes_at(pg2_model, a, b)
             meet = set(meet_point(pg2_model, a, b).lines)
             join = set(join_plane(pg2_model, a, b).lines)
             pencil = meet & join
@@ -297,8 +309,9 @@ class TestSharedLines:
         assert index.masks == emasks + tuple(dict.fromkeys(em for em in masks if em not in set(emasks)))
         rows = np.concatenate((index.points, index.planes)).tolist()
         assert [index.masks[r] for r in rows] == list(masks)
-        code = {Kind.POINT: 0, Kind.PLANE: 1}
-        assert index.kind.tolist() == [code.get(m.kinds.get(em), -1) for em in index.masks]
+        # a mask listed in both families reads as a point
+        code = {**dict.fromkeys(m.plane_masks, 1), **dict.fromkeys(m.point_masks, 0)}
+        assert index.kind.tolist() == [code.get(em, -1) for em in index.masks]
         assert index.incidence.tolist() == [[bool(em >> l & 1) for l in range(s.line_count)] for em in index.masks]
         count, line = shared_lines(s, index.masks)
         self.assert_matches_popcount(count[np.ix_(rows, rows)], line[np.ix_(rows, rows)], masks)

@@ -14,7 +14,7 @@ incidence; the model's own structure supplies the labeled sigma classes.
 The two differ when a mutant is checked against the model of the
 structure it was made from.  A set listed in both families counts as a
 point, when a sigma class is labeled and when a triad's bracket is typed,
-as the model's one lookup, ``GeometryModel.kinds``, does.
+as the model's one lookup, the ``kind`` of ``labeling.model_index``, does.
 """
 
 import itertools
@@ -43,6 +43,7 @@ from linespace import (
     vy_axioms,
 )
 from linespace import theorems
+from linespace.core import mask_of_lines
 
 UNAVAILABLE = object()
 RAISES = object()
@@ -473,6 +474,22 @@ def test_pg2_matches_oracle(pg2, pg2_model):
 
 def test_pg3_matches_oracle(pg3, pg3_model):
     assert_matches_oracle(pg3, pg3_model)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_labeled_classes_per_perp(q, pg2_model, pg3_model):
+    """Every incident pair reads, through the pair-to-perp index, the
+    oracle's (point class, plane class) of its sigma set; -1 reads two
+    empty classes, and the rows hold the same masks packed."""
+    m = pg2_model if q == 2 else pg3_model
+    masks, rows = theorems._labeled_classes(m)
+    table = theorems.perp_table(m.structure)
+    want = {pair: tuple(mask_of_lines(c) for c in two) for pair, two in Oracle(m.structure, m).classes.items()}
+    assert {pair: masks[table.index[pair]] for pair in want} == want
+    assert len(masks) == len(table.masks) + 1 and masks[-1] == (0, 0)
+    width = m.structure.line_count // 8 + 1
+    for kind in (0, 1):
+        assert rows[kind].tolist() == [list(two[kind].to_bytes(width, "little")) for two in masks]
 
 
 @st.composite

@@ -7,6 +7,7 @@ from linespace import (
     NotTwoClassesError,
     PreconditionError,
     bracket,
+    gen_pg3,
     incident_pairs,
     is_triad,
     join_plane,
@@ -16,6 +17,9 @@ from linespace import (
     sigma,
     sigma_partition,
 )
+from linespace.core import perp_table
+from linespace.registry import run_checks
+from linespace.sigma import sigma_classes
 
 from conftest import names_for
 
@@ -121,6 +125,16 @@ class TestSigmaPartition:
         p, q, r = (s.index(w[k]) for k in ("p", "q", "r"))
         assert s.adjacency[p, q] and s.adjacency[q, r]
         assert not s.adjacency[p, r]
+
+    def test_classes_read_from_the_table(self):
+        """Every partition is the sigma class table's at the pair's perp, and
+        neither it nor a full battery leaves a memo of its own."""
+        s, _ = gen_pg3(2)
+        table, classes = perp_table(s), sigma_classes(s)
+        for a, b in incident_pairs(s):
+            assert sigma_partition(s, a, b).class_masks == classes.masks[table.index[a, b]]
+        run_checks(s, ("axioms", "theorems", "vy"))
+        assert not [k for k in s._cache if isinstance(k, tuple) and k[0] in ("sigma_split", "sigma_partition")]
 
 
 class TestTriads:

@@ -11,7 +11,6 @@ import pytest
 from linespace import (
     GeometryModel,
     IncidenceStructure,
-    Kind,
     LinespaceError,
     check_all,
     check_axiom1,
@@ -49,7 +48,7 @@ from linespace import (
 from conftest import one_perp_regulus
 from linespace import labeling, theorems
 from linespace.core import _incidence, bit_rows, mask_of_lines, perp_mask
-from linespace.labeling import element_masks, labeled_sigma_classes
+from linespace.labeling import element_masks, model_index
 from linespace.registry import run_checks
 from linespace.theorems import VY_NAMES, triad_table
 
@@ -118,8 +117,10 @@ class TestCounts:
     def test_pg2_typing_split(self, pg2, pg2_model):
         # triads split evenly between point-side and plane-side
         sides = {"point": 0, "plane": 0}
+        index = model_index(pg2, pg2_model)
         for t in triad_table(pg2).lines.tolist():
-            sides[pg2_model.kinds[perp_mask(pg2, mask_of_lines(t))].value] += 1
+            row = index.masks.index(perp_mask(pg2, mask_of_lines(t)))
+            sides[("point", "plane")[index.kind[row]]] += 1
         assert sides["point"] == 420
         assert sides["plane"] == 420
 
@@ -567,7 +568,8 @@ def test_mask_in_both_families_is_a_point(pg2, pg2_model):
     thm_exchange refines its triads by their point class, as the labeled
     classes do, so only the checks that forbid the overlap fail."""
     m = dataclasses.replace(pg2_model, planes=pg2_model.planes + pg2_model.points[:1])
-    assert m.kinds[m.point_masks[0]] is Kind.POINT
+    index = model_index(pg2, m)
+    assert index.kind[index.points[0]] == 0 and index.kind[index.planes[-1]] == 0
     assert thm_exchange(pg2, m).to_dict() == thm_exchange(pg2, pg2_model).to_dict()
     assert thm_point_ne_plane(pg2, m).status == "fail"
 
@@ -636,17 +638,6 @@ class TestPairIndex:
         m = coordinate_labels(IncidenceStructure(s.adjacency, labels=s.labels))
         dualize(GeometryModel(structure=s, points=m.points, planes=m.planes, seed=m.seed))
         assert "index" not in vars(theorems.perp_table(s))
-
-    @pytest.mark.parametrize("q", [2, 3])
-    def test_labeled_classes_per_perp(self, q, pg2_model, pg3_model):
-        m = pg2_model if q == 2 else pg3_model
-        masks, rows = theorems._labeled_classes(m)
-        table = theorems.perp_table(m.structure)
-        assert len(masks) == len(table.masks) + 1 and masks[-1] == (0, 0)
-        assert masks[:-1] == [labeled_sigma_classes(m, *table.pairs[p].tolist()) for p in table.first]
-        width = m.structure.line_count // 8 + 1
-        for kind in (0, 1):
-            assert rows[kind].tolist() == [list(two[kind].to_bytes(width, "little")) for two in masks]
 
     def test_class_rows_built_once_per_model(self, monkeypatch):
         s, _ = gen_pg3(2)
