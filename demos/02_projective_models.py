@@ -24,7 +24,7 @@ for q in (2, 3):
     pairs = incident_pairs(s)
     print(f"incident pairs: {len(pairs)} of {n * (n - 1) // 2}")
     print(f"perp size:   {len(perp(s, [0]))} per line (self included)")
-    a, b = pairs[0]
+    a, b = pairs[0].tolist()
     print(f"sigma size:  {len(sigma(s, a, b))} per incident pair (2q^2 = {2 * q * q})")
     print("canonical matrix of line 0:", meta.line_reps[0])
 

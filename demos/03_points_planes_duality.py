@@ -28,7 +28,7 @@ m = coordinate_labels(s)
 print(f"labeling seed {m.seed}: {len(m.points)} points, {len(m.planes)} planes")
 print()
 
-a, b = incident_pairs(s)[0]
+a, b = incident_pairs(s)[0].tolist()
 pt = meet_point(m, a, b)
 pl = join_plane(m, a, b)
 la, lb = s.labels[a], s.labels[b]
@@ -51,7 +51,7 @@ print()
 print("seed independence: labeling from any admissible seed lands on one")
 print("of exactly two assignments, and they are each other's dual:")
 assignments = set()
-for p, q in incident_pairs(s):
+for p, q in incident_pairs(s).tolist():
     for k in (0, 1):
         mm = coordinate_labels(s, (p, q, k))
         assignments.add((mm.points, mm.planes))

@@ -5,97 +5,58 @@ sets of lines.  The package provides the core perp operator, sigma sets and
 their incidence classes, the point/plane labeling with its duality
 involution, exhaustive axiom and theorem checkers with replayable
 witnesses, and PG(3,q) model generators over prime fields.
+
+Submodules load on first use: each name below is bound when it is first
+read, by importing the module that defines it, so a command loads only the
+modules it runs.
 """
 
-from .core import (
-    CapacityError,
-    IncidenceStructure,
-    LinespaceError,
-    PreconditionError,
-    StructureError,
-    bracket,
-    find_skew_pair,
-    find_skew_triple,
-    incident_pairs,
-    is_incident,
-    labels_of,
-    line_cap,
-    perp,
-)
-from .sigma import (
-    NotTwoClassesError,
-    SigmaPartition,
-    is_triad,
-    secondary_element,
-    sigma,
-    sigma_partition,
-)
-from .labeling import (
-    GeometryModel,
-    Kind,
-    LabelInconsistencyError,
-    MissingElementError,
-    SecondaryElement,
-    coordinate_labels,
-    dualize,
-    enumerate_secondary_elements,
-    join_plane,
-    meet_point,
-)
-from .axioms import (
-    CHECK_ORDER,
-    CheckReport,
-    check_all,
-    check_axiom1,
-    check_axiom2_1,
-    check_axiom2_2,
-    check_axiom2_3,
-    check_axiom3,
-    check_axiom4,
-    replay_counterexample,
-)
-from .theorems import (
-    run_theorem_suite,
-    run_vy_battery,
-    replay_theorem_counterexample,
-    thm_bracket_closed,
-    thm_bracket_welldefined,
-    thm_coherence,
-    thm_exchange,
-    thm_line_in_plane,
-    thm_line_selfperp,
-    thm_mutual_membership,
-    thm_not_singleton,
-    thm_pencil_intersection,
-    thm_point_ne_plane,
-    thm_regulus_skew,
-    thm_sigma_equivalence,
-    thm_tetrahedron,
-    thm_triad_typing,
-    thm_triangle,
-    thm_two_classes,
-    thm_uniqueness,
-    vy_axioms,
-)
-from .models import (
-    NEGATIVE_EXPECTATIONS,
-    NEGATIVE_KINDS,
-    Pg3Metadata,
-    SUPPORTED_PRIMES,
-    UnsupportedFieldError,
-    gen_negative,
-    gen_pg3,
-    gen_tetrahedron,
-)
-from .io import (
-    ParseError,
-    load_model,
-    load_structure,
-    model_to_dict,
-    save_model,
-    save_reports,
-    save_structure,
-    structure_to_dict,
-)
+import sys as _sys
 
+# Bound now because importing the submodule ``linespace.sigma``, as the
+# labeling does, would otherwise set the package attribute to the module.
+from .sigma import sigma
+
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "core": """CapacityError IncidenceStructure LinespaceError PreconditionError
+        StructureError bracket find_skew_pair find_skew_triple incident_pairs
+        is_incident labels_of line_cap perp""",
+    "sigma": "NotTwoClassesError SigmaPartition is_triad secondary_element sigma_partition",
+    "labeling": """GeometryModel Kind LabelInconsistencyError MissingElementError
+        SecondaryElement coordinate_labels dualize enumerate_secondary_elements
+        join_plane meet_point""",
+    "registry": "CheckReport",
+    "axioms": """CHECK_ORDER check_all check_axiom1 check_axiom2_1
+        check_axiom2_2 check_axiom2_3 check_axiom3 check_axiom4 replay_counterexample""",
+    "theorems": """run_theorem_suite run_vy_battery replay_theorem_counterexample
+        thm_bracket_closed thm_bracket_welldefined thm_coherence thm_exchange
+        thm_line_in_plane thm_line_selfperp thm_mutual_membership thm_not_singleton
+        thm_pencil_intersection thm_point_ne_plane thm_regulus_skew
+        thm_sigma_equivalence thm_tetrahedron thm_triad_typing thm_triangle
+        thm_two_classes thm_uniqueness vy_axioms""",
+    "models": """NEGATIVE_EXPECTATIONS NEGATIVE_KINDS Pg3Metadata SUPPORTED_PRIMES
+        UnsupportedFieldError gen_negative gen_pg3 gen_tetrahedron""",
+    "io": """ParseError load_model load_structure model_to_dict save_model
+        save_reports save_structure structure_to_dict""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted([*_HOME, "sigma"])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = name if name in _EXPORTS else _HOME.get(name)  # a submodule, or a name's home
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    path = f"{__name__}.{module}"
+    __import__(path)  # as an import statement does, so -X importtime reports the load
+    if module == name:
+        return _sys.modules[path]
+    value = globals()[name] = getattr(_sys.modules[path], name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_HOME})

@@ -102,7 +102,7 @@ def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
     pairs = incident_pairs(s)
     witness = None
     passed = set()
-    for count, (a, b) in enumerate(pairs, start=1):
+    for count, (a, b) in enumerate(zip(*pairs.T.tolist()), start=1):
         members = masks[a] & masks[b]
         if members in passed:
             continue

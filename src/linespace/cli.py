@@ -5,6 +5,9 @@ passing, 1 for failed checks or an inconsistent model, 2 for usage, IO or
 parse errors.  Human-oriented summaries go to stdout and always use line
 labels; machine output is written only when --report or --out is given,
 in the canonical serialization, so repeated runs are byte-identical.
+
+Each command imports the modules it runs, so that ``generate`` never loads
+the checkers and ``derive`` and ``dualize`` load only the labeling.
 """
 
 from __future__ import annotations
@@ -14,22 +17,7 @@ import sys
 from pathlib import Path
 
 from . import io as lio
-from .core import (
-    CapacityError,
-    LinespaceError,
-    PreconditionError,
-    incident_pairs,
-)
-from .labeling import LabelInconsistencyError, coordinate_labels, dualize
-from .models import (
-    NEGATIVE_KINDS,
-    UnsupportedFieldError,
-    gen_negative,
-    gen_pg3,
-    gen_tetrahedron,
-)
-from .registry import LAYERS, display_name, run_checks
-from .sigma import NotTwoClassesError
+from .core import LAYERS, CapacityError, LinespaceError, PreconditionError, incident_pairs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -37,6 +25,8 @@ EXIT_USAGE = 2
 
 
 def _print_reports(reports) -> bool:
+    from .registry import display_name
+
     all_pass = True
     for r in reports:
         marker = {"pass": "PASS", "fail": "FAIL"}.get(r.status, "UNMET")
@@ -49,6 +39,8 @@ def _print_reports(reports) -> bool:
 
 
 def cmd_generate(args) -> int:
+    from .models import NEGATIVE_KINDS, UnsupportedFieldError, gen_negative, gen_pg3, gen_tetrahedron
+
     kind = args.kind
     if kind == "tetrahedron":
         s = gen_tetrahedron()
@@ -88,6 +80,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .registry import run_checks
+
     s = lio.load_structure(args.input)
     reports = run_checks(s, LAYERS if args.which == "all" else (args.which,))
     name = s.name or str(args.input)
@@ -110,6 +104,9 @@ def _parse_seed(raw: str):
 
 
 def cmd_derive(args) -> int:
+    from .labeling import LabelInconsistencyError, coordinate_labels
+    from .sigma import NotTwoClassesError
+
     s = lio.load_structure(args.input)
     seed = _parse_seed(args.seed) if args.seed else None
     try:
@@ -123,6 +120,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_dualize(args) -> int:
+    from .labeling import LabelInconsistencyError, dualize
+    from .sigma import NotTwoClassesError
+
     m = lio.load_model(args.input)
     try:
         d = dualize(m)
@@ -135,6 +135,9 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from .labeling import LabelInconsistencyError, coordinate_labels
+    from .sigma import NotTwoClassesError
+
     s = lio.load_structure(args.input)
     n = s.line_count
     pairs = len(incident_pairs(s))

@@ -34,6 +34,10 @@ MAX_LINES_ENV = "LINESPACE_MAX_LINES"
 # line, stay below 2**31
 LARGEST_MAX_LINES = 46339
 
+# The layers of checks, in the order a battery runs them; the check registry
+# files every check under one of them.
+LAYERS = ("axioms", "theorems", "vy")
+
 
 class LinespaceError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -323,12 +327,14 @@ def find_skew_triple_mask(s: IncidenceStructure, mset: int) -> Optional[tuple[in
     return None
 
 
-def incident_pairs(s: IncidenceStructure) -> tuple[tuple[int, int], ...]:
-    """All incident distinct unordered pairs, sorted; cached per structure."""
+def incident_pairs(s: IncidenceStructure) -> np.ndarray:
+    """All incident distinct unordered pairs as a read-only (P, 2) int32
+    array: one pair a < b per row, rows in lexicographic order; cached."""
 
     def build():
-        a, b = np.nonzero(np.triu(s.adjacency, 1))
-        return tuple(zip(a.tolist(), b.tolist()))
+        pairs = np.argwhere(np.triu(s.adjacency, 1)).astype(np.int32)
+        pairs.setflags(write=False)
+        return pairs
 
     return s.cached("incident_pairs", build)
 
@@ -466,17 +472,17 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
     def build():
         n = s.line_count
         masks = s.masks
+        pairs = incident_pairs(s)
+        a, b = pairs.T
         ids: dict[int, int] = {}
-        perp = [ids.setdefault(masks[x] & masks[y], len(ids)) for x, y in incident_pairs(s)]
+        perp = [ids.setdefault(masks[x] & masks[y], len(ids)) for x, y in zip(*pairs.T.tolist())]
         perp = np.array(perp, np.int64)
         size = np.array([x.bit_count() for x in ids], np.int64)
         width = int(size.max(initial=0))
-        a, b = np.nonzero(np.triu(s.adjacency, 1))
         first = np.unique(perp, return_index=True)[1]
         lines = np.full((len(ids), width), n, np.int32)
         skew = np.zeros((len(ids), width, max(1, -(-width // 64))), np.uint64)
         in_sigma = np.zeros((len(ids), width), bool)
-        pairs = np.stack((a, b), 1).astype(np.int32)
         table = PerpTable(n, pairs, perp, tuple(ids), first, lines, skew, in_sigma)
         adj = np.ones((n + 1, n + 1), bool)  # line n, the padding, meets every line
         adj[:n, :n] = s.adjacency

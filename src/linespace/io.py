@@ -8,21 +8,24 @@ reflexive incidence is implicit.  Line references in reports are labels.
 
 The skew pairs, the last and by far the largest member of structure and
 model files, are written in bounded blocks without the JSON encoder.  The
-reader recognises exactly the layout the writer produces and parses those
-pairs straight into an int array, in blocks; any other file, however it is
-laid out, goes through ``json.loads``.  The format is the same either way.
+reader recognises exactly the layout the writer produces and reads the
+file in blocks, parsing those pairs straight into an int array; any other
+file, however it is laid out, goes through ``json.loads``.  The format is
+the same either way.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from .core import IncidenceStructure, StructureError
-from .labeling import GeometryModel
+
+if TYPE_CHECKING:
+    from .labeling import GeometryModel
 
 STRUCTURE_FORMAT = "linespace-v1"
 MODEL_FORMAT = "linespace-model-v1"
@@ -93,51 +96,70 @@ def _read_pairs(block: bytes) -> Optional[np.ndarray]:
     return np.fromstring(numbers, dtype=np.int64, sep=",").reshape(k, 2)
 
 
-def _read_layout(raw: bytes) -> Optional[dict]:
-    """The object in ``raw``, if the writer's layout, with its skew pairs as _ReadPairs.
+def _read_layout(f) -> Optional[dict]:
+    """The object in the binary file ``f``, if in the writer's layout, with its
+    skew pairs as _ReadPairs.
 
     The file must be a UTF-8 head, everything before the ``skew_pairs``
     member, that parses as a non-empty JSON object once closed, then that
     member as the writer lays it out, closing the object; JSON whitespace
     may follow.  Such a file is a UTF-8 JSON object, and the data holds
-    what ``json.loads`` gives, the pairs as an array.  The pairs are read
-    in blocks of whole pairs, about _BLOCK_CHARS bytes each, and the file
-    is never decoded whole.  None for any other file.
+    what ``json.loads`` gives, the pairs as an array.  The file is read in
+    blocks of about _BLOCK_CHARS bytes, the head first, then the pairs,
+    each block's whole pairs parsed into the array, so the file is never
+    held whole.  None for any other file.
     """
     key = (_PAIRS_KEY + _PAIRS_OPEN).encode()
-    head = raw.find(key)
-    end = raw.rfind(_PAIRS_END.encode())
-    start = head + len(key)
-    if head < 0 or end < start or raw[end + len(_PAIRS_END) :].strip(_JSON_SPACE):
-        return None
+    buf = bytearray()
+    while (head := buf.find(key, max(0, len(buf) - _BLOCK_CHARS - len(key)))) < 0:
+        block = f.read(_BLOCK_CHARS)
+        if not block:
+            return None
+        buf += block
     try:
-        data = json.loads(raw[:head].decode("utf-8") + "\n}")
+        data = json.loads(buf[:head].decode("utf-8") + "\n}")
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     if not data:  # "{" alone, which no comma may follow
         return None
-    # The layout holds one "[" per pair, so blocks that all pass fill this exactly.
-    out = np.empty((raw.count(b"[", start, end), 2), np.int64)
+    del buf[: head + len(key)]  # from the front of a bytearray, which copies nothing
+    # Each pair takes at least _STRIDE + 2 bytes but the last, which has no
+    # _JOIN, so this bounds the count; pages of the array never filled are
+    # never touched.
+    here = f.tell()
+    out = np.empty(((f.seek(0, 2) - here + len(buf) + len(_JOIN)) // (_STRIDE + 2), 2), np.int64)
+    f.seek(here)
     done = 0
     while True:
-        cut = raw.find((_JOIN + _OPEN).encode(), start + _BLOCK_CHARS, end)
-        pairs = _read_pairs(raw[start : end if cut < 0 else cut])
+        block = f.read(_BLOCK_CHARS)
+        buf += block
+        if block:  # parse the whole pairs read so far
+            cut = buf.rfind((_JOIN + _OPEN).encode())
+            if cut <= 0:
+                continue
+        else:  # the last pairs, closed by _PAIRS_END and JSON whitespace alone
+            cut = buf.rfind(_PAIRS_END.encode())
+            if cut < 0 or buf[cut + len(_PAIRS_END) :].strip(_JSON_SPACE):
+                return None
+        pairs = _read_pairs(bytes(memoryview(buf)[:cut]))
         if pairs is None:
             return None
         out[done : done + len(pairs)] = pairs
         done += len(pairs)
-        if cut < 0:
+        if not block:
             break
-        start = cut + len(_JOIN)
-    data["skew_pairs"] = out.view(_ReadPairs)
+        del buf[: cut + len(_JOIN)]
+    data["skew_pairs"] = out[:done].view(_ReadPairs)
     return data
 
 
 def _load_json(path: Union[str, Path]) -> dict:
-    raw = Path(path).read_bytes()
-    data = _read_layout(raw)
-    if data is not None:
-        return data
+    with open(path, "rb") as f:
+        data = _read_layout(f)
+        if data is not None:
+            return data
+        f.seek(0)
+        raw = f.read()
     try:
         # decoded as Path.read_text decodes, newlines included
         text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
@@ -263,6 +285,8 @@ def model_to_dict(m: GeometryModel) -> dict:
 
 
 def model_from_dict(data: dict, source: str = "<dict>") -> GeometryModel:
+    from .labeling import GeometryModel
+
     if data.get("format") != MODEL_FORMAT:
         raise ParseError(
             f"{source}: expected format {MODEL_FORMAT!r}, got {data.get('format')!r}"

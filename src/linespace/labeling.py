@@ -140,15 +140,16 @@ def element_ids(s: IncidenceStructure) -> tuple[dict[int, tuple[int, int, int]],
     """
 
     def build():
-        masks, pairs = s.masks, incident_pairs(s)
+        masks = s.masks
         table, classes = perp_table(s), sigma_classes(s)
+        first_a, first_b = incident_pairs(s)[table.first].T.tolist()  # each perp's first pair
         ids: dict[int, int] = {}
         triads, element = [], []
-        for base, p, (c0, c1), split in zip(table.masks, table.first.tolist(), classes.masks, classes.split):
+        for base, a, b, (c0, c1), split in zip(table.masks, first_a, first_b, classes.masks, classes.split):
             for c in lines_of_mask((c0 & -c0) | (c1 & -c1) if split else c0 | c1):
                 element.append(ids.setdefault(base & masks[c], len(ids)))
                 if element[-1] == len(triads):
-                    triads.append((*pairs[p], c))
+                    triads.append((a, b, c))
         # the index in ``element`` of each sigma place: its class, else its rank in sigma
         count = np.where(classes.split, 2, table.in_sigma.sum(axis=1))
         at = np.where(classes.split[:, None], classes.second, table.in_sigma.cumsum(axis=1) - 1)
@@ -263,9 +264,8 @@ def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> np.n
 def _normalize_seed(
     s: IncidenceStructure, seed: Optional[tuple[int, int, int]]
 ) -> tuple[int, int, int]:
-    pairs = incident_pairs(s)
     if seed is None:
-        a, b = pairs[0]
+        a, b = incident_pairs(s)[0].tolist()
         return (a, b, 0)
     if len(seed) != 3:
         raise PreconditionError(f"seed must be (a, b, class_index), got {seed!r}")
@@ -297,7 +297,7 @@ def coordinate_labels(
     empty model.  The model, or the error of a failed labeling, is cached
     per structure and seed, and a cached error is raised again.
     """
-    if not incident_pairs(s):
+    if not len(incident_pairs(s)):
         return GeometryModel(structure=s, points=(), planes=(), seed=None)
     seed = _normalize_seed(s, seed)
 

@@ -7,6 +7,9 @@ it needs the point/plane model, its checker and its replayer.  The checkers
 register themselves with ``@registered``, so a module's checks enter the
 table in the order they are defined there.  ``theorems`` imports
 ``axioms``, so the axiom checks come first; a test pins the whole order.
+The table fills as those two modules load, and whatever reads it here
+first imports the modules of the layers it reads, so ``CHECKS`` lists
+every check even when read first, and ``check_all`` loads no theorems.
 
 Everything that runs, names or replays checks reads this table:
 ``run_checks`` runs the checks of some layers, deriving the model once when
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import IncidenceStructure
+from .core import LAYERS, IncidenceStructure
 from .labeling import GeometryModel, LabelInconsistencyError, coordinate_labels
 from .sigma import NotTwoClassesError
 
@@ -27,7 +30,8 @@ PASS = "pass"
 FAIL = "fail"
 DEPENDENCY_UNMET = "dependency_unmet"
 
-LAYERS = ("axioms", "theorems", "vy")
+# the module whose checks each layer holds
+_MODULE_OF = {"axioms": "axioms", "theorems": "theorems", "vy": "theorems"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,21 @@ class Check:
     replayer: Optional[Callable[..., bool]]
 
 
-CHECKS: list[Check] = []
+_TABLE: list[Check] = []
+
+
+def _checks(*layers: str) -> list[Check]:
+    """The table, once the modules of ``layers`` are loaded.  Called while
+    one of them loads, it returns at once, with that module's checks so far."""
+    for layer in layers:
+        __import__(f"{__package__}.{_MODULE_OF[layer]}")  # -X importtime reports this load
+    return _TABLE
+
+
+def __getattr__(name: str):
+    if name == "CHECKS":
+        return _checks(*LAYERS)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def registered(layer: str, *, name=None, display=None, model=False, replay=None):
@@ -81,7 +99,7 @@ def registered(layer: str, *, name=None, display=None, model=False, replay=None)
 
     def register(checker):
         key = name or checker.__name__
-        CHECKS.append(Check(key, display or key, layer, model, checker, replay))
+        _TABLE.append(Check(key, display or key, layer, model, checker, replay))
         return checker
 
     return register
@@ -89,11 +107,11 @@ def registered(layer: str, *, name=None, display=None, model=False, replay=None)
 
 def names(*layers: str) -> tuple[str, ...]:
     """The names of the checks of ``layers``, in table order."""
-    return tuple(c.name for c in CHECKS if c.layer in layers)
+    return tuple(c.name for c in _checks(*layers) if c.layer in layers)
 
 
 def display_name(name: str) -> str:
-    return next(c.display for c in CHECKS if c.name == name)
+    return next(c.display for c in _checks(*LAYERS) if c.name == name)
 
 
 def _dependency(name: str, exc: Exception) -> CheckReport:
@@ -115,7 +133,7 @@ def run_checks(
     """
     reports = []
     error = None
-    for c in CHECKS:
+    for c in _checks(*layers):
         if c.layer not in layers:
             continue
         if not c.needs_model:
@@ -141,7 +159,7 @@ def replay(s: IncidenceStructure, report: CheckReport, m: Optional[GeometryModel
     name = report.check_name
     if ce is None:
         raise ValueError(f"report {name} has no counterexample")
-    c = next((c for c in CHECKS if c.name == name), None)
+    c = next((c for c in _checks(*LAYERS) if c.name == name), None)
     if c is None or c.replayer is None:
         raise ValueError(f"no replay registered for check {name!r}")
     if not c.needs_model:

@@ -57,7 +57,6 @@ from .core import (
     _incidence,
     _words,
     bit_rows,
-    incident_pairs,
     labels_of,
     least_bits,
     lines_of_mask,
@@ -295,13 +294,13 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     split fails, and ``sigma_partition`` names its witness.
     """
     name = "thm_two_classes"
-    pairs = incident_pairs(s)
     table, classes = perp_table(s), sigma_classes(s)
+    pairs = table.pairs
     stats = {"pairs_examined": len(pairs)}
     unsplit = np.flatnonzero(~classes.split[table.perp])
     if len(unsplit):
         try:
-            sigma_partition(s, *pairs[int(unsplit[0])])
+            sigma_partition(s, *pairs[unsplit[0]].tolist())
         except NotTwoClassesError as e:
             return CheckReport(name, FAIL, counterexample=dict(e.witness), stats=stats)
     if classes.masks:
@@ -719,7 +718,6 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
         four.append(only_bits(holding[a] & holding[b]))
     four = np.stack(four, axis=1)
     _, first, inverse = np.unique(four, axis=0, return_index=True, return_inverse=True)
-    pairs = incident_pairs(s)
     # the double perp lies in perp({a, b}): it is the perp less sigma
     double_perp = [ab & ~(c0 | c1) for ab, (c0, c1) in zip(table.masks, sigma_classes(s).masks)]
 
@@ -733,9 +731,9 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     passes = np.array([holds(*four[p].tolist()) for p in first.tolist()], bool)
     flagged = np.flatnonzero(~passes[inverse.reshape(-1)])
     if not len(flagged):
-        return CheckReport(name, PASS, stats={"pairs_examined": len(pairs)})
+        return CheckReport(name, PASS, stats={"pairs_examined": len(table.pairs)})
     p = int(flagged[0])
-    ce = _pencil_issue(s, m, *pairs[p])
+    ce = _pencil_issue(s, m, *table.pairs[p].tolist())
     return CheckReport(name, FAIL, counterexample=ce, stats={"pairs_examined": p + 1})
 
 

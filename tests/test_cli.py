@@ -424,6 +424,40 @@ def test_steps_do_not_import_masked_arrays(pg2_file, tmp_path):
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+LOADED = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("linespace."))))
+"""
+COMMAND_SCRIPT = "import sys\nfrom linespace.cli import main\nassert main(sys.argv[1:]) == 0\n" + LOADED
+STRUCTURE_CHECK_SCRIPT = """
+from linespace import check_axiom1, check_axiom2_1, load_structure
+s = load_structure("pg2.json")
+assert check_axiom1(s).passed and check_axiom2_1(s).passed
+""" + LOADED
+
+
+@pytest.mark.parametrize(
+    "argv, left_out",
+    [
+        (["generate", "pg3", "--q", "2", "--out", "out.json"], ["axioms", "labeling", "registry", "theorems"]),
+        (["derive", "pg2.json", "--out", "model.json"], ["axioms", "models", "registry", "theorems"]),
+        (["dualize", "model.json", "--out", "dual.json"], ["axioms", "models", "registry", "theorems"]),
+        (None, ["models", "theorems"]),
+    ],
+    ids=["generate", "derive", "dualize", "structure_check"],
+)
+def test_steps_load_only_the_modules_they_run(argv, left_out, pg2_file, tmp_path, capsys):
+    # each in a fresh process, so that sys.modules holds that step's loads alone
+    main(["derive", str(pg2_file), "--out", str(tmp_path / "model.json")])
+    capsys.readouterr()
+    args = ["-c", STRUCTURE_CHECK_SCRIPT] if argv is None else ["-c", COMMAND_SCRIPT, *argv]
+    done = run_python(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "linespace.core" in loaded
+    assert not {f"linespace.{m}" for m in left_out} & set(loaded)
+
+
 class TestInfo:
     def test_tetra_info(self, tetra_file, capsys):
         code, stdout, _ = run(["info", str(tetra_file)], capsys)

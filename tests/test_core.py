@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from linespace import (
+    NEGATIVE_KINDS,
     CapacityError,
     IncidenceStructure,
     StructureError,
     bracket,
+    coordinate_labels,
     find_skew_pair,
     find_skew_triple,
+    gen_negative,
     incident_pairs,
     is_incident,
     perp,
@@ -20,6 +23,7 @@ from linespace.core import (
     line_cap,
     lines_of_mask,
     mask_of_lines,
+    perp_table,
 )
 
 from conftest import names_for
@@ -139,6 +143,35 @@ class TestConstruction:
         s = IncidenceStructure.from_skew_pairs(0, [])
         assert s.line_count == 0
         assert perp(s, []) == frozenset()
+
+
+class TestIncidentPairs:
+    """incident_pairs is one read-only (P, 2) int32 array of sorted rows."""
+
+    @pytest.fixture(params=["tetrahedron", "pg2", *NEGATIVE_KINDS])
+    def structure(self, request, tetra, pg2):
+        return {"tetrahedron": tetra, "pg2": pg2}.get(request.param) or gen_negative(request.param)
+
+    def test_equals_the_pair_loop(self, structure):
+        n, adj = structure.line_count, structure.adjacency
+        loop = [[a, b] for a in range(n) for b in range(a + 1, n) if adj[a, b]]
+        pairs = incident_pairs(structure)
+        assert pairs.dtype == np.int32 and pairs.shape == (len(loop), 2)
+        assert pairs.tolist() == loop
+
+    def test_read_only_cached_and_shared_with_the_perp_table(self, structure):
+        pairs = incident_pairs(structure)
+        assert not pairs.flags.writeable
+        with pytest.raises(ValueError):
+            pairs[:1] = 0
+        assert incident_pairs(structure) is pairs
+        assert perp_table(structure).pairs is pairs
+
+    def test_no_pairs_derives_the_empty_model(self):
+        s = gen_negative("single_line")
+        assert incident_pairs(s).shape == (0, 2)
+        m = coordinate_labels(s)
+        assert (m.points, m.planes, m.seed) == ((), (), None)
 
 
 class TestIncidence:

@@ -1,6 +1,7 @@
 """Serialization: canonical byte-identical files, validation, label references."""
 
 import json
+from io import BytesIO
 from unittest import mock
 
 import numpy as np
@@ -243,7 +244,7 @@ def sparse_structures(draw):
 
 def both_readers(text, from_dict):
     """The value the layout reader gives for ``text`` and the one ``json.loads`` gives."""
-    fast = io._read_layout(text.encode("utf-8"))
+    fast = io._read_layout(BytesIO(text.encode("utf-8")))
     return from_dict(fast) if fast is not None else None, from_dict(json.loads(text))
 
 
@@ -313,10 +314,24 @@ class TestLayoutReader:
         save_structure(LAYOUT_BASE, path)
         text = {**FALLBACK_EDITS, **LAYOUT_EDITS}[name](path.read_text(encoding="utf-8"))
         path.write_text(text, encoding="utf-8")
-        assert (io._read_layout(path.read_bytes()) is None) == (name in FALLBACK_EDITS)
+        assert (io._read_layout(BytesIO(path.read_bytes())) is None) == (name in FALLBACK_EDITS)
         got = outcome(load_structure, path)
         monkeypatch.setattr(io, "_read_layout", lambda raw: None)
         assert got == outcome(load_structure, path)
+
+    def test_file_is_read_in_blocks(self, pg3, tmp_path, monkeypatch):
+        sizes = []
+
+        class Reader(BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(io, "_BLOCK_CHARS", 4096)
+        save_structure(pg3, tmp_path / "s.json")
+        data = io._read_layout(Reader((tmp_path / "s.json").read_bytes()))
+        assert structure_from_dict(data) == pg3
+        assert len(sizes) > 2 and set(sizes) == {4096}
 
     @pytest.mark.parametrize(
         "content",
@@ -378,9 +393,11 @@ class TestLayoutReader:
 
 
 # Bound for test_pg35_load_peak: on a 2-vCPU host loading the 8.5 MB
-# PG(3,5) structure file peaks at 52 MB RSS, 32 MB of it the interpreter
-# with numpy, against 81 MB when json.loads built every pair as a list.
-PG35_LOAD_RSS_MB = 64
+# PG(3,5) structure file peaks at 46.5 MB RSS, 29 MB of it the interpreter
+# with numpy and the modules the load imports, against 52 MB when the
+# reader held the whole file and 81 MB when json.loads built every pair as
+# a list.
+PG35_LOAD_RSS_MB = 56
 PG35_LOAD_SCRIPT = PEAK_RSS + """
 import json
 from linespace import load_structure

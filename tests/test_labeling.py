@@ -428,7 +428,7 @@ def labeling_outcomes(s, m) -> dict:
         families = json.dumps([got.points, got.planes, got.seed]).encode()
         return ["GeometryModel", len(got.points), len(got.planes), hashlib.sha256(families).hexdigest()]
 
-    pairs = incident_pairs(s)
+    pairs = incident_pairs(s).tolist()
     out = {"axiom4": check_axiom4(s).to_dict()}
     out["labels_default"] = outcome(lambda: coordinate_labels(s))
     out["labels_class1"] = outcome(lambda: coordinate_labels(s, (*pairs[0], 1))) if pairs else None
