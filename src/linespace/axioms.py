@@ -37,8 +37,8 @@ from .core import (
 from .labeling import (
     LabelInconsistencyError,
     coordinate_labels,
+    element_ids,
     element_masks,
-    element_table,
 )
 from .registry import (
     DEPENDENCY_UNMET,
@@ -236,14 +236,13 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
     equality makes triads interchangeable here, which keeps the search
     quadratic in the element count.
     """
-    table = element_table(s)
-    emasks = element_masks(s)
+    emasks, triads, _ = element_ids(s)
     samples = []
     for i, em in enumerate(emasks):
         partner = None
         for j, other in enumerate(emasks):
             if i != j and not (em & other):
-                partner = other
+                partner = j
                 break
         if partner is None:
             return CheckReport(
@@ -251,13 +250,13 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
                 FAIL,
                 counterexample={
                     "element": labels_of(s, lines_of_mask(em)),
-                    "triad": labels_of(s, table[em]),
+                    "triad": labels_of(s, triads[i]),
                     "reason": "no disjoint secondary element exists",
                 },
                 stats={"elements_examined": i + 1, "elements_total": len(emasks)},
             )
         samples.append(
-            {"triad": labels_of(s, table[em]), "disjoint_triad": labels_of(s, table[partner])}
+            {"triad": labels_of(s, triads[i]), "disjoint_triad": labels_of(s, triads[partner])}
         )
     witness = {"per_element": samples} if samples else None
     return CheckReport(

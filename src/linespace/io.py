@@ -318,7 +318,7 @@ def model_from_dict(data: dict, source: str = "<dict>") -> GeometryModel:
         try:
             a, b = raw_seed["pair"]
             k = raw_seed["class_of"]
-        except (TypeError, KeyError):
+        except (TypeError, KeyError, ValueError):  # ValueError: a pair of the wrong length
             raise ParseError(f"{source}: bad seed {raw_seed!r}") from None
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (a, b, k)):
             raise ParseError(f"{source}: bad seed {raw_seed!r}")

@@ -86,13 +86,14 @@ class SecondaryElement:
 class GeometryModel:
     """A structure together with its coordinated point/plane families.
 
-    Elements are stored as sorted line-index tuples; two elements are the
-    same element exactly when the tuples are equal, and every line is one
-    of the structure's, else PreconditionError.  ``seed`` records which
-    sigma class of which pair was named the point side, as
-    (a, b, class_index); None for the empty geometry.  The element masks
-    are derived once, on first use, and take no part in equality; the
-    arrays the checks read are in ``model_index``.
+    Elements are stored as sorted line-index tuples of Python ints; two
+    elements are the same element exactly when the tuples are equal, and
+    every line is an integer index of one of the structure's lines, not a
+    bool, else PreconditionError.  ``seed`` records which sigma class of
+    which pair was named the point side, as (a, b, class_index); None for
+    the empty geometry.  The element masks are derived once, on first use,
+    and take no part in equality; the arrays the checks read are in
+    ``model_index``.
     """
 
     structure: IncidenceStructure
@@ -104,10 +105,15 @@ class GeometryModel:
         n = self.structure.line_count
         for family, elements in (("point", self.points), ("plane", self.planes)):
             for element in elements:
-                if not all(0 <= line < n for line in element):
-                    raise PreconditionError(
-                        f"{family} {list(element)} holds a line outside the structure's {n} lines"
-                    )
+                for line in element:
+                    if not isinstance(line, (int, np.integer)) or isinstance(line, bool):
+                        raise PreconditionError(f"{family} {list(element)} holds a non-integer line {line!r}")
+                    if not 0 <= line < n:
+                        raise PreconditionError(
+                            f"{family} {list(element)} holds a line outside the structure's {n} lines"
+                        )
+            # a numpy integer shifts as a fixed-width int, so the masks need Python ints
+            object.__setattr__(self, f"{family}s", tuple(tuple(map(int, element)) for element in elements))
 
     @cached_property
     def point_masks(self) -> tuple[int, ...]:
@@ -118,16 +124,12 @@ class GeometryModel:
         return tuple(map(mask_of_lines, self.planes))
 
 
-def element_table(s: IncidenceStructure) -> dict[int, tuple[int, int, int]]:
-    """Every secondary element's mask with one generating triad each; cached."""
-    return element_ids(s)[0]
-
-
-def element_ids(s: IncidenceStructure) -> tuple[dict[int, tuple[int, int, int]], np.ndarray]:
-    """``element_table(s)``, its elements ordered by their ascending line
-    lists, and per perp of ``perp_table(s)`` and place the index in it of
-    bracket(a, b, c), for the perp's pairs (a, b) and the line c at that
-    place, or -1 where c is not in sigma(a, b); cached.
+def element_ids(s: IncidenceStructure) -> tuple[tuple[int, ...], list[tuple[int, int, int]], np.ndarray]:
+    """Every secondary element's mask, ordered by its ascending line list;
+    one generating triad of each; and per perp of ``perp_table(s)`` and
+    place the index among the masks of bracket(a, b, c), for the perp's
+    pairs (a, b) and the line c at that place, or -1 where c is not in
+    sigma(a, b); cached.  The one numbering of the elements.
 
     Iterates incident pairs (a, b) in index order and, for each, every
     member c of sigma(a, b) in index order, keeping the first triad that
@@ -157,14 +159,14 @@ def element_ids(s: IncidenceStructure) -> tuple[dict[int, tuple[int, int, int]],
         found = list(ids)
         order = sorted(range(len(found)), key=lambda e: lines_of_mask(found[e]))
         rank = np.append(np.argsort(order), -1).astype(np.int32)  # the padding's -1 reads -1
-        return {found[e]: triads[e] for e in order}, rank[np.array(element + [-1])[at]]
+        return tuple(found[e] for e in order), [triads[e] for e in order], rank[np.array(element + [-1])[at]]
 
-    return s.cached("element_table", build)
+    return s.cached("element_ids", build)
 
 
 def element_masks(s: IncidenceStructure) -> tuple[int, ...]:
     """Every element's mask, ordered by its ascending line list; cached."""
-    return s.cached("element_masks", lambda: tuple(element_table(s)))
+    return element_ids(s)[0]
 
 
 def enumerate_secondary_elements(s: IncidenceStructure) -> list[frozenset[int]]:
@@ -221,7 +223,7 @@ def _verify_labeling(s: IncidenceStructure, plane: np.ndarray, seed: tuple[int, 
         return {"issue": issue, **fields, "seed": seed_info}
 
     table, classes = perp_table(s), sigma_classes(s)
-    emasks, element_of = element_masks(s), element_ids(s)[1]
+    emasks, _, element_of = element_ids(s)
     plane = np.append(plane, False)  # -1 reads the padding
     two = element_of[np.arange(len(table.masks))[:, None], classes.least]  # the element of each class
     bad = np.flatnonzero(~classes.split | (plane[two[:, 0]] == plane[two[:, 1]]))
@@ -254,7 +256,7 @@ def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> np.n
     a, b, k = seed
     sigma_partition(s, a, b)  # an unsplit seed pair raises its NotTwoClassesError here
     perp = perp_table(s).index[a, b]
-    z = element_ids(s)[1][perp, sigma_classes(s).least[perp, k]]
+    z = element_ids(s)[2][perp, sigma_classes(s).least[perp, k]]
     incidence = _line_incidence(s, element_masks(s))
     plane = np.count_nonzero(incidence[:, incidence[z]], axis=1) != 1
     plane[z] = False
@@ -401,7 +403,7 @@ def dualize(m: GeometryModel) -> GeometryModel:
     dualize(dualize(m)) == m.
     """
     s = m.structure
-    index, derived = model_index(s, m), len(element_table(s))
+    index, derived = model_index(s, m), len(element_masks(s))
     rows = np.concatenate((index.points, index.planes))
     again = np.ones(len(rows), bool)  # each listing of a row listed before
     again[np.unique(rows, return_index=True)[1]] = False

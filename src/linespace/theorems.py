@@ -13,11 +13,11 @@ the lexicographically least violation, the same one an unrestricted loop
 would meet first.  Vacuous hypotheses report a pass, never an error.
 
 Six checks quantify over every triad.  They share one table per
-structure, ``triad_table``: the triads as a sorted (T, 3) int32 array,
-each one's three sigma memberships, and the index of its bracket among
-the distinct brackets, built with array operations so that no triad is
-ever a Python object.  The checks over incident pairs read one table
-per structure too, ``core.perp_table``: each pair's perp among the
+structure, ``triad_table``: the triads as a sorted (T, 3) int32 array
+and each one's bracket as an element id of ``labeling.element_ids``, the
+one numbering of the elements, built with array operations so that no
+triad is ever a Python object.  The checks over incident pairs read one
+table per structure too, ``core.perp_table``: each pair's perp among the
 distinct perps, and each perp's lines with their skew rows as packed
 words.  Its pair-to-perp index reads every per-pair set, each kept as one
 packed row per perp: sigma, from ``sigma_classes``, and the model's point
@@ -54,7 +54,6 @@ import numpy as np
 from .axioms import _replay_not_two_classes, _resolve
 from .core import (
     IncidenceStructure,
-    _incidence,
     _words,
     bit_rows,
     labels_of,
@@ -69,10 +68,10 @@ from .labeling import (
     GeometryModel,
     Kind,
     MissingElementError,
+    _line_incidence,
     _unique_element,
     element_ids,
     element_masks,
-    element_table,
     model_index,
     shared_lines,
 )
@@ -95,17 +94,14 @@ class _Triads:
 
     ``lines`` is the (T, 3) int32 array of every triad, each row ascending
     and the rows in lexicographic order, the order every triad check
-    walks.  ``brackets`` lists the distinct bracket masks in order of their
-    first triad, ``first[k]`` is that triad, ``element[k]`` is bracket k's
-    index in ``element_table``, and ``bracket[t]`` is the index of triad
-    t's bracket.
+    walks.  ``element[t]`` is the index of triad t's bracket in
+    ``element_masks``, and ``first[e]`` is the first triad whose bracket
+    is element e; every element is some triad's bracket.
     """
 
     lines: np.ndarray
-    bracket: np.ndarray
-    brackets: list[int]
-    first: np.ndarray
     element: np.ndarray
+    first: np.ndarray
 
 
 _ENTRIES_PER_STEP = 1 << 18  # (pair, sigma member) entries per step of the triad build
@@ -113,85 +109,56 @@ _TRIADS_PER_STEP = 1 << 16  # triads per step of a kernel
 _CELLS_PER_STEP = 1 << 20  # cells per step of the exchange rows and the A3 joins
 
 
-def _sorted_triads(s: IncidenceStructure) -> np.ndarray:
-    """The (T, 3) int32 array of every triad, rows ascending, in lexicographic order.
-
-    Every incident pair (x, y) and z in sigma(x, y) name the triad
-    {x, y, z}.  Walked in pair order, the entries with z > y list, in
-    lexicographic order and once each, the triads (a, b, c) with c in
-    sigma(a, b).  Any other entry, read as the sorted (a, b, c), adds a
-    triad only when c is not in sigma(a, b); those are merged in.
-    """
-    n = s.line_count
-    perps, sigma = perp_table(s), sigma_classes(s).rows
-    x, y = perps.pairs.T
-    size = perps.in_sigma.sum(axis=1)
-    offset = np.cumsum(size) - size
-    members = perps.lines[perps.in_sigma]  # the sigma of each perp, one perp after another
-    of_pair = perps.perp
-    step = max(1, _ENTRIES_PER_STEP // (int(size.max(initial=0)) + 1))
-    keys, extra = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for lo in range(0, len(of_pair), step):
-        count = size[of_pair[lo : lo + step]]
-        pair = np.repeat(np.arange(lo, lo + len(count)), count)
-        rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-        z = members[np.repeat(offset[of_pair[lo : lo + step]], count) + rank].astype(np.int32)
-        px, py = x[pair], y[pair]
-        top = z > py
-        keys.append(_triad_keys(np.stack((px[top], py[top], z[top]), axis=1), n))
-        a, b, c = np.minimum(px[~top], z[~top]), np.maximum(px[~top], z[~top]), py[~top]
-        new = ~perps.holds(sigma, a, b, c)
-        extra.append(_triad_keys(np.stack((a[new], b[new], c[new]), axis=1), n))
-    extra = np.sort(np.concatenate(extra))
-    keys = np.concatenate((*keys, extra[np.diff(extra, prepend=-1) != 0]))
-    keys.sort(kind="stable")  # two sorted runs
-    lines = np.empty((len(keys), 3), np.int32)
-    for col in (2, 1, 0):
-        lines[:, col] = keys % n
-        keys //= n
-    return lines
-
-
-def _bracket_elements(s: IncidenceStructure, lines: np.ndarray) -> np.ndarray:
-    """Per triad, the index of its bracket in ``element_table(s)``: read, in
-    ``element_ids``, at the place of its third line in the perp of a pair
-    of it whose sigma holds the third."""
-    table, sigma = perp_table(s), sigma_classes(s).rows
-    element_of = element_ids(s)[1].ravel()
-    n = s.line_count
-    # (perp, line) of each place as one sorted key, row k's padding included
-    places = (np.arange(len(table.masks))[:, None] * (n + 1) + table.lines).ravel()
-    out = np.empty(len(lines), np.int64)
-    for lo in range(0, len(lines), _TRIADS_PER_STEP):
-        a, b, c = lines[lo : lo + _TRIADS_PER_STEP].T
-        third_c = table.holds(sigma, a, b, c)
-        third_a = ~third_c & table.holds(sigma, b, c, a)  # else b lies in sigma(a, c)
-        u, v = np.where(third_c | ~third_a, a, b), np.where(third_c, b, c)
-        w = np.where(third_c, c, np.where(third_a, a, b))
-        k = table.index[u, v].astype(np.int64)
-        out[lo : lo + _TRIADS_PER_STEP] = element_of[np.searchsorted(places, k * (n + 1) + w)]
-    return out
-
-
 def triad_table(s: IncidenceStructure) -> _Triads:
     """The triads of ``s`` and their brackets; cached.
 
     A triple counts as a triad when some rotation places its third line in
-    the sigma set of the other two.  The table is built with array
-    operations, in steps of bounded size, from the sigma rows of
-    ``sigma_classes(s)`` and ``element_ids(s)``.
+    the sigma set of the other two.  Every incident pair (x, y) and z in
+    sigma(x, y) name the triad {x, y, z}, whose bracket, the same for every
+    rotation, ``element_ids`` numbers at z's place in perp({x, y}).  Walked
+    in pair order, the entries with z > y list, in lexicographic order and
+    once each, the triads (a, b, c) with c in sigma(a, b).  Any other
+    entry, read as the sorted (a, b, c), adds a triad only when c is not in
+    sigma(a, b); those are merged in.  Built with array operations, in
+    steps of bounded size.
     """
 
     def build():
-        lines = _sorted_triads(s)
-        element = _bracket_elements(s, lines)
-        seen, first = np.unique(element, return_index=True)
-        order = np.argsort(first)
-        ids = seen[order]  # the brackets' elements in order of their first triad
-        rank = np.zeros(len(element_table(s)), np.int32)
-        rank[ids] = np.arange(len(ids))
-        masks = element_masks(s)
-        return _Triads(lines, rank[element], [masks[e] for e in ids.tolist()], first[order], ids)
+        n = s.line_count
+        perps, sigma = perp_table(s), sigma_classes(s).rows
+        x, y = perps.pairs.T
+        size = perps.in_sigma.sum(axis=1)
+        offset = np.cumsum(size) - size
+        # the sigma of each perp, one perp after another, and each member's bracket
+        members, brackets = perps.lines[perps.in_sigma], element_ids(s)[2][perps.in_sigma]
+        of_pair = perps.perp
+        step = max(1, _ENTRIES_PER_STEP // (int(size.max(initial=0)) + 1))
+        keys, element, extra, extra_element = ([np.empty(0, dtype)] for dtype in (np.int64, np.int32) * 2)
+        for lo in range(0, len(of_pair), step):
+            count = size[of_pair[lo : lo + step]]
+            pair = np.repeat(np.arange(lo, lo + len(count)), count)
+            rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+            at = np.repeat(offset[of_pair[lo : lo + step]], count) + rank
+            z, e = members[at], brackets[at]
+            px, py = x[pair], y[pair]
+            top = z > py
+            keys.append(_triad_keys(np.stack((px[top], py[top], z[top]), axis=1), n))
+            element.append(e[top])
+            a, b, c = np.minimum(px[~top], z[~top]), np.maximum(px[~top], z[~top]), py[~top]
+            new = ~perps.holds(sigma, a, b, c)
+            extra.append(_triad_keys(np.stack((a[new], b[new], c[new]), axis=1), n))
+            extra_element.append(e[~top][new])
+        extra, once = np.unique(np.concatenate(extra), return_index=True)
+        keys = np.concatenate(keys)
+        at = np.searchsorted(keys, extra)
+        keys = np.insert(keys, at, extra)
+        element = np.insert(np.concatenate(element), at, np.concatenate(extra_element)[once])
+        first = np.unique(element, return_index=True)[1]
+        lines = np.empty((len(keys), 3), np.int32)
+        for col in (2, 1, 0):
+            np.remainder(keys, n, out=lines[:, col], casting="unsafe")
+            keys //= n
+        return _Triads(lines, element, first)
 
     return s.cached("triad_table", build)
 
@@ -213,8 +180,8 @@ def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarra
 
     def build():
         table, classes = perp_table(s), sigma_classes(s)
-        ids, element_of = element_ids(s)
-        kind = np.append(model_index(s, m).kind[: len(ids)], -1)  # the element ids are its first rows
+        emasks, _, element_of = element_ids(s)
+        kind = np.append(model_index(s, m).kind[: len(emasks)], -1)  # the elements are its first rows
         k0, k1 = kind[element_of[np.arange(len(table.masks))[:, None], classes.least]].T
         bad = np.flatnonzero(~classes.split | (k0 < 0) | (k1 < 0) | (k0 == k1))
         if len(bad):
@@ -427,13 +394,13 @@ def _replay_bracket_closed(s: IncidenceStructure, ce: dict) -> bool:
 def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     """Every triad's bracket equals its own perp.
 
-    Reduction: depends only on the bracket, so each distinct bracket is
-    checked once; the least violation is the earliest first triad of a
-    bracket that is not closed.
+    Reduction: depends only on the bracket, so each element is checked
+    once; the least violation is the earliest first triad of an element
+    that is not closed.
     """
     name = "thm_bracket_closed"
     tri = triad_table(s)
-    delta = {int(tri.first[k]): perp_mask(s, B) ^ B for k, B in enumerate(tri.brackets)}
+    delta = {int(tri.first[e]): perp_mask(s, B) ^ B for e, B in enumerate(element_masks(s))}
     t = min((t for t, d in delta.items() if d), default=None)
     if t is None:
         return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
@@ -471,42 +438,40 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
     triples up to it; an element with none adds all C(|perp(E)|, 3).
     """
     name = "thm_coherence"
-    tri = triad_table(s)
+    tri, emasks = triad_table(s), element_masks(s)
     n = s.line_count
-    words = _words(s.adjacency)
+    words, element_words = _words(s.adjacency), _words(_line_incidence(s, emasks))
     keys = _triad_keys(tri.lines, n)
     combos: dict[int, np.ndarray] = {}  # size -> its 3-subsets as index triples, in walk order
     examined = 0
-    least = None
-    for element in tri.brackets:
+    least = None  # the least violating triple and its bracket's element
+    for e, element in enumerate(emasks):
         inside = lines_of_mask(perp_mask(s, element))
         if len(inside) not in combos:
             r = np.arange(len(inside))
             combos[len(inside)] = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
         walk = combos[len(inside)]
-        E = _words(_incidence([element], n))
         for lo in range(0, len(walk), _TRIADS_PER_STEP):
             triples = np.array(inside, np.int32)[walk[lo : lo + _TRIADS_PER_STEP]]
             a, b, c = triples.T
-            same = np.flatnonzero(((words[a] & words[b] & words[c]) == E).all(axis=1))
+            same = np.flatnonzero(((words[a] & words[b] & words[c]) == element_words[e]).all(axis=1))
             key = _triad_keys(triples[same], n)
             bad = same[keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] != key]
             if len(bad):
                 examined += lo + int(bad[0]) + 1
-                triple = tuple(triples[bad[0]].tolist())
-                least = triple if least is None else min(least, triple)
+                found = (tuple(triples[bad[0]].tolist()), e)
+                least = found if least is None else min(least, found)
                 break
         else:
             examined += len(walk)
     if least is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": len(tri.lines)})
-    first = tri.first[tri.brackets.index(perp_mask(s, mask_of_lines(least)))]
     return CheckReport(
         name,
         FAIL,
         counterexample={
-            "triple": labels_of(s, least),
-            "triad_with_equal_bracket": labels_of(s, tri.lines[first].tolist()),
+            "triple": labels_of(s, least[0]),
+            "triad_with_equal_bracket": labels_of(s, tri.lines[tri.first[least[1]]].tolist()),
         },
         stats={"cases_examined": examined},
     )
@@ -537,11 +502,10 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     triad whose row holds it, and i the first triad of that element.
     """
     name = "thm_mutual_membership"
-    tri = triad_table(s)
-    elements = sorted(tri.brackets)
-    rank = {em: e for e, em in enumerate(elements)}
-    own = np.array([rank[B] for B in tri.brackets], np.int64)[tri.bracket]
-    held = _words(_incidence(elements, s.line_count).T)  # bit e of row l: element e holds line l
+    tri, emasks = triad_table(s), element_masks(s)
+    order = sorted(range(len(emasks)), key=emasks.__getitem__)  # the elements by their masks
+    own = np.argsort(order)[tri.element]
+    held = _words(_line_incidence(s, emasks)[order].T)  # bit e of row l: element order[e] holds line l
     least = None
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
@@ -558,8 +522,8 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     if least is None:
         return CheckReport(name, PASS, stats=stats)
     e, j = least
-    i = tri.first[tri.brackets.index(elements[e])]
-    bracket_j = tri.brackets[tri.bracket[j]]
+    i = tri.first[order[e]]
+    bracket_j = emasks[tri.element[j]]
     symmetric = not (mask_of_lines(tri.lines[i].tolist()) & ~bracket_j)
     return CheckReport(
         name,
@@ -780,8 +744,8 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
     table, model_table, sigma = perp_table(s), perp_table(m.structure), sigma_classes(s).rows
-    tri, index = triad_table(s), model_index(s, m)
-    kind, inside = index.kind[tri.element], index.incidence[tri.element]  # the brackets are s's elements
+    tri, index, derived = triad_table(s), model_index(s, m), len(element_masks(s))
+    kind, inside = index.kind[:derived], index.incidence[:derived]  # s's elements are the first rows
     size, members = inside.sum(axis=1), _padded(inside, 0)
     place = np.cumsum(inside, axis=1, dtype=np.int32) - 1  # of each line of a bracket
     x, y = np.triu_indices(members.shape[1], 1)  # the rows, as places, in walk order
@@ -798,7 +762,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     held = held.reshape(2, -1, valid.shape[1])  # row k * width + i: line i of bracket k
     step = max(1, _TRIADS_PER_STEP * 8 // valid.shape[1])
     for lo in range(0, len(tri.lines), step):
-        k = tri.bracket[lo : lo + step].astype(np.intp)
+        k = tri.element[lo : lo + step].astype(np.intp)
         at = (k[:, None] * members.shape[1] + place[k[:, None], tri.lines[lo : lo + step]]).T
         sig, ref = (h.take(at[0], axis=0) | h.take(at[1], axis=0) | h.take(at[2], axis=0) for h in held)
         row = least_bits(~(sig & ref) & valid[k])
@@ -807,10 +771,10 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             t, r = lo + int(flagged[0]), int(row[flagged[0]])
             break
     else:
-        examined = int(np.bincount(tri.bracket, minlength=len(size)) @ row_count)
+        examined = int(np.bincount(tri.element, minlength=len(size)) @ row_count)
         return CheckReport(name, PASS, stats={"cases_examined": examined})
-    examined = int(np.bincount(tri.bracket[:t], minlength=len(size)) @ row_count)
-    k, t_lines = int(tri.bracket[t]), tri.lines[t].tolist()
+    examined = int(np.bincount(tri.element[:t], minlength=len(size)) @ row_count)
+    k, t_lines = int(tri.element[t]), tri.lines[t].tolist()
     ce = {"triad": labels_of(s, t_lines), "issue": "bracket_not_an_element"}
     if kind[k] >= 0:
         i, j = int(x[r]), int(y[r])

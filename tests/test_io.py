@@ -478,6 +478,8 @@ class TestModelRoundTrip:
             {"pair": [True, 1], "class_of": False},
             {"pair": [0, 1], "class_of": True},
             {"pair": [1, 1], "class_of": 0},
+            {"pair": [0, 1, 2], "class_of": 0},
+            {"pair": [0], "class_of": 0},
         ],
     )
     def test_model_bool_or_repeated_seed_rejected(self, tetra, seed):

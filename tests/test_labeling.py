@@ -206,6 +206,21 @@ class TestMeetJoin:
         with pytest.raises(PreconditionError, match=re.escape(message)):
             GeometryModel(structure=m.structure, seed=m.seed, **families)
 
+    @pytest.mark.parametrize("line", [1.0, "1", True, None])
+    def test_non_integer_line_rejected(self, pg2_model, line):
+        m = pg2_model
+        element = (line,) + m.points[0][1:]
+        message = f"point {list(element)} holds a non-integer line {line!r}"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            GeometryModel(m.structure, (element,) + m.points[1:], m.planes, m.seed)
+
+    def test_numpy_integer_lines_held_as_ints(self, pg2_model):
+        """A numpy integer shifts as a fixed-width int: ``1 << np.int32(34)`` is 0."""
+        m = pg2_model
+        same = GeometryModel(m.structure, *(tuple(tuple(map(np.int32, e)) for e in f) for f in (m.points, m.planes)), m.seed)
+        assert same == m and same.point_masks == m.point_masks and same.plane_masks == m.plane_masks
+        assert {type(line) for f in (same.points, same.planes) for e in f for line in e} == {int}
+
 
 class TestDualize:
     def test_involution(self, tetra, pg2_model):

@@ -24,12 +24,15 @@ from linespace import (
     thm_bracket_closed,
     thm_bracket_welldefined,
     thm_coherence,
+    thm_line_selfperp,
     thm_mutual_membership,
     thm_regulus_skew,
     thm_sigma_equivalence,
+    thm_two_classes,
 )
 from conftest import one_perp_regulus
 from linespace.core import perp_table
+from linespace.labeling import element_masks
 from linespace.sigma import sigma_classes
 from linespace.theorems import triad_table
 
@@ -121,6 +124,47 @@ class Oracle:
                     }, {"cases_examined": cases}
         return "pass", None, {"cases_examined": cases}
 
+    def two_classes(self):
+        """Every incident pair in order: incidence on its sigma must have two
+        components, each a clique.  On a pass, the distinct sizes of (class
+        0, class 1), class 0 holding the least line of sigma."""
+        adj = self.adj
+        stats = {"pairs_examined": self.incident_pair_count()}
+        sizes = set()
+        for a, b in self.incident_pairs():
+            base = self.perp((a, b))
+            sig = sorted(base - self.perp(base))
+            witness = {"pair": self.names((a, b)), "sigma": self.names(sig)}
+            classes = []
+            for l in sig:
+                if any(l in c for c in classes):
+                    continue
+                component, frontier = {l}, [l]
+                while frontier:
+                    x = frontier.pop()
+                    reached = {y for y in sig if adj[x][y]} - component
+                    component |= reached
+                    frontier += reached
+                classes.append(component)
+            if len(classes) != 2:
+                return "fail", {**witness, "class_count": len(classes)}, stats
+            for q, p, r in itertools.permutations(sig, 3):
+                if adj[p][q] and adj[q][r] and not adj[p][r]:
+                    names = {"p": self.labels[p], "q": self.labels[q], "r": self.labels[r]}
+                    return "fail", {**witness, **names}, stats
+            sizes.add((len(classes[0]), len(classes[1])))
+        if sizes:
+            stats["class_size_pairs"] = sorted(sizes)
+        return "pass", None, stats
+
+    def line_selfperp(self):
+        for l in range(len(self.adj)):
+            double_perp = self.perp(self.nbrs[l])
+            if double_perp != {l}:
+                ce = {"line": self.labels[l], "double_perp": self.names(double_perp)}
+                return "fail", ce, {"lines_examined": l + 1}
+        return "pass", None, {"lines_examined": len(self.adj)}
+
     def regulus_skew(self):
         adj = self.adj
         stats = {"pairs_examined": self.incident_pair_count()}
@@ -192,16 +236,15 @@ class Oracle:
 
 
 def assert_triad_table_matches_oracle(s, o):
-    """The triads in order, each one's bracket and the distinct brackets in
-    order of their first triad."""
+    """The triads in order, each one's bracket among the elements, and each
+    element's first triad."""
     tri = o.triads()
     brackets = [sum(1 << l for l in o.perp(t)) for t in tri]
-    table = triad_table(s)
+    table, emasks = triad_table(s), element_masks(s)
     assert table.lines.shape == (len(tri), 3)
     assert table.lines.tolist() == [list(t) for t in tri]
-    assert [table.brackets[k] for k in table.bracket.tolist()] == brackets
-    assert table.brackets == list(dict.fromkeys(brackets))
-    assert table.first.tolist() == [brackets.index(b) for b in table.brackets]
+    assert [emasks[e] for e in table.element.tolist()] == brackets
+    assert table.first.tolist() == [brackets.index(em) for em in emasks]
 
 
 def assert_perp_table_matches_oracle(s, o):
@@ -238,7 +281,9 @@ def assert_matches_oracle(s):
     assert_perp_table_matches_oracle(s, o)
     for check, (status, ce, stats) in (
         (thm_sigma_equivalence, o.sigma_equivalence()),
+        (thm_two_classes, o.two_classes()),
         (thm_bracket_welldefined, o.bracket_welldefined()),
+        (thm_line_selfperp, o.line_selfperp()),
         (thm_bracket_closed, o.bracket_closed()),
         (thm_regulus_skew, o.regulus_skew()),
         (thm_coherence, o.coherence()),

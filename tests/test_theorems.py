@@ -650,16 +650,15 @@ class TestPairIndex:
 
     def test_battery_builds_one_shared_lines_table(self, monkeypatch):
         """The labeling's table over the derived elements is the one every
-        model check reads, and the model's masks become an incidence array
-        once, in the model index."""
+        model check reads, and the element masks become an incidence array
+        once, read by the labeling, the model index and the triad checks."""
         s, _ = gen_pg3(3)
         converted = []
         spy = lambda masks, width: converted.append(tuple(masks)) or _incidence(masks, width)
-        monkeypatch.setattr(labeling, "_incidence", spy)
-        monkeypatch.setattr(theorems, "_incidence", spy)
+        for module in (labeling, theorems):
+            monkeypatch.setattr(module, "_incidence", spy, raising=False)
         assert all(r.passed for r in run_checks(s, ("axioms", "theorems", "vy")))
-        m, emasks = coordinate_labels(s), element_masks(s)
+        emasks = element_masks(s)
         keys = [key for key in s._cache if isinstance(key, tuple) and key[0] == "shared_lines"]
         assert keys == [("shared_lines", emasks)]
-        model_masks = {emasks, m.point_masks, m.plane_masks, m.point_masks + m.plane_masks}
-        assert sum(masks in model_masks for masks in converted) == 1
+        assert converted == [emasks]
