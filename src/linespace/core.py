@@ -390,7 +390,7 @@ def bit_rows(masks: Sequence[int], width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerpTable:
-    """The distinct perps of the incident pairs, their lines and skew rows.
+    """The distinct perps of the incident pairs and every fact of each perp.
 
     Pair p of ``pairs``, the (P, 2) array of ``incident_pairs``, has perp
     ``masks[perp[p]]``; ``masks`` holds the distinct perps in order of their
@@ -398,10 +398,14 @@ class PerpTable:
     ascending (its places), padded with line n, which meets every line;
     ``skew[k, i]`` holds, as ``_words`` words, the places skew to place i,
     and ``in_sigma[k, i]`` whether there is one: whether i lies in sigma.
+    ``split[k]`` is whether incidence on sigma is two cliques: class 1, the
+    places skew to its least, and class 0; ``classes[k]`` holds them as line
+    masks, ``second[k, i]`` is whether place i lies in class 1, and
+    ``least[k]`` each one's least place, else -1.
 
     A set that depends only on the perp of a pair, as sigma and its classes
-    do, is kept as one ``bit_rows`` row per perp and read at a pair through
-    ``index``; ``holds`` reads it.
+    do, is kept as one ``bit_rows`` row per perp, as ``sigma`` keeps sigma,
+    and read at a pair through ``index``; ``holds`` reads it.
     """
 
     line_count: int
@@ -412,6 +416,11 @@ class PerpTable:
     lines: np.ndarray
     skew: np.ndarray
     in_sigma: np.ndarray
+    split: np.ndarray
+    classes: list[tuple[int, int]]
+    second: np.ndarray
+    least: np.ndarray
+    sigma: np.ndarray
 
     def steps(self, cells: int = 0) -> list[tuple[int, int]]:
         """Bounds of the runs of perps taken at once, at most width squared
@@ -467,7 +476,9 @@ class PerpTable:
 
 def perp_table(s: IncidenceStructure) -> PerpTable:
     """The ``PerpTable`` of ``s``; cached.  Pairs are grouped by the int mask
-    of their perp, and lines and skew rows built with array operations."""
+    of their perp.  In bounded runs of perps, each one's lines, skew rows
+    and sigma set are built with array operations, and its split judged:
+    it holds iff every sigma place is skew to exactly the other class."""
 
     def build():
         n = s.line_count
@@ -482,17 +493,34 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
         first = np.unique(perp, return_index=True)[1]
         lines = np.full((len(ids), width), n, np.int32)
         skew = np.zeros((len(ids), width, max(1, -(-width // 64))), np.uint64)
-        in_sigma = np.zeros((len(ids), width), bool)
-        table = PerpTable(n, pairs, perp, tuple(ids), first, lines, skew, in_sigma)
-        adj = np.ones((n + 1, n + 1), bool)  # line n, the padding, meets every line
-        adj[:n, :n] = s.adjacency
+        in_sigma, second = np.zeros((len(ids), width), bool), np.zeros((len(ids), width), bool)
+        split, least = np.zeros(len(ids), bool), np.zeros((len(ids), 2), np.int64)
+        sigma = np.zeros((len(ids) + 1, n // 8 + 1), np.uint8)  # as ``bit_rows``
+        table = PerpTable(n, pairs, perp, tuple(ids), first, lines, skew, in_sigma, split, [], second, least, sigma)
+        apart = np.zeros((n + 1, n + 1), bool)  # line n, the padding, is skew to no line
+        apart[:n, :n] = ~s.adjacency
         for lo, hi in table.steps(n):
-            k, l = np.nonzero(s.adjacency[a[first[lo:hi]]] & s.adjacency[b[first[lo:hi]]])
-            start = np.cumsum(size[lo:hi]) - size[lo:hi]  # where each perp's lines begin in l
-            lines[lo + k, np.arange(len(k)) - start[k]] = l
-            places = lines[lo:hi, :, None] * (n + 1) + lines[lo:hi, None, :]
-            skew[lo:hi] = _words(~np.take(adj, places))
-        in_sigma[:] = (skew != 0).any(axis=2)
+            # each perp's lines, ascending, fill its first places, row by row
+            lines[lo:hi][np.arange(width) < size[lo:hi, None]] = np.nonzero(
+                s.adjacency[a[first[lo:hi]]] & s.adjacency[b[first[lo:hi]]]
+            )[1]
+            skewed = np.take(apart, lines[lo:hi, :, None] * (n + 1) + lines[lo:hi, None, :])
+            run = skew[lo:hi] = _words(skewed)
+            sig = in_sigma[lo:hi] = run.any(axis=2)
+            r, low = np.arange(hi - lo), sig.argmax(axis=1)  # the least sigma place, else 0, skew to none
+            two = second[lo:hi] = skewed[r, low]  # class 1: the sigma places skew to it
+            one = run[r, low]
+            zero = np.bitwise_or.reduce(run, axis=1) ^ one  # sigma, the union of the rows, less class 1
+            other = np.where(two[:, :, None], zero[:, None], one[:, None])  # what each row should be
+            split[lo:hi] = sig.any(axis=1) & ((run == other).all(axis=2) | ~sig).all(axis=1)
+            rows = np.zeros((hi - lo, n + 1), bool)  # column n: the padding
+            rows[r[:, None], lines[lo:hi]] = sig
+            sigma[lo:hi, : -(-n // 8)] = np.packbits(rows[:, :n], axis=1, bitorder="little")
+        least[:] = np.stack((least_bits(_words(in_sigma)), least_bits(_words(second))), axis=1)
+        raw, nbytes = memoryview(sigma).cast("B"), sigma.shape[1]  # no copy
+        sets = (int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(ids) * nbytes, nbytes))
+        at = lines[np.arange(len(ids)), np.maximum(least[:, 0], 0)].tolist()  # each perp's least sigma line
+        table.classes.extend((x & masks[l], x & ~masks[l]) for x, l in zip(sets, at))
         return table
 
     return s.cached("perp_table", build)

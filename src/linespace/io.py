@@ -307,6 +307,8 @@ def model_from_dict(data: dict, source: str = "<dict>") -> GeometryModel:
                 for v in element
             ):
                 raise ParseError(f"{source}: bad element {element!r} in '{key}'")
+            if len(set(element)) != len(element):
+                raise ParseError(f"{source}: element {element!r} in '{key}' repeats a line")
             out.append(tuple(sorted(element)))
         return tuple(sorted(out))
 

@@ -17,10 +17,12 @@ Elements are int bitmasks of their lines from the table to the verdict,
 and the labeling is one bool array over the rows of ``element_masks``,
 true for a plane; line tuples and frozensets are built only for a model's
 families, a public return value or a witness.  The verification reads
-each perp's two sigma classes from ``sigma_classes`` and their elements
+each perp's two sigma classes from ``core.perp_table`` and their elements
 from ``element_ids``, and the lines every two elements share from
 ``shared_lines``; a model's points and planes are rows among the same
-elements in ``model_index``.
+elements in ``model_index``.  Whether each perp's two classes are one
+point and one plane, under a labeling or a model's kinds, is judged in
+one place, ``_labeled_split``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .core import (
     mask_of_lines,
     perp_table,
 )
-from .sigma import NotTwoClassesError, sigma_classes, sigma_partition
+from .sigma import NotTwoClassesError, sigma_partition
 
 
 class Kind(str, Enum):
@@ -72,26 +74,22 @@ class MissingElementError(LinespaceError):
 
 @dataclass(frozen=True)
 class SecondaryElement:
-    """A derived point or plane: a closed set of lines plus its kind.
-
-    ``witness`` records one generating triad when known, for diagnostics.
-    """
+    """A derived point or plane: a closed set of lines plus its kind."""
 
     lines: tuple[int, ...]
     kind: Kind
-    witness: Optional[tuple[int, int, int]] = None
 
 
 @dataclass(frozen=True)
 class GeometryModel:
     """A structure together with its coordinated point/plane families.
 
-    Elements are stored as sorted line-index tuples of Python ints; two
-    elements are the same element exactly when the tuples are equal, and
-    every line is an integer index of one of the structure's lines, not a
-    bool, else PreconditionError.  ``seed`` records which sigma class of
-    which pair was named the point side, as (a, b, class_index); None for
-    the empty geometry.  The element masks are derived once, on first use,
+    Elements are stored as strictly ascending line-index tuples of Python
+    ints; two elements are the same element exactly when the tuples are
+    equal, and every line is an integer index of one of the structure's
+    lines, not a bool, else PreconditionError.  ``seed`` records which
+    sigma class of which pair was named the point side, as (a, b,
+    class_index); None for the empty geometry.  The element masks are derived once, on first use,
     and take no part in equality; the arrays the checks read are in
     ``model_index``.
     """
@@ -112,6 +110,8 @@ class GeometryModel:
                         raise PreconditionError(
                             f"{family} {list(element)} holds a line outside the structure's {n} lines"
                         )
+                if any(x >= y for x, y in zip(element, element[1:])):
+                    raise PreconditionError(f"{family} {list(element)} is not strictly ascending")
             # a numpy integer shifts as a fixed-width int, so the masks need Python ints
             object.__setattr__(self, f"{family}s", tuple(tuple(map(int, element)) for element in elements))
 
@@ -143,18 +143,18 @@ def element_ids(s: IncidenceStructure) -> tuple[tuple[int, ...], list[tuple[int,
 
     def build():
         masks = s.masks
-        table, classes = perp_table(s), sigma_classes(s)
+        table = perp_table(s)
         first_a, first_b = incident_pairs(s)[table.first].T.tolist()  # each perp's first pair
         ids: dict[int, int] = {}
         triads, element = [], []
-        for base, a, b, (c0, c1), split in zip(table.masks, first_a, first_b, classes.masks, classes.split):
+        for base, a, b, (c0, c1), split in zip(table.masks, first_a, first_b, table.classes, table.split):
             for c in lines_of_mask((c0 & -c0) | (c1 & -c1) if split else c0 | c1):
                 element.append(ids.setdefault(base & masks[c], len(ids)))
                 if element[-1] == len(triads):
                     triads.append((a, b, c))
         # the index in ``element`` of each sigma place: its class, else its rank in sigma
-        count = np.where(classes.split, 2, table.in_sigma.sum(axis=1))
-        at = np.where(classes.split[:, None], classes.second, table.in_sigma.cumsum(axis=1) - 1)
+        count = np.where(table.split, 2, table.in_sigma.sum(axis=1))
+        at = np.where(table.split[:, None], table.second, table.in_sigma.cumsum(axis=1) - 1)
         at = np.where(table.in_sigma, at + (np.cumsum(count) - count)[:, None], -1)
         found = list(ids)
         order = sorted(range(len(found)), key=lambda e: lines_of_mask(found[e]))
@@ -205,35 +205,43 @@ def shared_lines(s: IncidenceStructure, masks: tuple[int, ...]) -> tuple[np.ndar
     return s.cached(("shared_lines", masks), build)
 
 
+def _labeled_split(s: IncidenceStructure, kind: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
+    """Per perp of ``perp_table(s)``, the kinds ``kind``, a code per element
+    of ``element_masks(s)`` (0 point, 1 plane, -1 neither), gives the
+    elements of its two sigma classes; and the first perp, in order of first
+    pairs, whose classes are not one point and one plane, else None.  Where
+    that perp does not split, its first pair raises ``sigma_partition``'s
+    NotTwoClassesError.  A split class yields one element, the perp's lines
+    incident to the class, so the test is judged once per perp."""
+    table = perp_table(s)
+    two = np.append(kind, -1)[element_ids(s)[2][np.arange(len(table.masks))[:, None], table.least]]
+    bad = np.flatnonzero(~table.split | (two.min(axis=1) < 0) | (two[:, 0] == two[:, 1]))
+    if len(bad) and not table.split[bad[0]]:
+        sigma_partition(s, *table.pairs[table.first[bad[0]]].tolist())  # raises
+    return two, int(bad[0]) if len(bad) else None
+
+
 def _verify_labeling(s: IncidenceStructure, plane: np.ndarray, seed: tuple[int, int, int]) -> Optional[dict]:
     """The lexicographically least violation witness of a labeling, or None;
     ``plane`` says of each element of ``element_masks(s)`` whether it is a plane.
 
     Checks, in order: every incident pair's two sigma classes yield one
-    point and one plane; distinct same-kind elements share exactly one
-    line; opposite-kind elements never share exactly one line.  The pair
-    check depends only on perp({p, q}), so it is judged once per perp of
-    ``perp_table``, in order of first pairs; the first failing pair is the
-    same.  When the split holds, a class yields one element, the perp's
-    lines incident to the class, so a class never mixes kinds.
+    point and one plane (``_labeled_split``); distinct same-kind elements
+    share exactly one line; opposite-kind elements never share exactly one.
     """
     seed_info = {"pair": labels_of(s, seed[:2]), "class_of": seed[2]}
 
     def fail(issue, fields):
         return {"issue": issue, **fields, "seed": seed_info}
 
-    table, classes = perp_table(s), sigma_classes(s)
-    emasks, _, element_of = element_ids(s)
-    plane = np.append(plane, False)  # -1 reads the padding
-    two = element_of[np.arange(len(table.masks))[:, None], classes.least]  # the element of each class
-    bad = np.flatnonzero(~classes.split | (plane[two[:, 0]] == plane[two[:, 1]]))
-    if len(bad):
-        pair = table.pairs[table.first[bad[0]]].tolist()
-        sigma_partition(s, *pair)  # raises NotTwoClassesError where the split fails
-        kind = "plane" if plane[two[bad[0], 0]] else "point"
-        return fail("pair_classes_same_kind", {"pair": labels_of(s, pair), "kind": kind})
+    two, bad = _labeled_split(s, plane.astype(np.int8))
+    if bad is not None:
+        table = perp_table(s)
+        pair = labels_of(s, table.pairs[table.first[bad]].tolist())
+        return fail("pair_classes_same_kind", {"pair": pair, "kind": ("point", "plane")[two[bad, 0]]})
+    emasks = element_masks(s)
     common = shared_lines(s, emasks)[0]
-    same = plane[:-1, None] == plane[:-1]
+    same = plane[:, None] == plane
     i, j = np.nonzero(np.triu(same != (common == 1), 1))
     if not len(i):
         return None
@@ -256,7 +264,7 @@ def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> np.n
     a, b, k = seed
     sigma_partition(s, a, b)  # an unsplit seed pair raises its NotTwoClassesError here
     perp = perp_table(s).index[a, b]
-    z = element_ids(s)[2][perp, sigma_classes(s).least[perp, k]]
+    z = element_ids(s)[2][perp, perp_table(s).least[perp, k]]
     incidence = _line_incidence(s, element_masks(s))
     plane = np.count_nonzero(incidence[:, incidence[z]], axis=1) != 1
     plane[z] = False
@@ -272,8 +280,10 @@ def _normalize_seed(
     if len(seed) != 3:
         raise PreconditionError(f"seed must be (a, b, class_index), got {seed!r}")
     a, b, k = seed
-    a = s.check_index(a)
-    b = s.check_index(b)
+    for line in (a, b):
+        if not isinstance(line, (int, np.integer)) or isinstance(line, bool) or not 0 <= line < s.line_count:
+            raise PreconditionError(f"seed line {line!r} is not a line index in [0, {s.line_count})")
+    a, b = int(a), int(b)
     if a == b:
         raise PreconditionError("seed pair must be two distinct lines")
     if not s.adjacency[a, b]:

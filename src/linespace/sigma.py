@@ -7,35 +7,25 @@ incidence restricted to that set is an equivalence with exactly two
 classes; ``sigma_partition`` recovers the classes and verifies both facts
 instead of assuming them, so it doubles as a diagnostic on untrusted input.
 
-Sets are int bitmasks throughout.  The split is decided in one place:
-``sigma_classes`` judges every distinct perp at once from the skew rows of
-``core.perp_table``: a sigma set is two cliques exactly when every sigma
-line is skew to precisely the lines of the other class.
-``sigma_partition`` reads a pair's classes from that table, and grows the
-incidence classes by mask closure only to name why a perp does not split.
-
-Sigma depends only on the perp of the pair, so ``sigma_classes`` also
-keeps each perp's sigma set as one packed row; the checks that look up the
-memberships of many triples at once read it at a pair through the perp
-table's pair-to-perp index, ``perp_table(s).holds(rows, x, y, z)``.
+Sets are int bitmasks throughout.  This module holds the per-pair
+definitions.  The split is decided in one place, ``core.perp_table``,
+which judges every distinct perp in the runs that build its skew rows: a
+sigma set is two cliques exactly when every sigma line is skew to
+precisely the lines of the other class.  ``sigma_partition`` reads a
+pair's classes from that table, and grows the incidence classes by mask
+closure only to name why a perp does not split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     IncidenceStructure,
     LinespaceError,
     PreconditionError,
-    _places,
-    _words,
-    bit_rows,
     bracket,
     labels_of,
-    least_bits,
     lines_of_mask,
     perp_mask,
     perp_table,
@@ -142,68 +132,20 @@ def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SigmaClasses:
-    """The sigma classes of every distinct perp of ``perp_table``.
-
-    ``split[k]`` is whether incidence on perp k's sigma places is exactly
-    two cliques; if so, ``masks[k]`` holds the two classes as line masks,
-    class 0 holding the least sigma line, ``second[k, i]`` whether place i
-    lies in class 1, and ``least[k]`` the least place of each class.
-    ``rows`` holds each perp's sigma set, the union of its two masks, as
-    ``core.bit_rows``.
-    """
-
-    split: np.ndarray
-    masks: list[tuple[int, int]]
-    second: np.ndarray
-    least: np.ndarray
-    rows: np.ndarray
-
-
-def sigma_classes(s: IncidenceStructure) -> SigmaClasses:
-    """The ``SigmaClasses`` of ``s``, from the skew rows of its perp table; cached.
-
-    Class 1 is the set of sigma places skew to the least one, class 0 the
-    rest of sigma.  The split holds iff every sigma place is skew to
-    exactly the other class, judged in bounded runs of perps.
-    """
-
-    def build():
-        table, n = perp_table(s), s.line_count
-        count, width = table.in_sigma.shape
-        least = least_bits(_words(table.in_sigma))  # -1 where sigma is empty
-        one = table.skew[np.arange(count), least]
-        zero = _words(table.in_sigma) & ~one
-        second = _places(one, width)
-        split, sigmas = table.in_sigma.any(axis=1), []
-        for lo, hi in table.steps(n):
-            other = np.where(second[lo:hi, :, None], zero[lo:hi, None], one[lo:hi, None])
-            split[lo:hi] &= ((table.skew[lo:hi] == other).all(axis=2) | ~table.in_sigma[lo:hi]).all(axis=1)
-            rows = np.zeros((hi - lo, n + 1), bool)  # column n: the padding
-            rows[np.arange(hi - lo)[:, None], np.where(table.in_sigma[lo:hi], table.lines[lo:hi], n)] = True
-            sigmas += [int.from_bytes(r.tobytes(), "little") for r in np.packbits(rows[:, :n], axis=1, bitorder="little")]
-        lines = table.lines[np.arange(count), np.maximum(least, 0)].tolist()
-        masks = [(sig & s.masks[l], sig & ~s.masks[l]) for sig, l in zip(sigmas, lines)]
-        least = np.stack((least, least_bits(one)), axis=1)
-        return SigmaClasses(split, masks, second, least, bit_rows(sigmas, n))
-
-    return s.cached("sigma_classes", build)
-
-
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     """Split sigma(a, b) into its two incidence classes, verifying the split.
 
     The split and the classes are read at the pair's perp from
-    ``sigma_classes``.  A perp that does not split, into exactly two
+    ``core.perp_table``.  A perp that does not split, into exactly two
     classes each a clique, raises NotTwoClassesError with a replayable
     witness naming this pair (this includes an empty sigma set, which
     downstream labeling code must never see as an empty partition).
     """
     a, b = _require_incident_distinct(s, a, b, "sigma_partition")
-    classes, perp = sigma_classes(s), perp_table(s).index[a, b]
-    if classes.split[perp]:
-        return SigmaPartition(pair=(a, b), class_masks=classes.masks[perp])
+    table = perp_table(s)
+    perp = table.index[a, b]
+    if table.split[perp]:
+        return SigmaPartition(pair=(a, b), class_masks=table.classes[perp])
     sig = sigma_mask(s, a, b)
     pair_labels = labels_of(s, (a, b))
     name = f"sigma({pair_labels[0]}, {pair_labels[1]})"

@@ -19,14 +19,14 @@ one numbering of the elements, built with array operations so that no
 triad is ever a Python object.  The checks over incident pairs read one
 table per structure too, ``core.perp_table``: each pair's perp among the
 distinct perps, and each perp's lines with their skew rows as packed
-words.  Its pair-to-perp index reads every per-pair set, each kept as one
-packed row per perp: sigma, from ``sigma_classes``, and the model's point
-and plane classes, from ``_labeled_classes``.  The model checks read each
-point and plane as a row of ``labeling.model_index``, among the derived
-elements, and through those rows the labeling's one ``shared_lines``
-table: how many lines every two elements share, and the line where they
-share exactly one.  The point-triple checks share ``_triangles``, whose
-sides come from it.
+words, its sigma set and sigma's split into two classes.  Its
+pair-to-perp index reads every per-pair set, each kept as one packed row
+per perp: sigma, and the model's point and plane classes, from
+``_labeled_classes``.  The model checks read each point and plane as a
+row of ``labeling.model_index``, among the derived elements, and through
+those rows the labeling's one ``shared_lines`` table: how many lines
+every two elements share, and the line where they share exactly one.
+The point-triple checks share ``_triangles``, whose sides come from it.
 
 The costliest checks run array kernels, and every kernel judges, as those
 of axioms 2.2 and 2.3 do: it computes the check's predicate for every
@@ -68,6 +68,7 @@ from .labeling import (
     GeometryModel,
     Kind,
     MissingElementError,
+    _labeled_split,
     _line_incidence,
     _unique_element,
     element_ids,
@@ -76,7 +77,7 @@ from .labeling import (
     shared_lines,
 )
 from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
-from .sigma import NotTwoClassesError, sigma_classes, sigma_mask, sigma_partition
+from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
 
 
 def _triad_keys(lines: np.ndarray, n: int) -> np.ndarray:
@@ -125,7 +126,7 @@ def triad_table(s: IncidenceStructure) -> _Triads:
 
     def build():
         n = s.line_count
-        perps, sigma = perp_table(s), sigma_classes(s).rows
+        perps = perp_table(s)
         x, y = perps.pairs.T
         size = perps.in_sigma.sum(axis=1)
         offset = np.cumsum(size) - size
@@ -145,7 +146,7 @@ def triad_table(s: IncidenceStructure) -> _Triads:
             keys.append(_triad_keys(np.stack((px[top], py[top], z[top]), axis=1), n))
             element.append(e[top])
             a, b, c = np.minimum(px[~top], z[~top]), np.maximum(px[~top], z[~top]), py[~top]
-            new = ~perps.holds(sigma, a, b, c)
+            new = ~perps.holds(perps.sigma, a, b, c)
             extra.append(_triad_keys(np.stack((a[new], b[new], c[new]), axis=1), n))
             extra_element.append(e[~top][new])
         extra, once = np.unique(np.concatenate(extra), return_index=True)
@@ -169,30 +170,24 @@ def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarra
     Entry k of the list is perp k's (point class mask, plane class mask),
     and a last entry (0, 0) is what the pair-to-perp index's -1 reads; the
     array holds the point classes and the plane classes as ``bit_rows``.
-    The labeled classes of (a, b) depend only on perp({a, b}), so they are
-    read per perp from ``sigma_classes``; each class yields one element,
-    whose kind in the model is the class's.  The first perp, in order of
-    first pairs, that does not split into a point class and a plane class
-    raises at its first pair: NotTwoClassesError from ``sigma_partition``
-    where it does not split, else MissingElementError.
+    Each class's kind is its element's in the model, from
+    ``labeling._labeled_split``; the first perp whose classes are not one
+    point and one plane raises there, else MissingElementError here.
     """
     s = m.structure
 
     def build():
-        table, classes = perp_table(s), sigma_classes(s)
-        emasks, _, element_of = element_ids(s)
-        kind = np.append(model_index(s, m).kind[: len(emasks)], -1)  # the elements are its first rows
-        k0, k1 = kind[element_of[np.arange(len(table.masks))[:, None], classes.least]].T
-        bad = np.flatnonzero(~classes.split | (k0 < 0) | (k1 < 0) | (k0 == k1))
-        if len(bad):
-            a, b = table.pairs[table.first[bad[0]]].tolist()
-            sigma_partition(s, a, b)  # raises where the perp does not split
+        table = perp_table(s)
+        kind = model_index(s, m).kind[: len(element_masks(s))]  # the elements are its first rows
+        two, bad = _labeled_split(s, kind)
+        if bad is not None:
+            a, b = table.pairs[table.first[bad]].tolist()
             where = f"({s.labels[a]}, {s.labels[b]})"
-            if min(k0[bad[0]], k1[bad[0]]) < 0:
+            if two[bad].min() < 0:
                 raise MissingElementError(f"bracket of sigma class of {where} is not an element of the model")
-            raise MissingElementError(f"both sigma classes of {where} map to {('point', 'plane')[k0[bad[0]]]}s")
-        per_perp = [two[::-1] if k else two for two, k in zip(classes.masks, k0.tolist())]
-        rows = np.stack([bit_rows([two[i] for two in per_perp], s.line_count) for i in (0, 1)])
+            raise MissingElementError(f"both sigma classes of {where} map to {('point', 'plane')[two[bad, 0]]}s")
+        per_perp = [c[::-1] if k else c for c, k in zip(table.classes, two[:, 0].tolist())]
+        rows = np.stack([bit_rows([c[i] for c in per_perp], s.line_count) for i in (0, 1)])
         return per_perp + [(0, 0)], rows
 
     return s.cached(("labeled_classes", m.points, m.planes), build)
@@ -229,11 +224,10 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     does not hold all three is the least violation.
     """
     name = "thm_sigma_equivalence"
-    table, sigma = perp_table(s), sigma_classes(s).rows
-    tri = triad_table(s)
+    table, tri = perp_table(s), triad_table(s)
     for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
         a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
-        held = table.holds(sigma, b, c, a), table.holds(sigma, c, a, b), table.holds(sigma, a, b, c)
+        held = [table.holds(table.sigma, *rotation) for rotation in ((b, c, a), (c, a, b), (a, b, c))]
         bad = np.flatnonzero(~(held[0] & held[1] & held[2]))
         if len(bad):
             t = lo + int(bad[0])
@@ -257,21 +251,20 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     """Incidence on every sigma(a, b) splits into exactly two classes.
 
     Kernel: the split depends only on perp({a, b}), so it is read per
-    distinct perp from ``sigma_classes``; the first pair whose perp does not
-    split fails, and ``sigma_partition`` names its witness.
+    distinct perp from ``core.perp_table``; the first pair whose perp does
+    not split fails, and ``sigma_partition`` names its witness.
     """
     name = "thm_two_classes"
-    table, classes = perp_table(s), sigma_classes(s)
-    pairs = table.pairs
-    stats = {"pairs_examined": len(pairs)}
-    unsplit = np.flatnonzero(~classes.split[table.perp])
+    table = perp_table(s)
+    stats = {"pairs_examined": len(table.pairs)}
+    unsplit = np.flatnonzero(~table.split[table.perp])
     if len(unsplit):
         try:
-            sigma_partition(s, *pairs[unsplit[0]].tolist())
+            sigma_partition(s, *table.pairs[unsplit[0]].tolist())
         except NotTwoClassesError as e:
             return CheckReport(name, FAIL, counterexample=dict(e.witness), stats=stats)
-    if classes.masks:
-        stats["class_size_pairs"] = sorted({(c0.bit_count(), c1.bit_count()) for c0, c1 in classes.masks})
+    if table.classes:
+        stats["class_size_pairs"] = sorted({(c0.bit_count(), c1.bit_count()) for c0, c1 in table.classes})
     return CheckReport(name, PASS, stats=stats)
 
 
@@ -683,7 +676,7 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     four = np.stack(four, axis=1)
     _, first, inverse = np.unique(four, axis=0, return_index=True, return_inverse=True)
     # the double perp lies in perp({a, b}): it is the perp less sigma
-    double_perp = [ab & ~(c0 | c1) for ab, (c0, c1) in zip(table.masks, sigma_classes(s).masks)]
+    double_perp = [ab & ~(c0 | c1) for ab, (c0, c1) in zip(table.masks, table.classes)]
 
     def holds(k, in_model, point, plane):
         if min(in_model, point, plane) < 0:
@@ -743,7 +736,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         refined = _labeled_classes(m)[1]
     except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
-    table, model_table, sigma = perp_table(s), perp_table(m.structure), sigma_classes(s).rows
+    table, model_table = perp_table(s), perp_table(m.structure)
     tri, index, derived = triad_table(s), model_index(s, m), len(element_masks(s))
     kind, inside = index.kind[:derived], index.incidence[:derived]  # s's elements are the first rows
     size, members = inside.sum(axis=1), _padded(inside, 0)
@@ -754,7 +747,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     step = max(1, _CELLS_PER_STEP // (members.shape[1] * len(x) + 1))
     for lo in range(0, len(size), step):
         u, v, z = members[lo : lo + step, None, x], members[lo : lo + step, None, y], members[lo : lo + step, :, None]
-        held[0, lo : lo + step] = _words(table.holds(sigma, u, v, z))
+        held[0, lo : lo + step] = _words(table.holds(table.sigma, u, v, z))
         for code, rows in enumerate(refined):
             mine = lo + np.flatnonzero(kind[lo : lo + step] == code)
             held[1, mine] = _words(model_table.holds(rows, u[mine - lo], v[mine - lo], z[mine - lo]))
@@ -783,7 +776,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
         ce = {"triad": ce["triad"], "x": s.labels[u], "y": s.labels[v]}
         if not s.adjacency[u, v]:
             ce["issue"] = "skew_pair_in_bracket"
-        elif not table.holds(sigma, u, v, tri.lines[t]).any():
+        elif not table.holds(table.sigma, u, v, tri.lines[t]).any():
             ce["issue"] = "sigma_misses_triad"
         else:
             ce.update(kind="point" if kind[k] == 0 else "plane", issue="refined_class_misses_triad")

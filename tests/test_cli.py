@@ -350,6 +350,15 @@ class TestDerive:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["999,0,0", "0,-1,0"])
+    def test_seed_line_outside_the_structure(self, seed, tetra_file, tmp_path, capsys):
+        """A usage error, as a repeated or a skew seed pair is, not a failed check."""
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run(["derive", str(tetra_file), "--out", str(out), "--seed", seed], capsys)
+        assert (code, stdout) == (2, "")
+        assert "is not a line index in [0, 6)" in stderr
+        assert not out.exists()
+
 
 class TestDualize:
     def test_involution_byte_identical(self, pg2_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Serialization: canonical byte-identical files, validation, label references."""
 
 import json
+import re
 from io import BytesIO
 from unittest import mock
 
@@ -509,6 +510,18 @@ class TestModelRoundTrip:
         data = model_to_dict(m)
         data["points"] = [[0, 99]]
         with pytest.raises(ParseError, match="element"):
+            model_from_dict(data)
+
+    def test_model_element_repeating_a_line(self, pg2_model):
+        """An unsorted element is sorted, but one that repeats a line is an
+        error: sorted, a point's lines with one repeated would load as that
+        point, here listed again as a plane."""
+        data = model_to_dict(pg2_model)
+        data["planes"] = [plane[::-1] for plane in data["planes"]]
+        assert model_from_dict(data) == pg2_model
+        point = data["points"][0]
+        data["planes"][0] = point[::-1] + point[:1]
+        with pytest.raises(ParseError, match=re.escape(f"element {data['planes'][0]} in 'planes' repeats a line")):
             model_from_dict(data)
 
 

@@ -214,6 +214,18 @@ class TestMeetJoin:
         with pytest.raises(PreconditionError, match=re.escape(message)):
             GeometryModel(m.structure, (element,) + m.points[1:], m.planes, m.seed)
 
+    @pytest.mark.parametrize("edit", ["reversed", "repeated"])
+    def test_element_not_strictly_ascending_rejected(self, pg2_model, edit):
+        """Elements are compared as tuples, so a plane given as a point's
+        lines out of order, or with one repeated, would pass as a plane
+        distinct from that point."""
+        m = pg2_model
+        point = m.points[0]
+        plane = point[::-1] if edit == "reversed" else point + point[-1:]
+        message = f"plane {list(plane)} is not strictly ascending"
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            GeometryModel(m.structure, m.points, (plane,) + m.planes[1:], m.seed)
+
     def test_numpy_integer_lines_held_as_ints(self, pg2_model):
         """A numpy integer shifts as a fixed-width int: ``1 << np.int32(34)`` is 0."""
         m = pg2_model

@@ -19,7 +19,6 @@ from linespace import (
 )
 from linespace.core import perp_table
 from linespace.registry import run_checks
-from linespace.sigma import sigma_classes
 
 from conftest import names_for
 
@@ -127,12 +126,12 @@ class TestSigmaPartition:
         assert not s.adjacency[p, r]
 
     def test_classes_read_from_the_table(self):
-        """Every partition is the sigma class table's at the pair's perp, and
+        """Every partition is the perp table's classes at the pair's perp, and
         neither it nor a full battery leaves a memo of its own."""
         s, _ = gen_pg3(2)
-        table, classes = perp_table(s), sigma_classes(s)
+        table = perp_table(s)
         for a, b in incident_pairs(s):
-            assert sigma_partition(s, a, b).class_masks == classes.masks[table.index[a, b]]
+            assert sigma_partition(s, a, b).class_masks == table.classes[table.index[a, b]]
         run_checks(s, ("axioms", "theorems", "vy"))
         assert not [k for k in s._cache if isinstance(k, tuple) and k[0] in ("sigma_split", "sigma_partition")]
 

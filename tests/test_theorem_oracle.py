@@ -33,7 +33,6 @@ from linespace import (
 from conftest import one_perp_regulus
 from linespace.core import perp_table
 from linespace.labeling import element_masks
-from linespace.sigma import sigma_classes
 from linespace.theorems import triad_table
 
 
@@ -272,7 +271,7 @@ def assert_perp_table_matches_oracle(s, o):
         index[x][y] = index[y][x] = k
     assert table.index.tolist() == index
     sigma = [sum(1 << z for z in range(n) if o.member(*pairs[p], z)) for p in table.first.tolist()]
-    assert sigma_classes(s).rows.tolist() == [list(x.to_bytes(n // 8 + 1, "little")) for x in sigma + [0]]
+    assert table.sigma.tolist() == [list(x.to_bytes(n // 8 + 1, "little")) for x in sigma + [0]]
 
 
 def assert_matches_oracle(s):

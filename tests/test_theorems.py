@@ -292,11 +292,11 @@ class TestExchangeFailures:
         # the sigma row of perp({L02, L10}) read as empty by the bracket rows
         # alone: the triad table is built from the true sigma sets before the cut
         triad_table(pg2)
-        classes = theorems.sigma_classes(pg2)
-        rows = classes.rows.copy()
-        rows[theorems.perp_table(pg2).index[2, 10]] = 0
-        cut = dataclasses.replace(classes, rows=rows)
-        monkeypatch.setattr(theorems, "sigma_classes", lambda s: cut)
+        table = theorems.perp_table(pg2)
+        sigma = table.sigma.copy()
+        sigma[table.index[2, 10]] = 0
+        cut = dataclasses.replace(table, sigma=sigma)
+        monkeypatch.setattr(theorems, "perp_table", lambda s: cut)
         ce = {"triad": ["L01", "L02", "L10"], "x": "L02", "y": "L10"}
         assert self.exchange_ce(pg2, pg2_model) == ({**ce, "issue": "sigma_misses_triad"}, 1583)
 
@@ -614,6 +614,19 @@ class TestDualMetamorphic:
     def test_seeded_flips(self, k, pg3, pg3_model):
         self.assert_dual_agrees(seeded_mutant(pg3, k), pg3_model)
 
+    @pytest.mark.parametrize("name", ["tetra", "pg2", "pg3"])
+    def test_whole_battery(self, name, request):
+        """Duality as an oracle: every theorem report has the same status and
+        stats on the default model and on its dual, and every vy check the
+        same status.  Run on the dual, the vy checks check the dual axioms."""
+        s = request.getfixturevalue(name)
+        m = coordinate_labels(s)
+        d = dualize(m)
+        suite = lambda model: [(r.check_name, r.status, r.stats) for r in run_theorem_suite(s, model)]
+        vy = lambda model: [(r.check_name, r.status) for r in run_vy_battery(s, model)]
+        assert suite(m) == suite(d)
+        assert vy(m) == vy(d)
+
 
 class TestPairIndex:
     """Every per-pair set is one row per perp, read through the perp table's
@@ -647,6 +660,16 @@ class TestPairIndex:
         for check in (thm_triad_typing, thm_pencil_intersection, thm_exchange, thm_triangle):
             assert check(s, m).passed
         assert len(built) == 2  # the point rows and the plane rows
+
+    def test_battery_builds_one_perp_table(self):
+        """Each distinct perp's lines, skew rows, sigma set and sigma classes
+        come from the one walk of ``perp_table``; no second table of sigma
+        classes is cached."""
+        s, _ = gen_pg3(3)
+        assert all(r.passed for r in run_checks(s, ("axioms", "theorems", "vy")))
+        kinds = [key if isinstance(key, str) else key[0] for key in s._cache]
+        assert kinds.count("perp_table") == 1
+        assert "sigma_classes" not in kinds
 
     def test_battery_builds_one_shared_lines_table(self, monkeypatch):
         """The labeling's table over the derived elements is the one every
