@@ -19,11 +19,11 @@ from .sigma import sigma
 
 # Each submodule and the public names it defines.
 _EXPORTS = {
-    "core": """CapacityError IncidenceStructure LinespaceError PreconditionError
-        StructureError bracket find_skew_pair find_skew_triple incident_pairs
-        is_incident labels_of line_cap perp""",
+    "core": """CapacityError IncidenceStructure LabelInconsistencyError LinespaceError
+        PreconditionError StructureError bracket find_skew_pair find_skew_triple
+        incident_pairs is_incident labels_of line_cap perp""",
     "sigma": "NotTwoClassesError SigmaPartition is_triad secondary_element sigma_partition",
-    "labeling": """GeometryModel Kind LabelInconsistencyError MissingElementError
+    "labeling": """GeometryModel Kind MissingElementError
         SecondaryElement coordinate_labels dualize enumerate_secondary_elements
         join_plane meet_point""",
     "registry": "CheckReport",

@@ -20,8 +20,11 @@ place in every battery, its display name and its replay.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
     IncidenceStructure,
+    LabelInconsistencyError,
     _places,
     _words,
     bracket,
@@ -29,16 +32,11 @@ from .core import (
     find_skew_triple_mask,
     incident_pairs,
     labels_of,
+    least_bits,
     lines_of_mask,
     mask_of_lines,
     perp,
     perp_table,
-)
-from .labeling import (
-    LabelInconsistencyError,
-    coordinate_labels,
-    element_ids,
-    element_masks,
 )
 from .registry import (
     DEPENDENCY_UNMET,
@@ -91,36 +89,55 @@ def _replay_axiom2_1(s: IncidenceStructure, ce: dict) -> bool:
     return find_skew_pair_mask(s, s.masks[a] & s.masks[b]) is None
 
 
+# uint64 words of packed rows per array in a run of check_axiom2_1
+_WORDS_PER_RUN = 1 << 18
+
+
 @registered("axioms", name="axiom2_1", display="AXIOM [2.1]", replay=_replay_axiom2_1)
 def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
     """perp({a, b}) of every incident distinct pair must contain a skew pair.
 
-    The search depends only on the perp, so each distinct perp is searched
-    once, at its first pair; the pairs are still walked in order.
+    Kernel: in bounded runs of pairs, the AND of the packed adjacency rows
+    of a and b is the perp; let x be its least line.  A line of the perp
+    outside row x is skew to x, and x lies in the perp, so a pair with
+    ``perp & ~row[x]`` non-zero holds a skew pair and passes.  Otherwise x
+    meets every line of the perp, and the scalar search decides, on those
+    pairs alone, in order, once per distinct perp.  Each pair's verdict is
+    the search's, so the first failing pair and ``pairs_examined`` are
+    those of a walk that searches every pair; the witness is the search's
+    least skew pair in the perp of the first pair.
     """
     masks = s.masks
     pairs = incident_pairs(s)
-    witness = None
+    rows = _words(s.adjacency)
+    step = max(1, _WORDS_PER_RUN // rows.shape[1])
     passed = set()
-    for count, (a, b) in enumerate(zip(*pairs.T.tolist()), start=1):
-        members = masks[a] & masks[b]
-        if members in passed:
-            continue
-        skew = find_skew_pair_mask(s, members)
-        if skew is None:
-            return CheckReport(
-                "axiom2_1",
-                FAIL,
-                counterexample={
-                    "pair": labels_of(s, (a, b)),
-                    "perp": labels_of(s, lines_of_mask(members)),
-                    "reason": "perp of the pair is pairwise incident",
-                },
-                stats={"pairs_examined": count},
-            )
-        passed.add(members)
-        if witness is None:
-            witness = {"pair": labels_of(s, (a, b)), "skew_pair": labels_of(s, skew)}
+    for lo in range(0, len(pairs), step):
+        run = pairs[lo : lo + step]
+        perps = rows[run[:, 0]] & rows[run[:, 1]]
+        undecided = ~(perps & ~rows[least_bits(perps)]).any(axis=1)
+        for p in (np.flatnonzero(undecided) + lo).tolist():
+            a, b = pairs[p].tolist()
+            members = masks[a] & masks[b]
+            if members in passed:
+                continue
+            if find_skew_pair_mask(s, members) is None:
+                return CheckReport(
+                    "axiom2_1",
+                    FAIL,
+                    counterexample={
+                        "pair": labels_of(s, (a, b)),
+                        "perp": labels_of(s, lines_of_mask(members)),
+                        "reason": "perp of the pair is pairwise incident",
+                    },
+                    stats={"pairs_examined": p + 1},
+                )
+            passed.add(members)
+    witness = None
+    if len(pairs):
+        a, b = pairs[0].tolist()
+        skew = find_skew_pair_mask(s, masks[a] & masks[b])
+        witness = {"pair": labels_of(s, (a, b)), "skew_pair": labels_of(s, skew)}
     return CheckReport(
         "axiom2_1", PASS, witness_sample=witness, stats={"pairs_examined": len(pairs)}
     )
@@ -223,6 +240,8 @@ def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
 
 
 def _replay_axiom3(s: IncidenceStructure, ce: dict) -> bool:
+    from .labeling import element_masks
+
     em = mask_of_lines(_resolve(s, ce["element"]))
     emasks = element_masks(s)
     return em in emasks and all(other == em or (em & other) for other in emasks)
@@ -236,6 +255,8 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
     equality makes triads interchangeable here, which keeps the search
     quadratic in the element count.
     """
+    from .labeling import element_ids
+
     emasks, triads, _ = element_ids(s)
     samples = []
     for i, em in enumerate(emasks):
@@ -265,6 +286,8 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
 
 
 def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
+    from .labeling import element_masks
+
     issue = ce.get("issue")
     if issue == "sigma_not_two_classes":
         return _replay_not_two_classes(s, ce)
@@ -322,6 +345,8 @@ def check_axiom4(s: IncidenceStructure) -> CheckReport:
     """Two points always share a line, and dually two planes; via seeded
     labeling, whose verification makes every two same-kind elements share
     exactly one line."""
+    from .labeling import coordinate_labels
+
     pairs = incident_pairs(s)
     try:
         m = coordinate_labels(s)

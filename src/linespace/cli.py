@@ -13,6 +13,7 @@ the checkers and ``derive`` and ``dualize`` load only the labeling.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -215,5 +216,16 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
 
 
+def run() -> None:
+    """The console entry point: main(), then exit with its code.
+
+    Everything main() made is frozen first, so the interpreter's last
+    collection at exit does not walk it; the process's end frees it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -55,6 +55,21 @@ class PreconditionError(LinespaceError):
     """An operation was invoked outside its stated contract."""
 
 
+class LabelInconsistencyError(LinespaceError):
+    """The seeded point/plane classification failed verification.
+
+    Carries a ``witness`` dict naming the violated constraint: two
+    same-kind elements sharing zero lines (a join/meet vacancy) or more
+    than one line, a point/plane pair sharing exactly one line, an
+    incident pair whose two sigma classes do not yield one point and one
+    plane, or a model element that is not derived, listed twice or left out.
+    """
+
+    def __init__(self, message: str, witness: dict):
+        super().__init__(message)
+        self.witness = witness
+
+
 def line_cap() -> int:
     """Maximum supported line count; LINESPACE_MAX_LINES overrides the default."""
     raw = os.environ.get(MAX_LINES_ENV)

@@ -6,12 +6,12 @@ rather than incident ones because the structures of interest are
 incidence-dense; every unordered pair not listed is incident, and
 reflexive incidence is implicit.  Line references in reports are labels.
 
-The skew pairs, the last and by far the largest member of structure and
-model files, are written in bounded blocks without the JSON encoder.  The
-reader recognises exactly the layout the writer produces and reads the
-file in blocks, parsing those pairs straight into an int array; any other
-file, however it is laid out, goes through ``json.loads``.  The format is
-the same either way.
+The skew pairs, by far the largest member of structure and model files,
+and the PG(3,q) sidecar's int arrays are written by one array renderer, not
+the JSON encoder: each number's digits come from a table, each row fills a
+fixed record.  The reader parses a block of pairs into an int array and
+keeps it only if rendering it gives the block back byte for byte; any other
+file goes through ``json.loads``.  The format is the same either way.
 """
 
 from __future__ import annotations
@@ -45,73 +45,72 @@ def canonical_json(obj) -> str:
     return _dumps(obj) + "\n"
 
 
-def _write(path: Union[str, Path], text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
-
-
-# The layout in which the writer puts the skew pairs, the last member of
-# both file formats, and which _read_layout parses without the JSON decoder.
-# No JSON string holds a raw newline, so _PAIRS_KEY cannot start inside one.
-_PAIRS_KEY = ',\n  "skew_pairs": '
-_PAIRS_OPEN, _PAIRS_END = "[\n", "\n  ]\n}"
-_OPEN, _MID, _CLOSE, _JOIN = "    [\n      ", ",\n      ", "\n    ]", ",\n"
-_PAIR_FORMAT = f"{_OPEN}%d{_MID}%d{_CLOSE}"
-_SKELETON = (_OPEN + _MID + _CLOSE).encode()  # one pair with its two numbers removed
-_SLOTS = np.array([len(_OPEN), len(_OPEN + _MID)])  # where the numbers sit in it
-_STRIDE = len(_SKELETON) + len(_JOIN)
-_MAX_DIGITS = 18  # every 18-digit index fits an int64
+# The skew pairs, the last member of both file formats: _PAIRS_KEY, each pair
+# rendered between _PAIR_SEPS (the first without its comma), _PAIRS_END.  No
+# JSON string holds a raw newline, so _PAIRS_KEY cannot start inside one.
+_PAIRS_KEY, _PAIRS_END = b',\n  "skew_pairs": [', b"\n  ]\n}"
+_PAIR_SEPS = (b",\n    [\n      ", b",\n      ", b"\n    ]")
+_STRIDE = len(b"".join(_PAIR_SEPS))  # a pair's bytes less its two numbers
 _BLOCK_CHARS = 1 << 20  # text per block, read or written
 _JSON_SPACE = b" \t\n\r"
+_COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
+
+
+def _digits(n: int) -> np.ndarray:
+    """Row v < n: the digits of v, right-aligned and NUL-padded to one width."""
+    places = 10 ** np.arange(len(str(max(n - 1, 0))))[::-1]
+    v = np.arange(n)[:, None]
+    return np.where((v >= places) | (places == 1), v // places % 10 + ord("0"), 0).astype(np.uint8)
+
+
+def _render(rows: np.ndarray, digits: np.ndarray, seps) -> bytes:
+    """Each row of the (k, m) index array ``rows`` as seps[0], its first number's
+    digits, seps[1], ..., seps[m]: a record per row, a gather per column."""
+    width = digits.shape[1]
+    out = np.tile(np.frombuffer(bytes(width).join(seps), np.uint8), (len(rows), 1))
+    for column, at in enumerate(np.cumsum([len(sep) + width for sep in seps[:-1]]) - width):
+        out[:, at : at + width] = digits.take(rows[:, column], axis=0)
+    return out.tobytes().replace(b"\0", b"")
+
+
+def _int_array(values: np.ndarray) -> str:
+    """_dumps(values.tolist()) as a member's value, for a non-empty array of
+    naturals: its items rendered between the pieces of _dumps of one item."""
+    template = _dumps(np.zeros(values.shape[1:], int).tolist()).replace("\n", "\n    ")
+    seps = [sep.encode() for sep in (",\n    " + template).split("0")]
+    text = _render(values.reshape(len(values), -1), _digits(int(values.max()) + 1), seps)
+    return "[" + text[1:].decode() + "\n  ]"
 
 
 class _ReadPairs(np.ndarray):
-    """(k, 2) int64 skew pairs whose every entry _read_layout has proved two indices."""
+    """(k, 2) int64 skew pairs, each entry proved by _read_layout an index below the line count."""
 
 
-def _read_pairs(block: bytes) -> Optional[np.ndarray]:
-    """The pairs of ``block`` as a (k, 2) array, if it is k >= 1 pairs in the layout.
-
-    That is: every number one run of 1 to 18 digits with no leading zero;
-    and, with the digits removed, the pairs' skeletons joined by _JOIN and
-    nothing else, so the block is ASCII.
-    """
-    skeleton = block.translate(None, b"0123456789")
-    k = (len(skeleton) + len(_JOIN)) // _STRIDE
-    if not k or skeleton != _JOIN.encode().join([_SKELETON] * k):
+def _read_pairs(block: bytes, digits: np.ndarray) -> Optional[np.ndarray]:
+    """The (k, 2) pairs of ``block``, k >= 1, if its numbers are indices below
+    len(digits) and rendering them gives the block back byte for byte."""
+    numbers = block.translate(_COMMA_TO_SPACE, b" \n[]")
+    if numbers.translate(None, b"0123456789 "):
         return None
-    chars = np.frombuffer(block, np.uint8)
-    is_digit = (chars >= ord("0")) & (chars <= ord("9"))
-    edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
-    first, width = edges[0::2], edges[1::2] - edges[0::2]
-    # each digit run must fill one number's place in the skeleton
-    places = first - (np.cumsum(width) - width)
-    if not (
-        np.array_equal(places, (np.arange(k)[:, None] * _STRIDE + _SLOTS).ravel())
-        and (width <= _MAX_DIGITS).all()
-        and not ((chars[first] == ord("0")) & (width > 1)).any()
-    ):
+    values = np.fromstring(numbers, dtype=np.int64, sep=" ")
+    if not len(values) or len(values) % 2 or values.max() >= len(digits):
         return None
-    # only digits and the commas between numbers are left
-    numbers = block.translate(None, b" \n[]")
-    return np.fromstring(numbers, dtype=np.int64, sep=",").reshape(k, 2)
+    pairs = values.reshape(-1, 2)
+    return pairs if _render(pairs, digits, _PAIR_SEPS) == block else None
 
 
 def _read_layout(f) -> Optional[dict]:
     """The object in the binary file ``f``, if in the writer's layout, with its
-    skew pairs as _ReadPairs.
+    skew pairs as _ReadPairs; else None.
 
-    The file must be a UTF-8 head, everything before the ``skew_pairs``
-    member, that parses as a non-empty JSON object once closed, then that
-    member as the writer lays it out, closing the object; JSON whitespace
-    may follow.  Such a file is a UTF-8 JSON object, and the data holds
-    what ``json.loads`` gives, the pairs as an array.  The file is read in
-    blocks of about _BLOCK_CHARS bytes, the head first, then the pairs,
-    each block's whole pairs parsed into the array, so the file is never
-    held whole.  None for any other file.
+    The head, everything before ``skew_pairs``, must be UTF-8 and, once
+    closed, a JSON object with a ``lines`` list; the pairs, the last
+    member, and JSON whitespace follow.  The data is then what
+    ``json.loads`` gives.  Blocks of about _BLOCK_CHARS bytes are read
+    and parsed in turn, so the file is never held whole.
     """
-    key = (_PAIRS_KEY + _PAIRS_OPEN).encode()
     buf = bytearray()
-    while (head := buf.find(key, max(0, len(buf) - _BLOCK_CHARS - len(key)))) < 0:
+    while (head := buf.find(_PAIRS_KEY, max(0, len(buf) - _BLOCK_CHARS - len(_PAIRS_KEY)))) < 0:
         block = f.read(_BLOCK_CHARS)
         if not block:
             return None
@@ -120,35 +119,35 @@ def _read_layout(f) -> Optional[dict]:
         data = json.loads(buf[:head].decode("utf-8") + "\n}")
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
-    if not data:  # "{" alone, which no comma may follow
+    if not isinstance(data.get("lines"), list):
         return None
-    del buf[: head + len(key)]  # from the front of a bytearray, which copies nothing
-    # Each pair takes at least _STRIDE + 2 bytes but the last, which has no
-    # _JOIN, so this bounds the count; pages of the array never filled are
-    # never touched.
+    digits = _digits(len(data["lines"]))
+    buf[: head + len(_PAIRS_KEY)] = b","  # so the first pair reads as _render lays it out
+    # Each pair takes at least _STRIDE + 2 bytes, so this bounds the count;
+    # pages of the array never filled are never touched.
     here = f.tell()
-    out = np.empty(((f.seek(0, 2) - here + len(buf) + len(_JOIN)) // (_STRIDE + 2), 2), np.int64)
+    out = np.empty(((f.seek(0, 2) - here + len(buf)) // (_STRIDE + 2), 2), np.int64)
     f.seek(here)
     done = 0
     while True:
         block = f.read(_BLOCK_CHARS)
         buf += block
         if block:  # parse the whole pairs read so far
-            cut = buf.rfind((_JOIN + _OPEN).encode())
+            cut = buf.rfind(_PAIR_SEPS[0])
             if cut <= 0:
                 continue
         else:  # the last pairs, closed by _PAIRS_END and JSON whitespace alone
-            cut = buf.rfind(_PAIRS_END.encode())
+            cut = buf.rfind(_PAIRS_END)
             if cut < 0 or buf[cut + len(_PAIRS_END) :].strip(_JSON_SPACE):
                 return None
-        pairs = _read_pairs(bytes(memoryview(buf)[:cut]))
+        pairs = _read_pairs(bytes(memoryview(buf)[:cut]), digits)
         if pairs is None:
             return None
         out[done : done + len(pairs)] = pairs
         done += len(pairs)
         if not block:
             break
-        del buf[: cut + len(_JOIN)]
+        del buf[:cut]  # from the front of a bytearray, which copies nothing
     data["skew_pairs"] = out[:done].view(_ReadPairs)
     return data
 
@@ -188,41 +187,36 @@ def structure_to_dict(s: IncidenceStructure) -> dict:
 
 
 def _skew_pair_blocks(adj: np.ndarray):
-    """The skew pairs of ``adj`` in _PAIR_FORMAT, in order, about _BLOCK_CHARS per block."""
+    """The skew pairs of ``adj`` rendered in order, about _BLOCK_CHARS per block."""
     n = len(adj)
+    digits = _digits(n)
     rows = max(1, _BLOCK_CHARS // _STRIDE // max(n, 1))
     for r in range(0, n, rows):
         i, j = np.nonzero(np.triu(~adj[r : r + rows], r + 1))
         if i.size:
-            numbers = np.column_stack((i + r, j)).ravel().tolist()
-            yield _JOIN.join([_PAIR_FORMAT] * i.size) % tuple(numbers)
+            yield _render(np.column_stack((i + r, j)), digits, _PAIR_SEPS)
 
 
 def _save_with_skew_pairs(path: Union[str, Path], fields: dict, s: IncidenceStructure) -> None:
     """Write canonical_json of ``fields`` plus the skew pairs of ``s``.
 
-    The bytes equal canonical_json(fields | {"skew_pairs": ...}), but the
-    pairs, by far the largest member, are formatted and written in blocks
-    straight from the adjacency instead of by the pure-Python encoder that
-    indent=2 selects.  Every other member is encoded by _dumps and indented
-    one level; a JSON text holds no raw newline inside a string, so
-    indenting after each newline is exact.  Every other key of both
-    formats sorts before "skew_pairs".
+    The pairs, rendered in blocks straight from the adjacency, follow the
+    other members, whose keys all sort before "skew_pairs": each encoded by
+    _dumps and indented one level, exact as no JSON string holds a newline.
     """
     members = ",\n".join(
         f"  {_dumps(key)}: " + _dumps(fields[key]).replace("\n", "\n  ") for key in sorted(fields)
     )
     blocks = _skew_pair_blocks(s.adjacency)
     first = next(blocks, None)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("{\n" + members)
+    with open(path, "wb") as f:
+        f.write(("{\n" + members).encode("utf-8") + _PAIRS_KEY)
         if first is None:
-            f.write(_PAIRS_KEY + "[]\n}\n")
+            f.write(b"]\n}\n")
             return
-        f.write(_PAIRS_KEY + _PAIRS_OPEN + first)
-        for block in blocks:
-            f.write(_JOIN + block)
-        f.write(_PAIRS_END + "\n")
+        f.write(first[1:])  # no comma before the first pair
+        f.writelines(blocks)
+        f.write(_PAIRS_END + b"\n")
 
 
 def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructure:
@@ -348,7 +342,7 @@ def reports_to_dict(reports) -> dict:
 
 
 def save_reports(reports, path: Union[str, Path]) -> None:
-    _write(path, canonical_json(reports_to_dict(reports)))
+    Path(path).write_text(canonical_json(reports_to_dict(reports)), encoding="utf-8")
 
 
 def pg3_meta_to_dict(meta) -> dict:
@@ -362,4 +356,9 @@ def pg3_meta_to_dict(meta) -> dict:
 
 
 def save_pg3_meta(meta, path: Union[str, Path]) -> None:
-    _write(path, canonical_json(pg3_meta_to_dict(meta)))
+    """Write canonical_json(pg3_meta_to_dict(meta)), its int arrays by _int_array."""
+    members = (
+        f"  {_dumps(key)}: " + (_int_array(np.array(value)) if isinstance(value, list) else _dumps(value))
+        for key, value in sorted(pg3_meta_to_dict(meta).items())
+    )
+    Path(path).write_text("{\n" + ",\n".join(members) + "\n}\n", encoding="utf-8")

@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import (
     IncidenceStructure,
+    LabelInconsistencyError,
     LinespaceError,
     PreconditionError,
     _incidence,
@@ -51,21 +52,6 @@ from .sigma import NotTwoClassesError, sigma_partition
 class Kind(str, Enum):
     POINT = "point"
     PLANE = "plane"
-
-
-class LabelInconsistencyError(LinespaceError):
-    """The seeded point/plane classification failed verification.
-
-    Carries a ``witness`` dict naming the violated constraint: two
-    same-kind elements sharing zero lines (a join/meet vacancy) or more
-    than one line, a point/plane pair sharing exactly one line, an
-    incident pair whose two sigma classes do not yield one point and one
-    plane, or a model element that is not derived, listed twice or left out.
-    """
-
-    def __init__(self, message: str, witness: dict):
-        super().__init__(message)
-        self.witness = witness
 
 
 class MissingElementError(LinespaceError):

@@ -20,11 +20,13 @@ its check's replayer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .core import LAYERS, IncidenceStructure
-from .labeling import GeometryModel, LabelInconsistencyError, coordinate_labels
+from .core import LAYERS, IncidenceStructure, LabelInconsistencyError
 from .sigma import NotTwoClassesError
+
+if TYPE_CHECKING:
+    from .labeling import GeometryModel
 
 PASS = "pass"
 FAIL = "fail"
@@ -140,6 +142,8 @@ def run_checks(
             reports.append(c.checker(s))
             continue
         if m is None and error is None:
+            from .labeling import coordinate_labels
+
             try:
                 m = coordinate_labels(s)
             except (NotTwoClassesError, LabelInconsistencyError) as e:

@@ -143,6 +143,64 @@ class TestHandmadeViolations:
         assert replay_counterexample(s, r)
 
 
+def scalar_axiom2_1(s):
+    """Axiom 2.1 by a plain walk of every incident pair: (pairs walked, the
+    first failing pair or None, the first pair's least skew pair)."""
+    adj = s.adjacency.tolist()
+    n = len(adj)
+    walked, first_skew = 0, None
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not adj[a][b]:
+                continue
+            walked += 1
+            members = [x for x in range(n) if adj[a][x] and adj[b][x]]
+            skew = next(((x, y) for x in members for y in members if x < y and not adj[x][y]), None)
+            if skew is None:
+                return walked, (a, b), first_skew
+            first_skew = first_skew or skew
+    return walked, None, first_skew
+
+
+class TestAxiom21Kernel:
+    """The packed-row test settles a pair only when the least line of its
+    perp has a skew partner there; every other pair goes to the scalar search."""
+
+    # Lines 0, 1 and 2 meet every line, and 3, 4, 5 are pairwise skew: the
+    # perp of (0, 1) and of (0, 2) is every line, its least line 0 meets all
+    # of them, yet it holds skew pairs; (0, 3), the third pair, fails.
+    FAILING = IncidenceStructure.from_skew_pairs(6, [(3, 4), (3, 5), (4, 5)])
+
+    @staticmethod
+    def least_line_meets_its_perp(s, a, b):
+        adj = s.adjacency
+        members = [x for x in range(s.line_count) if adj[a, x] and adj[b, x]]
+        return all(adj[members[0], y] for y in members)
+
+    def test_failure_after_perps_the_rows_cannot_settle(self):
+        s = self.FAILING
+        assert self.least_line_meets_its_perp(s, 0, 1)
+        walked, pair, _ = scalar_axiom2_1(s)
+        assert (walked, pair) == (3, (0, 3))
+        r = check_axiom2_1(s)
+        assert r.status == "fail"
+        assert r.stats == {"pairs_examined": walked}
+        assert r.counterexample["pair"] == [s.labels[x] for x in pair]
+        assert replay_counterexample(s, r)
+
+    def test_pass_with_perps_the_rows_cannot_settle(self, pg2):
+        walked, pair, skew = scalar_axiom2_1(pg2)
+        assert pair is None
+        pairs = [(a, b) for a in range(pg2.line_count) for b in range(a + 1, pg2.line_count) if pg2.adjacency[a, b]]
+        assert any(self.least_line_meets_its_perp(pg2, a, b) for a, b in pairs)
+        r = check_axiom2_1(pg2)
+        assert r.status == "pass" and r.stats == {"pairs_examined": walked}
+        assert r.witness_sample == {
+            "pair": [pg2.labels[x] for x in pairs[0]],
+            "skew_pair": [pg2.labels[x] for x in skew],
+        }
+
+
 class TestReportShape:
     def test_to_dict_roundtrip_fields(self, tetra):
         for r in check_all(tetra):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files written, human output."""
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -451,7 +452,7 @@ assert check_axiom1(s).passed and check_axiom2_1(s).passed
         (["generate", "pg3", "--q", "2", "--out", "out.json"], ["axioms", "labeling", "registry", "theorems"]),
         (["derive", "pg2.json", "--out", "model.json"], ["axioms", "models", "registry", "theorems"]),
         (["dualize", "model.json", "--out", "dual.json"], ["axioms", "models", "registry", "theorems"]),
-        (None, ["models", "theorems"]),
+        (None, ["labeling", "models", "theorems"]),
     ],
     ids=["generate", "derive", "dualize", "structure_check"],
 )
@@ -465,6 +466,32 @@ def test_steps_load_only_the_modules_they_run(argv, left_out, pg2_file, tmp_path
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert "linespace.core" in loaded
     assert not {f"linespace.{m}" for m in left_out} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["generate", "tetrahedron", "--out", "t.json"], 0),
+        (["check", "t.json", "--which", "axioms"], 1),  # axiom 1 fails on the six lines
+        (["generate", "pg3", "--out", "x.json"], 2),  # no --q
+        (["check", "missing.json"], 2),
+    ],
+    ids=["ok", "check_failed", "usage", "no_file"],
+)
+def test_module_run_exits_with_main_code(argv, code, tmp_path):
+    # run() exits with main()'s code; the tetrahedron is written first
+    assert run_python(["-m", "linespace.cli", "generate", "tetrahedron", "--out", "t.json"], tmp_path).returncode == 0
+    done = run_python(["-m", "linespace.cli", *argv], tmp_path)
+    assert done.returncode == code, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_main_freezes_nothing(pg2_file, tmp_path, capsys):
+    # only run(), the console entry point, freezes the heap before exit
+    before = gc.get_freeze_count()
+    assert main(["check", str(pg2_file), "--which", "axioms"]) == 0
+    assert main(["generate", "pg3", "--q", "2", "--out", str(tmp_path / "g.json")]) == 0
+    assert gc.get_freeze_count() == before
 
 
 class TestInfo:

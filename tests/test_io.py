@@ -294,6 +294,9 @@ FALLBACK_EDITS = {
     "trailing_junk": lambda text: text + "x",
     "block_left_open": lambda text: text.replace("\n  ]\n}", "\n  \n}"),
     "crlf": lambda text: text.replace("\n", "\r\n"),
+    # what the layout allows, but not an index below the line count, 12
+    "index_equal_to_line_count": edit("      11\n", "      12\n"),
+    "lines_not_a_list": lambda text: re.sub(r'"lines": \[[^\]]*\]', '"lines": "twelve"', text, count=1),
 }
 
 # Edits that keep the writer's layout, which the layout reader must read.
@@ -549,6 +552,19 @@ class TestReports:
 
 
 class TestPg3Meta:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        top=st.sampled_from([1, 9, 10, 99, 1000]),
+        data=st.data(),
+    )
+    def test_int_arrays_render_as_the_encoder_writes_them(self, shape, top, data):
+        # any depth, 1 to 4 digits, as the value of an object's member
+        size = int(np.prod(shape))
+        flat = data.draw(st.lists(st.integers(0, top), min_size=size, max_size=size))
+        values = np.array(flat).reshape(shape)
+        assert io._int_array(values) == io._dumps(values.tolist()).replace("\n", "\n  ")
+
     def test_meta_dict_shape(self, pg2_meta):
         data = pg3_meta_to_dict(pg2_meta)
         assert data["format"] == "linespace-pg3-meta-v1"

@@ -14,11 +14,11 @@ CHECK_ORDER = [row[0] for row in json.loads((Path(__file__).parent / "golden" / 
 # Every name the package exported when it imported all of its submodules, by
 # the module that defines it.
 EXPORTS = {
-    "core": """CapacityError IncidenceStructure LinespaceError PreconditionError
-        StructureError bracket find_skew_pair find_skew_triple incident_pairs
-        is_incident labels_of line_cap perp""",
+    "core": """CapacityError IncidenceStructure LabelInconsistencyError LinespaceError
+        PreconditionError StructureError bracket find_skew_pair find_skew_triple
+        incident_pairs is_incident labels_of line_cap perp""",
     "sigma": "NotTwoClassesError SigmaPartition is_triad secondary_element sigma sigma_partition",
-    "labeling": """GeometryModel Kind LabelInconsistencyError MissingElementError
+    "labeling": """GeometryModel Kind MissingElementError
         SecondaryElement coordinate_labels dualize enumerate_secondary_elements
         join_plane meet_point""",
     "registry": "CheckReport",
@@ -49,6 +49,18 @@ def fresh(script, tmp_path):
 def test_every_export_is_its_home_modules_object(name):
     home = __import__(f"linespace.{HOME[name]}", fromlist=[name])
     assert getattr(linespace, name) is getattr(home, name)
+
+
+def test_labeling_error_is_the_one_labeling_raises(tmp_path):
+    # defined beside the other errors, so that reading it loads no labeling
+    script = """
+import json, sys, linespace
+error = linespace.LabelInconsistencyError
+loaded = "linespace.labeling" in sys.modules
+import linespace.labeling
+print(json.dumps([loaded, error is linespace.labeling.LabelInconsistencyError]))
+"""
+    assert fresh(script, tmp_path) == [False, True]
 
 
 def test_star_import_lists_every_export():
