@@ -484,9 +484,11 @@ class PerpTable:
         return index
 
     def holds(self, rows: np.ndarray, x, y, z) -> np.ndarray:
-        """Per entry, whether line z lies in the set of the pair {x, y}, of
-        the sets ``rows`` of the perps; false off the incident pairs."""
-        return (rows[self.index[x, y], z >> 3] >> (z & 7) & 1).astype(bool)
+        """Per entry and per stack of the perps' sets ``rows``, whether line z
+        lies in the set of the pair {x, y}; false off the incident pairs."""
+        k = np.take(self.index, x * self.line_count + y)
+        byte = np.take(rows.reshape(*rows.shape[:-2], -1), k * rows.shape[-1] + (z >> 3), axis=-1)
+        return (byte >> (z & 7) & 1).astype(bool)
 
 
 def perp_table(s: IncidenceStructure) -> PerpTable:

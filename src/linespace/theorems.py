@@ -1,10 +1,12 @@
 """Exhaustive theorem verifiers and the derived-geometry axiom battery.
 
-Every verifier quantifies exhaustively from the raw definitions, sharing
-only the perp/bracket/sigma primitives with the rest of the package, so a
-bug in one checker cannot silently satisfy another.  On any structure
-where the axiom checks all pass, every verifier here must pass as well;
-that cross-validation is the package's main self-test.
+Every verifier quantifies exhaustively from the raw definitions.  They
+share the perp/bracket/sigma primitives, the tables below and the two
+triad passes, which judge six checks in one walk; the oracle tests judge
+each check on its own, from the adjacency matrix alone, so a bug in what
+they share cannot silently satisfy a check.  On any structure where the
+axiom checks all pass, every verifier here must pass as well; that
+cross-validation is the package's main self-test.
 
 Every pass is exhaustive.  A quantifier ranges over its support, the only
 tuples that can violate it, rather than over every triple of lines; each
@@ -12,21 +14,26 @@ such verifier's docstring proves its reduction.  A failing report names
 the lexicographically least violation, the same one an unrestricted loop
 would meet first.  Vacuous hypotheses report a pass, never an error.
 
-Six checks quantify over every triad.  They share one table per
-structure, ``triad_table``: the triads as a sorted (T, 3) int32 array
-and each one's bracket as an element id of ``labeling.element_ids``, the
-one numbering of the elements, built with array operations so that no
-triad is ever a Python object.  The checks over incident pairs read one
-table per structure too, ``core.perp_table``: each pair's perp among the
-distinct perps, and each perp's lines with their skew rows as packed
-words, its sigma set and sigma's split into two classes.  Its
-pair-to-perp index reads every per-pair set, each kept as one packed row
-per perp: sigma, and the model's point and plane classes, from
-``_labeled_classes``.  The model checks read each point and plane as a
-row of ``labeling.model_index``, among the derived elements, and through
-those rows the labeling's one ``shared_lines`` table: how many lines
-every two elements share, and the line where they share exactly one.
-The point-triple checks share ``_triangles``, whose sides come from it.
+Six checks quantify over every triad, and a triad lies in the perp of its
+bracket, an element.  So ``_walk`` takes, element by element in bounded
+runs, the triples of each element's perp, their sigma memberships and
+whether each one's bracket is that element; no triad is kept.  Two passes
+share it and cache each check's verdict for its checker: ``_triads``, one
+walk per structure, and ``_model_triads``, one per structure and model.
+``_ranked`` proves the rule that names the least violation of a walk that
+is not in lexicographic order, and counts the triads below it.
+
+The checks over incident pairs read one table per structure,
+``core.perp_table``: each pair's perp among the distinct perps, and each
+perp's lines with their skew rows as packed words, its sigma set and
+sigma's split into two classes.  Its pair-to-perp index reads every
+per-pair set, each kept as one packed row per perp: sigma, and the
+model's point and plane classes, from ``_labeled_classes``.  The model
+checks read each point and plane as a row of ``labeling.model_index``,
+among the derived elements, and through those rows the labeling's one
+``shared_lines`` table: how many lines every two elements share, and the
+line where they share exactly one.  The point-triple checks share
+``_triangles``, whose sides come from it.
 
 The costliest checks run array kernels, and every kernel judges, as those
 of axioms 2.2 and 2.3 do: it computes the check's predicate for every
@@ -71,7 +78,6 @@ from .labeling import (
     _labeled_split,
     _line_incidence,
     _unique_element,
-    element_ids,
     element_masks,
     model_index,
     shared_lines,
@@ -80,88 +86,144 @@ from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, r
 from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
 
 
-def _triad_keys(lines: np.ndarray, n: int) -> np.ndarray:
-    """One int64 per sorted triple, ordered as the triples are."""
-    keys = lines[:, 0].astype(np.int64)
-    for col in (1, 2):
-        keys *= n
-        keys += lines[:, col]
-    return keys
-
-
-@dataclass(frozen=True)
-class _Triads:
-    """The triads of a structure with their brackets.
-
-    ``lines`` is the (T, 3) int32 array of every triad, each row ascending
-    and the rows in lexicographic order, the order every triad check
-    walks.  ``element[t]`` is the index of triad t's bracket in
-    ``element_masks``, and ``first[e]`` is the first triad whose bracket
-    is element e; every element is some triad's bracket.
-    """
-
-    lines: np.ndarray
-    element: np.ndarray
-    first: np.ndarray
-
-
-_ENTRIES_PER_STEP = 1 << 18  # (pair, sigma member) entries per step of the triad build
-_TRIADS_PER_STEP = 1 << 16  # triads per step of a kernel
+_WALK_TRIPLES = 1 << 12  # triples per run of the element walk
+_TRIPLES_PER_STEP = 1 << 16  # point triples per step of the tetrahedron kernel
 _CELLS_PER_STEP = 1 << 20  # cells per step of the exchange rows and the A3 joins
 
 
-def triad_table(s: IncidenceStructure) -> _Triads:
-    """The triads of ``s`` and their brackets; cached.
+def _walk(s: IncidenceStructure):
+    """The triples of every element's perp, in runs of at most ``_WALK_TRIPLES``.
 
-    A triple counts as a triad when some rotation places its third line in
-    the sigma set of the other two.  Every incident pair (x, y) and z in
-    sigma(x, y) name the triad {x, y, z}, whose bracket, the same for every
-    rotation, ``element_ids`` numbers at z's place in perp({x, y}).  Walked
-    in pair order, the entries with z > y list, in lexicographic order and
-    once each, the triads (a, b, c) with c in sigma(a, b).  Any other
-    entry, read as the sorted (a, b, c), adds a triad only when c is not in
-    sigma(a, b); those are merged in.  Built with array operations, in
-    steps of bounded size.
+    The elements come in order, and the triples of each one's perp, E's,
+    in ``itertools.combinations`` order.  Each run is (e, place, triples,
+    held, same): per triple its element, its place in that element's walk,
+    its lines as a (R, 3) int32 array, ascending, its sigma memberships as
+    a (3, R) bool array (a in sigma(b, c), b in sigma(c, a), c in
+    sigma(a, b)), and whether its bracket is E.
+
+    A triad T with bracket E lies in perp(E), since each of its lines meets
+    all of E = perp(T); so the walk meets every triad once, under its own
+    bracket, where ``held`` holds somewhere and ``same`` is true.  Any
+    triple of perp(E) has E inside its bracket, and a triad's bracket is an
+    element, so E itself when no other element holds all of E.  Every other
+    triple ANDs its lines' packed adjacency rows to compare its bracket.
+    """
+    table, emasks = perp_table(s), element_masks(s)
+    words, element_words = _words(s.adjacency), _words(_line_incidence(s, emasks))
+    inside_other = np.array([((element_words & w) == w).all(axis=1).sum() > 1 for w in element_words], bool)
+    combos: dict[int, np.ndarray] = {}  # size -> its 3-subsets as index triples, in walk order
+
+    def run(parts):
+        e, place, triples = map(np.concatenate, zip(*parts))
+        held = table.holds(table.sigma, triples.T[[1, 2, 0]], triples.T[[2, 0, 1]], triples.T)  # bc, ca, ab
+        same = np.ones(len(e), bool)
+        check = np.flatnonzero(~held.any(axis=0) | inside_other[e])
+        a, b, c = triples[check].T
+        same[check] = ((words[a] & words[b] & words[c]) == element_words[e[check]]).all(axis=1)
+        return e, place, triples, held, same
+
+    parts, size = [], 0
+    for e, element in enumerate(emasks):
+        inside = np.array(lines_of_mask(perp_mask(s, element)), np.int32)
+        if len(inside) not in combos:
+            flat = itertools.chain.from_iterable(itertools.combinations(range(len(inside)), 3))
+            combos[len(inside)] = np.fromiter(flat, np.intp).reshape(-1, 3)
+        walk = combos[len(inside)]
+        for lo in range(0, len(walk), _WALK_TRIPLES):
+            if size + min(len(walk) - lo, _WALK_TRIPLES) > _WALK_TRIPLES:
+                yield run(parts)
+                parts, size = [], 0
+            triples = inside[walk[lo : lo + _WALK_TRIPLES]]
+            parts.append((np.full(len(triples), e), lo + np.arange(len(triples)), triples))
+            size += len(triples)
+    if parts:
+        yield run(parts)
+
+
+def _keep_least(found: list, rows: np.ndarray, *columns: np.ndarray) -> None:
+    """Add to ``found`` the lexicographically least of ``rows``, as (*row,
+    *columns at it); nothing if there is none."""
+    if len(rows):
+        i = np.lexsort(rows.T[::-1])[0]
+        found.append((*rows[i].tolist(), *(c[i].item() for c in columns)))
+
+
+def _ranked(s: IncidenceStructure, found: dict) -> dict:
+    """The rank rule of both triad passes.
+
+    Each pass keeps, per check, each run's least violation and the least of
+    those, which is the least violation of all: each violation is a triad
+    met in some run, not below that run's least.  A walk of the triads in
+    lexicographic order meets it first, after every triad below it, and
+    the element walk meets each of those once.  So one more walk, taken
+    only when a check fails, counts them: per check of ``found``, named
+    with its triple, the triads below that triple, per element.
+    """
+    below = {name: np.zeros(len(element_masks(s)), np.int64) for name in found}
+    for e, _, triples, held, same in _walk(s) if found else ():
+        a, b, c = triples.T
+        own = held.any(axis=0) & same
+        for name, (x, y, z) in found.items():
+            before = (a < x) | (a == x) & ((b < y) | (b == y) & (c < z))
+            below[name] += np.bincount(e[own & before], minlength=len(below[name]))
+    return below
+
+
+def _triads(s: IncidenceStructure) -> dict:
+    """The structure pass: one walk judges the four structure-level triad checks; cached.
+
+    Per check, (its least violation or None, its report's stat), ranked by
+    ``_ranked``; also "triads", their number, and "first", each element's
+    least triad.  Each check's docstring says what it flags.
     """
 
     def build():
-        n = s.line_count
-        perps = perp_table(s)
-        x, y = perps.pairs.T
-        size = perps.in_sigma.sum(axis=1)
-        offset = np.cumsum(size) - size
-        # the sigma of each perp, one perp after another, and each member's bracket
-        members, brackets = perps.lines[perps.in_sigma], element_ids(s)[2][perps.in_sigma]
-        of_pair = perps.perp
-        step = max(1, _ENTRIES_PER_STEP // (int(size.max(initial=0)) + 1))
-        keys, element, extra, extra_element = ([np.empty(0, dtype)] for dtype in (np.int64, np.int32) * 2)
-        for lo in range(0, len(of_pair), step):
-            count = size[of_pair[lo : lo + step]]
-            pair = np.repeat(np.arange(lo, lo + len(count)), count)
-            rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-            at = np.repeat(offset[of_pair[lo : lo + step]], count) + rank
-            z, e = members[at], brackets[at]
-            px, py = x[pair], y[pair]
-            top = z > py
-            keys.append(_triad_keys(np.stack((px[top], py[top], z[top]), axis=1), n))
-            element.append(e[top])
-            a, b, c = np.minimum(px[~top], z[~top]), np.maximum(px[~top], z[~top]), py[~top]
-            new = ~perps.holds(perps.sigma, a, b, c)
-            extra.append(_triad_keys(np.stack((a[new], b[new], c[new]), axis=1), n))
-            extra_element.append(e[~top][new])
-        extra, once = np.unique(np.concatenate(extra), return_index=True)
-        keys = np.concatenate(keys)
-        at = np.searchsorted(keys, extra)
-        keys = np.insert(keys, at, extra)
-        element = np.insert(np.concatenate(element), at, np.concatenate(extra_element)[once])
-        first = np.unique(element, return_index=True)[1]
-        lines = np.empty((len(keys), 3), np.int32)
-        for col in (2, 1, 0):
-            np.remainder(keys, n, out=lines[:, col], casting="unsafe")
-            keys //= n
-        return _Triads(lines, element, first)
+        emasks = element_masks(s)
+        count = len(emasks)
+        order = sorted(range(count), key=emasks.__getitem__)  # the elements by their masks
+        rank = np.argsort(order)
+        holding = _words(_line_incidence(s, emasks)[order].T)  # bit r of row l: element order[r] holds l
+        first = np.full((count, 3), -1, np.int32)
+        total, walked = 0, np.zeros(count, np.int64)
+        stop = np.full(count, np.iinfo(np.int64).max)  # the place of each element's first coherence violation
+        runs = {name: [] for name in ("thm_sigma_equivalence", "thm_coherence", "thm_mutual_membership")}
+        for e, place, triples, held, same in _walk(s):
+            triad = held.any(axis=0)
+            own = triad & same
+            walked += np.bincount(e, minlength=count)
+            total += int(own.sum())
+            new, at = np.unique(e[own], return_index=True)
+            fresh = first[new, 0] < 0
+            first[new[fresh]] = triples[own][at[fresh]]
+            bad = own & ~held.all(axis=0)
+            _keep_least(runs["thm_sigma_equivalence"], triples[bad], *held[:, bad])
+            bad = ~triad & same
+            np.minimum.at(stop, e[bad], place[bad])
+            _keep_least(runs["thm_coherence"], triples[bad], e[bad])
+            mine = np.flatnonzero(own)
+            a, b, c = triples[mine].T
+            rows = holding[a] & holding[b] & holding[c]
+            mark = rank[e[mine]]
+            rows[np.arange(len(mine)), mark >> 6] &= ~(np.uint64(1) << (mark & 63).astype(np.uint64))
+            foreign = rows.any(axis=1)
+            bad = mine[foreign]
+            keyed = np.column_stack((least_bits(rows[foreign]), triples[bad]))  # the least foreign element first
+            _keep_least(runs["thm_mutual_membership"], keyed, e[bad])
+        delta = [perp_mask(s, B) ^ B for B in emasks]
+        runs["thm_bracket_closed"] = [(*first[e].tolist(), delta[e]) for e in range(count) if delta[e]]
+        least = {name: min(found, default=None) for name, found in runs.items()}
+        ranked = ("thm_sigma_equivalence", "thm_bracket_closed")
+        found = {name: least[name][:3] for name in ranked if least[name]}
+        below = _ranked(s, found)
+        return {
+            "triads": total,
+            "first": first,
+            **{name: (least[name], int(below[name].sum()) + 1 if name in below else total) for name in ranked},
+            "thm_coherence": (least["thm_coherence"], int((np.minimum(stop, walked - 1) + 1).sum())),
+            "thm_mutual_membership": (least["thm_mutual_membership"], total),
+        }
 
-    return s.cached("triad_table", build)
+    return s.cached("triads", build)
 
 
 def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -219,31 +281,17 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     """The three sigma memberships of any triple agree (all hold or none).
 
     Reduction: a disagreeing triple has one membership that holds, so it is
-    a triad, and the sorted triads are walked in order.  Kernel: every
-    triad holds at least one of its memberships, so the first triad that
-    does not hold all three is the least violation.
+    a triad.  Kernel: the structure pass, ``_triads``, flags the triads
+    that do not hold all three memberships and names the least.
     """
     name = "thm_sigma_equivalence"
-    table, tri = perp_table(s), triad_table(s)
-    for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
-        a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
-        held = [table.holds(table.sigma, *rotation) for rotation in ((b, c, a), (c, a, b), (a, b, c))]
-        bad = np.flatnonzero(~(held[0] & held[1] & held[2]))
-        if len(bad):
-            t = lo + int(bad[0])
-            m1, m2, m3 = (bool(h[bad[0]]) for h in held)
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample={
-                    "triple": labels_of(s, tri.lines[t].tolist()),
-                    "a_in_sigma_bc": m1,
-                    "b_in_sigma_ca": m2,
-                    "c_in_sigma_ab": m3,
-                },
-                stats={"triads_examined": t + 1},
-            )
-    return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
+    found, examined = _triads(s)[name]
+    stats = {"triads_examined": examined}
+    if found is None:
+        return CheckReport(name, PASS, stats=stats)
+    *triple, m1, m2, m3 = found
+    ce = {"triple": labels_of(s, triple), "a_in_sigma_bc": m1, "b_in_sigma_ca": m2, "c_in_sigma_ab": m3}
+    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
 
 
 @registered("theorems", replay=_replay_not_two_classes)
@@ -361,14 +409,12 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     table = perp_table(s)
     width = table.lines.shape[1]
     above = _words(np.triu(np.ones((width, width), bool), 1))  # row y: the places above y
-    least = None
+    found = []
     for lo, hi in table.steps():
         k, x, y = table.local_pairs(lo, hi)
         z = least_bits(table.skew[k, x] & table.skew[k, y] & above[y])
-        triples = table.lines[k[z >= 0, None], np.stack((x, y, z), axis=1)[z >= 0]]
-        if len(triples):
-            triple = tuple(triples[_triad_keys(triples, s.line_count).argmin()].tolist())
-            least = min(least or triple, triple)
+        _keep_least(found, table.lines[k[z >= 0, None], np.stack((x, y, z), axis=1)[z >= 0]])
+    least = min(found, default=None)
     stats = {"pairs_examined": len(table.pairs)}
     if least is None:
         return CheckReport(name, PASS, stats=stats)
@@ -388,24 +434,17 @@ def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     """Every triad's bracket equals its own perp.
 
     Reduction: depends only on the bracket, so each element is checked
-    once; the least violation is the earliest first triad of an element
-    that is not closed.
+    once; the least violation is the least of the elements' least triads
+    whose element is not closed, named by the structure pass.
     """
     name = "thm_bracket_closed"
-    tri = triad_table(s)
-    delta = {int(tri.first[e]): perp_mask(s, B) ^ B for e, B in enumerate(element_masks(s))}
-    t = min((t for t, d in delta.items() if d), default=None)
-    if t is None:
-        return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
-    return CheckReport(
-        name,
-        FAIL,
-        counterexample={
-            "triad": labels_of(s, tri.lines[t].tolist()),
-            "differs_on": labels_of(s, lines_of_mask(delta[t])),
-        },
-        stats={"triads_examined": t + 1},
-    )
+    found, examined = _triads(s)[name]
+    stats = {"triads_examined": examined}
+    if found is None:
+        return CheckReport(name, PASS, stats=stats)
+    *triad, delta = found
+    ce = {"triad": labels_of(s, triad), "differs_on": labels_of(s, lines_of_mask(delta))}
+    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
 
 
 def _replay_coherence(s: IncidenceStructure, ce: dict) -> bool:
@@ -424,50 +463,20 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
     Reduction: each line of a triple is incident to all of its bracket, so a
     triple whose bracket is element E lies in perp(E), walked per element in
     ``itertools.combinations`` order up to its first violation; the report
-    names the least of those firsts.  Kernel: per element, every triple of
-    perp(E) at once, its bracket from three packed adjacency rows and its
-    triad status from the sorted triad keys.  The walk of an element stops
-    at its first triple with bracket E that is not a triad, and counts the
-    triples up to it; an element with none adds all C(|perp(E)|, 3).
+    names the least of those firsts.  Kernel: the structure pass; a triad
+    never violates, so only the triples of perp(E) that are no triad take
+    their bracket, from three packed adjacency rows.  An element's walk
+    counts the triples up to its first triple with bracket E that is not a
+    triad; an element with none adds all C(|perp(E)|, 3).
     """
     name = "thm_coherence"
-    tri, emasks = triad_table(s), element_masks(s)
-    n = s.line_count
-    words, element_words = _words(s.adjacency), _words(_line_incidence(s, emasks))
-    keys = _triad_keys(tri.lines, n)
-    combos: dict[int, np.ndarray] = {}  # size -> its 3-subsets as index triples, in walk order
-    examined = 0
-    least = None  # the least violating triple and its bracket's element
-    for e, element in enumerate(emasks):
-        inside = lines_of_mask(perp_mask(s, element))
-        if len(inside) not in combos:
-            r = np.arange(len(inside))
-            combos[len(inside)] = np.argwhere((r[:, None, None] < r[:, None]) & (r[:, None] < r))
-        walk = combos[len(inside)]
-        for lo in range(0, len(walk), _TRIADS_PER_STEP):
-            triples = np.array(inside, np.int32)[walk[lo : lo + _TRIADS_PER_STEP]]
-            a, b, c = triples.T
-            same = np.flatnonzero(((words[a] & words[b] & words[c]) == element_words[e]).all(axis=1))
-            key = _triad_keys(triples[same], n)
-            bad = same[keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] != key]
-            if len(bad):
-                examined += lo + int(bad[0]) + 1
-                found = (tuple(triples[bad[0]].tolist()), e)
-                least = found if least is None else min(least, found)
-                break
-        else:
-            examined += len(walk)
-    if least is None:
-        return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": len(tri.lines)})
-    return CheckReport(
-        name,
-        FAIL,
-        counterexample={
-            "triple": labels_of(s, least[0]),
-            "triad_with_equal_bracket": labels_of(s, tri.lines[tri.first[least[1]]].tolist()),
-        },
-        stats={"cases_examined": examined},
-    )
+    verdicts = _triads(s)
+    found, examined = verdicts[name]
+    if found is None:
+        return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": verdicts["triads"]})
+    *triple, e = found
+    ce = {"triple": labels_of(s, triple), "triad_with_equal_bracket": labels_of(s, verdicts["first"][e].tolist())}
+    return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
 def _replay_mutual_membership(s: IncidenceStructure, ce: dict) -> bool:
@@ -488,46 +497,23 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     Reduction: a triad lies in its own bracket, so the claim holds iff every
     triad lies in exactly one element; a triad j inside another element,
     the bracket of triad i, is the violation (i, j).  The reported pair is
-    the least by (that bracket as a bitmask, i, j).  Kernel: per triad, the
-    AND of its three lines' rows of the element-holding bit matrix, less
-    its own element, holds the other elements the triad lies in.  The
-    violation takes the least element any such row holds, j the first
-    triad whose row holds it, and i the first triad of that element.
+    the least by (that bracket as a bitmask, i, j).  Kernel: in the
+    structure pass, the AND of a triad's lines' rows of the element-holding
+    bit matrix, less its own element, holds the other elements it lies in;
+    the least such element, by mask, and j the least triad it holds are
+    kept, and i is the least triad of that element.
     """
     name = "thm_mutual_membership"
-    tri, emasks = triad_table(s), element_masks(s)
-    order = sorted(range(len(emasks)), key=emasks.__getitem__)  # the elements by their masks
-    own = np.argsort(order)[tri.element]
-    held = _words(_line_incidence(s, emasks)[order].T)  # bit e of row l: element order[e] holds line l
-    least = None
-    for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
-        a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
-        e = own[lo : lo + _TRIADS_PER_STEP]
-        rows = held[a] & held[b] & held[c]
-        rows[np.arange(len(e)), e >> 6] &= ~(np.uint64(1) << (e & 63).astype(np.uint64))
-        foreign = np.flatnonzero(rows.any(axis=1))
-        if len(foreign):
-            first = least_bits(rows[foreign])  # each row's least foreign element
-            k = int(first.argmin())
-            if least is None or first[k] < least[0]:
-                least = (int(first[k]), lo + int(foreign[k]))
-    stats = {"triads_examined": len(tri.lines)}
-    if least is None:
+    verdicts, emasks = _triads(s), element_masks(s)
+    found, examined = verdicts[name]
+    stats = {"triads_examined": examined}
+    if found is None:
         return CheckReport(name, PASS, stats=stats)
-    e, j = least
-    i = tri.first[order[e]]
-    bracket_j = emasks[tri.element[j]]
-    symmetric = not (mask_of_lines(tri.lines[i].tolist()) & ~bracket_j)
-    return CheckReport(
-        name,
-        FAIL,
-        counterexample={
-            "triad_a": labels_of(s, tri.lines[i].tolist()),
-            "triad_b": labels_of(s, tri.lines[j].tolist()),
-            "issue": "contained_but_brackets_differ" if symmetric else "membership_not_symmetric",
-        },
-        stats=stats,
-    )
+    rank, *j, own = found
+    i = verdicts["first"][sorted(range(len(emasks)), key=emasks.__getitem__)[rank]].tolist()
+    issue = "membership_not_symmetric" if mask_of_lines(i) & ~emasks[own] else "contained_but_brackets_differ"
+    ce = {"triad_a": labels_of(s, i), "triad_b": labels_of(s, j), "issue": issue}
+    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +540,63 @@ def _replay_triad_typing(s: IncidenceStructure, ce: dict, m: GeometryModel) -> b
     return sides[0] is None or len(set(sides)) != 1
 
 
+def _model_triads(s: IncidenceStructure, m: GeometryModel) -> dict:
+    """The model pass: one walk judges ``thm_triad_typing`` and ``thm_exchange``; cached.
+
+    As ``_triads``; the exchange violation is (triad, bracket, its failing
+    row's two lines or None), and its cases weigh each triad below it by
+    its bracket's rows.  Raises what ``_labeled_classes`` raises.
+    """
+
+    def build():
+        refined = _labeled_classes(m)[1]
+        table, model_table = perp_table(s), perp_table(m.structure)
+        index, derived = model_index(s, m), len(element_masks(s))
+        kind, inside = index.kind[:derived], index.incidence[:derived]  # s's elements are the first rows
+        size, members = inside.sum(axis=1), _padded(inside, 0)
+        place = np.cumsum(inside, axis=1, dtype=np.int32) - 1  # of each line of a bracket
+        x, y = np.triu_indices(members.shape[1], 1)  # the rows, as places, in walk order
+        valid = _words(y < size[:, None])
+        rows = np.zeros((2, *members.shape, valid.shape[1]), np.uint64)
+        step = max(1, _CELLS_PER_STEP // (members.shape[1] * len(x) + 1))
+        for lo in range(0, len(size), step):
+            run = members[lo : lo + step]
+            u, v, z = run[:, None, x], run[:, None, y], run[:, :, None]
+            rows[0, lo : lo + step] = _words(table.holds(table.sigma, u, v, z))
+            for code, classes in enumerate(refined):
+                mine = lo + np.flatnonzero(kind[lo : lo + step] == code)
+                rows[1, mine] = _words(model_table.holds(classes, u[mine - lo], v[mine - lo], z[mine - lo]))
+        row_count = np.where(kind >= 0, size * (size - 1) // 2, 0)
+        rows = rows.reshape(2, -1, valid.shape[1])  # row k * width + i: line i of bracket k
+        triads = np.zeros(derived, np.int64)
+        runs = {"thm_triad_typing": [], "thm_exchange": []}
+        for e, _, triples, held, same in _walk(s):
+            own = held.any(axis=0) & same
+            e, triples = e[own], triples[own]
+            triads += np.bincount(e, minlength=derived)
+            point, plane = model_table.holds(refined, triples.T[[1, 2, 0]], triples.T[[2, 0, 1]], triples.T)
+            _keep_least(runs["thm_triad_typing"], triples[~(point.all(axis=0) | (plane & ~point).all(axis=0))])
+            at = (e[:, None] * members.shape[1] + place[e[:, None], triples]).T
+            sig, ref = (h.take(at[0], axis=0) | h.take(at[1], axis=0) | h.take(at[2], axis=0) for h in rows)
+            row = least_bits(~(sig & ref) & valid[e])
+            bad = (kind[e] < 0) | (row >= 0)
+            _keep_least(runs["thm_exchange"], triples[bad], e[bad], row[bad])
+        typing, exchange = (min(found, default=None) for found in runs.values())
+        below = _ranked(s, {name: v[:3] for name, v in zip(runs, (typing, exchange)) if v})
+        typed = int(below["thm_triad_typing"].sum()) + 1 if typing else int(triads.sum())
+        if exchange is None:
+            return {"thm_triad_typing": (typing, typed), "thm_exchange": (None, int(triads @ row_count))}
+        *triad, k, r = exchange
+        examined, pair = int(below["thm_exchange"] @ row_count), None
+        if kind[k] >= 0:
+            i, j = int(x[r]), int(y[r])
+            examined += i * (int(size[k]) - 1) - i * (i - 1) // 2 + j - i  # rows up to (i, j)
+            pair = int(members[k, i]), int(members[k, j])
+        return {"thm_triad_typing": (typing, typed), "thm_exchange": ((triad, k, pair), examined)}
+
+    return s.cached(("triads", m), build)
+
+
 @registered("theorems", model=True, replay=_replay_triad_typing)
 def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Each triad sits uniformly on the point side or the plane side.
@@ -561,36 +604,19 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     Kernel: a line's side in sigma(x, y) is the point side if it lies in
     the point class, else the plane side if it lies in the plane class.  A
     triad passes iff its three lines all take the point side or all the
-    plane side, so the first triad the kernel flags is the least violation.
+    plane side; the model pass, ``_model_triads``, names the least that
+    does not.
     """
     name = "thm_triad_typing"
     try:
-        point_rows, plane_rows = _labeled_classes(m)[1]
+        found, examined = _model_triads(s, m)[name]
     except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
-    tri, model_table = triad_table(s), perp_table(m.structure)
-    for lo in range(0, len(tri.lines), _TRIADS_PER_STEP):
-        a, b, c = tri.lines[lo : lo + _TRIADS_PER_STEP].T
-        on_point = on_plane = True
-        for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
-            point = model_table.holds(point_rows, u, v, third)
-            on_point = on_point & point
-            on_plane = on_plane & ~point & model_table.holds(plane_rows, u, v, third)
-        bad = np.flatnonzero(~(on_point | on_plane))
-        if len(bad):
-            t = lo + int(bad[0])
-            a, b, c = tri.lines[t].tolist()
-            sides = _triad_sides(m, a, b, c)
-            return CheckReport(
-                name,
-                FAIL,
-                counterexample={
-                    "triad": labels_of(s, (a, b, c)),
-                    "sides": [x.value if x else None for x in sides],
-                },
-                stats={"triads_examined": t + 1},
-            )
-    return CheckReport(name, PASS, stats={"triads_examined": len(tri.lines)})
+    stats = {"triads_examined": examined}
+    if found is None:
+        return CheckReport(name, PASS, stats=stats)
+    ce = {"triad": labels_of(s, found), "sides": [x.value if x else None for x in _triad_sides(m, *found)]}
+    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
 
 
 def _replay_point_ne_plane(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
@@ -726,60 +752,30 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     pairwise incident and every line is self-incident), so the rows a
     triad fails are those missing from the OR over its three lines of
     either bitset, and its least such row is where its walk stops; a
-    bracket that is no element fails its triads at once.  The sigma
+    bracket that is no element fails its triads at once.  The model pass,
+    ``_model_triads``, names the least triad that fails.  The sigma
     condition stays even though the refined class is a class of
     sigma(x, y): the classes come from the model's structure and sigma
     from ``s``, which need not be the same structure.
     """
     name = "thm_exchange"
     try:
-        refined = _labeled_classes(m)[1]
+        found, examined = _model_triads(s, m)[name]
     except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
-    table, model_table = perp_table(s), perp_table(m.structure)
-    tri, index, derived = triad_table(s), model_index(s, m), len(element_masks(s))
-    kind, inside = index.kind[:derived], index.incidence[:derived]  # s's elements are the first rows
-    size, members = inside.sum(axis=1), _padded(inside, 0)
-    place = np.cumsum(inside, axis=1, dtype=np.int32) - 1  # of each line of a bracket
-    x, y = np.triu_indices(members.shape[1], 1)  # the rows, as places, in walk order
-    valid = _words(y < size[:, None])
-    held = np.zeros((2, *members.shape, valid.shape[1]), np.uint64)
-    step = max(1, _CELLS_PER_STEP // (members.shape[1] * len(x) + 1))
-    for lo in range(0, len(size), step):
-        u, v, z = members[lo : lo + step, None, x], members[lo : lo + step, None, y], members[lo : lo + step, :, None]
-        held[0, lo : lo + step] = _words(table.holds(table.sigma, u, v, z))
-        for code, rows in enumerate(refined):
-            mine = lo + np.flatnonzero(kind[lo : lo + step] == code)
-            held[1, mine] = _words(model_table.holds(rows, u[mine - lo], v[mine - lo], z[mine - lo]))
-    row_count = np.where(kind >= 0, size * (size - 1) // 2, 0)
-    held = held.reshape(2, -1, valid.shape[1])  # row k * width + i: line i of bracket k
-    step = max(1, _TRIADS_PER_STEP * 8 // valid.shape[1])
-    for lo in range(0, len(tri.lines), step):
-        k = tri.element[lo : lo + step].astype(np.intp)
-        at = (k[:, None] * members.shape[1] + place[k[:, None], tri.lines[lo : lo + step]]).T
-        sig, ref = (h.take(at[0], axis=0) | h.take(at[1], axis=0) | h.take(at[2], axis=0) for h in held)
-        row = least_bits(~(sig & ref) & valid[k])
-        flagged = np.flatnonzero((kind[k] < 0) | (row >= 0))
-        if len(flagged):
-            t, r = lo + int(flagged[0]), int(row[flagged[0]])
-            break
-    else:
-        examined = int(np.bincount(tri.element, minlength=len(size)) @ row_count)
+    if found is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined})
-    examined = int(np.bincount(tri.element[:t], minlength=len(size)) @ row_count)
-    k, t_lines = int(tri.element[t]), tri.lines[t].tolist()
-    ce = {"triad": labels_of(s, t_lines), "issue": "bracket_not_an_element"}
-    if kind[k] >= 0:
-        i, j = int(x[r]), int(y[r])
-        examined += i * (int(size[k]) - 1) - i * (i - 1) // 2 + j - i  # rows up to (i, j)
-        u, v = int(members[k, i]), int(members[k, j])
+    triad, k, pair = found
+    ce = {"triad": labels_of(s, triad), "issue": "bracket_not_an_element"}
+    if pair is not None:
+        u, v = pair
         ce = {"triad": ce["triad"], "x": s.labels[u], "y": s.labels[v]}
         if not s.adjacency[u, v]:
             ce["issue"] = "skew_pair_in_bracket"
-        elif not table.holds(table.sigma, u, v, tri.lines[t]).any():
+        elif not any(_in_sigma(s, u, v, z) for z in triad):
             ce["issue"] = "sigma_misses_triad"
         else:
-            ce.update(kind="point" if kind[k] == 0 else "plane", issue="refined_class_misses_triad")
+            ce.update(kind="point" if model_index(s, m).kind[k] == 0 else "plane", issue="refined_class_misses_triad")
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
@@ -1067,8 +1063,8 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             ok &= adj[six[:, x], six[:, y]] != ((x, y) in _TETRA_SKEW)
         return ok
 
-    for lo in range(0, len(tri.triples), _TRIADS_PER_STEP):
-        t = np.arange(lo, min(lo + _TRIADS_PER_STEP, len(tri.triples)))
+    for lo in range(0, len(tri.triples), _TRIPLES_PER_STEP):
+        t = np.arange(lo, min(lo + _TRIPLES_PER_STEP, len(tri.triples)))
         vertex = least_off[tri.plane[t]]  # plane -1 reads P
         tried = np.flatnonzero(vertex < P)
         vertex[tried[~completes(t[tried], vertex[tried])]] = P

@@ -546,7 +546,8 @@ def test_short_runs_match_oracle(pg2, pg2_model, monkeypatch):
     failure and count the same cases when each run holds a few items and
     the failure falls in a later run."""
     monkeypatch.setattr(theorems, "_CELLS_PER_STEP", 97)  # four hosts a run
-    monkeypatch.setattr(theorems, "_TRIADS_PER_STEP", 53)
+    monkeypatch.setattr(theorems, "_TRIPLES_PER_STEP", 53)
+    monkeypatch.setattr(theorems, "_WALK_TRIPLES", 53)
     m = pg2_model
     # A copy of the last plane with one line swapped for a line of the last
     # point, listed last: thm_line_in_plane fails at case 316, the first

@@ -302,11 +302,11 @@ def verify_counts(meta: Pg3Metadata, m) -> CheckReport:
 
 
 # Bounds for test_pg35_triad_checks: on a 2-vCPU host the stages take
-# about 4 s from the first check to the last and peak at 108 MB RSS (7 s
-# before the triads read their brackets from the perp table), against 32 s
-# and 431 MB when each triad was a Python tuple with its own bracket int.
+# 1.0-1.6 s from the first check to the last and peak at 60-62 MB RSS,
+# against 1.2-1.9 s and 107 MB when every triad was kept in one table, and
+# 32 s and 431 MB when each triad was a Python tuple with its own bracket int.
 PG35_TRIAD_SECONDS = 15
-PG35_TRIAD_RSS_MB = 200
+PG35_TRIAD_RSS_MB = 80
 PG35_TRIAD_SCRIPT = PEAK_RSS + """
 import json, time
 from linespace import coordinate_labels, gen_pg3, theorems as T

@@ -7,7 +7,7 @@ the reported counterexample shows that restricting a quantifier to its
 support neither misses a violation nor changes which one is reported.
 The whole ``to_dict()`` is compared, stats included, so evaluating each
 distinct perp or bracket once, or judging items in bulk, still counts
-every case.  The triad table the triad checks share, and the perp table
+every case.  The element walk the triad checks share, and the perp table
 behind the checks over distinct perps, are compared with the oracle's
 triads and brackets, and its perps, directly.
 """
@@ -33,7 +33,7 @@ from linespace import (
 from conftest import one_perp_regulus
 from linespace.core import perp_table
 from linespace.labeling import element_masks
-from linespace.theorems import triad_table
+from linespace.theorems import _triads, _walk
 
 
 class Oracle:
@@ -234,16 +234,19 @@ class Oracle:
         return "fail", ce, stats
 
 
-def assert_triad_table_matches_oracle(s, o):
-    """The triads in order, each one's bracket among the elements, and each
-    element's first triad."""
+def assert_walk_matches_oracle(s, o):
+    """The element walk meets every triad exactly once, under its own
+    bracket's element, and each element's least triad is the oracle's."""
     tri = o.triads()
-    brackets = [sum(1 << l for l in o.perp(t)) for t in tri]
-    table, emasks = triad_table(s), element_masks(s)
-    assert table.lines.shape == (len(tri), 3)
-    assert table.lines.tolist() == [list(t) for t in tri]
-    assert [emasks[e] for e in table.element.tolist()] == brackets
-    assert table.first.tolist() == [brackets.index(em) for em in emasks]
+    emasks = element_masks(s)
+    bracket = {t: emasks.index(sum(1 << l for l in o.perp(t))) for t in tri}
+    met = []
+    for e, _, triples, held, same in _walk(s):
+        own = held.any(axis=0) & same
+        met += zip(map(tuple, triples[own].tolist()), e[own].tolist())
+    assert sorted(met) == sorted(bracket.items())
+    least = [min(t for t in tri if bracket[t] == e) for e in range(len(emasks))]
+    assert _triads(s)["first"].tolist() == [list(t) for t in least]
 
 
 def assert_perp_table_matches_oracle(s, o):
@@ -276,7 +279,7 @@ def assert_perp_table_matches_oracle(s, o):
 
 def assert_matches_oracle(s):
     o = Oracle(s)
-    assert_triad_table_matches_oracle(s, o)
+    assert_walk_matches_oracle(s, o)
     assert_perp_table_matches_oracle(s, o)
     for check, (status, ce, stats) in (
         (thm_sigma_equivalence, o.sigma_equivalence()),

@@ -50,7 +50,7 @@ from linespace import labeling, theorems
 from linespace.core import _incidence, bit_rows, mask_of_lines, perp_mask
 from linespace.labeling import element_masks, model_index
 from linespace.registry import run_checks
-from linespace.theorems import VY_NAMES, triad_table
+from linespace.theorems import VY_NAMES
 
 
 class TestSuiteOnModels:
@@ -94,11 +94,11 @@ class TestVacuousCases:
 
 class TestCounts:
     def test_tetra_triads(self, tetra):
-        assert triad_table(tetra).lines.shape == (8, 3)
+        assert thm_sigma_equivalence(tetra).stats == {"triads_examined": 8}
 
     def test_pg2_triads(self, pg2):
         # 28 tripods per point and 28 trigons per plane: 15 * 28 * 2
-        assert triad_table(pg2).lines.shape == (840, 3)
+        assert thm_sigma_equivalence(pg2).stats == {"triads_examined": 840}
 
     def test_pg2_regulus_sizes(self, pg2):
         # every pairwise-skew triple has exactly q + 1 = 3 transversals
@@ -118,9 +118,10 @@ class TestCounts:
         # triads split evenly between point-side and plane-side
         sides = {"point": 0, "plane": 0}
         index = model_index(pg2, pg2_model)
-        for t in triad_table(pg2).lines.tolist():
-            row = index.masks.index(perp_mask(pg2, mask_of_lines(t)))
-            sides[("point", "plane")[index.kind[row]]] += 1
+        for _, _, triples, held, same in theorems._walk(pg2):
+            for t in triples[held.any(axis=0) & same].tolist():
+                row = index.masks.index(perp_mask(pg2, mask_of_lines(t)))
+                sides[("point", "plane")[index.kind[row]]] += 1
         assert sides["point"] == 420
         assert sides["plane"] == 420
 
@@ -256,9 +257,10 @@ class TestExchangeFailures:
     """Each failure branch of thm_exchange names the same case as it always has.
 
     The expected reports were recorded before the bracket rows were built
-    once per bracket.  The structure supplies the triads and brackets and
-    the model the labeled classes, so a flipped bit or a doctored class
-    table reaches each branch.
+    once per bracket.  The structure supplies the triads, brackets and
+    sigma sets and the model the labeled classes, so a flipped bit, a
+    doctored class table or a model over another structure reaches each
+    branch.
     """
 
     def exchange_ce(self, s, m):
@@ -280,25 +282,27 @@ class TestExchangeFailures:
         )
 
     def test_refined_class_misses_triad(self, pg2, pg2_model, monkeypatch):
+        # a fresh copy of PG(3,2), so that no verdict is cached on it yet
+        s = IncidenceStructure(pg2.adjacency, labels=pg2.labels)
         swapped = swapped_classes(pg2_model)
         monkeypatch.setattr(theorems, "_labeled_classes", lambda m: swapped)
         ce = {"triad": ["L00", "L01", "L02"], "x": "L00", "y": "L01", "kind": "point"}
-        assert self.exchange_ce(pg2, pg2_model) == (
+        assert self.exchange_ce(s, dataclasses.replace(pg2_model, structure=s)) == (
             {**ce, "issue": "refined_class_misses_triad"},
             1,
         )
 
-    def test_sigma_misses_triad(self, pg2, pg2_model, monkeypatch):
-        # the sigma row of perp({L02, L10}) read as empty by the bracket rows
-        # alone: the triad table is built from the true sigma sets before the cut
-        triad_table(pg2)
-        table = theorems.perp_table(pg2)
-        sigma = table.sigma.copy()
-        sigma[table.index[2, 10]] = 0
-        cut = dataclasses.replace(table, sigma=sigma)
-        monkeypatch.setattr(theorems, "perp_table", lambda s: cut)
-        ce = {"triad": ["L01", "L02", "L10"], "x": "L02", "y": "L10"}
-        assert self.exchange_ce(pg2, pg2_model) == ({**ce, "issue": "sigma_misses_triad"}, 1583)
+    def test_sigma_misses_triad(self, tetra):
+        # the tetrahedron with ah and bh made skew, against the tetrahedron's
+        # own model: the refined classes come from the model's structure,
+        # where the plane class of (c, bh) holds a, but sigma comes from the
+        # mutant, where sigma(c, bh) misses the triad (a, c, bh)
+        m = coordinate_labels(tetra)
+        mutant = IncidenceStructure.from_skew_pairs(6, [*tetra.skew_pairs(), (3, 4)], labels=tetra.labels)
+        assert m.structure is not mutant
+        ce = {"triad": ["a", "c", "bh"], "x": "c", "y": "bh", "issue": "sigma_misses_triad"}
+        assert self.exchange_ce(mutant, m) == (ce, 9)
+        assert replay_theorem_counterexample(mutant, thm_exchange(mutant, m), m) is True
 
 
 class TestTriangleFailures:
