@@ -161,7 +161,9 @@ def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     sigma meeting both lines are sigma less the OR of their skew rows.  The
     first perp, in order of first pairs, with any such member fails: z is
     its least one, and x, y the first skew pair, in lexicographic order,
-    whose array holds z, the least skew pair in bracket(a, b, z).
+    whose array holds z, the least skew pair in bracket(a, b, z).  A perp
+    whose sigma splits holds none: a skew pair there has one line in each
+    class, and each line's row is the other's class, so their OR is sigma.
     """
     table = perp_table(s)
     sigma_words = _words(table.in_sigma)
@@ -174,7 +176,7 @@ def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     if hit is None:
         return CheckReport("axiom2_2", PASS, stats={"triples_examined": int(per_pair.sum())})
     k = hit[0]
-    _, x, y = table.local_pairs(k, k + 1)
+    _, x, y = next(table.local_pairs(np.arange(k, k + 1)))
     held = _places(meet(k, x, y), table.lines.shape[1])
     z = int(held.any(axis=0).argmax())
     i = int(held[:, z].argmax())
@@ -215,7 +217,9 @@ def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
     Kernel: the lines of the perp meeting neither x nor y are those skew to
     both, the AND of their skew rows.  The first skew pair with a nonzero
     AND, in order of the perps' first pairs and then lexicographic, fails,
-    and the least line of its AND is uncovered.
+    and the least line of its AND is uncovered.  A perp whose sigma splits
+    has none: x and y lie in different classes, and each one's row is the
+    other's class, so the rows are disjoint.
     """
     table = perp_table(s)
     hit, cases = table.first_flagged(

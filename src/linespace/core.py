@@ -415,8 +415,9 @@ class PerpTable:
     and ``in_sigma[k, i]`` whether there is one: whether i lies in sigma.
     ``split[k]`` is whether incidence on sigma is two cliques: class 1, the
     places skew to its least, and class 0; ``classes[k]`` holds them as line
-    masks, ``second[k, i]`` is whether place i lies in class 1, and
-    ``least[k]`` each one's least place, else -1.
+    masks.  On a split perp each sigma place is skew to exactly the other
+    class, and no other place to any: its skew pairs are the |c0| |c1| pairs
+    across, its incident pairs in sigma the C(|c0|, 2) + C(|c1|, 2) within.
 
     A set that depends only on the perp of a pair, as sigma and its classes
     do, is kept as one ``bit_rows`` row per perp, as ``sigma`` keeps sigma,
@@ -433,36 +434,33 @@ class PerpTable:
     in_sigma: np.ndarray
     split: np.ndarray
     classes: list[tuple[int, int]]
-    second: np.ndarray
-    least: np.ndarray
     sigma: np.ndarray
 
-    def steps(self, cells: int = 0) -> list[tuple[int, int]]:
-        """Bounds of the runs of perps taken at once, at most width squared
-        or ``cells`` cells per perp."""
-        step = max(1, _CELLS_PER_STEP // (max(cells, self.lines.shape[1] ** 2) + 1))
-        return [(lo, min(lo + step, len(self.masks))) for lo in range(0, len(self.masks), step)]
-
-    def local_pairs(self, lo: int, hi: int, within: Optional[np.ndarray] = None) -> tuple:
-        """(k, x, y) in lexicographic order: each perp k in [lo, hi) and places
-        x < y of its lines that are skew or, given a bool row per perp
-        ``within``, incident and both within."""
+    def local_pairs(self, perps: np.ndarray, incident: bool = False):
+        """Per run of ``perps`` taken at once, width squared cells each, (k, x,
+        y) in lexicographic order: each perp k of the run and places x < y of
+        its lines that are skew or, if ``incident``, incident and in sigma."""
         width = self.lines.shape[1]
-        related = _places(self.skew[lo:hi], width)
-        if within is not None:
-            related = ~related & within[lo:hi, :, None] & within[lo:hi, None, :]
-        k, x, y = np.nonzero(related & np.triu(np.ones((width, width), bool), 1))
-        return k + lo, x, y
+        step = max(1, _CELLS_PER_STEP // (width**2 + 1))
+        for lo in range(0, len(perps), step):
+            run = perps[lo : lo + step]
+            related = _places(self.skew[run], width)
+            if incident:
+                related = ~related & self.in_sigma[run, :, None] & self.in_sigma[run, None, :]
+            j, x, y = np.nonzero(related & np.triu(np.ones((width, width), bool), 1))
+            yield run[j], x, y
 
-    def first_flagged(self, flag, within: Optional[np.ndarray] = None) -> tuple:
+    def first_flagged(self, flag, incident: bool = False) -> tuple:
         """Judge the ``local_pairs`` of every perp, each a case of every pair
         of that perp: ``flag(k, x, y)`` marks the failing ones.  Returns the
         first failing (k, x, y), in order of first pairs, with the cases a
-        walk of the pairs meets up to it, or None with all the cases."""
-        count = np.zeros(len(self.masks), np.int64)
-        for lo, hi in self.steps():
-            k, x, y = self.local_pairs(lo, hi, within)
-            count[lo:hi] = np.bincount(k - lo, minlength=hi - lo)
+        walk of the pairs meets up to it, or None with all the cases.  A flag
+        marks no pair of a split perp, so only the other perps are walked,
+        and a split perp's pairs are counted from its class sizes."""
+        size = np.array([(c0.bit_count(), c1.bit_count()) for c0, c1 in self.classes], np.int64).reshape(-1, 2)
+        count = np.where(self.split, (size * (size - 1) // 2).sum(axis=1) if incident else size.prod(axis=1), 0)
+        for k, x, y in self.local_pairs(np.flatnonzero(~self.split), incident):
+            np.add.at(count, k, 1)
             bad = np.flatnonzero(flag(k, x, y))
             if len(bad):
                 i = bad[0]
@@ -510,13 +508,13 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
         first = np.unique(perp, return_index=True)[1]
         lines = np.full((len(ids), width), n, np.int32)
         skew = np.zeros((len(ids), width, max(1, -(-width // 64))), np.uint64)
-        in_sigma, second = np.zeros((len(ids), width), bool), np.zeros((len(ids), width), bool)
-        split, least = np.zeros(len(ids), bool), np.zeros((len(ids), 2), np.int64)
+        in_sigma, split = np.zeros((len(ids), width), bool), np.zeros(len(ids), bool)
         sigma = np.zeros((len(ids) + 1, n // 8 + 1), np.uint8)  # as ``bit_rows``
-        table = PerpTable(n, pairs, perp, tuple(ids), first, lines, skew, in_sigma, split, [], second, least, sigma)
         apart = np.zeros((n + 1, n + 1), bool)  # line n, the padding, is skew to no line
         apart[:n, :n] = ~s.adjacency
-        for lo, hi in table.steps(n):
+        step = max(1, _CELLS_PER_STEP // (max(n, width**2) + 1))
+        for lo in range(0, len(ids), step):
+            hi = min(lo + step, len(ids))
             # each perp's lines, ascending, fill its first places, row by row
             lines[lo:hi][np.arange(width) < size[lo:hi, None]] = np.nonzero(
                 s.adjacency[a[first[lo:hi]]] & s.adjacency[b[first[lo:hi]]]
@@ -525,7 +523,7 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
             run = skew[lo:hi] = _words(skewed)
             sig = in_sigma[lo:hi] = run.any(axis=2)
             r, low = np.arange(hi - lo), sig.argmax(axis=1)  # the least sigma place, else 0, skew to none
-            two = second[lo:hi] = skewed[r, low]  # class 1: the sigma places skew to it
+            two = skewed[r, low]  # class 1: the sigma places skew to it
             one = run[r, low]
             zero = np.bitwise_or.reduce(run, axis=1) ^ one  # sigma, the union of the rows, less class 1
             other = np.where(two[:, :, None], zero[:, None], one[:, None])  # what each row should be
@@ -533,12 +531,11 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
             rows = np.zeros((hi - lo, n + 1), bool)  # column n: the padding
             rows[r[:, None], lines[lo:hi]] = sig
             sigma[lo:hi, : -(-n // 8)] = np.packbits(rows[:, :n], axis=1, bitorder="little")
-        least[:] = np.stack((least_bits(_words(in_sigma)), least_bits(_words(second))), axis=1)
         raw, nbytes = memoryview(sigma).cast("B"), sigma.shape[1]  # no copy
         sets = (int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(ids) * nbytes, nbytes))
-        at = lines[np.arange(len(ids)), np.maximum(least[:, 0], 0)].tolist()  # each perp's least sigma line
-        table.classes.extend((x & masks[l], x & ~masks[l]) for x, l in zip(sets, at))
-        return table
+        at = np.maximum(least_bits(_words(in_sigma)), 0)  # each perp's least sigma place, else 0
+        classes = [(x & masks[l], x & ~masks[l]) for x, l in zip(sets, lines[np.arange(len(ids)), at].tolist())]
+        return PerpTable(n, pairs, perp, tuple(ids), first, lines, skew, in_sigma, split, classes, sigma)
 
     return s.cached("perp_table", build)
 

@@ -112,10 +112,9 @@ class GeometryModel:
 
 def element_ids(s: IncidenceStructure) -> tuple[tuple[int, ...], list[tuple[int, int, int]], np.ndarray]:
     """Every secondary element's mask, ordered by its ascending line list;
-    one generating triad of each; and per perp of ``perp_table(s)`` and
-    place the index among the masks of bracket(a, b, c), for the perp's
-    pairs (a, b) and the line c at that place, or -1 where c is not in
-    sigma(a, b); cached.  The one numbering of the elements.
+    one generating triad of each; and per perp of ``perp_table(s)`` the
+    indices among the masks of its two classes' elements, class 0's first,
+    or -1 twice where it does not split; cached.  The one numbering.
 
     Iterates incident pairs (a, b) in index order and, for each, every
     member c of sigma(a, b) in index order, keeping the first triad that
@@ -132,20 +131,17 @@ def element_ids(s: IncidenceStructure) -> tuple[tuple[int, ...], list[tuple[int,
         table = perp_table(s)
         first_a, first_b = incident_pairs(s)[table.first].T.tolist()  # each perp's first pair
         ids: dict[int, int] = {}
-        triads, element = [], []
+        triads, two = [], []
         for base, a, b, (c0, c1), split in zip(table.masks, first_a, first_b, table.classes, table.split):
             for c in lines_of_mask((c0 & -c0) | (c1 & -c1) if split else c0 | c1):
-                element.append(ids.setdefault(base & masks[c], len(ids)))
-                if element[-1] == len(triads):
+                if ids.setdefault(base & masks[c], len(ids)) == len(triads):
                     triads.append((a, b, c))
-        # the index in ``element`` of each sigma place: its class, else its rank in sigma
-        count = np.where(table.split, 2, table.in_sigma.sum(axis=1))
-        at = np.where(table.split[:, None], table.second, table.in_sigma.cumsum(axis=1) - 1)
-        at = np.where(table.in_sigma, at + (np.cumsum(count) - count)[:, None], -1)
+            two.append((ids[base & ~c1], ids[base & ~c0]) if split else (-1, -1))
         found = list(ids)
         order = sorted(range(len(found)), key=lambda e: lines_of_mask(found[e]))
-        rank = np.append(np.argsort(order), -1).astype(np.int32)  # the padding's -1 reads -1
-        return tuple(found[e] for e in order), [triads[e] for e in order], rank[np.array(element + [-1])[at]]
+        rank = np.append(np.argsort(order), -1).astype(np.int32)  # an unsplit perp's -1 reads -1
+        two = rank[np.array(two, np.intp).reshape(-1, 2)]
+        return tuple(found[e] for e in order), [triads[e] for e in order], two
 
     return s.cached("element_ids", build)
 
@@ -193,15 +189,15 @@ def shared_lines(s: IncidenceStructure, masks: tuple[int, ...]) -> tuple[np.ndar
 
 def _labeled_split(s: IncidenceStructure, kind: np.ndarray) -> tuple[np.ndarray, Optional[int]]:
     """Per perp of ``perp_table(s)``, the kinds ``kind``, a code per element
-    of ``element_masks(s)`` (0 point, 1 plane, -1 neither), gives the
-    elements of its two sigma classes; and the first perp, in order of first
-    pairs, whose classes are not one point and one plane, else None.  Where
-    that perp does not split, its first pair raises ``sigma_partition``'s
-    NotTwoClassesError.  A split class yields one element, the perp's lines
-    incident to the class, so the test is judged once per perp."""
+    of ``element_masks(s)`` (0 point, 1 plane, -1 neither), gives its two
+    classes' elements in ``element_ids``, -1 where it does not split; and
+    the first perp, in order of first pairs, whose classes are not one point
+    and one plane, else None.  Where that perp does not split, its first
+    pair raises ``sigma_partition``'s NotTwoClassesError.  A split class
+    yields one element, so the test is judged once per perp."""
     table = perp_table(s)
-    two = np.append(kind, -1)[element_ids(s)[2][np.arange(len(table.masks))[:, None], table.least]]
-    bad = np.flatnonzero(~table.split | (two.min(axis=1) < 0) | (two[:, 0] == two[:, 1]))
+    two = np.append(kind, -1)[element_ids(s)[2]]
+    bad = np.flatnonzero((two.min(axis=1) < 0) | (two[:, 0] == two[:, 1]))
     if len(bad) and not table.split[bad[0]]:
         sigma_partition(s, *table.pairs[table.first[bad[0]]].tolist())  # raises
     return two, int(bad[0]) if len(bad) else None
@@ -249,8 +245,7 @@ def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> np.n
     seed class, and every element sharing exactly one line with Z are points."""
     a, b, k = seed
     sigma_partition(s, a, b)  # an unsplit seed pair raises its NotTwoClassesError here
-    perp = perp_table(s).index[a, b]
-    z = element_ids(s)[2][perp, perp_table(s).least[perp, k]]
+    z = element_ids(s)[2][perp_table(s).index[a, b], k]
     incidence = _line_incidence(s, element_masks(s))
     plane = np.count_nonzero(incidence[:, incidence[z]], axis=1) != 1
     plane[z] = False

@@ -79,14 +79,11 @@ def _require_incident_distinct(s: IncidenceStructure, a: int, b: int, op: str) -
     return (a, b) if a < b else (b, a)
 
 
-def _sigma_of_perp(s: IncidenceStructure, ab: int) -> int:
-    return s.cached(("sigma", ab), lambda: ab & ~perp_mask(s, ab))
-
-
 def sigma_mask(s: IncidenceStructure, a: int, b: int) -> int:
     """Bitmask form of sigma(a, b); depends only on perp({a, b}), cached per perp."""
     a, b = _require_incident_distinct(s, a, b, "sigma")
-    return _sigma_of_perp(s, s.masks[a] & s.masks[b])
+    ab = s.masks[a] & s.masks[b]
+    return s.cached(("sigma", ab), lambda: ab & ~perp_mask(s, ab))
 
 
 def sigma(s: IncidenceStructure, a: int, b: int) -> frozenset[int]:

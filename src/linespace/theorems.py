@@ -26,8 +26,9 @@ is not in lexicographic order, and counts the triads below it.
 The checks over incident pairs read one table per structure,
 ``core.perp_table``: each pair's perp among the distinct perps, and each
 perp's lines with their skew rows as packed words, its sigma set and
-sigma's split into two classes.  Its pair-to-perp index reads every
-per-pair set, each kept as one packed row per perp: sigma, and the
+sigma's split into two classes, which the per-perp kernels trust: they
+walk only the perps that do not split.  The pair-to-perp index reads
+every per-pair set, each kept as one packed row per perp: sigma, and the
 model's point and plane classes, from ``_labeled_classes``.  The model
 checks read each point and plane as a row of ``labeling.model_index``,
 among the derived elements, and through those rows the labeling's one
@@ -35,12 +36,12 @@ among the derived elements, and through those rows the labeling's one
 line where they share exactly one.  The point-triple checks share
 ``_triangles``, whose sides come from it.
 
-The costliest checks run array kernels, and every kernel judges, as those
+The costliest checks run array kernels, and every kernel judges as those
 of axioms 2.2 and 2.3 do: it computes the check's predicate for every
-item, so the first item it flags is the least violation, and the report
-is read from its arrays, or named from the definitions at that one item.
-No kernel hands an item to a scalar walk of its check; the replayers,
-which re-verify one counterexample from the definitions, stay scalar.
+item it walks, so the first it flags is the least violation, and the
+report is read from its arrays, or named from the definitions at that
+item.  No kernel hands an item to a scalar walk of its check; the
+replayers, which re-verify one counterexample, stay scalar.
 
 Every check here registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
@@ -335,12 +336,14 @@ def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
     bracket of c over the pair is the perp less the skew row of c, so two
     incident members of sigma, each pair of them a case, give equal
     brackets iff their skew rows are equal; the first case, in order of the
-    perps' first pairs and then lexicographic, with unequal rows fails.
+    perps' first pairs and then lexicographic, with unequal rows fails.  A
+    perp whose sigma splits has none: two incident members of sigma lie in
+    one class, and each one's row is the other class.
     """
     name = "thm_bracket_welldefined"
     table = perp_table(s)
     hit, cases = table.first_flagged(
-        lambda k, x, y: (table.skew[k, x] != table.skew[k, y]).any(axis=1), within=table.in_sigma
+        lambda k, x, y: (table.skew[k, x] != table.skew[k, y]).any(axis=1), incident=True
     )
     if hit is None:
         return CheckReport(name, PASS, stats={"cases_examined": cases})
@@ -403,15 +406,16 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     searched once.  Kernel: per skew pair x < y of a perp, the lines skew
     to both, the AND of their skew rows, above y complete it to a skew
     triple, the least of them to the least such triple; the least of those
-    triples over every perp is the violation.
+    triples over every perp is the violation.  A perp whose sigma splits
+    holds no skew triple, as its skew graph is bipartite, so only the perps
+    that do not split are searched.
     """
     name = "thm_regulus_skew"
     table = perp_table(s)
     width = table.lines.shape[1]
     above = _words(np.triu(np.ones((width, width), bool), 1))  # row y: the places above y
     found = []
-    for lo, hi in table.steps():
-        k, x, y = table.local_pairs(lo, hi)
+    for k, x, y in table.local_pairs(np.flatnonzero(~table.split)):
         z = least_bits(table.skew[k, x] & table.skew[k, y] & above[y])
         _keep_least(found, table.lines[k[z >= 0, None], np.stack((x, y, z), axis=1)[z >= 0]])
     least = min(found, default=None)

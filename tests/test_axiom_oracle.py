@@ -25,6 +25,7 @@ from linespace import (
     check_axiom2_3,
     check_axiom3,
 )
+from conftest import MIXED_PERPS_FLIPS
 
 
 class Oracle:
@@ -224,6 +225,7 @@ PG2_PAIRS = list(itertools.combinations(range(35), 2))
 
 
 @given(st.lists(st.sampled_from(PG2_PAIRS), min_size=1, max_size=3, unique=True))
+@example(flips=MIXED_PERPS_FLIPS)
 @settings(max_examples=30, deadline=None)
 def test_pg2_mutants_match_oracle(pg2, flips):
     adj = np.array(pg2.adjacency)

@@ -30,7 +30,7 @@ from linespace import (
     thm_sigma_equivalence,
     thm_two_classes,
 )
-from conftest import one_perp_regulus
+from conftest import MIXED_PERPS_FLIPS, one_perp_regulus
 from linespace.core import perp_table
 from linespace.labeling import element_masks
 from linespace.theorems import _triads, _walk
@@ -251,7 +251,9 @@ def assert_walk_matches_oracle(s, o):
 
 def assert_perp_table_matches_oracle(s, o):
     """Each pair's perp, the distinct perps in order of their first pair,
-    each one's lines, padded with the line count, and skew rows."""
+    each one's lines, padded with the line count, and skew rows; whether
+    its sigma splits, that is, is non-empty and two cliques skew across,
+    and its classes: the sigma lines meeting the least one, and the rest."""
     pairs = o.incident_pairs()
     perps = [o.perp(p) for p in pairs]
     distinct = list(dict.fromkeys(perps))
@@ -268,6 +270,11 @@ def assert_perp_table_matches_oracle(s, o):
         got = [int.from_bytes(row.tobytes(), "little") for row in table.skew[k]]
         assert got == skew + [0] * (width - len(lines))
         assert table.in_sigma[k].tolist() == [bool(r) for r in got]
+        sig = sorted(x - o.perp(x))
+        one = {v for v in sig if o.adj[sig[0]][v]} if sig else set()
+        two_cliques = all(o.adj[u][v] == ((u in one) == (v in one)) for u in sig for v in sig)
+        assert bool(table.split[k]) == (len(one) < len(sig) and two_cliques)
+        assert table.classes[k] == (sum(1 << v for v in one), sum(1 << v for v in set(sig) - one))
     n = s.line_count
     index = [[-1] * n for _ in range(n)]
     for (x, y), k in zip(pairs, table.perp.tolist()):
@@ -319,6 +326,7 @@ PG2_PAIRS = list(itertools.combinations(range(35), 2))
 
 
 @given(st.lists(st.sampled_from(PG2_PAIRS), min_size=1, max_size=3, unique=True))
+@example(flips=MIXED_PERPS_FLIPS)
 @settings(max_examples=30, deadline=None)
 def test_pg2_mutants_match_oracle(pg2, flips):
     adj = np.array(pg2.adjacency)
