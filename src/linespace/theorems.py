@@ -21,7 +21,7 @@ whether each one's bracket is that element; no triad is kept.  Two passes
 share it and cache each check's verdict for its checker: ``_triads``, one
 walk per structure, and ``_model_triads``, one per structure and model.
 ``_ranked`` proves the rule that names the least violation of a walk that
-is not in lexicographic order, and counts the triads below it.
+is not in lexicographic order, and counts the cases below it.
 
 The checks over incident pairs read one table per structure,
 ``core.perp_table``: each pair's perp among the distinct perps, and each
@@ -33,8 +33,10 @@ model's point and plane classes, from ``_labeled_classes``.  The model
 checks read each point and plane as a row of ``labeling.model_index``,
 among the derived elements, and through those rows the labeling's one
 ``shared_lines`` table: how many lines every two elements share, and the
-line where they share exactly one.  The point-triple checks share
-``_triangles``, whose sides come from it.
+line where they share exactly one.  The three point-triple checks share
+one pass, ``_point_triples``: it walks the non-collinear point triples in
+runs, one per last point, with their sides from that table, and keeps no
+triple.
 
 The costliest checks run array kernels, and every kernel judges as those
 of axioms 2.2 and 2.3 do: it computes the check's predicate for every
@@ -54,7 +56,6 @@ adding a check takes no other edit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,7 +89,6 @@ from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
 
 
 _WALK_TRIPLES = 1 << 12  # triples per run of the element walk
-_TRIPLES_PER_STEP = 1 << 16  # point triples per step of the tetrahedron kernel
 _CELLS_PER_STEP = 1 << 20  # cells per step of the exchange rows and the A3 joins
 
 
@@ -149,24 +149,25 @@ def _keep_least(found: list, rows: np.ndarray, *columns: np.ndarray) -> None:
         found.append((*rows[i].tolist(), *(c[i].item() for c in columns)))
 
 
-def _ranked(s: IncidenceStructure, found: dict) -> dict:
-    """The rank rule of both triad passes.
+def _ranked(walk, found: dict) -> dict:
+    """The rank rule of the three passes.
 
-    Each pass keeps, per check, each run's least violation and the least of
-    those, which is the least violation of all: each violation is a triad
-    met in some run, not below that run's least.  A walk of the triads in
-    lexicographic order meets it first, after every triad below it, and
-    the element walk meets each of those once.  So one more walk, taken
-    only when a check fails, counts them: per check of ``found``, named
-    with its triple, the triads below that triple, per element.
+    Each pass walks its triples in runs and keeps, per check, each run's
+    least violation and the least of those, which is the least violation of
+    all: each violation is a triple met in some run, not below that run's
+    least.  A walk in lexicographic order meets it first, after every
+    triple below it.  So one more walk, taken only when a check fails,
+    counts them: ``walk`` yields each run's triples and, per check of
+    ``found``, named with its triple, each triple's cases, which are 0 where
+    the pass meets a triple again; the result is, per check, the cases
+    below that triple.
     """
-    below = {name: np.zeros(len(element_masks(s)), np.int64) for name in found}
-    for e, _, triples, held, same in _walk(s) if found else ():
+    below = dict.fromkeys(found, 0)
+    for triples, cases in walk if found else ():
         a, b, c = triples.T
-        own = held.any(axis=0) & same
         for name, (x, y, z) in found.items():
             before = (a < x) | (a == x) & ((b < y) | (b == y) & (c < z))
-            below[name] += np.bincount(e[own & before], minlength=len(below[name]))
+            below[name] += int(cases[name][before].sum())
     return below
 
 
@@ -174,8 +175,9 @@ def _triads(s: IncidenceStructure) -> dict:
     """The structure pass: one walk judges the four structure-level triad checks; cached.
 
     Per check, (its least violation or None, its report's stat), ranked by
-    ``_ranked``; also "triads", their number, and "first", each element's
-    least triad.  Each check's docstring says what it flags.
+    ``_ranked`` with a triad one case; also "triads", their number, and
+    "first", each element's least triad.  Each check's docstring says what
+    it flags.
     """
 
     def build():
@@ -215,11 +217,11 @@ def _triads(s: IncidenceStructure) -> dict:
         least = {name: min(found, default=None) for name, found in runs.items()}
         ranked = ("thm_sigma_equivalence", "thm_bracket_closed")
         found = {name: least[name][:3] for name in ranked if least[name]}
-        below = _ranked(s, found)
+        below = _ranked(((t, dict.fromkeys(found, h.any(axis=0) & same)) for _, _, t, h, same in _walk(s)), found)
         return {
             "triads": total,
             "first": first,
-            **{name: (least[name], int(below[name].sum()) + 1 if name in below else total) for name in ranked},
+            **{name: (least[name], below[name] + 1 if name in below else total) for name in ranked},
             "thm_coherence": (least["thm_coherence"], int((np.minimum(stop, walked - 1) + 1).sum())),
             "thm_mutual_membership": (least["thm_mutual_membership"], total),
         }
@@ -586,12 +588,14 @@ def _model_triads(s: IncidenceStructure, m: GeometryModel) -> dict:
             bad = (kind[e] < 0) | (row >= 0)
             _keep_least(runs["thm_exchange"], triples[bad], e[bad], row[bad])
         typing, exchange = (min(found, default=None) for found in runs.values())
-        below = _ranked(s, {name: v[:3] for name, v in zip(runs, (typing, exchange)) if v})
-        typed = int(below["thm_triad_typing"].sum()) + 1 if typing else int(triads.sum())
+        owned = ((e, t, h.any(axis=0) & same) for e, _, t, h, same in _walk(s))
+        walk = ((t, {"thm_triad_typing": own, "thm_exchange": own * row_count[e]}) for e, t, own in owned)
+        below = _ranked(walk, {name: v[:3] for name, v in zip(runs, (typing, exchange)) if v})
+        typed = below["thm_triad_typing"] + 1 if typing else int(triads.sum())
         if exchange is None:
             return {"thm_triad_typing": (typing, typed), "thm_exchange": (None, int(triads @ row_count))}
         *triad, k, r = exchange
-        examined, pair = int(below["thm_exchange"] @ row_count), None
+        examined, pair = below["thm_exchange"], None
         if kind[k] >= 0:
             i, j = int(x[r]), int(y[r])
             examined += i * (int(size[k]) - 1) - i * (i - 1) // 2 + j - i  # rows up to (i, j)
@@ -920,119 +924,208 @@ def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport(name, PASS, stats={"cases_examined": examined})
 
 
-@dataclass(frozen=True)
-class _Triangles:
-    """The non-collinear point triples of a model, with what their checks share.
-
-    ``triples`` lists (i, j, k) in ``itertools.combinations`` order, keeping
-    the triples whose three points share no line; ``sides`` holds their
-    lines jk, ki and ij, or -1 where two points do not share exactly one
-    line.  ``plane`` is the one model plane sharing a line with all three
-    points, kept only where its mask equals the bracket of the three sides,
-    else -1.
-    """
-
-    triples: np.ndarray
-    sides: np.ndarray
-    plane: np.ndarray
+_TETRA_PAIRS = tuple(itertools.combinations(range(6), 2))
+_TETRA_SKEW = {(0, 3), (1, 4), (2, 5)}
 
 
-def _triangles(s: IncidenceStructure, m: GeometryModel) -> _Triangles:
-    """The triangle table of ``m`` over the brackets of ``s``; cached.
+def _point_triples(s: IncidenceStructure, m: GeometryModel) -> dict:
+    """The point-triple pass: one walk judges ``thm_triangle``,
+    ``thm_tetrahedron`` and ``vy_a3``; cached.
 
-    The sides and the planes meeting each point come from ``shared_lines``.
-    For a fixed first point i, the later points' lines among those of i
-    and planes among those meeting i, as packed words: the AND of two
-    points' words holds the lines, and the planes, that all three share.
+    Per check, (its least violation (i, j, k, *sides) or None, its cases),
+    ranked by ``_ranked``: a triple is one case, and for ``vy_a3`` as many
+    as its A3 walk takes.  Also "first", the least triple and its vertex.
+    ``thm_triangle`` is not judged without labeled classes.
+
+    The walk takes the triples (i, j, k), i < j < k, whose points share no
+    line in runs, one per last point k, each in ``itertools.combinations``
+    order, with their sides jk, ki and ij (-1 where two points do not share
+    exactly one line) and their plane: the one model plane sharing a line
+    with all three points, kept where its mask is the sides' bracket, else
+    -1.  Against point k, the earlier points' lines and meeting planes are
+    packed words, and the AND of two points' words holds what all three
+    share.
     """
 
     def build():
         index = model_index(s, m)
         count, line = shared_lines(s, index.masks)
-        pts, line_of = index.incidence[index.points], line[np.ix_(index.points, index.points)]
+        n, P, adj = s.line_count, len(m.points), s.adjacency
+        pts, line = index.incidence[index.points], line[np.ix_(index.points, index.points)]
         meets = count[np.ix_(index.points, index.planes)] > 0
-        adj_words, plane_words = _words(s.adjacency), _words(index.incidence[index.planes])
-        parts = [(np.empty((0, 3), np.int32), np.empty((0, 3), np.int32), np.empty(0, np.int32))]
-        for i in range(len(pts) - 2):
-            lines, planes = _words(pts[i + 1 :, pts[i]]), _words(meets[i + 1 :, meets[i]])
-            j, k = np.nonzero(np.triu(~(lines[:, None] & lines).any(axis=2), 1))
-            one = only_bits(planes[j] & planes[k])  # the place of the one plane meeting all three
-            plane = np.append(np.flatnonzero(meets[i]), -1).astype(np.int32)[one]  # -1: none or several
-            j, k = j.astype(np.int32) + i + 1, k.astype(np.int32) + i + 1
-            sides = np.stack((line_of[j, k], line_of[k, i], line_of[i, j]), axis=1)
-            plane[sides.min(axis=1) < 0] = -1
-            rows = np.flatnonzero(plane >= 0)
-            a, b, c = sides[rows].T
-            bracket = adj_words[a] & adj_words[b] & adj_words[c]
-            plane[rows[(bracket != plane_words[plane[rows]]).any(axis=1)]] = -1
-            parts.append((np.stack((np.full_like(j, i), j, k), axis=1), sides, plane))
-        return _Triangles(*map(np.concatenate, zip(*parts)))
+        try:
+            plane_rows = _labeled_classes(m)[1][1]
+        except (NotTwoClassesError, MissingElementError):
+            plane_rows = None  # thm_triangle reports the dependency
+        # per plane, the least point sharing no line with it, P if none; plane -1 reads P
+        least_off = np.append(np.vstack((meets, np.zeros((1, len(m.planes)), bool))).argmin(axis=0), P)
+        point_words = _words(pts)
+        plane_words = _words(np.vstack((index.incidence[index.planes], np.zeros((1, n), bool))))  # row -1: no plane
+        on = _padded(pts.T, P)  # per line, the points on it
+        join = np.pad(np.where(line < 0, n + 1, line), (0, 1), constant_values=n)  # n: no case; n + 1: no line
+        np.fill_diagonal(join, n)
+        words = _words(np.vstack((adj, np.ones((1, n), bool), np.zeros((1, n), bool))))  # adjacency rows, then n, n + 1
 
-    return s.cached(("triangles", m.points, m.planes), build)
+        def runs():
+            for k in range(2, P):
+                lines, planes = _words(pts[:k, pts[k]]), _words(meets[:k, meets[k]])
+                i, j = np.nonzero(np.triu(~(lines[:, None] & lines).any(axis=2), 1))
+                one = only_bits(planes[i] & planes[j])  # the place of the one plane meeting all three
+                plane = np.append(np.flatnonzero(meets[k]), -1)[one]  # -1: none or several
+                sides = np.stack((line[j, k], line[k, i], line[i, j]), axis=1)
+                bracket = words[sides[:, 0]] & words[sides[:, 1]]  # where a side is -1, read as no line
+                bracket &= words[sides[:, 2]]
+                plane[(sides.min(axis=1) < 0) | (bracket != plane_words[plane]).any(axis=1)] = -1
+                yield np.stack((i, j, np.full_like(i, k)), axis=1), sides, plane, bracket
+
+        def completes(triples, sides, vertex):
+            six = np.concatenate((sides, line[vertex[:, None], triples]), axis=1)
+            ordered = np.sort(six, axis=1)
+            ok = (ordered[:, 0] >= 0) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+            for x, y in _TETRA_PAIRS:
+                ok &= adj[six[:, x], six[:, y]] != ((x, y) in _TETRA_SKEW)
+            return ok
+
+        def vertices(triples, sides, plane, bracket):
+            """Each triple's vertex, or P where it has none."""
+            vertex = least_off[plane]  # plane -1 reads P
+            tried = np.flatnonzero(vertex < P)
+            vertex[tried[~completes(triples[tried], sides[tried], vertex[tried])]] = P
+            rest = np.flatnonzero((vertex == P) & (sides.min(axis=1) >= 0))
+            bracket = bracket[rest]
+            for o in range(P):
+                if not len(rest):
+                    break
+                ok = completes(triples[rest], sides[rest], np.full(len(rest), o))
+                ok &= ~(bracket & point_words[o]).any(axis=1)
+                vertex[rest[ok]] = o
+                rest, bracket = rest[~ok], bracket[~ok]
+            return vertex
+
+        def a3(sides):
+            """Each triple's A3 cases, and whether it passes; a side -1 reads some line, and no case."""
+            a, b, c = sides.T
+            key, pair = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)  # below 2**31
+            cases, perp = np.zeros(len(key), np.int64), np.zeros((len(key), words.shape[1]), np.uint64)
+            step = max(1, _CELLS_PER_STEP // (on.shape[1] ** 2 + words.shape[1]))
+            for lo in range(0, len(key), step):
+                x, y = divmod(key[lo : lo + step], n)
+                joins = join[on[x, :, None], on[y, None, :]].reshape(len(x), -1)
+                cases[lo : lo + step] = (joins != n).sum(axis=1)
+                perp[lo : lo + step] = words.take(joins[:, 0], axis=0)
+                for j in joins.T[1:]:
+                    perp[lo : lo + step] &= words.take(j, axis=0)
+            valid = sides.min(axis=1) >= 0
+            hit = perp[pair, c >> 6] >> (c & 63).astype(np.uint64) & np.uint64(1) != 0
+            return np.where(valid, cases[pair], 0), valid & hit
+
+        found = {"thm_triangle": [], "thm_tetrahedron": [], "vy_a3": []}
+        first, triples_total, cases_total = [], 0, 0
+        for triples, sides, plane, bracket in runs():
+            vertex = vertices(triples, sides, plane, bracket)
+            cases, passed = a3(sides)
+            flagged = {"thm_tetrahedron": vertex == P, "vy_a3": ~passed}
+            if plane_rows is not None:  # a side -1 reads some line, where plane is -1
+                a, b, c = sides.T
+                ok = (plane >= 0) & (a != b) & (b != c) & (a != c) & adj[a, b] & adj[b, c] & adj[a, c]
+                for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
+                    ok &= perp_table(m.structure).holds(plane_rows, u, v, third)
+                flagged["thm_triangle"] = ~ok
+            for name, bad in flagged.items():
+                _keep_least(found[name], triples[bad], *sides[bad].T)
+            _keep_least(first, triples[:1], vertex[:1])
+            triples_total, cases_total = triples_total + len(triples), cases_total + int(cases.sum())
+        least = {name: min(kept, default=None) for name, kept in found.items()}
+        walk = ((t, {**dict.fromkeys(found, np.ones(len(t), int)), "vy_a3": a3(sides)[0]}) for t, sides, *_ in runs())
+        below = _ranked(walk, {name: v[:3] for name, v in least.items() if v})
+        below = {"thm_triangle": triples_total, "thm_tetrahedron": triples_total, "vy_a3": cases_total, **below}
+        return {"first": min(first, default=None), **{name: (v, below[name]) for name, v in least.items()}}
+
+    return s.cached(("point_triples", m), build)
 
 
 def _point_labels(s, m, points) -> list:
     return [labels_of(s, m.points[x]) for x in points]
 
 
-@registered("theorems", model=True)
+def _triangle_issue(s: IncidenceStructure, m: GeometryModel, points: list) -> Optional[dict]:
+    """The first test of ``thm_triangle`` that three points sharing no line
+    fail, from the definitions, as the counterexample's issue and fields;
+    None when they form a triangle.  ``points`` are their masks."""
+    masks, (A, B, C) = s.masks, points
+    sides = (B & C, C & A, A & B)
+    if any(side.bit_count() != 1 for side in sides):
+        return {"issue": "points_without_unique_common_line"}
+    a, b, c = (side.bit_length() - 1 for side in sides)
+    if len({a, b, c}) != 3:
+        return {"issue": "side_lines_not_distinct"}
+    if not (masks[a] >> b & 1 and masks[b] >> c & 1 and masks[a] >> c & 1):
+        return {"issue": "side_lines_not_pairwise_incident"}
+    for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
+        if not _classes_at(m, u, v)[1] >> third & 1:
+            return {"issue": "side_not_in_plane_class", "line": s.labels[third], "of_pair": labels_of(s, (u, v))}
+    bracket = masks[a] & masks[b] & masks[c]
+    if bracket not in m.plane_masks:
+        return {"issue": "bracket_not_a_plane"}
+    through = [p for p in m.plane_masks if p & A and p & B and p & C]
+    if through != [bracket]:
+        return {"issue": "common_plane_not_unique", "planes_through": len(through)}
+    return None
+
+
+def _replay_triangle(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    points = [mask_of_lines(_resolve(s, p)) for p in ce["points"]]
+    if not set(points) <= set(m.point_masks) or points[0] & points[1] & points[2]:
+        return False
+    return _triangle_issue(s, m, points) == {key: v for key, v in ce.items() if key != "points"}
+
+
+@registered("theorems", model=True, replay=_replay_triangle)
 def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Three non-collinear points form a triangle with a unique common plane.
 
-    Kernel: a triple passes iff its sides are distinct and pairwise
-    incident, each lies in the plane class of the other two, and the table
-    names its plane.  The last is the scalar pair of tests "the sides'
-    bracket is a plane p" and "exactly p meets all three points": a second
-    plane with p's mask would meet them too.  So the kernel proves exactly
-    the triples that pass: the first it flags is the least violation, named
-    by the first of those tests it fails.
+    Kernel: the point-triple pass, ``_point_triples``, proves a triple iff
+    its sides are distinct and pairwise incident, each lies in the plane
+    class of the other two, and its run names its plane.  The last is the
+    scalar pair of tests "the sides' bracket is a plane p" and "exactly p
+    meets all three points": a second plane with p's mask would meet them
+    too.  So the pass flags exactly the triples that fail, and the least is
+    named by the first test of ``_triangle_issue`` it fails.
     """
     name = "thm_triangle"
     try:
-        plane_rows = _labeled_classes(m)[1][1]
+        _labeled_classes(m)
     except (NotTwoClassesError, MissingElementError) as e:
         return _dependency(name, e)
-    masks = s.masks
-    tri = _triangles(s, m)
-    ok = tri.plane >= 0
-    rows = np.flatnonzero(ok)
-    a, b, c = tri.sides[rows].T
-    adj, model_table = s.adjacency, perp_table(m.structure)
-    proved = (a != b) & (b != c) & (a != c) & adj[a, b] & adj[b, c] & adj[a, c]
-    for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
-        proved &= model_table.holds(plane_rows, u, v, third)
-    ok[rows] = proved
-    flagged = np.flatnonzero(~ok)
-    if not len(flagged):
-        return CheckReport(name, PASS, stats={"cases_examined": len(tri.triples)})
-    t = int(flagged[0])
-
-    def issue(a, b, c) -> dict:
-        if min(a, b, c) < 0:
-            return {"issue": "points_without_unique_common_line"}
-        if len({a, b, c}) != 3:
-            return {"issue": "side_lines_not_distinct"}
-        if not (masks[a] >> b & 1 and masks[b] >> c & 1 and masks[a] >> c & 1):
-            return {"issue": "side_lines_not_pairwise_incident"}
-        for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
-            if not _classes_at(m, u, v)[1] >> third & 1:
-                return {"issue": "side_not_in_plane_class", "line": s.labels[third], "of_pair": labels_of(s, (u, v))}
-        if masks[a] & masks[b] & masks[c] not in m.plane_masks:
-            return {"issue": "bracket_not_a_plane"}
-        index = model_index(s, m)
-        common = shared_lines(s, index.masks)[0][np.ix_(index.points[tri.triples[t]], index.planes)]
-        through = np.flatnonzero((common > 0).all(axis=0))
-        return {"issue": "common_plane_not_unique", "planes_through": len(through)}
-
-    ce = {"points": _point_labels(s, m, tri.triples[t].tolist()), **issue(*tri.sides[t].tolist())}
-    return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": t + 1})
+    found, examined = _point_triples(s, m)[name]
+    if found is None:
+        return CheckReport(name, PASS, stats={"cases_examined": examined})
+    triple = found[:3]
+    ce = {"points": _point_labels(s, m, triple), **_triangle_issue(s, m, [m.point_masks[x] for x in triple])}
+    return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined + 1})
 
 
-_TETRA_PAIRS = tuple(itertools.combinations(range(6), 2))
-_TETRA_SKEW = {(0, 3), (1, 4), (2, 5)}
+def _replay_tetrahedron(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+    masks, adj = s.masks, s.adjacency
+    A, B, C = points = [mask_of_lines(_resolve(s, p)) for p in ce["points"]]
+    if not set(points) <= set(m.point_masks) or A & B & C:
+        return False
+    sides = [B & C, C & A, A & B]
+    if any(side.bit_count() != 1 for side in sides):
+        return ce["issue"] == "points_without_unique_common_line"
+    sides = [side.bit_length() - 1 for side in sides]
+    base = masks[sides[0]] & masks[sides[1]] & masks[sides[2]]
+    for o in m.point_masks:
+        edges = [o & p for p in points]
+        if o & base or any(edge.bit_count() != 1 for edge in edges):
+            continue
+        six = sides + [edge.bit_length() - 1 for edge in edges]
+        if len(set(six)) == 6 and all(adj[six[x], six[y]] != ((x, y) in _TETRA_SKEW) for x, y in _TETRA_PAIRS):
+            return False
+    return ce["issue"] == "no_completing_vertex"
 
 
-@registered("theorems", model=True)
+@registered("theorems", model=True, replay=_replay_tetrahedron)
 def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Every triangle extends to a four-vertex figure with the six-line pattern.
 
@@ -1041,63 +1134,31 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     connecting edges complete six distinct lines, pairwise incident except
     the three opposite pairs; the least such point is the triple's vertex.
 
-    Kernel: one run of triples at a time.  When the sides' bracket is a
-    model plane, the points off it are the points sharing no line with
-    that plane, so each triple first tries the least of them, its vertex if
-    that completes the pattern.  The triples left try every point in
-    order, each step for all of them at once, and keep the first that
-    completes it.  A triple with no vertex fails, so the first one of a run
-    is the least violation.
+    Kernel: the point-triple pass, ``_point_triples``, a run at a time.
+    When the sides' bracket is a model plane, the points off it are the
+    points sharing no line with that plane, so each triple first tries the
+    least of them, its vertex if that completes the pattern.  The triples
+    left try every point in order, each step for all of them at once, and
+    keep the first that completes it.  A triple with no vertex fails.
     """
     name = "thm_tetrahedron"
-    index = model_index(s, m)
-    count, line = shared_lines(s, index.masks)
-    line = line[np.ix_(index.points, index.points)]
-    tri, P, adj = _triangles(s, m), len(m.points), s.adjacency
-    off = np.vstack((count[np.ix_(index.points, index.planes)] == 0, np.ones((1, len(m.planes)), bool)))
-    least_off = np.append(off.argmax(axis=0), P)  # least point sharing no line with each plane; P: none
-    point_words, adj_words = _words(index.incidence[index.points]), _words(adj)
-
-    def completes(t, vertex):
-        """Whether each vertex completes the six-line pattern on triple t."""
-        six = np.concatenate((tri.sides[t], line[vertex[:, None], tri.triples[t]]), axis=1)
-        ordered = np.sort(six, axis=1)
-        ok = (ordered[:, 0] >= 0) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-        for x, y in _TETRA_PAIRS:
-            ok &= adj[six[:, x], six[:, y]] != ((x, y) in _TETRA_SKEW)
-        return ok
-
-    for lo in range(0, len(tri.triples), _TRIPLES_PER_STEP):
-        t = np.arange(lo, min(lo + _TRIPLES_PER_STEP, len(tri.triples)))
-        vertex = least_off[tri.plane[t]]  # plane -1 reads P
-        tried = np.flatnonzero(vertex < P)
-        vertex[tried[~completes(t[tried], vertex[tried])]] = P
-        rest = np.flatnonzero((vertex == P) & (tri.sides[t].min(axis=1) >= 0))
-        a, b, c = tri.sides[t[rest]].T
-        bracket = adj_words[a] & adj_words[b] & adj_words[c]
-        for o in range(P):
-            if not len(rest):
-                break
-            ok = completes(t[rest], np.full(len(rest), o)) & ~(bracket & point_words[o]).any(axis=1)
-            vertex[rest[ok]] = o
-            rest, bracket = rest[~ok], bracket[~ok]
-        if lo == 0:
-            first = int(vertex[0])
-        failed = np.flatnonzero(vertex == P)
-        if len(failed):
-            k = lo + int(failed[0])
-            issue = "no_completing_vertex" if tri.sides[k].min() >= 0 else "points_without_unique_common_line"
-            ce = {"points": _point_labels(s, m, tri.triples[k].tolist()), "issue": issue}
-            return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": k + 1})
+    verdicts = _point_triples(s, m)
+    found, examined = verdicts[name]
+    if found is not None:
+        issue = "no_completing_vertex" if min(found[3:]) >= 0 else "points_without_unique_common_line"
+        ce = {"points": _point_labels(s, m, found[:3]), "issue": issue}
+        return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined + 1})
     witness = None
-    if len(tri.triples):
-        six = [*tri.sides[0].tolist(), *line[first, tri.triples[0]].tolist()]
+    if verdicts["first"]:
+        i, j, k, o = verdicts["first"]
+        P = m.point_masks
+        six = [(P[u] & P[v]).bit_length() - 1 for u, v in ((j, k), (k, i), (i, j), (o, i), (o, j), (o, k))]
         witness = {
-            "base_points": _point_labels(s, m, tri.triples[0].tolist()),
-            "vertex": labels_of(s, m.points[first]),
+            "base_points": _point_labels(s, m, (i, j, k)),
+            "vertex": labels_of(s, m.points[o]),
             "six_lines": [s.labels[x] for x in six],
         }
-    return CheckReport(name, PASS, witness_sample=witness, stats={"cases_examined": len(tri.triples)})
+    return CheckReport(name, PASS, witness_sample=witness, stats={"cases_examined": examined})
 
 
 def run_theorem_suite(
@@ -1225,71 +1286,36 @@ def _replay_vy_a3(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
 def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A3: the line joining D on BC and E on CA meets AB.
 
-    Kernel: per side pair (a, b), the joins of a point on a and another
-    point on b are read from ``shared_lines`` over padded arrays of the points
-    on each line, and the lines meeting every join are the AND of their
-    packed adjacency rows; a join that is not unique reads as the empty
-    row.  A triple passes iff its joins are all unique and c is in that
-    AND, so the first triple the kernel flags is the least violation, and
-    the walk of its cases names it.
+    Kernel: the point-triple pass, ``_point_triples``.  Per side pair
+    (a, b) of a run, the joins of a point on a and another point on b are
+    read from ``shared_lines`` over padded arrays of the points on each
+    line, and the lines meeting every join are the AND of their packed
+    adjacency rows; a join that is not unique reads as the empty row.  A
+    triple passes iff its joins are all unique and c is in that AND.  The
+    sides a = jk and b = ki meet at the last point k, so a side pair's
+    triples lie in one run, and the pairs are grouped per run.  The walk of
+    the least triple flagged names its failing case.
     """
-    tri, index = _triangles(s, m), model_index(s, m)
-    n, count = s.line_count, len(m.point_masks)
-    joining = shared_lines(s, index.masks)[1][np.ix_(index.points, index.points)]
-    on = _padded(index.incidence[index.points].T, count)  # per line, the points on it
-    width = on.shape[1]
-    line_of = np.full((count + 1, count + 1), n, np.intp)  # line n: no case, its row all ones
-    line_of[:count, :count] = np.where(joining < 0, n + 1, joining)  # line n + 1: no bits
-    np.fill_diagonal(line_of, n)
-    words = _words(np.vstack((s.adjacency, np.ones((1, n), bool), np.zeros((1, n), bool))))
-    ok = tri.sides.min(axis=1) >= 0
-    rows = np.flatnonzero(ok)
-    a, b, c = tri.sides[rows].T
-    key = np.minimum(a, b) * n + np.maximum(a, b)  # below 2**31: line_cap() bounds n
-    order = np.argsort(key)
-    key, c = key[order], c[order]
-    new = np.diff(key, prepend=-1) != 0
-    pair, first = np.cumsum(new) - 1, np.append(np.flatnonzero(new), len(key))
-    x, y = key[new] // n, key[new] % n
-    cases, passed = np.zeros(len(x), np.int64), np.zeros(len(key), bool)
-    step = max(1, _CELLS_PER_STEP // (width**2 + words.shape[1]))
-    for lo in range(0, len(x), step):
-        hi = min(lo + step, len(x))
-        joins = line_of[on[x[lo:hi], :, None], on[y[lo:hi], None, :]].reshape(hi - lo, -1)
-        cases[lo:hi] = (joins != n).sum(axis=1)
-        perp = words.take(joins[:, 0], axis=0)
-        for join in joins.T[1:]:
-            perp &= words.take(join, axis=0)
-        mine = slice(first[lo], first[hi])
-        passed[mine] = perp[pair[mine] - lo, c[mine] >> 6] >> (c[mine] & 63).astype(np.uint64) & np.uint64(1) != 0
-    ok[rows[order]] = passed
-    per_triple = np.zeros(len(ok), np.int64)
-    per_triple[rows[order]] = cases[pair]
-    before = np.cumsum(per_triple) - per_triple
-
-    def fail(examined, **ce):
-        return CheckReport("vy_a3", FAIL, counterexample=ce, stats={"cases_examined": examined})
-
-    for t in np.flatnonzero(~ok).tolist():
-        triple = tri.triples[t].tolist()
-        examined = int(before[t])
-        if tri.sides[t].min() < 0:
-            points = _point_labels(s, m, triple)
-            return fail(examined, points=points, issue="points_without_unique_common_line")
-        a, b, c = tri.sides[t].tolist()
-        for d, e in itertools.product(on[a][on[a] < count].tolist(), on[b][on[b] < count].tolist()):
-            if d == e:
-                continue
-            examined += 1
-            f = int(joining[d, e])
-            if f >= 0 and s.adjacency[c, f]:
-                continue
-            ce = {"point_d": labels_of(s, m.points[d]), "point_e": labels_of(s, m.points[e])}
-            if f < 0:
-                return fail(examined, **ce, issue="joining_line_not_unique")
-            points = _point_labels(s, m, triple)
-            return fail(examined, points=points, **ce, joining_line=s.labels[f], ab_line=s.labels[c])
-    return CheckReport("vy_a3", PASS, stats={"cases_examined": int(per_triple.sum())})
+    found, examined = _point_triples(s, m)["vy_a3"]
+    if found is None:
+        return CheckReport("vy_a3", PASS, stats={"cases_examined": examined})
+    *triple, a, b, c = found
+    points = _point_labels(s, m, triple)
+    if min(a, b, c) < 0:
+        ce = {"points": points, "issue": "points_without_unique_common_line"}
+    else:
+        P = m.point_masks
+        on_a, on_b = ([d for d, p in enumerate(P) if p >> x & 1] for x in (a, b))
+        for examined, (d, e) in enumerate([(d, e) for d in on_a for e in on_b if d != e], examined + 1):
+            join = P[d] & P[e]
+            if join.bit_count() != 1 or not s.adjacency[c, join.bit_length() - 1]:
+                break
+        ends = {"point_d": labels_of(s, m.points[d]), "point_e": labels_of(s, m.points[e])}
+        if join.bit_count() != 1:
+            ce = {**ends, "issue": "joining_line_not_unique"}
+        else:
+            ce = {"points": points, **ends, "joining_line": s.labels[join.bit_length() - 1], "ab_line": s.labels[c]}
+    return CheckReport("vy_a3", FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
 VY_NAMES = names("vy")

@@ -533,6 +533,11 @@ PG2_PAIRS = list(itertools.combinations(range(35), 2))
 # Two edges from the first triangle's least off-plane vertex made skew: that
 # vertex no longer completes the six-line pattern, though its edges exist.
 @example(flips=[(2, 8)])
+# The point triples are judged in runs, one per last point, so the first run
+# that holds a violation need not hold the least: here a later run holds a
+# lexicographically smaller one, for thm_triangle and for vy_a3.
+@example(flips=[(3, 21)])
+@example(flips=[(0, 29)])
 @settings(max_examples=40, deadline=None)
 def test_pg2_mutants_match_oracle(pg2, pg2_model, flips):
     adj = np.array(pg2.adjacency)
@@ -546,7 +551,6 @@ def test_short_runs_match_oracle(pg2, pg2_model, monkeypatch):
     failure and count the same cases when each run holds a few items and
     the failure falls in a later run."""
     monkeypatch.setattr(theorems, "_CELLS_PER_STEP", 97)  # four hosts a run
-    monkeypatch.setattr(theorems, "_TRIPLES_PER_STEP", 53)
     monkeypatch.setattr(theorems, "_WALK_TRIPLES", 53)
     m = pg2_model
     # A copy of the last plane with one line swapped for a line of the last
@@ -602,14 +606,18 @@ def stray_vertex_family(m):
 
 def test_handmade_families_match_oracle(pg2, pg2_model):
     """Families the random edits rarely reach: every point on one line, an
-    empty family on either side, and a stray vertex."""
+    empty family on either side, a stray vertex, and point 0 with line 2
+    swapped for line 30, whose least thm_tetrahedron and vy_a3 violations
+    lie in a later run of point triples than the first run that holds one."""
     collinear = tuple(p for p in pg2_model.points if 0 in p)
     planes = pg2_model.planes
+    swapped = (tuple(sorted(set(pg2_model.points[0]) - {2} | {30})),) + pg2_model.points[1:]
     for points, planes in (
         (collinear, planes),
         ((), planes),
         (pg2_model.points, ()),
         (stray_vertex_family(pg2_model), planes),
+        (swapped, planes),
     ):
         m = GeometryModel(structure=pg2, points=points, planes=planes, seed=pg2_model.seed)
         assert_matches_oracle(pg2, m)

@@ -28,8 +28,10 @@ from linespace import (
     thm_tetrahedron,
     vy_axioms,
 )
+from closed_forms import CLOSED_FORMS
 from conftest import PEAK_RSS, is_isomorphic, run_python
 from linespace.models import gaussian_binomial
+from linespace.registry import CHECKS
 
 # Exact linear algebra over GF(p): the oracles the generators share no code with.
 
@@ -325,11 +327,12 @@ print(json.dumps({
 
 
 # Bounds for test_pg35_battery: on a 2-vCPU host the three commands take
-# about 6-7 s in one fresh process and peak at 155 MB RSS, against 11 s and
-# 165 MB before the labeling, thm_exchange and the A3 check were judged by
-# array kernels, and 18 s before the checks over distinct perps were.
+# 2.1-3.2 s in one fresh process and peak at 80 MB RSS, against 127 MB
+# when the point-triple checks shared one table of all 604,500 triples
+# (six runs, three of each, side by side), and 11 s and 165 MB before the
+# labeling, thm_exchange and the A3 check were judged by array kernels.
 PG35_BATTERY_SECONDS = 10
-PG35_BATTERY_RSS_MB = 190
+PG35_BATTERY_RSS_MB = 100
 PG35_BATTERY_SCRIPT = PEAK_RSS + """
 import json, time
 from linespace import cli
@@ -439,17 +442,18 @@ class TestLargerFields:
 
     def test_pg35_point_triples(self):
         # every non-collinear point triple of the default model, through the
-        # table the point-triple checks share; on a 2-vCPU host these two
-        # checks take about 1 s, against 2.3-2.7 s before the A3 check was
-        # judged by a kernel and 50 s for a scalar walk of each triple
+        # one pass that judges the point-triple checks a run per last point;
+        # on a 2-vCPU host these two checks take about 1 s, against 2.3-2.7 s
+        # before the A3 check was judged by a kernel and 50 s for a scalar
+        # walk of each triple
         s, _ = gen_pg3(5)
         m = coordinate_labels(s)
         start = time.perf_counter()
         vy, tetra = vy_axioms(s, m), thm_tetrahedron(s, m)
         elapsed = time.perf_counter() - start
         assert [r.status for r in vy] == ["pass"] * 8
-        assert vy[-1].stats == {"cases_examined": 21157500}  # 604,500 triples x (6 * 6 - 1)
-        assert (tetra.status, tetra.stats) == ("pass", {"cases_examined": 604500})
+        assert vy[-1].stats == CLOSED_FORMS["vy_a3"](5)  # 604,500 triples x (6 * 6 - 1)
+        assert (tetra.status, tetra.stats) == ("pass", CLOSED_FORMS["thm_tetrahedron"](5))
         assert elapsed < 5
 
     def test_pg35_triad_checks(self, tmp_path):
@@ -497,6 +501,17 @@ class TestLargerFields:
         r1, r2 = check_axiom1(s), check_axiom2_1(s)
         assert (r1.status, r1.stats) == ("pass", {"lines_examined": 2850})
         assert (r2.status, r2.stats) == ("pass", {"pairs_examined": 638400})
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_stats_match_closed_forms(q, request):
+    """Each check of ``CLOSED_FORMS`` passes on PG(3,q) with the stats that
+    counting in PG(3,q) gives: 420 point triples at q = 2, 9,360 at q = 3."""
+    s, m = request.getfixturevalue(f"pg{q}"), request.getfixturevalue(f"pg{q}_model")
+    for check in CHECKS:
+        if check.name in CLOSED_FORMS:
+            r = check.checker(s, m)
+            assert (r.status, r.stats) == ("pass", CLOSED_FORMS[check.name](q)), check.name
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

@@ -308,10 +308,12 @@ class TestExchangeFailures:
 class TestTriangleFailures:
     def test_side_not_in_plane_class(self, pg2, pg2_model, monkeypatch):
         # with the point and plane classes swapped every side misses its plane
-        # class; the report was recorded before the triangle kernel existed
+        # class; the report was recorded before the triangle kernel existed.
+        # A fresh copy of PG(3,2), so that no verdict is cached on it yet.
+        s = IncidenceStructure(pg2.adjacency, labels=pg2.labels)
         swapped = swapped_classes(pg2_model)
         monkeypatch.setattr(theorems, "_labeled_classes", lambda m: swapped)
-        r = thm_triangle(pg2, pg2_model)
+        r = thm_triangle(s, dataclasses.replace(pg2_model, structure=s))
         points = [
             ["L00", "L01", "L02", "L03", "L04", "L05", "L06"],
             ["L00", "L07", "L08", "L09", "L14", "L15", "L20"],
