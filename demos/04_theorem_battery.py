@@ -9,8 +9,7 @@ an implementation bug rather than at the geometry.
 
 import time
 
-from linespace import check_all, coordinate_labels, gen_pg3, run_theorem_suite
-from linespace.theorems import run_vy_battery
+from linespace import check_all, coordinate_labels, gen_pg3, run_theorem_suite, run_vy_battery
 
 s, _ = gen_pg3(2)
 m = coordinate_labels(s)

@@ -29,12 +29,13 @@ _EXPORTS = {
     "registry": "CheckReport",
     "axioms": """CHECK_ORDER check_all check_axiom1 check_axiom2_1
         check_axiom2_2 check_axiom2_3 check_axiom3 check_axiom4 replay_counterexample""",
-    "theorems": """run_theorem_suite run_vy_battery replay_theorem_counterexample
-        thm_bracket_closed thm_bracket_welldefined thm_coherence thm_exchange
-        thm_line_in_plane thm_line_selfperp thm_mutual_membership thm_not_singleton
-        thm_pencil_intersection thm_point_ne_plane thm_regulus_skew
-        thm_sigma_equivalence thm_tetrahedron thm_triad_typing thm_triangle
-        thm_two_classes thm_uniqueness vy_axioms""",
+    "theorems": """thm_bracket_closed thm_bracket_welldefined thm_coherence
+        thm_line_selfperp thm_mutual_membership thm_regulus_skew
+        thm_sigma_equivalence thm_two_classes""",
+    "model_theorems": """thm_exchange thm_line_in_plane thm_not_singleton
+        thm_pencil_intersection thm_point_ne_plane thm_triad_typing thm_uniqueness""",
+    "battery": """run_theorem_suite run_vy_battery replay_theorem_counterexample
+        thm_tetrahedron thm_triangle vy_axioms""",
     "models": """NEGATIVE_EXPECTATIONS NEGATIVE_KINDS Pg3Metadata SUPPORTED_PRIMES
         UnsupportedFieldError gen_negative gen_pg3 gen_tetrahedron""",
     "io": """ParseError load_model load_structure model_to_dict save_model

@@ -13,7 +13,7 @@ reports dependency_unmet when some sigma set has no valid two-class split,
 since the point/plane machinery is then undefined rather than violated.
 
 The checks live in one ordered table, ``registry.CHECKS``.  To add a
-check, define its replayer and its checker here (or in ``theorems``) and
+check, define its replayer and its checker here (or in a theorem module) and
 decorate the checker with ``@registered``: that one line gives the check its
 place in every battery, its display name and its replay.
 """
@@ -167,17 +167,17 @@ def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     """
     table = perp_table(s)
     sigma_words = _words(table.in_sigma)
-
-    def meet(k, x, y):
-        return sigma_words[k] & ~(table.skew[k, x] | table.skew[k, y])
-
-    hit, _ = table.first_flagged(lambda k, x, y: meet(k, x, y).any(axis=1))
     per_pair = table.in_sigma.sum(axis=1)[table.perp]
-    if hit is None:
+    for k, x, y in table.local_pairs(np.flatnonzero(~table.split)):  # a run holds each of its perps whole
+        meet = sigma_words[k] & ~(table.skew[k, x] | table.skew[k, y])
+        bad = np.flatnonzero(meet.any(axis=1))
+        if len(bad):
+            break
+    else:
         return CheckReport("axiom2_2", PASS, stats={"triples_examined": int(per_pair.sum())})
-    k = hit[0]
-    _, x, y = next(table.local_pairs(np.arange(k, k + 1)))
-    held = _places(meet(k, x, y), table.lines.shape[1])
+    mine = k == k[bad[0]]
+    k, x, y = int(k[bad[0]]), x[mine], y[mine]
+    held = _places(meet[mine], table.lines.shape[1])
     z = int(held.any(axis=0).argmax())
     i = int(held[:, z].argmax())
     p = int(table.first[k])

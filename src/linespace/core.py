@@ -457,7 +457,7 @@ class PerpTable:
         walk of the pairs meets up to it, or None with all the cases.  A flag
         marks no pair of a split perp, so only the other perps are walked,
         and a split perp's pairs are counted from its class sizes."""
-        size = np.array([(c0.bit_count(), c1.bit_count()) for c0, c1 in self.classes], np.int64).reshape(-1, 2)
+        size = self.sizes
         count = np.where(self.split, (size * (size - 1) // 2).sum(axis=1) if incident else size.prod(axis=1), 0)
         for k, x, y in self.local_pairs(np.flatnonzero(~self.split), incident):
             np.add.at(count, k, 1)
@@ -471,6 +471,11 @@ class PerpTable:
     def lines_at(self, k: int, words: np.ndarray) -> list[int]:
         """The lines of perp k at the places set in ``words``."""
         return self.lines[k][_places(words, self.lines.shape[1])].tolist()
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Each perp's class sizes, a (perps, 2) int64 array, built on first use."""
+        return np.array([(c0.bit_count(), c1.bit_count()) for c0, c1 in self.classes], np.int64).reshape(-1, 2)
 
     @cached_property
     def index(self) -> np.ndarray:

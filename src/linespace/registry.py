@@ -5,11 +5,12 @@ derived-geometry (vy) checks in the order every battery runs and reports
 them.  Each entry holds the check's name, its display name, its layer, whether
 it needs the point/plane model, its checker and its replayer.  The checkers
 register themselves with ``@registered``, so a module's checks enter the
-table in the order they are defined there.  ``theorems`` imports
-``axioms``, so the axiom checks come first; a test pins the whole order.
-The table fills as those two modules load, and whatever reads it here
-first imports the modules of the layers it reads, so ``CHECKS`` lists
-every check even when read first, and ``check_all`` loads no theorems.
+table in the order they are defined there.  Each check module imports the
+one below it, ``battery``, ``model_theorems``, ``theorems``, ``axioms``,
+so the axiom checks come first; a test pins the whole order.  Whatever
+reads the table here first imports the modules of the layers it reads,
+the top of that chain for "theorems" and "vy", so ``CHECKS`` lists every
+check even when read first, and ``check_all`` loads no theorems.
 
 Everything that runs, names or replays checks reads this table:
 ``run_checks`` runs the checks of some layers, deriving the model once when
@@ -32,8 +33,8 @@ PASS = "pass"
 FAIL = "fail"
 DEPENDENCY_UNMET = "dependency_unmet"
 
-# the module whose checks each layer holds
-_MODULE_OF = {"axioms": "axioms", "theorems": "theorems", "vy": "theorems"}
+# the module whose import loads the checks of each layer
+_MODULE_OF = {"axioms": "axioms", "theorems": "battery", "vy": "battery"}
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from linespace import (
 )
 from linespace.io import canonical_json, model_to_dict
 from test_models import verify_counts
-from linespace.theorems import run_vy_battery
+from linespace.battery import run_vy_battery
 
 
 def _criterion(number, description):

@@ -444,15 +444,16 @@ from linespace import check_axiom1, check_axiom2_1, load_structure
 s = load_structure("pg2.json")
 assert check_axiom1(s).passed and check_axiom2_1(s).passed
 """ + LOADED
+THEOREM_MODULES = ["theorems", "model_theorems", "battery"]
 
 
 @pytest.mark.parametrize(
     "argv, left_out",
     [
-        (["generate", "pg3", "--q", "2", "--out", "out.json"], ["axioms", "labeling", "registry", "theorems"]),
-        (["derive", "pg2.json", "--out", "model.json"], ["axioms", "models", "registry", "theorems"]),
-        (["dualize", "model.json", "--out", "dual.json"], ["axioms", "models", "registry", "theorems"]),
-        (None, ["labeling", "models", "theorems"]),
+        (["generate", "pg3", "--q", "2", "--out", "out.json"], ["axioms", "labeling", "registry", *THEOREM_MODULES]),
+        (["derive", "pg2.json", "--out", "model.json"], ["axioms", "models", "registry", *THEOREM_MODULES]),
+        (["dualize", "model.json", "--out", "dual.json"], ["axioms", "models", "registry", *THEOREM_MODULES]),
+        (None, ["labeling", "models", *THEOREM_MODULES]),
     ],
     ids=["generate", "derive", "dualize", "structure_check"],
 )

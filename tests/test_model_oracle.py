@@ -42,7 +42,7 @@ from linespace import (
     thm_uniqueness,
     vy_axioms,
 )
-from linespace import theorems
+from linespace import battery, model_theorems, theorems
 from linespace.core import mask_of_lines
 
 UNAVAILABLE = object()
@@ -550,8 +550,24 @@ def test_short_runs_match_oracle(pg2, pg2_model, monkeypatch):
     """The kernels that judge in runs, of hosts or of triples, name the same
     failure and count the same cases when each run holds a few items and
     the failure falls in a later run."""
-    monkeypatch.setattr(theorems, "_CELLS_PER_STEP", 97)  # four hosts a run
+    # Each bound has one owner, which every reader reads it through when it
+    # runs, so patching the owner reaches them all.
+    for name, owner in (("_CELLS_PER_STEP", model_theorems), ("_WALK_TRIPLES", theorems)):
+        assert [module for module in (theorems, model_theorems, battery) if name in vars(module)] == [owner]
+    monkeypatch.setattr(model_theorems, "_CELLS_PER_STEP", 97)  # four hosts a run
     monkeypatch.setattr(theorems, "_WALK_TRIPLES", 53)
+    # The point-triple blocks, as a failing pass walks them again to rank its
+    # least violation: PG(3,2)'s runs of 0, 3, 5, 10, 14, 19, 25, ..., 84
+    # triples, one per last point, make 8 blocks, the first of them 6 runs,
+    # of which 5 hold a triple.
+    blocks = []
+
+    def ranked(walk, found):
+        walk = list(walk)
+        blocks.append([len(np.unique(triples[:, 2])) for triples, _ in walk])  # each block's runs
+        return theorems._ranked(walk, found)
+
+    monkeypatch.setattr(battery, "_ranked", ranked)
     m = pg2_model
     # A copy of the last plane with one line swapped for a line of the last
     # point, listed last: thm_line_in_plane fails at case 316, the first
@@ -563,6 +579,7 @@ def test_short_runs_match_oracle(pg2, pg2_model, monkeypatch):
         adj = np.array(pg2.adjacency)
         adj[flip] = adj[flip[::-1]] = not adj[flip]
         assert_matches_oracle(IncidenceStructure(adj, labels=pg2.labels), m)
+    assert [5, 1, 1, 1, 1, 1, 1, 1] in blocks
 
 
 def test_vertex_shares_no_line_with_the_bracket(pg2, pg2_model):

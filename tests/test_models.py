@@ -311,7 +311,8 @@ PG35_TRIAD_SECONDS = 15
 PG35_TRIAD_RSS_MB = 80
 PG35_TRIAD_SCRIPT = PEAK_RSS + """
 import json, time
-from linespace import coordinate_labels, gen_pg3, theorems as T
+import linespace as T
+from linespace import coordinate_labels, gen_pg3
 s, _ = gen_pg3(5)
 start = time.perf_counter()
 reports = [f(s) for f in (T.thm_sigma_equivalence, T.thm_two_classes, T.thm_bracket_closed,
@@ -489,6 +490,9 @@ class TestLargerFields:
         assert [r["status"] for r in reports] == ["pass"] * 31
         # 72,540 pairs x 625 skew pairs of their perp
         assert reports[3]["stats"] == {"skew_pairs_examined": 45337500}
+        for r in reports:
+            if r["check_name"] in CLOSED_FORMS:
+                assert r["stats"] == CLOSED_FORMS[r["check_name"]](5), r["check_name"]
         assert got["seconds"] < PG35_BATTERY_SECONDS
         assert got["peak_rss_mb"] < PG35_BATTERY_RSS_MB
 
@@ -506,11 +510,13 @@ class TestLargerFields:
 @pytest.mark.parametrize("q", [2, 3])
 def test_stats_match_closed_forms(q, request):
     """Each check of ``CLOSED_FORMS`` passes on PG(3,q) with the stats that
-    counting in PG(3,q) gives: 420 point triples at q = 2, 9,360 at q = 3."""
+    counting in PG(3,q) gives: 420 point triples at q = 2, 9,360 at q = 3,
+    and 18,720 triads at q = 3."""
     s, m = request.getfixturevalue(f"pg{q}"), request.getfixturevalue(f"pg{q}_model")
+    assert set(CLOSED_FORMS) <= {check.name for check in CHECKS}
     for check in CHECKS:
         if check.name in CLOSED_FORMS:
-            r = check.checker(s, m)
+            r = check.checker(s, m) if check.needs_model else check.checker(s)
             assert (r.status, r.stats) == ("pass", CLOSED_FORMS[check.name](q)), check.name
 
 

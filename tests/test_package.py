@@ -1,6 +1,7 @@
 """The public surface of the package, which loads its submodules on first use."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,12 +25,13 @@ EXPORTS = {
     "registry": "CheckReport",
     "axioms": """CHECK_ORDER check_all check_axiom1 check_axiom2_1 check_axiom2_2
         check_axiom2_3 check_axiom3 check_axiom4 replay_counterexample""",
-    "theorems": """run_theorem_suite run_vy_battery replay_theorem_counterexample
-        thm_bracket_closed thm_bracket_welldefined thm_coherence thm_exchange
-        thm_line_in_plane thm_line_selfperp thm_mutual_membership thm_not_singleton
-        thm_pencil_intersection thm_point_ne_plane thm_regulus_skew
-        thm_sigma_equivalence thm_tetrahedron thm_triad_typing thm_triangle
-        thm_two_classes thm_uniqueness vy_axioms""",
+    "theorems": """thm_bracket_closed thm_bracket_welldefined thm_coherence
+        thm_line_selfperp thm_mutual_membership thm_regulus_skew
+        thm_sigma_equivalence thm_two_classes""",
+    "model_theorems": """thm_exchange thm_line_in_plane thm_not_singleton
+        thm_pencil_intersection thm_point_ne_plane thm_triad_typing thm_uniqueness""",
+    "battery": """run_theorem_suite run_vy_battery replay_theorem_counterexample
+        thm_tetrahedron thm_triangle vy_axioms""",
     "models": """NEGATIVE_EXPECTATIONS NEGATIVE_KINDS Pg3Metadata SUPPORTED_PRIMES
         UnsupportedFieldError gen_negative gen_pg3 gen_tetrahedron""",
     "io": """ParseError load_model load_structure model_to_dict save_model
@@ -97,7 +99,7 @@ print(json.dumps([linespace.io.__name__, linespace.io.structure_to_dict.__name__
     assert fresh(script, tmp_path) == ["linespace.io", "structure_to_dict"]
 
 
-@pytest.mark.parametrize("first", ["registry", "axioms", "theorems"])
+@pytest.mark.parametrize("first", ["registry", "axioms", "theorems", "model_theorems", "battery"])
 def test_registry_read_first_lists_every_check(first, tmp_path):
     # whichever module a process enters through, the table is whole and in order
     script = f"""
@@ -114,8 +116,26 @@ def test_axiom_order_read_while_axioms_load(tmp_path):
     script = """
 import json
 from linespace.axioms import CHECK_ORDER
-from linespace.theorems import VY_NAMES
+from linespace.battery import VY_NAMES
 print(json.dumps([list(CHECK_ORDER), list(VY_NAMES)]))
 """
     axioms, vy = fresh(script, tmp_path)
     assert axioms == CHECK_ORDER[:6] and vy == CHECK_ORDER[-8:]
+
+
+# A process that writes no bytecode compiles each module it loads from
+# source, and the compile of the largest module set the peak of a whole
+# PG(3,3) check (4.9 MB for a 1,344-line module).
+COMPILE_PEAK_BYTES = 2_500_000
+
+
+@pytest.mark.parametrize("path", sorted(Path(linespace.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_each_module_compiles_in_a_small_transient(path):
+    source = path.read_text()
+    tracemalloc.start()
+    try:
+        compile(source, str(path), "exec")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < COMPILE_PEAK_BYTES, f"{path.name} compiles with a {peak / 1e6:.1f} MB peak"

@@ -50,7 +50,7 @@ from linespace import labeling, theorems
 from linespace.core import _incidence, bit_rows, mask_of_lines, perp_mask
 from linespace.labeling import element_masks, model_index
 from linespace.registry import run_checks
-from linespace.theorems import VY_NAMES
+from linespace.battery import VY_NAMES
 
 
 class TestSuiteOnModels:
@@ -328,7 +328,7 @@ class TestTetrahedronExtraction:
     def test_witness_substructure_is_the_six_line_pattern(self, pg2, pg2_model):
         from conftest import is_isomorphic
         from linespace import gen_tetrahedron
-        from linespace.theorems import thm_tetrahedron
+        from linespace.battery import thm_tetrahedron
 
         r = thm_tetrahedron(pg2, pg2_model)
         assert r.passed
