@@ -9,7 +9,7 @@ an implementation bug rather than at the geometry.
 
 import time
 
-from linespace import check_all, coordinate_labels, gen_pg3, run_theorem_suite, run_vy_battery
+from linespace import check_all, coordinate_labels, gen_pg3, run_theorem_suite, vy_axioms
 
 s, _ = gen_pg3(2)
 m = coordinate_labels(s)
@@ -29,7 +29,7 @@ for r in reports:
 print()
 
 t0 = time.monotonic()
-vy = run_vy_battery(s, m)
+vy = vy_axioms(s, m)
 dt = time.monotonic() - t0
 print(f"derived-geometry battery  ({dt:.2f}s)")
 print("-" * 64)

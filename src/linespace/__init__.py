@@ -20,23 +20,22 @@ from .sigma import sigma
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "core": """CapacityError IncidenceStructure LabelInconsistencyError LinespaceError
-        PreconditionError StructureError bracket find_skew_pair find_skew_triple
-        incident_pairs is_incident labels_of line_cap perp""",
-    "sigma": "NotTwoClassesError SigmaPartition is_triad secondary_element sigma_partition",
-    "labeling": """GeometryModel Kind MissingElementError
-        SecondaryElement coordinate_labels dualize enumerate_secondary_elements
-        join_plane meet_point""",
+        MissingElementError PreconditionError StructureError bracket find_skew_triple
+        incident_pairs labels_of perp""",
+    "sigma": "NotTwoClassesError SigmaPartition sigma_partition",
+    "labeling": """GeometryModel Kind SecondaryElement coordinate_labels dualize
+        enumerate_secondary_elements join_plane meet_point""",
     "registry": "CheckReport",
-    "axioms": """CHECK_ORDER check_all check_axiom1 check_axiom2_1
-        check_axiom2_2 check_axiom2_3 check_axiom3 check_axiom4 replay_counterexample""",
+    "axioms": """check_all check_axiom1 check_axiom2_1 check_axiom2_2
+        check_axiom2_3 check_axiom3 check_axiom4 replay_counterexample""",
     "theorems": """thm_bracket_closed thm_bracket_welldefined thm_coherence
         thm_line_selfperp thm_mutual_membership thm_regulus_skew
         thm_sigma_equivalence thm_two_classes""",
     "model_theorems": """thm_exchange thm_line_in_plane thm_not_singleton
         thm_pencil_intersection thm_point_ne_plane thm_triad_typing thm_uniqueness""",
-    "battery": """run_theorem_suite run_vy_battery replay_theorem_counterexample
+    "battery": """run_theorem_suite replay_theorem_counterexample
         thm_tetrahedron thm_triangle vy_axioms""",
-    "models": """NEGATIVE_EXPECTATIONS NEGATIVE_KINDS Pg3Metadata SUPPORTED_PRIMES
+    "models": """NEGATIVE_EXPECTATIONS NEGATIVE_KINDS Pg3Metadata
         UnsupportedFieldError gen_negative gen_pg3 gen_tetrahedron""",
     "io": """ParseError load_model load_structure model_to_dict save_model
         save_reports save_structure structure_to_dict""",

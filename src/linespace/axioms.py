@@ -43,7 +43,6 @@ from .registry import (
     FAIL,
     PASS,
     CheckReport,
-    names,
     registered,
     replay,
     run_checks,
@@ -256,20 +255,18 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
     """Every secondary element needs a second element disjoint from it.
 
     Checked per distinct element rather than per triad tuple: bracket
-    equality makes triads interchangeable here, which keeps the search
-    quadratic in the element count.
+    equality makes triads interchangeable here.  An element's partner is
+    the least element sharing no line with it in ``labeling.shared_lines``,
+    whose diagonal, each element's size, is never 0.
     """
-    from .labeling import element_ids
+    from .labeling import element_ids, shared_lines
 
     emasks, triads, _ = element_ids(s)
+    disjoint = shared_lines(s, emasks)[0] == 0
     samples = []
     for i, em in enumerate(emasks):
-        partner = None
-        for j, other in enumerate(emasks):
-            if i != j and not (em & other):
-                partner = j
-                break
-        if partner is None:
+        partner = int(disjoint[i].argmax())
+        if not disjoint[i, partner]:
             return CheckReport(
                 "axiom3",
                 FAIL,
@@ -377,9 +374,6 @@ def check_axiom4(s: IncidenceStructure) -> CheckReport:
             "planes": len(m.planes),
         },
     )
-
-
-CHECK_ORDER = names("axioms")
 
 
 def check_all(s: IncidenceStructure) -> list[CheckReport]:

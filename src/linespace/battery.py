@@ -18,10 +18,10 @@ import numpy as np
 
 from . import model_theorems, theorems
 from .axioms import _resolve
-from .core import IncidenceStructure, _words, labels_of, mask_of_lines, only_bits, perp_table
-from .labeling import GeometryModel, MissingElementError, model_index, shared_lines
+from .core import IncidenceStructure, MissingElementError, _words, labels_of, mask_of_lines, only_bits, perp_table
+from .labeling import GeometryModel, model_index, shared_lines
 from .model_theorems import _first_pair, _padded
-from .registry import FAIL, PASS, CheckReport, _dependency, names, registered, replay, run_checks
+from .registry import FAIL, PASS, CheckReport, registered, replay, run_checks
 from .sigma import NotTwoClassesError
 from .theorems import _classes_at, _keep_least, _ranked
 
@@ -210,10 +210,7 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     named by the first test of ``_triangle_issue`` it fails.
     """
     name = "thm_triangle"
-    try:
-        theorems._labeled_classes(m)
-    except (NotTwoClassesError, MissingElementError) as e:
-        return _dependency(name, e)
+    theorems._labeled_classes(m)  # raises where the pass cannot judge a triangle
     found, examined = _point_triples(s, m)[name]
     if found is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined})
@@ -435,18 +432,9 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     return CheckReport("vy_a3", FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
-VY_NAMES = names("vy")
-
-
-def vy_axioms(s: IncidenceStructure, m: GeometryModel) -> list[CheckReport]:
-    """The eight extension/alignment checks over the model's points and planes."""
-    return run_checks(s, ("vy",), m)
-
-
-def run_vy_battery(
-    s: IncidenceStructure, m: Optional[GeometryModel] = None
-) -> list[CheckReport]:
-    """Run the eight derived-geometry checks, deriving a labeling if needed."""
+def vy_axioms(s: IncidenceStructure, m: Optional[GeometryModel] = None) -> list[CheckReport]:
+    """The eight extension/alignment checks over the model's points and
+    planes, deriving a labeling if ``m`` is None."""
     return run_checks(s, ("vy",), m)
 
 

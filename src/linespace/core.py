@@ -70,6 +70,10 @@ class LabelInconsistencyError(LinespaceError):
         self.witness = witness
 
 
+class MissingElementError(LinespaceError):
+    """A meet or join lookup found no (or no unique) element; model is inconsistent."""
+
+
 def line_cap() -> int:
     """Maximum supported line count; LINESPACE_MAX_LINES overrides the default."""
     raw = os.environ.get(MAX_LINES_ENV)
@@ -98,6 +102,10 @@ def lines_of_mask(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def mask_of_lines(lines: Iterable[int]) -> int:
@@ -157,18 +165,25 @@ class IncidenceStructure:
     ) -> "IncidenceStructure":
         """Build a structure in which every pair NOT listed is incident.
 
+        A pair is two ints, not bools, or a row of an integer ndarray.
         Listing a pair twice (in either order) is accepted; a pair with
         equal endpoints is rejected, since reflexive incidence is built in.
         The line cap is checked before the matrix is allocated.  An ndarray
         of pairs is used without a copy.
         """
+        if isinstance(skew_pairs, np.ndarray):
+            pairs = np.asarray(skew_pairs)
+            if pairs.size and pairs.dtype.kind not in "iu":  # np.array([]) is float64
+                raise StructureError(f"skew pair {np.atleast_1d(pairs)[0].tolist()!r} must be two indices")
+        else:
+            pairs = list(skew_pairs)
+            for entry in pairs:
+                if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(_is_index, entry))):
+                    raise StructureError(f"skew pair {entry!r} must be two indices")
+            pairs = np.array(pairs)
         if line_count < 0:
             raise StructureError("line_count must be >= 0")
         _check_capacity(line_count)
-        if isinstance(skew_pairs, np.ndarray):
-            pairs = np.asarray(skew_pairs)
-        else:
-            pairs = np.array(list(skew_pairs))
         if not len(pairs):
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -223,7 +238,7 @@ class IncidenceStructure:
             raise StructureError(f"unknown line label {label!r}") from None
 
     def check_index(self, i: int) -> int:
-        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+        if not _is_index(i):
             raise StructureError(f"line index must be an integer, got {i!r}")
         if not 0 <= i < self.line_count:
             raise StructureError(f"line index {i} out of range [0, {self.line_count})")
@@ -261,13 +276,6 @@ class IncidenceStructure:
         return f"<IncidenceStructure{name} lines={self.line_count}>"
 
 
-def is_incident(s: IncidenceStructure, a: int, b: int) -> bool:
-    """True iff lines ``a`` and ``b`` are incident (always true for a == b)."""
-    a = s.check_index(a)
-    b = s.check_index(b)
-    return bool(s.adjacency[a, b])
-
-
 def _validated_lines(s: IncidenceStructure, lines: Iterable[int]) -> list[int]:
     return sorted({s.check_index(l) for l in lines})
 
@@ -300,13 +308,8 @@ def bracket(s: IncidenceStructure, *lines: int) -> frozenset[int]:
     return perp(s, lines)
 
 
-def find_skew_pair(s: IncidenceStructure, lines: Iterable[int]) -> Optional[tuple[int, int]]:
-    """Lexicographically least skew pair within ``lines``, or None."""
-    return find_skew_pair_mask(s, mask_of_lines(_validated_lines(s, lines)))
-
-
 def find_skew_pair_mask(s: IncidenceStructure, mset: int) -> Optional[tuple[int, int]]:
-    """Mask-level find_skew_pair: the least skew pair of set bits."""
+    """The lexicographically least skew pair of set bits of ``mset``, or None."""
     masks = s.masks
     rest = mset
     while rest:

@@ -230,19 +230,10 @@ def structure_from_dict(data: dict, source: str = "<dict>") -> IncidenceStructur
     if len(set(lines)) != len(lines):
         raise ParseError(f"{source}: line labels must be unique")
     raw_pairs = data.get("skew_pairs", [])
-    if not isinstance(raw_pairs, _ReadPairs):
-        if not isinstance(raw_pairs, list):
-            raise ParseError(f"{source}: 'skew_pairs' must be a list")
-        for entry in raw_pairs:
-            if (
-                not (isinstance(entry, list) and len(entry) == 2)
-                or not (isinstance(entry[0], int) and isinstance(entry[1], int))
-                or isinstance(entry[0], bool)
-                or isinstance(entry[1], bool)
-            ):
-                raise ParseError(f"{source}: skew pair {entry!r} must be two indices")
+    if not isinstance(raw_pairs, (list, _ReadPairs)):
+        raise ParseError(f"{source}: 'skew_pairs' must be a list")
     try:
-        # from_skew_pairs checks range and self-skew once, over the whole pair array.
+        # from_skew_pairs checks each entry, then range and self-skew over the whole pair array.
         s = IncidenceStructure.from_skew_pairs(
             len(lines), raw_pairs, labels=lines, name=str(data.get("name", ""))
         )

@@ -38,6 +38,7 @@ from .core import (
     IncidenceStructure,
     LabelInconsistencyError,
     LinespaceError,
+    MissingElementError,
     PreconditionError,
     _incidence,
     incident_pairs,
@@ -52,10 +53,6 @@ from .sigma import NotTwoClassesError, sigma_partition
 class Kind(str, Enum):
     POINT = "point"
     PLANE = "plane"
-
-
-class MissingElementError(LinespaceError):
-    """A meet or join lookup found no (or no unique) element; model is inconsistent."""
 
 
 @dataclass(frozen=True)

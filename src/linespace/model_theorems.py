@@ -36,8 +36,8 @@ from .labeling import (
     model_index,
     shared_lines,
 )
-from .registry import FAIL, PASS, CheckReport, _dependency, registered
-from .sigma import NotTwoClassesError, sigma_mask
+from .registry import FAIL, PASS, CheckReport, registered
+from .sigma import sigma_mask
 from .theorems import _classes_at, _in_sigma, _keep_least, _ranked, _walk
 
 
@@ -134,10 +134,7 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     does not.
     """
     name = "thm_triad_typing"
-    try:
-        found, examined = _model_triads(s, m)[name]
-    except (NotTwoClassesError, MissingElementError) as e:
-        return _dependency(name, e)
+    found, examined = _model_triads(s, m)[name]
     stats = {"triads_examined": examined}
     if found is None:
         return CheckReport(name, PASS, stats=stats)
@@ -209,10 +206,7 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     structure, is named from the definitions.
     """
     name = "thm_pencil_intersection"
-    try:
-        classes = theorems._labeled_classes(m)[0]
-    except (NotTwoClassesError, MissingElementError) as e:
-        return _dependency(name, e)
+    classes = theorems._labeled_classes(m)[0]
     table, index = perp_table(s), model_index(s, m)
     a, b = table.pairs.T
     four = [table.perp, perp_table(m.structure).index[a, b]]  # -1: no incident pair of the model's structure
@@ -279,10 +273,7 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     from ``s``, which need not be the same structure.
     """
     name = "thm_exchange"
-    try:
-        found, examined = _model_triads(s, m)[name]
-    except (NotTwoClassesError, MissingElementError) as e:
-        return _dependency(name, e)
+    found, examined = _model_triads(s, m)[name]
     if found is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined})
     triad, k, pair = found

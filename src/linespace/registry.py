@@ -20,10 +20,11 @@ its check's replayer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .core import LAYERS, IncidenceStructure, LabelInconsistencyError
+from .core import LAYERS, IncidenceStructure, LabelInconsistencyError, MissingElementError
 from .sigma import NotTwoClassesError
 
 if TYPE_CHECKING:
@@ -98,10 +99,21 @@ def __getattr__(name: str):
 
 def registered(layer: str, *, name=None, display=None, model=False, replay=None):
     """Decorator that appends its checker to ``CHECKS``; the name defaults
-    to the function's."""
+    to the function's.  A checker that needs the model is wrapped to report
+    dependency_unmet where the model's labeled classes cannot be built."""
 
     def register(checker):
         key = name or checker.__name__
+        if model:
+            unwrapped = checker
+
+            @functools.wraps(unwrapped)
+            def checker(s, m):
+                try:
+                    return unwrapped(s, m)
+                except (NotTwoClassesError, MissingElementError) as e:
+                    return _dependency(key, e)
+
         _TABLE.append(Check(key, display or key, layer, model, checker, replay))
         return checker
 

@@ -24,7 +24,6 @@ from .core import (
     IncidenceStructure,
     LinespaceError,
     PreconditionError,
-    bracket,
     labels_of,
     lines_of_mask,
     perp_mask,
@@ -64,7 +63,6 @@ class SigmaPartition:
 
     class_0 = property(lambda self: self.classes[0])
     class_1 = property(lambda self: self.classes[1])
-    sigma = property(lambda self: self.class_0 | self.class_1)
 
 
 def _require_incident_distinct(s: IncidenceStructure, a: int, b: int, op: str) -> tuple[int, int]:
@@ -159,31 +157,3 @@ def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     raise NotTwoClassesError(
         f"incidence is not transitive on {name}", {**witness, "p": p, "q": q, "r": r}
     )
-
-
-def is_triad(s: IncidenceStructure, a: int, b: int, c: int) -> bool:
-    """True iff a, b, c are pairwise incident and c is in sigma(a, b).
-
-    On structures passing the incidence-class axioms the three possible
-    membership conditions agree; the theorem battery reports any
-    disagreement, this predicate just evaluates the canonical one.
-    """
-    a = s.check_index(a)
-    b = s.check_index(b)
-    c = s.check_index(c)
-    if a == b or b == c or a == c:
-        raise PreconditionError("is_triad requires three distinct lines")
-    adj = s.adjacency
-    if not (adj[a, b] and adj[b, c] and adj[a, c]):
-        return False
-    return bool(sigma_mask(s, a, b) & (1 << c))
-
-
-def secondary_element(s: IncidenceStructure, a: int, b: int, c: int) -> frozenset[int]:
-    """bracket(a, b, c) for a triad; the result depends only on c's class."""
-    if not is_triad(s, a, b, c):
-        raise PreconditionError(
-            f"secondary_element requires a triad, but ({s.labels[a]}, {s.labels[b]}, "
-            f"{s.labels[c]}) is not one"
-        )
-    return bracket(s, a, b, c)

@@ -49,7 +49,7 @@ Every check registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
 for the derived-geometry battery), whether it needs the model, and its
 replayer, defined just above it.  The table gives the check its place in
-``run_theorem_suite``, ``run_vy_battery`` and ``check``, and its replay;
+``run_theorem_suite``, ``vy_axioms`` and ``check``, and its replay;
 adding a check takes no other edit.
 """
 

@@ -10,11 +10,9 @@ from linespace import (
     StructureError,
     bracket,
     coordinate_labels,
-    find_skew_pair,
     find_skew_triple,
     gen_negative,
     incident_pairs,
-    is_incident,
     perp,
 )
 from linespace.core import (
@@ -111,6 +109,12 @@ class TestConstruction:
             ([(0, 1), (2, 4), (5, 1)], r"skew pair \(2, 4\) out of range"),
             ([(0, 1), (-1, 2), (1, 1)], r"skew pair \(-1, 2\) out of range"),
             ([(0, 1), (2, 2), (0, 9)], "line 2 cannot be skew to itself"),
+            # an entry that is not two indices, before any range is checked
+            ([(0, 1.5)], r"skew pair \(0, 1\.5\) must be two indices"),
+            (np.array([[0, 1.7]]), r"skew pair \[0\.0, 1\.7\] must be two indices"),
+            ([(0, 9), (True, 2)], r"skew pair \(True, 2\) must be two indices"),
+            ([(0, 1), (2,)], r"skew pair \(2,\) must be two indices"),
+            ([("0", "1")], r"skew pair \('0', '1'\) must be two indices"),
         ],
     )
     def test_first_bad_pair_is_named(self, pairs, message):
@@ -143,6 +147,7 @@ class TestConstruction:
         s = IncidenceStructure.from_skew_pairs(0, [])
         assert s.line_count == 0
         assert perp(s, []) == frozenset()
+        assert IncidenceStructure.from_skew_pairs(2, np.array([])).skew_pairs() == []  # float64, and empty
 
 
 class TestIncidentPairs:
@@ -176,17 +181,17 @@ class TestIncidentPairs:
 
 class TestIncidence:
     def test_opposite_edges_skew(self, tetra):
-        assert not is_incident(tetra, 0, 3)  # a | ah
+        assert not tetra.adjacency[0, 3]  # a | ah
 
     def test_reflexive(self, tetra):
-        assert all(is_incident(tetra, l, l) for l in range(6))
+        assert tetra.adjacency.diagonal().all()
 
     def test_cross_edges_incident(self, tetra):
-        assert is_incident(tetra, 0, 4)  # a meets bh
+        assert tetra.adjacency[0, 4]  # a meets bh
 
     def test_index_out_of_range(self, tetra):
         with pytest.raises(StructureError, match="out of range"):
-            is_incident(tetra, 0, 6)
+            tetra.check_index(6)
 
 
 class TestPerpAndBracket:
@@ -228,14 +233,15 @@ class TestPerpAndBracket:
 
 class TestSkewSearch:
     def test_skew_pair_in_tetra_bracket(self, tetra):
-        assert find_skew_pair(tetra, perp(tetra, (0, 1))) == (2, 5)  # c, ch
+        assert find_skew_pair_mask(tetra, mask_of_lines(perp(tetra, (0, 1)))) == (2, 5)  # c, ch
 
     def test_skew_pair_singleton_absent(self, tetra):
-        assert find_skew_pair(tetra, [0]) is None
+        assert find_skew_pair_mask(tetra, mask_of_lines([0])) is None
 
     def test_skew_pair_present_in_every_pg2_perp(self, pg2):
         for l in range(pg2.line_count):
-            assert find_skew_pair(pg2, perp(pg2, [l])) is not None
+            x, y = find_skew_pair_mask(pg2, mask_of_lines(perp(pg2, [l])))
+            assert x < y and not pg2.adjacency[x, y]
 
     def test_skew_triple_absent_in_tetra(self, tetra):
         assert find_skew_triple(tetra, bracket(tetra, 0)) is None
@@ -254,12 +260,11 @@ class TestSkewSearch:
     def test_mask_searches_take_the_perp_mask(self, pg2):
         for l in range(pg2.line_count):
             members = perp(pg2, [l])
-            assert find_skew_pair_mask(pg2, pg2.masks[l]) == find_skew_pair(pg2, members)
             assert find_skew_triple_mask(pg2, pg2.masks[l]) == find_skew_triple(pg2, members)
 
-    def test_skew_pair_validates_indices(self, tetra):
+    def test_skew_triple_validates_indices(self, tetra):
         with pytest.raises(StructureError, match="out of range"):
-            find_skew_pair(tetra, [0, 6])
+            find_skew_triple(tetra, [0, 6])
 
 
 class TestMaskHelpers:

@@ -44,6 +44,7 @@ from linespace import (
 )
 from linespace import battery, model_theorems, theorems
 from linespace.core import mask_of_lines
+from linespace.registry import run_checks
 
 UNAVAILABLE = object()
 RAISES = object()
@@ -621,7 +622,7 @@ def stray_vertex_family(m):
     return tuple(on) + (tuple(sorted({stray, *joins[1:]})),)
 
 
-def test_handmade_families_match_oracle(pg2, pg2_model):
+def handmade_families(pg2, pg2_model):
     """Families the random edits rarely reach: every point on one line, an
     empty family on either side, a stray vertex, and point 0 with line 2
     swapped for line 30, whose least thm_tetrahedron and vy_a3 violations
@@ -629,12 +630,36 @@ def test_handmade_families_match_oracle(pg2, pg2_model):
     collinear = tuple(p for p in pg2_model.points if 0 in p)
     planes = pg2_model.planes
     swapped = (tuple(sorted(set(pg2_model.points[0]) - {2} | {30})),) + pg2_model.points[1:]
-    for points, planes in (
-        (collinear, planes),
-        ((), planes),
-        (pg2_model.points, ()),
-        (stray_vertex_family(pg2_model), planes),
-        (swapped, planes),
-    ):
-        m = GeometryModel(structure=pg2, points=points, planes=planes, seed=pg2_model.seed)
+    return [
+        GeometryModel(structure=pg2, points=points, planes=planes, seed=pg2_model.seed)
+        for points, planes in (
+            (collinear, planes),
+            ((), planes),
+            (pg2_model.points, ()),
+            (stray_vertex_family(pg2_model), planes),
+            (swapped, planes),
+        )
+    ]
+
+
+def test_handmade_families_match_oracle(pg2, pg2_model):
+    for m in handmade_families(pg2, pg2_model):
         assert_matches_oracle(pg2, m)
+
+
+def test_unlabeled_classes_report_alike_however_called(pg2, pg2_model):
+    """On the handmade families that have no labeled classes, the four checks
+    that read them report dependency_unmet, the same report called directly
+    as through a battery; thm_uniqueness and the vy checks are judged, as
+    the oracle judges them, either way."""
+    unlabeled = [m for m in handmade_families(pg2, pg2_model) if Oracle(pg2, m).classes is UNAVAILABLE]
+    assert len(unlabeled) == 5
+    for m in unlabeled:
+        o = Oracle(pg2, m)
+        battery = {r.check_name: r for r in run_checks(pg2, ("theorems", "vy"), m)}
+        for check in (thm_triad_typing, thm_pencil_intersection, thm_exchange, thm_triangle):
+            direct = check(pg2, m)
+            assert direct.status == "dependency_unmet", direct.check_name
+            assert direct == battery[direct.check_name]
+        assert battery["thm_uniqueness"].to_dict() == thm_uniqueness(pg2, m).to_dict() == o.uniqueness()
+        assert [battery[r.check_name].to_dict() for r in vy_axioms(pg2, m)] == o.vy()

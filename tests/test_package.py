@@ -16,23 +16,22 @@ CHECK_ORDER = [row[0] for row in json.loads((Path(__file__).parent / "golden" / 
 # the module that defines it.
 EXPORTS = {
     "core": """CapacityError IncidenceStructure LabelInconsistencyError LinespaceError
-        PreconditionError StructureError bracket find_skew_pair find_skew_triple
-        incident_pairs is_incident labels_of line_cap perp""",
-    "sigma": "NotTwoClassesError SigmaPartition is_triad secondary_element sigma sigma_partition",
-    "labeling": """GeometryModel Kind MissingElementError
-        SecondaryElement coordinate_labels dualize enumerate_secondary_elements
-        join_plane meet_point""",
+        MissingElementError PreconditionError StructureError bracket find_skew_triple
+        incident_pairs labels_of perp""",
+    "sigma": "NotTwoClassesError SigmaPartition sigma sigma_partition",
+    "labeling": """GeometryModel Kind SecondaryElement coordinate_labels dualize
+        enumerate_secondary_elements join_plane meet_point""",
     "registry": "CheckReport",
-    "axioms": """CHECK_ORDER check_all check_axiom1 check_axiom2_1 check_axiom2_2
+    "axioms": """check_all check_axiom1 check_axiom2_1 check_axiom2_2
         check_axiom2_3 check_axiom3 check_axiom4 replay_counterexample""",
     "theorems": """thm_bracket_closed thm_bracket_welldefined thm_coherence
         thm_line_selfperp thm_mutual_membership thm_regulus_skew
         thm_sigma_equivalence thm_two_classes""",
     "model_theorems": """thm_exchange thm_line_in_plane thm_not_singleton
         thm_pencil_intersection thm_point_ne_plane thm_triad_typing thm_uniqueness""",
-    "battery": """run_theorem_suite run_vy_battery replay_theorem_counterexample
+    "battery": """run_theorem_suite replay_theorem_counterexample
         thm_tetrahedron thm_triangle vy_axioms""",
-    "models": """NEGATIVE_EXPECTATIONS NEGATIVE_KINDS Pg3Metadata SUPPORTED_PRIMES
+    "models": """NEGATIVE_EXPECTATIONS NEGATIVE_KINDS Pg3Metadata
         UnsupportedFieldError gen_negative gen_pg3 gen_tetrahedron""",
     "io": """ParseError load_model load_structure model_to_dict save_model
         save_reports save_structure structure_to_dict""",
@@ -61,6 +60,23 @@ error = linespace.LabelInconsistencyError
 loaded = "linespace.labeling" in sys.modules
 import linespace.labeling
 print(json.dumps([loaded, error is linespace.labeling.LabelInconsistencyError]))
+"""
+    assert fresh(script, tmp_path) == [False, True]
+
+
+def test_missing_element_error_is_the_one_labeling_raises(tmp_path):
+    # the registry catches it around every model check without loading the labeling
+    script = """
+import json, sys, linespace
+error = linespace.MissingElementError
+loaded = "linespace.labeling" in sys.modules
+m = linespace.GeometryModel(structure=linespace.gen_tetrahedron(), points=(), planes=(), seed=None)
+try:
+    linespace.meet_point(m, 0, 1)  # a and b meet in no point of an empty family
+    raised = False
+except error:
+    raised = True
+print(json.dumps([loaded, raised]))
 """
     assert fresh(script, tmp_path) == [False, True]
 
@@ -110,17 +126,6 @@ print(json.dumps([c.name for c in CHECKS]))
 """
     assert fresh(script, tmp_path) == CHECK_ORDER
     assert len(CHECK_ORDER) == 31
-
-
-def test_axiom_order_read_while_axioms_load(tmp_path):
-    script = """
-import json
-from linespace.axioms import CHECK_ORDER
-from linespace.battery import VY_NAMES
-print(json.dumps([list(CHECK_ORDER), list(VY_NAMES)]))
-"""
-    axioms, vy = fresh(script, tmp_path)
-    assert axioms == CHECK_ORDER[:6] and vy == CHECK_ORDER[-8:]
 
 
 # A process that writes no bytecode compiles each module it loads from

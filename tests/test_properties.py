@@ -79,9 +79,9 @@ def test_sigma_symmetric_and_partition_sound(s):
                 part = sigma_partition(s, a, b)
             except NotTwoClassesError:
                 continue
-            assert part.class_0 | part.class_1 == part.sigma
+            assert part.class_0 | part.class_1 == sigma(s, a, b)
             assert not (part.class_0 & part.class_1)
-            assert min(part.sigma) in part.class_0
+            assert min(sigma(s, a, b)) in part.class_0
             for cls in part.classes:
                 for x in cls:
                     for y in cls:

@@ -1,4 +1,4 @@
-"""Sigma sets, their class partition, triads, secondary elements."""
+"""Sigma sets, their class partition, triads and their brackets."""
 
 import pytest
 
@@ -9,11 +9,7 @@ from linespace import (
     bracket,
     gen_pg3,
     incident_pairs,
-    is_triad,
-    join_plane,
-    meet_point,
     perp,
-    secondary_element,
     sigma,
     sigma_partition,
 )
@@ -65,7 +61,7 @@ class TestSigmaPartition:
         part = sigma_partition(tetra, 0, 1)
         assert names_for(tetra, part.class_0) == ["c"]
         assert names_for(tetra, part.class_1) == ["ch"]
-        assert part.sigma == part.class_0 | part.class_1
+        assert sigma(tetra, 0, 1) == part.class_0 | part.class_1
 
     def test_pg2_class_sizes(self, pg2):
         # q^2 lines per class
@@ -77,7 +73,7 @@ class TestSigmaPartition:
     def test_class_0_holds_least_line(self, pg2):
         for a, b in incident_pairs(pg2)[:40]:
             part = sigma_partition(pg2, a, b)
-            assert min(part.sigma) in part.class_0
+            assert min(sigma(pg2, a, b)) in part.class_0
 
     def test_classes_are_cliques_and_cross_skew(self, pg2):
         adj = pg2.adjacency
@@ -137,37 +133,24 @@ class TestSigmaPartition:
 
 
 class TestTriads:
+    """A triad is three pairwise incident lines, the third in the sigma set
+    of the first two; its secondary element is its bracket."""
+
     def test_tetra_triad(self, tetra):
-        assert is_triad(tetra, 0, 1, 2)  # a, b, c
+        assert all(tetra.adjacency[x, y] for x, y in ((0, 1), (1, 2), (0, 2)))  # a, b, c
+        assert 2 in sigma(tetra, 0, 1)
 
     def test_not_pairwise_incident(self, tetra):
-        assert not is_triad(tetra, 0, 1, 3)  # ah is skew to a
-
-    def test_non_distinct_rejected(self, tetra):
-        with pytest.raises(PreconditionError, match="distinct"):
-            is_triad(tetra, 0, 0, 1)
-
-    def test_flat_pencil_is_not_a_triad(self, pg2, pg2_model):
-        # three lines sharing both a point and a plane of the model
-        a, b = incident_pairs(pg2)[0]
-        pencil = sorted(
-            set(meet_point(pg2_model, a, b).lines) & set(join_plane(pg2_model, a, b).lines)
-        )
-        assert len(pencil) == 3
-        assert not is_triad(pg2, *pencil)
+        assert not tetra.adjacency[0, 3]  # ah is skew to a
 
     def test_secondary_element_tetra(self, tetra):
-        assert names_for(tetra, secondary_element(tetra, 0, 1, 2)) == ["a", "b", "c"]
-        assert names_for(tetra, secondary_element(tetra, 0, 1, 5)) == ["a", "b", "ch"]
-
-    def test_secondary_element_requires_triad(self, tetra):
-        with pytest.raises(PreconditionError, match="triad"):
-            secondary_element(tetra, 0, 1, 3)
+        assert names_for(tetra, bracket(tetra, 0, 1, 2)) == ["a", "b", "c"]
+        assert names_for(tetra, bracket(tetra, 0, 1, 5)) == ["a", "b", "ch"]
 
     def test_secondary_element_size_pg2(self, pg2):
         for a, b in incident_pairs(pg2)[:10]:
             for c in sorted(sigma(pg2, a, b)):
-                assert len(secondary_element(pg2, a, b, c)) == 7
+                assert len(bracket(pg2, a, b, c)) == 7
 
 
 class TestSigmaInvariants:

@@ -24,7 +24,6 @@ from linespace import (
     gen_pg3,
     replay_theorem_counterexample,
     run_theorem_suite,
-    run_vy_battery,
     save_reports,
     thm_bracket_closed,
     thm_bracket_welldefined,
@@ -49,8 +48,7 @@ from conftest import one_perp_regulus
 from linespace import labeling, theorems
 from linespace.core import _incidence, bit_rows, mask_of_lines, perp_mask
 from linespace.labeling import element_masks, model_index
-from linespace.registry import run_checks
-from linespace.battery import VY_NAMES
+from linespace.registry import names, run_checks
 
 
 class TestSuiteOnModels:
@@ -340,7 +338,7 @@ class TestTetrahedronExtraction:
 class TestVyBattery:
     def test_pg2_all_pass_with_exact_e0(self, pg2, pg2_model):
         reports = vy_axioms(pg2, pg2_model)
-        assert [r.check_name for r in reports] == list(VY_NAMES)
+        assert [r.check_name for r in reports] == list(names("vy"))
         assert all(r.passed for r in reports)
         e0 = reports[0]
         assert e0.stats["min_points_on_line"] == 3
@@ -348,16 +346,16 @@ class TestVyBattery:
 
     def test_tetra_fails_e0_only(self, tetra):
         # every line of the six-line fixture lies in just two derived points
-        reports = run_vy_battery(tetra)
+        reports = vy_axioms(tetra)
         by_name = {r.check_name: r for r in reports}
         assert by_name["vy_e0"].status == "fail"
         assert by_name["vy_e0"].counterexample["points_on_line"] == 2
-        for name in VY_NAMES[1:]:
+        for name in names("vy")[1:]:
             assert by_name[name].passed, name
 
     def test_unlabelable_structure_reports_dependency(self):
         s = gen_negative("no_skew_anywhere")
-        reports = run_vy_battery(s)
+        reports = vy_axioms(s)
         assert [r.status for r in reports] == ["dependency_unmet"] * 8
 
     def test_dual_model_passes_battery(self, pg2, pg2_model):
@@ -553,7 +551,7 @@ class TestPerturbedSuiteGoldens:
     PERTURBED case, and each failing report replays as it always has.
 
     tests/golden/perturbed/suite_<name>.json holds run_theorem_suite then
-    run_vy_battery against the case's model; replays.json holds, per case,
+    vy_axioms against the case's model; replays.json holds, per case,
     each failing check with what its replay returned or raised.  Both were
     recorded before the checks moved to one registry.
     """
@@ -561,7 +559,7 @@ class TestPerturbedSuiteGoldens:
     @pytest.mark.parametrize("name", sorted(PERTURBED))
     def test_suite_bytes_and_replays(self, name, pg3, pg3_model, tmp_path):
         s, m = perturbed(pg3, pg3_model, *PERTURBED[name])
-        reports = run_theorem_suite(s, m) + run_vy_battery(s, m)
+        reports = run_theorem_suite(s, m) + vy_axioms(s, m)
         save_reports(reports, tmp_path / "r.json")
         golden = PERTURBED_GOLDEN / f"suite_{name}.json"
         assert (tmp_path / "r.json").read_bytes() == golden.read_bytes()
@@ -629,7 +627,7 @@ class TestDualMetamorphic:
         m = coordinate_labels(s)
         d = dualize(m)
         suite = lambda model: [(r.check_name, r.status, r.stats) for r in run_theorem_suite(s, model)]
-        vy = lambda model: [(r.check_name, r.status) for r in run_vy_battery(s, model)]
+        vy = lambda model: [(r.check_name, r.status) for r in vy_axioms(s, model)]
         assert suite(m) == suite(d)
         assert vy(m) == vy(d)
 
