@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import io as lio
-from .core import LAYERS, CapacityError, LinespaceError, PreconditionError, incident_pairs
+from .core import LAYERS, CapacityError, LabelInconsistencyError, LinespaceError, PreconditionError, incident_pairs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,16 +104,25 @@ def _parse_seed(raw: str):
         raise PreconditionError(f"--seed must be three integers, got {raw!r}") from None
 
 
-def cmd_derive(args) -> int:
-    from .labeling import LabelInconsistencyError, coordinate_labels
+def _labeling(build, failed: str):
+    """The model ``build()`` returns, or None after printing ``failed``
+    formatted with its error: a labeling that fails is reported, not raised."""
     from .sigma import NotTwoClassesError
+
+    try:
+        return build()
+    except (NotTwoClassesError, LabelInconsistencyError) as e:
+        print(failed.format(e))
+        return None
+
+
+def cmd_derive(args) -> int:
+    from .labeling import coordinate_labels
 
     s = lio.load_structure(args.input)
     seed = _parse_seed(args.seed) if args.seed else None
-    try:
-        m = coordinate_labels(s, seed)
-    except (NotTwoClassesError, LabelInconsistencyError) as e:
-        print(f"cannot derive a model: {e}")
+    m = _labeling(lambda: coordinate_labels(s, seed), "cannot derive a model: {}")
+    if m is None:
         return EXIT_CHECK_FAILED
     lio.save_model(m, args.out)
     print(f"wrote {args.out}: {len(m.points)} points, {len(m.planes)} planes")
@@ -121,14 +130,11 @@ def cmd_derive(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    from .labeling import LabelInconsistencyError, dualize
-    from .sigma import NotTwoClassesError
+    from .labeling import dualize
 
     m = lio.load_model(args.input)
-    try:
-        d = dualize(m)
-    except (NotTwoClassesError, LabelInconsistencyError) as e:
-        print(f"model failed verification: {e}")
+    d = _labeling(lambda: dualize(m), "model failed verification: {}")
+    if d is None:
         return EXIT_CHECK_FAILED
     lio.save_model(d, args.out)
     print(f"wrote {args.out}: {len(d.points)} points, {len(d.planes)} planes")
@@ -136,8 +142,7 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_info(args) -> int:
-    from .labeling import LabelInconsistencyError, coordinate_labels
-    from .sigma import NotTwoClassesError
+    from .labeling import coordinate_labels
 
     s = lio.load_structure(args.input)
     n = s.line_count
@@ -153,12 +158,10 @@ def cmd_info(args) -> int:
     if n:
         sizes = [mask.bit_count() for mask in s.masks]
         print(f"perp size:       min {min(sizes)}, max {max(sizes)}")
-    try:
-        m = coordinate_labels(s)
+    m = _labeling(lambda: coordinate_labels(s), "points/planes:   not derivable ({})")
+    if m is not None:
         print(f"points:          {len(m.points)}")
         print(f"planes:          {len(m.planes)}")
-    except (NotTwoClassesError, LabelInconsistencyError) as e:
-        print(f"points/planes:   not derivable ({e})")
     return EXIT_OK
 
 

@@ -19,10 +19,11 @@ true for a plane; line tuples and frozensets are built only for a model's
 families, a public return value or a witness.  The verification reads
 each perp's two sigma classes from ``core.perp_table`` and their elements
 from ``element_ids``, and the lines every two elements share from
-``shared_lines``; a model's points and planes are rows among the same
-elements in ``model_index``.  Whether each perp's two classes are one
-point and one plane, under a labeling or a model's kinds, is judged in
-one place, ``_labeled_split``.
+``shared_lines``, counted a line at a time into two element-by-element
+tables; a model's points and planes are rows among the same elements in
+``model_index``.  Whether each perp's two classes are one point and one
+plane, under a labeling or a model's kinds, is judged in one place,
+``_labeled_split``.
 """
 
 from __future__ import annotations
@@ -164,22 +165,21 @@ def shared_lines(s: IncidenceStructure, masks: tuple[int, ...]) -> tuple[np.ndar
     ``count[i, j]`` counts the lines below ``s.line_count`` that masks i and
     j both hold, symmetric, with each mask's own line count on the
     diagonal; ``line[i, j]`` is the one line they share where the count is
-    1, else -1.  Counted in one pass over the lines: a bincount of the
-    ordered pairs of masks holding each line.
+    1, else -1.  Counted one line at a time into the two tables, so that
+    nothing else grows with the ordered pairs of masks holding each line.
     """
 
     def build():
         size = len(masks)
-        line, e = np.nonzero(_line_incidence(s, masks).T)
-        held = np.bincount(line, minlength=s.line_count)[line]  # the masks holding each entry's line
-        first = np.repeat(np.arange(len(e)), held)
-        start = np.repeat(np.searchsorted(line, line), held)  # the first entry on the line
-        second = start + np.arange(len(first)) - np.repeat(np.cumsum(held) - held, held)
-        key = e[first] * size + e[second]
-        count = np.bincount(key, minlength=size * size).reshape(size, size)
-        common = np.full(size * size, -1, np.int32)
-        common[key] = line[first]
-        return count, np.where(count == 1, common.reshape(size, size), -1)
+        count = np.zeros(size * size, np.int64)
+        line = np.full(size * size, -1, np.int32)
+        for x, held in enumerate(_line_incidence(s, masks).T):
+            e = np.flatnonzero(held)
+            pairs = (e * size)[:, None] + e  # the ordered pairs of masks holding line x
+            count[pairs] += 1
+            line[pairs] = x
+        line[count != 1] = -1
+        return count.reshape(size, size), line.reshape(size, size)
 
     return s.cached(("shared_lines", masks), build)
 

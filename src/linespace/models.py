@@ -87,16 +87,6 @@ class Pg3Metadata:
         q = self.q
         return (q * q + 1) * (q * q + q + 1)
 
-    @property
-    def expected_point_count(self) -> int:
-        q = self.q
-        return (q + 1) * (q * q + 1)
-
-    @property
-    def lines_per_element(self) -> int:
-        q = self.q
-        return q * q + q + 1
-
 
 def gen_tetrahedron() -> IncidenceStructure:
     """The six-line fixture: pairwise incident except three opposite pairs.

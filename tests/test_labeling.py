@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,11 @@ def altered_models(m):
     return {name: GeometryModel(m.structure, *f, m.seed) for name, f in families.items()}
 
 
+# About 1.7 times the two tables of the mutant below: one line's ordered
+# pairs at a time add little to them.
+MUTANT_TABLE_PEAK_BYTES = 1_500_000
+
+
 class TestSharedLines:
     """``shared_lines`` counts the lines every two masks share, the diagonal
     included, and names the one line exactly where they share one; a model
@@ -353,6 +359,21 @@ class TestSharedLines:
         count, line = shared_lines(pg2, masks)
         assert (count[0, 0], line[0, 0]) == (7, -1)
         assert (count[-1, -1], line[-1, -1]) == (1, 7)
+
+    def test_mutant_table_builds_in_little_more_than_its_size(self, pg3):
+        # mutant 6 of PG(3,3) has 269 elements, and up to 88 of them hold one
+        # line, where PG(3,3) has 8; its two tables take 0.87 MB
+        s = seeded_mutant(pg3, 6)
+        masks = element_masks(s)
+        assert len(masks) > 200
+        tracemalloc.start()
+        try:
+            count, line = shared_lines(s, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MUTANT_TABLE_PEAK_BYTES, f"shared_lines traced a {peak / 1e6:.2f} MB peak"
+        self.assert_matches_popcount(count, line, masks)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_derived_model_reads_the_labeling_table(self, q, pg2_model, pg3_model):

@@ -241,8 +241,9 @@ def verify_counts(meta: Pg3Metadata, m) -> CheckReport:
     s = m.structure
     pts = line_point_sets(meta)
     pls = line_plane_sets(meta)
-    expected = meta.expected_point_count
-    size = meta.lines_per_element
+    q = meta.q
+    expected = (q + 1) * (q * q + 1)  # points of PG(3,q), and as many planes
+    size = q * q + q + 1  # lines through a point, and in a plane
 
     def attempt(point_like, plane_like):
         ok, witness = _match_family(point_like, pts, expected, size, "point", s)
