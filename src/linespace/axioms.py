@@ -1,9 +1,9 @@
 """Axiom checkers with replayable witnesses.
 
 Each checker exhausts its quantifiers over the structure and returns a
-CheckReport.  A failing report always carries a counterexample whose named
-lines can be re-evaluated directly against the structure (see
-``replay_counterexample``); passing existential checks carry one sample
+CheckReport.  A failing report always carries a counterexample, named by
+its check's counterexample function, which ``replay_counterexample`` runs
+again against the structure; passing existential checks carry one sample
 witness.  Line references inside witnesses are labels, not indices, so
 serialized reports read the same as the in-memory ones.
 
@@ -13,12 +13,14 @@ reports dependency_unmet when some sigma set has no valid two-class split,
 since the point/plane machinery is then undefined rather than violated.
 
 The checks live in one ordered table, ``registry.CHECKS``.  To add a
-check, define its replayer and its checker here (or in a theorem module) and
-decorate the checker with ``@registered``: that one line gives the check its
-place in every battery, its display name and its replay.
+check, define its counterexample function and its checker here (or in a
+theorem module) and decorate the checker with ``@registered``: that one line
+gives the check its place in every battery, its display name and its replay.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -47,18 +49,22 @@ from .registry import (
     replay,
     run_checks,
 )
-from .sigma import NotTwoClassesError, incidence_classes, sigma, sigma_mask, sigma_partition
+from .sigma import NotTwoClassesError, sigma, sigma_partition, sigma_witness
 
 
 def _resolve(s: IncidenceStructure, labels) -> list[int]:
     return [s.index(x) for x in labels]
 
 
-def _replay_axiom1(s: IncidenceStructure, ce: dict) -> bool:
-    return find_skew_triple_mask(s, s.masks[s.index(ce["line"])]) is None
+def _axiom1_issue(s: IncidenceStructure, line, **_) -> Optional[dict]:
+    l = s.index(line)
+    if find_skew_triple_mask(s, s.masks[l]) is not None:
+        return None
+    perp = labels_of(s, lines_of_mask(s.masks[l]))
+    return {"line": s.labels[l], "perp": perp, "reason": "perp contains no pairwise-skew triple"}
 
 
-@registered("axioms", name="axiom1", display="AXIOM [1]", replay=_replay_axiom1)
+@registered("axioms", _axiom1_issue, name="axiom1", display="AXIOM [1]")
 def check_axiom1(s: IncidenceStructure) -> CheckReport:
     """Every line's perp must contain a pairwise-skew triple."""
     masks = s.masks
@@ -66,16 +72,8 @@ def check_axiom1(s: IncidenceStructure) -> CheckReport:
     for l in range(s.line_count):
         triple = find_skew_triple_mask(s, masks[l])
         if triple is None:
-            return CheckReport(
-                "axiom1",
-                FAIL,
-                counterexample={
-                    "line": s.labels[l],
-                    "perp": labels_of(s, lines_of_mask(masks[l])),
-                    "reason": "perp contains no pairwise-skew triple",
-                },
-                stats={"lines_examined": l + 1},
-            )
+            ce = _axiom1_issue(s, s.labels[l])
+            return CheckReport("axiom1", FAIL, counterexample=ce, stats={"lines_examined": l + 1})
         if witness is None:
             witness = {"line": s.labels[l], "skew_triple": labels_of(s, triple)}
     return CheckReport(
@@ -83,16 +81,20 @@ def check_axiom1(s: IncidenceStructure) -> CheckReport:
     )
 
 
-def _replay_axiom2_1(s: IncidenceStructure, ce: dict) -> bool:
-    a, b = _resolve(s, ce["pair"])
-    return find_skew_pair_mask(s, s.masks[a] & s.masks[b]) is None
+def _axiom2_1_issue(s: IncidenceStructure, pair, **_) -> Optional[dict]:
+    a, b = _resolve(s, pair)
+    members = s.masks[a] & s.masks[b]
+    if a == b or not s.adjacency[a, b] or find_skew_pair_mask(s, members) is not None:
+        return None
+    perp = labels_of(s, lines_of_mask(members))
+    return {"pair": labels_of(s, (a, b)), "perp": perp, "reason": "perp of the pair is pairwise incident"}
 
 
 # uint64 words of packed rows per array in a run of check_axiom2_1
 _WORDS_PER_RUN = 1 << 18
 
 
-@registered("axioms", name="axiom2_1", display="AXIOM [2.1]", replay=_replay_axiom2_1)
+@registered("axioms", _axiom2_1_issue, name="axiom2_1", display="AXIOM [2.1]")
 def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
     """perp({a, b}) of every incident distinct pair must contain a skew pair.
 
@@ -121,16 +123,8 @@ def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
             if members in passed:
                 continue
             if find_skew_pair_mask(s, members) is None:
-                return CheckReport(
-                    "axiom2_1",
-                    FAIL,
-                    counterexample={
-                        "pair": labels_of(s, (a, b)),
-                        "perp": labels_of(s, lines_of_mask(members)),
-                        "reason": "perp of the pair is pairwise incident",
-                    },
-                    stats={"pairs_examined": p + 1},
-                )
+                ce = _axiom2_1_issue(s, labels_of(s, (a, b)))
+                return CheckReport("axiom2_1", FAIL, counterexample=ce, stats={"pairs_examined": p + 1})
             passed.add(members)
     witness = None
     if len(pairs):
@@ -142,14 +136,16 @@ def check_axiom2_1(s: IncidenceStructure) -> CheckReport:
     )
 
 
-def _replay_axiom2_2(s: IncidenceStructure, ce: dict) -> bool:
-    a, b = _resolve(s, ce["pair"])
-    z, x, y = s.index(ce["z"]), s.index(ce["x"]), s.index(ce["y"])
-    inside = {x, y} <= bracket(s, a, b, z)
-    return inside and z in sigma(s, a, b) and not s.adjacency[x, y]
+def _axiom2_2_issue(s: IncidenceStructure, pair, z, x, y, **_) -> Optional[dict]:
+    a, b = _resolve(s, pair)
+    z, x, y = _resolve(s, (z, x, y))
+    if not ({x, y} <= bracket(s, a, b, z) and z in sigma(s, a, b)) or s.adjacency[x, y]:
+        return None
+    named = {"pair": labels_of(s, (a, b)), "z": s.labels[z], "x": s.labels[x], "y": s.labels[y]}
+    return {**named, "reason": "skew pair inside bracket(a, b, z)"}
 
 
-@registered("axioms", name="axiom2_2", display="AXIOM [2.2]", replay=_replay_axiom2_2)
+@registered("axioms", _axiom2_2_issue, name="axiom2_2", display="AXIOM [2.2]")
 def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     """bracket(a, b, z) must be pairwise incident for every z in sigma(a, b).
 
@@ -181,33 +177,23 @@ def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     i = int(held[:, z].argmax())
     p = int(table.first[k])
     lines = table.lines[k].tolist()
-    return CheckReport(
-        "axiom2_2",
-        FAIL,
-        counterexample={
-            "pair": labels_of(s, table.pairs[p].tolist()),
-            "z": s.labels[lines[z]],
-            "x": s.labels[lines[x[i]]],
-            "y": s.labels[lines[y[i]]],
-            "reason": "skew pair inside bracket(a, b, z)",
-        },
-        stats={"triples_examined": int(per_pair[:p].sum() + table.in_sigma[k, :z].sum()) + 1},
-    )
+    zxy = (s.labels[lines[z]], s.labels[lines[x[i]]], s.labels[lines[y[i]]])
+    ce = _axiom2_2_issue(s, labels_of(s, table.pairs[p].tolist()), *zxy)
+    examined = int(per_pair[:p].sum() + table.in_sigma[k, :z].sum()) + 1
+    return CheckReport("axiom2_2", FAIL, counterexample=ce, stats={"triples_examined": examined})
 
 
-def _replay_axiom2_3(s: IncidenceStructure, ce: dict) -> bool:
-    a, b = _resolve(s, ce["pair"])
-    x, y, m = s.index(ce["x"]), s.index(ce["y"]), s.index(ce["uncovered"])
-    members = perp(s, (a, b))
-    return (
-        {x, y, m} <= members
-        and not s.adjacency[x, y]
-        and not s.adjacency[m, x]
-        and not s.adjacency[m, y]
-    )
+def _axiom2_3_issue(s: IncidenceStructure, pair, x, y, uncovered, **_) -> Optional[dict]:
+    a, b = _resolve(s, pair)
+    x, y, m = _resolve(s, (x, y, uncovered))
+    adj = s.adjacency
+    if not {x, y, m} <= perp(s, (a, b)) or adj[x, y] or adj[m, x] or adj[m, y]:
+        return None
+    named = {"pair": labels_of(s, (a, b)), "x": s.labels[x], "y": s.labels[y], "uncovered": s.labels[m]}
+    return {**named, "reason": "line in perp of the pair meets neither x nor y"}
 
 
-@registered("axioms", name="axiom2_3", display="AXIOM [2.3]", replay=_replay_axiom2_3)
+@registered("axioms", _axiom2_3_issue, name="axiom2_3", display="AXIOM [2.3]")
 def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
     """Each member of perp({a, b}) must meet x or y for every skew pair x, y there.
 
@@ -228,29 +214,24 @@ def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
         return CheckReport("axiom2_3", PASS, stats={"skew_pairs_examined": cases})
     k, x, y = hit
     lines = table.lines[k].tolist()
-    return CheckReport(
-        "axiom2_3",
-        FAIL,
-        counterexample={
-            "pair": labels_of(s, table.pairs[table.first[k]].tolist()),
-            "x": s.labels[lines[x]],
-            "y": s.labels[lines[y]],
-            "uncovered": s.labels[table.lines_at(k, table.skew[k, x] & table.skew[k, y])[0]],
-            "reason": "line in perp of the pair meets neither x nor y",
-        },
-        stats={"skew_pairs_examined": cases},
-    )
+    uncovered = table.lines_at(k, table.skew[k, x] & table.skew[k, y])[0]
+    pair = labels_of(s, table.pairs[table.first[k]].tolist())
+    ce = _axiom2_3_issue(s, pair, s.labels[lines[x]], s.labels[lines[y]], s.labels[uncovered])
+    return CheckReport("axiom2_3", FAIL, counterexample=ce, stats={"skew_pairs_examined": cases})
 
 
-def _replay_axiom3(s: IncidenceStructure, ce: dict) -> bool:
-    from .labeling import element_masks
+def _axiom3_issue(s: IncidenceStructure, element, **_) -> Optional[dict]:
+    from .labeling import element_ids
 
-    em = mask_of_lines(_resolve(s, ce["element"]))
-    emasks = element_masks(s)
-    return em in emasks and all(other == em or (em & other) for other in emasks)
+    emasks, triads = element_ids(s)[:2]
+    em = mask_of_lines(_resolve(s, element))
+    if em not in emasks or any(not em & other for other in emasks):
+        return None
+    named = {"element": labels_of(s, lines_of_mask(em)), "triad": labels_of(s, triads[emasks.index(em)])}
+    return {**named, "reason": "no disjoint secondary element exists"}
 
 
-@registered("axioms", name="axiom3", display="AXIOM [3]", replay=_replay_axiom3)
+@registered("axioms", _axiom3_issue, name="axiom3", display="AXIOM [3]")
 def check_axiom3(s: IncidenceStructure) -> CheckReport:
     """Every secondary element needs a second element disjoint from it.
 
@@ -267,16 +248,9 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
     for i, em in enumerate(emasks):
         partner = int(disjoint[i].argmax())
         if not disjoint[i, partner]:
-            return CheckReport(
-                "axiom3",
-                FAIL,
-                counterexample={
-                    "element": labels_of(s, lines_of_mask(em)),
-                    "triad": labels_of(s, triads[i]),
-                    "reason": "no disjoint secondary element exists",
-                },
-                stats={"elements_examined": i + 1, "elements_total": len(emasks)},
-            )
+            ce = _axiom3_issue(s, labels_of(s, lines_of_mask(em)))
+            stats = {"elements_examined": i + 1, "elements_total": len(emasks)}
+            return CheckReport("axiom3", FAIL, counterexample=ce, stats=stats)
         samples.append(
             {"triad": labels_of(s, triads[i]), "disjoint_triad": labels_of(s, triads[partner])}
         )
@@ -286,62 +260,41 @@ def check_axiom3(s: IncidenceStructure) -> CheckReport:
     )
 
 
-def _replay_axiom4(s: IncidenceStructure, ce: dict) -> bool:
+def _axiom4_issue(s: IncidenceStructure, pair=None, seed=None, element_a=None, element_b=None, **_):
+    """The labeling's witness, from the named pair whose sigma does not
+    split, or from the named seed and pair or elements."""
     from .labeling import element_masks
 
-    issue = ce.get("issue")
-    if issue == "sigma_not_two_classes":
-        return _replay_not_two_classes(s, ce)
-    seed_info = ce["seed"]
-    a, b = _resolve(s, seed_info["pair"])
-    chosen = sigma_partition(s, a, b).class_masks[seed_info["class_of"]]
+    if seed is None:
+        witness = sigma_witness(s, pair)
+        return witness and {"issue": "sigma_not_two_classes", **witness}
+    a, b = _resolve(s, seed["pair"])
+    chosen = sigma_partition(s, a, b).class_masks[seed["class_of"]]
     z = s.masks[a] & s.masks[b] & s.masks[(chosen & -chosen).bit_length() - 1]
+    seed_info = {"pair": labels_of(s, (a, b)), "class_of": seed["class_of"]}
 
-    def is_point(em):  # the seeded singleton rule
-        return em == z or (em & z).bit_count() == 1
+    def kind(em):  # the seeded singleton rule
+        return "point" if em == z or (em & z).bit_count() == 1 else "plane"
 
-    if issue in ("same_kind_share_none", "same_kind_share_many", "point_plane_share_one"):
-        ea = mask_of_lines(_resolve(s, ce["element_a"]))
-        eb = mask_of_lines(_resolve(s, ce["element_b"]))
-        if not {ea, eb} <= set(element_masks(s)):
-            return False
-        common = (ea & eb).bit_count()
-        same = is_point(ea) == is_point(eb)
-        if issue == "same_kind_share_none":
-            return same and common == 0
-        if issue == "same_kind_share_many":
-            return same and common > 1
-        return (not same) and common == 1
-    if issue == "pair_classes_same_kind":
-        p, q = _resolve(s, ce["pair"])
-        part = sigma_partition(s, p, q)
-        base = s.masks[p] & s.masks[q]
-        per_class = [
-            {is_point(base & s.masks[c]) for c in lines_of_mask(cls)} for cls in part.class_masks
-        ]
-        return all(len(seen) == 1 for seen in per_class) and per_class[0] == per_class[1]
-    raise ValueError(f"unknown axiom4 witness issue {issue!r}")
+    if element_a is None:
+        p, q = _resolve(s, pair)
+        c0, c1 = sigma_partition(s, p, q).class_masks
+        kinds = {kind(s.masks[p] & s.masks[q] & s.masks[c]) for c in lines_of_mask(c0 | c1)}
+        if len(kinds) != 1:
+            return None
+        return {"issue": "pair_classes_same_kind", "pair": labels_of(s, (p, q)), "kind": kinds.pop(), "seed": seed_info}
+    ea, eb = (mask_of_lines(_resolve(s, e)) for e in (element_a, element_b))
+    common = (ea & eb).bit_count()
+    if ea == eb or not {ea, eb} <= set(element_masks(s)) or (kind(ea) == kind(eb)) == (common == 1):
+        return None
+    named = {"element_a": labels_of(s, lines_of_mask(ea)), "element_b": labels_of(s, lines_of_mask(eb))}
+    named.update(common_count=common, seed=seed_info)
+    if kind(ea) != kind(eb):
+        return {"issue": "point_plane_share_one", **named}
+    return {"issue": "same_kind_share_many" if common else "same_kind_share_none", "kind": kind(ea), **named}
 
 
-def _replay_not_two_classes(s: IncidenceStructure, ce: dict) -> bool:
-    a, b = _resolve(s, ce["pair"])
-    sig = sigma_mask(s, a, b)
-    if "p" in ce:
-        p, q, r = s.index(ce["p"]), s.index(ce["q"]), s.index(ce["r"])
-        return (
-            not (mask_of_lines((p, q, r)) & ~sig)
-            and s.adjacency[p, q]
-            and s.adjacency[q, r]
-            and not s.adjacency[p, r]
-        )
-    if ce.get("class_count") == 0:
-        return not sig
-    # Class-count witness: recount components of incidence on sigma.
-    count = len(incidence_classes(s, sig))
-    return count == ce["class_count"] and count != 2
-
-
-@registered("axioms", name="axiom4", display="AXIOM [4]", replay=_replay_axiom4)
+@registered("axioms", _axiom4_issue, name="axiom4", display="AXIOM [4]")
 def check_axiom4(s: IncidenceStructure) -> CheckReport:
     """Two points always share a line, and dually two planes; via seeded
     labeling, whose verification makes every two same-kind elements share
@@ -389,7 +342,8 @@ def check_all(s: IncidenceStructure) -> list[CheckReport]:
 def replay_counterexample(s: IncidenceStructure, report: CheckReport) -> bool:
     """Re-evaluate a failing report's counterexample against the structure.
 
-    Returns True when the named configuration still violates the claim;
+    Returns True when the named configuration still violates the claim and
+    the check's counterexample function names the same counterexample;
     reports are machine-checkable in this sense.  Raises on reports that
     carry no counterexample.  Dispatches through the registry, so any
     check whose replay needs no model replays here.

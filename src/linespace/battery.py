@@ -17,10 +17,9 @@ from typing import Optional
 import numpy as np
 
 from . import model_theorems, theorems
-from .axioms import _resolve
-from .core import IncidenceStructure, MissingElementError, _words, labels_of, mask_of_lines, only_bits, perp_table
+from .core import IncidenceStructure, MissingElementError, _words, labels_of, lines_of_mask, only_bits, perp_table
 from .labeling import GeometryModel, model_index, shared_lines
-from .model_theorems import _first_pair, _padded
+from .model_theorems import _first_pair, _listed, _masks, _padded
 from .registry import FAIL, PASS, CheckReport, registered, replay, run_checks
 from .sigma import NotTwoClassesError
 from .theorems import _classes_at, _keep_least, _ranked
@@ -165,39 +164,42 @@ def _point_labels(s, m, points) -> list:
     return [labels_of(s, m.points[x]) for x in points]
 
 
-def _triangle_issue(s: IncidenceStructure, m: GeometryModel, points: list) -> Optional[dict]:
-    """The first test of ``thm_triangle`` that three points sharing no line
-    fail, from the definitions, as the counterexample's issue and fields;
-    None when they form a triangle.  ``points`` are their masks."""
-    masks, (A, B, C) = s.masks, points
+def _triple(s: IncidenceStructure, m: GeometryModel, points) -> Optional[tuple]:
+    """The named points' masks, and their counterexample's "points", when
+    they are listed points that share no line; else None."""
+    A, B, C = triple = _masks(s, *points)
+    if not _listed(m.point_masks, *triple) or A & B & C:
+        return None
+    return triple, {"points": [labels_of(s, lines_of_mask(p)) for p in triple]}
+
+
+def _triangle_issue(s: IncidenceStructure, m: GeometryModel, points, **_) -> Optional[dict]:
+    """The first test of ``thm_triangle`` that three points sharing no line fail."""
+    if (named := _triple(s, m, points)) is None:
+        return None
+    (A, B, C), ce = named
+    masks = s.masks
     sides = (B & C, C & A, A & B)
     if any(side.bit_count() != 1 for side in sides):
-        return {"issue": "points_without_unique_common_line"}
+        return {**ce, "issue": "points_without_unique_common_line"}
     a, b, c = (side.bit_length() - 1 for side in sides)
     if len({a, b, c}) != 3:
-        return {"issue": "side_lines_not_distinct"}
+        return {**ce, "issue": "side_lines_not_distinct"}
     if not (masks[a] >> b & 1 and masks[b] >> c & 1 and masks[a] >> c & 1):
-        return {"issue": "side_lines_not_pairwise_incident"}
+        return {**ce, "issue": "side_lines_not_pairwise_incident"}
     for third, u, v in ((a, b, c), (b, c, a), (c, a, b)):
         if not _classes_at(m, u, v)[1] >> third & 1:
-            return {"issue": "side_not_in_plane_class", "line": s.labels[third], "of_pair": labels_of(s, (u, v))}
+            return {**ce, "issue": "side_not_in_plane_class", "line": s.labels[third], "of_pair": labels_of(s, (u, v))}
     bracket = masks[a] & masks[b] & masks[c]
     if bracket not in m.plane_masks:
-        return {"issue": "bracket_not_a_plane"}
+        return {**ce, "issue": "bracket_not_a_plane"}
     through = [p for p in m.plane_masks if p & A and p & B and p & C]
     if through != [bracket]:
-        return {"issue": "common_plane_not_unique", "planes_through": len(through)}
+        return {**ce, "issue": "common_plane_not_unique", "planes_through": len(through)}
     return None
 
 
-def _replay_triangle(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    points = [mask_of_lines(_resolve(s, p)) for p in ce["points"]]
-    if not set(points) <= set(m.point_masks) or points[0] & points[1] & points[2]:
-        return False
-    return _triangle_issue(s, m, points) == {key: v for key, v in ce.items() if key != "points"}
-
-
-@registered("theorems", model=True, replay=_replay_triangle)
+@registered("theorems", _triangle_issue, model=True)
 def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Three non-collinear points form a triangle with a unique common plane.
 
@@ -214,32 +216,33 @@ def thm_triangle(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     found, examined = _point_triples(s, m)[name]
     if found is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined})
-    triple = found[:3]
-    ce = {"points": _point_labels(s, m, triple), **_triangle_issue(s, m, [m.point_masks[x] for x in triple])}
+    ce = _triangle_issue(s, m, _point_labels(s, m, found[:3]))
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined + 1})
 
 
-def _replay_tetrahedron(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
+def _tetrahedron_issue(s: IncidenceStructure, m: GeometryModel, points, **_) -> Optional[dict]:
+    """Three points sharing no line whose sides are not unique lines, or
+    that no point completes to the six-line pattern."""
+    if (named := _triple(s, m, points)) is None:
+        return None
+    (A, B, C), ce = named
     masks, adj = s.masks, s.adjacency
-    A, B, C = points = [mask_of_lines(_resolve(s, p)) for p in ce["points"]]
-    if not set(points) <= set(m.point_masks) or A & B & C:
-        return False
     sides = [B & C, C & A, A & B]
     if any(side.bit_count() != 1 for side in sides):
-        return ce["issue"] == "points_without_unique_common_line"
+        return {**ce, "issue": "points_without_unique_common_line"}
     sides = [side.bit_length() - 1 for side in sides]
     base = masks[sides[0]] & masks[sides[1]] & masks[sides[2]]
     for o in m.point_masks:
-        edges = [o & p for p in points]
+        edges = [o & p for p in (A, B, C)]
         if o & base or any(edge.bit_count() != 1 for edge in edges):
             continue
         six = sides + [edge.bit_length() - 1 for edge in edges]
         if len(set(six)) == 6 and all(adj[six[x], six[y]] != ((x, y) in _TETRA_SKEW) for x, y in _TETRA_PAIRS):
-            return False
-    return ce["issue"] == "no_completing_vertex"
+            return None
+    return {**ce, "issue": "no_completing_vertex"}
 
 
-@registered("theorems", model=True, replay=_replay_tetrahedron)
+@registered("theorems", _tetrahedron_issue, model=True)
 def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Every triangle extends to a four-vertex figure with the six-line pattern.
 
@@ -259,8 +262,7 @@ def thm_tetrahedron(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     verdicts = _point_triples(s, m)
     found, examined = verdicts[name]
     if found is not None:
-        issue = "no_completing_vertex" if min(found[3:]) >= 0 else "points_without_unique_common_line"
-        ce = {"points": _point_labels(s, m, found[:3]), "issue": issue}
+        ce = _tetrahedron_issue(s, m, _point_labels(s, m, found[:3]))
         return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined + 1})
     witness = None
     if verdicts["first"]:
@@ -295,43 +297,67 @@ def _points_on_lines(s: IncidenceStructure, m: GeometryModel) -> list[int]:
     return index.incidence[index.points].sum(axis=0).tolist()
 
 
-@registered("vy", model=True)
+def _e0_issue(s: IncidenceStructure, m: GeometryModel, line, **_) -> Optional[dict]:
+    l = s.index(line)
+    count = sum(p >> l & 1 for p in m.point_masks)
+    return {"line": s.labels[l], "points_on_line": count} if count < 3 else None
+
+
+@registered("vy", _e0_issue, model=True)
 def vy_e0(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """E0: at least three points on every line."""
     counts = _points_on_lines(s, m)
     bad = next((l for l, c in enumerate(counts) if c < 3), None)
     stats = {"lines_examined": s.line_count}
     if bad is not None:
-        ce = {"line": s.labels[bad], "points_on_line": counts[bad]}
-        return CheckReport("vy_e0", FAIL, counterexample=ce, stats=stats)
+        return CheckReport("vy_e0", FAIL, counterexample=_e0_issue(s, m, s.labels[bad]), stats=stats)
     if counts:
         stats["min_points_on_line"] = min(counts)
         stats["max_points_on_line"] = max(counts)
     return CheckReport("vy_e0", PASS, stats=stats)
 
 
-@registered("vy", model=True)
+def _e1_issue(s: IncidenceStructure, m: GeometryModel, **_) -> Optional[dict]:
+    return None if s.line_count else {"reason": "no lines"}
+
+
+@registered("vy", _e1_issue, model=True)
 def vy_e1(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """E1: at least one line exists."""
     if s.line_count >= 1:
         return CheckReport("vy_e1", PASS, stats={"lines": s.line_count})
-    return CheckReport("vy_e1", FAIL, counterexample={"reason": "no lines"}, stats={})
+    return CheckReport("vy_e1", FAIL, counterexample=_e1_issue(s, m), stats={})
 
 
-@registered("vy", model=True)
+def _e2_issue(s: IncidenceStructure, m: GeometryModel, line=None, **_) -> Optional[dict]:
+    if not m.point_masks:
+        return {"reason": "no points"}
+    if line is None or not all(p >> s.index(line) & 1 for p in m.point_masks):
+        return None
+    return {"line": s.labels[s.index(line)]}
+
+
+@registered("vy", _e2_issue, model=True)
 def vy_e2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """E2: not all points on one line."""
     pmasks = m.point_masks
     if not pmasks:
-        return CheckReport("vy_e2", FAIL, counterexample={"reason": "no points"}, stats={})
+        return CheckReport("vy_e2", FAIL, counterexample=_e2_issue(s, m), stats={})
     bad = next((l for l, c in enumerate(_points_on_lines(s, m)) if c == len(pmasks)), None)
     stats = {"points": len(pmasks)}
     if bad is not None:
-        return CheckReport("vy_e2", FAIL, counterexample={"line": s.labels[bad]}, stats=stats)
+        return CheckReport("vy_e2", FAIL, counterexample=_e2_issue(s, m, s.labels[bad]), stats=stats)
     return CheckReport("vy_e2", PASS, stats=stats)
 
 
-@registered("vy", model=True)
+def _e3_issue(s: IncidenceStructure, m: GeometryModel, plane, **_) -> Optional[dict]:
+    (h,) = _masks(s, plane)
+    if h not in m.plane_masks or not all(p & h for p in m.point_masks):
+        return None
+    return {"plane": labels_of(s, lines_of_mask(h))}
+
+
+@registered("vy", _e3_issue, model=True)
 def vy_e3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """E3: for every plane, some point off it (none when there are no points)."""
     index = model_index(s, m)
@@ -339,64 +365,64 @@ def vy_e3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     unavoidable = np.flatnonzero((common > 0).all(axis=0))
     stats = {"planes": len(m.plane_masks)}
     if len(unavoidable):
-        ce = {"plane": labels_of(s, m.planes[int(unavoidable[0])])}
+        ce = _e3_issue(s, m, labels_of(s, m.planes[int(unavoidable[0])]))
         return CheckReport("vy_e3", FAIL, counterexample=ce, stats=stats)
     return CheckReport("vy_e3", PASS, stats=stats)
 
 
-def _pair_check(name: str, s: IncidenceStructure, m: GeometryModel, kind: str, violates) -> CheckReport:
-    """Fails on the first two elements of one kind, in combinations order,
-    whose counts of shared lines ``violates`` flags."""
-    index = model_index(s, m)
-    elements, rows = (m.points, index.points) if kind == "point" else (m.planes, index.planes)
-    hit = _first_pair(violates(shared_lines(s, index.masks)[0][np.ix_(rows, rows)]))[0]
-    stats = {f"{kind}s": len(elements)}
-    if hit is None:
-        return CheckReport(name, PASS, stats=stats)
-    ce = {f"{kind}_a": labels_of(s, elements[hit[0]]), f"{kind}_b": labels_of(s, elements[hit[1]])}
-    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
+def _pair_check(name: str, kind: str, violates, doc: str):
+    """Register the vy check ``name``, documented by ``doc``, that fails on
+    the first two listed elements of one kind, in combinations order, whose
+    count of shared lines ``violates`` flags."""
+
+    def issue(s: IncidenceStructure, m: GeometryModel, **ce) -> Optional[dict]:
+        a, b = _masks(s, ce[f"{kind}_a"], ce[f"{kind}_b"])
+        if not _listed(m.point_masks if kind == "point" else m.plane_masks, a, b) or not violates((a & b).bit_count()):
+            return None
+        return {f"{kind}_a": labels_of(s, lines_of_mask(a)), f"{kind}_b": labels_of(s, lines_of_mask(b))}
+
+    def check(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
+        index = model_index(s, m)
+        elements, rows = (m.points, index.points) if kind == "point" else (m.planes, index.planes)
+        hit = _first_pair(violates(shared_lines(s, index.masks)[0][np.ix_(rows, rows)]))[0]
+        stats = {f"{kind}s": len(elements)}
+        if hit is None:
+            return CheckReport(name, PASS, stats=stats)
+        ce = issue(s, m, **{f"{kind}_{x}": labels_of(s, elements[i]) for x, i in zip("ab", hit)})
+        return CheckReport(name, FAIL, counterexample=ce, stats=stats)
+
+    check.__name__, check.__doc__ = name, doc
+    return registered("vy", issue, model=True)(check)
 
 
-@registered("vy", model=True)
-def vy_e3p(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
-    """E3': two distinct planes share a line."""
-    return _pair_check("vy_e3p", s, m, "plane", lambda common: common == 0)
+vy_e3p = _pair_check("vy_e3p", "plane", lambda common: common == 0, "E3': two distinct planes share a line.")
+vy_a1 = _pair_check("vy_a1", "point", lambda common: common == 0, "A1: two distinct points share a line.")
+vy_a2 = _pair_check("vy_a2", "point", lambda common: common > 1, "A2: two distinct points share at most one line.")
 
 
-@registered("vy", model=True)
-def vy_a1(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
-    """A1: two distinct points share a line."""
-    return _pair_check("vy_a1", s, m, "point", lambda common: common == 0)
-
-
-@registered("vy", model=True)
-def vy_a2(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
-    """A2: two distinct points share at most one line."""
-    return _pair_check("vy_a2", s, m, "point", lambda common: common > 1)
-
-
-def _replay_vy_a3(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    points = set(m.point_masks)
-    named = {key: mask_of_lines(_resolve(s, ce[key])) for key in ("point_d", "point_e") if key in ce}
-    if any(p not in points for p in named.values()):
-        return False
-    if ce.get("issue") == "joining_line_not_unique":
-        return named["point_d"] != named["point_e"] and (named["point_d"] & named["point_e"]).bit_count() != 1
-    A, B, C = (mask_of_lines(_resolve(s, p)) for p in ce["points"])
+def _a3_issue(s: IncidenceStructure, m: GeometryModel, points=None, point_d=None, point_e=None, **_) -> Optional[dict]:
+    """Named points D and E that share no one line; else D on BC and E on
+    CA of the named triangle whose joining line misses AB."""
+    if point_d is not None:
+        d, e = _masks(s, point_d, point_e)
+        if not _listed(m.point_masks, d, e):
+            return None
+        ends = {"point_d": labels_of(s, lines_of_mask(d)), "point_e": labels_of(s, lines_of_mask(e))}
+        if (d & e).bit_count() != 1:
+            return {**ends, "issue": "joining_line_not_unique"}
+    if (named := _triple(s, m, points)) is None:
+        return None
+    (A, B, C), ce = named
     sides = (B & C, C & A, A & B)
-    if not {A, B, C} <= points or A & B & C:
-        return False
-    if ce.get("issue") == "points_without_unique_common_line":
-        return any(side.bit_count() != 1 for side in sides)
     if any(side.bit_count() != 1 for side in sides):
-        return False
+        return {**ce, "issue": "points_without_unique_common_line"}
     a, b, c = (side.bit_length() - 1 for side in sides)
-    d, e, f = named["point_d"], named["point_e"], s.index(ce["joining_line"])
-    on_sides = bool(d >> a & 1 and e >> b & 1) and d != e and d & e == 1 << f
-    return on_sides and c == s.index(ce["ab_line"]) and not s.adjacency[c, f]
+    if point_d is None or not (d >> a & 1 and e >> b & 1) or s.adjacency[c, (d & e).bit_length() - 1]:
+        return None
+    return {**ce, **ends, "joining_line": s.labels[(d & e).bit_length() - 1], "ab_line": s.labels[c]}
 
 
-@registered("vy", model=True, replay=_replay_vy_a3)
+@registered("vy", _a3_issue, model=True)
 def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A3: the line joining D on BC and E on CA meets AB.
 
@@ -414,10 +440,8 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     if found is None:
         return CheckReport("vy_a3", PASS, stats={"cases_examined": examined})
     *triple, a, b, c = found
-    points = _point_labels(s, m, triple)
-    if min(a, b, c) < 0:
-        ce = {"points": points, "issue": "points_without_unique_common_line"}
-    else:
+    ends = {}
+    if min(a, b, c) >= 0:
         P = m.point_masks
         on_a, on_b = ([d for d, p in enumerate(P) if p >> x & 1] for x in (a, b))
         for examined, (d, e) in enumerate([(d, e) for d in on_a for e in on_b if d != e], examined + 1):
@@ -425,10 +449,7 @@ def vy_a3(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             if join.bit_count() != 1 or not s.adjacency[c, join.bit_length() - 1]:
                 break
         ends = {"point_d": labels_of(s, m.points[d]), "point_e": labels_of(s, m.points[e])}
-        if join.bit_count() != 1:
-            ce = {**ends, "issue": "joining_line_not_unique"}
-        else:
-            ce = {"points": points, **ends, "joining_line": s.labels[join.bit_length() - 1], "ab_line": s.labels[c]}
+    ce = _a3_issue(s, m, _point_labels(s, m, triple), **ends)
     return CheckReport("vy_a3", FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 

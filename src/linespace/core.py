@@ -227,10 +227,6 @@ class IncidenceStructure:
     def full_mask(self) -> int:
         return (1 << self.line_count) - 1
 
-    def label(self, i: int) -> str:
-        self.check_index(i)
-        return self._labels[i]
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]

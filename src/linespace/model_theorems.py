@@ -37,31 +37,23 @@ from .labeling import (
     shared_lines,
 )
 from .registry import FAIL, PASS, CheckReport, registered
-from .sigma import sigma_mask
 from .theorems import _classes_at, _in_sigma, _keep_least, _ranked, _walk
 
 
 _CELLS_PER_STEP = 1 << 20  # cells per step of the exchange rows, the line-in-plane hosts and the A3 joins
 
 
-def _triad_sides(m: GeometryModel, a: int, b: int, c: int) -> tuple:
-    """Per line of triad (a, b, c), the labeled class of the sigma set of
-    the other two that holds it, as a Kind, or None."""
-
-    def side(x, y, third):
+def _triad_typing_issue(s: IncidenceStructure, m: GeometryModel, triad, **_) -> Optional[dict]:
+    """Per line of the triad, the labeled class of the other two's sigma set
+    that holds it, "point", "plane" or None; all point or all plane passes."""
+    a, b, c = _resolve(s, triad)
+    sides = []
+    for x, y, third in ((b, c, a), (c, a, b), (a, b, c)):
         pc, qc = _classes_at(m, x, y)
-        if (pc >> third) & 1:
-            return Kind.POINT
-        if (qc >> third) & 1:
-            return Kind.PLANE
+        sides.append("point" if pc >> third & 1 else "plane" if qc >> third & 1 else None)
+    if sides[0] is not None and len(set(sides)) == 1:
         return None
-
-    return side(b, c, a), side(c, a, b), side(a, b, c)
-
-
-def _replay_triad_typing(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    sides = _triad_sides(m, *_resolve(s, ce["triad"]))
-    return sides[0] is None or len(set(sides)) != 1
+    return {"triad": labels_of(s, (a, b, c)), "sides": sides}
 
 
 def _model_triads(s: IncidenceStructure, m: GeometryModel) -> dict:
@@ -118,12 +110,12 @@ def _model_triads(s: IncidenceStructure, m: GeometryModel) -> dict:
             i, j = int(x[r]), int(y[r])
             examined += i * (int(size[k]) - 1) - i * (i - 1) // 2 + j - i  # rows up to (i, j)
             pair = int(members[k, i]), int(members[k, j])
-        return {"thm_triad_typing": (typing, typed), "thm_exchange": ((triad, k, pair), examined)}
+        return {"thm_triad_typing": (typing, typed), "thm_exchange": ((triad, pair), examined)}
 
     return s.cached(("triads", m), build)
 
 
-@registered("theorems", model=True, replay=_replay_triad_typing)
+@registered("theorems", _triad_typing_issue, model=True)
 def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Each triad sits uniformly on the point side or the plane side.
 
@@ -138,29 +130,28 @@ def thm_triad_typing(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     stats = {"triads_examined": examined}
     if found is None:
         return CheckReport(name, PASS, stats=stats)
-    ce = {"triad": labels_of(s, found), "sides": [x.value if x else None for x in _triad_sides(m, *found)]}
-    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
+    return CheckReport(name, FAIL, counterexample=_triad_typing_issue(s, m, labels_of(s, found)), stats=stats)
 
 
-def _replay_point_ne_plane(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    e = tuple(sorted(_resolve(s, ce["element"])))
-    return e in set(m.points) and e in set(m.planes)
+def _point_ne_plane_issue(s: IncidenceStructure, m: GeometryModel, element, **_) -> Optional[dict]:
+    e = mask_of_lines(_resolve(s, element))
+    return {"element": labels_of(s, lines_of_mask(e))} if e in m.point_masks and e in m.plane_masks else None
 
 
-@registered("theorems", model=True, replay=_replay_point_ne_plane)
+@registered("theorems", _point_ne_plane_issue, model=True)
 def thm_point_ne_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """No line set is both a point and a plane of the model."""
     name = "thm_point_ne_plane"
     overlap = set(m.points) & set(m.planes)
     stats = {"points": len(m.points), "planes": len(m.planes)}
     if overlap:
-        return CheckReport(name, FAIL, counterexample={"element": labels_of(s, min(overlap))}, stats=stats)
+        ce = _point_ne_plane_issue(s, m, labels_of(s, min(overlap)))
+        return CheckReport(name, FAIL, counterexample=ce, stats=stats)
     return CheckReport(name, PASS, stats=stats)
 
 
-def _pencil_issue(s: IncidenceStructure, m: GeometryModel, a: int, b: int) -> Optional[dict]:
-    """The counterexample of thm_pencil_intersection at the incident pair
-    a < b, from the definitions, or None when the pair passes."""
+def _pencil_issue(s: IncidenceStructure, m: GeometryModel, pair, **_) -> Optional[dict]:
+    a, b = _resolve(s, pair)
     try:
         pt = m.point_masks[_unique_element(m, a, b, Kind.POINT)]
         pl = m.plane_masks[_unique_element(m, a, b, Kind.PLANE)]
@@ -184,12 +175,7 @@ def _pencil_issue(s: IncidenceStructure, m: GeometryModel, a: int, b: int) -> Op
     return None
 
 
-def _replay_pencil_intersection(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    got = _pencil_issue(s, m, *sorted(_resolve(s, ce["pair"])))
-    return got is not None and ("issue" in got) == ("issue" in ce)  # the same kind of failure
-
-
-@registered("theorems", model=True, replay=_replay_pencil_intersection)
+@registered("theorems", _pencil_issue, model=True)
 def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """meet and join of a pair intersect in the pair's double perp.
 
@@ -230,29 +216,35 @@ def thm_pencil_intersection(s: IncidenceStructure, m: GeometryModel) -> CheckRep
     if not len(flagged):
         return CheckReport(name, PASS, stats={"pairs_examined": len(table.pairs)})
     p = int(flagged[0])
-    ce = _pencil_issue(s, m, *table.pairs[p].tolist())
+    ce = _pencil_issue(s, m, labels_of(s, table.pairs[p].tolist()))
     return CheckReport(name, FAIL, counterexample=ce, stats={"pairs_examined": p + 1})
 
 
-def _replay_exchange(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    t = _resolve(s, ce["triad"])
-    issue = ce["issue"]
+def _exchange_issue(s: IncidenceStructure, m: GeometryModel, triad, x=None, y=None, **_) -> Optional[dict]:
+    """A bracket that is no element, else the failure at the row (x, y) of
+    the bracket; a mask listed in both families is a point."""
+    t = _resolve(s, triad)
     B = perp_mask(s, mask_of_lines(t))
-    if issue == "bracket_not_an_element":
-        return B not in m.point_masks + m.plane_masks
-    x, y = s.index(ce["x"]), s.index(ce["y"])
-    inside = bool((B >> x) & 1 and (B >> y) & 1)
-    if issue == "skew_pair_in_bracket":
-        return inside and not s.adjacency[x, y]
-    t_mask = mask_of_lines(t)
-    if issue == "sigma_misses_triad":
-        return inside and not (sigma_mask(s, x, y) & t_mask)
-    pc, qc = _classes_at(m, x, y)
-    refined = pc if ce["kind"] == "point" else qc
-    return inside and not (refined & t_mask)
+    if B not in m.point_masks + m.plane_masks:
+        return {"triad": labels_of(s, t), "issue": "bracket_not_an_element"}
+    if x is None:
+        return None
+    u, v = _resolve(s, (x, y))
+    if not (u < v and B >> u & 1 and B >> v & 1):
+        return None
+    ce = {"triad": labels_of(s, t), "x": s.labels[u], "y": s.labels[v]}
+    if not s.adjacency[u, v]:
+        return {**ce, "issue": "skew_pair_in_bracket"}
+    if not any(_in_sigma(s, u, v, z) for z in t):
+        return {**ce, "issue": "sigma_misses_triad"}
+    kind = "point" if B in m.point_masks else "plane"
+    pc, qc = _classes_at(m, u, v)
+    if (pc if kind == "point" else qc) & mask_of_lines(t):
+        return None
+    return {**ce, "kind": kind, "issue": "refined_class_misses_triad"}
 
 
-@registered("theorems", model=True, replay=_replay_exchange)
+@registered("theorems", _exchange_issue, model=True)
 def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Distinct lines of a triad's bracket have one of the triad in their sigma.
 
@@ -276,17 +268,9 @@ def thm_exchange(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     found, examined = _model_triads(s, m)[name]
     if found is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined})
-    triad, k, pair = found
-    ce = {"triad": labels_of(s, triad), "issue": "bracket_not_an_element"}
-    if pair is not None:
-        u, v = pair
-        ce = {"triad": ce["triad"], "x": s.labels[u], "y": s.labels[v]}
-        if not s.adjacency[u, v]:
-            ce["issue"] = "skew_pair_in_bracket"
-        elif not any(_in_sigma(s, u, v, z) for z in triad):
-            ce["issue"] = "sigma_misses_triad"
-        else:
-            ce.update(kind="point" if model_index(s, m).kind[k] == 0 else "plane", issue="refined_class_misses_triad")
+    triad, pair = found
+    row = {} if pair is None else dict(zip("xy", labels_of(s, pair)))
+    ce = _exchange_issue(s, m, labels_of(s, triad), **row)
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
@@ -309,15 +293,24 @@ def _first_pair(flags: np.ndarray) -> tuple:
     return (int(i[hit[0]]), int(j[hit[0]])), int(hit[0]) + 1
 
 
-def _replay_not_singleton(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    p = tuple(sorted(_resolve(s, ce["point"])))
-    q = tuple(sorted(_resolve(s, ce["plane"])))
-    if p not in set(m.points) or q not in set(m.planes):
-        return False
-    return (mask_of_lines(p) & mask_of_lines(q)).bit_count() == 1
+def _listed(family: tuple[int, ...], *masks: int) -> bool:
+    """Whether ``family`` lists each of ``masks`` at least as often as they
+    name it: the kernels take two listings of one mask as two elements."""
+    return all(family.count(x) >= masks.count(x) for x in masks)
 
 
-@registered("theorems", model=True, replay=_replay_not_singleton)
+def _masks(s: IncidenceStructure, *elements) -> list[int]:
+    return [mask_of_lines(_resolve(s, e)) for e in elements]
+
+
+def _not_singleton_issue(s: IncidenceStructure, m: GeometryModel, point, plane, **_) -> Optional[dict]:
+    p, q = _masks(s, point, plane)
+    if not (p in m.point_masks and q in m.plane_masks and (p & q).bit_count() == 1):
+        return None
+    return {key: labels_of(s, lines_of_mask(x)) for key, x in (("point", p), ("plane", q), ("common", p & q))}
+
+
+@registered("theorems", _not_singleton_issue, model=True)
 def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """A point and a plane never share exactly one line.
 
@@ -330,57 +323,54 @@ def thm_not_singleton(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     if not len(bad):
         return CheckReport(name, PASS, stats={"pairs_examined": common.size})
     i, j = divmod(int(bad[0]), len(m.planes))
-    ce = {
-        "point": labels_of(s, m.points[i]),
-        "plane": labels_of(s, m.planes[j]),
-        "common": labels_of(s, lines_of_mask(m.point_masks[i] & m.plane_masks[j])),
-    }
+    ce = _not_singleton_issue(s, m, labels_of(s, m.points[i]), labels_of(s, m.planes[j]))
     return CheckReport(name, FAIL, counterexample=ce, stats={"pairs_examined": int(bad[0]) + 1})
 
 
-def _replay_uniqueness(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    family = m.points if ce["kind"] == "point" else m.planes
-    ea = tuple(sorted(_resolve(s, ce["element_a"])))
-    eb = tuple(sorted(_resolve(s, ce["element_b"])))
-    if ea == eb or ea not in set(family) or eb not in set(family):
-        return False
-    return (mask_of_lines(ea) & mask_of_lines(eb)).bit_count() > 1
+def _uniqueness_issue(s: IncidenceStructure, m: GeometryModel, kind, element_a, element_b, **_) -> Optional[dict]:
+    a, b = _masks(s, element_a, element_b)
+    if not _listed(m.point_masks if kind == "point" else m.plane_masks, a, b) or (a & b).bit_count() < 2:
+        return None
+    named = {"element_a": labels_of(s, lines_of_mask(a)), "element_b": labels_of(s, lines_of_mask(b))}
+    return {"kind": kind, **named, "common": labels_of(s, lines_of_mask(a & b))}
 
 
-@registered("theorems", model=True, replay=_replay_uniqueness)
+@registered("theorems", _uniqueness_issue, model=True)
 def thm_uniqueness(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Two distinct same-kind elements share at most one line (both kinds)."""
     name = "thm_uniqueness"
     index = model_index(s, m)
     count = shared_lines(s, index.masks)[0]
     examined = 0
-    for kind, masks, rows in (("point", m.point_masks, index.points), ("plane", m.plane_masks, index.planes)):
+    for kind, family, rows in (("point", m.points, index.points), ("plane", m.planes, index.planes)):
         hit, pairs = _first_pair(count[np.ix_(rows, rows)] > 1)
         examined += pairs
         if hit is not None:
-            a, b = masks[hit[0]], masks[hit[1]]
-            ce = {
-                "kind": kind,
-                "element_a": labels_of(s, lines_of_mask(a)),
-                "element_b": labels_of(s, lines_of_mask(b)),
-                "common": labels_of(s, lines_of_mask(a & b)),
-            }
+            ce = _uniqueness_issue(s, m, kind, *(labels_of(s, family[i]) for i in hit))
             return CheckReport(name, FAIL, counterexample=ce, stats={"pairs_examined": examined})
     return CheckReport(name, PASS, stats={"pairs_examined": examined})
 
 
-def _replay_line_in_plane(s: IncidenceStructure, ce: dict, m: GeometryModel) -> bool:
-    kind, host_kind = ("point", "plane") if "point_a" in ce else ("plane", "point")
-    a = mask_of_lines(_resolve(s, ce[f"{kind}_a"]))
-    b = mask_of_lines(_resolve(s, ce[f"{kind}_b"]))
-    if ce["issue"].endswith("without_unique_common_line"):
-        return (a & b).bit_count() != 1
-    host = mask_of_lines(_resolve(s, ce[host_kind]))
-    l = s.index(ce["line"])
-    return bool(a & host) and bool(b & host) and (a & b) == 1 << l and not ((host >> l) & 1)
+def _line_in_plane_issue(s: IncidenceStructure, m: GeometryModel, **ce) -> Optional[dict]:
+    """Two listed elements of one kind that some host meets share no one
+    line, or their one line is not in the named host."""
+    kind, host_kind, where = ("point", "plane", "in_plane") if "point_a" in ce else ("plane", "point", "through_point")
+    family, hosts = (m.point_masks, m.plane_masks) if kind == "point" else (m.plane_masks, m.point_masks)
+    a, b = _masks(s, ce[f"{kind}_a"], ce[f"{kind}_b"])
+    pair = {f"{kind}_a": labels_of(s, lines_of_mask(a)), f"{kind}_b": labels_of(s, lines_of_mask(b))}
+    if not _listed(family, a, b):
+        return None
+    if (a & b).bit_count() != 1:
+        met = any(h & a and h & b for h in hosts)
+        return {**pair, "issue": f"{kind}s_without_unique_common_line"} if met else None
+    host = mask_of_lines(_resolve(s, ce.get(host_kind, ())))
+    if host not in hosts or not (host & a and host & b) or host & a & b:
+        return None
+    line = s.labels[(a & b).bit_length() - 1]
+    return {**pair, host_kind: labels_of(s, lines_of_mask(host)), "line": line, "issue": f"common_line_not_{where}"}
 
 
-@registered("theorems", model=True, replay=_replay_line_in_plane)
+@registered("theorems", _line_in_plane_issue, model=True)
 def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     """Two points on a plane have their common line in that plane; and dually.
 
@@ -397,7 +387,7 @@ def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
     count, line = shared_lines(s, index.masks)
     families = {"point": (m.points, index.points), "plane": (m.planes, index.planes)}
     examined = 0
-    for kind, host_kind, where in (("point", "plane", "in_plane"), ("plane", "point", "through_point")):
+    for kind, host_kind in (("point", "plane"), ("plane", "point")):
         (elements, rows), (hosts, host_rows) = families[kind], families[host_kind]
         meets = count[np.ix_(host_rows, rows)] > 0
         size = meets.sum(axis=1)
@@ -416,12 +406,7 @@ def thm_line_in_plane(s: IncidenceStructure, m: GeometryModel) -> CheckReport:
             k, r = divmod(int(bad[0]), len(x))
             examined += int(valid[:k].sum() + valid[k, : r + 1].sum())
             i, j = int(on[lo + k, x[r]]), int(on[lo + k, y[r]])
-            ce = {f"{kind}_a": labels_of(s, elements[i]), f"{kind}_b": labels_of(s, elements[j])}
-            if common[i, j] >= 0:
-                ce[host_kind] = labels_of(s, hosts[lo + k])
-                ce["line"] = s.labels[common[i, j]]
-                ce["issue"] = f"common_line_not_{where}"
-            else:
-                ce["issue"] = f"{kind}s_without_unique_common_line"
+            named = {f"{kind}_a": elements[i], f"{kind}_b": elements[j], host_kind: hosts[lo + k]}
+            ce = _line_in_plane_issue(s, m, **{key: labels_of(s, e) for key, e in named.items()})
             return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
     return CheckReport(name, PASS, stats={"cases_examined": examined})

@@ -3,19 +3,23 @@
 ``CHECKS`` lists the 6 axiom checks, the 17 theorems and the 8
 derived-geometry (vy) checks in the order every battery runs and reports
 them.  Each entry holds the check's name, its display name, its layer, whether
-it needs the point/plane model, its checker and its replayer.  The checkers
-register themselves with ``@registered``, so a module's checks enter the
-table in the order they are defined there.  Each check module imports the
-one below it, ``battery``, ``model_theorems``, ``theorems``, ``axioms``,
-so the axiom checks come first; a test pins the whole order.  Whatever
-reads the table here first imports the modules of the layers it reads,
-the top of that chain for "theorems" and "vy", so ``CHECKS`` lists every
-check even when read first, and ``check_all`` loads no theorems.
+it needs the point/plane model, its checker and its counterexample function.
+The checkers register themselves with ``@registered``, so a module's checks
+enter the table in the order they are defined there.  Each check module
+imports the one below it, ``battery``, ``model_theorems``, ``theorems``,
+``axioms``, so the axiom checks come first; a test pins the whole order.
+Whatever reads the table here first imports the modules of the layers it
+reads, the top of that chain for "theorems" and "vy", so ``CHECKS`` lists
+every check even when read first, and ``check_all`` loads no theorems.
 
-Everything that runs, names or replays checks reads this table:
-``run_checks`` runs the checks of some layers, deriving the model once when
-one of them needs it, and ``replay`` re-evaluates a failing report through
-its check's replayer.
+A counterexample function takes the structure, the model when the check
+needs one, and the labels its counterexample names as keyword arguments,
+absorbing with ``**_`` the fields it derives; it returns the whole
+counterexample, from the definitions, or None when that configuration does
+not violate the claim.  Each checker calls it where its kernel flags a
+violation.  ``run_checks`` runs the checks of some layers, deriving the
+model once when one of them needs it, and ``replay`` runs a failing
+report's function again on the report's own fields.
 """
 
 from __future__ import annotations
@@ -66,10 +70,8 @@ class CheckReport:
 class Check:
     """One entry of the table.
 
-    ``checker`` takes ``(s)``, or ``(s, m)`` when ``needs_model``; a
-    replayer takes ``(s, counterexample)`` or ``(s, counterexample, m)``
-    alike and returns whether the named configuration still violates the
-    claim.
+    ``checker`` takes ``(s)``, or ``(s, m)`` when ``needs_model``, and
+    ``counterexample`` takes the same and the counterexample's fields.
     """
 
     name: str
@@ -77,7 +79,7 @@ class Check:
     layer: str
     needs_model: bool
     checker: Callable[..., CheckReport]
-    replayer: Optional[Callable[..., bool]]
+    counterexample: Callable[..., Optional[dict]]
 
 
 _TABLE: list[Check] = []
@@ -97,10 +99,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def registered(layer: str, *, name=None, display=None, model=False, replay=None):
-    """Decorator that appends its checker to ``CHECKS``; the name defaults
-    to the function's.  A checker that needs the model is wrapped to report
-    dependency_unmet where the model's labeled classes cannot be built."""
+def registered(layer: str, counterexample, *, name=None, display=None, model=False):
+    """Decorator that appends its checker and ``counterexample``, its
+    function, to ``CHECKS``; the name defaults to the checker's.  A checker
+    that needs the model is wrapped to report dependency_unmet where the
+    model's labeled classes cannot be built."""
 
     def register(checker):
         key = name or checker.__name__
@@ -114,7 +117,7 @@ def registered(layer: str, *, name=None, display=None, model=False, replay=None)
                 except (NotTwoClassesError, MissingElementError) as e:
                     return _dependency(key, e)
 
-        _TABLE.append(Check(key, display or key, layer, model, checker, replay))
+        _TABLE.append(Check(key, display or key, layer, model, checker, counterexample))
         return checker
 
     return register
@@ -168,19 +171,19 @@ def run_checks(
 def replay(s: IncidenceStructure, report: CheckReport, m: Optional[GeometryModel] = None) -> bool:
     """Re-evaluate a failing report's counterexample against the structure.
 
-    Returns True when the named configuration still violates the claim.
-    Raises ValueError on a report with no counterexample, on a check with
-    no replayer, and on a check that needs the model when ``m`` is None.
+    Returns True when the check's counterexample function, run on the
+    report's own fields, gives back exactly those fields: the named
+    configuration still violates the claim, and every field it derives
+    agrees.  Raises ValueError on a report with no counterexample, on an
+    unknown check, and on a check that needs the model when ``m`` is None.
     """
     ce = report.counterexample
     name = report.check_name
     if ce is None:
         raise ValueError(f"report {name} has no counterexample")
     c = next((c for c in _checks(*LAYERS) if c.name == name), None)
-    if c is None or c.replayer is None:
+    if c is None:
         raise ValueError(f"no replay registered for check {name!r}")
-    if not c.needs_model:
-        return c.replayer(s, ce)
-    if m is None:
+    if c.needs_model and m is None:
         raise ValueError(f"replay of {name} needs the model it was checked against")
-    return c.replayer(s, ce, m)
+    return c.counterexample(*((s, m) if c.needs_model else (s,)), **ce) == ce

@@ -19,6 +19,7 @@ closure only to name why a perp does not split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .core import (
     IncidenceStructure,
@@ -92,7 +93,7 @@ def sigma(s: IncidenceStructure, a: int, b: int) -> frozenset[int]:
     return frozenset(lines_of_mask(sigma_mask(s, a, b)))
 
 
-def _transitivity_witness(s: IncidenceStructure, members: list[int]) -> tuple[int, int, int]:
+def _transitivity_witness(s: IncidenceStructure, members: list[int]) -> Optional[tuple[int, int, int]]:
     adj = s.adjacency
     for q in members:
         for p in members:
@@ -103,7 +104,7 @@ def _transitivity_witness(s: IncidenceStructure, members: list[int]) -> tuple[in
                     continue
                 if adj[q, r] and not adj[p, r]:
                     return (p, q, r)
-    raise AssertionError("clique check failed but no transitivity violation found")
+    return None
 
 
 def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
@@ -127,33 +128,44 @@ def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
     return out
 
 
+def sigma_witness(s: IncidenceStructure, pair, **_) -> Optional[dict]:
+    """Why sigma of the pair labeled ``pair`` is not two cliques: its class
+    count if not 2, else its first transitivity violation p, q, r; None if
+    it is.  NotTwoClassesError's witness, and thm_two_classes' function."""
+    a, b = (s.index(x) for x in pair)
+    sig = sigma_mask(s, a, b)
+    members = lines_of_mask(sig)
+    witness = {"pair": labels_of(s, (a, b)), "sigma": labels_of(s, members)}
+    count = len(incidence_classes(s, sig))
+    if count != 2:
+        return {**witness, "class_count": count}
+    violation = _transitivity_witness(s, members)
+    if violation is None:
+        return None
+    p, q, r = (s.labels[x] for x in violation)
+    return {**witness, "p": p, "q": q, "r": r}
+
+
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     """Split sigma(a, b) into its two incidence classes, verifying the split.
 
     The split and the classes are read at the pair's perp from
     ``core.perp_table``.  A perp that does not split, into exactly two
-    classes each a clique, raises NotTwoClassesError with a replayable
-    witness naming this pair (this includes an empty sigma set, which
-    downstream labeling code must never see as an empty partition).
+    classes each a clique, raises NotTwoClassesError with the replayable
+    witness ``sigma_witness`` names at this pair (this includes an empty
+    sigma set, which downstream labeling code must never see as an empty
+    partition).
     """
     a, b = _require_incident_distinct(s, a, b, "sigma_partition")
     table = perp_table(s)
     perp = table.index[a, b]
     if table.split[perp]:
         return SigmaPartition(pair=(a, b), class_masks=table.classes[perp])
-    sig = sigma_mask(s, a, b)
-    pair_labels = labels_of(s, (a, b))
-    name = f"sigma({pair_labels[0]}, {pair_labels[1]})"
-    members = lines_of_mask(sig)
-    witness = {"pair": pair_labels, "sigma": labels_of(s, members)}
-    if not sig:
-        raise NotTwoClassesError(f"{name} is empty", {**witness, "class_count": 0})
-    count = len(incidence_classes(s, sig))
-    if count != 2:
-        raise NotTwoClassesError(
-            f"{name} has {count} incidence classes, expected 2", {**witness, "class_count": count}
-        )
-    p, q, r = (s.labels[x] for x in _transitivity_witness(s, members))
-    raise NotTwoClassesError(
-        f"incidence is not transitive on {name}", {**witness, "p": p, "q": q, "r": r}
-    )
+    witness = sigma_witness(s, labels_of(s, (a, b)))
+    assert witness is not None, "perp_table finds no split where sigma_witness finds one"
+    name = "sigma({}, {})".format(*witness["pair"])
+    if "p" in witness:
+        raise NotTwoClassesError(f"incidence is not transitive on {name}", witness)
+    count = witness["class_count"]
+    message = f"{name} is empty" if count == 0 else f"{name} has {count} incidence classes, expected 2"
+    raise NotTwoClassesError(message, witness)

@@ -42,24 +42,26 @@ The costliest checks run array kernels, and every kernel judges as those
 of axioms 2.2 and 2.3 do: it computes the check's predicate for every
 item it walks, so the first it flags is the least violation, and the
 report is read from its arrays, or named from the definitions at that
-item.  No kernel hands an item to a scalar walk of its check; the
-replayers, which re-verify one counterexample, stay scalar.
+item.  No kernel hands an item to a scalar walk of its check.  Each check
+names its counterexample, at the item its kernel flags, with one scalar
+function from the definitions, which its replay runs again.
 
 Every check registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
-for the derived-geometry battery), whether it needs the model, and its
-replayer, defined just above it.  The table gives the check its place in
-``run_theorem_suite``, ``vy_axioms`` and ``check``, and its replay;
-adding a check takes no other edit.
+for the derived-geometry battery), its counterexample function, defined
+just above it, and whether it needs the model.  The table gives the check
+its place in ``run_theorem_suite``, ``vy_axioms`` and ``check``, and its
+replay; adding a check takes no other edit.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 import numpy as np
 
-from .axioms import _replay_not_two_classes, _resolve
+from .axioms import _resolve
 from .core import (
     IncidenceStructure,
     _words,
@@ -73,7 +75,7 @@ from .core import (
 )
 from .labeling import GeometryModel, MissingElementError, _labeled_split, _line_incidence, element_masks, model_index
 from .registry import FAIL, PASS, CheckReport, registered
-from .sigma import NotTwoClassesError, sigma_mask, sigma_partition
+from .sigma import sigma_mask, sigma_witness
 
 
 _WALK_TRIPLES = 1 << 12  # triples per run of the element walk and per block of the point-triple walk
@@ -186,7 +188,7 @@ def _triads(s: IncidenceStructure) -> dict:
             fresh = first[new, 0] < 0
             first[new[fresh]] = triples[own][at[fresh]]
             bad = own & ~held.all(axis=0)
-            _keep_least(runs["thm_sigma_equivalence"], triples[bad], *held[:, bad])
+            _keep_least(runs["thm_sigma_equivalence"], triples[bad])
             bad = ~triad & same
             np.minimum.at(stop, e[bad], place[bad])
             _keep_least(runs["thm_coherence"], triples[bad], e[bad])
@@ -198,12 +200,11 @@ def _triads(s: IncidenceStructure) -> dict:
             foreign = rows.any(axis=1)
             bad = mine[foreign]
             keyed = np.column_stack((least_bits(rows[foreign]), triples[bad]))  # the least foreign element first
-            _keep_least(runs["thm_mutual_membership"], keyed, e[bad])
-        delta = [perp_mask(s, B) ^ B for B in emasks]
-        runs["thm_bracket_closed"] = [(*first[e].tolist(), delta[e]) for e in range(count) if delta[e]]
+            _keep_least(runs["thm_mutual_membership"], keyed)
+        runs["thm_bracket_closed"] = [tuple(first[e].tolist()) for e, B in enumerate(emasks) if perp_mask(s, B) != B]
         least = {name: min(found, default=None) for name, found in runs.items()}
         ranked = ("thm_sigma_equivalence", "thm_bracket_closed")
-        found = {name: least[name][:3] for name in ranked if least[name]}
+        found = {name: least[name] for name in ranked if least[name]}
         below = _ranked(((t, dict.fromkeys(found, h.any(axis=0) & same)) for _, _, t, h, same in _walk(s)), found)
         return {
             "triads": total,
@@ -260,13 +261,15 @@ def _in_sigma(s: IncidenceStructure, x: int, y: int, z: int) -> bool:
 # Structure-level theorems
 
 
-def _replay_sigma_equivalence(s: IncidenceStructure, ce: dict) -> bool:
-    a, b, c = _resolve(s, ce["triple"])
-    vals = (_in_sigma(s, b, c, a), _in_sigma(s, c, a, b), _in_sigma(s, a, b, c))
-    return not (vals[0] == vals[1] == vals[2])
+def _sigma_equivalence_issue(s: IncidenceStructure, triple, **_) -> Optional[dict]:
+    a, b, c = _resolve(s, triple)
+    m1, m2, m3 = _in_sigma(s, b, c, a), _in_sigma(s, c, a, b), _in_sigma(s, a, b, c)
+    if m1 == m2 == m3:
+        return None
+    return {"triple": labels_of(s, (a, b, c)), "a_in_sigma_bc": m1, "b_in_sigma_ca": m2, "c_in_sigma_ab": m3}
 
 
-@registered("theorems", replay=_replay_sigma_equivalence)
+@registered("theorems", _sigma_equivalence_issue)
 def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     """The three sigma memberships of any triple agree (all hold or none).
 
@@ -279,44 +282,42 @@ def thm_sigma_equivalence(s: IncidenceStructure) -> CheckReport:
     stats = {"triads_examined": examined}
     if found is None:
         return CheckReport(name, PASS, stats=stats)
-    *triple, m1, m2, m3 = found
-    ce = {"triple": labels_of(s, triple), "a_in_sigma_bc": m1, "b_in_sigma_ca": m2, "c_in_sigma_ab": m3}
-    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
+    return CheckReport(name, FAIL, counterexample=_sigma_equivalence_issue(s, labels_of(s, found)), stats=stats)
 
 
-@registered("theorems", replay=_replay_not_two_classes)
+@registered("theorems", sigma_witness)
 def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     """Incidence on every sigma(a, b) splits into exactly two classes.
 
     Kernel: the split depends only on perp({a, b}), so it is read per
     distinct perp from ``core.perp_table``; the first pair whose perp does
-    not split fails, and ``sigma_partition`` names its witness.
+    not split fails, and ``sigma.sigma_witness`` names its witness.
     """
     name = "thm_two_classes"
     table = perp_table(s)
     stats = {"pairs_examined": len(table.pairs)}
     unsplit = np.flatnonzero(~table.split[table.perp])
     if len(unsplit):
-        try:
-            sigma_partition(s, *table.pairs[unsplit[0]].tolist())
-        except NotTwoClassesError as e:
-            return CheckReport(name, FAIL, counterexample=dict(e.witness), stats=stats)
+        ce = sigma_witness(s, labels_of(s, table.pairs[unsplit[0]].tolist()))
+        return CheckReport(name, FAIL, counterexample=ce, stats=stats)
     if table.classes:
         stats["class_size_pairs"] = sorted(set(map(tuple, table.sizes.tolist())))
     return CheckReport(name, PASS, stats=stats)
 
 
-def _replay_bracket_welldefined(s: IncidenceStructure, ce: dict) -> bool:
+def _bracket_welldefined_issue(s: IncidenceStructure, pair, c1, c2, **_) -> Optional[dict]:
     masks = s.masks
-    a, b = _resolve(s, ce["pair"])
-    c1, c2 = s.index(ce["c1"]), s.index(ce["c2"])
+    a, b = _resolve(s, pair)
+    c1, c2 = _resolve(s, (c1, c2))
     sig = sigma_mask(s, a, b)
-    inside = bool((sig >> c1) & 1 and (sig >> c2) & 1 and s.adjacency[c1, c2])
-    base = masks[a] & masks[b]
-    return inside and (base & masks[c1]) != (base & masks[c2])
+    differs = masks[a] & masks[b] & (masks[c1] ^ masks[c2])
+    if not (sig >> c1 & 1 and sig >> c2 & 1 and s.adjacency[c1, c2] and differs):
+        return None
+    named = {"pair": labels_of(s, (a, b)), "c1": s.labels[c1], "c2": s.labels[c2]}
+    return {**named, "differs_on": labels_of(s, lines_of_mask(differs))}
 
 
-@registered("theorems", replay=_replay_bracket_welldefined)
+@registered("theorems", _bracket_welldefined_issue)
 def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
     """Incident members of one sigma set give equal brackets over the pair.
 
@@ -338,43 +339,43 @@ def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
         return CheckReport(name, PASS, stats={"cases_examined": cases})
     k, x, y = hit
     lines = table.lines[k].tolist()
-    ce = {
-        "pair": labels_of(s, table.pairs[table.first[k]].tolist()),
-        "c1": s.labels[lines[x]],
-        "c2": s.labels[lines[y]],
-        "differs_on": labels_of(s, table.lines_at(k, table.skew[k, x] ^ table.skew[k, y])),
-    }
+    pair = labels_of(s, table.pairs[table.first[k]].tolist())
+    ce = _bracket_welldefined_issue(s, pair, s.labels[lines[x]], s.labels[lines[y]])
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": cases})
 
 
-def _replay_line_selfperp(s: IncidenceStructure, ce: dict) -> bool:
-    l = s.index(ce["line"])
-    return perp_mask(s, s.masks[l]) != 1 << l
+def _line_selfperp_issue(s: IncidenceStructure, line, **_) -> Optional[dict]:
+    l = s.index(line)
+    dd = perp_mask(s, s.masks[l])
+    return None if dd == 1 << l else {"line": s.labels[l], "double_perp": labels_of(s, lines_of_mask(dd))}
 
 
-@registered("theorems", replay=_replay_line_selfperp)
+@registered("theorems", _line_selfperp_issue)
 def thm_line_selfperp(s: IncidenceStructure) -> CheckReport:
     """The double perp of a single line is that line alone."""
     name = "thm_line_selfperp"
     for l in range(s.line_count):
-        dd = perp_mask(s, s.masks[l])
-        if dd != 1 << l:
-            ce = {"line": s.labels[l], "double_perp": labels_of(s, lines_of_mask(dd))}
+        if perp_mask(s, s.masks[l]) != 1 << l:
+            ce = _line_selfperp_issue(s, s.labels[l])
             return CheckReport(name, FAIL, counterexample=ce, stats={"lines_examined": l + 1})
     return CheckReport(name, PASS, stats={"lines_examined": s.line_count})
 
 
-def _replay_regulus_skew(s: IncidenceStructure, ce: dict) -> bool:
+def _regulus_skew_issue(s: IncidenceStructure, triple, **_) -> Optional[dict]:
+    """The least incident pair m < n in the bracket of the skew triple; a
+    triple in the perp of an incident pair has that pair in its bracket."""
     adj = s.adjacency
-    u, v, w = _resolve(s, ce["triple"])
-    x, y = s.index(ce["m"]), s.index(ce["n"])
-    skew_triple = not (adj[u, v] or adj[v, w] or adj[u, w])
+    u, v, w = _resolve(s, triple)
+    if adj[u, v] or adj[v, w] or adj[u, w]:
+        return None
     B = perp_mask(s, mask_of_lines((u, v, w)))
-    inside = bool((B >> x) & 1 and (B >> y) & 1)
-    return skew_triple and inside and x != y and bool(adj[x, y])
+    pair = next(((l, o) for l in lines_of_mask(B) for o in lines_of_mask(B & s.masks[l]) if o > l), None)
+    if pair is None:
+        return None
+    return {"triple": labels_of(s, (u, v, w)), "m": s.labels[pair[0]], "n": s.labels[pair[1]]}
 
 
-@registered("theorems", replay=_replay_regulus_skew)
+@registered("theorems", _regulus_skew_issue)
 def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     """The bracket of a pairwise-skew triple is itself pairwise skew.
 
@@ -400,18 +401,17 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     stats = {"pairs_examined": len(table.pairs)}
     if least is None:
         return CheckReport(name, PASS, stats=stats)
-    B = perp_mask(s, mask_of_lines(least))  # holds the incident pair whose perp holds the triple
-    m, n = next((l, o) for l in lines_of_mask(B) for o in lines_of_mask(B & s.masks[l]) if o > l)
-    ce = {"triple": labels_of(s, least), "m": s.labels[m], "n": s.labels[n]}
-    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
+    return CheckReport(name, FAIL, counterexample=_regulus_skew_issue(s, labels_of(s, least)), stats=stats)
 
 
-def _replay_bracket_closed(s: IncidenceStructure, ce: dict) -> bool:
-    B = perp_mask(s, mask_of_lines(_resolve(s, ce["triad"])))
-    return perp_mask(s, B) != B
+def _bracket_closed_issue(s: IncidenceStructure, triad, **_) -> Optional[dict]:
+    t = _resolve(s, triad)
+    B = perp_mask(s, mask_of_lines(t))
+    differs = perp_mask(s, B) ^ B
+    return {"triad": labels_of(s, t), "differs_on": labels_of(s, lines_of_mask(differs))} if differs else None
 
 
-@registered("theorems", replay=_replay_bracket_closed)
+@registered("theorems", _bracket_closed_issue)
 def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     """Every triad's bracket equals its own perp.
 
@@ -424,21 +424,22 @@ def thm_bracket_closed(s: IncidenceStructure) -> CheckReport:
     stats = {"triads_examined": examined}
     if found is None:
         return CheckReport(name, PASS, stats=stats)
-    *triad, delta = found
-    ce = {"triad": labels_of(s, triad), "differs_on": labels_of(s, lines_of_mask(delta))}
-    return CheckReport(name, FAIL, counterexample=ce, stats=stats)
+    return CheckReport(name, FAIL, counterexample=_bracket_closed_issue(s, labels_of(s, found)), stats=stats)
 
 
-def _replay_coherence(s: IncidenceStructure, ce: dict) -> bool:
-    p, q, r = _resolve(s, ce["triple"])
-    x, y, z = rep = _resolve(s, ce["triad_with_equal_bracket"])
-    same = perp_mask(s, mask_of_lines((p, q, r))) == perp_mask(s, mask_of_lines(rep))
-    rep_is_triad = _in_sigma(s, y, z, x) or _in_sigma(s, z, x, y) or _in_sigma(s, x, y, z)
-    triple_is_triad = _in_sigma(s, q, r, p) or _in_sigma(s, p, r, q) or _in_sigma(s, p, q, r)
-    return same and rep_is_triad and not triple_is_triad
+def _is_triad(s: IncidenceStructure, a: int, b: int, c: int) -> bool:
+    return _in_sigma(s, b, c, a) or _in_sigma(s, c, a, b) or _in_sigma(s, a, b, c)
 
 
-@registered("theorems", replay=_replay_coherence)
+def _coherence_issue(s: IncidenceStructure, triple, triad_with_equal_bracket, **_) -> Optional[dict]:
+    triple, triad = _resolve(s, triple), _resolve(s, triad_with_equal_bracket)
+    same = perp_mask(s, mask_of_lines(triple)) == perp_mask(s, mask_of_lines(triad))
+    if not same or _is_triad(s, *triple) or not _is_triad(s, *triad):
+        return None
+    return {"triple": labels_of(s, triple), "triad_with_equal_bracket": labels_of(s, triad)}
+
+
+@registered("theorems", _coherence_issue)
 def thm_coherence(s: IncidenceStructure) -> CheckReport:
     """A triple whose bracket equals a triad's bracket is itself a triad.
 
@@ -457,22 +458,24 @@ def thm_coherence(s: IncidenceStructure) -> CheckReport:
     if found is None:
         return CheckReport(name, PASS, stats={"cases_examined": examined, "triads": verdicts["triads"]})
     *triple, e = found
-    ce = {"triple": labels_of(s, triple), "triad_with_equal_bracket": labels_of(s, verdicts["first"][e].tolist())}
+    ce = _coherence_issue(s, labels_of(s, triple), labels_of(s, verdicts["first"][e].tolist()))
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": examined})
 
 
-def _replay_mutual_membership(s: IncidenceStructure, ce: dict) -> bool:
-    ta = _resolve(s, ce["triad_a"])
-    tb = _resolve(s, ce["triad_b"])
-    ba, bb = perp_mask(s, mask_of_lines(ta)), perp_mask(s, mask_of_lines(tb))
-    inside_ab = not (mask_of_lines(tb) & ~ba)
-    inside_ba = not (mask_of_lines(ta) & ~bb)
-    if ce["issue"] == "membership_not_symmetric":
-        return inside_ab != inside_ba
-    return inside_ab and inside_ba and ba != bb
+def _mutual_membership_issue(s: IncidenceStructure, triad_a, triad_b, **_) -> Optional[dict]:
+    ta, tb = mask_of_lines(_resolve(s, triad_a)), mask_of_lines(_resolve(s, triad_b))
+    ba, bb = perp_mask(s, ta), perp_mask(s, tb)
+    inside_ab, inside_ba = not tb & ~ba, not ta & ~bb
+    if inside_ab != inside_ba:
+        issue = "membership_not_symmetric"
+    elif inside_ab and ba != bb:
+        issue = "contained_but_brackets_differ"
+    else:
+        return None
+    return {"triad_a": labels_of(s, lines_of_mask(ta)), "triad_b": labels_of(s, lines_of_mask(tb)), "issue": issue}
 
 
-@registered("theorems", replay=_replay_mutual_membership)
+@registered("theorems", _mutual_membership_issue)
 def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     """Containment between two triads is symmetric and forces equal brackets.
 
@@ -491,8 +494,7 @@ def thm_mutual_membership(s: IncidenceStructure) -> CheckReport:
     stats = {"triads_examined": examined}
     if found is None:
         return CheckReport(name, PASS, stats=stats)
-    rank, *j, own = found
+    rank, *j = found
     i = verdicts["first"][sorted(range(len(emasks)), key=emasks.__getitem__)[rank]].tolist()
-    issue = "membership_not_symmetric" if mask_of_lines(i) & ~emasks[own] else "contained_but_brackets_differ"
-    ce = {"triad_a": labels_of(s, i), "triad_b": labels_of(s, j), "issue": issue}
+    ce = _mutual_membership_issue(s, labels_of(s, i), labels_of(s, j))
     return CheckReport(name, FAIL, counterexample=ce, stats=stats)

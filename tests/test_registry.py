@@ -1,6 +1,7 @@
 """The check registry is the one list of checks: order, names, layers, replays."""
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,17 +15,17 @@ from linespace import (
     gen_negative,
     gen_pg3,
     gen_tetrahedron,
+    save_reports,
     save_structure,
 )
 from linespace.cli import main
+from linespace.battery import run_theorem_suite, vy_axioms
 from linespace.registry import CHECKS, LAYERS, names, replay
 
 from test_theorems import PERTURBED, PERTURBED_REPLAYS, perturbed, seeded_mutant
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH_STEPS = Path(__file__).parent.parent / "bench" / "steps.py"
-
-WITHOUT_REPLAY = set(names("vy")) - {"vy_a3"}
 
 
 def test_order_matches_golden_reports():
@@ -63,30 +64,27 @@ def test_bench_name_lists_match_the_table():
 
 
 def test_checks_without_replay():
-    # Writing a replayer for one of these must remove it from WITHOUT_REPLAY.
-    assert {c.name for c in CHECKS if c.replayer is None} == WITHOUT_REPLAY
+    """Every check has a counterexample function, so every check replays."""
+    assert all(callable(c.counterexample) for c in CHECKS)
 
 
 def test_missing_replay_is_named():
-    report = CheckReport("vy_e0", "fail", counterexample={"issue": "any"})
-    with pytest.raises(ValueError, match="no replay registered for check 'vy_e0'"):
+    report = CheckReport("no_such_check", "fail", counterexample={"issue": "any"})
+    with pytest.raises(ValueError, match="no replay registered for check 'no_such_check'"):
         replay(gen_tetrahedron(), report)
 
 
 def test_golden_replays_follow_the_table():
     for case, rows in PERTURBED_REPLAYS.items():
         for name, outcome in rows:
-            if name in WITHOUT_REPLAY:
-                assert outcome == f"ValueError: no replay registered for check {name!r}"
-            else:
-                assert outcome is True, (case, name, outcome)
+            assert outcome is True, (case, name, outcome)
 
 
 def failing(path: Path) -> list[CheckReport]:
     return [
         CheckReport(d["check_name"], d["status"], d.get("counterexample"))
         for d in json.loads(path.read_text())["reports"]
-        if d["status"] == "fail" and d["check_name"] not in WITHOUT_REPLAY
+        if d["status"] == "fail"
     ]
 
 
@@ -119,3 +117,45 @@ def test_every_failing_golden_report_replays(pg3, pg3_model):
             assert replay(s, report, m) is True, (path.name, report.check_name)
             replayed += 1
     assert replayed > 100
+
+
+# Per field that a check's counterexample function derives from the labels
+# its counterexample names, a golden case that reports the check failing.
+DERIVED_FIELDS = [
+    ("no_skew_anywhere", "axiom1", "perp"),
+    ("no_skew_anywhere", "axiom2_1", "perp"),
+    ("no_skew_anywhere", "thm_line_selfperp", "double_perp"),
+    ("perps_pg32_0", "thm_bracket_welldefined", "differs_on"),
+    ("suite_flip_2_6", "thm_bracket_closed", "differs_on"),
+    ("suite_non_element_first", "thm_not_singleton", "common"),
+    ("suite_non_element_first", "thm_uniqueness", "common"),
+]
+
+
+@pytest.mark.parametrize("case, name, key", DERIVED_FIELDS)
+def test_replay_checks_every_derived_field(case, name, key, pg2, pg3, pg3_model):
+    """A failing report with one derived field changed no longer replays."""
+    if case.startswith("perps_pg32_"):
+        path, s, m = GOLDEN / "perturbed" / f"{case}.json", seeded_mutant(pg2, int(case.split("_")[-1])), None
+    else:
+        path, s, m = next(c for c in golden_cases(pg3, pg3_model) if c[0].stem == case)
+    report = next(r for r in failing(path) if r.check_name == name)
+    assert replay(s, report, m) is True
+    changed = {**report.counterexample, key: report.counterexample[key][:-1]}
+    assert replay(s, CheckReport(name, "fail", changed), m) is False
+
+
+@pytest.mark.parametrize("family, i", [("planes", 0), ("points", 0), ("points", -1)])
+def test_repeated_listings_replay(family, i, pg2, pg2_model, tmp_path):
+    """The kernels take two listings of one element as two elements, and so
+    do the counterexample functions: every failing report of a model that
+    lists one element twice replays, also read back from its report file."""
+    listed = getattr(pg2_model, family)
+    m = dataclasses.replace(pg2_model, **{family: listed + (listed[i],)})
+    reports = run_theorem_suite(pg2, m) + vy_axioms(pg2, m)
+    save_reports(reports, tmp_path / "r.json")
+    read_back = failing(tmp_path / "r.json")
+    assert "thm_uniqueness" in {r.check_name for r in read_back}
+    assert ("vy_a2" in {r.check_name for r in read_back}) == (family == "points")
+    for report in [r for r in reports if r.status == "fail"] + read_back:
+        assert replay(pg2, report, m) is True, (family, i, report.check_name, report.counterexample)
