@@ -161,25 +161,25 @@ def check_axiom2_2(s: IncidenceStructure) -> CheckReport:
     class, and each line's row is the other's class, so their OR is sigma.
     """
     table = perp_table(s)
-    sigma_words = _words(table.in_sigma)
-    per_pair = table.in_sigma.sum(axis=1)[table.perp]
-    for k, x, y in table.local_pairs(np.flatnonzero(~table.split)):  # a run holds each of its perps whole
-        meet = sigma_words[k] & ~(table.skew[k, x] | table.skew[k, y])
+    sigma_words = np.bitwise_or.reduce(table.skew, axis=1)  # sigma: the places skew to some place
+    per_pair = table.sizes.sum(axis=1)[table.perp]  # the classes partition sigma
+    for u, x, y in table.local_pairs():  # a run holds each of its perps whole
+        meet = sigma_words[u] & ~(table.skew[u, x] | table.skew[u, y])
         bad = np.flatnonzero(meet.any(axis=1))
         if len(bad):
             break
     else:
         return CheckReport("axiom2_2", PASS, stats={"triples_examined": int(per_pair.sum())})
-    mine = k == k[bad[0]]
-    k, x, y = int(k[bad[0]]), x[mine], y[mine]
+    mine = u == u[bad[0]]
+    u, x, y = int(u[bad[0]]), x[mine], y[mine]
     held = _places(meet[mine], table.lines.shape[1])
     z = int(held.any(axis=0).argmax())
     i = int(held[:, z].argmax())
-    p = int(table.first[k])
-    lines = table.lines[k].tolist()
+    p = int(table.first[table.unsplit[u]])
+    lines = table.lines[u].tolist()
     zxy = (s.labels[lines[z]], s.labels[lines[x[i]]], s.labels[lines[y[i]]])
     ce = _axiom2_2_issue(s, labels_of(s, table.pairs[p].tolist()), *zxy)
-    examined = int(per_pair[:p].sum() + table.in_sigma[k, :z].sum()) + 1
+    examined = int(per_pair[:p].sum() + _places(sigma_words[u], table.lines.shape[1])[:z].sum()) + 1
     return CheckReport("axiom2_2", FAIL, counterexample=ce, stats={"triples_examined": examined})
 
 
@@ -208,14 +208,14 @@ def check_axiom2_3(s: IncidenceStructure) -> CheckReport:
     """
     table = perp_table(s)
     hit, cases = table.first_flagged(
-        lambda k, x, y: (table.skew[k, x] & table.skew[k, y]).any(axis=1)
+        lambda u, x, y: (table.skew[u, x] & table.skew[u, y]).any(axis=1)
     )
     if hit is None:
         return CheckReport("axiom2_3", PASS, stats={"skew_pairs_examined": cases})
-    k, x, y = hit
-    lines = table.lines[k].tolist()
-    uncovered = table.lines_at(k, table.skew[k, x] & table.skew[k, y])[0]
-    pair = labels_of(s, table.pairs[table.first[k]].tolist())
+    u, x, y = hit
+    lines = table.lines[u].tolist()
+    uncovered = lines[least_bits(table.skew[u, [x]] & table.skew[u, [y]])[0]]
+    pair = labels_of(s, table.pairs[table.first[table.unsplit[u]]].tolist())
     ce = _axiom2_3_issue(s, pair, s.labels[lines[x]], s.labels[lines[y]], s.labels[uncovered])
     return CheckReport("axiom2_3", FAIL, counterexample=ce, stats={"skew_pairs_examined": cases})
 

@@ -408,15 +408,16 @@ class PerpTable:
 
     Pair p of ``pairs``, the (P, 2) array of ``incident_pairs``, has perp
     ``masks[perp[p]]``; ``masks`` holds the distinct perps in order of their
-    first pair, pair ``first[k]``.  Row k of ``lines`` lists perp k's lines
-    ascending (its places), padded with line n, which meets every line;
-    ``skew[k, i]`` holds, as ``_words`` words, the places skew to place i,
-    and ``in_sigma[k, i]`` whether there is one: whether i lies in sigma.
-    ``split[k]`` is whether incidence on sigma is two cliques: class 1, the
-    places skew to its least, and class 0; ``classes[k]`` holds them as line
-    masks.  On a split perp each sigma place is skew to exactly the other
-    class, and no other place to any: its skew pairs are the |c0| |c1| pairs
-    across, its incident pairs in sigma the C(|c0|, 2) + C(|c1|, 2) within.
+    first pair, pair ``first[k]``.  ``split[k]`` is whether incidence on
+    sigma is two cliques: class 1, the lines skew to its least, and class 0;
+    ``classes[k]`` holds them as line masks, which partition sigma.  On a
+    split perp each sigma line is skew to exactly the other class, and no
+    other line to any: its skew pairs are the |c0| |c1| pairs across, its
+    incident pairs in sigma the C(|c0|, 2) + C(|c1|, 2) within.  So only the
+    perps that do not split, ``unsplit``, ascending, keep rows: row u of
+    ``lines`` lists perp ``unsplit[u]``'s lines ascending (its places),
+    padded with line n, which meets every line, and ``skew[u, i]`` holds, as
+    ``_words`` words, the places skew to place i, none iff i is not in sigma.
 
     A set that depends only on the perp of a pair, as sigma and its classes
     do, is kept as one ``bit_rows`` row per perp, as ``sigma`` keeps sigma,
@@ -428,48 +429,44 @@ class PerpTable:
     perp: np.ndarray
     masks: tuple[int, ...]
     first: np.ndarray
+    unsplit: np.ndarray
     lines: np.ndarray
     skew: np.ndarray
-    in_sigma: np.ndarray
     split: np.ndarray
     classes: list[tuple[int, int]]
     sigma: np.ndarray
 
-    def local_pairs(self, perps: np.ndarray, incident: bool = False):
-        """Per run of ``perps`` taken at once, width squared cells each, (k, x,
-        y) in lexicographic order: each perp k of the run and places x < y of
+    def local_pairs(self, incident: bool = False):
+        """Per run of rows taken at once, width squared cells each, (u, x, y)
+        in lexicographic order: each row u of ``lines`` and places x < y of
         its lines that are skew or, if ``incident``, incident and in sigma."""
         width = self.lines.shape[1]
         step = max(1, _CELLS_PER_STEP // (width**2 + 1))
-        for lo in range(0, len(perps), step):
-            run = perps[lo : lo + step]
-            related = _places(self.skew[run], width)
-            if incident:
-                related = ~related & self.in_sigma[run, :, None] & self.in_sigma[run, None, :]
-            j, x, y = np.nonzero(related & np.triu(np.ones((width, width), bool), 1))
-            yield run[j], x, y
+        for lo in range(0, len(self.unsplit), step):
+            related = _places(self.skew[lo : lo + step], width)
+            if incident:  # sigma: the places skew to some place, the rows being symmetric
+                related = ~related & related.any(axis=2)[:, :, None] & related.any(axis=1)[:, None, :]
+            u, x, y = np.nonzero(related & np.triu(np.ones((width, width), bool), 1))
+            yield lo + u, x, y
 
     def first_flagged(self, flag, incident: bool = False) -> tuple:
-        """Judge the ``local_pairs`` of every perp, each a case of every pair
-        of that perp: ``flag(k, x, y)`` marks the failing ones.  Returns the
-        first failing (k, x, y), in order of first pairs, with the cases a
-        walk of the pairs meets up to it, or None with all the cases.  A flag
-        marks no pair of a split perp, so only the other perps are walked,
-        and a split perp's pairs are counted from its class sizes."""
+        """Judge the ``local_pairs`` of every unsplit perp, each a case of
+        every pair of that perp: ``flag(u, x, y)`` marks the failing ones.
+        Returns the first failing (u, x, y), in order of first pairs, with
+        the cases a walk of the pairs meets up to it, or None with all the
+        cases.  A flag marks no pair of a split perp, so a split perp's
+        pairs are counted from its class sizes."""
         size = self.sizes
         count = np.where(self.split, (size * (size - 1) // 2).sum(axis=1) if incident else size.prod(axis=1), 0)
-        for k, x, y in self.local_pairs(np.flatnonzero(~self.split), incident):
+        for u, x, y in self.local_pairs(incident):
+            k = self.unsplit[u]
             np.add.at(count, k, 1)
-            bad = np.flatnonzero(flag(k, x, y))
+            bad = np.flatnonzero(flag(u, x, y))
             if len(bad):
                 i = bad[0]
                 before = count[self.perp[: self.first[k[i]]]].sum() + i - np.searchsorted(k, k[i])
-                return (int(k[i]), int(x[i]), int(y[i])), int(before) + 1
+                return (int(u[i]), int(x[i]), int(y[i])), int(before) + 1
         return None, int(count[self.perp].sum())
-
-    def lines_at(self, k: int, words: np.ndarray) -> list[int]:
-        """The lines of perp k at the places set in ``words``."""
-        return self.lines[k][_places(words, self.lines.shape[1])].tolist()
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -497,7 +494,8 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
     """The ``PerpTable`` of ``s``; cached.  Pairs are grouped by the int mask
     of their perp.  In bounded runs of perps, each one's lines, skew rows
     and sigma set are built with array operations, and its split judged:
-    it holds iff every sigma place is skew to exactly the other class."""
+    it holds iff every sigma place is skew to exactly the other class.  A
+    run keeps the lines and skew rows of its perps that do not split."""
 
     def build():
         n = s.line_count
@@ -510,9 +508,8 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
         size = np.array([x.bit_count() for x in ids], np.int64)
         width = int(size.max(initial=0))
         first = np.unique(perp, return_index=True)[1]
-        lines = np.full((len(ids), width), n, np.int32)
-        skew = np.zeros((len(ids), width, max(1, -(-width // 64))), np.uint64)
-        in_sigma, split = np.zeros((len(ids), width), bool), np.zeros(len(ids), bool)
+        kept = [(np.zeros((0, width), np.int32), np.zeros((0, width, max(1, -(-width // 64))), np.uint64))]
+        split, least = np.zeros(len(ids), bool), np.zeros(len(ids), np.int32)
         sigma = np.zeros((len(ids) + 1, n // 8 + 1), np.uint8)  # as ``bit_rows``
         apart = np.zeros((n + 1, n + 1), bool)  # line n, the padding, is skew to no line
         apart[:n, :n] = ~s.adjacency
@@ -520,26 +517,29 @@ def perp_table(s: IncidenceStructure) -> PerpTable:
         for lo in range(0, len(ids), step):
             hi = min(lo + step, len(ids))
             # each perp's lines, ascending, fill its first places, row by row
-            lines[lo:hi][np.arange(width) < size[lo:hi, None]] = np.nonzero(
+            lines = np.full((hi - lo, width), n, np.int32)
+            lines[np.arange(width) < size[lo:hi, None]] = np.nonzero(
                 s.adjacency[a[first[lo:hi]]] & s.adjacency[b[first[lo:hi]]]
             )[1]
-            skewed = np.take(apart, lines[lo:hi, :, None] * (n + 1) + lines[lo:hi, None, :])
-            run = skew[lo:hi] = _words(skewed)
-            sig = in_sigma[lo:hi] = run.any(axis=2)
+            skewed = np.take(apart, lines[:, :, None] * (n + 1) + lines[:, None, :])
+            run = _words(skewed)
+            sig = run.any(axis=2)
             r, low = np.arange(hi - lo), sig.argmax(axis=1)  # the least sigma place, else 0, skew to none
             two = skewed[r, low]  # class 1: the sigma places skew to it
             one = run[r, low]
             zero = np.bitwise_or.reduce(run, axis=1) ^ one  # sigma, the union of the rows, less class 1
             other = np.where(two[:, :, None], zero[:, None], one[:, None])  # what each row should be
-            split[lo:hi] = sig.any(axis=1) & ((run == other).all(axis=2) | ~sig).all(axis=1)
+            ok = split[lo:hi] = sig.any(axis=1) & ((run == other).all(axis=2) | ~sig).all(axis=1)
+            least[lo:hi] = lines[r, low]
+            kept.append((lines[~ok], run[~ok]))
             rows = np.zeros((hi - lo, n + 1), bool)  # column n: the padding
-            rows[r[:, None], lines[lo:hi]] = sig
+            rows[r[:, None], lines] = sig
             sigma[lo:hi, : -(-n // 8)] = np.packbits(rows[:, :n], axis=1, bitorder="little")
         raw, nbytes = memoryview(sigma).cast("B"), sigma.shape[1]  # no copy
         sets = (int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(ids) * nbytes, nbytes))
-        at = np.maximum(least_bits(_words(in_sigma)), 0)  # each perp's least sigma place, else 0
-        classes = [(x & masks[l], x & ~masks[l]) for x, l in zip(sets, lines[np.arange(len(ids)), at].tolist())]
-        return PerpTable(n, pairs, perp, tuple(ids), first, lines, skew, in_sigma, split, classes, sigma)
+        classes = [(x & masks[l], x & ~masks[l]) for x, l in zip(sets, least.tolist())]
+        lines, skew = map(np.concatenate, zip(*kept))
+        return PerpTable(n, pairs, perp, tuple(ids), first, np.flatnonzero(~split), lines, skew, split, classes, sigma)
 
     return s.cached("perp_table", build)
 

@@ -134,9 +134,9 @@ def display_name(name: str) -> str:
 
 def _dependency(name: str, exc: Exception) -> CheckReport:
     witness = getattr(exc, "witness", None)
-    ce = {"issue": "labeling_unavailable", "detail": str(exc)}
+    ce = {"issue": "labeling_unavailable", "detail": str(exc)}  # detail names the labeling's own issue
     if isinstance(witness, dict):
-        ce.update(witness)
+        ce.update((k, v) for k, v in witness.items() if k != "issue")
     return CheckReport(name, DEPENDENCY_UNMET, counterexample=ce)
 
 

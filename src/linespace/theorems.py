@@ -32,9 +32,9 @@ cases below it.
 
 The checks over incident pairs read one table per structure,
 ``core.perp_table``: each pair's perp among the distinct perps, and each
-perp's lines with their skew rows as packed words, its sigma set and
-sigma's split into two classes, which the per-perp kernels trust: they
-walk only the perps that do not split.  The pair-to-perp index reads
+perp's sigma set and sigma's split into two classes, which the per-perp
+kernels trust: they walk only the perps that do not split, the only ones
+whose lines and skew rows the table keeps.  The pair-to-perp index reads
 every per-pair set, each kept as one packed row per perp: sigma, and the
 model's point and plane classes, from ``_labeled_classes``.
 
@@ -296,9 +296,8 @@ def thm_two_classes(s: IncidenceStructure) -> CheckReport:
     name = "thm_two_classes"
     table = perp_table(s)
     stats = {"pairs_examined": len(table.pairs)}
-    unsplit = np.flatnonzero(~table.split[table.perp])
-    if len(unsplit):
-        ce = sigma_witness(s, labels_of(s, table.pairs[unsplit[0]].tolist()))
+    if len(table.unsplit):  # perps are numbered in order of their first pairs
+        ce = sigma_witness(s, labels_of(s, table.pairs[table.first[table.unsplit[0]]].tolist()))
         return CheckReport(name, FAIL, counterexample=ce, stats=stats)
     if table.classes:
         stats["class_size_pairs"] = sorted(set(map(tuple, table.sizes.tolist())))
@@ -333,13 +332,13 @@ def thm_bracket_welldefined(s: IncidenceStructure) -> CheckReport:
     name = "thm_bracket_welldefined"
     table = perp_table(s)
     hit, cases = table.first_flagged(
-        lambda k, x, y: (table.skew[k, x] != table.skew[k, y]).any(axis=1), incident=True
+        lambda u, x, y: (table.skew[u, x] != table.skew[u, y]).any(axis=1), incident=True
     )
     if hit is None:
         return CheckReport(name, PASS, stats={"cases_examined": cases})
-    k, x, y = hit
-    lines = table.lines[k].tolist()
-    pair = labels_of(s, table.pairs[table.first[k]].tolist())
+    u, x, y = hit
+    lines = table.lines[u].tolist()
+    pair = labels_of(s, table.pairs[table.first[table.unsplit[u]]].tolist())
     ce = _bracket_welldefined_issue(s, pair, s.labels[lines[x]], s.labels[lines[y]])
     return CheckReport(name, FAIL, counterexample=ce, stats={"cases_examined": cases})
 
@@ -394,9 +393,9 @@ def thm_regulus_skew(s: IncidenceStructure) -> CheckReport:
     width = table.lines.shape[1]
     above = _words(np.triu(np.ones((width, width), bool), 1))  # row y: the places above y
     found = []
-    for k, x, y in table.local_pairs(np.flatnonzero(~table.split)):
-        z = least_bits(table.skew[k, x] & table.skew[k, y] & above[y])
-        _keep_least(found, table.lines[k[z >= 0, None], np.stack((x, y, z), axis=1)[z >= 0]])
+    for u, x, y in table.local_pairs():
+        z = least_bits(table.skew[u, x] & table.skew[u, y] & above[y])
+        _keep_least(found, table.lines[u[z >= 0, None], np.stack((x, y, z), axis=1)[z >= 0]])
     least = min(found, default=None)
     stats = {"pairs_examined": len(table.pairs)}
     if least is None:

@@ -134,3 +134,45 @@ def one_perp_regulus():
 # kernel that misjudges or miscounts the split perps it skips changes the
 # report.
 MIXED_PERPS_FLIPS = [(20, 28), (22, 29)]
+
+
+# Each registered check's adjacency-only oracle: the test module whose
+# ``assert_matches_oracle`` compares the check with it, and the method of
+# that module's ``Oracle`` giving the report.  ``vy`` reports the eight vy
+# checks at once.
+ORACLES = {
+    **{name: ("test_axiom_oracle", name) for name in "axiom1 axiom2_1 axiom2_2 axiom2_3 axiom3 axiom4".split()},
+    "thm_sigma_equivalence": ("test_theorem_oracle", "sigma_equivalence"),
+    "thm_two_classes": ("test_theorem_oracle", "two_classes"),
+    "thm_bracket_welldefined": ("test_theorem_oracle", "bracket_welldefined"),
+    "thm_line_selfperp": ("test_theorem_oracle", "line_selfperp"),
+    "thm_regulus_skew": ("test_theorem_oracle", "regulus_skew"),
+    "thm_bracket_closed": ("test_theorem_oracle", "bracket_closed"),
+    "thm_coherence": ("test_theorem_oracle", "coherence"),
+    "thm_mutual_membership": ("test_theorem_oracle", "mutual_membership"),
+    "thm_triad_typing": ("test_model_oracle", "triad_typing"),
+    "thm_point_ne_plane": ("test_model_oracle", "point_ne_plane"),
+    "thm_pencil_intersection": ("test_model_oracle", "pencil_intersection"),
+    "thm_exchange": ("test_model_oracle", "exchange"),
+    "thm_not_singleton": ("test_model_oracle", "not_singleton"),
+    "thm_uniqueness": ("test_model_oracle", "uniqueness"),
+    "thm_line_in_plane": ("test_model_oracle", "line_in_plane"),
+    "thm_triangle": ("test_model_oracle", "triangle"),
+    "thm_tetrahedron": ("test_model_oracle", "tetrahedron"),
+    **{name: ("test_model_oracle", "vy") for name in "vy_e0 vy_e1 vy_e2 vy_e3 vy_e3p vy_a1 vy_a2 vy_a3".split()},
+}
+
+
+def oracle_reports(o, module):
+    """Per registered check whose oracle ``module`` holds, in table order,
+    the check and the report of the oracle ``o``; each method runs once."""
+    from linespace.registry import CHECKS
+
+    reports = {}
+    for c in CHECKS:
+        home, method = ORACLES.get(c.name, (None, None))
+        if home == module:
+            if method not in reports:
+                reports[method] = getattr(o, method)()
+            got = reports[method]
+            yield c, next(r for r in got if r["check_name"] == c.name) if isinstance(got, list) else got

@@ -1,10 +1,11 @@
-"""Axioms 1, 2.1, 2.2, 2.3 and 3 against brute-force oracles.
+"""The six axiom checks against brute-force oracles.
 
 Each oracle below searches every line's perp for its least pairwise-skew
 triple, every incident pair's perp for its least skew pair, every triad's
 bracket for a skew pair, every skew pair of a pair's perp for a line
 meeting neither, and every element for a disjoint one, straight from the
-adjacency matrix with plain Python sets and ``itertools.combinations``.
+adjacency matrix with plain Python sets and ``itertools.combinations``;
+axiom 4 reads the seeded labeling of ``test_labeling_oracle``'s oracle.
 It shares no code with ``linespace.core``, ``linespace.labeling`` or
 ``linespace.axioms``: agreement on the whole ``to_dict()`` (status,
 counterexample, witness and stats) shows that walking perp as int masks,
@@ -17,20 +18,15 @@ import itertools
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from linespace import (
-    IncidenceStructure,
-    check_axiom1,
-    check_axiom2_1,
-    check_axiom2_2,
-    check_axiom2_3,
-    check_axiom3,
-)
-from conftest import MIXED_PERPS_FLIPS
+from linespace import IncidenceStructure
+from conftest import MIXED_PERPS_FLIPS, oracle_reports
+from test_labeling_oracle import Oracle as LabelingOracle
 
 
 class Oracle:
     def __init__(self, s):
         n = s.line_count
+        self.s = s
         self.labels = s.labels
         self.adj = s.adjacency.tolist()
         self.lines = range(n)
@@ -193,17 +189,28 @@ class Oracle:
         out["stats"] = {"elements_examined": len(ordered)}
         return out
 
+    def axiom4(self):
+        """The seeded labeling of ``test_labeling_oracle``'s oracle: a sigma
+        set that does not split in two leaves axiom 4 unmet, and a labeling
+        that fails its verification fails it with the labeling's witness."""
+        stats = {"pairs_examined": len(self.incident_pairs())}
+        got = LabelingOracle(self.s).derive()
+        if got[0] == "model":
+            return self.passed("axiom4", {**stats, "points": len(got[1]), "planes": len(got[2])})
+        if got[0] == "sigma":
+            status, ce = "dependency_unmet", {"issue": "sigma_not_two_classes", **dict(got[2])}
+        else:
+            status, ce = "fail", dict(got[1])
+        return {"check_name": "axiom4", "passed": False, "status": status, "counterexample": ce, "stats": stats}
+
     def passed(self, name, stats):
         return {"check_name": name, "passed": True, "status": "pass", "stats": stats}
 
 
 def assert_matches_oracle(s):
     o = Oracle(s)
-    assert check_axiom1(s).to_dict() == o.axiom1()
-    assert check_axiom2_1(s).to_dict() == o.axiom2_1()
-    assert check_axiom2_2(s).to_dict() == o.axiom2_2()
-    assert check_axiom2_3(s).to_dict() == o.axiom2_3()
-    assert check_axiom3(s).to_dict() == o.axiom3()
+    for c, expected in oracle_reports(o, __name__):
+        assert c.checker(s).to_dict() == expected, c.name
 
 
 @st.composite

@@ -1,5 +1,6 @@
-"""thm_triad_typing, thm_pencil_intersection, thm_exchange, the element-pair
-checks, the point-triple checks and vy_axioms against brute-force oracles.
+"""thm_triad_typing, thm_point_ne_plane, thm_pencil_intersection,
+thm_exchange, the element-pair checks, the point-triple checks and
+vy_axioms against brute-force oracles.
 
 Each oracle below walks every triad, every triad's bracket pairs, every
 incident pair, every two elements and every triple of points straight
@@ -45,6 +46,7 @@ from linespace import (
 from linespace import battery, model_theorems, theorems
 from linespace.core import mask_of_lines
 from linespace.registry import run_checks
+from conftest import names_for, oracle_reports
 
 UNAVAILABLE = object()
 RAISES = object()
@@ -141,6 +143,12 @@ class Oracle:
                 ce = {"triad": self.names((a, b, c)), "sides": sides}
                 return report(name, "fail", ce, {"triads_examined": examined})
         return report(name, "pass", None, {"triads_examined": len(tri)})
+
+    def point_ne_plane(self):
+        both = sorted(sorted(e) for e in set(self.points) & set(self.planes))
+        ce = {"element": self.names(both[0])} if both else None
+        stats = {"points": len(self.points), "planes": len(self.planes)}
+        return report("thm_point_ne_plane", "fail" if both else "pass", ce, stats)
 
     def pencil_intersection(self):
         """RAISES for a pair of ``s`` not incident in the model's structure."""
@@ -433,25 +441,16 @@ def report(name, status, ce, stats, witness=None):
 
 def assert_matches_oracle(s, m):
     o = Oracle(s, m)
-    for check, expected in (
-        (thm_triad_typing, o.triad_typing()),
-        (thm_pencil_intersection, o.pencil_intersection()),
-        (thm_exchange, o.exchange()),
-        (thm_not_singleton, o.not_singleton()),
-        (thm_uniqueness, o.uniqueness()),
-        (thm_line_in_plane, o.line_in_plane()),
-        (thm_triangle, o.triangle()),
-        (thm_tetrahedron, o.tetrahedron()),
-    ):
+    for c, expected in oracle_reports(o, __name__):
         if expected is RAISES:  # the pair is not incident in the model's structure
             with pytest.raises(PreconditionError):
-                check(s, m)
+                c.checker(s, m)
             continue
-        got = check(s, m).to_dict()
+        got = c.checker(s, m).to_dict()
         if expected is None:  # no labeled classes: the detail names the labeling's error
             assert got["status"] == "dependency_unmet", got
         else:
-            assert got == expected, got["check_name"]
+            assert got == expected, c.name
     assert [r.to_dict() for r in vy_axioms(s, m)] == o.vy()
 
 
@@ -522,6 +521,14 @@ def perturbed_families(draw, model):
 def test_perturbed_pg2_models_match_oracle(pg2, pg2_model, data):
     points, planes = data.draw(perturbed_families(pg2_model))
     m = GeometryModel(structure=pg2, points=tuple(points), planes=tuple(planes), seed=pg2_model.seed)
+    assert_matches_oracle(pg2, m)
+
+
+def test_point_also_plane_matches_oracle(pg2, pg2_model):
+    """A family that lists point 3 as a plane too fails thm_point_ne_plane
+    at that point, as the oracle finds it."""
+    m = GeometryModel(pg2, pg2_model.points, pg2_model.planes + pg2_model.points[3:4], pg2_model.seed)
+    assert Oracle(pg2, m).point_ne_plane()["counterexample"] == {"element": names_for(pg2, pg2_model.points[3])}
     assert_matches_oracle(pg2, m)
 
 

@@ -2,12 +2,14 @@
 
 import ast
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
 from linespace import (
+    NEGATIVE_KINDS,
     CheckReport,
     LabelInconsistencyError,
     NotTwoClassesError,
@@ -20,8 +22,9 @@ from linespace import (
 )
 from linespace.cli import main
 from linespace.battery import run_theorem_suite, vy_axioms
-from linespace.registry import CHECKS, LAYERS, names, replay
+from linespace.registry import CHECKS, LAYERS, names, replay, run_checks
 
+from conftest import ORACLES
 from test_theorems import PERTURBED, PERTURBED_REPLAYS, perturbed, seeded_mutant
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,6 +64,13 @@ def test_bench_name_lists_match_the_table():
     assert lists["STRUCTURE_THEOREMS"] == tuple(c.name for c in theorems if not c.needs_model)
     assert lists["MODEL_THEOREMS"] == tuple(c.name for c in theorems if c.needs_model)
     assert lists["VY_CHECKS"] == names("vy")
+
+
+def test_every_check_has_an_oracle():
+    """``ORACLES`` names an adjacency-only oracle for every registered check."""
+    assert sorted(ORACLES) == sorted(c.name for c in CHECKS)
+    for module, method in ORACLES.values():
+        assert callable(getattr(importlib.import_module(module).Oracle, method))
 
 
 def test_checks_without_replay():
@@ -117,6 +127,24 @@ def test_every_failing_golden_report_replays(pg3, pg3_model):
             assert replay(s, report, m) is True, (path.name, report.check_name)
             replayed += 1
     assert replayed > 100
+
+
+def test_dependency_reports_name_the_labeling(pg3, pg3_model):
+    """Every dependency_unmet report of a model check has issue
+    labeling_unavailable, also where the labeling's witness names an issue
+    of its own, which its detail then reads."""
+    cases = [(gen_negative(name), None) for name in NEGATIVE_KINDS]
+    cases += [(seeded_mutant(pg3, k), None) for k in range(4)]
+    cases += [perturbed(pg3, pg3_model, *PERTURBED[name]) for name in ("plane_5_moved_to_points", "point_15_dropped")]
+    model_checks = {c.name for c in CHECKS if c.needs_model}
+    unmet = [r for s, m in cases for r in run_checks(s, LAYERS, m) if r.status == "dependency_unmet"]
+    unmet = [r for r in unmet if r.check_name in model_checks]
+    assert len(unmet) > 50
+    assert {r.counterexample["issue"] for r in unmet} == {"labeling_unavailable"}
+    two = run_checks(gen_negative("two_components"), ["theorems"])
+    assert {r.counterexample["detail"] for r in two if r.status == "dependency_unmet"} == {
+        "labeling verification failed: pair_classes_same_kind"
+    }
 
 
 # Per field that a check's counterexample function derives from the labels

@@ -17,20 +17,8 @@ import itertools
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from linespace import (
-    NEGATIVE_KINDS,
-    IncidenceStructure,
-    gen_negative,
-    thm_bracket_closed,
-    thm_bracket_welldefined,
-    thm_coherence,
-    thm_line_selfperp,
-    thm_mutual_membership,
-    thm_regulus_skew,
-    thm_sigma_equivalence,
-    thm_two_classes,
-)
-from conftest import MIXED_PERPS_FLIPS, one_perp_regulus
+from linespace import NEGATIVE_KINDS, IncidenceStructure, gen_negative
+from conftest import MIXED_PERPS_FLIPS, one_perp_regulus, oracle_reports
 from linespace.core import perp_table
 from linespace.labeling import element_masks
 from linespace.theorems import _triads, _walk
@@ -250,10 +238,11 @@ def assert_walk_matches_oracle(s, o):
 
 
 def assert_perp_table_matches_oracle(s, o):
-    """Each pair's perp, the distinct perps in order of their first pair,
-    each one's lines, padded with the line count, and skew rows; whether
-    its sigma splits, that is, is non-empty and two cliques skew across,
-    and its classes: the sigma lines meeting the least one, and the rest."""
+    """Each pair's perp, the distinct perps in order of their first pair;
+    whether each one's sigma splits, that is, is non-empty and two cliques
+    skew across, and its classes: the sigma lines meeting the least one,
+    and the rest.  Exactly the perps that do not split keep rows, in order:
+    their lines, padded with the line count, and skew rows."""
     pairs = o.incident_pairs()
     perps = [o.perp(p) for p in pairs]
     distinct = list(dict.fromkeys(perps))
@@ -262,19 +251,25 @@ def assert_perp_table_matches_oracle(s, o):
     assert table.perp.tolist() == [distinct.index(x) for x in perps]
     assert table.masks == tuple(sum(1 << l for l in x) for x in distinct)
     assert table.first.tolist() == [perps.index(x) for x in distinct]
-    width = max(map(len, distinct), default=0)
+    unsplit = []
     for k, x in enumerate(distinct):
-        lines = sorted(x)
-        assert table.lines[k].tolist() == lines + [s.line_count] * (width - len(lines))
-        skew = [sum(1 << j for j, v in enumerate(lines) if not o.adj[u][v]) for u in lines]
-        got = [int.from_bytes(row.tobytes(), "little") for row in table.skew[k]]
-        assert got == skew + [0] * (width - len(lines))
-        assert table.in_sigma[k].tolist() == [bool(r) for r in got]
         sig = sorted(x - o.perp(x))
         one = {v for v in sig if o.adj[sig[0]][v]} if sig else set()
         two_cliques = all(o.adj[u][v] == ((u in one) == (v in one)) for u in sig for v in sig)
-        assert bool(table.split[k]) == (len(one) < len(sig) and two_cliques)
+        split = len(one) < len(sig) and two_cliques
+        assert bool(table.split[k]) == split
         assert table.classes[k] == (sum(1 << v for v in one), sum(1 << v for v in set(sig) - one))
+        if not split:
+            unsplit.append(k)
+    assert table.unsplit.tolist() == unsplit
+    width = max(map(len, distinct), default=0)
+    assert table.skew.shape[:2] == table.lines.shape == (len(unsplit), width)
+    for r, k in enumerate(unsplit):
+        lines = sorted(distinct[k])
+        assert table.lines[r].tolist() == lines + [s.line_count] * (width - len(lines))
+        skew = [sum(1 << j for j, v in enumerate(lines) if not o.adj[u][v]) for u in lines]
+        got = [int.from_bytes(row.tobytes(), "little") for row in table.skew[r]]
+        assert got == skew + [0] * (width - len(lines))
     n = s.line_count
     index = [[-1] * n for _ in range(n)]
     for (x, y), k in zip(pairs, table.perp.tolist()):
@@ -288,20 +283,11 @@ def assert_matches_oracle(s):
     o = Oracle(s)
     assert_walk_matches_oracle(s, o)
     assert_perp_table_matches_oracle(s, o)
-    for check, (status, ce, stats) in (
-        (thm_sigma_equivalence, o.sigma_equivalence()),
-        (thm_two_classes, o.two_classes()),
-        (thm_bracket_welldefined, o.bracket_welldefined()),
-        (thm_line_selfperp, o.line_selfperp()),
-        (thm_bracket_closed, o.bracket_closed()),
-        (thm_regulus_skew, o.regulus_skew()),
-        (thm_coherence, o.coherence()),
-        (thm_mutual_membership, o.mutual_membership()),
-    ):
-        expected = {"check_name": check.__name__, "passed": status == "pass", "status": status}
+    for c, (status, ce, stats) in oracle_reports(o, __name__):
+        expected = {"check_name": c.name, "passed": status == "pass", "status": status}
         if ce is not None:
             expected["counterexample"] = ce
-        assert check(s).to_dict() == {**expected, "stats": stats}
+        assert c.checker(s).to_dict() == {**expected, "stats": stats}
 
 
 @st.composite
@@ -342,3 +328,26 @@ def test_pg2_matches_oracle(pg2):
 def test_fixtures_match_oracle(tetra):
     for s in (tetra, *map(gen_negative, NEGATIVE_KINDS)):
         assert_matches_oracle(s)
+
+
+def test_pg3_tables_keep_no_place_rows(pg2, pg3):
+    """Every perp of PG(3,q) splits, so its table keeps no lines or skew rows."""
+    for s in (pg2, pg3):
+        table = perp_table(s)
+        assert table.split.all() and len(table.unsplit) == 0
+        assert len(table.lines) == len(table.skew) == 0
+
+
+def test_mixed_mutant_keeps_its_unsplit_perps_rows(pg2):
+    """The mutant whose 132 perps mix split and unsplit ones keeps a row for
+    each of its 36 unsplit perps, in order, holding that perp's lines."""
+    adj = np.array(pg2.adjacency)
+    for i, j in MIXED_PERPS_FLIPS:
+        adj[i, j] = adj[j, i] = not adj[i, j]
+    s = IncidenceStructure(adj, labels=pg2.labels)
+    table = perp_table(s)
+    assert len(table.masks) == 132
+    assert table.unsplit.tolist() == np.flatnonzero(~table.split).tolist()
+    assert len(table.unsplit) == len(table.lines) == len(table.skew) == 36
+    for row, k in zip(table.lines.tolist(), table.unsplit.tolist()):
+        assert sum(1 << l for l in row if l < s.line_count) == table.masks[k]
