@@ -23,7 +23,8 @@ from ``element_ids``, and the lines every two elements share from
 tables; a model's points and planes are rows among the same elements in
 ``model_index``.  Whether each perp's two classes are one point and one
 plane, under a labeling or a model's kinds, is judged in one place,
-``_labeled_split``.
+``_labeled_split``.  The seed element, the meet and the join are found
+by mask from the definitions, which read none of these tables.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .core import (
     mask_of_lines,
     perp_table,
 )
-from .sigma import NotTwoClassesError, sigma_partition
+from .sigma import NotTwoClassesError, _require_incident_distinct, sigma_partition
 
 
 class Kind(str, Enum):
@@ -197,6 +198,7 @@ def _labeled_split(s: IncidenceStructure, kind: np.ndarray) -> tuple[np.ndarray,
     bad = np.flatnonzero((two.min(axis=1) < 0) | (two[:, 0] == two[:, 1]))
     if len(bad) and not table.split[bad[0]]:
         sigma_partition(s, *table.pairs[table.first[bad[0]]].tolist())  # raises
+        raise AssertionError("perp_table finds no split where sigma_witness finds one")
     return two, int(bad[0]) if len(bad) else None
 
 
@@ -238,11 +240,12 @@ def _verify_labeling(s: IncidenceStructure, plane: np.ndarray, seed: tuple[int, 
 
 def classify_elements(s: IncidenceStructure, seed: tuple[int, int, int]) -> np.ndarray:
     """Per element of ``element_masks(s)``, whether the seeded singleton rule
-    labels it a plane (unverified): the seed point Z, the element of the
-    seed class, and every element sharing exactly one line with Z are points."""
+    labels it a plane (unverified): the seed point Z, the seed pair's perp
+    less the class other than the seed class, and every element sharing
+    exactly one line with Z are points."""
     a, b, k = seed
-    sigma_partition(s, a, b)  # an unsplit seed pair raises its NotTwoClassesError here
-    z = element_ids(s)[2][perp_table(s).index[a, b], k]
+    other = sigma_partition(s, a, b).class_masks[1 - k]  # an unsplit seed pair raises here
+    z = element_masks(s).index(s.masks[a] & s.masks[b] & ~other)
     incidence = _line_incidence(s, element_masks(s))
     plane = np.count_nonzero(incidence[:, incidence[z]], axis=1) != 1
     plane[z] = False
@@ -349,36 +352,27 @@ def model_index(s: IncidenceStructure, m: GeometryModel) -> ModelIndex:
 
 
 def _unique_element(m: GeometryModel, a: int, b: int, kind: Kind) -> int:
-    """Index of the unique element of one family holding both lines of an incident pair."""
-    op = "meet_point" if kind is Kind.POINT else "join_plane"
+    """Index of the unique element of one family holding both lines of an
+    incident pair of the model's structure, from a scan of its masks."""
     s = m.structure
-    a = s.check_index(a)
-    b = s.check_index(b)
-    if a == b:
-        raise PreconditionError(f"{op} requires two distinct lines")
-    if not s.adjacency[a, b]:
-        raise PreconditionError(
-            f"{op} requires an incident pair, but {s.labels[a]!r} and "
-            f"{s.labels[b]!r} are skew"
-        )
-    index = model_index(s, m)
-    rows = index.points if kind is Kind.POINT else index.planes
-    hits = np.flatnonzero(index.incidence[rows, a] & index.incidence[rows, b])
+    a, b = _require_incident_distinct(s, a, b, "meet_point" if kind is Kind.POINT else "join_plane")
+    both = 1 << a | 1 << b
+    hits = [i for i, em in enumerate(m.point_masks if kind is Kind.POINT else m.plane_masks) if em & both == both]
     if len(hits) != 1:
         raise MissingElementError(
             f"no unique {kind.value} contains {s.labels[a]!r} and {s.labels[b]!r}; "
             "model is inconsistent"
         )
-    return int(hits[0])
+    return hits[0]
 
 
 def meet_point(m: GeometryModel, a: int, b: int) -> SecondaryElement:
-    """The unique point of the model containing both lines."""
+    """The unique point of the model containing both lines, by a scan of the point masks."""
     return SecondaryElement(m.points[_unique_element(m, a, b, Kind.POINT)], Kind.POINT)
 
 
 def join_plane(m: GeometryModel, a: int, b: int) -> SecondaryElement:
-    """The unique plane of the model containing both lines."""
+    """The unique plane of the model containing both lines, by a scan of the plane masks."""
     return SecondaryElement(m.planes[_unique_element(m, a, b, Kind.PLANE)], Kind.PLANE)
 
 

@@ -60,14 +60,6 @@ def _rref_cells(k: int, p: int, n: int = 4) -> list[Matrix]:
     return out
 
 
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
-
-
 @dataclass(frozen=True)
 class Pg3Metadata:
     """Canonical subspace representatives behind a generated PG(3,q).
@@ -135,7 +127,6 @@ def gen_pg3(q: int) -> tuple[IncidenceStructure, Pg3Metadata]:
     points = tuple(mat[0] for mat in _rref_cells(1, q))
     planes = tuple(_rref_cells(3, q))
     n = len(lines)
-    assert n == gaussian_binomial(4, 2, q)
     plucker = _plucker_coordinates(lines, q)
     paired = (plucker[:, ::-1] * _KLEIN_SIGNS) % q  # P J, reduced mod q
     adj = (paired @ plucker.T) % q == 0
@@ -146,6 +137,7 @@ def gen_pg3(q: int) -> tuple[IncidenceStructure, Pg3Metadata]:
         name=f"pg3_{q}",
     )
     meta = Pg3Metadata(q=q, line_reps=tuple(lines), point_reps=points, plane_reps=planes)
+    assert n == meta.expected_line_count
     return structure, meta
 
 

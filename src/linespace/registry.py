@@ -15,11 +15,12 @@ every check even when read first, and ``check_all`` loads no theorems.
 A counterexample function takes the structure, the model when the check
 needs one, and the labels its counterexample names as keyword arguments,
 absorbing with ``**_`` the fields it derives; it returns the whole
-counterexample, from the definitions, or None when that configuration does
-not violate the claim.  Each checker calls it where its kernel flags a
-violation.  ``run_checks`` runs the checks of some layers, deriving the
-model once when one of them needs it, and ``replay`` runs a failing
-report's function again on the report's own fields.
+counterexample, from the definitions and no kernel table but the element
+set, or None when that configuration does not violate the claim.  Each
+checker calls it where its kernel flags a violation.  ``run_checks`` runs
+the checks of some layers, deriving the model once when one of them needs
+it, and ``replay`` runs a failing report's function again on the report's
+own fields.
 """
 
 from __future__ import annotations

@@ -8,12 +8,11 @@ classes; ``sigma_partition`` recovers the classes and verifies both facts
 instead of assuming them, so it doubles as a diagnostic on untrusted input.
 
 Sets are int bitmasks throughout.  This module holds the per-pair
-definitions.  The split is decided in one place, ``core.perp_table``,
-which judges every distinct perp in the runs that build its skew rows: a
-sigma set is two cliques exactly when every sigma line is skew to
-precisely the lines of the other class.  ``sigma_partition`` reads a
-pair's classes from that table, and grows the incidence classes by mask
-closure only to name why a perp does not split.
+definitions, computed from the line masks and reading no table of the
+checkers: a sigma set is two cliques exactly when each member's incident
+lines in it are its own class, one test per member.  ``sigma_witness``
+grows the incidence classes by mask closure only to name why a pair's
+sigma set does not split, and ``sigma_partition`` splits it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .core import (
     labels_of,
     lines_of_mask,
     perp_mask,
-    perp_table,
 )
 
 
@@ -93,20 +91,6 @@ def sigma(s: IncidenceStructure, a: int, b: int) -> frozenset[int]:
     return frozenset(lines_of_mask(sigma_mask(s, a, b)))
 
 
-def _transitivity_witness(s: IncidenceStructure, members: list[int]) -> Optional[tuple[int, int, int]]:
-    adj = s.adjacency
-    for q in members:
-        for p in members:
-            if p == q or not adj[p, q]:
-                continue
-            for r in members:
-                if r == p or r == q:
-                    continue
-                if adj[q, r] and not adj[p, r]:
-                    return (p, q, r)
-    return None
-
-
 def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
     """Connected components of incidence on the lines of ``group``, as masks.
 
@@ -131,38 +115,40 @@ def incidence_classes(s: IncidenceStructure, group: int) -> list[int]:
 def sigma_witness(s: IncidenceStructure, pair, **_) -> Optional[dict]:
     """Why sigma of the pair labeled ``pair`` is not two cliques: its class
     count if not 2, else its first transitivity violation p, q, r; None if
-    it is.  NotTwoClassesError's witness, and thm_two_classes' function."""
+    it is, as every member's incident lines in sigma are its own class.
+    NotTwoClassesError's witness, and thm_two_classes' function."""
     a, b = (s.index(x) for x in pair)
-    sig = sigma_mask(s, a, b)
+    sig, masks = sigma_mask(s, a, b), s.masks
     members = lines_of_mask(sig)
+    c0 = sig and sig & masks[members[0]]
+    if c0 != sig and all(masks[x] & sig == (c0 if c0 >> x & 1 else sig ^ c0) for x in members):
+        return None
     witness = {"pair": labels_of(s, (a, b)), "sigma": labels_of(s, members)}
     count = len(incidence_classes(s, sig))
     if count != 2:
         return {**witness, "class_count": count}
-    violation = _transitivity_witness(s, members)
-    if violation is None:
-        return None
-    p, q, r = (s.labels[x] for x in violation)
-    return {**witness, "p": p, "q": q, "r": r}
+    adj = s.adjacency  # two classes, not two cliques: some p - q - r in sigma has p skew r
+    pairs = ((p, q) for q in members for p in members if p != q and adj[p, q])
+    p, q, r = next((p, q, r) for p, q in pairs for r in members if r not in (p, q) and adj[q, r] and not adj[p, r])
+    return {**witness, "p": s.labels[p], "q": s.labels[q], "r": s.labels[r]}
 
 
 def sigma_partition(s: IncidenceStructure, a: int, b: int) -> SigmaPartition:
     """Split sigma(a, b) into its two incidence classes, verifying the split.
 
-    The split and the classes are read at the pair's perp from
-    ``core.perp_table``.  A perp that does not split, into exactly two
-    classes each a clique, raises NotTwoClassesError with the replayable
-    witness ``sigma_witness`` names at this pair (this includes an empty
-    sigma set, which downstream labeling code must never see as an empty
-    partition).
+    ``sigma_witness`` decides the split from the line masks; class 0 is
+    the least sigma line's incident lines in sigma.  A sigma set that does
+    not split, into exactly two classes each a clique, raises
+    NotTwoClassesError with the replayable witness ``sigma_witness`` names
+    at this pair (this includes an empty sigma set, which downstream
+    labeling code must never see as an empty partition).
     """
     a, b = _require_incident_distinct(s, a, b, "sigma_partition")
-    table = perp_table(s)
-    perp = table.index[a, b]
-    if table.split[perp]:
-        return SigmaPartition(pair=(a, b), class_masks=table.classes[perp])
     witness = sigma_witness(s, labels_of(s, (a, b)))
-    assert witness is not None, "perp_table finds no split where sigma_witness finds one"
+    if witness is None:
+        sig = sigma_mask(s, a, b)
+        c0 = sig & s.masks[(sig & -sig).bit_length() - 1]
+        return SigmaPartition(pair=(a, b), class_masks=(c0, sig ^ c0))
     name = "sigma({}, {})".format(*witness["pair"])
     if "p" in witness:
         raise NotTwoClassesError(f"incidence is not transitive on {name}", witness)

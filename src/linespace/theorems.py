@@ -44,7 +44,8 @@ item it walks, so the first it flags is the least violation, and the
 report is read from its arrays, or named from the definitions at that
 item.  No kernel hands an item to a scalar walk of its check.  Each check
 names its counterexample, at the item its kernel flags, with one scalar
-function from the definitions, which its replay runs again.
+function from the definitions, which reads no kernel table but the element
+set, and which its replay runs again.
 
 Every check registers itself in the one ordered table of checks,
 ``registry.CHECKS``, with ``@registered``: its layer ("theorems", or "vy"
@@ -75,7 +76,7 @@ from .core import (
 )
 from .labeling import GeometryModel, MissingElementError, _labeled_split, _line_incidence, element_masks, model_index
 from .registry import FAIL, PASS, CheckReport, registered
-from .sigma import sigma_mask, sigma_witness
+from .sigma import sigma_mask, sigma_partition, sigma_witness
 
 
 _WALK_TRIPLES = 1 << 12  # triples per run of the element walk and per block of the point-triple walk
@@ -220,9 +221,8 @@ def _triads(s: IncidenceStructure) -> dict:
 def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarray]:
     """The labeled classes of every perp of the model's structure; cached.
 
-    Entry k of the list is perp k's (point class mask, plane class mask),
-    and a last entry (0, 0) is what the pair-to-perp index's -1 reads; the
-    array holds the point classes and the plane classes as ``bit_rows``.
+    Entry k of the list is perp k's (point class mask, plane class mask);
+    the array holds the point classes and the plane classes as ``bit_rows``.
     Each class's kind is its element's in the model, from
     ``labeling._labeled_split``; the first perp whose classes are not one
     point and one plane raises there, else MissingElementError here.
@@ -241,15 +241,25 @@ def _labeled_classes(m: GeometryModel) -> tuple[list[tuple[int, int]], np.ndarra
             raise MissingElementError(f"both sigma classes of {where} map to {('point', 'plane')[two[bad, 0]]}s")
         per_perp = [c[::-1] if k else c for c, k in zip(table.classes, two[:, 0].tolist())]
         rows = np.stack([bit_rows([c[i] for c in per_perp], s.line_count) for i in (0, 1)])
-        return per_perp + [(0, 0)], rows
+        return per_perp, rows
 
     return s.cached(("labeled_classes", m.points, m.planes), build)
 
 
 def _classes_at(m: GeometryModel, x: int, y: int) -> tuple[int, int]:
-    """The labeled (point class, plane class) of the pair {x, y}; both
-    empty unless it is an incident pair of the model's structure."""
-    return _labeled_classes(m)[0][perp_table(m.structure).index[x, y]]
+    """The (point class, plane class) of the pair {x, y}, both empty unless
+    it is an incident pair of the model's structure.  ``sigma_partition``
+    splits the pair's sigma set there; a class's element is the perp less
+    the other class, of its kind in the model (a point if listed in both).
+    MissingElementError unless the two are one point and one plane."""
+    t = m.structure
+    if x == y or not t.adjacency[x, y]:
+        return 0, 0
+    two, ab = sigma_partition(t, x, y).class_masks, t.masks[x] & t.masks[y]
+    kinds = [0 if e in m.point_masks else 1 if e in m.plane_masks else -1 for e in (ab & ~two[1], ab & ~two[0])]
+    if sorted(kinds) != [0, 1]:
+        raise MissingElementError(f"sigma classes of ({t.labels[x]}, {t.labels[y]}) are not a point and a plane")
+    return two[::-1] if kinds[0] else two
 
 
 def _in_sigma(s: IncidenceStructure, x: int, y: int, z: int) -> bool:

@@ -1,5 +1,7 @@
 """Axiom checkers: expected vectors, witnesses, machine-checkable replay."""
 
+import dataclasses
+
 import pytest
 
 from linespace import (
@@ -214,6 +216,15 @@ class TestReportShape:
     def test_stats_count_cases(self, tetra):
         r = check_axiom2_2(tetra)
         assert r.stats["triples_examined"] == 24  # 12 pairs x 2 sigma lines
+
+    def test_axiom4_counts_each_family(self, pg2, pg2_model, monkeypatch):
+        # a labeling with one plane fewer than points tells the two counts apart
+        from linespace import labeling
+
+        fewer = dataclasses.replace(pg2_model, planes=pg2_model.planes[1:])
+        monkeypatch.setattr(labeling, "coordinate_labels", lambda s: fewer)
+        r = check_axiom4(pg2)
+        assert (r.status, r.stats["points"], r.stats["planes"]) == ("pass", 15, 14)
 
     def test_replay_requires_counterexample(self, tetra):
         r = check_axiom2_1(tetra)

@@ -30,8 +30,9 @@ from linespace import (
     join_plane,
     meet_point,
     perp,
+    sigma_partition,
 )
-from linespace.core import mask_of_lines
+from linespace.core import mask_of_lines, perp_table
 from linespace.labeling import element_masks, model_index, shared_lines
 from linespace.theorems import _classes_at
 
@@ -90,6 +91,14 @@ class TestCoordinateLabels:
             ["ah", "b", "ch"],
             ["ah", "bh", "c"],
         ]
+
+    def test_table_that_disagrees_with_the_definitions_is_loud(self, pg2):
+        # a perp table doctored to find no split where sigma_partition, from
+        # the definitions, finds one: the labeling raises, not mislabels
+        s = IncidenceStructure(pg2.adjacency, labels=pg2.labels)
+        perp_table(s).split[0] = False
+        with pytest.raises(AssertionError, match="perp_table finds no split where sigma_witness finds one"):
+            coordinate_labels(s)
 
     def test_default_seed_deterministic(self, tetra):
         m1 = coordinate_labels(tetra)
@@ -188,6 +197,16 @@ class TestMeetJoin:
         m = coordinate_labels(tetra)
         with pytest.raises(PreconditionError, match="distinct"):
             join_plane(m, 0, 0)
+
+    def test_lookups_cache_no_kernel_table(self, pg3, pg3_model):
+        """On a fresh PG(3,3), sigma_partition, meet_point and join_plane
+        compute from the definitions: they leave only the sigma memo."""
+        s = IncidenceStructure(pg3.adjacency, labels=pg3.labels)
+        m = GeometryModel(structure=s, points=pg3_model.points, planes=pg3_model.planes, seed=pg3_model.seed)
+        for a, b in incident_pairs(pg3).tolist():
+            sigma_partition(s, a, b)
+            assert len(meet_point(m, a, b).lines) == len(join_plane(m, a, b).lines) == 13
+        assert {key if isinstance(key, str) else key[0] for key in s._cache} == {"sigma"}
 
     def test_missing_element_on_corrupt_model(self, tetra):
         m = coordinate_labels(tetra)
@@ -297,6 +316,17 @@ class TestLabeledClasses:
             pencil = meet & join
             assert pc == mask_of_lines(meet - pencil)
             assert qc == mask_of_lines(join - pencil)
+
+    def test_classes_need_one_point_and_one_plane(self, pg2, pg2_model):
+        """Off the incident pairs both classes are empty; on one, a model
+        that lists its plane nowhere, or also as a point, has no classes."""
+        skew = int(np.flatnonzero(~pg2.adjacency[0])[0])
+        assert _classes_at(pg2_model, 0, 0) == _classes_at(pg2_model, 0, skew) == (0, 0)
+        join = join_plane(pg2_model, 0, 1).lines
+        unlisted = GeometryModel(pg2, pg2_model.points, tuple(p for p in pg2_model.planes if p != join), pg2_model.seed)
+        for m in (unlisted, GeometryModel(pg2, pg2_model.points + (join,), pg2_model.planes, pg2_model.seed)):
+            with pytest.raises(MissingElementError, match="not a point and a plane"):
+                _classes_at(m, 0, 1)
 
 
 LABELING_GOLDEN = Path(__file__).parent / "golden" / "perturbed" / "labeling.json"

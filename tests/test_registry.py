@@ -11,6 +11,8 @@ import pytest
 from linespace import (
     NEGATIVE_KINDS,
     CheckReport,
+    GeometryModel,
+    IncidenceStructure,
     LabelInconsistencyError,
     NotTwoClassesError,
     coordinate_labels,
@@ -21,6 +23,8 @@ from linespace import (
     save_structure,
 )
 from linespace.cli import main
+from linespace.core import PerpTable
+from linespace.labeling import element_ids
 from linespace.battery import run_theorem_suite, vy_axioms
 from linespace.registry import CHECKS, LAYERS, names, replay, run_checks
 
@@ -187,3 +191,47 @@ def test_repeated_listings_replay(family, i, pg2, pg2_model, tmp_path):
     assert ("vy_a2" in {r.check_name for r in read_back}) == (family == "points")
     for report in [r for r in reports if r.status == "fail"] + read_back:
         assert replay(pg2, report, m) is True, (family, i, report.check_name, report.counterexample)
+
+
+# The cache keys a counterexample function may read: the element set and
+# the per-perp sigma memo.  Every other key is a table of the kernels.
+DEFINITION_KEYS = ("element_ids", "sigma")
+
+
+def own_model(s):
+    try:
+        return coordinate_labels(s)
+    except (NotTwoClassesError, LabelInconsistencyError):
+        return None
+
+
+def test_replays_read_no_kernel_table(pg3, pg3_model, monkeypatch):
+    """Every failing report of the fixtures, the seeded PG(3,3) mutants, on
+    their own labeling and against the default model, and the PERTURBED
+    models replays True on fresh copies of its structure and model whose
+    caches hold only the element set: the counterexample functions compute
+    from the definitions, and a kernel table read raises."""
+    cases = [(s, own_model(s)) for s in (gen_tetrahedron(), gen_pg3(2)[0], pg3, *map(gen_negative, NEGATIVE_KINDS))]
+    for k in range(12):
+        t = seeded_mutant(pg3, k)
+        cases += [(t, own_model(t)), (t, pg3_model)]
+    cases += [perturbed(pg3, pg3_model, *PERTURBED[name]) for name in sorted(PERTURBED)]
+    failed = [(s, m, r) for s, m in cases for r in run_checks(s, LAYERS, m) if r.status == "fail"]
+    elements = [element_ids(s) for s, _, _ in failed]
+    cached = IncidenceStructure.cached
+
+    def definitions_only(self, key, builder):
+        name = key if isinstance(key, str) else key[0]
+        assert name in DEFINITION_KEYS, f"a counterexample function read the kernel table {name!r}"
+        return cached(self, key, builder)
+
+    monkeypatch.setattr(IncidenceStructure, "cached", definitions_only)
+    monkeypatch.setattr(PerpTable, "index", property(lambda table: pytest.fail("read PerpTable.index")))
+    for (s, m, report), ids in zip(failed, elements):
+        fresh = IncidenceStructure(s.adjacency, labels=s.labels)
+        fresh._cache["element_ids"] = ids
+        if m is not None:
+            structure = fresh if m.structure is s else IncidenceStructure(m.structure.adjacency, labels=s.labels)
+            m = GeometryModel(structure, m.points, m.planes, m.seed)
+        assert replay(fresh, report, m) is True, (s.name, report.check_name)
+    assert len(failed) > 400

@@ -3,20 +3,21 @@
 import pytest
 
 from linespace import (
+    NEGATIVE_KINDS,
     IncidenceStructure,
     NotTwoClassesError,
     PreconditionError,
     bracket,
-    gen_pg3,
+    gen_negative,
     incident_pairs,
     perp,
     sigma,
     sigma_partition,
 )
 from linespace.core import perp_table
-from linespace.registry import run_checks
 
 from conftest import names_for
+from test_theorems import seeded_mutant
 
 
 def oracle_sigma(s, a, b):
@@ -121,15 +122,20 @@ class TestSigmaPartition:
         assert s.adjacency[p, q] and s.adjacency[q, r]
         assert not s.adjacency[p, r]
 
-    def test_classes_read_from_the_table(self):
-        """Every partition is the perp table's classes at the pair's perp, and
-        neither it nor a full battery leaves a memo of its own."""
-        s, _ = gen_pg3(2)
-        table = perp_table(s)
-        for a, b in incident_pairs(s):
-            assert sigma_partition(s, a, b).class_masks == table.classes[table.index[a, b]]
-        run_checks(s, ("axioms", "theorems", "vy"))
-        assert not [k for k in s._cache if isinstance(k, tuple) and k[0] in ("sigma_split", "sigma_partition")]
+    def test_partition_agrees_with_the_perp_table(self, tetra, pg2, pg3):
+        """On every incident pair of the fixtures, PG(3,2), PG(3,3) and its
+        seeded mutants, sigma_partition over a fresh copy splits where the
+        perp table of the structure does, into its classes, and raises
+        elsewhere; the copy is left with the sigma memo alone."""
+        for s in (tetra, *map(gen_negative, NEGATIVE_KINDS), pg2, pg3, *(seeded_mutant(pg3, k) for k in range(12))):
+            fresh, table = IncidenceStructure(s.adjacency, labels=s.labels), perp_table(s)
+            for (a, b), k in zip(table.pairs.tolist(), table.perp.tolist()):
+                if table.split[k]:
+                    assert sigma_partition(fresh, a, b).class_masks == table.classes[k]
+                else:
+                    with pytest.raises(NotTwoClassesError):
+                        sigma_partition(fresh, a, b)
+            assert {key if isinstance(key, str) else key[0] for key in fresh._cache} <= {"sigma"}, s.name
 
 
 class TestTriads:

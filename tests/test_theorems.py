@@ -22,6 +22,7 @@ from linespace import (
     find_skew_triple,
     gen_negative,
     gen_pg3,
+    perp,
     replay_theorem_counterexample,
     run_theorem_suite,
     save_reports,
@@ -45,7 +46,7 @@ from linespace import (
     vy_axioms,
 )
 from conftest import one_perp_regulus
-from linespace import labeling, theorems
+from linespace import battery, labeling, model_theorems, theorems
 from linespace.core import _incidence, bit_rows, mask_of_lines, perp_mask
 from linespace.labeling import element_masks, model_index
 from linespace.registry import names, run_checks
@@ -280,15 +281,26 @@ class TestExchangeFailures:
         )
 
     def test_refined_class_misses_triad(self, pg2, pg2_model, monkeypatch):
-        # a fresh copy of PG(3,2), so that no verdict is cached on it yet
+        # With each perp's point and plane class swapped in the table the
+        # kernel reads, the kernel flags the first triad's first row, where
+        # the counterexample function, which reads the model, finds none: a
+        # disagreement replay rejects.  A fresh copy of PG(3,2), so that no
+        # verdict is cached on it yet.
         s = IncidenceStructure(pg2.adjacency, labels=pg2.labels)
         swapped = swapped_classes(pg2_model)
         monkeypatch.setattr(theorems, "_labeled_classes", lambda m: swapped)
-        ce = {"triad": ["L00", "L01", "L02"], "x": "L00", "y": "L01", "kind": "point"}
-        assert self.exchange_ce(s, dataclasses.replace(pg2_model, structure=s)) == (
-            {**ce, "issue": "refined_class_misses_triad"},
-            1,
-        )
+        r = thm_exchange(s, dataclasses.replace(pg2_model, structure=s))
+        assert (r.status, r.counterexample, r.stats) == ("fail", None, {"cases_examined": 1})
+        # The branch, from the definitions: the pencil L00, L01, L06 has as
+        # bracket its point and its plane together, listed here as a plane.
+        # L02 lies on the point and off the plane, and L01 lies in
+        # sigma(L00, L02), but in that pair's point class, not its plane class.
+        bracket = tuple(sorted(perp(pg2, (0, 1, 6))))
+        assert len(bracket) == 11  # a point and a plane, 7 lines each, sharing the pencil
+        m = dataclasses.replace(pg2_model, planes=pg2_model.planes + (bracket,))
+        ce = {"triad": ["L00", "L01", "L06"], "x": "L00", "y": "L02", "kind": "plane"}
+        got = model_theorems._exchange_issue(pg2, m, ["L00", "L01", "L06"], x="L00", y="L02")
+        assert got == {**ce, "issue": "refined_class_misses_triad"}
 
     def test_sigma_misses_triad(self, tetra):
         # the tetrahedron with ah and bh made skew, against the tetrahedron's
@@ -305,21 +317,23 @@ class TestExchangeFailures:
 
 class TestTriangleFailures:
     def test_side_not_in_plane_class(self, pg2, pg2_model, monkeypatch):
-        # with the point and plane classes swapped every side misses its plane
-        # class; the report was recorded before the triangle kernel existed.
-        # A fresh copy of PG(3,2), so that no verdict is cached on it yet.
+        # With each perp's point and plane class swapped in the table the
+        # kernel reads, every side misses its plane class there, and the
+        # kernel flags the first triple, where the counterexample function,
+        # which reads the model, finds none.  A fresh copy of PG(3,2), so
+        # that no verdict is cached on it yet.
         s = IncidenceStructure(pg2.adjacency, labels=pg2.labels)
         swapped = swapped_classes(pg2_model)
         monkeypatch.setattr(theorems, "_labeled_classes", lambda m: swapped)
         r = thm_triangle(s, dataclasses.replace(pg2_model, structure=s))
-        points = [
-            ["L00", "L01", "L02", "L03", "L04", "L05", "L06"],
-            ["L00", "L07", "L08", "L09", "L14", "L15", "L20"],
-            ["L01", "L07", "L10", "L11", "L16", "L17", "L29"],
-        ]
-        ce = {"points": points, "issue": "side_not_in_plane_class"}
-        assert (r.status, r.stats) == ("fail", {"cases_examined": 1})
-        assert r.counterexample == {**ce, "line": "L07", "of_pair": ["L00", "L01"]}
+        assert (r.status, r.counterexample, r.stats) == ("fail", None, {"cases_examined": 1})
+        # The branch, from the definitions: three listed points of two lines
+        # each, whose sides L00, L01, L02 meet in one point and lie in no
+        # plane, so L00 lies in the point class of sigma(L01, L02).
+        points = [["L01", "L02"], ["L00", "L02"], ["L00", "L01"]]
+        m = dataclasses.replace(pg2_model, points=pg2_model.points + ((1, 2), (0, 2), (0, 1)))
+        ce = {"points": points, "issue": "side_not_in_plane_class", "line": "L00", "of_pair": ["L01", "L02"]}
+        assert battery._triangle_issue(pg2, m, points) == ce
 
 
 class TestTetrahedronExtraction:
@@ -652,7 +666,9 @@ class TestPairIndex:
         s, _ = gen_pg3(2)
         check_axiom1(s), check_axiom2_1(s)
         assert "index" not in vars(theorems.perp_table(s))
-        m = coordinate_labels(IncidenceStructure(s.adjacency, labels=s.labels))
+        copy = IncidenceStructure(s.adjacency, labels=s.labels)
+        m = coordinate_labels(copy)
+        assert "index" not in vars(theorems.perp_table(copy))
         dualize(GeometryModel(structure=s, points=m.points, planes=m.planes, seed=m.seed))
         assert "index" not in vars(theorems.perp_table(s))
 
